@@ -17,13 +17,11 @@ from .polys import Poly2, gauss_rule
 from .mesh import make_parallelogram_domain, EX1_CORNERS
 from .piola import (
     BasisCache,
-    cell_geometry,
     element_map,
     push_components,
     push_divergence,
     _local_tangent,
 )
-from .reference import CORNERS, divdiv_matrix
 from .space import build_dof_map, cell_coefficients
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
@@ -189,40 +187,7 @@ def p1_eval(coeffs_k, xh, yh):
     return coeffs_k[0] + coeffs_k[1] * xh + coeffs_k[2] * yh
 
 
-# -- quadrature tabulation and error norms --------------------------------------
-
-
-class RefTabulation:
-    """Basis values at the nodes of a reference quadrature rule."""
-
-    def __init__(self, cache, nq):
-        rule = gauss_rule(nq, dim=2)
-        self.rule = rule
-        xh, yh = rule.points[:, 0], rule.points[:, 1]
-        nb = len(cache.basis)
-        npts = len(rule)
-        self.phi = np.zeros((nb, npts, 3))
-        self.divphi = np.zeros((nb, npts, 2))
-        self.ddphi = np.zeros((nb, npts))
-        for i, p in enumerate(cache.basis):
-            self.phi[i] = p.eval(xh, yh)
-            wx, wy = p.div()
-            self.divphi[i, :, 0] = wx.eval(xh, yh)
-            self.divphi[i, :, 1] = wy.eval(xh, yh)
-            self.ddphi[i] = p.divdiv().eval(xh, yh)
-        self.xh, self.yh = xh, yh
-
-
-_TAB_CACHE = {}
-
-
-def _tabulation(cache, nq):
-    key = (id(cache), nq)
-    tab = _TAB_CACHE.get(key)
-    if tab is None:
-        tab = RefTabulation(cache, nq)
-        _TAB_CACHE[key] = tab
-    return tab
+# -- error norms -----------------------------------------------------------------
 
 
 def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
@@ -246,7 +211,7 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
         orders = np.asarray(cell_orders, dtype=int)
     res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0}
     for k in range(mesh.num_cells):
-        tab = _tabulation(cache, int(orders[k]))
+        tab = cache.volume_tabulation(int(orders[k]))
         emap = element_map(mesh, k)
         x, y = emap.apply(tab.xh, tab.yh)
         w = tab.rule.weights * emap.det
@@ -288,19 +253,18 @@ def commuting_residual(mesh, dofmap, field, cache=None, nq=6):
         cache = BasisCache()
     mcoef = interpolate_ddiv(mesh, dofmap, field, nq=nq)
     coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
-    dd_map = divdiv_matrix(cache.basis)  # (20, 3) coefficients in {1, xh, yh}
     p1 = project_p1(mesh, field.divdiv, nq=nq)
 
-    rule = gauss_rule(2, dim=2)
-    xh, yh = rule.points[:, 0], rule.points[:, 1]
+    tab = cache.volume_tabulation(2)
+    w = tab.rule.weights
     total = 0.0
     norm = 0.0
     for k in range(mesh.num_cells):
         emap = element_map(mesh, k)
-        lhs = dd_map.T @ coeffs[k] / emap.det
-        diff = p1_eval(lhs - p1[k], xh, yh)
-        total += emap.det * np.sum(rule.weights * diff**2)
-        norm += emap.det * np.sum(rule.weights * p1_eval(p1[k], xh, yh) ** 2)
+        rhs = p1_eval(p1[k], tab.xh, tab.yh)
+        diff = coeffs[k] @ tab.ddphi / emap.det - rhs
+        total += emap.det * np.sum(w * diff**2)
+        norm += emap.det * np.sum(w * rhs**2)
     return float(np.sqrt(total)), float(np.sqrt(norm))
 
 

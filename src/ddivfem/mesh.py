@@ -63,6 +63,10 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 4:
             raise MeshError("cells must be an (nk, 4) array")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("vertex coordinates must be finite")
+        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= len(self.vertices)):
+            raise MeshError("cell corner indices must lie in [0, %d)" % len(self.vertices))
         self._build_topology()
         self._apply_labels(boundary_labels, default_label)
         if validate:
@@ -225,24 +229,44 @@ class Mesh:
 
 
 def import_text(path):
-    """Read a mesh written by :meth:`Mesh.export_text`."""
+    """Read a mesh written by :meth:`Mesh.export_text`.
+
+    Raises MeshError when the file does not follow that format: a bad
+    header, a missing or malformed vertex, cell or boundary line, or a
+    boundary line that names no boundary edge of the mesh.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    tokens = [t for t in tokens if t.strip()]
-    nv, nk, ne = (int(s) for s in tokens[0].split())
-    vertices = np.array(
-        [[float(s) for s in tokens[1 + i].split()] for i in range(nv)]
-    )
-    cells = np.array(
-        [[int(s) for s in tokens[1 + nv + k].split()] for k in range(nk)]
-    )
-    labels = {}
-    for line in tokens[1 + nv + nk :]:
-        a, b, lab = line.split()
-        labels[frozenset((int(a), int(b)))] = lab
-    mesh = Mesh(vertices, cells, boundary_labels=labels)
+        lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
+    if not lines:
+        raise MeshError("empty mesh file")
+
+    def row(i, kinds, what):
+        if i >= len(lines):
+            raise MeshError("mesh file ends before %s" % what)
+        no, fields = lines[i]
+        if len(fields) != len(kinds):
+            raise MeshError(
+                "line %d: %s needs %d fields, got %d" % (no, what, len(kinds), len(fields))
+            )
+        try:
+            return [kind(f) for kind, f in zip(kinds, fields)]
+        except ValueError:
+            raise MeshError("line %d: malformed %s %r" % (no, what, " ".join(fields))) from None
+
+    nv, nk, ne = row(0, (int, int, int), "header")
+    if min(nv, nk, ne) < 0:
+        raise MeshError("header counts must be nonnegative")
+    vertices = np.array([row(1 + i, (float, float), "vertex %d" % i) for i in range(nv)])
+    cells = np.array([row(1 + nv + k, (int,) * 4, "cell %d" % k) for k in range(nk)])
+    pairs = [row(i, (int, int, str), "boundary line") for i in range(1 + nv + nk, len(lines))]
+    labels = {frozenset((a, b)): lab for a, b, lab in pairs}
+    mesh = Mesh(vertices.reshape(nv, 2), cells.reshape(nk, 4), boundary_labels=labels)
     if mesh.num_edges != ne:
         raise MeshError("edge count %d does not match header %d" % (mesh.num_edges, ne))
+    for a, b, _ in pairs:
+        e = mesh.find_edge(a, b)
+        if e < 0 or mesh.edge_cells[e, 1] != -1:
+            raise MeshError("boundary line %d %d names no boundary edge" % (a, b))
     return mesh
 
 

@@ -158,6 +158,9 @@ def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
 
     so only point values and plain integrals of the pushed field are needed.
     Corner jumps are taken in the cell-local outward frames.
+
+    This single-cell form is the specification of the functionals;
+    :func:`dof_matrices` applies the same formulas to whole meshes.
     """
     s, w = _edge_param_points(nq)
     wx_p, wy_p = M.div()
@@ -218,6 +221,158 @@ def _local_tangent(frame, j):
     return t if frame.forward[j] else -t
 
 
+class EdgeTabulation:
+    """What the 20 physical dof functionals read of a reference basis.
+
+    The functionals are linear in the tensor, so each is fixed once the edge
+    rule is: Gauss moments along the reference edges and corner values.  For
+    basis function i and reference edge j (traversal parameter s):
+
+    ``val0[i, j]``, ``val1[i, j]`` : (3,)
+        Moments of the components (xx, xy, yy) against 1 and s.
+    ``div0[i, j]``, ``div1[i, j]`` : (2,)
+        The same for the row divergence.
+    ``ends[i, j]`` : (2, 3)
+        Component values at the start and end corner of the edge.
+    """
+
+    def __init__(self, basis, nq):
+        s, w = _edge_param_points(nq)
+        nb = len(basis)
+        self.val0 = np.zeros((nb, 4, 3))
+        self.val1 = np.zeros((nb, 4, 3))
+        self.div0 = np.zeros((nb, 4, 2))
+        self.div1 = np.zeros((nb, 4, 2))
+        corners = np.zeros((nb, 4, 3))
+        for i, phi in enumerate(basis):
+            wx, wy = phi.div()
+            for j in range(4):
+                xh, yh = _reference_edge_points(j, s)
+                vals = phi.eval(xh, yh)
+                divs = np.stack([wx.eval(xh, yh), wy.eval(xh, yh)], axis=-1)
+                self.val0[i, j] = w @ vals
+                self.val1[i, j] = (w * s) @ vals
+                self.div0[i, j] = w @ divs
+                self.div1[i, j] = (w * s) @ divs
+            corners[i] = phi.eval(CORNERS[:, 0], CORNERS[:, 1])
+        self.ends = corners[:, np.array(EDGE_CORNERS)]
+
+
+class VolumeTabulation:
+    """Basis values, row divergences and div div at the nodes of a Gauss rule."""
+
+    def __init__(self, basis, nq):
+        rule = gauss_rule(nq, dim=2)
+        self.rule = rule
+        xh, yh = rule.points[:, 0], rule.points[:, 1]
+        nb = len(basis)
+        npts = len(rule)
+        self.phi = np.zeros((nb, npts, 3))
+        self.divphi = np.zeros((nb, npts, 2))
+        self.ddphi = np.zeros((nb, npts))
+        for i, p in enumerate(basis):
+            self.phi[i] = p.eval(xh, yh)
+            wx, wy = p.div()
+            self.divphi[i, :, 0] = wx.eval(xh, yh)
+            self.divphi[i, :, 1] = wy.eval(xh, yh)
+            self.ddphi[i] = p.divdiv().eval(xh, yh)
+        self.xh, self.yh = xh, yh
+
+
+class CellGeometry:
+    """Element maps and global edge frames of n cells, with a leading cell axis.
+
+    Attributes
+    ----------
+    B : (n, 2, 2)
+    det : (n,)
+    tangents : (n, 4, 2)
+        Global unit tangents of the local edges, as in PhysicalDofFrame.
+    lengths : (n, 4)
+    forward : (n, 4) bool
+    """
+
+    def __init__(self, B, det, tangents, lengths, forward):
+        self.B = B
+        self.det = det
+        self.tangents = tangents
+        self.lengths = lengths
+        self.forward = forward
+
+    @staticmethod
+    def of_cell(emap, frame):
+        """The n = 1 geometry of one (ElementMap, PhysicalDofFrame) pair."""
+        return CellGeometry(
+            emap.B[None], np.array([emap.det]), frame.tangents[None],
+            frame.lengths[None], frame.forward[None],
+        )
+
+
+def batch_geometry(mesh):
+    """CellGeometry of every cell of a mesh, in cell order."""
+    v = mesh.vertices[mesh.cells]
+    B = 0.5 * np.stack([v[:, 1] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+    det = np.linalg.det(B)
+    if np.any(det <= 0.0):
+        raise GeometryError(
+            "cell %d has a nonpositive element map determinant" % int(np.argmin(det))
+        )
+    ends = mesh.vertices[mesh.edges[mesh.cell_edges]]
+    vec = ends[:, :, 1] - ends[:, :, 0]
+    lengths = np.linalg.norm(vec, axis=-1)
+    if np.any(lengths <= 0.0):
+        e = mesh.cell_edges.flat[np.argmin(lengths)]
+        raise GeometryError("edge %d has zero length" % e)
+    return CellGeometry(B, det, vec / lengths[..., None], lengths, mesh.cell_edge_forward)
+
+
+def dof_matrices(geometry, tab):
+    """Local dof matrices T (n, 20, 20) of n cells in one contraction.
+
+    ``T[k, m, i]`` is the m-th physical dof of the i-th reference shape
+    function pushed to cell k: the formulas of :func:`physical_dofs`, with
+    the pushforward folded into per-edge weights.  For a frame vector v,
+    v.M n = (B^T v).Mh (B^T n) / det B and n.div M = (B^T n).divh Mh / det B.
+    """
+    B, t = geometry.B, geometry.tangents
+    nrm = np.stack([t[..., 1], -t[..., 0]], axis=-1)
+    a = np.einsum("kba,kjb->kja", B, nrm)
+    b = np.einsum("kba,kjb->kja", B, t)
+    d = geometry.det[:, None, None]
+    w_nn = np.stack([a[..., 0] ** 2, 2.0 * a[..., 0] * a[..., 1], a[..., 1] ** 2], axis=-1) / d
+    w_tn = np.stack(
+        [
+            b[..., 0] * a[..., 0],
+            b[..., 0] * a[..., 1] + b[..., 1] * a[..., 0],
+            b[..., 1] * a[..., 1],
+        ],
+        axis=-1,
+    ) / d
+    w_div = a / d
+
+    nn0 = np.einsum("kjc,ijc->kji", w_nn, tab.val0)
+    nn1 = np.einsum("kjc,ijc->kji", w_nn, tab.val1)
+    tn0 = np.einsum("kjc,ijc->kji", w_tn, tab.val0)
+    dv0 = np.einsum("kjc,ijc->kji", w_div, tab.div0)
+    dv1 = np.einsum("kjc,ijc->kji", w_div, tab.div1)
+    tn_ends = np.einsum("kjc,ijec->kjei", w_tn, tab.ends)
+    start, stop = tn_ends[:, :, 0], tn_ends[:, :, 1]
+
+    # the global Legendre weight is +-s, and the global endpoints (lo, hi)
+    # are the traversal's (start, stop) or (stop, start)
+    sign = np.where(geometry.forward, 1.0, -1.0)[..., None]
+    half = 0.5 * geometry.lengths[..., None]
+    T = np.empty((len(B), 20, 20))
+    T[:, 0:4] = 0.5 * nn0
+    T[:, 4:8] = 0.5 * sign * nn1
+    T[:, 8:12] = half * dv0 + sign * (stop - start)
+    T[:, 12:16] = half * sign * dv1 + (stop + start) - tn0
+    # corner c ends local edge c - 1 and starts local edge c; the jump is
+    # sign free because tangent and normal flip together
+    T[:, 16:20] = np.roll(stop, 1, axis=1) - start
+    return T
+
+
 class LocalBasis:
     """Change of basis between reference shape functions and physical dofs.
 
@@ -237,26 +392,24 @@ class LocalBasis:
         self.Tinv = np.linalg.inv(T)
 
 
-def local_basis_matrix(emap, frame, basis=None):
-    """LocalBasis of one cell (uncached)."""
-    if basis is None:
-        basis = build_reference_basis()
-    T = np.zeros((20, 20))
-    for i, phi in enumerate(basis):
-        T[:, i] = physical_dofs(emap, frame, phi)
-    return LocalBasis(T)
+def local_basis_matrix(emap, frame, tab):
+    """LocalBasis of one cell (uncached) from an EdgeTabulation."""
+    return LocalBasis(dof_matrices(CellGeometry.of_cell(emap, frame), tab)[0])
 
 
 class BasisCache:
     """Caches LocalBasis objects keyed by map matrix and edge orientation.
 
     Uniform meshes have a handful of distinct (B, orientation) signatures,
-    so each distinct local matrix is inverted once.
+    so each distinct local matrix is inverted once.  The cache also owns the
+    tabulations of its reference basis, one per kind and rule, built on
+    first use.
     """
 
     def __init__(self, basis=None):
         self.basis = basis if basis is not None else build_reference_basis()
         self._store = {}
+        self._tabs = {}
 
     def key(self, emap, frame):
         return (
@@ -273,9 +426,23 @@ class BasisCache:
         key = self.key(emap, frame)
         lb = self._store.get(key)
         if lb is None:
-            lb = local_basis_matrix(emap, frame, self.basis)
+            lb = local_basis_matrix(emap, frame, self.edge_tabulation())
             self._store[key] = lb
         return lb
+
+    def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
+        """EdgeTabulation of the basis for an nq-point edge rule."""
+        return self._tabulation(EdgeTabulation, nq)
+
+    def volume_tabulation(self, nq):
+        """VolumeTabulation of the basis for an nq x nq Gauss rule."""
+        return self._tabulation(VolumeTabulation, nq)
+
+    def _tabulation(self, kind, nq):
+        tab = self._tabs.get((kind, nq))
+        if tab is None:
+            tab = self._tabs[(kind, nq)] = kind(self.basis, nq)
+        return tab
 
     def __len__(self):
         return len(self._store)

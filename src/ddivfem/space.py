@@ -13,9 +13,7 @@ others.  The resulting count is
 
 import numpy as np
 
-from .piola import BasisCache, cell_geometry, physical_dofs
-from .reference import SymTensorPoly, build_reference_basis
-from .polys import Poly2
+from .piola import BasisCache, batch_geometry, cell_geometry, dof_matrices
 
 # slot layout of the 20 local dofs of a cell
 SLOT_M0 = 0
@@ -153,83 +151,77 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
     return coeffs
 
 
-def cell_tensor(cache, coeffs_k):
-    """SymTensorPoly on the reference square from expansion coefficients."""
-    axx, axy, ayy = Poly2.zero(), Poly2.zero(), Poly2.zero()
-    for i, phi in enumerate(cache.basis):
-        w = float(coeffs_k[i])
-        if w != 0.0:
-            axx = axx + w * phi.axx
-            axy = axy + w * phi.axy
-            ayy = ayy + w * phi.ayy
-    return SymTensorPoly(axx, axy, ayy)
-
-
 def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
-    """Verify interelement continuity of a tensor field by quadrature.
+    """Verify interelement continuity of a tensor field from its physical dofs.
 
-    For every interior edge the normal-normal moments from both sides must
-    agree and the effective-shear functionals in outward orientation must be
-    opposite; at every interior vertex the corner jumps of the surrounding
-    cells must sum to zero.  All three are evaluated from the reconstructed
-    per-cell polynomials, independently of the dof bookkeeping.
+    For every interior edge the normal-normal and effective-shear moments in
+    the global edge frame must agree from both sides; at every interior
+    vertex the corner jumps of the surrounding cells must sum to zero.  The
+    dofs of every cell are ``T_k @ coeffs_k``, with the local dof matrices
+    ``T_k`` of all cells built for an ``nq``-point edge rule by
+    :func:`ddivfem.piola.dof_matrices`.
 
-    ``mcoef`` is either a global coefficient vector or an (ncells, 20) array
-    of raw per-cell reference expansion coefficients; the latter lets the
-    check quantify how nonconforming an arbitrary piecewise field is.
+    ``mcoef`` is either an (ncells, 20) array of raw per-cell reference
+    expansion coefficients or a global coefficient vector.  Raw coefficients
+    get a true interface check: it quantifies how nonconforming an arbitrary
+    piecewise field is.  A global vector is first expanded per cell through
+    the cached ``Tinv``, so the check certifies the round trip
+    ``T_k Tinv_k`` and the sharing of edge dofs and eliminated jumps in the
+    dof map.
 
-    Returns a dict with the three maximal violations and their locations.
+    Returns a dict with the three maximal violations and their locations:
+    the lowest edge or vertex index attaining each maximum, or -1 when it is
+    not positive.
     """
     if cache is None:
         cache = BasisCache()
-    nk = mesh.num_cells
     mcoef = np.asarray(mcoef, dtype=float)
     if mcoef.ndim == 2:
         coeffs = mcoef
     else:
         coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
+    T = dof_matrices(batch_geometry(mesh), cache.edge_tabulation(nq))
+    phys = np.einsum("kmi,ki->km", T, coeffs)
 
-    # per-cell physical dof functionals, recomputed by quadrature
-    phys = np.zeros((nk, 20))
-    geoms = []
-    for k in range(nk):
-        emap, frame = cell_geometry(mesh, k)
-        geoms.append((emap, frame))
-        phys[k] = physical_dofs(emap, frame, cell_tensor(cache, coeffs[k]), nq=nq)
+    # global-frame edge dofs; the outward shear values are sigma * global
+    # with sigma differing between the two sides, so the global values of
+    # all four moments must agree
+    edges = np.nonzero(mesh.edge_cells[:, 1] >= 0)[0]
+    slots = np.array([SLOT_M0, SLOT_M1, SLOT_Q0, SLOT_Q1])
+    sides = []
+    for k in mesh.edge_cells[edges].T:
+        j = np.argmax(mesh.cell_edges[k] == edges[:, None], axis=1)
+        sides.append(phys[k[:, None], slots + j[:, None]])
+    diff = np.abs(sides[0] - sides[1])
+    max_m, where_m = _worst(diff[:, :2].max(axis=1), edges)
+    max_q, where_q = _worst(diff[:, 2:].max(axis=1), edges)
 
-    max_m = 0.0
-    max_q = 0.0
-    where_m = where_q = -1
-    for e in range(mesh.num_edges):
-        k1, k2 = mesh.edge_cells[e]
-        if k2 < 0:
-            continue
-        j1 = list(mesh.cell_edges[k1]).index(e)
-        j2 = list(mesh.cell_edges[k2]).index(e)
-        for slot in (SLOT_M0, SLOT_M1):
-            d = abs(phys[k1][slot + j1] - phys[k2][slot + j2])
-            if d > max_m:
-                max_m, where_m = d, e
-        # global-frame shear moments; outward values are sigma * global, and
-        # sigma differs between the two sides, so the global values must agree
-        for slot in (SLOT_Q0, SLOT_Q1):
-            d = abs(phys[k1][slot + j1] - phys[k2][slot + j2])
-            if d > max_q:
-                max_q, where_q = d, e
-
-    max_j = 0.0
-    where_j = -1
-    for v in mesh.interior_vertices:
-        s = sum(phys[k][SLOT_JUMP + c] for k, c in mesh.vertex_cells[v])
-        if abs(s) > max_j:
-            max_j, where_j = abs(s), v
+    jump_sums = np.bincount(
+        mesh.cells.ravel(), weights=phys[:, SLOT_JUMP:].ravel(), minlength=mesh.num_vertices
+    )
+    vertices = mesh.interior_vertices
+    max_j, where_j = _worst(np.abs(jump_sums[vertices]), vertices)
 
     return {
         "max_moment_mismatch": max_m,
         "max_shear_mismatch": max_q,
         "max_jump_sum": max_j,
-        "worst_edge_m": int(where_m),
-        "worst_edge_q": int(where_q),
-        "worst_vertex": int(where_j),
-        "max_violation": max(max_m, max_q, max_j),
+        "worst_edge_m": where_m,
+        "worst_edge_q": where_q,
+        "worst_vertex": where_j,
+        "max_violation": float(np.max([max_m, max_q, max_j])),
     }
+
+
+def _worst(values, ids):
+    """Maximum of ``values`` and the first id attaining it; (0.0, -1) if not positive.
+
+    A NaN counts as a violation and is reported where it first occurs.
+    """
+    if len(values) == 0:
+        return 0.0, -1
+    i = int(np.argmax(values))
+    top = float(values[i])
+    if top <= 0.0:
+        return 0.0, -1
+    return top, int(ids[i])

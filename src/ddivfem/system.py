@@ -156,13 +156,8 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     if cache is None:
         cache = BasisCache()
 
-    rule = gauss_rule(nq, dim=2)
-    xh, yh = rule.points[:, 0], rule.points[:, 1]
-    w = rule.weights
-    nb = len(cache.basis)
-    phi = np.zeros((nb, len(w), 3))
-    for i, p in enumerate(cache.basis):
-        phi[i] = p.eval(xh, yh)
+    tab = cache.volume_tabulation(nq)
+    phi, w = tab.phi, tab.rule.weights
 
     # dd[i, a]: coefficient of div div phi_i on {1, xh, yh}; exact
     dd = divdiv_matrix(cache.basis)

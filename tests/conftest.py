@@ -1,7 +1,9 @@
 import time
 
+import numpy as np
 import pytest
 
+from ddivfem.mesh import EX1_CORNERS, Mesh
 from ddivfem.piola import BasisCache
 from ddivfem.problems import convergence_study
 
@@ -9,6 +11,27 @@ from ddivfem.problems import convergence_study
 @pytest.fixture(scope="session")
 def basis_cache():
     return BasisCache()
+
+
+@pytest.fixture(scope="session")
+def graded_mesh():
+    """Tensor-product mesh of the ex1 parallelogram with unequal knot gaps.
+
+    Every cell is a parallelogram, but no two columns or rows share a width,
+    so no two cells have the same element map.
+    """
+    s_knots = np.array([0.0, 0.12, 0.3, 0.52, 0.8, 1.0])
+    t_knots = np.array([0.0, 0.31, 0.48, 0.71, 1.0])
+    c0, c1, c3 = EX1_CORNERS[0], EX1_CORNERS[1], EX1_CORNERS[3]
+    ss, tt = np.meshgrid(s_knots, t_knots, indexing="ij")
+    vertices = c0 + np.outer(ss.ravel(), c1 - c0) + np.outer(tt.ravel(), c3 - c0)
+    nt = len(t_knots)
+    cells = []
+    for i in range(len(s_knots) - 1):
+        for j in range(nt - 1):
+            v00, v10 = i * nt + j, (i + 1) * nt + j
+            cells.append([v00, v10, v10 + 1, v00 + 1])
+    return Mesh(vertices, np.array(cells))
 
 
 @pytest.fixture(scope="session")

@@ -106,6 +106,48 @@ def test_text_round_trip(tmp_path):
     assert [int(v) for v in header] == [21, 12, 32]
 
 
+UNIT_SQUARE_TEXT = [
+    "4 1 4", "0 0", "1 0", "1 1", "0 1", "0 1 2 3", "0 1 D", "1 2 D", "2 3 N", "0 3 D"
+]
+
+
+def _edited(changes):
+    lines = list(UNIT_SQUARE_TEXT)
+    for i, line in changes.items():
+        lines[i] = line
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+MALFORMED_TEXT = {
+    "empty": "",
+    "truncated": "3 1 4\n0 0\n1 0\n",
+    "no-cell-line": _edited({5: None, 6: None, 7: None, 8: None, 9: None}),
+    "short-header": _edited({0: "4 1"}),
+    "non-numeric-header": _edited({0: "4 one 4"}),
+    "negative-count": _edited({0: "-4 1 4"}),
+    "wrong-edge-count": _edited({0: "4 1 5"}),
+    "short-vertex": _edited({1: "0"}),
+    "non-numeric-vertex": _edited({2: "1 zero"}),
+    "nan-vertex": _edited({2: "nan 0"}),
+    "short-cell": _edited({5: "0 1 2"}),
+    "non-integer-cell": _edited({5: "0 1 2.5 3"}),
+    "cell-index-out-of-range": _edited({5: "0 1 2 7"}),
+    "short-label": _edited({6: "0 1"}),
+    "unknown-label": _edited({6: "0 1 X"}),
+    "label-on-a-diagonal": _edited({6: "0 2 D"}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_TEXT.values(), ids=MALFORMED_TEXT.keys())
+def test_malformed_text_raises_mesh_error(tmp_path, text):
+    path = tmp_path / "mesh.txt"
+    path.write_text(_edited({}))
+    assert import_text(path).edge_label.tolist() == ["D", "D", "N", "D"]
+    path.write_text(text)
+    with pytest.raises(MeshError):
+        import_text(path)
+
+
 def test_degenerate_corners_rejected():
     with pytest.raises(MeshError):
         make_parallelogram_domain([[0, 0], [1, 0], [2, 0], [1, 0]], 1)
@@ -133,3 +175,8 @@ def test_direct_construction_validates():
     verts = verts[:4]
     with pytest.raises(MeshError):
         Mesh(verts, np.array([[0, 1, 1, 3]]))  # repeated vertex
+    for bad in ([[0, 1, 2, 4]], [[-1, 1, 2, 3]]):
+        with pytest.raises(MeshError):
+            Mesh(verts, np.array(bad))  # corner index out of range
+    with pytest.raises(MeshError):
+        Mesh(np.where(verts == 1.0, np.nan, verts), cells)  # non-finite coordinates

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from ddivfem.mesh import EX1_CORNERS, make_parallelogram_domain
+from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
 from ddivfem.piola import (
     BasisCache,
+    EdgeTabulation,
     ElementMap,
     GeometryError,
+    batch_geometry,
     cell_geometry,
+    dof_matrices,
     element_map,
     physical_dofs,
     push_tensor,
@@ -129,3 +132,25 @@ def test_local_matrix_cache_collapses_uniform_mesh(basis):
     lb = cache.get(*cell_geometry(mesh, 0))
     assert lb.cond < 1e3
     assert np.allclose(lb.Tinv @ lb.T, np.eye(20), atol=1e-12)
+
+
+@pytest.mark.parametrize("nq", [4, 8])
+def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
+    # physical_dofs is the single-cell specification of the functionals
+    tab = EdgeTabulation(basis, nq)
+    for mesh in (graded_mesh, make_lshape(2)):
+        T = dof_matrices(batch_geometry(mesh), tab)
+        assert T.shape == (mesh.num_cells, 20, 20)
+        for k in range(mesh.num_cells):
+            emap, frame = cell_geometry(mesh, k)
+            want = np.column_stack([physical_dofs(emap, frame, phi, nq=nq) for phi in basis])
+            assert np.abs(T[k] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh):
+    cache = BasisCache(basis)
+    T = dof_matrices(batch_geometry(graded_mesh), cache.edge_tabulation())
+    for k in range(graded_mesh.num_cells):
+        lb = cache.get(*cell_geometry(graded_mesh, k))
+        assert np.abs(lb.T - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
+    assert len(cache) == graded_mesh.num_cells

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from ddivfem.piola import BasisCache
+from ddivfem.piola import BasisCache, cell_geometry, physical_dofs
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
 
@@ -95,3 +95,66 @@ def test_conformity_of_mapped_coefficients():
     assert coeffs.shape == (mesh.num_cells, 20)
     report = check_conformity(mesh, dofmap, coeffs, cache=cache)
     assert report["max_violation"] < 1e-12 * max(1.0, np.abs(m).max())
+
+
+def quadrature_conformity(mesh, basis, coeffs, nq):
+    """The conformity maxima from physical_dofs of each cell's tensor.
+
+    Reconstructs every cell's reference tensor from its coefficients,
+    evaluates its 20 functionals by edge quadrature, and scans the edges and
+    interior vertices in index order, keeping the first location of each
+    maximum.
+    """
+    phys = []
+    for k in range(mesh.num_cells):
+        M = basis[0] * float(coeffs[k][0])
+        for w, phi in zip(coeffs[k][1:], basis[1:]):
+            M = M + phi * float(w)
+        phys.append(physical_dofs(*cell_geometry(mesh, k), M, nq=nq))
+    out = {"max_moment_mismatch": 0.0, "max_shear_mismatch": 0.0, "max_jump_sum": 0.0,
+           "worst_edge_m": -1, "worst_edge_q": -1, "worst_vertex": -1}
+    for e in range(mesh.num_edges):
+        k1, k2 = mesh.edge_cells[e]
+        if k2 < 0:
+            continue
+        j1 = list(mesh.cell_edges[k1]).index(e)
+        j2 = list(mesh.cell_edges[k2]).index(e)
+        for slots, key, where in (((0, 4), "max_moment_mismatch", "worst_edge_m"),
+                                  ((8, 12), "max_shear_mismatch", "worst_edge_q")):
+            for slot in slots:
+                d = abs(phys[k1][slot + j1] - phys[k2][slot + j2])
+                if d > out[key]:
+                    out[key], out[where] = d, e
+    for v in mesh.interior_vertices:
+        s = abs(sum(phys[k][16 + c] for k, c in mesh.vertex_cells[v]))
+        if s > out["max_jump_sum"]:
+            out["max_jump_sum"], out["worst_vertex"] = s, v
+    return out
+
+
+@pytest.mark.parametrize("nq", [4, 8])
+def test_conformity_of_raw_coefficients_matches_quadrature(graded_mesh, nq):
+    cache = BasisCache()
+    rng = np.random.default_rng(31)
+    for mesh in (graded_mesh, make_lshape(1)):
+        dofmap = build_dof_map(mesh)
+        raw = rng.standard_normal((mesh.num_cells, 20))
+        report = check_conformity(mesh, dofmap, raw, cache=cache, nq=nq)
+        want = quadrature_conformity(mesh, cache.basis, raw, nq)
+        for key in ("max_moment_mismatch", "max_shear_mismatch", "max_jump_sum"):
+            assert report[key] == pytest.approx(want[key], rel=1e-12)
+        for key in ("worst_edge_m", "worst_edge_q", "worst_vertex"):
+            assert report[key] == want[key]
+        assert report["max_violation"] == max(
+            report["max_moment_mismatch"], report["max_shear_mismatch"], report["max_jump_sum"]
+        )
+
+
+def test_conformity_reports_no_location_without_violation():
+    # a single cell has no interior edge or vertex to compare
+    mesh = make_parallelogram_domain(EX1_CORNERS, 0)
+    dofmap = build_dof_map(mesh)
+    raw = np.random.default_rng(3).standard_normal((1, 20))
+    report = check_conformity(mesh, dofmap, raw)
+    assert report["max_violation"] == 0.0
+    assert (report["worst_edge_m"], report["worst_edge_q"], report["worst_vertex"]) == (-1, -1, -1)
