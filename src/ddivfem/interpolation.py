@@ -15,17 +15,14 @@ import numpy as np
 
 from .polys import Poly2, gauss_rule
 from .mesh import make_parallelogram_domain, EX1_CORNERS
-from .piola import (
-    BasisCache,
-    element_map,
-    push_components,
-    push_divergence,
-    _local_tangent,
-)
+from .piola import BasisCache
 from .space import build_dof_map, cell_coefficients
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
 P1_MASS_DIAG = np.array([4.0, 4.0 / 3.0, 4.0 / 3.0])
+
+#: weights of the squared components (xx, xy, yy) in the Frobenius product
+FROBENIUS = np.array([1.0, 2.0, 1.0])
 
 
 class TensorField:
@@ -79,62 +76,77 @@ class TensorField:
 # -- degree of freedom extraction ---------------------------------------------
 
 
+def _frame(vec):
+    """Unit tangents along vectors (..., 2) and the normals n = (t_y, -t_x)."""
+    t = vec / np.linalg.norm(vec, axis=-1)[..., None]
+    return t, np.stack([t[..., 1], -t[..., 0]], axis=-1)
+
+
+def _pair(t, n, mv):
+    """t.M n for tensor components (xx, xy, yy) in the last axis of ``mv``."""
+    return (
+        t[..., 0] * n[..., 0] * mv[..., 0]
+        + (t[..., 0] * n[..., 1] + t[..., 1] * n[..., 0]) * mv[..., 1]
+        + t[..., 1] * n[..., 1] * mv[..., 2]
+    )
+
+
 def field_edge_dofs(mesh, e, field, nq=6):
-    """(m0, m1, q0, q1) of a tensor field on edge e, in the global frame."""
-    a, b = mesh.edges[e]
-    va, vb = mesh.vertices[a], mesh.vertices[b]
+    """(m0, m1, q0, q1) of a tensor field on edges ``e``, in the global frames.
+
+    ``e`` is an edge index or an index array; each moment has its shape.
+    """
+    ends = mesh.vertices[mesh.edges[e]]
+    return _edge_dofs(mesh, e, field, nq, field.m(ends[..., 0], ends[..., 1]))
+
+
+def _edge_dofs(mesh, e, field, nq, m_ends):
+    """:func:`field_edge_dofs` given the field at the edge ends, (..., 2, 3)."""
+    ends = mesh.vertices[mesh.edges[e]]
+    va, vb = ends[..., 0, :], ends[..., 1, :]
     vec = vb - va
-    ln = np.linalg.norm(vec)
-    t = vec / ln
-    n = np.array([t[1], -t[0]])
+    ln = np.linalg.norm(vec, axis=-1)
+    t, n = _frame(vec)
 
     rule = gauss_rule(nq, dim=1)
     s, w = rule.points, rule.weights
-    mid = 0.5 * (va + vb)
-    x = mid[0] + 0.5 * s * vec[0]
-    y = mid[1] + 0.5 * s * vec[1]
+    pts = 0.5 * (va + vb)[..., None, :] + 0.5 * s[:, None] * vec[..., None, :]
+    mv = field.m(pts[..., 0], pts[..., 1])
+    dv = field.div(pts[..., 0], pts[..., 1])
+    t_pts, n_pts = t[..., None, :], n[..., None, :]
+    nmn = _pair(n_pts, n_pts, mv)
+    tmn = _pair(t_pts, n_pts, mv)
+    ndiv = n_pts[..., 0] * dv[..., 0] + n_pts[..., 1] * dv[..., 1]
 
-    mv = field.m(x, y)
-    dv = field.div(x, y)
-    nmn = n[0] * n[0] * mv[:, 0] + 2.0 * n[0] * n[1] * mv[:, 1] + n[1] * n[1] * mv[:, 2]
-    tmn = (
-        t[0] * n[0] * mv[:, 0]
-        + (t[0] * n[1] + t[1] * n[0]) * mv[:, 1]
-        + t[1] * n[1] * mv[:, 2]
-    )
-    ndiv = n[0] * dv[:, 0] + n[1] * dv[:, 1]
-
-    def tmn_at(p):
-        mv = field.m(p[0], p[1])
-        return float(
-            t[0] * n[0] * mv[0]
-            + (t[0] * n[1] + t[1] * n[0]) * mv[1]
-            + t[1] * n[1] * mv[2]
-        )
-
-    v_lo, v_hi = tmn_at(va), tmn_at(vb)
+    v_lo, v_hi = _pair(t, n, m_ends[..., 0, :]), _pair(t, n, m_ends[..., 1, :])
     half = 0.5 * ln
-    m0 = np.sum(w * nmn) * half / ln
-    m1 = np.sum(w * nmn * s) * half / ln
-    q0 = np.sum(w * ndiv) * half + (v_hi - v_lo)
-    q1 = np.sum(w * ndiv * s) * half + (v_hi + v_lo) - (2.0 / ln) * np.sum(w * tmn) * half
+    m0 = (nmn @ w) * half / ln
+    m1 = (nmn @ (w * s)) * half / ln
+    q0 = (ndiv @ w) * half + (v_hi - v_lo)
+    q1 = (ndiv @ (w * s)) * half + (v_hi + v_lo) - (2.0 / ln) * (tmn @ w) * half
     return m0, m1, q0, q1
 
 
 def field_cell_jump(mesh, k, c, field):
-    """Corner jump of t.Mn of a field at local corner c of cell k."""
-    from .piola import PhysicalDofFrame
+    """Corner jump of t.Mn of a field at local corner ``c`` of cell ``k``.
 
-    frame = PhysicalDofFrame(mesh, k)
+    ``k`` and ``c`` are indices or index arrays of one shape.
+    """
     v = mesh.vertices[mesh.cells[k, c]]
-    mv = field.m(v[0], v[1])
-    A = np.array([[mv[0], mv[1]], [mv[1], mv[2]]])
-    j_in, j_out = (c - 1) % 4, c
-    t_in = _local_tangent(frame, j_in)
-    t_out = _local_tangent(frame, j_out)
-    n_in = np.array([t_in[1], -t_in[0]])
-    n_out = np.array([t_out[1], -t_out[0]])
-    return float(t_in @ A @ n_in - t_out @ A @ n_out)
+    return _corner_jumps(mesh, k, c, field.m(v[..., 0], v[..., 1]))
+
+
+def _corner_jumps(mesh, k, c, mv):
+    """:func:`field_cell_jump` given the field at the corners, (..., 3).
+
+    The jump is t_in.M n_in - t_out.M n_out with the counterclockwise unit
+    tangents of the edges entering and leaving the corner; it does not
+    depend on the global edge orientation since t and n flip together.
+    """
+    v = mesh.vertices[mesh.cells]
+    t_in, n_in = _frame(v[k, c] - v[k, (c - 1) % 4])
+    t_out, n_out = _frame(v[k, (c + 1) % 4] - v[k, c])
+    return _pair(t_in, n_in, mv) - _pair(t_out, n_out, mv)
 
 
 def interpolate_ddiv(mesh, dofmap, field, nq=6):
@@ -145,20 +157,66 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
     are implied; for fields with continuous components their patch sums
     vanish, so no information is lost.
     """
+    m_vert = field.m(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    edges = np.arange(mesh.num_edges)
+    k, c = np.nonzero(dofmap.jump_id >= 0)
     x = np.zeros(dofmap.ndofs)
-    for e in range(mesh.num_edges):
-        m0, m1, q0, q1 = field_edge_dofs(mesh, e, field, nq=nq)
-        base = 4 * e
-        x[base : base + 4] = (m0, m1, q0, q1)
-    for k in range(mesh.num_cells):
-        for c in range(4):
-            gid = dofmap.jump_id[(k, c)]
-            if gid >= 0:
-                x[gid] = field_cell_jump(mesh, k, c, field)
+    x[: 4 * mesh.num_edges] = np.stack(
+        _edge_dofs(mesh, edges, field, nq, m_vert[mesh.edges]), axis=-1
+    ).ravel()
+    x[dofmap.jump_id[k, c]] = _corner_jumps(mesh, k, c, m_vert[mesh.cells[k, c]])
     return x
 
 
+# -- volume integrals over blocks of cells --------------------------------------
+
+#: cells per block of a volume integral; bounds the (cells, points) temporaries
+_BLOCK_CELLS = 256
+
+
+def _cell_blocks(orders):
+    """(order, cells) for blocks of cells sharing one quadrature order."""
+    for q in np.unique(orders):
+        cells = np.nonzero(orders == q)[0]
+        for start in range(0, len(cells), _BLOCK_CELLS):
+            yield int(q), cells[start : start + _BLOCK_CELLS]
+
+
+def _map_cells(mesh, cells, xh, yh):
+    """``B`` (n, 2, 2) and ``det`` of the element maps F(xh) = a + B xh of
+    some cells, and the images ``x``, ``y`` (n, npts) of reference points.
+    """
+    v = mesh.vertices[mesh.cells[cells]]
+    B = 0.5 * np.stack([v[:, 1] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+    a = 0.5 * (v[:, 0] + v[:, 2])
+    x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
+    y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
+    return B, np.linalg.det(B), x, y
+
+
+def _push(B, mref):
+    """Components (xx, xy, yy) of B Mh B^T, cell by cell, for Mh of shape (n, ..., 3).
+
+    Dividing by det B completes the pushforward of :mod:`ddivfem.piola`.
+    """
+    M = mref[..., [0, 1, 1, 2]].reshape(mref.shape[:-1] + (2, 2))
+    return np.einsum("kab,k...bc,kdc->k...ad", B, M, B)[..., [0, 0, 1], [0, 1, 1]]
+
+
 # -- elementwise projection onto linears ---------------------------------------
+
+
+def p1_moments(mesh, f, nq):
+    """Reference moments of f against {1, xh, yh} per cell, and the determinants."""
+    rule = gauss_rule(nq, dim=2)
+    xh, yh = rule.points[:, 0], rule.points[:, 1]
+    tests = rule.weights[:, None] * np.stack([np.ones_like(xh), xh, yh], axis=-1)
+    moments = np.empty((mesh.num_cells, 3))
+    det = np.empty(mesh.num_cells)
+    for _, cells in _cell_blocks(np.full(mesh.num_cells, nq)):
+        _, det[cells], x, y = _map_cells(mesh, cells, xh, yh)
+        moments[cells] = np.broadcast_to(f(x, y), x.shape) @ tests
+    return moments, det
 
 
 def project_p1(mesh, f, nq=6):
@@ -168,18 +226,7 @@ def project_p1(mesh, f, nq=6):
     {1, xh, yh} of each cell.  Because the element maps are affine, the
     projection reduces to the diagonal reference mass matrix.
     """
-    rule = gauss_rule(nq, dim=2)
-    xh, yh = rule.points[:, 0], rule.points[:, 1]
-    w = rule.weights
-    out = np.zeros((mesh.num_cells, 3))
-    for k in range(mesh.num_cells):
-        emap = element_map(mesh, k)
-        x, y = emap.apply(xh, yh)
-        fv = f(x, y)
-        out[k, 0] = np.sum(w * fv)
-        out[k, 1] = np.sum(w * fv * xh)
-        out[k, 2] = np.sum(w * fv * yh)
-    return out / P1_MASS_DIAG[None, :]
+    return p1_moments(mesh, f, nq)[0] / P1_MASS_DIAG[None, :]
 
 
 def p1_eval(coeffs_k, xh, yh):
@@ -210,33 +257,46 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
     if cell_orders is not None:
         orders = np.asarray(cell_orders, dtype=int)
     res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0}
-    for k in range(mesh.num_cells):
-        tab = cache.volume_tabulation(int(orders[k]))
-        emap = element_map(mesh, k)
-        x, y = emap.apply(tab.xh, tab.yh)
-        w = tab.rule.weights * emap.det
-        ck = coeffs[k]
+    for q, cells in _cell_blocks(orders):
+        tab = cache.volume_tabulation(q)
+        B, det, x, y = _map_cells(mesh, cells, tab.xh, tab.yh)
+        w = tab.rule.weights * det[:, None]
+        ck = coeffs[cells]
 
-        mref = np.tensordot(ck, tab.phi, axes=(0, 0))
-        pxx, pxy, pyy = push_components(emap, mref[:, 0], mref[:, 1], mref[:, 2])
+        pm = _push(B, np.einsum("ki,ipc->kpc", ck, tab.phi)) / det[:, None, None]
         ex = field.m(x, y)
-        res["M"] += np.sum(w * ((pxx - ex[:, 0]) ** 2 + 2.0 * (pxy - ex[:, 1]) ** 2
-                                + (pyy - ex[:, 2]) ** 2))
-        res["norm_M"] += np.sum(w * (ex[:, 0] ** 2 + 2.0 * ex[:, 1] ** 2 + ex[:, 2] ** 2))
+        res["M"] += np.sum(w * ((pm - ex) ** 2 @ FROBENIUS))
+        res["norm_M"] += np.sum(w * (ex**2 @ FROBENIUS))
 
         if field.div is not None:
-            dref = np.tensordot(ck, tab.divphi, axes=(0, 0))
-            dx, dy = push_divergence(emap, dref[:, 0], dref[:, 1])
+            dref = np.einsum("ki,ipc->kpc", ck, tab.divphi)
+            pd = np.einsum("kab,kpb->kpa", B, dref) / det[:, None, None]
             exd = field.div(x, y)
-            res["div"] += np.sum(w * ((dx - exd[:, 0]) ** 2 + (dy - exd[:, 1]) ** 2))
-            res["norm_div"] += np.sum(w * (exd[:, 0] ** 2 + exd[:, 1] ** 2))
+            res["div"] += np.sum(w * ((pd - exd) ** 2).sum(axis=-1))
+            res["norm_div"] += np.sum(w * (exd**2).sum(axis=-1))
 
         if field.divdiv is not None:
-            ddref = np.tensordot(ck, tab.ddphi, axes=(0, 0)) / emap.det
+            ddh = ck @ tab.ddphi / det[:, None]
             exdd = field.divdiv(x, y)
-            res["ddiv"] += np.sum(w * (ddref - exdd) ** 2)
+            res["ddiv"] += np.sum(w * (ddh - exdd) ** 2)
             res["norm_ddiv"] += np.sum(w * exdd**2)
     return res
+
+
+def ddiv_gap(mesh, cache, coeffs, p1):
+    """Squared L2 norms of div div M_h - p and of p over the mesh.
+
+    ``p`` is elementwise linear with (ncells, 3) coefficients ``p1`` in the
+    pulled-back {1, xh, yh} basis.  div div M_h is elementwise linear too,
+    so the integrands are quadratic per cell and a 2-point Gauss rule
+    integrates them exactly.
+    """
+    tab = cache.volume_tabulation(2)
+    w = tab.rule.weights
+    _, det, _, _ = _map_cells(mesh, np.arange(mesh.num_cells), tab.xh, tab.yh)
+    rhs = p1 @ np.stack([np.ones_like(tab.xh), tab.xh, tab.yh])
+    diff = coeffs @ tab.ddphi / det[:, None] - rhs
+    return float(det @ (diff**2 @ w)), float(det @ (rhs**2 @ w))
 
 
 # -- commuting diagram ----------------------------------------------------------
@@ -253,18 +313,12 @@ def commuting_residual(mesh, dofmap, field, cache=None, nq=6):
         cache = BasisCache()
     mcoef = interpolate_ddiv(mesh, dofmap, field, nq=nq)
     coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
-    p1 = project_p1(mesh, field.divdiv, nq=nq)
+    return _commuting_residual(mesh, cache, coeffs, field, nq)
 
-    tab = cache.volume_tabulation(2)
-    w = tab.rule.weights
-    total = 0.0
-    norm = 0.0
-    for k in range(mesh.num_cells):
-        emap = element_map(mesh, k)
-        rhs = p1_eval(p1[k], tab.xh, tab.yh)
-        diff = coeffs[k] @ tab.ddphi / emap.det - rhs
-        total += emap.det * np.sum(w * diff**2)
-        norm += emap.det * np.sum(w * rhs**2)
+
+def _commuting_residual(mesh, cache, coeffs, field, nq):
+    """:func:`commuting_residual` of the interpolant's cell coefficients."""
+    total, norm = ddiv_gap(mesh, cache, coeffs, project_p1(mesh, field.divdiv, nq=nq))
     return float(np.sqrt(total)), float(np.sqrt(norm))
 
 
@@ -297,7 +351,7 @@ def interpolation_error_study(field, levels, corners=None, nq=6):
         eoc = None
         if prev is not None and err > 1e-13 * max(scale, 1.0) and prev[1] > 0:
             eoc = float(np.log2(prev[1] / err))
-        commres, ddnorm = commuting_residual(mesh, dofmap, field, cache=cache, nq=nq)
+        commres, ddnorm = _commuting_residual(mesh, cache, coeffs, field, nq)
         rows.append((lvl, mesh.h, err, eoc, commres, ddnorm))
         prev = (lvl, err)
     return rows

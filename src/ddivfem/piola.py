@@ -397,6 +397,10 @@ def local_basis_matrix(emap, frame, tab):
     return LocalBasis(dof_matrices(CellGeometry.of_cell(emap, frame), tab)[0])
 
 
+#: decimals to which BasisCache keys round map matrices and edge lengths
+KEY_DECIMALS = 14
+
+
 class BasisCache:
     """Caches LocalBasis objects keyed by map matrix and edge orientation.
 
@@ -415,12 +419,12 @@ class BasisCache:
         return (
             self.B_key(emap),
             tuple(bool(f) for f in frame.forward),
-            tuple(np.round(frame.lengths, 14)),
+            tuple(np.round(frame.lengths, KEY_DECIMALS)),
         )
 
     @staticmethod
     def B_key(emap):
-        return tuple(np.round(emap.B.ravel(), 14))
+        return tuple(np.round(emap.B.ravel(), KEY_DECIMALS))
 
     def get(self, emap, frame):
         key = self.key(emap, frame)
@@ -429,6 +433,24 @@ class BasisCache:
             lb = local_basis_matrix(emap, frame, self.edge_tabulation())
             self._store[key] = lb
         return lb
+
+    def groups(self, mesh):
+        """Cells of a mesh with equal keys, and the inverse dof matrix of each group.
+
+        The keys of :meth:`key`, rounded alike, are computed for all cells at
+        once.  Returns ``(first, group, Tinv)``: the first cell of each group,
+        groups numbered in the order of their first cells; the group of every
+        cell; and ``Tinv`` (ngroups, 20, 20), from one :meth:`get` per group
+        on its first cell.
+        """
+        geometry = batch_geometry(mesh)
+        keys = np.hstack([geometry.B.reshape(-1, 4), geometry.forward, geometry.lengths])
+        # adding 0.0 turns -0.0 into 0.0, which the tuple keys also treat as equal
+        keys = np.round(keys, KEY_DECIMALS) + 0.0
+        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        Tinv = np.stack([self.get(*cell_geometry(mesh, int(k))).Tinv for k in first[order]])
+        return first[order], np.argsort(order)[inverse.ravel()], Tinv
 
     def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
         """EdgeTabulation of the basis for an nq-point edge rule."""

@@ -9,11 +9,17 @@ lowest-numbered cell of the patch and expanding it as minus the sum of the
 others.  The resulting count is
 
     ndofs = 4 #edges + 4 #cells - #interior vertices.
+
+The whole local-to-global map is one sparse matrix ``P`` of shape
+(20 #cells, ndofs): row ``20 k + slot`` expands local slot ``slot`` of cell
+``k``, so ``(P @ x).reshape(-1, 20)`` holds the local dof vectors of all
+cells and ``P.T @ D @ P`` assembles a block diagonal ``D`` of local matrices.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from .piola import BasisCache, batch_geometry, cell_geometry, dof_matrices
+from .piola import BasisCache, batch_geometry, dof_matrices
 
 # slot layout of the 20 local dofs of a cell
 SLOT_M0 = 0
@@ -24,69 +30,56 @@ SLOT_JUMP = 16
 
 
 class DofMap:
-    """Global dof numbering and the per-cell local-to-global expansion.
+    """Global dof numbering and the local-to-global operator.
 
     Attributes
     ----------
     ndofs : int
-    cell_entries : list
-        Per cell a list of 20 lists of (global id, coefficient) pairs; the
-        eliminated jump slots expand into several pairs with coefficient -1.
-    jump_id : dict
-        (cell, corner) -> global id, or -1 when eliminated.
+    P : csr_matrix, (20 ncells, ndofs)
+        Row ``20 k + slot`` expands local slot ``slot`` of cell ``k``: a
+        single 1 for an edge moment or a kept jump, and -1 at every patch
+        partner for an eliminated jump.
+    jump_id : (ncells, 4) int array
+        Global id of the jump dof at each (cell, corner), or -1 when
+        eliminated; ``jump_id[(k, c)]`` reads one entry.
     eliminated : dict
         (cell, corner) -> list of surviving (cell, corner) patch partners.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        ne, nk = mesh.num_edges, mesh.num_cells
-        base = 4 * ne
+        nk = mesh.num_cells
+        base = 4 * mesh.num_edges
 
-        eliminated = {}
-        for v in mesh.interior_vertices:
-            patch = mesh.vertex_cells[v]
-            designated = patch[0]
-            eliminated[designated] = [kc for kc in patch if kc != designated]
-        self.eliminated = eliminated
+        # corner 4 k + c of cell k sits at vertex corners[4 k + c]; each
+        # interior vertex drops the jump of its first corner in cell order
+        corners = mesh.cells.ravel()
+        first = np.zeros(mesh.num_vertices, dtype=int)
+        used, at = np.unique(corners, return_index=True)
+        first[used] = at
+        kept = np.ones(4 * nk, dtype=bool)
+        kept[first[mesh.interior_vertices]] = False
+        jump = np.where(kept, base + np.cumsum(kept) - 1, -1)
+        self.jump_id = jump.reshape(nk, 4)
+        self.ndofs = base + int(kept.sum())
+        self.eliminated = {
+            mesh.vertex_cells[v][0]: mesh.vertex_cells[v][1:] for v in mesh.interior_vertices
+        }
 
-        jump_id = {}
-        next_id = base
-        for k in range(nk):
-            for c in range(4):
-                if (k, c) in eliminated:
-                    jump_id[(k, c)] = -1
-                else:
-                    jump_id[(k, c)] = next_id
-                    next_id += 1
-        self.jump_id = jump_id
-        self.ndofs = next_id
-
-        entries = []
-        for k in range(nk):
-            cell = []
-            for j in range(4):
-                e = int(mesh.cell_edges[k, j])
-                cell.append([(4 * e + 0, 1.0)])
-            for j in range(4):
-                e = int(mesh.cell_edges[k, j])
-                cell.append([(4 * e + 1, 1.0)])
-            for j in range(4):
-                e = int(mesh.cell_edges[k, j])
-                cell.append([(4 * e + 2, 1.0)])
-            for j in range(4):
-                e = int(mesh.cell_edges[k, j])
-                cell.append([(4 * e + 3, 1.0)])
-            for c in range(4):
-                gid = jump_id[(k, c)]
-                if gid >= 0:
-                    cell.append([(gid, 1.0)])
-                else:
-                    cell.append(
-                        [(jump_id[kc], -1.0) for kc in eliminated[(k, c)]]
-                    )
-            entries.append(cell)
-        self.cell_entries = entries
+        # row 20 k + 4 r + j expands moment r of local edge j, row 20 k + 16 + c
+        # the jump at corner c; a dropped jump is minus the sum of the kept
+        # jumps at its vertex
+        slot = 20 * np.arange(nk)[:, None] + np.arange(4)
+        moment = np.arange(4)[:, None]
+        jump_rows = (slot + SLOT_JUMP).ravel()
+        partner = kept & np.isin(corners, mesh.interior_vertices)
+        edge_rows = (slot[:, None] + 4 * moment).ravel()
+        edge_cols = (4 * mesh.cell_edges[:, None] + moment).ravel()
+        rows = np.concatenate([edge_rows, jump_rows[kept], jump_rows[first[corners[partner]]]])
+        cols = np.concatenate([edge_cols, jump[kept], jump[partner]])
+        vals = np.ones(len(rows))
+        vals[len(rows) - partner.sum() :] = -1.0
+        self.P = sp.csr_matrix((vals, (rows, cols)), shape=(20 * nk, self.ndofs))
 
     # -- edge dof ids --------------------------------------------------------
 
@@ -94,36 +87,21 @@ class DofMap:
         """(m0, m1, q0, q1) global ids of edge e."""
         return 4 * e, 4 * e + 1, 4 * e + 2, 4 * e + 3
 
-    # -- local/global transfer -------------------------------------------------
+    # -- views of the rows of P for one cell -----------------------------------
 
     def gather(self, x, k):
         """Local 20-vector of cell k from a global coefficient vector."""
-        out = np.zeros(20)
-        for slot, pairs in enumerate(self.cell_entries[k]):
-            out[slot] = sum(coef * x[g] for g, coef in pairs)
-        return out
+        return self.P[20 * k : 20 * k + 20] @ x
 
     def scatter_add(self, y, k, local):
         """Accumulate a local 20-vector into a global vector (transpose of gather)."""
-        for slot, pairs in enumerate(self.cell_entries[k]):
-            for g, coef in pairs:
-                y[g] += coef * local[slot]
+        y += self.P[20 * k : 20 * k + 20].T @ local
 
     def cell_incidence(self, k):
         """(gids, P) with P of shape (20, len(gids)): local = P @ x[gids]."""
-        gids = []
-        seen = {}
-        rows = []
-        for slot, pairs in enumerate(self.cell_entries[k]):
-            for g, coef in pairs:
-                if g not in seen:
-                    seen[g] = len(gids)
-                    gids.append(g)
-                rows.append((slot, seen[g], coef))
-        P = np.zeros((20, len(gids)))
-        for slot, col, coef in rows:
-            P[slot, col] = coef
-        return np.array(gids, dtype=int), P
+        rows = self.P[20 * k : 20 * k + 20]
+        gids = np.unique(rows.indices)
+        return gids, rows[:, gids].toarray()
 
 
 def build_dof_map(mesh):
@@ -142,13 +120,9 @@ def build_dof_map(mesh):
 
 def cell_coefficients(mesh, dofmap, cache, mcoef):
     """Reference expansion coefficients of every cell, shape (nk, 20)."""
-    nk = mesh.num_cells
-    coeffs = np.zeros((nk, 20))
-    for k in range(nk):
-        emap, frame = cell_geometry(mesh, k)
-        lb = cache.get(emap, frame)
-        coeffs[k] = lb.Tinv @ dofmap.gather(mcoef, k)
-    return coeffs
+    _, group, Tinv = cache.groups(mesh)
+    local = (dofmap.P @ mcoef).reshape(-1, 20)
+    return np.einsum("kij,kj->ki", Tinv[group], local)
 
 
 def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):

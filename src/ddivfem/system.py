@@ -16,15 +16,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .polys import gauss_rule
-from .piola import BasisCache, cell_geometry, element_map, push_components
+from .piola import BasisCache, batch_geometry, cell_geometry
 from .reference import divdiv_matrix
-from .interpolation import (
-    P1_MASS_DIAG,
-    field_edge_dofs,
-    field_cell_jump,
-)
+from .interpolation import FROBENIUS, P1_MASS_DIAG, _push, p1_moments
+from .interpolation import field_cell_jump, field_edge_dofs
 from .linsolve import solve_saddle
-from .space import check_conformity
+from .space import cell_coefficients, check_conformity
 
 #: volume rule order for the compliance block; its integrands are rational
 #: only through the constant 1/det factor, polynomial of degree six otherwise
@@ -163,74 +160,34 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     dd = divdiv_matrix(cache.basis)
     Bref = dd * P1_MASS_DIAG[None, :]  # (20, 3); <divdiv phi_i, p_a> on the square
 
-    local_cache = {}
+    # one compliance block per group of equal cells; the 1/det of both pushed
+    # factors and the det of the volume element combine to a single 1/det
+    first, group, Tinv = cache.groups(mesh)
+    geometry = batch_geometry(mesh)
+    det = geometry.det[first]
+    push = _push(geometry.B[first], np.broadcast_to(phi, (len(first),) + phi.shape))
+    comp = np.stack(material.apply_compliance(push[..., 0], push[..., 1], push[..., 2]), axis=-1)
+    Ahat = np.einsum("gipc,gjpc,p,c->gij", comp, push, w, FROBENIUS) / det[:, None, None]
+    A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
+    B_loc = Bref.T @ Tinv  # (ngroups, 3, 20); Bref is map independent
 
-    def local_blocks(emap, frame):
-        key = cache.key(emap, frame)
-        got = local_cache.get(key)
-        if got is not None:
-            return got
-        lb = cache.get(emap, frame)
-        # push all shape functions; the 1/det of each factor and the det of
-        # the volume element combine to a single 1/det
-        pxx, pxy, pyy = push_components(
-            emap, phi[:, :, 0], phi[:, :, 1], phi[:, :, 2]
-        )
-        pxx, pxy, pyy = pxx * emap.det, pxy * emap.det, pyy * emap.det
-        cxx, cxy, cyy = material.apply_compliance(pxx, pxy, pyy)
-        Ahat = (
-            np.einsum("ip,jp,p->ij", cxx, pxx, w)
-            + 2.0 * np.einsum("ip,jp,p->ij", cxy, pxy, w)
-            + np.einsum("ip,jp,p->ij", cyy, pyy, w)
-        ) / emap.det
-        A_loc = lb.Tinv.T @ Ahat @ lb.Tinv
-        B_loc = Bref.T @ lb.Tinv  # (3, 20), map independent
-        got = (A_loc, B_loc)
-        local_cache[key] = got
-        return got
-
-    rows, cols, vals = [], [], []
-    brows, bcols, bvals = [], [], []
-    for k in range(mesh.num_cells):
-        emap, frame = cell_geometry(mesh, k)
-        A_loc, B_loc = local_blocks(emap, frame)
-        gids, P = dofmap.cell_incidence(k)
-        G = P.T @ A_loc @ P
-        rows.append(np.repeat(gids, len(gids)))
-        cols.append(np.tile(gids, len(gids)))
-        vals.append(G.ravel())
-        BP = B_loc @ P
-        for a in range(3):
-            brows.append(np.full(len(gids), 3 * k + a))
-            bcols.append(gids)
-            bvals.append(BP[a])
-
-    n = dofmap.ndofs
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    Bmat = sp.coo_matrix(
-        (np.concatenate(bvals), (np.concatenate(brows), np.concatenate(bcols))),
-        shape=(3 * mesh.num_cells, n),
-    ).tocsr()
+    # A = P^T blockdiag(A_k) P and B = blockdiag(B_k) P; structural zeros of
+    # the local blocks are dropped so that they do not reach the factorization
+    nk = mesh.num_cells
+    ptr = np.arange(nk + 1)
+    A_cells = sp.bsr_matrix((A_loc[group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
+    B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
+    A = (dofmap.P.T @ A_cells @ dofmap.P).tocsr()
+    Bmat = (B_cells @ dofmap.P).tocsr()
+    A.eliminate_zeros()
+    Bmat.eliminate_zeros()
     return A, Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
     """Vector of (f, p_a) over all cells in the pulled-back {1, xh, yh} basis."""
-    rule = gauss_rule(nq, dim=2)
-    xh, yh = rule.points[:, 0], rule.points[:, 1]
-    w = rule.weights
-    F = np.zeros(3 * mesh.num_cells)
-    for k in range(mesh.num_cells):
-        emap = element_map(mesh, k)
-        x, y = emap.apply(xh, yh)
-        fv = f(x, y) * emap.det
-        F[3 * k] = np.sum(w * fv)
-        F[3 * k + 1] = np.sum(w * fv * xh)
-        F[3 * k + 2] = np.sum(w * fv * yh)
-    return F
+    moments, det = p1_moments(mesh, f, nq)
+    return (moments * det[:, None]).ravel()
 
 
 def dirichlet_load(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
@@ -316,26 +273,19 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     interior to the Neumann part, pinned to the jump of the data tensor as
     seen from that cell.  Returns (L, d) with L sparse of shape (nc, ndofs).
     """
-    rows = []
-    vals = []
-    for e in mesh.neumann_edges():
-        dofs = field_edge_dofs(mesh, e, data.field, nq=nq)
-        for r in range(4):
-            rows.append(4 * e + r)
-            vals.append(dofs[r])
-    for v in neumann_interior_vertices(mesh):
-        for k, c in mesh.vertex_cells[v]:
-            gid = dofmap.jump_id[(k, c)]
-            if gid < 0:
-                raise AssertionError("eliminated jump dof at boundary vertex %d" % v)
-            rows.append(gid)
-            vals.append(field_cell_jump(mesh, k, c, data.field))
+    edges = mesh.neumann_edges()
+    patches = [kc for v in neumann_interior_vertices(mesh) for kc in mesh.vertex_cells[v]]
+    k, c = np.array(patches, dtype=int).reshape(-1, 2).T
+    gids = dofmap.jump_id[k, c]
+    if np.any(gids < 0):
+        v = mesh.cells[k, c][np.argmax(gids < 0)]
+        raise AssertionError("eliminated jump dof at boundary vertex %d" % v)
+    edge_vals = np.stack(field_edge_dofs(mesh, edges, data.field, nq=nq), axis=-1)
+    rows = np.concatenate([(4 * edges[:, None] + np.arange(4)).ravel(), gids])
+    vals = np.concatenate([edge_vals.ravel(), field_cell_jump(mesh, k, c, data.field)])
     nc = len(rows)
-    L = sp.csr_matrix(
-        (np.ones(nc), (np.arange(nc), np.array(rows, dtype=int))),
-        shape=(nc, dofmap.ndofs),
-    )
-    return L, np.array(vals)
+    L = sp.csr_matrix((np.ones(nc), (np.arange(nc), rows)), shape=(nc, dofmap.ndofs))
+    return L, vals
 
 
 def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
@@ -367,7 +317,10 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     m = x[: system.ndofs]
     u = x[system.ndofs : system.ndofs + system.nu].reshape(-1, 3)
     lam = x[system.ndofs + system.nu :]
-    conf = check_conformity(mesh, dofmap, m, cache=cache)
+    if cache is None:
+        cache = BasisCache()
+    coeffs = cell_coefficients(mesh, dofmap, cache, m)
+    conf = check_conformity(mesh, dofmap, coeffs, cache=cache)
     return {
         "m": m,
         "u": u,
