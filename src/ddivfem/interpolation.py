@@ -15,7 +15,7 @@ import numpy as np
 
 from .polys import Poly2, gauss_rule
 from .mesh import make_parallelogram_domain, EX1_CORNERS
-from .piola import BasisCache
+from .piola import BasisCache, batch_geometry, edge_frames, normals
 from .space import build_dof_map, cell_coefficients
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
@@ -76,12 +76,6 @@ class TensorField:
 # -- degree of freedom extraction ---------------------------------------------
 
 
-def _frame(vec):
-    """Unit tangents along vectors (..., 2) and the normals n = (t_y, -t_x)."""
-    t = vec / np.linalg.norm(vec, axis=-1)[..., None]
-    return t, np.stack([t[..., 1], -t[..., 0]], axis=-1)
-
-
 def _pair(t, n, mv):
     """t.M n for tensor components (xx, xy, yy) in the last axis of ``mv``."""
     return (
@@ -100,17 +94,25 @@ def field_edge_dofs(mesh, e, field, nq=6):
     return _edge_dofs(mesh, e, field, nq, field.m(ends[..., 0], ends[..., 1]))
 
 
-def _edge_dofs(mesh, e, field, nq, m_ends):
-    """:func:`field_edge_dofs` given the field at the edge ends, (..., 2, 3)."""
+def _edge_rule(mesh, e, nq):
+    """An nq-point Gauss rule along edges ``e``, run from the lower to the higher vertex.
+
+    Returns the nodes ``s`` and weights ``w`` on (-1, 1) and the points
+    (..., nq, 2) at those nodes.
+    """
+    rule = gauss_rule(nq, dim=1)
+    s = rule.points
     ends = mesh.vertices[mesh.edges[e]]
     va, vb = ends[..., 0, :], ends[..., 1, :]
-    vec = vb - va
-    ln = np.linalg.norm(vec, axis=-1)
-    t, n = _frame(vec)
+    pts = 0.5 * (va + vb)[..., None, :] + 0.5 * s[:, None] * (vb - va)[..., None, :]
+    return s, rule.weights, pts
 
-    rule = gauss_rule(nq, dim=1)
-    s, w = rule.points, rule.weights
-    pts = 0.5 * (va + vb)[..., None, :] + 0.5 * s[:, None] * vec[..., None, :]
+
+def _edge_dofs(mesh, e, field, nq, m_ends):
+    """:func:`field_edge_dofs` given the field at the edge ends, (..., 2, 3)."""
+    t, ln = edge_frames(mesh, e)
+    n = normals(t)
+    s, w, pts = _edge_rule(mesh, e, nq)
     mv = field.m(pts[..., 0], pts[..., 1])
     dv = field.div(pts[..., 0], pts[..., 1])
     t_pts, n_pts = t[..., None, :], n[..., None, :]
@@ -140,13 +142,17 @@ def _corner_jumps(mesh, k, c, mv):
     """:func:`field_cell_jump` given the field at the corners, (..., 3).
 
     The jump is t_in.M n_in - t_out.M n_out with the counterclockwise unit
-    tangents of the edges entering and leaving the corner; it does not
+    tangents of the edges entering and leaving the corner: the global
+    tangents, flipped where the cell runs an edge backward.  It does not
     depend on the global edge orientation since t and n flip together.
     """
-    v = mesh.vertices[mesh.cells]
-    t_in, n_in = _frame(v[k, c] - v[k, (c - 1) % 4])
-    t_out, n_out = _frame(v[k, (c + 1) % 4] - v[k, c])
-    return _pair(t_in, n_in, mv) - _pair(t_out, n_out, mv)
+
+    def ccw_tangent(j):
+        t, _ = edge_frames(mesh, mesh.cell_edges[k, j])
+        return np.where(mesh.cell_edge_forward[k, j][..., None], t, -t)
+
+    t_in, t_out = ccw_tangent((c - 1) % 4), ccw_tangent(c)
+    return _pair(t_in, normals(t_in), mv) - _pair(t_out, normals(t_out), mv)
 
 
 def interpolate_ddiv(mesh, dofmap, field, nq=6):
@@ -186,12 +192,11 @@ def _map_cells(mesh, cells, xh, yh):
     """``B`` (n, 2, 2) and ``det`` of the element maps F(xh) = a + B xh of
     some cells, and the images ``x``, ``y`` (n, npts) of reference points.
     """
-    v = mesh.vertices[mesh.cells[cells]]
-    B = 0.5 * np.stack([v[:, 1] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
-    a = 0.5 * (v[:, 0] + v[:, 2])
+    g = batch_geometry(mesh, cells)
+    B, a = g.B, g.a
     x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
     y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
-    return B, np.linalg.det(B), x, y
+    return B, g.det, x, y
 
 
 def _push(B, mref):

@@ -18,6 +18,12 @@ points from its lower-numbered to its higher-numbered vertex, the tangent t
 follows that direction, the normal is n = (t_y, -t_x), and the linear
 Legendre weight is -1 at the start and +1 at the end of the edge.  Moments
 are normalized by edge length, so they scale like point values.
+
+Each convention lives in one place: ``_element_maps`` computes B and a,
+:func:`edge_frames` and :func:`normals` the edge frames.
+:func:`batch_geometry` combines them for any set of cells.  The one-cell
+:func:`element_map`, :class:`PhysicalDofFrame` and :func:`cell_geometry`
+use the same arithmetic, so they agree with it bit for bit.
 """
 
 import numpy as np
@@ -63,12 +69,35 @@ class ElementMap:
         return xh, yh
 
 
+def _element_maps(mesh, cells):
+    """``B`` (..., 2, 2) and ``a`` (..., 2) of the element maps of cells ``cells``."""
+    v = mesh.vertices[mesh.cells[cells]]
+    B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
+    return B, 0.5 * (v[..., 0, :] + v[..., 2, :])
+
+
+def edge_frames(mesh, edges):
+    """Unit tangents (..., 2) and lengths (...) of mesh edges ``edges``.
+
+    Each tangent points from the lower- to the higher-numbered vertex.
+    """
+    ends = mesh.vertices[mesh.edges[edges]]
+    vec = ends[..., 1, :] - ends[..., 0, :]
+    lengths = np.linalg.norm(vec, axis=-1)
+    if np.any(lengths <= 0.0):
+        e = np.asarray(edges).flat[np.argmin(lengths)]
+        raise GeometryError("edge %d has zero length" % e)
+    return vec / lengths[..., None], lengths
+
+
+def normals(t):
+    """The normals n = (t_y, -t_x) of tangents (..., 2)."""
+    return np.stack([t[..., 1], -t[..., 0]], axis=-1)
+
+
 def element_map(mesh, k):
     """ElementMap of cell k, with its corners as images of the reference corners."""
-    v = mesh.vertices[mesh.cells[k]]
-    B = 0.5 * np.column_stack([v[1] - v[0], v[3] - v[0]])
-    a = 0.5 * (v[0] + v[2])
-    return ElementMap(B, a)
+    return ElementMap(*_element_maps(mesh, k))
 
 
 def push_components(emap, mxx, mxy, myy):
@@ -117,18 +146,8 @@ class PhysicalDofFrame:
         self.cell = k
         self.edge_ids = mesh.cell_edges[k].copy()
         self.forward = mesh.cell_edge_forward[k].copy()
-        self.tangents = np.zeros((4, 2))
-        self.normals = np.zeros((4, 2))
-        self.lengths = np.zeros(4)
-        for j, e in enumerate(self.edge_ids):
-            vec = mesh.edge_vector(e)
-            ln = np.linalg.norm(vec)
-            if ln <= 0.0:
-                raise GeometryError("edge %d has zero length" % e)
-            t = vec / ln
-            self.tangents[j] = t
-            self.normals[j] = [t[1], -t[0]]
-            self.lengths[j] = ln
+        self.tangents, self.lengths = edge_frames(mesh, self.edge_ids)
+        self.normals = normals(self.tangents)
 
 
 def _edge_param_points(nq):
@@ -209,9 +228,7 @@ def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
         j_in, j_out = (c - 1) % 4, c
         t_in = _local_tangent(frame, j_in)
         t_out = _local_tangent(frame, j_out)
-        n_in = np.array([t_in[1], -t_in[0]])
-        n_out = np.array([t_out[1], -t_out[0]])
-        dofs[16 + c] = float(t_in @ A @ n_in - t_out @ A @ n_out)
+        dofs[16 + c] = float(t_in @ A @ normals(t_in) - t_out @ A @ normals(t_out))
     return dofs
 
 
@@ -285,6 +302,7 @@ class CellGeometry:
     Attributes
     ----------
     B : (n, 2, 2)
+    a : (n, 2)
     det : (n,)
     tangents : (n, 4, 2)
         Global unit tangents of the local edges, as in PhysicalDofFrame.
@@ -292,8 +310,9 @@ class CellGeometry:
     forward : (n, 4) bool
     """
 
-    def __init__(self, B, det, tangents, lengths, forward):
+    def __init__(self, B, a, det, tangents, lengths, forward):
         self.B = B
+        self.a = a
         self.det = det
         self.tangents = tangents
         self.lengths = lengths
@@ -303,27 +322,34 @@ class CellGeometry:
     def of_cell(emap, frame):
         """The n = 1 geometry of one (ElementMap, PhysicalDofFrame) pair."""
         return CellGeometry(
-            emap.B[None], np.array([emap.det]), frame.tangents[None],
+            emap.B[None], emap.a[None], np.array([emap.det]), frame.tangents[None],
             frame.lengths[None], frame.forward[None],
         )
 
+    def keys(self):
+        """One row per cell of the exact values :func:`dof_matrices` reads.
 
-def batch_geometry(mesh):
-    """CellGeometry of every cell of a mesh, in cell order."""
-    v = mesh.vertices[mesh.cells]
-    B = 0.5 * np.stack([v[:, 1] - v[:, 0], v[:, 3] - v[:, 0]], axis=-1)
+        B, the tangents, the lengths and ``forward``; the determinant follows
+        from B.  Adding 0.0 folds -0.0 into 0.0, so rows are equal exactly
+        when the dof matrices built from them are.
+        """
+        n = len(self.B)
+        rows = [self.B.reshape(n, 4), self.tangents.reshape(n, 8), self.lengths, self.forward]
+        return np.hstack(rows) + 0.0
+
+
+def batch_geometry(mesh, cells=None):
+    """CellGeometry of the cells ``cells`` of a mesh, by default all in cell order."""
+    if cells is None:
+        cells = np.arange(mesh.num_cells)
+    B, a = _element_maps(mesh, cells)
     det = np.linalg.det(B)
     if np.any(det <= 0.0):
         raise GeometryError(
-            "cell %d has a nonpositive element map determinant" % int(np.argmin(det))
+            "cell %d has a nonpositive element map determinant" % cells[np.argmin(det)]
         )
-    ends = mesh.vertices[mesh.edges[mesh.cell_edges]]
-    vec = ends[:, :, 1] - ends[:, :, 0]
-    lengths = np.linalg.norm(vec, axis=-1)
-    if np.any(lengths <= 0.0):
-        e = mesh.cell_edges.flat[np.argmin(lengths)]
-        raise GeometryError("edge %d has zero length" % e)
-    return CellGeometry(B, det, vec / lengths[..., None], lengths, mesh.cell_edge_forward)
+    tangents, lengths = edge_frames(mesh, mesh.cell_edges[cells])
+    return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward[cells])
 
 
 def dof_matrices(geometry, tab):
@@ -335,8 +361,7 @@ def dof_matrices(geometry, tab):
     v.M n = (B^T v).Mh (B^T n) / det B and n.div M = (B^T n).divh Mh / det B.
     """
     B, t = geometry.B, geometry.tangents
-    nrm = np.stack([t[..., 1], -t[..., 0]], axis=-1)
-    a = np.einsum("kba,kjb->kja", B, nrm)
+    a = np.einsum("kba,kjb->kja", B, normals(t))
     b = np.einsum("kba,kjb->kja", B, t)
     d = geometry.det[:, None, None]
     w_nn = np.stack([a[..., 0] ** 2, 2.0 * a[..., 0] * a[..., 1], a[..., 1] ** 2], axis=-1) / d
@@ -397,17 +422,16 @@ def local_basis_matrix(emap, frame, tab):
     return LocalBasis(dof_matrices(CellGeometry.of_cell(emap, frame), tab)[0])
 
 
-#: decimals to which BasisCache keys round map matrices and edge lengths
-KEY_DECIMALS = 14
-
-
 class BasisCache:
-    """Caches LocalBasis objects keyed by map matrix and edge orientation.
+    """Caches LocalBasis objects keyed by the exact geometry of a cell.
 
-    Uniform meshes have a handful of distinct (B, orientation) signatures,
-    so each distinct local matrix is inverted once.  The cache also owns the
-    tabulations of its reference basis, one per kind and rule, built on
-    first use.
+    The key of a cell is the row of :meth:`CellGeometry.keys`: the exact
+    values of B, the edge tangents and lengths, and the edge orientations
+    that :func:`dof_matrices` reads.  Cells share a LocalBasis only when
+    their dof matrices are bitwise equal; uniform meshes have a handful of
+    distinct keys, so each distinct local matrix is inverted once.  The
+    cache also owns the tabulations of its reference basis, one per kind
+    and rule, built on first use.
     """
 
     def __init__(self, basis=None):
@@ -416,15 +440,7 @@ class BasisCache:
         self._tabs = {}
 
     def key(self, emap, frame):
-        return (
-            self.B_key(emap),
-            tuple(bool(f) for f in frame.forward),
-            tuple(np.round(frame.lengths, KEY_DECIMALS)),
-        )
-
-    @staticmethod
-    def B_key(emap):
-        return tuple(np.round(emap.B.ravel(), KEY_DECIMALS))
+        return tuple(CellGeometry.of_cell(emap, frame).keys()[0])
 
     def get(self, emap, frame):
         key = self.key(emap, frame)
@@ -437,16 +453,13 @@ class BasisCache:
     def groups(self, mesh):
         """Cells of a mesh with equal keys, and the inverse dof matrix of each group.
 
-        The keys of :meth:`key`, rounded alike, are computed for all cells at
-        once.  Returns ``(first, group, Tinv)``: the first cell of each group,
-        groups numbered in the order of their first cells; the group of every
+        The keys of :meth:`key` are computed for all cells at once.  Returns
+        ``(first, group, Tinv)``: the first cell of each group, groups
+        numbered in the order of their first cells; the group of every
         cell; and ``Tinv`` (ngroups, 20, 20), from one :meth:`get` per group
         on its first cell.
         """
-        geometry = batch_geometry(mesh)
-        keys = np.hstack([geometry.B.reshape(-1, 4), geometry.forward, geometry.lengths])
-        # adding 0.0 turns -0.0 into 0.0, which the tuple keys also treat as equal
-        keys = np.round(keys, KEY_DECIMALS) + 0.0
+        keys = batch_geometry(mesh).keys()
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         Tinv = np.stack([self.get(*cell_geometry(mesh, int(k))).Tinv for k in first[order]])
@@ -471,5 +484,5 @@ class BasisCache:
 
 
 def cell_geometry(mesh, k):
-    """Convenience: (ElementMap, PhysicalDofFrame) of cell k."""
+    """(ElementMap, PhysicalDofFrame) of cell k; each part is computed once."""
     return element_map(mesh, k), PhysicalDofFrame(mesh, k)

@@ -81,28 +81,6 @@ class DofMap:
         vals[len(rows) - partner.sum() :] = -1.0
         self.P = sp.csr_matrix((vals, (rows, cols)), shape=(20 * nk, self.ndofs))
 
-    # -- edge dof ids --------------------------------------------------------
-
-    def edge_dofs(self, e):
-        """(m0, m1, q0, q1) global ids of edge e."""
-        return 4 * e, 4 * e + 1, 4 * e + 2, 4 * e + 3
-
-    # -- views of the rows of P for one cell -----------------------------------
-
-    def gather(self, x, k):
-        """Local 20-vector of cell k from a global coefficient vector."""
-        return self.P[20 * k : 20 * k + 20] @ x
-
-    def scatter_add(self, y, k, local):
-        """Accumulate a local 20-vector into a global vector (transpose of gather)."""
-        y += self.P[20 * k : 20 * k + 20].T @ local
-
-    def cell_incidence(self, k):
-        """(gids, P) with P of shape (20, len(gids)): local = P @ x[gids]."""
-        rows = self.P[20 * k : 20 * k + 20]
-        gids = np.unique(rows.indices)
-        return gids, rows[:, gids].toarray()
-
 
 def build_dof_map(mesh):
     """DofMap of a mesh, with the dimension formula double-checked."""

@@ -15,10 +15,9 @@ multiplier rows pinning the corresponding degrees of freedom.
 import numpy as np
 import scipy.sparse as sp
 
-from .polys import gauss_rule
-from .piola import BasisCache, batch_geometry, cell_geometry
+from .piola import BasisCache, batch_geometry, edge_frames, normals
 from .reference import divdiv_matrix
-from .interpolation import FROBENIUS, P1_MASS_DIAG, _push, p1_moments
+from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
 from .linsolve import solve_saddle
 from .space import cell_coefficients, check_conformity
@@ -201,58 +200,35 @@ def dirichlet_load(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
         load[m0] += H0,      load[m1] += 3 H1,
         load[q0] -= s G0/|e|, load[q1] -= 3 s G1/|e|,
 
-    where s is +1 when the global edge normal points outward.  Each corner
-    jump dof of a cell at a Dirichlet boundary vertex receives g(vertex).
+    where s is +1 when the global edge normal points outward, which is when
+    the adjacent cell runs the edge forward, from its lower to its higher
+    vertex (``mesh.cell_edge_forward``).  Each corner jump dof of a cell at
+    a Dirichlet boundary vertex receives g(vertex).
     """
     load = np.zeros(dofmap.ndofs)
-    rule = gauss_rule(nq, dim=1)
-    s_pts, w = rule.points, rule.weights
+    e = mesh.dirichlet_edges()
+    k = mesh.edge_cells[e, 0]
+    j = np.argmax(mesh.cell_edges[k] == e[:, None], axis=1)
+    sigma = np.where(mesh.cell_edge_forward[k, j], 1.0, -1.0)
+    t, ln = edge_frames(mesh, e)
+    n_out = sigma[:, None, None] * normals(t)[:, None, :]
 
-    dir_edges = mesh.dirichlet_edges()
-    for e in dir_edges:
-        a, b = mesh.edges[e]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        vec = vb - va
-        ln = np.linalg.norm(vec)
-        t = vec / ln
-        n_edge = np.array([t[1], -t[0]])
-        k = mesh.edge_cells[e, 0]
-        j = list(mesh.cell_edges[k]).index(e)
-        # outward normal of the single adjacent cell on this edge
-        _, frame = cell_geometry(mesh, k)
-        t_loc = frame.tangents[j] if frame.forward[j] else -frame.tangents[j]
-        n_out = np.array([t_loc[1], -t_loc[0]])
-        sigma = 1.0 if n_out @ n_edge > 0 else -1.0
+    s, w, pts = _edge_rule(mesh, e, nq)
+    gv = data.g(pts[..., 0], pts[..., 1])
+    gr = data.grad_g(pts[..., 0], pts[..., 1])
+    dng = n_out[..., 0] * gr[..., 0] + n_out[..., 1] * gr[..., 1]
+    half = 0.5 * ln
+    G0, G1 = (gv @ w) * half, (gv @ (w * s)) * half
+    H0, H1 = (dng @ w) * half, (dng @ (w * s)) * half
+    edge_load = load[: 4 * mesh.num_edges].reshape(-1, 4)
+    edge_load[e] = np.stack([H0, 3.0 * H1, -sigma * G0 / ln, -sigma * 3.0 * G1 / ln], axis=-1)
 
-        mid = 0.5 * (va + vb)
-        x = mid[0] + 0.5 * s_pts * vec[0]
-        y = mid[1] + 0.5 * s_pts * vec[1]
-        gv = data.g(x, y)
-        gr = data.grad_g(x, y)
-        dng = n_out[0] * gr[..., 0] + n_out[1] * gr[..., 1]
-        half = 0.5 * ln
-
-        G0 = np.sum(w * gv) * half
-        G1 = np.sum(w * gv * s_pts) * half
-        H0 = np.sum(w * dng) * half
-        H1 = np.sum(w * dng * s_pts) * half
-
-        base = 4 * e
-        load[base + 0] += H0
-        load[base + 1] += 3.0 * H1
-        load[base + 2] -= sigma * G0 / ln
-        load[base + 3] -= sigma * 3.0 * G1 / ln
-
-    # vertices touching the clamped part: their incident cells' jump dofs
-    dir_vertices = set()
-    for e in dir_edges:
-        dir_vertices.update(int(v) for v in mesh.edges[e])
-    for v in sorted(dir_vertices):
-        gval = float(data.g(*mesh.vertices[v]))
-        for k, c in mesh.vertex_cells[v]:
-            gid = dofmap.jump_id[(k, c)]
-            if gid >= 0:
-                load[gid] += gval
+    # the kept jump dofs of the cells at vertices touching the clamped part
+    clamped = np.zeros(mesh.num_vertices, dtype=bool)
+    clamped[mesh.edges[e]] = True
+    k, c = np.nonzero(clamped[mesh.cells] & (dofmap.jump_id >= 0))
+    v = mesh.vertices[mesh.cells[k, c]]
+    load[dofmap.jump_id[k, c]] = data.g(v[:, 0], v[:, 1])
     return load
 
 

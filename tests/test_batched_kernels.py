@@ -17,7 +17,14 @@ from ddivfem.interpolation import (
     project_p1,
     tensor_errors,
 )
-from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
+from ddivfem.mesh import (
+    DIRICHLET,
+    EX1_CORNERS,
+    NEUMANN,
+    Mesh,
+    make_lshape,
+    make_parallelogram_domain,
+)
 from ddivfem.piola import (
     BasisCache,
     PhysicalDofFrame,
@@ -31,9 +38,11 @@ from ddivfem.problems import ddiv_norm, get_example, l2_errors, quadrature_order
 from ddivfem.reference import divdiv_matrix
 from ddivfem.space import build_dof_map, cell_coefficients
 from ddivfem.system import (
+    DirichletData,
     MaterialLaw,
     assemble,
     build_system,
+    dirichlet_load,
     neumann_constraints,
     neumann_interior_vertices,
     source_load,
@@ -182,6 +191,82 @@ def test_neumann_constraints_match_scalar_formulas():
         want.extend(corner_jump_oracle(mesh, k, c, ex2.field) for k, c in mesh.vertex_cells[v])
     assert len(d) == L.shape[0] == len(want)
     assert rel_gap(d, want) <= 1e-13
+
+
+def dirichlet_load_oracle(mesh, dofmap, data, nq=6):
+    """The clamped-data functional summed edge by edge and vertex by vertex."""
+    load = np.zeros(dofmap.ndofs)
+    rule = gauss_rule(nq, dim=1)
+    s_pts, w = rule.points, rule.weights
+
+    dir_edges = mesh.dirichlet_edges()
+    for e in dir_edges:
+        a, b = mesh.edges[e]
+        va, vb = mesh.vertices[a], mesh.vertices[b]
+        vec = vb - va
+        ln = np.linalg.norm(vec)
+        t = vec / ln
+        n_edge = np.array([t[1], -t[0]])
+        k = mesh.edge_cells[e, 0]
+        j = list(mesh.cell_edges[k]).index(e)
+        # outward normal of the single adjacent cell on this edge
+        _, frame = cell_geometry(mesh, k)
+        t_loc = frame.tangents[j] if frame.forward[j] else -frame.tangents[j]
+        n_out = np.array([t_loc[1], -t_loc[0]])
+        sigma = 1.0 if n_out @ n_edge > 0 else -1.0
+
+        mid = 0.5 * (va + vb)
+        x = mid[0] + 0.5 * s_pts * vec[0]
+        y = mid[1] + 0.5 * s_pts * vec[1]
+        gv = data.g(x, y)
+        gr = data.grad_g(x, y)
+        dng = n_out[0] * gr[..., 0] + n_out[1] * gr[..., 1]
+        half = 0.5 * ln
+
+        G0 = np.sum(w * gv) * half
+        G1 = np.sum(w * gv * s_pts) * half
+        H0 = np.sum(w * dng) * half
+        H1 = np.sum(w * dng * s_pts) * half
+
+        base = 4 * e
+        load[base + 0] += H0
+        load[base + 1] += 3.0 * H1
+        load[base + 2] -= sigma * G0 / ln
+        load[base + 3] -= sigma * 3.0 * G1 / ln
+
+    dir_vertices = set()
+    for e in dir_edges:
+        dir_vertices.update(int(v) for v in mesh.edges[e])
+    for v in sorted(dir_vertices):
+        gval = float(data.g(*mesh.vertices[v]))
+        for k, c in mesh.vertex_cells[v]:
+            gid = dofmap.jump_id[(k, c)]
+            if gid >= 0:
+                load[gid] += gval
+    return load
+
+
+@pytest.mark.parametrize("which", ["lshape", "graded", "all-N", "all-D"])
+def test_dirichlet_load_matches_an_edge_loop(which, graded_mesh):
+    if which == "lshape":
+        mesh = make_lshape(3)  # clamped notch, corner loads at the reentrant vertex
+    elif which == "graded":
+        mesh = graded_mesh
+    else:
+        base = make_lshape(2)
+        label = NEUMANN if which == "all-N" else DIRICHLET
+        mesh = Mesh(base.vertices, base.cells, default_label=label)
+    data = DirichletData(
+        lambda x, y: np.sin(x) * (1.0 + y**2),
+        lambda x, y: np.stack([np.cos(x) * (1.0 + y**2), 2.0 * y * np.sin(x)], axis=-1),
+    )
+    dofmap = build_dof_map(mesh)
+    got = dirichlet_load(mesh, dofmap, data)
+    want = dirichlet_load_oracle(mesh, dofmap, data)
+    if which == "all-N":
+        assert not want.any() and not got.any()
+    else:
+        assert rel_gap(got, want) <= 1e-13
 
 
 def test_p1_projection_and_source_load_match_a_cell_loop(graded_mesh):

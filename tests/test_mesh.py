@@ -159,6 +159,25 @@ def test_degenerate_corners_rejected():
         make_parallelogram_domain([[0, 0], [0, 1], [1, 1], [1, 0]], 1)
 
 
+#: closure defect 0.3: a trapezoid, not a parallelogram
+TRAPEZOID = np.array([[0.0, 0.0], [1.0, 0.0], [0.7, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13])
+def test_closure_tolerance_scales_with_the_cell(scale):
+    corners = scale * TRAPEZOID
+    with pytest.raises(MeshError):
+        Mesh(corners, np.array([[0, 1, 2, 3]]))
+    with pytest.raises(MeshError):
+        make_parallelogram_domain(corners, 0)
+
+
+def test_small_parallelogram_far_from_the_origin_accepted():
+    corners = 1.0 + 1e-9 * np.array([[0.0, 0.0], [1.0, 0.0], [1.3, 1.0], [0.3, 1.0]])
+    assert Mesh(corners, np.array([[0, 1, 2, 3]])).num_cells == 1
+    assert make_parallelogram_domain(corners, 1).num_cells == 4
+
+
 def test_shape_regularity_guard():
     # aspect ratio far beyond the bound: singular values 24 vs ~1/24
     skew = [[0.0, 0.0], [1.0, 0.0], [25.0, 1.0], [24.0, 1.0]]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
+from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.piola import (
     BasisCache,
     EdgeTabulation,
@@ -17,6 +17,8 @@ from ddivfem.piola import (
     push_tensor,
 )
 from ddivfem.reference import build_reference_basis
+from ddivfem.space import build_dof_map
+from ddivfem.system import build_system, solve_problem
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 UNIT = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -154,3 +156,42 @@ def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh):
         lb = cache.get(*cell_geometry(graded_mesh, k))
         assert np.abs(lb.T - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
     assert len(cache) == graded_mesh.num_cells
+
+
+def graded_rectangle(diameter, n=6, seed=7):
+    """n x n rectangle mesh of the given diameter, knot gaps drawn from [0.6, 1.4]."""
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.6, 1.4, n))])
+    ys = np.concatenate([[0.0], np.cumsum(rng.uniform(0.6, 1.4, n))])
+    scale = diameter / np.hypot(xs[-1], ys[-1])
+    xx, yy = np.meshgrid(scale * xs, scale * ys, indexing="ij")
+    cells = [
+        [i * (n + 1) + j, (i + 1) * (n + 1) + j, (i + 1) * (n + 1) + j + 1, i * (n + 1) + j + 1]
+        for i in range(n)
+        for j in range(n)
+    ]
+    return Mesh(np.column_stack([xx.ravel(), yy.ravel()]), np.array(cells))
+
+
+def clamped_plate_moments(diameter):
+    """Cache size and largest |tensor dof| / L^2 of the clamped plate under f = 1.
+
+    Under a similarity every tensor dof scales like M itself: the moments
+    are divided by edge length, and the shear integrals carry one derivative.
+    """
+    mesh = graded_rectangle(diameter)
+    dofmap = build_dof_map(mesh)
+    cache = BasisCache()
+    system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), cache=cache)
+    m = solve_problem(mesh, dofmap, system, cache=cache)["m"]
+    return len(cache), np.abs(m).max() / diameter**2
+
+
+@pytest.mark.parametrize("diameter", [1e-13, 1e6])
+def test_exact_keys_keep_distinct_cells_apart_at_any_scale(diameter):
+    # a similarity commutes with the Piola map, so the moments scale as L^2;
+    # all 36 cells differ, and so must their cache keys
+    _, want = clamped_plate_moments(1.0)
+    ncached, got = clamped_plate_moments(diameter)
+    assert ncached == 36
+    assert got == pytest.approx(want, rel=1e-10)

@@ -1,4 +1,4 @@
-"""Global degrees of freedom: dimension counts, scatter/gather, conformity."""
+"""Global degrees of freedom: dimension counts, jump elimination, conformity."""
 
 import numpy as np
 import pytest
@@ -36,28 +36,6 @@ def test_one_jump_eliminated_per_interior_vertex():
         assert (k, c) in patch
         assert len(partners) == len(patch) - 1
         assert dofmap.jump_id[(k, c)] == -1
-
-
-def test_gather_scatter_are_transposes():
-    mesh = make_lshape(1)
-    dofmap = build_dof_map(mesh)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(dofmap.ndofs)
-    for k in range(mesh.num_cells):
-        w = rng.standard_normal(20)
-        y = np.zeros(dofmap.ndofs)
-        dofmap.scatter_add(y, k, w)
-        assert np.dot(dofmap.gather(x, k), w) == pytest.approx(np.dot(x, y), rel=1e-13)
-
-
-def test_cell_incidence_matches_gather():
-    mesh = make_parallelogram_domain(EX1_CORNERS, 1)
-    dofmap = build_dof_map(mesh)
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(dofmap.ndofs)
-    for k in range(mesh.num_cells):
-        gids, P = dofmap.cell_incidence(k)
-        assert np.allclose(P @ x[gids], dofmap.gather(x, k), atol=1e-14)
 
 
 def test_any_coefficient_vector_is_conforming():
