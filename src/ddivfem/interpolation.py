@@ -256,12 +256,14 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
     -------
     dict with keys ``M``, ``div``, ``ddiv`` (those the field provides),
     holding sums of squared cellwise errors, plus matching ``norm_*`` keys
-    with the squared norms of the exact field.
+    with the squared norms of the exact field, and ``norm_Mh`` with the
+    squared norm of the piecewise tensor.
     """
     orders = np.full(mesh.num_cells, nq, dtype=int)
     if cell_orders is not None:
         orders = np.asarray(cell_orders, dtype=int)
-    res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0}
+    res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0,
+           "norm_Mh": 0.0}
     for q, cells in _cell_blocks(orders):
         tab = cache.volume_tabulation(q)
         B, det, x, y = _map_cells(mesh, cells, tab.xh, tab.yh)
@@ -272,6 +274,7 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
         ex = field.m(x, y)
         res["M"] += np.sum(w * ((pm - ex) ** 2 @ FROBENIUS))
         res["norm_M"] += np.sum(w * (ex**2 @ FROBENIUS))
+        res["norm_Mh"] += np.sum(w * (pm**2 @ FROBENIUS))
 
         if field.div is not None:
             dref = np.einsum("ki,ipc->kpc", ck, tab.divphi)

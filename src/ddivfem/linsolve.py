@@ -16,6 +16,9 @@ DENSE_FALLBACK_DIM = 600
 #: relative magnitude under which a pivot counts as a breakdown
 PIVOT_BREAKDOWN_TOL = 1e-13
 
+#: iterative refinement steps after the sparse direct solve, at most
+REFINE_STEPS = 3
+
 
 class SingularSystemError(np.linalg.LinAlgError):
     """Raised when a factorization hits a (near-)zero pivot."""
@@ -27,14 +30,9 @@ class ResidualError(RuntimeError):
 
 def residual_norm(A, x, b):
     """Relative residual ||b - A x|| / max(||b||, ||A|| ||x||) in the inf norm."""
-    if sp.issparse(A):
-        r = b - A @ x
-        anorm = spla.norm(A, np.inf)
-    else:
-        r = b - A @ x
-        anorm = np.linalg.norm(A, np.inf)
+    anorm = spla.norm(A, np.inf) if sp.issparse(A) else np.linalg.norm(A, np.inf)
     denom = max(np.linalg.norm(b, np.inf), anorm * np.linalg.norm(x, np.inf), 1e-300)
-    return np.linalg.norm(r, np.inf) / denom
+    return np.linalg.norm(b - A @ x, np.inf) / denom
 
 
 def solve_dense(A, b, rtol=1e-10):
@@ -72,7 +70,7 @@ def _check_pivots(lu):
         )
 
 
-def solve_saddle(A, b, rtol=1e-10, refine_steps=3):
+def solve_saddle(A, b, rtol=1e-10):
     """Solve a (typically symmetric indefinite) sparse system.
 
     Parameters
@@ -81,14 +79,16 @@ def solve_saddle(A, b, rtol=1e-10, refine_steps=3):
     b : ndarray
     rtol : float
         Certified relative residual bound for the returned solution.
-    refine_steps : int
-        Maximum iterative refinement steps after the direct solve.
 
     Returns
     -------
     x : ndarray
     info : dict
         Keys ``residual``, ``refined``, ``path`` ('dense' or 'superlu').
+
+    Raises ``SingularSystemError`` on a singular matrix or a pivot
+    breakdown, and ``ResidualError`` when the residual is above ``rtol`` or
+    not finite.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -115,13 +115,14 @@ def solve_saddle(A, b, rtol=1e-10, refine_steps=3):
     x = lu.solve(b)
     steps = 0
     res = residual_norm(A, x, b)
-    while res > 1e-12 and steps < refine_steps:
+    while res > 1e-12 and steps < REFINE_STEPS:
         x = x + lu.solve(b - A @ x)
         steps += 1
         new_res = residual_norm(A, x, b)
         if new_res >= res:
             break
         res = new_res
-    if res > rtol:
+    # written so that a NaN residual fails too
+    if not res <= rtol:
         raise ResidualError("sparse solve residual %.3e exceeds %.3e" % (res, rtol))
     return x, {"residual": res, "refined": steps, "path": "superlu"}

@@ -29,6 +29,19 @@ class MeshError(ValueError):
     """Raised for meshes violating a structural invariant."""
 
 
+def _first_seen(keys):
+    """Number integer keys by their first appearance.
+
+    Returns ``(ids, first)``: ``ids[i]`` numbers ``keys[i]``, with the
+    distinct keys numbered 0, 1, ... in the order they first occur, and
+    ``first[n]`` is the position where number ``n`` first occurs.
+    """
+    _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(at)
+    rank[np.argsort(at)] = np.arange(len(at))
+    return rank[inverse.ravel()], np.sort(at)
+
+
 class Mesh:
     """A conforming mesh of parallelograms.
 
@@ -39,7 +52,8 @@ class Mesh:
         Counterclockwise corner quadruples.
     boundary_labels : dict, optional
         Maps frozenset({a, b}) vertex pairs of boundary edges to 'D' or 'N'.
-        Missing entries default to 'D'.
+        Every key must name a boundary edge; the others get
+        ``default_label``.
 
     Attributes
     ----------
@@ -55,8 +69,7 @@ class Mesh:
         'D' or 'N' on boundary edges, '' inside.
     """
 
-    def __init__(self, vertices, cells, boundary_labels=None, default_label=DIRICHLET,
-                 validate=True):
+    def __init__(self, vertices, cells, boundary_labels=None, default_label=DIRICHLET):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=int)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
@@ -69,56 +82,34 @@ class Mesh:
             raise MeshError("cell corner indices must lie in [0, %d)" % len(self.vertices))
         self._build_topology()
         self._apply_labels(boundary_labels, default_label)
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- construction ------------------------------------------------------
 
     def _build_topology(self):
-        nk = len(self.cells)
-        edge_index = {}
-        edges = []
-        cell_edges = np.zeros((nk, 4), dtype=int)
-        forward = np.zeros((nk, 4), dtype=bool)
-        edge_cells = []
-        for k in range(nk):
-            quad = self.cells[k]
-            for j in range(4):
-                a, b = int(quad[j]), int(quad[(j + 1) % 4])
-                if a == b:
-                    raise MeshError("cell %d repeats vertex %d" % (k, a))
-                key = (min(a, b), max(a, b))
-                e = edge_index.get(key)
-                if e is None:
-                    e = len(edges)
-                    edge_index[key] = e
-                    edges.append(key)
-                    edge_cells.append([k, -1])
-                else:
-                    if edge_cells[e][1] != -1:
-                        raise MeshError("edge %s shared by more than two cells" % (key,))
-                    edge_cells[e][1] = k
-                cell_edges[k, j] = e
-                forward[k, j] = a < b
-        self.edges = np.array(edges, dtype=int)
-        self.cell_edges = cell_edges
-        self.cell_edge_forward = forward
-        self.edge_cells = np.array(edge_cells, dtype=int)
-        self._edge_index = edge_index
+        nk, nv = len(self.cells), len(self.vertices)
+        # local edge j of a cell runs from its corner j to its corner j + 1
+        a, b = self.cells, self.cells[:, [1, 2, 3, 0]]
+        if np.any(a == b):
+            k, j = np.argwhere(a == b)[0]
+            raise MeshError("cell %d repeats vertex %d" % (k, a[k, j]))
+        lo, hi = np.minimum(a, b).ravel(), np.maximum(a, b).ravel()
+        ids, first = _first_seen(lo * nv + hi)
+        count = np.bincount(ids)
+        if np.any(count > 2):
+            e = first[np.argmax(count > 2)]
+            raise MeshError("edge %s shared by more than two cells" % ((int(lo[e]), int(hi[e])),))
+        self.edges = np.stack([lo[first], hi[first]], axis=1)
+        self.cell_edges = ids.reshape(nk, 4)
+        self.cell_edge_forward = a < b
+        # an edge's second cell is the one of its last occurrence in cell order
+        last = (np.argsort(ids, kind="stable") // 4)[np.cumsum(count) - 1]
+        self.edge_cells = np.stack([first // 4, np.where(count == 2, last, -1)], axis=1)
 
         self.boundary_edges = np.nonzero(self.edge_cells[:, 1] == -1)[0]
-        on_boundary = np.zeros(len(self.vertices), dtype=bool)
-        for e in self.boundary_edges:
-            on_boundary[self.edges[e]] = True
-        self.boundary_vertices = np.nonzero(on_boundary)[0]
+        on_boundary = np.zeros(nv, dtype=bool)
+        on_boundary[self.edges[self.boundary_edges]] = True
         self.interior_vertices = np.nonzero(~on_boundary)[0]
-
-        # vertex -> (cell, local corner) incidence, in cell order
-        patches = [[] for _ in range(len(self.vertices))]
-        for k in range(nk):
-            for c in range(4):
-                patches[self.cells[k, c]].append((k, c))
-        self.vertex_cells = patches
 
         d1 = self.vertices[self.cells[:, 2]] - self.vertices[self.cells[:, 0]]
         d2 = self.vertices[self.cells[:, 3]] - self.vertices[self.cells[:, 1]]
@@ -126,15 +117,17 @@ class Mesh:
             np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1)
         )
 
-    def _apply_labels(self, boundary_labels, default_label=DIRICHLET):
+    def _apply_labels(self, boundary_labels, default_label):
+        given = dict(boundary_labels or {})
         labels = np.full(len(self.edges), "", dtype="<U1")
-        boundary_labels = boundary_labels or {}
         for e in self.boundary_edges:
-            a, b = self.edges[e]
-            lab = boundary_labels.get(frozenset((int(a), int(b))), default_label)
+            lab = given.pop(frozenset(self.edges[e].tolist()), default_label)
             if lab not in (DIRICHLET, NEUMANN):
                 raise MeshError("boundary label must be 'D' or 'N', got %r" % lab)
             labels[e] = lab
+        if given:
+            pair = sorted(next(iter(given)))
+            raise MeshError("boundary label %s names no boundary edge" % pair)
         self.edge_label = labels
 
     # -- queries -------------------------------------------------------------
@@ -160,9 +153,6 @@ class Mesh:
 
     def neumann_edges(self):
         return np.nonzero(self.edge_label == NEUMANN)[0]
-
-    def find_edge(self, a, b):
-        return self._edge_index.get((min(a, b), max(a, b)), -1)
 
     # -- invariants ----------------------------------------------------------
 
@@ -211,16 +201,12 @@ class Mesh:
 
     def export_text(self, path):
         """Write the mesh and its boundary partition in plain text."""
-        lines = ["%d %d %d" % (self.num_vertices, self.num_cells, self.num_edges)]
-        for p in self.vertices:
-            lines.append("%.17g %.17g" % (p[0], p[1]))
-        for q in self.cells:
-            lines.append("%d %d %d %d" % tuple(q))
-        for e in self.boundary_edges:
-            a, b = self.edges[e]
-            lines.append("%d %d %s" % (a, b, self.edge_label[e]))
+        b = self.boundary_edges
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("%d %d %d\n" % (self.num_vertices, self.num_cells, self.num_edges))
+            np.savetxt(fh, self.vertices, fmt="%.17g")
+            np.savetxt(fh, self.cells, fmt="%d")
+            np.savetxt(fh, np.column_stack([self.edges[b], self.edge_label[b]]), fmt="%s")
 
 
 def import_text(path):
@@ -228,7 +214,8 @@ def import_text(path):
 
     Raises MeshError when the file does not follow that format: a bad
     header, a missing or malformed vertex, cell or boundary line, or a
-    boundary line that names no boundary edge of the mesh.
+    mesh that :class:`Mesh` rejects, boundary lines that name no boundary
+    edge included.
     """
     with open(path) as fh:
         lines = [(no, line.split()) for no, line in enumerate(fh, 1) if line.strip()]
@@ -258,10 +245,6 @@ def import_text(path):
     mesh = Mesh(vertices.reshape(nv, 2), cells.reshape(nk, 4), boundary_labels=labels)
     if mesh.num_edges != ne:
         raise MeshError("edge count %d does not match header %d" % (mesh.num_edges, ne))
-    for a, b, _ in pairs:
-        e = mesh.find_edge(a, b)
-        if e < 0 or mesh.edge_cells[e, 1] != -1:
-            raise MeshError("boundary line %d %d names no boundary edge" % (a, b))
     return mesh
 
 
@@ -292,13 +275,8 @@ def make_parallelogram_domain(corners, level):
     # index of lattice node (i, j) is i * (n + 1) + j
     vertices = corners[0][None, :] + np.outer(s, u) + np.outer(t, w)
 
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            v00 = i * (n + 1) + j
-            v10 = (i + 1) * (n + 1) + j
-            cells.append([v00, v10, v10 + 1, v00 + 1])
-    return Mesh(vertices, np.array(cells))
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return Mesh(vertices, v00[:, None] + [0, n + 1, n + 2, 1])
 
 
 def make_lshape(level):
@@ -309,37 +287,26 @@ def make_lshape(level):
     three unit cells.
     """
     n = 2**int(level)
-    index = {}
-    coords = []
+    # lower left lattice corners of the lower right, upper right and upper
+    # left blocks of n x n cells, swept i-major within each block
+    r = np.arange(n)
+    i = np.concatenate([np.repeat(i0 + r, n) for i0 in (0, 0, -n)])[:, None] + [0, 1, 1, 0]
+    j = np.concatenate([np.tile(j0 + r, n) for j0 in (-n, 0, 0)])[:, None] + [0, 0, 1, 1]
+    # the two legs of the reentrant corner, nodes (-n..0, 0) and (0, -n..0)
+    leg, zero = np.arange(-n, 1), np.zeros(n + 1, dtype=int)
+    i = np.concatenate([i.ravel(), leg, zero])
+    j = np.concatenate([j.ravel(), zero, leg])
 
-    def node(i, j):
-        key = (i, j)
-        if key not in index:
-            index[key] = len(coords)
-            coords.append((i / n, j / n))
-        return index[key]
-
-    blocks = [
-        (0, n, -n, 0),  # lower right block
-        (0, n, 0, n),  # upper right block
-        (-n, 0, 0, n),  # upper left block
-    ]
-    cells = []
-    for i0, i1, j0, j1 in blocks:
-        for i in range(i0, i1):
-            for j in range(j0, j1):
-                cells.append(
-                    [node(i, j), node(i + 1, j), node(i + 1, j + 1), node(i, j + 1)]
-                )
-
-    labels = {}
-    for i in range(-n, 0):
-        labels[frozenset((node(i, 0), node(i + 1, 0)))] = DIRICHLET
-    for j in range(-n, 0):
-        labels[frozenset((node(0, j), node(0, j + 1)))] = DIRICHLET
-    mesh = Mesh(np.array(coords), np.array(cells), boundary_labels=labels,
-                default_label=NEUMANN)
-    return mesh
+    # nodes are numbered as the cells first visit them
+    ids, first = _first_seen((i + n) * (2 * n + 1) + (j + n))
+    cells = ids[: 12 * n * n].reshape(-1, 4)
+    labels = {
+        frozenset(pair): DIRICHLET
+        for nodes in ids[12 * n * n :].reshape(2, n + 1).tolist()
+        for pair in zip(nodes[:-1], nodes[1:])
+    }
+    vertices = np.stack([i[first] / n, j[first] / n], axis=1)
+    return Mesh(vertices, cells, boundary_labels=labels, default_label=NEUMANN)
 
 
 def refine_uniform(mesh):
@@ -355,41 +322,37 @@ def refine_uniform(mesh):
     centers = 0.5 * (mesh.vertices[mesh.cells[:, 0]] + mesh.vertices[mesh.cells[:, 2]])
     vertices = np.vstack([mesh.vertices, mid, centers])
 
-    cells = []
-    for k in range(mesh.num_cells):
-        a, b, c, d = mesh.cells[k]
-        m = [nv + mesh.cell_edges[k, j] for j in range(4)]
-        z = nv + ne + k
-        cells.append([a, m[0], z, m[3]])
-        cells.append([m[0], b, m[1], z])
-        cells.append([z, m[1], c, m[2]])
-        cells.append([m[3], z, m[2], d])
+    a, b, c, d = mesh.cells.T
+    m0, m1, m2, m3 = (nv + mesh.cell_edges).T
+    z = nv + ne + np.arange(mesh.num_cells)
+    children = [[a, m0, z, m3], [m0, b, m1, z], [z, m1, c, m2], [m3, z, m2, d]]
+    cells = np.array(children).transpose(2, 0, 1).reshape(-1, 4)
 
-    labels = {}
-    for e in mesh.boundary_edges:
-        a, b = (int(s) for s in mesh.edges[e])
-        lab = mesh.edge_label[e]
-        labels[frozenset((a, nv + int(e)))] = lab
-        labels[frozenset((b, nv + int(e)))] = lab
-    return Mesh(vertices, np.array(cells), boundary_labels=labels)
+    labels = {
+        frozenset((v, nv + e)): mesh.edge_label[e]
+        for e in mesh.boundary_edges.tolist()
+        for v in mesh.edges[e].tolist()
+    }
+    return Mesh(vertices, cells, boundary_labels=labels)
 
 
 def canonical_form(mesh, digits=12):
     """Coordinate-based canonical representation for mesh comparisons.
 
-    Returns sorted tuples of cell corner coordinates and labeled boundary
-    edges, independent of vertex and cell numbering.
+    Returns the cells and the labeled boundary edges as sorted lists of
+    their sorted corner coordinates, independent of vertex and cell
+    numbering.
     """
+    p = np.round(mesh.vertices, digits)
 
-    def pt(i):
-        x, y = mesh.vertices[i]
-        return (round(float(x), digits), round(float(y), digits))
+    def sorted_rows(points):
+        # sort the points within each row, then the rows, lexicographically
+        order = np.lexsort((points[..., 1], points[..., 0]))
+        rows = np.take_along_axis(points, order[..., None], axis=1).reshape(len(points), -1)
+        order = np.lexsort(rows.T[::-1])
+        return rows[order].tolist(), order
 
-    cells = sorted(
-        tuple(sorted(pt(v) for v in quad)) for quad in mesh.cells
-    )
-    bdry = sorted(
-        (tuple(sorted((pt(mesh.edges[e][0]), pt(mesh.edges[e][1])))), mesh.edge_label[e])
-        for e in mesh.boundary_edges
-    )
-    return cells, bdry
+    cells, _ = sorted_rows(p[mesh.cells])
+    bdry, order = sorted_rows(p[mesh.edges[mesh.boundary_edges]])
+    return cells, list(zip(bdry, mesh.edge_label[mesh.boundary_edges][order].tolist()))
+

@@ -42,8 +42,6 @@ class DofMap:
     jump_id : (ncells, 4) int array
         Global id of the jump dof at each (cell, corner), or -1 when
         eliminated; ``jump_id[(k, c)]`` reads one entry.
-    eliminated : dict
-        (cell, corner) -> list of surviving (cell, corner) patch partners.
     """
 
     def __init__(self, mesh):
@@ -62,9 +60,6 @@ class DofMap:
         jump = np.where(kept, base + np.cumsum(kept) - 1, -1)
         self.jump_id = jump.reshape(nk, 4)
         self.ndofs = base + int(kept.sum())
-        self.eliminated = {
-            mesh.vertex_cells[v][0]: mesh.vertex_cells[v][1:] for v in mesh.interior_vertices
-        }
 
         # row 20 k + 4 r + j expands moment r of local edge j, row 20 k + 16 + c
         # the jump at corner c; a dropped jump is minus the sum of the kept

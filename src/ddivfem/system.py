@@ -233,12 +233,11 @@ def dirichlet_load(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
 
 
 def neumann_interior_vertices(mesh):
-    """Boundary vertices all of whose incident boundary edges are Neumann."""
-    incident = {}
-    for e in mesh.boundary_edges:
-        for v in mesh.edges[e]:
-            incident.setdefault(int(v), []).append(mesh.edge_label[e])
-    return [v for v, labs in sorted(incident.items()) if all(l == "N" for l in labs)]
+    """Boundary vertices all of whose incident boundary edges are Neumann, ascending."""
+    inside = np.zeros(mesh.num_vertices, dtype=bool)
+    inside[mesh.edges[mesh.neumann_edges()]] = True
+    inside[mesh.edges[mesh.dirichlet_edges()]] = False
+    return np.nonzero(inside)[0]
 
 
 def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
@@ -250,8 +249,11 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     seen from that cell.  Returns (L, d) with L sparse of shape (nc, ndofs).
     """
     edges = mesh.neumann_edges()
-    patches = [kc for v in neumann_interior_vertices(mesh) for kc in mesh.vertex_cells[v]]
-    k, c = np.array(patches, dtype=int).reshape(-1, 2).T
+    # the (cell, corner) pairs at those vertices, vertex by vertex and in
+    # cell order at each vertex
+    k, c = np.nonzero(np.isin(mesh.cells, neumann_interior_vertices(mesh)))
+    order = np.argsort(mesh.cells[k, c], kind="stable")
+    k, c = k[order], c[order]
     gids = dofmap.jump_id[k, c]
     if np.any(gids < 0):
         v = mesh.cells[k, c][np.argmax(gids < 0)]

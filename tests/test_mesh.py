@@ -86,12 +86,14 @@ def test_refinement_halves_h_and_keeps_labels():
 def test_interior_vertex_patches():
     mesh = make_parallelogram_domain(EX1_CORNERS, 1)
     (n0,) = mesh.interior_vertices
-    patch = mesh.vertex_cells[n0]
+    patch = np.argwhere(mesh.cells == n0)
     assert len(patch) == 4
     assert sorted(k for k, _ in patch) == [0, 1, 2, 3]
-    # every patch member really holds the vertex at the stated corner
-    for k, c in patch:
-        assert mesh.cells[k][c] == n0
+    # the four cells meet there at four different corners
+    assert sorted(c for _, c in patch) == [0, 1, 2, 3]
+    # and the four edges at it are interior
+    at = np.nonzero((mesh.edges == n0).any(axis=1))[0]
+    assert len(at) == 4 and np.all(mesh.edge_cells[at, 1] >= 0)
 
 
 def test_text_round_trip(tmp_path):
@@ -135,6 +137,7 @@ MALFORMED_TEXT = {
     "short-label": _edited({6: "0 1"}),
     "unknown-label": _edited({6: "0 1 X"}),
     "label-on-a-diagonal": _edited({6: "0 2 D"}),
+    "label-on-a-point": _edited({6: "0 0 D"}),
 }
 
 
@@ -146,6 +149,23 @@ def test_malformed_text_raises_mesh_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(MeshError):
         import_text(path)
+
+
+def test_label_on_an_interior_edge_rejected():
+    mesh = make_lshape(1)
+    e = np.nonzero(mesh.edge_cells[:, 1] >= 0)[0][0]
+    with pytest.raises(MeshError, match="names no boundary edge"):
+        Mesh(mesh.vertices, mesh.cells, boundary_labels={frozenset(mesh.edges[e].tolist()): "N"})
+
+
+def test_edge_shared_by_three_cells_rejected():
+    # three unit squares hinged on the edge from vertex 0 to vertex 1
+    verts = np.array(
+        [[0, 0], [1, 0], [1, 1], [0, 1], [1, -1], [0, -1], [1, 2], [0, 2]], dtype=float
+    )
+    cells = np.array([[0, 1, 2, 3], [1, 0, 5, 4], [0, 1, 6, 7]])
+    with pytest.raises(MeshError, match="shared by more than two cells"):
+        Mesh(verts, cells)
 
 
 def test_degenerate_corners_rejected():

@@ -29,13 +29,18 @@ def test_frozen_dimension_values():
 def test_one_jump_eliminated_per_interior_vertex():
     mesh = make_lshape(2)
     dofmap = build_dof_map(mesh)
-    assert len(dofmap.eliminated) == len(mesh.interior_vertices)
-    for (k, c), partners in dofmap.eliminated.items():
-        n0 = mesh.cells[k][c]
-        patch = mesh.vertex_cells[n0]
-        assert (k, c) in patch
-        assert len(partners) == len(patch) - 1
-        assert dofmap.jump_id[(k, c)] == -1
+    dropped = np.argwhere(dofmap.jump_id < 0)
+    assert sorted(mesh.cells[k, c] for k, c in dropped) == list(mesh.interior_vertices)
+    for k, c in dropped:
+        patch = np.argwhere(mesh.cells == mesh.cells[k, c])
+        # the first cell of the patch drops its jump, and its row of P is
+        # minus the sum of the kept jumps of the other patch members
+        assert [k, c] == patch[0].tolist()
+        partners = [dofmap.jump_id[kk, cc] for kk, cc in patch[1:]]
+        assert len(partners) == len(patch) - 1 and min(partners) >= 0
+        row = dofmap.P[20 * k + 16 + c]
+        assert sorted(row.indices) == sorted(partners)
+        assert np.all(row.data == -1.0)
 
 
 def test_any_coefficient_vector_is_conforming():
@@ -104,7 +109,7 @@ def quadrature_conformity(mesh, basis, coeffs, nq):
                 if d > out[key]:
                     out[key], out[where] = d, e
     for v in mesh.interior_vertices:
-        s = abs(sum(phys[k][16 + c] for k, c in mesh.vertex_cells[v]))
+        s = abs(sum(phys[k][16 + c] for k, c in np.argwhere(mesh.cells == v)))
         if s > out["max_jump_sum"]:
             out["max_jump_sum"], out["worst_vertex"] = s, v
     return out

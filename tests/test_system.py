@@ -220,6 +220,17 @@ def test_pivot_breakdown_detected(monkeypatch):
         solve_saddle(A, np.ones(4))
 
 
+@pytest.mark.parametrize("n", [4, 800])
+def test_non_finite_solution_raises(n):
+    # both solve paths, dense below DENSE_FALLBACK_DIM and SuperLU above it;
+    # a NaN residual compares false against any bound, so the certificate
+    # must be written to reject it rather than pass it
+    b = np.ones(n)
+    b[n // 2] = np.nan
+    with pytest.raises((SingularSystemError, ResidualError)):
+        solve_saddle(sp.diags(np.arange(1.0, n + 1.0)), b)
+
+
 def test_residual_failure_raises(monkeypatch):
     # partial pivoting is backward stable, so a genuinely unreachable residual
     # needs a rigged measurement; this checks the guard actually fires
