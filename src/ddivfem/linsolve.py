@@ -1,22 +1,46 @@
-"""Direct linear solvers with residual control.
+"""Direct linear solves with certified residuals.
 
-Small systems go through LAPACK dense factorizations.  Large sparse saddle
-point systems go through SuperLU with COLAMD ordering and partial pivoting,
-followed by a few steps of iterative refinement so the final relative
-residual is certified rather than hoped for.
+A plate system
+
+    K = [[A, -B^T, L^T], [-B, 0, 0], [L, 0, 0]]
+
+is symmetric indefinite, and factoring it whole is expensive.  It is solved
+by Arnold-Brezzi hybridization instead.  The 20 tensor dofs of every cell
+are broken apart, so that the tensor field lives in the local dof space of
+all cells, and continuity is imposed by multipliers: a second local copy of
+an edge moment must equal the first, and an eliminated corner jump must
+balance the kept jumps at its vertex.  The Neumann rows ``L`` are read on the
+first local copy of each global dof.  Each cell then carries the 23 x 23
+local saddle block [[A_k, -B_k^T], [-B_k, 0]], inverted once per group of
+equal cells, and only the multiplier system
+
+    S = Lambda blockdiag(W_k) Lambda^T,
+
+with W_k the tensor block of the local inverse, is factored.  S is symmetric
+positive definite exactly when K is regular, so it is factored without
+pivoting in a symmetric ordering, and a pivot that falls below
+``PIVOT_BREAKDOWN_TOL`` times its diagonal entry of S counts as a
+breakdown; the ratio does not move under a diagonal scaling of the dofs.
+The tensor field, the deflection and the Neumann multipliers are then
+recovered cell by cell.
+
+The hybrid path is taken for every matrix that carries its cell structure
+(``K.plate``, set by :meth:`ddivfem.system.SaddleSystem.full`).  Any other
+matrix goes through SuperLU with COLAMD ordering and partial pivoting.
+Either way, a few steps of iterative refinement on the given matrix follow,
+so that the final relative residual is certified rather than hoped for.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-#: below this dimension the sparse path falls back to a dense factorization
-DENSE_FALLBACK_DIM = 600
-
 #: relative magnitude under which a pivot counts as a breakdown
 PIVOT_BREAKDOWN_TOL = 1e-13
 
-#: iterative refinement steps after the sparse direct solve, at most
+#: iterative refinement steps after the direct solve, at most
 REFINE_STEPS = 3
 
 
@@ -28,33 +52,29 @@ class ResidualError(RuntimeError):
     """Raised when a solve cannot reach the requested residual."""
 
 
+class PlateBlocks(NamedTuple):
+    """Cell structure of a plate saddle matrix.
+
+    A = P^T blockdiag(A_k) P and B = blockdiag(B_k) P, where cell k has the
+    blocks ``A_loc[group[k]]`` (20, 20) and ``B_loc[group[k]]`` (3, 20).
+    ``L`` holds the constraint rows on the ``ndofs`` tensor dofs, or is
+    None; ``nu`` is the number of deflection unknowns, three per cell.
+    """
+
+    P: object
+    group: np.ndarray
+    A_loc: np.ndarray
+    B_loc: np.ndarray
+    L: object
+    ndofs: int
+    nu: int
+
+
 def residual_norm(A, x, b):
     """Relative residual ||b - A x|| / max(||b||, ||A|| ||x||) in the inf norm."""
     anorm = spla.norm(A, np.inf) if sp.issparse(A) else np.linalg.norm(A, np.inf)
     denom = max(np.linalg.norm(b, np.inf), anorm * np.linalg.norm(x, np.inf), 1e-300)
     return np.linalg.norm(b - A @ x, np.inf) / denom
-
-
-def solve_dense(A, b, rtol=1e-10):
-    """Solve a dense system, verifying the relative residual.
-
-    Raises ``SingularSystemError`` for singular matrices and
-    ``ResidualError`` if the verified residual exceeds ``rtol``.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError(str(err)) from err
-    if not np.all(np.isfinite(x)):
-        raise SingularSystemError("non-finite solution entries")
-    # one refinement step cleans up marginal conditioning
-    x = x + np.linalg.solve(A, b - A @ x)
-    res = residual_norm(A, x, b)
-    if res > rtol:
-        raise ResidualError("dense solve residual %.3e exceeds %.3e" % (res, rtol))
-    return x
 
 
 def _check_pivots(lu):
@@ -70,12 +90,140 @@ def _check_pivots(lu):
         )
 
 
+def factor_spd(S):
+    """Symmetric factorization of an SPD matrix and its pivot quality.
+
+    Returns ``(lu, ratio)`` with ``ratio[i]`` the pivot of row i of S over
+    ``S[i, i]``: 1 for a diagonal matrix, and at most 1 for any SPD matrix.
+    Raises ``SingularSystemError`` when a ratio is below
+    ``PIVOT_BREAKDOWN_TOL``, negative ones included, or when the
+    factorization leaves the diagonal.
+    """
+    try:
+        lu = spla.splu(
+            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as err:
+        raise SingularSystemError(str(err)) from err
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularSystemError("off-diagonal pivot in a symmetric factorization")
+    # Pr S Pc = L U, and row i of S is row perm_c[i] of the permuted matrix
+    ratio = lu.U.diagonal()[lu.perm_c] / S.diagonal()
+    worst = int(np.argmin(ratio))
+    if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
+        raise SingularSystemError(
+            "multiplier system not positive definite: pivot / diagonal %.3e at row %d"
+            % (ratio[worst], worst)
+        )
+    return lu, ratio
+
+
+class HybridSolver:
+    """Hybridized solve of a plate saddle matrix from its cell structure.
+
+    Local dof vectors use 23 slots per cell: the 20 tensor slots of
+    :mod:`ddivfem.space`, then the three deflection coefficients.
+    """
+
+    def __init__(self, plate):
+        P = sp.csr_matrix(plate.P)
+        nk = len(plate.group)
+        self.ndofs, self.nu = plate.ndofs, plate.nu
+
+        # Q selects the first local copy of every global dof, so Q P = I
+        per_row = np.diff(P.indptr)
+        rows = np.repeat(np.arange(P.shape[0]), per_row)
+        unit = (per_row[rows] == 1) & (P.data == 1.0)
+        dofs, at = np.unique(P.indices[unit], return_index=True)
+        if len(dofs) != self.ndofs:
+            raise ValueError("%d of %d global dofs have a local copy" % (len(dofs), self.ndofs))
+        Q = sp.csr_matrix(
+            (np.ones(self.ndofs), (dofs, rows[unit][at])), shape=(self.ndofs, 20 * nk)
+        )
+        # continuity: the nonzero rows of I - P Q, a second copy against the
+        # first, or an eliminated jump plus the kept jumps at its vertex
+        R = (sp.identity(20 * nk, format="csr") - P @ Q).tocsr()
+        R.eliminate_zeros()
+        blocks = [R[np.diff(R.indptr) > 0]]
+        if plate.L is not None and plate.L.shape[0] > 0:
+            blocks.append(plate.L @ Q)
+        Lam = sp.vstack(blocks, format="csr")
+        self.n_continuity = blocks[0].shape[0]
+
+        # move tensor slot s of cell k to column 23 k + s
+        self.Q = _widen(Q)
+        self.Lam = _widen(Lam)
+
+        local = np.zeros((len(plate.A_loc), 23, 23))
+        local[:, :20, :20] = plate.A_loc
+        local[:, :20, 20:] = -plate.B_loc.transpose(0, 2, 1)
+        local[:, 20:, :20] = -plate.B_loc
+        try:
+            inv = np.linalg.inv(local)
+        except np.linalg.LinAlgError as err:
+            raise SingularSystemError("singular local saddle block: %s" % err) from err
+        if not np.all(np.isfinite(inv)):
+            raise SingularSystemError("non-finite inverse of a local saddle block")
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        ptr = np.arange(nk + 1)
+        self.M = sp.bsr_matrix((inv[plate.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
+
+        S = (self.Lam @ self.M @ self.Lam.T).tocsc()
+        self.schur_n = S.shape[0]
+        self.lu, self.pivot_ratio = None, None
+        if self.schur_n > 0:
+            self.lu, ratio = factor_spd(S)
+            self.pivot_ratio = float(ratio.min())
+
+    def info(self):
+        return {
+            "path": "hybrid",
+            "schur_n": self.schur_n,
+            "fill": self.lu.nnz if self.lu is not None else 0,
+            "pivot_ratio": self.pivot_ratio,
+        }
+
+    def solve(self, b):
+        """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
+        nd, nu = self.ndofs, self.nu
+        z = self.Q.T @ b[:nd]
+        z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
+        r = self.Lam @ (self.M @ z)
+        r[self.n_continuity :] -= b[nd + nu :]
+        mu = self.lu.solve(r) if self.lu is not None else r
+        y = self.M @ (z - self.Lam.T @ mu)
+        # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
+        u = y.reshape(-1, 23)[:, 20:].ravel()
+        return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
+
+
+def _widen(X):
+    """Columns 20 k + s of X moved to 23 k + s."""
+    X = sp.csr_matrix(X)
+    cols = 23 * (X.indices // 20) + X.indices % 20
+    return sp.csr_matrix((X.data, cols, X.indptr), shape=(X.shape[0], 23 * (X.shape[1] // 20)))
+
+
+def _colamd(A):
+    # COLAMD with standard partial pivoting: symmetric-mode orderings create
+    # two orders of magnitude more fill on a saddle structure and lose all
+    # accuracy, so the unsymmetric factorization is the right tool
+    try:
+        lu = spla.splu(A, permc_spec="COLAMD")
+    except RuntimeError as err:
+        raise SingularSystemError(str(err)) from err
+    _check_pivots(lu)
+    return lu.solve, {"path": "superlu"}
+
+
 def solve_saddle(A, b, rtol=1e-10):
     """Solve a (typically symmetric indefinite) sparse system.
 
     Parameters
     ----------
-    A : sparse matrix
+    A : sparse matrix or ndarray
+        A plate matrix from :meth:`ddivfem.system.SaddleSystem.full` is
+        solved by hybridization, anything else by SuperLU with COLAMD.
     b : ndarray
     rtol : float
         Certified relative residual bound for the returned solution.
@@ -84,7 +232,10 @@ def solve_saddle(A, b, rtol=1e-10):
     -------
     x : ndarray
     info : dict
-        Keys ``residual``, ``refined``, ``path`` ('dense' or 'superlu').
+        Keys ``residual``, ``refined`` and ``path`` ('hybrid' or
+        'superlu'); the hybrid path adds ``schur_n`` (size of S), ``fill``
+        (nonzeros of its factors) and ``pivot_ratio`` (smallest pivot over
+        its diagonal entry of S, None when S is empty).
 
     Raises ``SingularSystemError`` on a singular matrix or a pivot
     breakdown, and ``ResidualError`` when the residual is above ``rtol`` or
@@ -92,37 +243,34 @@ def solve_saddle(A, b, rtol=1e-10):
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if sp.issparse(A):
-        A = A.tocsc()
-    else:
-        A = sp.csc_matrix(A)
+    plate = getattr(A, "plate", None)
+    A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
     if A.shape != (n, n):
         raise ValueError("matrix/vector shape mismatch: %s vs %d" % (A.shape, n))
 
-    if n < DENSE_FALLBACK_DIM:
-        x = solve_dense(A.toarray(), b, rtol=rtol)
-        return x, {"residual": residual_norm(A, x, b), "refined": 0, "path": "dense"}
+    if plate is not None:
+        nc = plate.L.shape[0] if plate.L is not None else 0
+        if plate.ndofs + plate.nu + nc != n:
+            raise ValueError("cell structure does not match a matrix of size %d" % n)
+        hybrid = HybridSolver(plate)
+        solve, info = hybrid.solve, hybrid.info()
+    else:
+        solve, info = _colamd(A)
 
-    # COLAMD with standard partial pivoting: symmetric-mode orderings create
-    # two orders of magnitude more fill on this saddle structure and lose
-    # all accuracy, so the unsymmetric factorization is the right tool
-    try:
-        lu = spla.splu(A, permc_spec="COLAMD")
-    except RuntimeError as err:
-        raise SingularSystemError(str(err)) from err
-    _check_pivots(lu)
-
-    x = lu.solve(b)
+    x = solve(b)
     steps = 0
     res = residual_norm(A, x, b)
     while res > 1e-12 and steps < REFINE_STEPS:
-        x = x + lu.solve(b - A @ x)
-        steps += 1
-        new_res = residual_norm(A, x, b)
-        if new_res >= res:
+        x_new = x + solve(b - A @ x)
+        new_res = residual_norm(A, x_new, b)
+        # a step that does not lower the residual is dropped, so that the
+        # certified residual is the one of the returned x
+        if not new_res < res:
             break
-        res = new_res
+        x, res = x_new, new_res
+        steps += 1
     # written so that a NaN residual fails too
     if not res <= rtol:
-        raise ResidualError("sparse solve residual %.3e exceeds %.3e" % (res, rtol))
-    return x, {"residual": res, "refined": steps, "path": "superlu"}
+        raise ResidualError("%s solve residual %.3e exceeds %.3e" % (info["path"], res, rtol))
+    info.update(residual=res, refined=steps)
+    return x, info

@@ -12,7 +12,6 @@ moment error converges with the fractional corner exponent.
 import json
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .polys import Poly2
 from .mesh import make_parallelogram_domain, make_lshape, EX1_CORNERS
@@ -127,14 +126,20 @@ def corner_exponent():
         return np.sin(2.0 * a * t0) + a * np.sin(2.0 * t0)
 
     grid = np.linspace(0.02, 0.98, 49)
-    root = None
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        if det(lo) * det(hi) < 0.0:
-            root = brentq(det, lo, hi, xtol=1e-15)
-            break
-    if root is None:
+    signs = np.sign(det(grid))
+    change = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    if len(change) == 0:
         raise ConfigurationError("no corner exponent found in (0, 1)")
-    alpha = float(root)
+    lo, hi = grid[change[0]], grid[change[0] + 1]
+    # bisection of the first bracket down to 1e-15
+    lo_sign = signs[change[0]]
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if np.sign(det(mid)) == lo_sign:
+            lo = mid
+        else:
+            hi = mid
+    alpha = float(0.5 * (lo + hi))
     denom = np.cos((alpha - 1.0) * t0)
     if abs(denom) < 1e-12:
         raise ConfigurationError("degenerate angular mode coefficient")

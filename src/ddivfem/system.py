@@ -19,7 +19,7 @@ from .piola import BasisCache, batch_geometry, edge_frames, normals
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
-from .linsolve import solve_saddle
+from .linsolve import PlateBlocks, solve_saddle
 from .space import cell_coefficients, check_conformity
 
 #: volume rule order for the compliance block; its integrands are rational
@@ -106,7 +106,8 @@ class SaddleSystem:
     Attributes
     ----------
     A : csr_matrix, (nm, nm)
-        Compliance block on the free tensor dofs.
+        Compliance block on the free tensor dofs.  When it comes from
+        :func:`assemble`, ``A.cells`` holds its cell structure.
     B : csr_matrix, (nu, nm)
         Rows are the elementwise linear test functions.
     L : csr_matrix or None, (nc, nm)
@@ -121,7 +122,12 @@ class SaddleSystem:
         self.ndofs, self.nu = ndofs, nu
 
     def full(self):
-        """Symmetric indefinite block matrix and right hand side."""
+        """Symmetric indefinite block matrix and right hand side.
+
+        When ``A`` carries its cell structure, the returned csc matrix
+        carries it on to the solver as ``K.plate``, which makes
+        :func:`ddivfem.linsolve.solve_saddle` hybridize the solve.
+        """
         blocks = [
             [self.A, -self.B.T, None],
             [-self.B, None, None],
@@ -135,6 +141,9 @@ class SaddleSystem:
             K = sp.bmat(blocks, format="csc")
         else:
             K = sp.bmat([[blocks[0][0], blocks[0][1]], [blocks[1][0], None]], format="csc")
+        cells = getattr(self.A, "cells", None)
+        if cells is not None:
+            K.plate = PlateBlocks(*cells, self.L, self.ndofs, self.nu)
         return K, np.concatenate(rhs)
 
 
@@ -146,6 +155,11 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     quadrature at all since div div maps the reference shape functions into
     linears, whose mass against {1, xh, yh} is known in closed form, and the
     determinant factors cancel under the pushforward.
+
+    The returned ``A`` carries ``A.cells = (P, group, A_loc, B_loc)``: the
+    local-to-global operator, the group of every cell and the local blocks
+    of each group, with A = P^T blockdiag(A_loc[group]) P and
+    B = blockdiag(B_loc[group]) P.
     """
     if material is None:
         material = MaterialLaw()
@@ -180,6 +194,7 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     Bmat = (B_cells @ dofmap.P).tocsr()
     A.eliminate_zeros()
     Bmat.eliminate_zeros()
+    A.cells = (dofmap.P, group, A_loc, B_loc)
     return A, Bmat
 
 

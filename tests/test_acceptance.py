@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-import ddivfem.linsolve as linsolve
 from ddivfem.interpolation import TensorField, commuting_residual, tensor_errors
 from ddivfem.linsolve import solve_saddle
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
@@ -173,17 +172,16 @@ def test_criterion_09_corner_constants():
     )
 
 
-def test_criterion_10_solver_paths_agree(basis_cache, monkeypatch):
+def test_criterion_10_solver_paths_agree(basis_cache):
     exact = get_example("ex1")
     mesh = exact.mesh(0)
     dofmap = build_dof_map(mesh)
     system = build_system(mesh, dofmap, exact.f, dirichlet=exact.dirichlet, cache=basis_cache)
     K, rhs = system.full()
     x_dense = np.linalg.solve(K.toarray(), rhs)
-    monkeypatch.setattr(linsolve, "DENSE_FALLBACK_DIM", 0)
     x_sparse, info = solve_saddle(K, rhs)
     gap = np.abs(x_sparse - x_dense).max() / np.abs(x_dense).max()
-    ok = info["path"] == "superlu" and gap <= 1e-10
+    ok = info["path"] == "hybrid" and gap <= 1e-10
     _verdict(
         10,
         "sparse and dense solves agree",

@@ -77,7 +77,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     payload = json.loads(sol_path.read_text())
     assert payload["schema_version"] == 1
     assert payload["config"]["problem"] == "ex1"
-    assert payload["solver"]["path"] == "dense"
+    assert payload["solver"]["path"] == "hybrid"
     assert payload["moment_balance"] < 1e-9
     assert len(payload["moment_coefficients"]) == payload["ndofs"]
     assert len(payload["deflection_coefficients"]) == mesh.num_cells

@@ -195,3 +195,20 @@ def test_exact_keys_keep_distinct_cells_apart_at_any_scale(diameter):
     ncached, got = clamped_plate_moments(diameter)
     assert ncached == 36
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def largest_moment_over_area(diameter, n):
+    """Largest |tensor dof| / L^2 of the clamped n x n graded plate under f = 1."""
+    mesh = graded_rectangle(diameter, n)
+    dofmap = build_dof_map(mesh)
+    system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+    return np.abs(solve_problem(mesh, dofmap, system)["m"]).max() / diameter**2
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("diameter", [1e-15, 1e-13, 1e6, 1e8])
+def test_clamped_plate_solve_is_scale_covariant(diameter, n):
+    # the same plate at any size: the solve must neither reject it nor
+    # return moments that are not L^2 times those at unit size
+    want = largest_moment_over_area(1.0, n)
+    assert largest_moment_over_area(diameter, n) == pytest.approx(want, rel=1e-10)

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 
 import ddivfem.linsolve as linsolve
 from ddivfem.interpolation import p1_eval, project_p1
-from ddivfem.linsolve import ResidualError, SingularSystemError, solve_saddle
-from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
+from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
+from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.piola import element_map
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
@@ -19,9 +19,11 @@ from ddivfem.system import (
     MaterialError,
     MaterialLaw,
     assemble,
+    NeumannData,
     build_system,
     dirichlet_load,
     neumann_interior_vertices,
+    solve_problem,
     source_load,
 )
 
@@ -191,7 +193,7 @@ def test_divdiv_of_solution_is_projected_source(basis_cache):
 # -- linear solver ------------------------------------------------------------------
 
 
-def test_sparse_and_dense_solvers_agree(basis_cache, monkeypatch):
+def test_sparse_and_dense_solvers_agree(basis_cache):
     # one-element clamped problem: small enough for an independent dense solve
     exact = get_example("ex1")
     mesh = exact.mesh(0)
@@ -200,9 +202,8 @@ def test_sparse_and_dense_solvers_agree(basis_cache, monkeypatch):
     K, rhs = system.full()
 
     x_dense = np.linalg.solve(K.toarray(), rhs)
-    monkeypatch.setattr(linsolve, "DENSE_FALLBACK_DIM", 0)
     x_sparse, info = solve_saddle(K, rhs)
-    assert info["path"] == "superlu"
+    assert info["path"] == "hybrid"
     scale = np.abs(x_dense).max()
     assert np.abs(x_sparse - x_dense).max() < 1e-10 * scale
 
@@ -213,8 +214,7 @@ def test_singular_system_raises():
         solve_saddle(A, np.ones(4))
 
 
-def test_pivot_breakdown_detected(monkeypatch):
-    monkeypatch.setattr(linsolve, "DENSE_FALLBACK_DIM", 0)
+def test_pivot_breakdown_detected():
     A = sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc()
     with pytest.raises(SingularSystemError):
         solve_saddle(A, np.ones(4))
@@ -222,7 +222,7 @@ def test_pivot_breakdown_detected(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 800])
 def test_non_finite_solution_raises(n):
-    # both solve paths, dense below DENSE_FALLBACK_DIM and SuperLU above it;
+    # a small and a large plain system, both through SuperLU;
     # a NaN residual compares false against any bound, so the certificate
     # must be written to reject it rather than pass it
     b = np.ones(n)
@@ -237,6 +237,61 @@ def test_residual_failure_raises(monkeypatch):
     monkeypatch.setattr(linsolve, "residual_norm", lambda A, x, b: 1.0)
     with pytest.raises(ResidualError):
         solve_saddle(np.eye(3), np.ones(3), rtol=1e-10)
+
+
+def test_hybrid_and_colamd_solves_agree_with_neumann_rows(basis_cache):
+    exact = get_example("ex2")
+    mesh = exact.mesh(3)
+    dofmap = build_dof_map(mesh)
+    system = build_system(
+        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
+        neumann=exact.neumann, cache=basis_cache,
+    )
+    K, rhs = system.full()
+    assert system.L.shape[0] > 0
+    x, info = solve_saddle(K, rhs)
+    # a plain copy of K carries no cell structure
+    y, plain = solve_saddle(sp.csc_matrix(K), rhs)
+    assert (info["path"], plain["path"]) == ("hybrid", "superlu")
+    assert 0 < info["schur_n"] < K.shape[0] and info["fill"] > 0
+    assert 0.0 < info["pivot_ratio"] <= 1.0
+    nd, nu = system.ndofs, system.nu
+    for part in (slice(0, nd), slice(nd, nd + nu), slice(nd + nu, None)):
+        assert np.abs(x[part] - y[part]).max() <= 1e-9 * np.abs(y[part]).max()
+
+
+def test_all_neumann_plate_rejected():
+    # moment and shear data on the whole boundary leave the rigid motions of
+    # the deflection free, so the multiplier system is singular
+    exact = get_example("ex1")
+    base = exact.mesh(2)
+    mesh = Mesh(base.vertices, base.cells, default_label="N")
+    dofmap = build_dof_map(mesh)
+    system = build_system(mesh, dofmap, exact.f, neumann=NeumannData(exact.field))
+    with pytest.raises(SingularSystemError):
+        solve_problem(mesh, dofmap, system)
+
+
+def test_spd_pivots_are_matched_to_their_diagonal_entries():
+    # an arrow matrix with its hub in row 2: the ordering eliminates the hub
+    # last, every other pivot is its own diagonal entry and the hub's is its
+    # Schur complement
+    d = np.array([5.0, 1.0, 3.0, 2.0, 4.0, 7.0])
+    S = sp.lil_matrix(np.diag(d))
+    S[2, :] = 1.0
+    S[:, 2] = 1.0
+    S[2, 2] = 10.0
+    lu, ratio = factor_spd(S.tocsc())
+    # the ordering is not its own inverse, so a transposed mapping would show
+    assert not np.array_equal(np.argsort(lu.perm_c), lu.perm_c)
+    want = np.ones(6)
+    want[2] = 1.0 - np.sum(1.0 / np.delete(d, 2)) / 10.0
+    assert np.allclose(ratio, want, rtol=1e-14, atol=0.0)
+
+
+def test_indefinite_multiplier_system_rejected():
+    with pytest.raises(SingularSystemError):
+        factor_spd(sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]]))
 
 
 # -- discrete stability ---------------------------------------------------------------
