@@ -21,6 +21,10 @@ positive definite exactly when K is regular, so it is factored without
 pivoting in a symmetric ordering, and a pivot that falls below
 ``PIVOT_BREAKDOWN_TOL`` times its diagonal entry of S counts as a
 breakdown; the ratio does not move under a diagonal scaling of the dofs.
+The one singular case that well-formed plate data can produce, Neumann rows
+on the whole boundary with the rigid deflections left free, is rejected from
+the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
+stays as a backstop.
 The tensor field, the deflection and the Neumann multipliers are then
 recovered cell by cell.
 
@@ -70,9 +74,11 @@ class PlateBlocks(NamedTuple):
     nu: int
 
 
-def residual_norm(A, x, b):
-    """Relative residual ||b - A x|| / max(||b||, ||A|| ||x||) in the inf norm."""
-    anorm = spla.norm(A, np.inf) if sp.issparse(A) else np.linalg.norm(A, np.inf)
+def residual_norm(A, x, b, anorm):
+    """Relative residual ||b - A x|| / max(||b||, ||A|| ||x||) in the inf norm.
+
+    ``anorm`` is ||A||_inf, computed once per solve by the caller.
+    """
     denom = max(np.linalg.norm(b, np.inf), anorm * np.linalg.norm(x, np.inf), 1e-300)
     return np.linalg.norm(b - A @ x, np.inf) / denom
 
@@ -129,6 +135,7 @@ class HybridSolver:
         P = sp.csr_matrix(plate.P)
         nk = len(plate.group)
         self.ndofs, self.nu = plate.ndofs, plate.nu
+        _check_rigid_kernel(P, plate.L, self.ndofs, self.nu)
 
         # Q selects the first local copy of every global dof, so Q P = I
         per_row = np.diff(P.indptr)
@@ -197,6 +204,30 @@ class HybridSolver:
         return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
 
 
+def _check_rigid_kernel(P, L, ndofs, nu):
+    """Reject a plate whose constraint rows leave the rigid deflections free.
+
+    A global dof that a single local slot holds carries a boundary trace: a
+    moment of a boundary edge, or a corner jump at a boundary vertex.  For
+    an affine deflection p, B^T p vanishes on every other dof, so when unit
+    rows of ``L`` pin all those traces, (m, u) = (0, p) with multipliers
+    B^T p solves the homogeneous system and K is singular.  This holds in
+    exact arithmetic; no pivot has to show it.
+    """
+    if L is None or nu == 0:
+        return
+    L = sp.csr_matrix(L)
+    unit = np.repeat(np.diff(L.indptr) == 1, np.diff(L.indptr))
+    pinned = np.zeros(ndofs, dtype=bool)
+    pinned[L.indices[unit & (L.data != 0.0)]] = True
+    boundary = np.bincount(P.indices, minlength=ndofs) == 1
+    if np.all(pinned[boundary]):
+        raise SingularSystemError(
+            "constraint rows pin every boundary trace, so the rigid deflections "
+            "are free: the plate needs a clamped edge"
+        )
+
+
 def _widen(X):
     """Columns 20 k + s of X moved to 23 k + s."""
     X = sp.csr_matrix(X)
@@ -259,10 +290,11 @@ def solve_saddle(A, b, rtol=1e-10):
 
     x = solve(b)
     steps = 0
-    res = residual_norm(A, x, b)
+    anorm = spla.norm(A, np.inf)
+    res = residual_norm(A, x, b, anorm)
     while res > 1e-12 and steps < REFINE_STEPS:
         x_new = x + solve(b - A @ x)
-        new_res = residual_norm(A, x_new, b)
+        new_res = residual_norm(A, x_new, b, anorm)
         # a step that does not lower the residual is dropped, so that the
         # certified residual is the one of the returned x
         if not new_res < res:

@@ -234,7 +234,7 @@ def test_non_finite_solution_raises(n):
 def test_residual_failure_raises(monkeypatch):
     # partial pivoting is backward stable, so a genuinely unreachable residual
     # needs a rigged measurement; this checks the guard actually fires
-    monkeypatch.setattr(linsolve, "residual_norm", lambda A, x, b: 1.0)
+    monkeypatch.setattr(linsolve, "residual_norm", lambda A, x, b, anorm: 1.0)
     with pytest.raises(ResidualError):
         solve_saddle(np.eye(3), np.ones(3), rtol=1e-10)
 
@@ -260,16 +260,31 @@ def test_hybrid_and_colamd_solves_agree_with_neumann_rows(basis_cache):
         assert np.abs(x[part] - y[part]).max() <= 1e-9 * np.abs(y[part]).max()
 
 
-def test_all_neumann_plate_rejected():
+def test_all_neumann_plate_rejected(monkeypatch):
     # moment and shear data on the whole boundary leave the rigid motions of
-    # the deflection free, so the multiplier system is singular
+    # the deflection free; that is read off the sparsity of P and L, so no
+    # pivot of the singular multiplier system has to show it
     exact = get_example("ex1")
     base = exact.mesh(2)
     mesh = Mesh(base.vertices, base.cells, default_label="N")
     dofmap = build_dof_map(mesh)
     system = build_system(mesh, dofmap, exact.f, neumann=NeumannData(exact.field))
-    with pytest.raises(SingularSystemError):
+
+    def unreachable(S):
+        raise AssertionError("the multiplier system was factored")
+
+    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    with pytest.raises(SingularSystemError, match="rigid deflections"):
         solve_problem(mesh, dofmap, system)
+
+    # without the rows of one edge, that edge is clamped with zero data and
+    # the same plate is regular
+    monkeypatch.undo()
+    edge = mesh.neumann_edges()[0]
+    keep = np.nonzero(~np.isin(system.L.indices, 4 * edge + np.arange(4)))[0]
+    system.L, system.d = system.L[keep], system.d[keep]
+    result = solve_problem(mesh, dofmap, system)
+    assert result["solver"]["path"] == "hybrid"
 
 
 def test_spd_pivots_are_matched_to_their_diagonal_entries():

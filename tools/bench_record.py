@@ -1,15 +1,16 @@
-"""Record a BENCH_<n>.json: perfbench on a parent and a changed checkout.
+"""Record a BENCH_<n>.json: perfbench on a parent commit and on this checkout.
 
-    python3 tools/bench_record.py --parent ../parent --change . \
-        --seeds 1 2 3 4 5 6 7 8 9 10 --seconds 30 --out BENCH_6.json
+    python3 tools/bench_record.py --parent 021cfbd --out BENCH_6.json
 
-For every workload and seed, ``perfbench/run.py --trace 0`` runs once in
-each checkout, the two alternating and the side that goes first switching
-from seed to seed; then ``--trace 1`` runs once per checkout with the first
-seed.  Each checkout benchmarks its own ``src`` with its own ``perfbench``.
-The file keeps the last JSON line of every run, the machine description
-that ``run.py`` prints, and per workload the medians of the end-to-end
-metrics with the number of seeds on which the change read lower.
+Run from the root of the changed checkout.  The parent commit is exported
+with ``git archive`` into a temporary directory.  For every workload and
+each of the seeds 1-10, ``perfbench/run.py --trace 0 --seconds 30`` runs
+once in each checkout, the two alternating and the side that goes first
+switching from seed to seed; then ``--trace 1`` runs once per checkout with
+the first seed.  Each checkout benchmarks its own ``src`` with its own
+``perfbench``.  The file keeps the last JSON line of every run, the machine
+description that ``run.py`` prints, and per workload the medians of the
+end-to-end metrics with the number of seeds on which the change read lower.
 """
 
 import argparse
@@ -17,16 +18,20 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 
 WORKLOADS = ("ex1-conv", "ex2-conv", "graded-ex1", "interp-commute")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
+#: ten alternating pairs per workload, the fewest that can show a gain
+SEEDS = tuple(range(1, 11))
+SECONDS = 30
 
 
-def run(checkout, workload, seed, seconds, trace):
+def run(checkout, workload, seed, trace):
     """Last JSON line and the ``env`` line of one run.py call."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", str(trace),
+        "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True).stdout
     lines = out.strip().splitlines()
@@ -41,45 +46,32 @@ def values(result):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
-    ap.add_argument("--change", required=True, help="checkout of the change")
-    ap.add_argument("--parent-label", default="parent")
-    ap.add_argument("--change-label", default="change")
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    ap.add_argument("--seconds", type=int, default=15)
-    ap.add_argument("--out", required=True)
-    args = ap.parse_args(argv)
-
-    sides = {"parent": args.parent, "change": args.change}
+def measure(sides):
     record = {
         "schema_version": 1,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds %d --trace T"
-        % args.seconds,
-        "seeds": args.seeds,
-        "labels": {"parent": args.parent_label, "change": args.change_label},
+        % SECONDS,
+        "seeds": list(SEEDS),
         "env": None,
         "untraced": {side: {} for side in sides},
         "traced": {side: {} for side in sides},
         "summary": {},
     }
-    for w in args.workloads:
+    for w in WORKLOADS:
         for side in sides:
             record["untraced"][side][w] = []
-        for i, seed in enumerate(args.seeds):
+        for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result, env = run(sides[side], w, seed, args.seconds, 0)
+                result, env = run(sides[side], w, seed, 0)
                 record["env"] = record["env"] or env
                 record["untraced"][side][w].append(
                     {"seed": seed, "correct": result["correct"], "metrics": values(result)}
                 )
         for side in sides:
-            result, _ = run(sides[side], w, args.seeds[0], args.seconds, 1)
+            result, _ = run(sides[side], w, SEEDS[0], 1)
             record["traced"][side][w] = {
-                "seed": args.seeds[0], "correct": result["correct"], "metrics": values(result)
+                "seed": SEEDS[0], "correct": result["correct"], "metrics": values(result)
             }
         summary = record["summary"][w] = {}
         for metric in END_TO_END:
@@ -92,7 +84,24 @@ def main(argv=None):
                 "pairs": len(p),
             }
         print(w, json.dumps(summary), flush=True)
+    return record
 
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="commit to compare this checkout against")
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", args.parent + "^{commit}"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory() as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
+        record = measure({"parent": parent, "change": "."})
+    record["parent_commit"] = commit
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")
