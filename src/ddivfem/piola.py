@@ -21,9 +21,13 @@ are normalized by edge length, so they scale like point values.
 
 Each convention lives in one place: ``_element_maps`` computes B and a,
 :func:`edge_frames` and :func:`normals` the edge frames.
-:func:`batch_geometry` combines them for any set of cells.  The one-cell
-:func:`element_map`, :class:`PhysicalDofFrame` and :func:`cell_geometry`
-use the same arithmetic, so they agree with it bit for bit.
+:func:`batch_geometry` combines them for any set of cells, and
+:func:`dof_matrices` builds the local dof matrices of all of them in one
+contraction.  :meth:`BasisCache.groups` is the only place the library
+builds and inverts local dof matrices.  The one-cell :func:`element_map`,
+:class:`PhysicalDofFrame`, :func:`physical_dofs` and :func:`cell_geometry`
+state the same maps and functionals for one cell at a time; they specify
+the batched layer, and the tests compare it with them.
 """
 
 import numpy as np
@@ -417,11 +421,6 @@ class LocalBasis:
         self.Tinv = np.linalg.inv(T)
 
 
-def local_basis_matrix(emap, frame, tab):
-    """LocalBasis of one cell (uncached) from an EdgeTabulation."""
-    return LocalBasis(dof_matrices(CellGeometry.of_cell(emap, frame), tab)[0])
-
-
 class BasisCache:
     """Caches LocalBasis objects keyed by the exact geometry of a cell.
 
@@ -432,6 +431,14 @@ class BasisCache:
     distinct keys, so each distinct local matrix is inverted once.  The
     cache also owns the tabulations of its reference basis, one per kind
     and rule, built on first use.
+
+    :meth:`groups` builds the dof matrices of all groups of a mesh in one
+    batch and hands each group to :meth:`get` as ``(key, T)``.  ``get``
+    returns the stored LocalBasis of ``key``, or on a miss stores
+    ``LocalBasis(T)``, whose condition check raises before anything is
+    stored.  There is one ``get`` call per group on every ``groups`` call,
+    and a miss adds exactly one entry, so a subclass that overrides ``get``
+    counts hits and misses per distinct cell.
     """
 
     def __init__(self, basis=None):
@@ -440,30 +447,33 @@ class BasisCache:
         self._tabs = {}
 
     def key(self, emap, frame):
+        """Key of one cell, the row :meth:`groups` computes for it in the batch."""
         return tuple(CellGeometry.of_cell(emap, frame).keys()[0])
 
-    def get(self, emap, frame):
-        key = self.key(emap, frame)
+    def get(self, key, T):
+        """The LocalBasis stored under ``key``, built from ``T`` on a miss."""
         lb = self._store.get(key)
         if lb is None:
-            lb = local_basis_matrix(emap, frame, self.edge_tabulation())
-            self._store[key] = lb
+            lb = self._store[key] = LocalBasis(T)
         return lb
 
     def groups(self, mesh):
         """Cells of a mesh with equal keys, and the inverse dof matrix of each group.
 
-        The keys of :meth:`key` are computed for all cells at once.  Returns
-        ``(first, group, Tinv)``: the first cell of each group, groups
+        Returns ``(first, group, Tinv)``: the first cell of each group, groups
         numbered in the order of their first cells; the group of every
-        cell; and ``Tinv`` (ngroups, 20, 20), from one :meth:`get` per group
-        on its first cell.
+        cell; and ``Tinv`` (ngroups, 20, 20).  The keys of all cells come
+        from one :func:`batch_geometry`, the dof matrices of the first cells
+        from one :func:`dof_matrices` call, and each group is then looked up
+        with one :meth:`get`.
         """
         keys = batch_geometry(mesh).keys()
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        Tinv = np.stack([self.get(*cell_geometry(mesh, int(k))).Tinv for k in first[order]])
-        return first[order], np.argsort(order)[inverse.ravel()], Tinv
+        first = first[order]
+        T = dof_matrices(batch_geometry(mesh, first), self.edge_tabulation())
+        Tinv = np.stack([self.get(tuple(keys[k]), Tk).Tinv for k, Tk in zip(first, T)])
+        return first, np.argsort(order)[inverse.ravel()], Tinv
 
     def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
         """EdgeTabulation of the basis for an nq-point edge rule."""

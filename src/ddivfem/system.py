@@ -180,7 +180,10 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     det = geometry.det[first]
     push = _push(geometry.B[first], np.broadcast_to(phi, (len(first),) + phi.shape))
     comp = np.stack(material.apply_compliance(push[..., 0], push[..., 1], push[..., 2]), axis=-1)
-    Ahat = np.einsum("gipc,gjpc,p,c->gij", comp, push, w, FROBENIUS) / det[:, None, None]
+    # sum over quadrature points p and components c as one matmul over (p, c)
+    ng = len(first)
+    weighted = (push * (w[:, None] * FROBENIUS)).reshape(ng, 20, -1)
+    Ahat = comp.reshape(ng, 20, -1) @ weighted.transpose(0, 2, 1) / det[:, None, None]
     A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
     B_loc = Bref.T @ Tinv  # (ngroups, 3, 20); Bref is map independent
 

@@ -4,13 +4,30 @@ import numpy as np
 import pytest
 
 from ddivfem.mesh import EX1_CORNERS, Mesh
-from ddivfem.piola import BasisCache
+from ddivfem.piola import BasisCache, CellGeometry, cell_geometry, dof_matrices
 from ddivfem.problems import convergence_study
 
 
 @pytest.fixture(scope="session")
 def basis_cache():
     return BasisCache()
+
+
+@pytest.fixture(scope="session")
+def cell_basis():
+    """``cell_basis(cache, mesh, k)``: the LocalBasis of cell k through ``cache.get``.
+
+    The key and the dof matrix come from the one-cell geometry of
+    :func:`ddivfem.piola.cell_geometry`, not from the batch of
+    :meth:`BasisCache.groups`.
+    """
+
+    def lookup(cache, mesh, k):
+        emap, frame = cell_geometry(mesh, k)
+        T = dof_matrices(CellGeometry.of_cell(emap, frame), cache.edge_tabulation())[0]
+        return cache.get(cache.key(emap, frame), T)
+
+    return lookup
 
 
 @pytest.fixture(scope="session")

@@ -305,16 +305,36 @@ def test_study_rows_equal_the_public_commuting_residual():
 
 
 class CountingCache(BasisCache):
+    """BasisCache that counts its ``get`` calls and the entries they add."""
+
     def __init__(self):
         super().__init__()
         self.calls = 0
+        self.added = 0
 
-    def get(self, emap, frame):
+    def get(self, key, T):
+        before = len(self)
         self.calls += 1
-        return super().get(emap, frame)
+        lb = super().get(key, T)
+        self.added += len(self) - before
+        return lb
 
 
-def test_cell_coefficients_ask_the_cache_once_per_distinct_cell():
+def test_groups_call_get_once_per_group():
+    # the benchmark counts hits and misses through get: one call per group
+    # on every groups call, and one new entry per miss
+    knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
+    graded = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
+    uniform = make_parallelogram_domain(EX1_CORNERS, 3)
+    for mesh, ngroups in ((graded, 16), (uniform, 1)):
+        cache = CountingCache()
+        cache.groups(mesh)
+        assert (cache.calls, cache.added) == (ngroups, ngroups)
+        cache.groups(mesh)
+        assert (cache.calls, cache.added) == (2 * ngroups, ngroups)
+
+
+def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
     knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
     mesh = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
     dofmap = build_dof_map(mesh)
@@ -331,7 +351,7 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell():
             assert (group[k] == group[j]) == (keys[k] == keys[j])
 
     for k in range(mesh.num_cells):
-        lb = cache.get(*cell_geometry(mesh, k))
+        lb = cell_basis(cache, mesh, k)
         want = lb.Tinv @ gather_matrix(mesh, dofmap, k) @ x
         assert rel_gap(coeffs[k], want) <= 1e-13
 
@@ -350,7 +370,7 @@ def test_groups_follow_the_per_cell_keys(which):
 # -- assembly -------------------------------------------------------------------------
 
 
-def assemble_oracle(mesh, dofmap, material, cache, nq=4):
+def assemble_oracle(mesh, dofmap, material, cache, cell_basis, nq=4):
     """Dense A and B summed cell by cell through gather matrices."""
     tab = cache.volume_tabulation(nq)
     phi, w = tab.phi, tab.rule.weights
@@ -359,7 +379,7 @@ def assemble_oracle(mesh, dofmap, material, cache, nq=4):
     B = np.zeros((3 * mesh.num_cells, dofmap.ndofs))
     for k in range(mesh.num_cells):
         emap, frame = cell_geometry(mesh, k)
-        Tinv = cache.get(emap, frame).Tinv
+        Tinv = cell_basis(cache, mesh, k).Tinv
         p = push_components(emap, phi[:, :, 0], phi[:, :, 1], phi[:, :, 2])
         c = material.apply_compliance(*p)
         Ahat = emap.det * sum(
@@ -372,13 +392,13 @@ def assemble_oracle(mesh, dofmap, material, cache, nq=4):
 
 
 @pytest.mark.parametrize("which", ["graded", "lshape"])
-def test_assembly_matches_a_gather_loop(which, graded_mesh):
+def test_assembly_matches_a_gather_loop(which, graded_mesh, cell_basis):
     mesh = graded_mesh if which == "graded" else make_lshape(1)
     material = MaterialLaw("isotropic", E=2.0, nu=0.3) if which == "lshape" else MaterialLaw()
     dofmap = build_dof_map(mesh)
     cache = BasisCache()
     A, B = assemble(mesh, dofmap, material=material, cache=cache)
-    A_want, B_want = assemble_oracle(mesh, dofmap, material, cache)
+    A_want, B_want = assemble_oracle(mesh, dofmap, material, cache, cell_basis)
     assert rel_gap(A.toarray(), A_want) <= 1e-13
     assert rel_gap(B.toarray(), B_want) <= 1e-13
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ddivfem import piola
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.piola import (
     BasisCache,
@@ -124,14 +125,14 @@ def test_physical_dofs_quadrature_invariance(basis):
         assert np.allclose(d4, d8, atol=1e-13)
 
 
-def test_local_matrix_cache_collapses_uniform_mesh(basis):
+def test_local_matrix_cache_collapses_uniform_mesh(basis, cell_basis):
     cache = BasisCache(basis)
     mesh = make_parallelogram_domain(EX1_CORNERS, 2)
     for k in range(mesh.num_cells):
-        cache.get(*cell_geometry(mesh, k))
+        cell_basis(cache, mesh, k)
     assert len(cache) == 1
 
-    lb = cache.get(*cell_geometry(mesh, 0))
+    lb = cell_basis(cache, mesh, 0)
     assert lb.cond < 1e3
     assert np.allclose(lb.Tinv @ lb.T, np.eye(20), atol=1e-12)
 
@@ -149,13 +150,28 @@ def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
             assert np.abs(T[k] - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh):
+def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh, cell_basis):
     cache = BasisCache(basis)
     T = dof_matrices(batch_geometry(graded_mesh), cache.edge_tabulation())
     for k in range(graded_mesh.num_cells):
-        lb = cache.get(*cell_geometry(graded_mesh, k))
+        lb = cell_basis(cache, graded_mesh, k)
         assert np.abs(lb.T - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
     assert len(cache) == graded_mesh.num_cells
+
+
+def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
+    # the batched path builds each LocalBasis through get(key, T), so a
+    # matrix over the condition limit raises and leaves no entry behind
+    cache = BasisCache(basis)
+    cond = np.linalg.cond(dof_matrices(batch_geometry(graded_mesh), cache.edge_tabulation()))
+    monkeypatch.setattr(piola, "CONDITION_LIMIT", 0.5 * cond.min())
+    with pytest.raises(GeometryError, match="condition"):
+        cache.groups(graded_mesh)
+    monkeypatch.undo()
+    assert len(cache) == 0
+    _, _, Tinv = cache.groups(graded_mesh)
+    _, _, want = BasisCache(basis).groups(graded_mesh)
+    assert np.array_equal(Tinv, want)
 
 
 def graded_rectangle(diameter, n=6, seed=7):
