@@ -16,15 +16,7 @@ from .mesh import (
     refine_uniform,
     import_text,
 )
-from .piola import (
-    ElementMap,
-    GeometryError,
-    element_map,
-    push_tensor,
-    physical_dofs,
-    BasisCache,
-    cell_geometry,
-)
+from .piola import GeometryError, BasisCache
 from .space import DofMap, build_dof_map, cell_coefficients, check_conformity
 from .interpolation import (
     TensorField,

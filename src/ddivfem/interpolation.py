@@ -85,15 +85,6 @@ def _pair(t, n, mv):
     )
 
 
-def field_edge_dofs(mesh, e, field, nq=6):
-    """(m0, m1, q0, q1) of a tensor field on edges ``e``, in the global frames.
-
-    ``e`` is an edge index or an index array; each moment has its shape.
-    """
-    ends = mesh.vertices[mesh.edges[e]]
-    return _edge_dofs(mesh, e, field, nq, field.m(ends[..., 0], ends[..., 1]))
-
-
 def _edge_rule(mesh, e, nq):
     """An nq-point Gauss rule along edges ``e``, run from the lower to the higher vertex.
 
@@ -108,8 +99,11 @@ def _edge_rule(mesh, e, nq):
     return s, rule.weights, pts
 
 
-def _edge_dofs(mesh, e, field, nq, m_ends):
-    """:func:`field_edge_dofs` given the field at the edge ends, (..., 2, 3)."""
+def field_edge_dofs(mesh, e, field, nq=6):
+    """(m0, m1, q0, q1) of a tensor field on edges ``e``, in the global frames.
+
+    ``e`` is an edge index or an index array; each moment has its shape.
+    """
     t, ln = edge_frames(mesh, e)
     n = normals(t)
     s, w, pts = _edge_rule(mesh, e, nq)
@@ -120,6 +114,8 @@ def _edge_dofs(mesh, e, field, nq, m_ends):
     tmn = _pair(t_pts, n_pts, mv)
     ndiv = n_pts[..., 0] * dv[..., 0] + n_pts[..., 1] * dv[..., 1]
 
+    ends = mesh.vertices[mesh.edges[e]]
+    m_ends = field.m(ends[..., 0], ends[..., 1])
     v_lo, v_hi = _pair(t, n, m_ends[..., 0, :]), _pair(t, n, m_ends[..., 1, :])
     half = 0.5 * ln
     m0 = (nmn @ w) * half / ln
@@ -132,20 +128,14 @@ def _edge_dofs(mesh, e, field, nq, m_ends):
 def field_cell_jump(mesh, k, c, field):
     """Corner jump of t.Mn of a field at local corner ``c`` of cell ``k``.
 
-    ``k`` and ``c`` are indices or index arrays of one shape.
+    ``k`` and ``c`` are indices or index arrays of one shape.  The jump is
+    t_in.M n_in - t_out.M n_out with the counterclockwise unit tangents of
+    the edges entering and leaving the corner: the global tangents, flipped
+    where the cell runs an edge backward.  It does not depend on the global
+    edge orientation since t and n flip together.
     """
     v = mesh.vertices[mesh.cells[k, c]]
-    return _corner_jumps(mesh, k, c, field.m(v[..., 0], v[..., 1]))
-
-
-def _corner_jumps(mesh, k, c, mv):
-    """:func:`field_cell_jump` given the field at the corners, (..., 3).
-
-    The jump is t_in.M n_in - t_out.M n_out with the counterclockwise unit
-    tangents of the edges entering and leaving the corner: the global
-    tangents, flipped where the cell runs an edge backward.  It does not
-    depend on the global edge orientation since t and n flip together.
-    """
+    mv = field.m(v[..., 0], v[..., 1])
 
     def ccw_tangent(j):
         t, _ = edge_frames(mesh, mesh.cell_edges[k, j])
@@ -163,14 +153,11 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
     are implied; for fields with continuous components their patch sums
     vanish, so no information is lost.
     """
-    m_vert = field.m(mesh.vertices[:, 0], mesh.vertices[:, 1])
     edges = np.arange(mesh.num_edges)
     k, c = np.nonzero(dofmap.jump_id >= 0)
     x = np.zeros(dofmap.ndofs)
-    x[: 4 * mesh.num_edges] = np.stack(
-        _edge_dofs(mesh, edges, field, nq, m_vert[mesh.edges]), axis=-1
-    ).ravel()
-    x[dofmap.jump_id[k, c]] = _corner_jumps(mesh, k, c, m_vert[mesh.cells[k, c]])
+    x[: 4 * mesh.num_edges] = np.stack(field_edge_dofs(mesh, edges, field, nq), axis=-1).ravel()
+    x[dofmap.jump_id[k, c]] = field_cell_jump(mesh, k, c, field)
     return x
 
 

@@ -19,15 +19,23 @@ follows that direction, the normal is n = (t_y, -t_x), and the linear
 Legendre weight is -1 at the start and +1 at the end of the edge.  Moments
 are normalized by edge length, so they scale like point values.
 
+The shear moments are evaluated through the integration-by-parts form
+
+    q0 = int_e n.div M ds + [t.Mn](hi) - [t.Mn](lo),
+    q1 = int_e n.div M l ds + [t.Mn](hi) + [t.Mn](lo) - (2/|e|) int_e t.Mn ds,
+
+so only point values and plain integrals of the pushed field are needed.
+Corner jumps t_in.M n_in - t_out.M n_out are taken with the counterclockwise
+tangents of the edges entering and leaving the corner.
+
 Each convention lives in one place: ``_element_maps`` computes B and a,
 :func:`edge_frames` and :func:`normals` the edge frames.
 :func:`batch_geometry` combines them for any set of cells, and
 :func:`dof_matrices` builds the local dof matrices of all of them in one
 contraction.  :meth:`BasisCache.groups` is the only place the library
-builds and inverts local dof matrices.  The one-cell :func:`element_map`,
-:class:`PhysicalDofFrame`, :func:`physical_dofs` and :func:`cell_geometry`
-state the same maps and functionals for one cell at a time; they specify
-the batched layer, and the tests compare it with them.
+builds, checks and inverts local dof matrices, one batch per call.  The
+test suite states the same maps and functionals one cell at a time
+(``tests/cellspec.py``) and checks this layer against them.
 """
 
 import numpy as np
@@ -45,32 +53,6 @@ EDGE_QUAD_POINTS = 4
 
 class GeometryError(ValueError):
     """Raised when an element map or dof frame is unusable."""
-
-
-class ElementMap:
-    """Affine map F(xh) = a + B xh from [-1, 1]^2 onto a physical cell."""
-
-    def __init__(self, B, a):
-        self.B = np.asarray(B, dtype=float)
-        self.a = np.asarray(a, dtype=float)
-        self.det = float(np.linalg.det(self.B))
-        if self.det <= 0.0:
-            raise GeometryError("element map has nonpositive determinant")
-        self.Binv = np.linalg.inv(self.B)
-
-    def apply(self, xh, yh):
-        """Map reference coordinates to physical coordinates."""
-        x = self.a[0] + self.B[0, 0] * xh + self.B[0, 1] * yh
-        y = self.a[1] + self.B[1, 0] * xh + self.B[1, 1] * yh
-        return x, y
-
-    def pull(self, x, y):
-        """Map physical coordinates back to reference coordinates."""
-        dx = x - self.a[0]
-        dy = y - self.a[1]
-        xh = self.Binv[0, 0] * dx + self.Binv[0, 1] * dy
-        yh = self.Binv[1, 0] * dx + self.Binv[1, 1] * dy
-        return xh, yh
 
 
 def _element_maps(mesh, cells):
@@ -99,61 +81,6 @@ def normals(t):
     return np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
 
-def element_map(mesh, k):
-    """ElementMap of cell k, with its corners as images of the reference corners."""
-    return ElementMap(*_element_maps(mesh, k))
-
-
-def push_components(emap, mxx, mxy, myy):
-    """Components of B Mh B^T / det B for arrays of reference components."""
-    B = emap.B
-    b11, b12, b21, b22 = B[0, 0], B[0, 1], B[1, 0], B[1, 1]
-    d = emap.det
-    pxx = (b11 * b11 * mxx + 2.0 * b11 * b12 * mxy + b12 * b12 * myy) / d
-    pxy = (b11 * b21 * mxx + (b11 * b22 + b12 * b21) * mxy + b12 * b22 * myy) / d
-    pyy = (b21 * b21 * mxx + 2.0 * b21 * b22 * mxy + b22 * b22 * myy) / d
-    return pxx, pxy, pyy
-
-
-def push_divergence(emap, wx, wy):
-    """Components of B (divh Mh) / det B."""
-    B, d = emap.B, emap.det
-    return (B[0, 0] * wx + B[0, 1] * wy) / d, (B[1, 0] * wx + B[1, 1] * wy) / d
-
-
-def push_tensor(emap, M, xh, yh):
-    """Physical 2x2 tensor value of the pushed SymTensorPoly at (xh, yh)."""
-    vals = M.eval(xh, yh)
-    pxx, pxy, pyy = push_components(emap, vals[..., 0], vals[..., 1], vals[..., 2])
-    return np.stack(
-        [np.stack([pxx, pxy], axis=-1), np.stack([pxy, pyy], axis=-1)], axis=-2
-    )
-
-
-class PhysicalDofFrame:
-    """Edge and corner frames of one cell in global orientation.
-
-    Attributes
-    ----------
-    edge_ids : (4,) int
-        Global edge index per local edge.
-    tangents, normals : (4, 2)
-        Global unit frames of those edges (tangent from the lower to the
-        higher vertex index, normal the tangent rotated by -90 degrees).
-    lengths : (4,)
-    forward : (4,) bool
-        Whether the local counterclockwise traversal agrees with the global
-        edge direction.
-    """
-
-    def __init__(self, mesh, k):
-        self.cell = k
-        self.edge_ids = mesh.cell_edges[k].copy()
-        self.forward = mesh.cell_edge_forward[k].copy()
-        self.tangents, self.lengths = edge_frames(mesh, self.edge_ids)
-        self.normals = normals(self.tangents)
-
-
 def _edge_param_points(nq):
     """Gauss nodes and weights on the reference edge parameter (-1, 1)."""
     rule = gauss_rule(nq, dim=1)
@@ -167,79 +94,6 @@ def _reference_edge_points(edge, s):
     xh = 0.5 * (a[0] + b[0]) + 0.5 * (b[0] - a[0]) * s
     yh = 0.5 * (a[1] + b[1]) + 0.5 * (b[1] - a[1]) * s
     return xh, yh
-
-
-def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
-    """The 20 physical degrees of freedom of the pushed tensor H_K(M).
-
-    M is a SymTensorPoly on the reference square.  Edge moments are taken in
-    the global frames of ``frame`` and divided by edge length; the shear
-    moments are evaluated through the integration-by-parts form
-
-        q0 = int_e n.div M ds + [t.Mn](hi) - [t.Mn](lo),
-        q1 = int_e n.div M l ds + [t.Mn](hi) + [t.Mn](lo) - (2/|e|) int_e t.Mn ds,
-
-    so only point values and plain integrals of the pushed field are needed.
-    Corner jumps are taken in the cell-local outward frames.
-
-    This single-cell form is the specification of the functionals;
-    :func:`dof_matrices` applies the same formulas to whole meshes.
-    """
-    s, w = _edge_param_points(nq)
-    wx_p, wy_p = M.div()
-    dofs = np.zeros(20)
-
-    for j in range(4):
-        xh, yh = _reference_edge_points(j, s)
-        vals = M.eval(xh, yh)
-        pxx, pxy, pyy = push_components(emap, vals[:, 0], vals[:, 1], vals[:, 2])
-        dvx, dvy = push_divergence(emap, wx_p.eval(xh, yh), wy_p.eval(xh, yh))
-
-        t = frame.tangents[j]
-        n = frame.normals[j]
-        ln = frame.lengths[j]
-        nmn = n[0] * n[0] * pxx + 2.0 * n[0] * n[1] * pxy + n[1] * n[1] * pyy
-        tmn = t[0] * n[0] * pxx + (t[0] * n[1] + t[1] * n[0]) * pxy + t[1] * n[1] * pyy
-        ndiv = n[0] * dvx + n[1] * dvy
-
-        # global Legendre parameter along the edge: +-s depending on direction
-        lg = s if frame.forward[j] else -s
-        # physical arclength element: |e|/2 per unit of s
-        half = 0.5 * ln
-
-        # endpoint values of t.Mn in global orientation
-        c0, c1 = EDGE_CORNERS[j]
-        ends = []
-        for c in (c0, c1):
-            A = push_tensor(emap, M, CORNERS[c][0], CORNERS[c][1])
-            ends.append(float(t @ A @ n))
-        if frame.forward[j]:
-            v_lo, v_hi = ends
-        else:
-            v_hi, v_lo = ends
-
-        dofs[j] = np.sum(w * nmn) * half / ln
-        dofs[4 + j] = np.sum(w * nmn * lg) * half / ln
-        dofs[8 + j] = np.sum(w * ndiv) * half + (v_hi - v_lo)
-        dofs[12 + j] = (
-            np.sum(w * ndiv * lg) * half
-            + (v_hi + v_lo)
-            - (2.0 / ln) * np.sum(w * tmn) * half
-        )
-
-    for c in range(4):
-        A = push_tensor(emap, M, CORNERS[c][0], CORNERS[c][1])
-        j_in, j_out = (c - 1) % 4, c
-        t_in = _local_tangent(frame, j_in)
-        t_out = _local_tangent(frame, j_out)
-        dofs[16 + c] = float(t_in @ A @ normals(t_in) - t_out @ A @ normals(t_out))
-    return dofs
-
-
-def _local_tangent(frame, j):
-    """Unit tangent of local edge j in counterclockwise traversal."""
-    t = frame.tangents[j]
-    return t if frame.forward[j] else -t
 
 
 class EdgeTabulation:
@@ -309,7 +163,8 @@ class CellGeometry:
     a : (n, 2)
     det : (n,)
     tangents : (n, 4, 2)
-        Global unit tangents of the local edges, as in PhysicalDofFrame.
+        Global unit tangents of the local edges, each from the lower- to the
+        higher-numbered vertex.
     lengths : (n, 4)
     forward : (n, 4) bool
     """
@@ -321,14 +176,6 @@ class CellGeometry:
         self.tangents = tangents
         self.lengths = lengths
         self.forward = forward
-
-    @staticmethod
-    def of_cell(emap, frame):
-        """The n = 1 geometry of one (ElementMap, PhysicalDofFrame) pair."""
-        return CellGeometry(
-            emap.B[None], emap.a[None], np.array([emap.det]), frame.tangents[None],
-            frame.lengths[None], frame.forward[None],
-        )
 
     def keys(self):
         """One row per cell of the exact values :func:`dof_matrices` reads.
@@ -360,7 +207,7 @@ def dof_matrices(geometry, tab):
     """Local dof matrices T (n, 20, 20) of n cells in one contraction.
 
     ``T[k, m, i]`` is the m-th physical dof of the i-th reference shape
-    function pushed to cell k: the formulas of :func:`physical_dofs`, with
+    function pushed to cell k: the functionals of the module docstring, with
     the pushforward folded into per-edge weights.  For a frame vector v,
     v.M n = (B^T v).Mh (B^T n) / det B and n.div M = (B^T n).divh Mh / det B.
     """
@@ -402,43 +249,36 @@ def dof_matrices(geometry, tab):
     return T
 
 
-class LocalBasis:
-    """Change of basis between reference shape functions and physical dofs.
-
-    ``T[m, i]`` is the m-th physical degree of freedom of the pushed i-th
-    reference shape function; ``Tinv`` maps physical dof values of a tensor
-    to its reference expansion coefficients.
-    """
-
-    def __init__(self, T):
-        self.T = T
-        self.cond = float(np.linalg.cond(T))
-        if not np.isfinite(self.cond) or self.cond > CONDITION_LIMIT:
-            raise GeometryError(
-                "local dof matrix condition %.3e exceeds %.1e"
-                % (self.cond, CONDITION_LIMIT)
-            )
-        self.Tinv = np.linalg.inv(T)
+def _checked_inverses(T):
+    """Inverses of dof matrices T (n, 20, 20), once all pass the condition check."""
+    cond = np.linalg.cond(T)
+    bad = ~(cond <= CONDITION_LIMIT)
+    if np.any(bad):
+        raise GeometryError(
+            "local dof matrix condition %.3e exceeds %.1e"
+            % (cond[np.argmax(bad)], CONDITION_LIMIT)
+        )
+    return np.linalg.inv(T)
 
 
 class BasisCache:
-    """Caches LocalBasis objects keyed by the exact geometry of a cell.
+    """Caches inverse local dof matrices keyed by the exact geometry of a cell.
 
     The key of a cell is the row of :meth:`CellGeometry.keys`: the exact
     values of B, the edge tangents and lengths, and the edge orientations
-    that :func:`dof_matrices` reads.  Cells share a LocalBasis only when
+    that :func:`dof_matrices` reads.  Cells share an inverse only when
     their dof matrices are bitwise equal; uniform meshes have a handful of
     distinct keys, so each distinct local matrix is inverted once.  The
     cache also owns the tabulations of its reference basis, one per kind
     and rule, built on first use.
 
-    :meth:`groups` builds the dof matrices of all groups of a mesh in one
-    batch and hands each group to :meth:`get` as ``(key, T)``.  ``get``
-    returns the stored LocalBasis of ``key``, or on a miss stores
-    ``LocalBasis(T)``, whose condition check raises before anything is
-    stored.  There is one ``get`` call per group on every ``groups`` call,
-    and a miss adds exactly one entry, so a subclass that overrides ``get``
-    counts hits and misses per distinct cell.
+    :meth:`groups` builds, checks and inverts the dof matrices of the groups
+    whose keys are new in one batch, and then hands every group to
+    :meth:`get` as ``(key, Tinv)``.  ``get`` returns the stored inverse of
+    ``key``, or on a miss stores the one passed.  There is one ``get`` call
+    per group on every ``groups`` call, and a miss adds exactly one entry,
+    so a subclass that overrides ``get`` counts hits and misses per
+    distinct cell.
     """
 
     def __init__(self, basis=None):
@@ -446,16 +286,9 @@ class BasisCache:
         self._store = {}
         self._tabs = {}
 
-    def key(self, emap, frame):
-        """Key of one cell, the row :meth:`groups` computes for it in the batch."""
-        return tuple(CellGeometry.of_cell(emap, frame).keys()[0])
-
-    def get(self, key, T):
-        """The LocalBasis stored under ``key``, built from ``T`` on a miss."""
-        lb = self._store.get(key)
-        if lb is None:
-            lb = self._store[key] = LocalBasis(T)
-        return lb
+    def get(self, key, Tinv):
+        """The inverse dof matrix stored under ``key``; ``Tinv`` is stored on a miss."""
+        return self._store.setdefault(key, Tinv)
 
     def groups(self, mesh):
         """Cells of a mesh with equal keys, and the inverse dof matrix of each group.
@@ -463,16 +296,23 @@ class BasisCache:
         Returns ``(first, group, Tinv)``: the first cell of each group, groups
         numbered in the order of their first cells; the group of every
         cell; and ``Tinv`` (ngroups, 20, 20).  The keys of all cells come
-        from one :func:`batch_geometry`, the dof matrices of the first cells
-        from one :func:`dof_matrices` call, and each group is then looked up
-        with one :meth:`get`.
+        from one :func:`batch_geometry`.  The first cells of the groups not
+        yet stored get their dof matrices from one :func:`dof_matrices` call
+        and their inverses from :func:`_checked_inverses`, which raises
+        before anything is stored; each group is then looked up with one
+        :meth:`get`, in the order of the groups.
         """
         keys = batch_geometry(mesh).keys()
         _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
         first = first[order]
-        T = dof_matrices(batch_geometry(mesh, first), self.edge_tabulation())
-        Tinv = np.stack([self.get(tuple(keys[k]), Tk).Tinv for k, Tk in zip(first, T)])
+        keys = [tuple(keys[k]) for k in first]
+        new = [i for i, key in enumerate(keys) if key not in self._store]
+        fresh = {}
+        if new:
+            T = dof_matrices(batch_geometry(mesh, first[new]), self.edge_tabulation())
+            fresh = dict(zip([keys[i] for i in new], _checked_inverses(T)))
+        Tinv = np.stack([self.get(key, fresh.get(key)) for key in keys])
         return first, np.argsort(order)[inverse.ravel()], Tinv
 
     def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
@@ -492,7 +332,3 @@ class BasisCache:
     def __len__(self):
         return len(self._store)
 
-
-def cell_geometry(mesh, k):
-    """(ElementMap, PhysicalDofFrame) of cell k; each part is computed once."""
-    return element_map(mesh, k), PhysicalDofFrame(mesh, k)

@@ -3,8 +3,9 @@ import time
 import numpy as np
 import pytest
 
+from cellspec import cell_dof_matrix
 from ddivfem.mesh import EX1_CORNERS, Mesh
-from ddivfem.piola import BasisCache, CellGeometry, cell_geometry, dof_matrices
+from ddivfem.piola import BasisCache
 from ddivfem.problems import convergence_study
 
 
@@ -15,17 +16,16 @@ def basis_cache():
 
 @pytest.fixture(scope="session")
 def cell_basis():
-    """``cell_basis(cache, mesh, k)``: the LocalBasis of cell k through ``cache.get``.
+    """``cell_basis(cache, mesh, k)``: ``(T, Tinv)`` of cell k.
 
-    The key and the dof matrix come from the one-cell geometry of
-    :func:`ddivfem.piola.cell_geometry`, not from the batch of
-    :meth:`BasisCache.groups`.
+    ``Tinv`` is the inverse dof matrix that ``cache.groups`` gives the group
+    of cell k; ``T`` is the dof matrix of the one-cell functionals of
+    :func:`cellspec.cell_dof_matrix`.
     """
 
     def lookup(cache, mesh, k):
-        emap, frame = cell_geometry(mesh, k)
-        T = dof_matrices(CellGeometry.of_cell(emap, frame), cache.edge_tabulation())[0]
-        return cache.get(cache.key(emap, frame), T)
+        _, group, Tinv = cache.groups(mesh)
+        return cell_dof_matrix(mesh, k, cache.basis), Tinv[group[k]]
 
     return lookup
 

@@ -9,6 +9,15 @@ mesh, and requires the batched result to agree to rounding.
 import numpy as np
 import pytest
 
+from cellspec import (
+    PhysicalDofFrame,
+    cell_geometry,
+    cell_key,
+    element_map,
+    push_components,
+    push_divergence,
+)
+from ddivfem import piola
 from ddivfem.interpolation import (
     TensorField,
     commuting_residual,
@@ -25,14 +34,7 @@ from ddivfem.mesh import (
     make_lshape,
     make_parallelogram_domain,
 )
-from ddivfem.piola import (
-    BasisCache,
-    PhysicalDofFrame,
-    cell_geometry,
-    element_map,
-    push_components,
-    push_divergence,
-)
+from ddivfem.piola import BasisCache, dof_matrices
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import ddiv_norm, get_example, l2_errors, quadrature_orders, solve_example
 from ddivfem.reference import divdiv_matrix
@@ -117,10 +119,7 @@ def corner_jump_oracle(mesh, k, c, field):
     mv = field.m(v[0], v[1])
     A = np.array([[mv[0], mv[1]], [mv[1], mv[2]]])
 
-    def local_tangent(j):
-        return frame.tangents[j] if frame.forward[j] else -frame.tangents[j]
-
-    t_in, t_out = local_tangent((c - 1) % 4), local_tangent(c)
+    t_in, t_out = frame.local_tangent((c - 1) % 4), frame.local_tangent(c)
     n_in = np.array([t_in[1], -t_in[0]])
     n_out = np.array([t_out[1], -t_out[0]])
     return float(t_in @ A @ n_in - t_out @ A @ n_out)
@@ -213,7 +212,7 @@ def dirichlet_load_oracle(mesh, dofmap, data, nq=6):
         j = list(mesh.cell_edges[k]).index(e)
         # outward normal of the single adjacent cell on this edge
         _, frame = cell_geometry(mesh, k)
-        t_loc = frame.tangents[j] if frame.forward[j] else -frame.tangents[j]
+        t_loc = frame.local_tangent(j)
         n_out = np.array([t_loc[1], -t_loc[0]])
         sigma = 1.0 if n_out @ n_edge > 0 else -1.0
 
@@ -312,12 +311,12 @@ class CountingCache(BasisCache):
         self.calls = 0
         self.added = 0
 
-    def get(self, key, T):
+    def get(self, key, Tinv):
         before = len(self)
         self.calls += 1
-        lb = super().get(key, T)
+        Tinv = super().get(key, Tinv)
         self.added += len(self) - before
-        return lb
+        return Tinv
 
 
 def test_groups_call_get_once_per_group():
@@ -334,6 +333,29 @@ def test_groups_call_get_once_per_group():
         assert (cache.calls, cache.added) == (2 * ngroups, ngroups)
 
 
+def test_groups_build_only_the_groups_with_new_keys(monkeypatch):
+    # one dof_matrices batch per groups call, holding the first cells of
+    # the groups not yet stored; stored groups are looked up, not rebuilt
+    knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
+    mesh = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
+    first, _, want = BasisCache().groups(mesh)
+    built = []
+
+    def counting(geometry, tab):
+        built.append(len(geometry.B))
+        return dof_matrices(geometry, tab)
+
+    monkeypatch.setattr(piola, "dof_matrices", counting)
+    cache = CountingCache()
+    for i in (0, 5, 9):
+        cache.get(cell_key(mesh, first[i]), want[i])
+    _, _, Tinv = cache.groups(mesh)
+    assert built == [13] and (cache.calls, cache.added) == (3 + 16, 16)
+    assert np.array_equal(Tinv, want)
+    cache.groups(mesh)
+    assert built == [13]
+
+
 def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
     knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
     mesh = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
@@ -344,15 +366,15 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
     assert len(cache) == 16 and cache.calls == 16
 
     first, group, _ = cache.groups(mesh)
-    keys = [cache.key(*cell_geometry(mesh, k)) for k in range(mesh.num_cells)]
+    keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     assert np.array_equal(first, np.sort(first)) and np.all(group[first] == np.arange(len(first)))
     for k in range(mesh.num_cells):
         for j in range(mesh.num_cells):
             assert (group[k] == group[j]) == (keys[k] == keys[j])
 
     for k in range(mesh.num_cells):
-        lb = cell_basis(cache, mesh, k)
-        want = lb.Tinv @ gather_matrix(mesh, dofmap, k) @ x
+        _, Tinv = cell_basis(cache, mesh, k)
+        want = Tinv @ gather_matrix(mesh, dofmap, k) @ x
         assert rel_gap(coeffs[k], want) <= 1e-13
 
 
@@ -361,7 +383,7 @@ def test_groups_follow_the_per_cell_keys(which):
     mesh = make_lshape(2) if which == "lshape" else make_parallelogram_domain(EX1_CORNERS, 2)
     cache = BasisCache()
     first, group, _ = cache.groups(mesh)
-    keys = [cache.key(*cell_geometry(mesh, k)) for k in range(mesh.num_cells)]
+    keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     distinct = list(dict.fromkeys(keys))
     assert [keys[k] for k in first] == distinct
     assert [distinct.index(key) for key in keys] == list(group)
@@ -378,8 +400,8 @@ def assemble_oracle(mesh, dofmap, material, cache, cell_basis, nq=4):
     A = np.zeros((dofmap.ndofs, dofmap.ndofs))
     B = np.zeros((3 * mesh.num_cells, dofmap.ndofs))
     for k in range(mesh.num_cells):
-        emap, frame = cell_geometry(mesh, k)
-        Tinv = cell_basis(cache, mesh, k).Tinv
+        emap = element_map(mesh, k)
+        _, Tinv = cell_basis(cache, mesh, k)
         p = push_components(emap, phi[:, :, 0], phi[:, :, 1], phi[:, :, 2])
         c = material.apply_compliance(*p)
         Ahat = emap.det * sum(

@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+from cellspec import (
+    cell_dof_matrix,
+    cell_geometry,
+    element_map,
+    one_cell_geometry,
+    physical_dofs,
+    push_tensor,
+)
 from ddivfem import piola
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.piola import (
     BasisCache,
     EdgeTabulation,
-    ElementMap,
     GeometryError,
     batch_geometry,
-    cell_geometry,
     dof_matrices,
-    element_map,
-    physical_dofs,
-    push_tensor,
 )
 from ddivfem.reference import build_reference_basis
 from ddivfem.space import build_dof_map
@@ -42,37 +45,43 @@ def basis():
 
 
 def test_element_map_examples():
-    emap = element_map(make_parallelogram_domain(SQUARE, 0), 0)
-    assert np.allclose(emap.B, np.eye(2))
-    assert np.allclose(emap.a, 0.0)
-    assert emap.det == pytest.approx(1.0)
+    g = batch_geometry(make_parallelogram_domain(SQUARE, 0))
+    assert np.allclose(g.B[0], np.eye(2))
+    assert np.allclose(g.a[0], 0.0)
+    assert g.det[0] == pytest.approx(1.0)
 
-    emap = element_map(make_parallelogram_domain(UNIT, 0), 0)
-    assert np.allclose(emap.B, 0.5 * np.eye(2))
-    assert np.allclose(emap.a, [0.5, 0.5])
-    assert emap.det == pytest.approx(0.25)
+    g = batch_geometry(make_parallelogram_domain(UNIT, 0))
+    assert np.allclose(g.B[0], 0.5 * np.eye(2))
+    assert np.allclose(g.a[0], [0.5, 0.5])
+    assert g.det[0] == pytest.approx(0.25)
 
     # sheared benchmark cell: both in-plane directions pick up the shear
-    emap = element_map(make_parallelogram_domain(EX1_CORNERS, 0), 0)
-    assert np.allclose(emap.B, [[1.0, 0.0], [1.0, 1.0]])
-    assert emap.det == pytest.approx(1.0)
+    g = batch_geometry(make_parallelogram_domain(EX1_CORNERS, 0))
+    assert np.allclose(g.B[0], [[1.0, 0.0], [1.0, 1.0]])
+    assert g.det[0] == pytest.approx(1.0)
 
 
 def test_element_map_sends_reference_corners_to_cell():
     mesh = make_parallelogram_domain(EX1_CORNERS, 1)
     ref_corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    g = batch_geometry(mesh)
     for k in range(mesh.num_cells):
-        emap = element_map(mesh, k)
-        mapped = emap.apply(ref_corners[:, 0], ref_corners[:, 1])
-        assert np.allclose(np.transpose(mapped), mesh.vertices[mesh.cells[k]], atol=1e-14)
+        mapped = g.a[k] + ref_corners @ g.B[k].T
+        assert np.allclose(mapped, mesh.vertices[mesh.cells[k]], atol=1e-14)
 
 
 def test_singular_map_rejected():
-    with pytest.raises(GeometryError):
-        ElementMap(np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros(2))
-    with pytest.raises(GeometryError):
-        # negative determinant (orientation flip)
-        ElementMap(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2))
+    # vertices overwritten after the mesh checked its orientation
+    mesh = make_parallelogram_domain(UNIT, 0)
+    mesh.vertices[mesh.cells[0, 3]] = [2.0, 0.0]
+    with pytest.raises(GeometryError, match="determinant"):
+        batch_geometry(mesh)
+    mesh = make_parallelogram_domain(UNIT, 0)
+    # negative determinant (orientation flip)
+    v1, v3 = mesh.cells[0, 1], mesh.cells[0, 3]
+    mesh.vertices[[v1, v3]] = mesh.vertices[[v3, v1]]
+    with pytest.raises(GeometryError, match="determinant"):
+        batch_geometry(mesh)
 
 
 def test_push_tensor_value(basis):
@@ -92,9 +101,7 @@ def test_push_tensor_value(basis):
 
 
 def test_identity_cell_dofs_are_signed_reference_norms(basis):
-    mesh = make_parallelogram_domain(SQUARE, 0)
-    emap, frame = cell_geometry(mesh, 0)
-    T = np.column_stack([physical_dofs(emap, frame, phi) for phi in basis])
+    T = cell_dof_matrix(make_parallelogram_domain(SQUARE, 0), 0, basis)
     assert np.allclose(T, np.diag(IDENTITY_DOF_SIGNS), atol=1e-13)
 
 
@@ -129,12 +136,10 @@ def test_local_matrix_cache_collapses_uniform_mesh(basis, cell_basis):
     cache = BasisCache(basis)
     mesh = make_parallelogram_domain(EX1_CORNERS, 2)
     for k in range(mesh.num_cells):
-        cell_basis(cache, mesh, k)
+        T, Tinv = cell_basis(cache, mesh, k)
+        assert np.linalg.cond(T) < 1e3
+        assert np.allclose(Tinv @ T, np.eye(20), atol=1e-12)
     assert len(cache) == 1
-
-    lb = cell_basis(cache, mesh, 0)
-    assert lb.cond < 1e3
-    assert np.allclose(lb.Tinv @ lb.T, np.eye(20), atol=1e-12)
 
 
 @pytest.mark.parametrize("nq", [4, 8])
@@ -145,32 +150,38 @@ def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
         T = dof_matrices(batch_geometry(mesh), tab)
         assert T.shape == (mesh.num_cells, 20, 20)
         for k in range(mesh.num_cells):
-            emap, frame = cell_geometry(mesh, k)
-            want = np.column_stack([physical_dofs(emap, frame, phi, nq=nq) for phi in basis])
+            want = cell_dof_matrix(mesh, k, basis, nq=nq)
             assert np.abs(T[k] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh, cell_basis):
     cache = BasisCache(basis)
-    T = dof_matrices(batch_geometry(graded_mesh), cache.edge_tabulation())
+    tab = cache.edge_tabulation()
+    T = dof_matrices(batch_geometry(graded_mesh), tab)
     for k in range(graded_mesh.num_cells):
-        lb = cell_basis(cache, graded_mesh, k)
-        assert np.abs(lb.T - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
+        T_one = dof_matrices(one_cell_geometry(graded_mesh, k), tab)[0]
+        assert np.abs(T_one - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
+        T_spec, Tinv = cell_basis(cache, graded_mesh, k)
+        assert np.abs(Tinv @ T[k] - np.eye(20)).max() <= 1e-12
+        assert np.abs(Tinv @ T_spec - np.eye(20)).max() <= 1e-12
     assert len(cache) == graded_mesh.num_cells
 
 
 def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
-    # the batched path builds each LocalBasis through get(key, T), so a
-    # matrix over the condition limit raises and leaves no entry behind
+    # the batch is checked before any group is stored, so a matrix over the
+    # condition limit raises and leaves no entry behind, also when the
+    # groups before it in first-cell order pass
+    first, _, want = BasisCache(basis).groups(graded_mesh)
     cache = BasisCache(basis)
-    cond = np.linalg.cond(dof_matrices(batch_geometry(graded_mesh), cache.edge_tabulation()))
-    monkeypatch.setattr(piola, "CONDITION_LIMIT", 0.5 * cond.min())
-    with pytest.raises(GeometryError, match="condition"):
-        cache.groups(graded_mesh)
+    cond = np.linalg.cond(dof_matrices(batch_geometry(graded_mesh, first), cache.edge_tabulation()))
+    assert cond[0] < cond.max()
+    for limit in (0.5 * cond.min(), 0.5 * (cond[0] + cond.max())):
+        monkeypatch.setattr(piola, "CONDITION_LIMIT", limit)
+        with pytest.raises(GeometryError, match="condition"):
+            cache.groups(graded_mesh)
+        assert len(cache) == 0
     monkeypatch.undo()
-    assert len(cache) == 0
     _, _, Tinv = cache.groups(graded_mesh)
-    _, _, want = BasisCache(basis).groups(graded_mesh)
     assert np.array_equal(Tinv, want)
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from cellspec import cell_geometry, physical_dofs
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from ddivfem.piola import BasisCache, cell_geometry, physical_dofs
+from ddivfem.piola import BasisCache
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
 

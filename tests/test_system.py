@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from cellspec import element_map
 import ddivfem.linsolve as linsolve
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
-from ddivfem.piola import element_map
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
 from ddivfem.reference import divdiv_matrix
