@@ -282,15 +282,15 @@ def cmd_solve(args):
         % (args.problem, args.level, mesh.num_cells, mesh.num_edges, run["dofmap"].ndofs)
     )
     info = result["solver"]
-    line = "solver: %s, residual %.3e, %d refinement step(s)" % (
-        info["path"], info["residual"], info["refined"]
-    )
-    if info["path"] == "hybrid":
-        ratio = info["pivot_ratio"]
-        line += ", multiplier system n %d, fill %d, min pivot/diagonal %s" % (
-            info["schur_n"], info["fill"], "-" if ratio is None else "%.3e" % ratio
+    ratio = info["pivot_ratio"]
+    print(
+        "solver: %s, residual %.3e, %d refinement step(s), multiplier system n %d, fill %d, "
+        "min pivot/diagonal %s"
+        % (
+            info["path"], info["residual"], info["refined"], info["schur_n"], info["fill"],
+            "-" if ratio is None else "%.3e" % ratio,
         )
-    print(line)
+    )
     print("conformity: worst interface mismatch %.3e" % result["conformity"]["max_violation"])
     print("moment balance: |div div M_h - P f| = %.3e" % result["ddiv_residual"])
     print(

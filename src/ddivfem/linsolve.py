@@ -28,11 +28,11 @@ stays as a backstop.
 The tensor field, the deflection and the Neumann multipliers are then
 recovered cell by cell.
 
-The hybrid path is taken for every matrix that carries its cell structure
-(``K.plate``, set by :meth:`ddivfem.system.SaddleSystem.full`).  Any other
-matrix goes through SuperLU with COLAMD ordering and partial pivoting.
-Either way, a few steps of iterative refinement on the given matrix follow,
-so that the final relative residual is certified rather than hoped for.
+The solve needs the cell structure that
+:meth:`ddivfem.system.SaddleSystem.full` attaches to K as ``K.plate``; a
+matrix without it is refused.  A few steps of iterative refinement on K
+follow, so that the final relative residual is certified rather than hoped
+for.
 """
 
 from typing import NamedTuple
@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-#: relative magnitude under which a pivot counts as a breakdown
+#: pivot over its diagonal entry of S under which the pivot counts as a breakdown
 PIVOT_BREAKDOWN_TOL = 1e-13
 
 #: iterative refinement steps after the direct solve, at most
@@ -61,8 +61,9 @@ class PlateBlocks(NamedTuple):
 
     A = P^T blockdiag(A_k) P and B = blockdiag(B_k) P, where cell k has the
     blocks ``A_loc[group[k]]`` (20, 20) and ``B_loc[group[k]]`` (3, 20).
-    ``L`` holds the constraint rows on the ``ndofs`` tensor dofs, or is
-    None; ``nu`` is the number of deflection unknowns, three per cell.
+    ``L`` holds the constraint rows on the ``ndofs`` tensor dofs, with no
+    rows when there are none; ``nu`` is the number of deflection unknowns,
+    three per cell.
     """
 
     P: object
@@ -81,19 +82,6 @@ def residual_norm(A, x, b, anorm):
     """
     denom = max(np.linalg.norm(b, np.inf), anorm * np.linalg.norm(x, np.inf), 1e-300)
     return np.linalg.norm(b - A @ x, np.inf) / denom
-
-
-def _check_pivots(lu):
-    """Scan the U factor diagonal of a SuperLU object for breakdown."""
-    d = lu.U.diagonal()
-    scale = np.abs(d).max()
-    if scale == 0.0:
-        raise SingularSystemError("factorization produced a zero U diagonal")
-    bad = np.nonzero(np.abs(d) < PIVOT_BREAKDOWN_TOL * scale)[0]
-    if len(bad):
-        raise SingularSystemError(
-            "pivot breakdown at factor index %d (|u_ii| = %.3e)" % (bad[0], abs(d[bad[0]]))
-        )
 
 
 def factor_spd(S):
@@ -135,7 +123,7 @@ class HybridSolver:
         P = sp.csr_matrix(plate.P)
         nk = len(plate.group)
         self.ndofs, self.nu = plate.ndofs, plate.nu
-        _check_rigid_kernel(P, plate.L, self.ndofs, self.nu)
+        _check_rigid_kernel(P, plate.L, self.ndofs)
 
         # Q selects the first local copy of every global dof, so Q P = I
         per_row = np.diff(P.indptr)
@@ -151,11 +139,9 @@ class HybridSolver:
         # first, or an eliminated jump plus the kept jumps at its vertex
         R = (sp.identity(20 * nk, format="csr") - P @ Q).tocsr()
         R.eliminate_zeros()
-        blocks = [R[np.diff(R.indptr) > 0]]
-        if plate.L is not None and plate.L.shape[0] > 0:
-            blocks.append(plate.L @ Q)
-        Lam = sp.vstack(blocks, format="csr")
-        self.n_continuity = blocks[0].shape[0]
+        R = R[np.diff(R.indptr) > 0]
+        Lam = sp.vstack([R, plate.L @ Q], format="csr")
+        self.n_continuity = R.shape[0]
 
         # move tensor slot s of cell k to column 23 k + s
         self.Q = _widen(Q)
@@ -204,7 +190,7 @@ class HybridSolver:
         return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
 
 
-def _check_rigid_kernel(P, L, ndofs, nu):
+def _check_rigid_kernel(P, L, ndofs):
     """Reject a plate whose constraint rows leave the rigid deflections free.
 
     A global dof that a single local slot holds carries a boundary trace: a
@@ -214,8 +200,6 @@ def _check_rigid_kernel(P, L, ndofs, nu):
     B^T p solves the homogeneous system and K is singular.  This holds in
     exact arithmetic; no pivot has to show it.
     """
-    if L is None or nu == 0:
-        return
     L = sp.csr_matrix(L)
     unit = np.repeat(np.diff(L.indptr) == 1, np.diff(L.indptr))
     pinned = np.zeros(ndofs, dtype=bool)
@@ -235,26 +219,14 @@ def _widen(X):
     return sp.csr_matrix((X.data, cols, X.indptr), shape=(X.shape[0], 23 * (X.shape[1] // 20)))
 
 
-def _colamd(A):
-    # COLAMD with standard partial pivoting: symmetric-mode orderings create
-    # two orders of magnitude more fill on a saddle structure and lose all
-    # accuracy, so the unsymmetric factorization is the right tool
-    try:
-        lu = spla.splu(A, permc_spec="COLAMD")
-    except RuntimeError as err:
-        raise SingularSystemError(str(err)) from err
-    _check_pivots(lu)
-    return lu.solve, {"path": "superlu"}
-
-
 def solve_saddle(A, b, rtol=1e-10):
-    """Solve a (typically symmetric indefinite) sparse system.
+    """Solve a plate saddle system by hybridization.
 
     Parameters
     ----------
-    A : sparse matrix or ndarray
-        A plate matrix from :meth:`ddivfem.system.SaddleSystem.full` is
-        solved by hybridization, anything else by SuperLU with COLAMD.
+    A : sparse matrix
+        A plate matrix from :meth:`ddivfem.system.SaddleSystem.full`, which
+        carries its cell structure as ``A.plate``.
     b : ndarray
     rtol : float
         Certified relative residual bound for the returned solution.
@@ -263,30 +235,28 @@ def solve_saddle(A, b, rtol=1e-10):
     -------
     x : ndarray
     info : dict
-        Keys ``residual``, ``refined`` and ``path`` ('hybrid' or
-        'superlu'); the hybrid path adds ``schur_n`` (size of S), ``fill``
-        (nonzeros of its factors) and ``pivot_ratio`` (smallest pivot over
-        its diagonal entry of S, None when S is empty).
+        Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``schur_n``
+        (size of the multiplier system S), ``fill`` (nonzeros of its
+        factors) and ``pivot_ratio`` (smallest pivot over its diagonal entry
+        of S, None when S is empty).
 
-    Raises ``SingularSystemError`` on a singular matrix or a pivot
+    Raises ``ValueError`` when ``A`` carries no cell structure or its shape
+    does not match, ``SingularSystemError`` on a singular matrix or a pivot
     breakdown, and ``ResidualError`` when the residual is above ``rtol`` or
     not finite.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     plate = getattr(A, "plate", None)
-    A = A.tocsc() if sp.issparse(A) else sp.csc_matrix(A)
+    if plate is None:
+        raise ValueError("the cell structure is missing: solve the matrix of SaddleSystem.full")
+    A = A.tocsc()
     if A.shape != (n, n):
         raise ValueError("matrix/vector shape mismatch: %s vs %d" % (A.shape, n))
-
-    if plate is not None:
-        nc = plate.L.shape[0] if plate.L is not None else 0
-        if plate.ndofs + plate.nu + nc != n:
-            raise ValueError("cell structure does not match a matrix of size %d" % n)
-        hybrid = HybridSolver(plate)
-        solve, info = hybrid.solve, hybrid.info()
-    else:
-        solve, info = _colamd(A)
+    if plate.ndofs + plate.nu + plate.L.shape[0] != n:
+        raise ValueError("cell structure does not match a matrix of size %d" % n)
+    hybrid = HybridSolver(plate)
+    solve, info = hybrid.solve, hybrid.info()
 
     x = solve(b)
     steps = 0

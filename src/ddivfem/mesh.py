@@ -76,9 +76,11 @@ class Mesh:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 4:
             raise MeshError("cells must be an (nk, 4) array")
+        if len(self.cells) == 0:
+            raise MeshError("a mesh needs at least one cell")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
-        if self.cells.size and (self.cells.min() < 0 or self.cells.max() >= len(self.vertices)):
+        if self.cells.min() < 0 or self.cells.max() >= len(self.vertices):
             raise MeshError("cell corner indices must lie in [0, %d)" % len(self.vertices))
         self._build_topology()
         self._apply_labels(boundary_labels, default_label)

@@ -21,7 +21,7 @@ traversal parameter s in (-1, 1).
 
 import numpy as np
 
-from .polys import Poly2, poly1_int, poly1_mul, poly1_eval, poly1_deg
+from .polys import Poly2, poly1_int, poly1_mul, poly1_deg
 
 # corner coordinates, counterclockwise from (-1, -1)
 CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -86,11 +86,6 @@ class SymTensorPoly:
         mxy = self.axy.eval(x, y)
         myy = self.ayy.eval(x, y)
         return np.array([[mxx, mxy], [mxy, myy]])
-
-
-def _p1(cl, var):
-    """Univariate polynomial from low-to-high coefficients as Poly2."""
-    return Poly2.from_1d(cl, var)
 
 
 def build_reference_basis():
@@ -204,18 +199,6 @@ def trace_nn(M, edge):
     """Normal-normal trace n.Mn on an edge, as 1D coefficients in s."""
     n = EDGE_NORMALS[edge]
     p = n[0] * n[0] * M.axx + 2.0 * n[0] * n[1] * M.axy + n[1] * n[1] * M.ayy
-    return _restrict_to_edge(p, edge)
-
-
-def trace_tn(M, edge):
-    """Tangential-normal trace t.Mn on an edge, as 1D coefficients in s."""
-    t = EDGE_TANGENTS[edge]
-    n = EDGE_NORMALS[edge]
-    p = (
-        t[0] * n[0] * M.axx
-        + (t[0] * n[1] + t[1] * n[0]) * M.axy
-        + t[1] * n[1] * M.ayy
-    )
     return _restrict_to_edge(p, edge)
 
 

@@ -106,17 +106,20 @@ class SaddleSystem:
     Attributes
     ----------
     A : csr_matrix, (nm, nm)
-        Compliance block on the free tensor dofs.  When it comes from
-        :func:`assemble`, ``A.cells`` holds its cell structure.
+        Compliance block on the free tensor dofs, from :func:`assemble`;
+        ``A.cells`` holds its cell structure.
     B : csr_matrix, (nu, nm)
         Rows are the elementwise linear test functions.
-    L : csr_matrix or None, (nc, nm)
-        Essential constraint rows.
+    L : sparse matrix, (nc, nm)
+        Essential constraint rows; nc = 0 without moment/shear data.  An
+        ``L`` of None is taken as that empty matrix.
     G, F, d : ndarrays
         Boundary functional, source functional, constraint values.
     """
 
     def __init__(self, A, B, L, G, F, d, ndofs, nu):
+        if L is None:
+            L = sp.csr_matrix((0, ndofs))
         self.A, self.B, self.L = A, B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
@@ -124,27 +127,16 @@ class SaddleSystem:
     def full(self):
         """Symmetric indefinite block matrix and right hand side.
 
-        When ``A`` carries its cell structure, the returned csc matrix
-        carries it on to the solver as ``K.plate``, which makes
-        :func:`ddivfem.linsolve.solve_saddle` hybridize the solve.
+        The returned csc matrix carries the cell structure of ``A`` and the
+        constraint rows on to the solver as ``K.plate``, from which
+        :func:`ddivfem.linsolve.solve_saddle` hybridizes the solve.
         """
-        blocks = [
-            [self.A, -self.B.T, None],
-            [-self.B, None, None],
-            [None, None, None],
-        ]
-        rhs = [self.G, -self.F]
-        if self.L is not None and self.L.shape[0] > 0:
-            blocks[0][2] = self.L.T
-            blocks[2][0] = self.L
-            rhs.append(self.d)
-            K = sp.bmat(blocks, format="csc")
-        else:
-            K = sp.bmat([[blocks[0][0], blocks[0][1]], [blocks[1][0], None]], format="csc")
-        cells = getattr(self.A, "cells", None)
-        if cells is not None:
-            K.plate = PlateBlocks(*cells, self.L, self.ndofs, self.nu)
-        return K, np.concatenate(rhs)
+        K = sp.bmat(
+            [[self.A, -self.B.T, self.L.T], [-self.B, None, None], [self.L, None, None]],
+            format="csc",
+        )
+        K.plate = PlateBlocks(*self.A.cells, self.L, self.ndofs, self.nu)
+        return K, np.concatenate([self.G, -self.F, self.d])
 
 
 def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
@@ -297,7 +289,7 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
     if neumann is not None and len(mesh.neumann_edges()) > 0:
         L, d = neumann_constraints(mesh, dofmap, neumann, nq=nq_data)
     else:
-        L, d = None, np.zeros(0)
+        L, d = sp.csr_matrix((0, dofmap.ndofs)), np.zeros(0)
     return SaddleSystem(A, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)
 
 

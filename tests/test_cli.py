@@ -51,37 +51,46 @@ def test_interp_test_runs(capsys):
     assert "final order" in out
 
 
-def test_solve_writes_artifacts(tmp_path, capsys):
+@pytest.mark.parametrize("problem, cells", [("ex1", 4), ("ex2", 12)], ids=["ex1", "ex2"])
+def test_solve_writes_artifacts(tmp_path, capsys, problem, cells):
+    # ex1 has no constraint rows, ex2 has Neumann rows and multipliers
     mesh_path = tmp_path / "mesh.txt"
     sol_path = tmp_path / "solution.json"
-    rc = main(
-        [
-            "solve",
-            "--problem",
-            "ex1",
-            "--level",
-            "1",
-            "--mesh-out",
-            str(mesh_path),
-            "--solution-out",
-            str(sol_path),
-        ]
-    )
+    args = [
+        "solve",
+        "--problem",
+        problem,
+        "--level",
+        "1",
+        "--mesh-out",
+        str(mesh_path),
+        "--solution-out",
+        str(sol_path),
+    ]
+    rc = main(args)
     assert rc == 0
     out = capsys.readouterr().out
-    assert "cells" in out and "residual" in out
+    assert "cells" in out and "residual" in out and "multiplier system" in out
 
     mesh = import_text(mesh_path)
-    assert mesh.num_cells == 4
+    assert mesh.num_cells == cells
 
     payload = json.loads(sol_path.read_text())
     assert payload["schema_version"] == 1
-    assert payload["config"]["problem"] == "ex1"
+    assert payload["config"]["problem"] == problem
     assert payload["solver"]["path"] == "hybrid"
     assert payload["moment_balance"] < 1e-9
     assert len(payload["moment_coefficients"]) == payload["ndofs"]
     assert len(payload["deflection_coefficients"]) == mesh.num_cells
+    assert (len(payload["multipliers"]) > 0) == (problem == "ex2")
     assert payload["errors"]["u"] > 0.0
+
+    # determinism: a rerun reproduces both artifacts byte for byte
+    first_mesh, first_sol = mesh_path.read_bytes(), sol_path.read_bytes()
+    assert main(args) == 0
+    capsys.readouterr()
+    assert mesh_path.read_bytes() == first_mesh
+    assert sol_path.read_bytes() == first_sol
 
 
 def test_solve_reports_missing_errors_as_dashes(capsys):

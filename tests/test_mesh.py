@@ -123,6 +123,7 @@ def _edited(changes):
 MALFORMED_TEXT = {
     "empty": "",
     "truncated": "3 1 4\n0 0\n1 0\n",
+    "no-cells": "4 0 0\n0 0\n1 0\n1 1\n0 1\n",
     "no-cell-line": _edited({5: None, 6: None, 7: None, 8: None, 9: None}),
     "short-header": _edited({0: "4 1"}),
     "non-numeric-header": _edited({0: "4 one 4"}),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cellspec import element_map
 import ddivfem.linsolve as linsolve
@@ -208,51 +209,64 @@ def test_sparse_and_dense_solvers_agree(basis_cache):
     assert np.abs(x_sparse - x_dense).max() < 1e-10 * scale
 
 
+def _plate_system(problem, level, cache=None):
+    exact = get_example(problem)
+    mesh = exact.mesh(level)
+    dofmap = build_dof_map(mesh)
+    return build_system(
+        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
+        neumann=exact.neumann, cache=cache,
+    )
+
+
 def test_singular_system_raises():
-    A = np.zeros((4, 4))
-    with pytest.raises(SingularSystemError):
-        solve_saddle(A, np.ones(4))
+    system = _plate_system("ex1", 1)
+    P, group, A_loc, B_loc = system.A.cells
+    system.A.cells = (P, group, np.zeros_like(A_loc), B_loc)
+    K, rhs = system.full()
+    with pytest.raises(SingularSystemError, match="singular local saddle block"):
+        solve_saddle(K, rhs)
+    # a plain copy of K has lost the cell structure the solve needs
+    with pytest.raises(ValueError, match="cell structure"):
+        solve_saddle(sp.csc_matrix(K), rhs)
 
 
 def test_pivot_breakdown_detected():
-    A = sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc()
-    with pytest.raises(SingularSystemError):
-        solve_saddle(A, np.ones(4))
+    with pytest.raises(SingularSystemError, match="pivot / diagonal 1.1"):
+        factor_spd(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+    # a small diagonal entry is a scale, not a breakdown: every pivot equals
+    # its own diagonal entry
+    _, ratio = factor_spd(sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc())
+    assert np.array_equal(ratio, np.ones(4))
 
 
-@pytest.mark.parametrize("n", [4, 800])
-def test_non_finite_solution_raises(n):
-    # a small and a large plain system, both through SuperLU;
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+def test_non_finite_solution_raises(problem):
     # a NaN residual compares false against any bound, so the certificate
     # must be written to reject it rather than pass it
-    b = np.ones(n)
-    b[n // 2] = np.nan
-    with pytest.raises((SingularSystemError, ResidualError)):
-        solve_saddle(sp.diags(np.arange(1.0, n + 1.0)), b)
+    K, rhs = _plate_system(problem, 1).full()
+    rhs[len(rhs) // 2] = np.nan
+    with pytest.raises(ResidualError, match="residual nan"):
+        solve_saddle(K, rhs)
 
 
 def test_residual_failure_raises(monkeypatch):
-    # partial pivoting is backward stable, so a genuinely unreachable residual
+    # the hybrid solve is accurate, so a genuinely unreachable residual
     # needs a rigged measurement; this checks the guard actually fires
+    K, rhs = _plate_system("ex1", 1).full()
     monkeypatch.setattr(linsolve, "residual_norm", lambda A, x, b, anorm: 1.0)
     with pytest.raises(ResidualError):
-        solve_saddle(np.eye(3), np.ones(3), rtol=1e-10)
+        solve_saddle(K, rhs, rtol=1e-10)
 
 
 def test_hybrid_and_colamd_solves_agree_with_neumann_rows(basis_cache):
-    exact = get_example("ex2")
-    mesh = exact.mesh(3)
-    dofmap = build_dof_map(mesh)
-    system = build_system(
-        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
-        neumann=exact.neumann, cache=basis_cache,
-    )
+    system = _plate_system("ex2", 3, cache=basis_cache)
     K, rhs = system.full()
     assert system.L.shape[0] > 0
     x, info = solve_saddle(K, rhs)
-    # a plain copy of K carries no cell structure
-    y, plain = solve_saddle(sp.csc_matrix(K), rhs)
-    assert (info["path"], plain["path"]) == ("hybrid", "superlu")
+    # the oracle factors K whole: COLAMD with partial pivoting
+    y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
+    assert info["path"] == "hybrid"
     assert 0 < info["schur_n"] < K.shape[0] and info["fill"] > 0
     assert 0.0 < info["pivot_ratio"] <= 1.0
     nd, nu = system.ndofs, system.nu
