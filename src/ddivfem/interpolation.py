@@ -152,12 +152,24 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
     jumps are point evaluations.  Jump dofs eliminated at interior vertices
     are implied; for fields with continuous components their patch sums
     vanish, so no information is lost.
+
+    Raises ``ValueError`` naming the first dof that is not finite, as at a
+    singular point of the field.
     """
-    edges = np.arange(mesh.num_edges)
+    ne = mesh.num_edges
     k, c = np.nonzero(dofmap.jump_id >= 0)
     x = np.zeros(dofmap.ndofs)
-    x[: 4 * mesh.num_edges] = np.stack(field_edge_dofs(mesh, edges, field, nq), axis=-1).ravel()
+    x[: 4 * ne] = np.stack(field_edge_dofs(mesh, np.arange(ne), field, nq), axis=-1).ravel()
     x[dofmap.jump_id[k, c]] = field_cell_jump(mesh, k, c, field)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        i = bad[0]
+        if i < 4 * ne:
+            where = "%s moment on edge %d" % (("m0", "m1", "q0", "q1")[i % 4], i // 4)
+        else:
+            j = np.flatnonzero(dofmap.jump_id[k, c] == i)[0]
+            where = "corner jump at local corner %d of cell %d" % (c[j], k[j])
+        raise ValueError("interpolation dof %d is not finite: the field's %s" % (i, where))
     return x
 
 

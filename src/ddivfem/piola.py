@@ -41,7 +41,7 @@ test suite states the same maps and functionals one cell at a time
 import numpy as np
 
 from .polys import gauss_rule
-from .reference import CORNERS, EDGE_CORNERS, build_reference_basis
+from .reference import CORNERS, EDGE_CORNERS, build_reference_basis, coefficient_grids
 
 #: above this condition number the local dof matrix is considered broken
 CONDITION_LIMIT = 1e8
@@ -96,6 +96,16 @@ def _reference_edge_points(edge, s):
     return xh, yh
 
 
+def _tabulate(grid, xh, yh):
+    """Values (nb, ..., c) at points (...) of coefficient grids (n, n, nb, c).
+
+    The result is C-contiguous: numpy's matmul sums a strided operand in
+    another order, which would change the last bits of the edge moments.
+    """
+    vals = np.polynomial.polynomial.polyval2d(xh, yh, grid)
+    return np.ascontiguousarray(np.moveaxis(vals, 1, -1))
+
+
 class EdgeTabulation:
     """What the 20 physical dof functionals read of a reference basis.
 
@@ -113,23 +123,16 @@ class EdgeTabulation:
 
     def __init__(self, basis, nq):
         s, w = _edge_param_points(nq)
-        nb = len(basis)
-        self.val0 = np.zeros((nb, 4, 3))
-        self.val1 = np.zeros((nb, 4, 3))
-        self.div0 = np.zeros((nb, 4, 2))
-        self.div1 = np.zeros((nb, 4, 2))
-        corners = np.zeros((nb, 4, 3))
-        for i, phi in enumerate(basis):
-            wx, wy = phi.div()
-            for j in range(4):
-                xh, yh = _reference_edge_points(j, s)
-                vals = phi.eval(xh, yh)
-                divs = np.stack([wx.eval(xh, yh), wy.eval(xh, yh)], axis=-1)
-                self.val0[i, j] = w @ vals
-                self.val1[i, j] = (w * s) @ vals
-                self.div0[i, j] = w @ divs
-                self.div1[i, j] = (w * s) @ divs
-            corners[i] = phi.eval(CORNERS[:, 0], CORNERS[:, 1])
+        values, div, _ = coefficient_grids(basis)
+        # (4, nq) nodes, one row per reference edge
+        xh, yh = np.stack([_reference_edge_points(j, s) for j in range(4)], axis=1)
+        vals = _tabulate(values, xh, yh)
+        divs = _tabulate(div, xh, yh)
+        self.val0 = w @ vals
+        self.val1 = (w * s) @ vals
+        self.div0 = w @ divs
+        self.div1 = (w * s) @ divs
+        corners = _tabulate(values, CORNERS[:, 0], CORNERS[:, 1])
         self.ends = corners[:, np.array(EDGE_CORNERS)]
 
 
@@ -140,17 +143,10 @@ class VolumeTabulation:
         rule = gauss_rule(nq, dim=2)
         self.rule = rule
         xh, yh = rule.points[:, 0], rule.points[:, 1]
-        nb = len(basis)
-        npts = len(rule)
-        self.phi = np.zeros((nb, npts, 3))
-        self.divphi = np.zeros((nb, npts, 2))
-        self.ddphi = np.zeros((nb, npts))
-        for i, p in enumerate(basis):
-            self.phi[i] = p.eval(xh, yh)
-            wx, wy = p.div()
-            self.divphi[i, :, 0] = wx.eval(xh, yh)
-            self.divphi[i, :, 1] = wy.eval(xh, yh)
-            self.ddphi[i] = p.divdiv().eval(xh, yh)
+        values, div, divdiv = coefficient_grids(basis)
+        self.phi = _tabulate(values, xh, yh)
+        self.divphi = _tabulate(div, xh, yh)
+        self.ddphi = np.polynomial.polynomial.polyval2d(xh, yh, divdiv)
         self.xh, self.yh = xh, yh
 
 

@@ -67,16 +67,6 @@ class Poly2:
     def y():
         return Poly2([[0.0, 1.0]])
 
-    @staticmethod
-    def from_1d(coeffs, var):
-        """Univariate polynomial in ``var`` ('x' or 'y'), coefficients low to high."""
-        a = np.asarray(coeffs, dtype=float)
-        if var == "x":
-            return Poly2(a.reshape(-1, 1))
-        if var == "y":
-            return Poly2(a.reshape(1, -1))
-        raise ValueError("var must be 'x' or 'y'")
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -201,10 +191,6 @@ def poly1_mul(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.convolve(a, b)
-
-
-def poly1_eval(c, t):
-    return np.polynomial.polynomial.polyval(np.asarray(t), np.asarray(c, dtype=float))
 
 
 def poly1_deg(c, tol=0.0):

@@ -297,24 +297,64 @@ def trace_degrees(basis=None):
     return deg_nn, deg_sh
 
 
+def _derivative(c, axis):
+    """Coefficient grid of the partial derivative along degree axis 0 (x) or 1 (y).
+
+    The exact shift of :meth:`Poly2.dx` / :meth:`Poly2.dy`, padded with
+    zeros so that the grid keeps its shape.
+    """
+    n = c.shape[axis]
+    lead = (slice(None),) * axis
+    k = np.arange(1, n).reshape((n - 1,) + (1,) * (c.ndim - 1 - axis))
+    out = np.zeros_like(c)
+    out[lead + (slice(0, n - 1),)] = c[lead + (slice(1, n),)] * k
+    return out
+
+
+def coefficient_grids(basis):
+    """A basis stacked as zero-padded coefficient grids, degree axes first.
+
+    Returns ``(values, div, divdiv)`` of shapes (n, n, nb, 3), (n, n, nb, 2)
+    and (n, n, nb) for nb shape tensors: entry [i, j] is the coefficient of
+    x**i y**j of the components (xx, xy, yy), of the row divergence and of
+    div div.  One ``np.polynomial.polynomial.polyval2d`` call evaluates a
+    grid for the whole basis, in the Horner order of :meth:`Poly2.eval`;
+    the zero padding and the sums, which start from +0.0 as in
+    :meth:`Poly2.__add__`, leave every value bit for bit as the
+    per-function :meth:`SymTensorPoly.eval`, ``div`` and ``divdiv`` give.
+    """
+    comps = [p.c for phi in basis for p in (phi.axx, phi.axy, phi.ayy)]
+    n = max(max(c.shape) for c in comps)
+    values = np.zeros((n, n, len(comps)))
+    for k, c in enumerate(comps):
+        values[: c.shape[0], : c.shape[1], k] = c
+    values = values.reshape(n, n, len(basis), 3)
+    dx, dy = _derivative(values, 0), _derivative(values, 1)
+    div = 0.0 + dx[..., :2] + dy[..., 1:]
+    divdiv = (
+        0.0
+        + _derivative(dx[..., 0], 0)
+        + 2.0 * _derivative(dx[..., 1], 1)
+        + _derivative(dy[..., 2], 1)
+    )
+    return values, div, divdiv
+
+
 def divdiv_matrix(basis=None):
     """Coefficients of div div phi_i in the monomial basis {1, x, y}.
 
-    Returns an array of shape (20, 3); raises if any image leaves P1.
+    Returns an array of shape (nb, 3); raises ``ValueError`` naming the
+    first shape function whose image leaves P1.
     """
     if basis is None:
         basis = build_reference_basis()
-    out = np.zeros((20, 3))
-    for i, phi in enumerate(basis):
-        p = phi.divdiv()
-        if p.degx > 1 or p.degy > 1 or (p.degx == 1 and p.degy == 1 and p.c[1, 1] != 0.0):
-            raise ValueError("div div of shape function %d is not in P1" % (i + 1))
-        c = np.zeros((2, 2))
-        c[: p.c.shape[0], : p.c.shape[1]] = p.c
-        if c[1, 1] != 0.0:
-            raise ValueError("div div of shape function %d contains xy" % (i + 1))
-        out[i] = [c[0, 0], c[1, 0], c[0, 1]]
-    return out
+    dd = coefficient_grids(basis)[2]
+    p1 = np.zeros(dd.shape[:2], dtype=bool)
+    p1[0, 0] = p1[1, 0] = p1[0, 1] = True
+    bad = np.flatnonzero(np.any(dd[~p1] != 0.0, axis=0))
+    if len(bad):
+        raise ValueError("div div of shape function %d is not in P1" % (bad[0] + 1))
+    return np.stack([dd[0, 0], dd[1, 0], dd[0, 1]], axis=-1)
 
 
 def bilinear_tensor_family():

@@ -5,6 +5,11 @@ The library builds these for whole meshes at once
 This module writes the same maps and functionals out for one cell at a time,
 in the form the :mod:`ddivfem.piola` docstring states them, and the tests
 use it as the specification that the batched layer is checked against.
+
+It also tabulates a reference basis one shape function at a time, through
+:meth:`SymTensorPoly.eval`, ``div`` and ``divdiv``, as the specification
+of the library's tabulations from stacked coefficient grids
+(:func:`ddivfem.reference.coefficient_grids`).
 """
 
 import numpy as np
@@ -15,7 +20,8 @@ from ddivfem.piola import (
     _edge_param_points,
     _reference_edge_points,
 )
-from ddivfem.reference import CORNERS, EDGE_CORNERS
+from ddivfem.polys import Poly2, gauss_rule
+from ddivfem.reference import CORNERS, EDGE_CORNERS, SymTensorPoly
 
 
 class ElementMap:
@@ -177,3 +183,73 @@ def cell_dof_matrix(mesh, k, basis, nq=EDGE_QUAD_POINTS):
     """T (20, 20) of cell k: column i holds the physical dofs of basis function i."""
     emap, frame = cell_geometry(mesh, k)
     return np.column_stack([physical_dofs(emap, frame, phi, nq=nq) for phi in basis])
+
+
+# -- reference tabulations, one shape function at a time ------------------------
+
+
+def corrupted_basis(basis, i=7):
+    """A copy of a basis whose i-th tensor gains x^2 y in its xx component.
+
+    The monomial lies outside every component mask, but its div div (2y)
+    stays linear.
+    """
+    bad = list(basis)
+    bump = np.zeros((3, 2))
+    bump[2, 1] = 0.25
+    phi = bad[i - 1]
+    bad[i - 1] = SymTensorPoly(phi.axx + Poly2(bump), phi.axy, phi.ayy)
+    return bad
+
+
+def edge_tabulation(basis, nq):
+    """``(val0, val1, div0, div1, ends)`` of :class:`ddivfem.piola.EdgeTabulation`."""
+    s, w = _edge_param_points(nq)
+    nb = len(basis)
+    val0 = np.zeros((nb, 4, 3))
+    val1 = np.zeros((nb, 4, 3))
+    div0 = np.zeros((nb, 4, 2))
+    div1 = np.zeros((nb, 4, 2))
+    corners = np.zeros((nb, 4, 3))
+    for i, phi in enumerate(basis):
+        wx, wy = phi.div()
+        for j in range(4):
+            xh, yh = _reference_edge_points(j, s)
+            vals = phi.eval(xh, yh)
+            divs = np.stack([wx.eval(xh, yh), wy.eval(xh, yh)], axis=-1)
+            val0[i, j] = w @ vals
+            val1[i, j] = (w * s) @ vals
+            div0[i, j] = w @ divs
+            div1[i, j] = (w * s) @ divs
+        corners[i] = phi.eval(CORNERS[:, 0], CORNERS[:, 1])
+    return val0, val1, div0, div1, corners[:, np.array(EDGE_CORNERS)]
+
+
+def volume_tabulation(basis, nq):
+    """``(phi, divphi, ddphi)`` of :class:`ddivfem.piola.VolumeTabulation`."""
+    rule = gauss_rule(nq, dim=2)
+    xh, yh = rule.points[:, 0], rule.points[:, 1]
+    nb = len(basis)
+    phi = np.zeros((nb, len(rule), 3))
+    divphi = np.zeros((nb, len(rule), 2))
+    ddphi = np.zeros((nb, len(rule)))
+    for i, p in enumerate(basis):
+        phi[i] = p.eval(xh, yh)
+        wx, wy = p.div()
+        divphi[i, :, 0] = wx.eval(xh, yh)
+        divphi[i, :, 1] = wy.eval(xh, yh)
+        ddphi[i] = p.divdiv().eval(xh, yh)
+    return phi, divphi, ddphi
+
+
+def divdiv_matrix(basis):
+    """:func:`ddivfem.reference.divdiv_matrix`: (nb, 3) coefficients on {1, x, y}."""
+    out = np.zeros((len(basis), 3))
+    for i, phi in enumerate(basis):
+        p = phi.divdiv()
+        if p.degx > 1 or p.degy > 1 or (p.degx == 1 and p.degy == 1 and p.c[1, 1] != 0.0):
+            raise ValueError("div div of shape function %d is not in P1" % (i + 1))
+        c = np.zeros((2, 2))
+        c[: p.c.shape[0], : p.c.shape[1]] = p.c
+        out[i] = [c[0, 0], c[1, 0], c[0, 1]]
+    return out

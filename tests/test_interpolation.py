@@ -13,6 +13,7 @@ from ddivfem.interpolation import (
 )
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
 from ddivfem.piola import BasisCache
+from ddivfem.problems import get_example
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
@@ -117,3 +118,28 @@ def test_interpolation_error_second_order(basis_cache):
     # errors decay monotonically once past the coarsest mesh
     errs = [r[2] for r in rows]
     assert all(a > b for a, b in zip(errs[1:], errs[2:]))
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_non_finite_dof_is_named(level):
+    # the ex2 tensor is singular at the re-entrant corner; its shear
+    # moments there are NaN and must not come back as dofs
+    mesh = make_lshape(level)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="q0 moment on edge"):
+        interpolate_ddiv(mesh, build_dof_map(mesh), get_example("ex2").field)
+
+
+def test_non_finite_corner_jump_is_named():
+    # the edge dofs read the field on (edges, points) arrays, the corner
+    # jumps on one flat array of cell corners; this field fails only there
+    def m(x, y):
+        vals = np.stack([x, y, x + y], axis=-1)
+        return vals if np.ndim(x) > 1 else np.full_like(vals, np.nan)
+
+    field = TensorField(m, lambda x, y: np.stack([x, y], axis=-1))
+    mesh = make_lshape(1)
+    dofmap = build_dof_map(mesh)
+    k, c = np.argwhere(dofmap.jump_id >= 0)[0]
+    want = "dof %d is not finite: the field's corner jump at local corner %d of cell %d"
+    with pytest.raises(ValueError, match=want % (dofmap.jump_id[k, c], c, k)):
+        interpolate_ddiv(mesh, dofmap, field)

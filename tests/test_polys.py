@@ -8,7 +8,6 @@ from ddivfem.polys import (
     Poly2,
     gauss_rule,
     poly1_deg,
-    poly1_eval,
     poly1_int,
     poly1_mul,
 )
@@ -105,17 +104,7 @@ def test_restrict_gives_edge_coefficients():
     assert poly1_deg(east) == -1
 
 
-def test_from_1d_places_coefficients():
-    p = Poly2.from_1d([1.0, 0.0, 2.0], "x")
-    assert p.eval(2.0, 5.0) == pytest.approx(9.0)
-    q = Poly2.from_1d([1.0, 0.0, 2.0], "y")
-    assert q.eval(5.0, 2.0) == pytest.approx(9.0)
-    with pytest.raises(ValueError):
-        Poly2.from_1d([1.0], "z")
-
-
 def test_univariate_helpers():
     assert np.allclose(poly1_mul([1.0, 2.0], [0.0, 0.0, 3.0]), [0.0, 0.0, 3.0, 6.0])
     assert poly1_int([0.0, 0.0, 1.0]) == pytest.approx(2.0 / 3.0)
-    assert poly1_eval([1.0, 0.0, -1.0], 0.5) == pytest.approx(0.75)
     assert poly1_deg([0.0, 1.0, 0.0]) == 1

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+import cellspec
+from cellspec import corrupted_basis
+from ddivfem.piola import EdgeTabulation, VolumeTabulation
 from ddivfem.polys import Poly2, poly1_deg
 from ddivfem.reference import (
     DOF_DIAGONAL,
@@ -45,7 +48,7 @@ def test_closed_form_entries(basis):
     # first edge tensor: only the yy component, (4 - 6y + 2y^3) / 8
     phi1 = basis[0]
     assert phi1.axx.is_zero() and phi1.axy.is_zero()
-    assert np.array_equal(phi1.ayy.c, Poly2.from_1d([0.5, -0.75, 0.0, 0.25], "y").c)
+    assert np.array_equal(phi1.ayy.c, Poly2([[0.5, -0.75, 0.0, 0.25]]).c)
 
     # first off-diagonal bubble: only the xy component, (1 - y)(1 - x^2) / 8
     phi13 = basis[12]
@@ -126,10 +129,7 @@ def test_expand_in_basis_roundtrip(basis):
 
 
 def test_corrupted_basis_is_detected(basis):
-    bad = [phi for phi in basis]
-    bump = np.zeros((3, 2))
-    bump[2, 1] = 0.25  # x^2 y is outside every component mask
-    bad[6] = SymTensorPoly(bad[6].axx + Poly2(bump), bad[6].axy, bad[6].ayy)
+    bad = corrupted_basis(basis)  # x^2 y is outside every component mask
     assert not in_reference_space(bad[6])
     rep = verify_unisolvency(bad, tol=1e-12)
     assert not rep["ok"]
@@ -144,3 +144,48 @@ def test_sample_field_grid(basis):
     assert np.allclose(rows[:, 2], 0.0)
     # yy entry matches the closed form at the corners
     assert rows[0, 4] == pytest.approx(basis[0].ayy.eval(x[0], y[0]))
+
+
+def leaves_p1(basis):
+    """A copy of a basis whose fifth tensor gains x^2 y^2 in its xy component,
+    so that its div div gains 8xy."""
+    bad = list(basis)
+    bump = np.zeros((3, 3))
+    bump[2, 2] = 1.0
+    phi = bad[4]
+    bad[4] = SymTensorPoly(phi.axx, phi.axy + Poly2(bump), phi.ayy)
+    return bad
+
+
+BASES = {"reference": lambda b: b, "corrupted": corrupted_basis}
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+@pytest.mark.parametrize("nq", [2, 4, 6, 10])
+def test_volume_tabulation_is_the_per_function_loop(basis, kind, nq):
+    b = BASES[kind](basis)
+    tab = VolumeTabulation(b, nq)
+    for got, want in zip((tab.phi, tab.divphi, tab.ddphi), cellspec.volume_tabulation(b, nq)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+@pytest.mark.parametrize("nq", [4, 8])
+def test_edge_tabulation_is_the_per_function_loop(basis, kind, nq):
+    b = BASES[kind](basis)
+    tab = EdgeTabulation(b, nq)
+    got = (tab.val0, tab.val1, tab.div0, tab.div1, tab.ends)
+    for g, want in zip(got, cellspec.edge_tabulation(b, nq)):
+        assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_divdiv_matrix_is_the_per_function_loop(basis, kind):
+    b = BASES[kind](basis)
+    assert np.array_equal(divdiv_matrix(b), cellspec.divdiv_matrix(b))
+
+
+def test_divdiv_outside_p1_names_the_shape_tensor(basis):
+    for check in (divdiv_matrix, cellspec.divdiv_matrix):
+        with pytest.raises(ValueError, match="shape function 5 is not in P1"):
+            check(leaves_p1(basis))

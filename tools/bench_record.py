@@ -1,6 +1,6 @@
 """Record a BENCH_<n>.json: perfbench on a parent commit and on this checkout.
 
-    python3 tools/bench_record.py --parent 021cfbd --out BENCH_6.json
+    python3 tools/bench_record.py --parent 3eaf060 --out BENCH_10.json
 
 Run from the root of the changed checkout.  The parent commit is exported
 with ``git archive`` into a temporary directory.  For every workload and
