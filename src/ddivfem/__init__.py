@@ -2,7 +2,6 @@
 
 from .polys import Poly2, QuadRule, gauss_rule, DegreeBoundError
 from .reference import (
-    SymTensorPoly,
     build_reference_basis,
     verify_unisolvency,
     dof_matrix,

@@ -34,7 +34,6 @@ from .piola import BasisCache, batch_geometry, dof_matrices
 from .polys import Poly2
 from .problems import convergence_study, get_example, solve_example
 from .reference import (
-    SymTensorPoly,
     build_reference_basis,
     divdiv_matrix,
     in_reference_space,
@@ -81,7 +80,7 @@ def _write_text(path, text):
 def _reference_checks(basis, tol):
     checks = []
 
-    bad = [i + 1 for i, phi in enumerate(basis) if not in_reference_space(phi)]
+    bad = (np.flatnonzero(~in_reference_space(basis)) + 1).tolist()
     checks.append(
         (
             "component masks",
@@ -208,10 +207,7 @@ def cmd_verify(args):
         i = args.corrupt_phi
         if not 1 <= i <= 20:
             raise SystemExit("--corrupt-phi must be in 1..20")
-        bad = np.zeros((3, 2))
-        bad[2, 1] = 0.25
-        phi = basis[i - 1]
-        basis[i - 1] = SymTensorPoly(phi.axx + Poly2(bad), phi.axy, phi.ayy)
+        basis[2, 1, i - 1, 0] += 0.25  # x^2 y in the xx component
         print("note: shape tensor %d deliberately damaged (negative control)" % i)
 
     groups = []
@@ -240,6 +236,10 @@ def cmd_verify(args):
 
 
 def cmd_interp_test(args):
+    if args.levels < 0:
+        raise SystemExit("--levels must be at least 0")
+    if not 1 <= args.quad <= 16:
+        raise SystemExit("--quad must be in 1..16")
     rng = np.random.default_rng(args.seed)
     field = TensorField.random_poly(rng, deg=args.degree)
     rows = interpolation_error_study(field, range(args.levels + 1), nq=args.quad)
@@ -272,6 +272,8 @@ def _fmt_err(v):
 
 
 def cmd_solve(args):
+    if args.level < 0:
+        raise SystemExit("--level must be at least 0")
     cache = BasisCache()
     exact = get_example(args.problem)
     run = solve_example(exact, args.level, cache=cache, rtol=args.rtol)
@@ -330,6 +332,8 @@ def cmd_solve(args):
 
 
 def cmd_convergence(args):
+    if args.start_level < 0:
+        raise SystemExit("--start-level must be at least 0")
     if args.start_level > args.levels:
         raise SystemExit("--start-level exceeds --levels")
     report = convergence_study(
@@ -369,7 +373,7 @@ def cmd_sample_basis(args):
     if args.grid < 2:
         raise SystemExit("--grid must be at least 2")
     basis = build_reference_basis()
-    rows = sample_field(basis[args.phi - 1], args.grid)
+    rows = sample_field(basis[:, :, args.phi - 1], args.grid)
     lines = ["x,y,Mxx,Mxy,Myy,divM_x,divM_y,divdivM"]
     for row in rows:
         lines.append(",".join(FMT % v for v in row))

@@ -11,6 +11,8 @@ point at the end, which keeps vertex identification exact across block
 seams and refinement levels.
 """
 
+import operator
+
 import numpy as np
 
 #: corners of the sheared parallelogram domain used by the first benchmark,
@@ -71,7 +73,10 @@ class Mesh:
 
     def __init__(self, vertices, cells, boundary_labels=None, default_label=DIRICHLET):
         self.vertices = np.asarray(vertices, dtype=float)
-        self.cells = np.asarray(cells, dtype=int)
+        try:
+            self.cells = np.asarray(cells, dtype=int)
+        except OverflowError:
+            raise MeshError("cell corner indices exceed the integer range") from None
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if self.cells.ndim != 2 or self.cells.shape[1] != 4:
@@ -115,9 +120,7 @@ class Mesh:
 
         d1 = self.vertices[self.cells[:, 2]] - self.vertices[self.cells[:, 0]]
         d2 = self.vertices[self.cells[:, 3]] - self.vertices[self.cells[:, 1]]
-        self.h_cell = np.maximum(
-            np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1)
-        )
+        self.h_cell = np.maximum(np.hypot(*d1.T), np.hypot(*d2.T))
 
     def _apply_labels(self, boundary_labels, default_label):
         given = dict(boundary_labels or {})
@@ -169,10 +172,15 @@ class Mesh:
         if len(bad):
             raise MeshError("cell %d is not a parallelogram" % bad[0])
 
+        # the edge vectors of each cell divided by its largest component, so
+        # that the products below neither underflow nor overflow
         b1 = v[:, 1] - v[:, 0]
         b2 = v[:, 3] - v[:, 0]
+        scale = np.abs(np.hstack([b1, b2])).max(axis=1)
+        scale = np.maximum(scale, np.finfo(float).tiny)[:, None]
+        b1, b2 = b1 / scale, b2 / scale
         area2 = b1[:, 0] * b2[:, 1] - b1[:, 1] * b2[:, 0]
-        bad = np.nonzero(area2 <= 0.0)[0]
+        bad = np.nonzero(~(area2 > 0.0))[0]
         if len(bad):
             raise MeshError("cell %d is degenerate or clockwise" % bad[0])
 
@@ -184,10 +192,10 @@ class Mesh:
         det = g11 * g22 - g12 * g12
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
         ratio = np.sqrt((tr + disc) / np.maximum(tr - disc, 1e-300))
-        if ratio.max() > SHAPE_REGULARITY_LIMIT:
+        bad = np.nonzero(~(ratio <= SHAPE_REGULARITY_LIMIT))[0]
+        if len(bad):
             raise MeshError(
-                "cell %d violates shape regularity (%.2f)"
-                % (int(np.argmax(ratio)), float(ratio.max()))
+                "cell %d violates shape regularity (%.2f)" % (bad[0], ratio[bad[0]])
             )
 
         euler = self.num_vertices - self.num_edges + self.num_cells
@@ -241,16 +249,29 @@ def import_text(path):
     if min(nv, nk, ne) < 0:
         raise MeshError("header counts must be nonnegative")
     vertices = np.array([row(1 + i, (float, float), "vertex %d" % i) for i in range(nv)])
-    cells = np.array([row(1 + nv + k, (int,) * 4, "cell %d" % k) for k in range(nk)])
-    pairs = [row(i, (int, int, str), "boundary line") for i in range(1 + nv + nk, len(lines))]
-    labels = {frozenset((a, b)): lab for a, b, lab in pairs}
-    mesh = Mesh(vertices.reshape(nv, 2), cells.reshape(nk, 4), boundary_labels=labels)
+    cells = [row(1 + nv + k, (int,) * 4, "cell %d" % k) for k in range(nk)]
+    labels = {}
+    for i in range(1 + nv + nk, len(lines)):
+        a, b, lab = row(i, (int, int, str), "boundary line")
+        if labels.setdefault(frozenset((a, b)), lab) != lab:
+            raise MeshError("line %d: boundary edge %s labeled twice" % (lines[i][0], (a, b)))
+    mesh = Mesh(vertices.reshape(nv, 2), np.reshape(cells, (nk, 4)), boundary_labels=labels)
     if mesh.num_edges != ne:
         raise MeshError("edge count %d does not match header %d" % (mesh.num_edges, ne))
     return mesh
 
 
 # -- generators ---------------------------------------------------------------
+
+
+def _cells_per_side(level):
+    """2**level for a refinement level; MeshError unless it is a nonnegative integer."""
+    try:
+        if operator.index(level) >= 0:
+            return 2 ** operator.index(level)
+    except TypeError:
+        pass
+    raise MeshError("refinement level must be a nonnegative integer, got %r" % (level,))
 
 
 def make_parallelogram_domain(corners, level):
@@ -270,7 +291,7 @@ def make_parallelogram_domain(corners, level):
     if u[0] * w[1] - u[1] * w[0] <= 0.0:
         raise MeshError("corners are clockwise or degenerate")
 
-    n = 2**int(level)
+    n = _cells_per_side(level)
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     s = (ii / n).ravel()
     t = (jj / n).ravel()
@@ -288,7 +309,7 @@ def make_lshape(level):
     are labeled Dirichlet; the outer boundary is Neumann.  Level 0 gives
     three unit cells.
     """
-    n = 2**int(level)
+    n = _cells_per_side(level)
     # lower left lattice corners of the lower right, upper right and upper
     # left blocks of n x n cells, swept i-major within each block
     r = np.arange(n)

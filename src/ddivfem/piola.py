@@ -41,7 +41,13 @@ test suite states the same maps and functionals one cell at a time
 import numpy as np
 
 from .polys import gauss_rule
-from .reference import CORNERS, EDGE_CORNERS, build_reference_basis, coefficient_grids
+from .reference import (
+    CORNERS,
+    EDGE_CORNERS,
+    build_reference_basis,
+    coefficient_grids,
+    frame_weights,
+)
 
 #: above this condition number the local dof matrix is considered broken
 CONDITION_LIMIT = 1e8
@@ -123,16 +129,16 @@ class EdgeTabulation:
 
     def __init__(self, basis, nq):
         s, w = _edge_param_points(nq)
-        values, div, _ = coefficient_grids(basis)
+        div, _ = coefficient_grids(basis)
         # (4, nq) nodes, one row per reference edge
         xh, yh = np.stack([_reference_edge_points(j, s) for j in range(4)], axis=1)
-        vals = _tabulate(values, xh, yh)
+        vals = _tabulate(basis, xh, yh)
         divs = _tabulate(div, xh, yh)
         self.val0 = w @ vals
         self.val1 = (w * s) @ vals
         self.div0 = w @ divs
         self.div1 = (w * s) @ divs
-        corners = _tabulate(values, CORNERS[:, 0], CORNERS[:, 1])
+        corners = _tabulate(basis, CORNERS[:, 0], CORNERS[:, 1])
         self.ends = corners[:, np.array(EDGE_CORNERS)]
 
 
@@ -143,8 +149,8 @@ class VolumeTabulation:
         rule = gauss_rule(nq, dim=2)
         self.rule = rule
         xh, yh = rule.points[:, 0], rule.points[:, 1]
-        values, div, divdiv = coefficient_grids(basis)
-        self.phi = _tabulate(values, xh, yh)
+        div, divdiv = coefficient_grids(basis)
+        self.phi = _tabulate(basis, xh, yh)
         self.divphi = _tabulate(div, xh, yh)
         self.ddphi = np.polynomial.polynomial.polyval2d(xh, yh, divdiv)
         self.xh, self.yh = xh, yh
@@ -211,15 +217,8 @@ def dof_matrices(geometry, tab):
     a = np.einsum("kba,kjb->kja", B, normals(t))
     b = np.einsum("kba,kjb->kja", B, t)
     d = geometry.det[:, None, None]
-    w_nn = np.stack([a[..., 0] ** 2, 2.0 * a[..., 0] * a[..., 1], a[..., 1] ** 2], axis=-1) / d
-    w_tn = np.stack(
-        [
-            b[..., 0] * a[..., 0],
-            b[..., 0] * a[..., 1] + b[..., 1] * a[..., 0],
-            b[..., 1] * a[..., 1],
-        ],
-        axis=-1,
-    ) / d
+    w_nn = frame_weights(a, a) / d
+    w_tn = frame_weights(b, a) / d
     w_div = a / d
 
     nn0 = np.einsum("kjc,ijc->kji", w_nn, tab.val0)

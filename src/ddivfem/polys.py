@@ -155,48 +155,12 @@ class Poly2:
         """Evaluate at points; broadcasts like numpy."""
         return np.polynomial.polynomial.polyval2d(np.asarray(x), np.asarray(y), self.c)
 
-    def restrict(self, var, value):
-        """1D coefficient array (low to high) of p with ``var`` frozen at ``value``.
-
-        The result is a polynomial in the other variable.
-        """
-        powers_x = np.array([value**i for i in range(self.c.shape[0])])
-        powers_y = np.array([value**j for j in range(self.c.shape[1])])
-        if var == "x":
-            out = np.trim_zeros(powers_x @ self.c, "b")
-        elif var == "y":
-            out = np.trim_zeros(self.c @ powers_y, "b")
-        else:
-            raise ValueError("var must be 'x' or 'y'")
-        return out if len(out) else np.zeros(1)
-
 
 def _moments(deg):
     """Moments integral of t**k over [-1, 1] for k = 0..deg."""
     k = np.arange(deg + 1)
     m = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
     return m
-
-
-# -- univariate helpers (coefficients low to high) --------------------------
-
-
-def poly1_int(c):
-    """Exact integral of a 1D coefficient array over [-1, 1]."""
-    c = np.asarray(c, dtype=float)
-    return float(c @ _moments(len(c) - 1))
-
-
-def poly1_mul(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.convolve(a, b)
-
-
-def poly1_deg(c, tol=0.0):
-    c = np.asarray(c, dtype=float)
-    nz = np.nonzero(np.abs(c) > tol)[0]
-    return int(nz.max()) if len(nz) else -1
 
 
 # -- quadrature --------------------------------------------------------------

@@ -1,10 +1,16 @@
 """The lowest-order normal-normal/effective-shear element on [-1, 1]^2.
 
-This module builds the 20 symmetric tensor shape functions on the reference
+This module holds the 20 symmetric tensor shape functions on the reference
 square, the three trace operators that define their degrees of freedom
 (normal-normal moment, effective transverse shear moment, corner jump of the
 tangential-normal component), and the machinery to verify that the shape
 functions and the degrees of freedom are exactly dual to each other.
+
+A stack of nb tensors is one array of coefficient grids of shape
+(n, n, nb, 3), degree axes first: entry [i, j, k] holds the coefficients of
+x**i y**j in the components (xx, xy, yy) of tensor k.  The reference basis
+is such an array with n = 4 and nb = 20 (:func:`build_reference_basis`),
+and every function here takes one.
 
 Edge and corner numbering on K = [-1, 1]^2, traversed counterclockwise::
 
@@ -21,7 +27,7 @@ traversal parameter s in (-1, 1).
 
 import numpy as np
 
-from .polys import Poly2, poly1_int, poly1_mul, poly1_deg
+from .polys import _moments
 
 # corner coordinates, counterclockwise from (-1, -1)
 CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -45,221 +51,165 @@ DOF_NAMES = (
     + ["jump_n%d" % (j + 1) for j in range(4)]
 )
 
+# -- the polynomial space X0 -------------------------------------------------
 
-class SymTensorPoly:
-    """Symmetric 2x2 tensor with polynomial entries (axx, axy, ayy)."""
+# admissible monomial exponents (i, j) of the components xx, xy, yy
+_MONOMIALS = (
+    {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0)},
+    {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)},
+    {(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3)},
+)
 
-    def __init__(self, axx, axy, ayy):
-        self.axx = axx
-        self.axy = axy
-        self.ayy = ayy
+#: COMPONENT_MASKS[i, j, c]: x**i y**j is admissible in component c
+COMPONENT_MASKS = np.array(
+    [[[(i, j) in allowed for allowed in _MONOMIALS] for j in range(4)] for i in range(4)]
+)
 
-    def __add__(self, other):
-        return SymTensorPoly(self.axx + other.axx, self.axy + other.axy, self.ayy + other.ayy)
-
-    def __sub__(self, other):
-        return SymTensorPoly(self.axx - other.axx, self.axy - other.axy, self.ayy - other.ayy)
-
-    def __mul__(self, a):
-        return SymTensorPoly(self.axx * a, self.axy * a, self.ayy * a)
-
-    __rmul__ = __mul__
-
-    def eval(self, x, y):
-        """Component values (axx, axy, ayy) at the given points."""
-        return np.stack(
-            [self.axx.eval(x, y), self.axy.eval(x, y), self.ayy.eval(x, y)], axis=-1
-        )
-
-    def div(self):
-        """Row divergence (dx axx + dy axy, dx axy + dy ayy) as two Poly2."""
-        return (self.axx.dx() + self.axy.dy(), self.axy.dx() + self.ayy.dy())
-
-    def divdiv(self):
-        """The scalar dxx axx + 2 dxy axy + dyy ayy as a Poly2."""
-        return self.axx.dx().dx() + 2.0 * self.axy.dx().dy() + self.ayy.dy().dy()
-
-    def at_corner(self, c):
-        """The 2x2 matrix value at corner c (0..3)."""
-        x, y = CORNERS[c]
-        mxx = self.axx.eval(x, y)
-        mxy = self.axy.eval(x, y)
-        myy = self.ayy.eval(x, y)
-        return np.array([[mxx, mxy], [mxy, myy]])
+# Numerators over 8 of the 20 shape tensors, one row per tensor.  The columns
+# are the 20 admissible (monomial, component) pairs of COMPONENT_MASKS in
+# x-degree first order; every other coefficient is zero.
+_NUMERATORS = np.array([
+    #   1   1   1   y   y   y  y2  y2  y3   x   x   x  xy  xy  xy xy2  x2  x2 x2y  x3
+    #  xx  xy  yy  xx  xy  yy  xy  yy  yy  xx  xy  yy  xx  xy  yy  xy  xx  xy  xy  xx
+    # constant and linear normal-normal moments (edges 1..4)
+    [  0,  0,  4,  0,  0, -6,  0,  0,  2,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0],
+    [  4,  0,  0,  0,  0,  0,  0,  0,  0,  6,  0,  0,  0,  0,  0,  0,  0,  0,  0, -2],
+    [  0,  0,  4,  0,  0,  6,  0,  0, -2,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0],
+    [  4,  0,  0,  0,  0,  0,  0,  0,  0, -6,  0,  0,  0,  0,  0,  0,  0,  0,  0,  2],
+    [  0, -1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  4,  0,  0, -4,  0,  0,  1,  0,  0],
+    [  0,  1,  0,  4,  0,  0, -1,  0,  0,  0,  0,  0,  4,  0,  0,  0,  0,  0,  0,  0],
+    [  0, -1,  0,  0,  0,  0,  0,  0,  0,  0,  0, -4,  0,  0, -4,  0,  0,  1,  0,  0],
+    [  0,  1,  0, -4,  0,  0, -1,  0,  0,  0,  0,  0,  4,  0,  0,  0,  0,  0,  0,  0],
+    # constant and linear effective-shear moments
+    [  0,  0, -2,  0,  0,  2,  0,  2, -2,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0],
+    [ -2,  0,  0,  0,  0,  0,  0,  0,  0, -2,  0,  0,  0,  0,  0,  0,  2,  0,  0,  2],
+    [  0,  0, -2,  0,  0, -2,  0,  2,  2,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0],
+    [ -2,  0,  0,  0,  0,  0,  0,  0,  0,  2,  0,  0,  0,  0,  0,  0,  2,  0,  0, -2],
+    [  0,  1,  0,  0, -1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0, -1,  1,  0],
+    [  0, -1,  0,  0,  0,  0,  1,  0,  0,  0, -1,  0,  0,  0,  0,  1,  0,  0,  0,  0],
+    [  0,  1,  0,  0,  1,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0,  0, -1, -1,  0],
+    [  0, -1,  0,  0,  0,  0,  1,  0,  0,  0,  1,  0,  0,  0,  0, -1,  0,  0,  0,  0],
+    # corner jumps (corners 1..4)
+    [  1,  1,  1,  0, -1, -1,  0, -1,  1, -1, -1,  0,  0,  1,  0,  0, -1,  0,  0,  1],
+    [  1, -1,  1,  0,  1, -1,  0, -1,  1,  1, -1,  0,  0,  1,  0,  0, -1,  0,  0, -1],
+    [  1,  1,  1,  0,  1,  1,  0, -1, -1,  1,  1,  0,  0,  1,  0,  0, -1,  0,  0, -1],
+    [  1, -1,  1,  0, -1,  1,  0, -1, -1, -1,  1,  0,  0,  1,  0,  0, -1,  0,  0,  1],
+])
 
 
 def build_reference_basis():
-    """Return the 20 shape functions as a list of SymTensorPoly.
+    """The 20 shape functions as a fresh coefficient-grid array (4, 4, 20, 3).
 
-    All coefficients are integer multiples of 1/8, so the construction is
+    Read from the table of numerators over 8, so every coefficient is
     exact in binary floating point.
     """
-    x = Poly2.x()
-    y = Poly2.y()
-    one = Poly2.const(1.0)
-    z = Poly2.zero()
-
-    def sym(axx, axy, ayy):
-        return SymTensorPoly(axx, axy, ayy)
-
-    e = 0.125  # 1/8
-
-    basis = []
-    # constant and linear normal-normal moments (edges 1..4): phi 1..8
-    basis.append(sym(z, z, e * (4.0 * one - 6.0 * y + 2.0 * y * y * y)))
-    basis.append(sym(e * (4.0 * one + 6.0 * x - 2.0 * x * x * x), z, z))
-    basis.append(sym(z, z, e * (4.0 * one + 6.0 * y - 2.0 * y * y * y)))
-    basis.append(sym(e * (4.0 * one - 6.0 * x + 2.0 * x * x * x), z, z))
-
-    basis.append(sym(z, e * (x * x - one), e * (4.0 * x * (one - y))))
-    basis.append(sym(e * (4.0 * (one + x) * y), e * (one - y * y), z))
-    basis.append(sym(z, e * (x * x - one), e * (-4.0 * x * (one + y))))
-    basis.append(sym(e * (-4.0 * (one - x) * y), e * (one - y * y), z))
-
-    # constant and linear effective-shear moments: phi 9..16
-    q = 0.25
-    basis.append(sym(z, z, q * ((one - y) * (y * y - one))))
-    basis.append(sym(q * ((one + x) * (x * x - one)), z, z))
-    basis.append(sym(z, z, q * ((one + y) * (y * y - one))))
-    basis.append(sym(q * ((one - x) * (x * x - one)), z, z))
-
-    basis.append(sym(z, e * ((one - y) * (one - x * x)), z))
-    basis.append(sym(z, e * ((one + x) * (y * y - one)), z))
-    basis.append(sym(z, e * ((one + y) * (one - x * x)), z))
-    basis.append(sym(z, e * ((one - x) * (y * y - one)), z))
-
-    # corner jump functions: phi 17..20
-    basis.append(
-        sym(
-            e * ((one - x) * (one - x * x)),
-            e * ((one - x) * (one - y)),
-            e * ((one - y) * (one - y * y)),
-        )
-    )
-    basis.append(
-        sym(
-            e * ((one + x) * (one - x * x)),
-            e * ((one + x) * (y - one)),
-            e * ((one - y) * (one - y * y)),
-        )
-    )
-    basis.append(
-        sym(
-            e * ((one + x) * (one - x * x)),
-            e * ((one + x) * (one + y)),
-            e * ((one + y) * (one - y * y)),
-        )
-    )
-    basis.append(
-        sym(
-            e * ((one - x) * (one - x * x)),
-            e * ((x - one) * (one + y)),
-            e * ((one + y) * (one - y * y)),
-        )
-    )
-    return basis
+    values = np.zeros((4, 4, 20, 3))
+    np.moveaxis(values, 2, 3)[COMPONENT_MASKS] = _NUMERATORS.T / 8.0
+    return values
 
 
-# -- the polynomial space X0 -------------------------------------------------
-
-# admissible monomial exponents (i, j) per component
-_XX_MONOMIALS = {(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (3, 0)}
-_XY_MONOMIALS = {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)}
-_YY_MONOMIALS = {(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3)}
+def in_reference_space(basis, tol=0.0):
+    """Per tensor of a grid stack (4, 4, nb, 3): are all coefficients outside
+    the component masks within tol?"""
+    return np.all(np.abs(np.moveaxis(basis, 2, 3)[~COMPONENT_MASKS]) <= tol, axis=0)
 
 
-def in_reference_space(M, tol=0.0):
-    """Check component-wise monomial support against the space definition."""
-    for comp, allowed in ((M.axx, _XX_MONOMIALS), (M.axy, _XY_MONOMIALS), (M.ayy, _YY_MONOMIALS)):
-        for i in range(comp.c.shape[0]):
-            for j in range(comp.c.shape[1]):
-                if abs(comp.c[i, j]) > tol and (i, j) not in allowed:
-                    return False
-    return True
+def _derivative(c, axis):
+    """Coefficient grid of the partial derivative along degree axis 0 (x) or 1 (y).
 
-
-# -- trace operators ---------------------------------------------------------
-
-# On edge j the traversal parameter s runs over (-1, 1); the frozen variable,
-# its value, and the sign linking s to the free coordinate:
-#   e1: y = -1, s = +x;  e2: x = +1, s = +y;  e3: y = +1, s = -x;  e4: x = -1, s = -y
-_EDGE_RESTRICTION = [("y", -1.0, +1.0), ("x", 1.0, +1.0), ("y", 1.0, -1.0), ("x", -1.0, -1.0)]
-
-
-def _restrict_to_edge(p, edge):
-    """1D coefficients (in the traversal parameter s) of Poly2 p on an edge."""
-    var, val, sign = _EDGE_RESTRICTION[edge]
-    c = p.restrict(var, val)
-    if sign < 0:
-        c = c * np.where(np.arange(len(c)) % 2 == 0, 1.0, -1.0)
-    return c
-
-
-def trace_nn(M, edge):
-    """Normal-normal trace n.Mn on an edge, as 1D coefficients in s."""
-    n = EDGE_NORMALS[edge]
-    p = n[0] * n[0] * M.axx + 2.0 * n[0] * n[1] * M.axy + n[1] * n[1] * M.ayy
-    return _restrict_to_edge(p, edge)
-
-
-def trace_shear(M, edge):
-    """Effective shear trace n.div M + d_t(t.Mn) on an edge, in s coefficients."""
-    n = EDGE_NORMALS[edge]
-    t = EDGE_TANGENTS[edge]
-    wx, wy = M.div()
-    ndiv = n[0] * wx + n[1] * wy
-    tmn = (
-        t[0] * n[0] * M.axx
-        + (t[0] * n[1] + t[1] * n[0]) * M.axy
-        + t[1] * n[1] * M.ayy
-    )
-    dt_tmn = t[0] * tmn.dx() + t[1] * tmn.dy()
-    return _restrict_to_edge(ndiv + dt_tmn, edge)
-
-
-def corner_jump(M, c):
-    """Jump of t.Mn at corner c: value from the edge ending there minus the
-    value from the edge starting there (counterclockwise traversal)."""
-    end_edge = (c - 1) % 4
-    start_edge = c
-    A = M.at_corner(c)
-    t_in, n_in = EDGE_TANGENTS[end_edge], EDGE_NORMALS[end_edge]
-    t_out, n_out = EDGE_TANGENTS[start_edge], EDGE_NORMALS[start_edge]
-    return float(t_in @ A @ n_in - t_out @ A @ n_out)
-
-
-# -- degrees of freedom ------------------------------------------------------
-
-
-def dof_values(M):
-    """All 20 degrees of freedom of a SymTensorPoly, unnormalized.
-
-    Ordering: four m0 rows (constant normal-normal moment per edge), four m1
-    rows (linear moment), four q0 and four q1 rows for the effective shear,
-    then the four corner jumps.
+    The exact shift of :meth:`Poly2.dx` / :meth:`Poly2.dy`, padded with
+    zeros so that the grid keeps its shape.
     """
-    vals = np.zeros(20)
-    s = np.array([0.0, 1.0])  # the linear Legendre polynomial l(s) = s
-    for j in range(4):
-        nn = trace_nn(M, j)
-        sh = trace_shear(M, j)
-        vals[j] = poly1_int(nn)
-        vals[4 + j] = poly1_int(poly1_mul(nn, s))
-        vals[8 + j] = poly1_int(sh)
-        vals[12 + j] = poly1_int(poly1_mul(sh, s))
-    for c in range(4):
-        vals[16 + c] = corner_jump(M, c)
-    return vals
+    n = c.shape[axis]
+    lead = (slice(None),) * axis
+    k = np.arange(1, n).reshape((n - 1,) + (1,) * (c.ndim - 1 - axis))
+    out = np.zeros_like(c)
+    out[lead + (slice(0, n - 1),)] = c[lead + (slice(1, n),)] * k
+    return out
+
+
+def coefficient_grids(basis):
+    """Row divergence (n, n, nb, 2) and div div (n, n, nb) of a grid stack.
+
+    The derivatives are exact coefficient shifts.  One
+    ``np.polynomial.polynomial.polyval2d`` call evaluates a grid for the
+    whole stack; the sums start from +0.0, as in :meth:`Poly2.__add__`, so
+    a zero coefficient never carries a negative sign into the values.
+    """
+    dx, dy = _derivative(basis, 0), _derivative(basis, 1)
+    div = 0.0 + dx[..., :2] + dy[..., 1:]
+    divdiv = (
+        0.0
+        + _derivative(dx[..., 0], 0)
+        + 2.0 * _derivative(dx[..., 1], 1)
+        + _derivative(dy[..., 2], 1)
+    )
+    return div, divdiv
+
+
+# -- trace operators and degrees of freedom ----------------------------------
+
+# On edge j the traversal parameter s runs over (-1, 1); the degree axis of
+# the frozen coordinate, its value, and the sign linking s to the free one:
+#   e1: y = -1, s = +x;  e2: x = +1, s = +y;  e3: y = +1, s = -x;  e4: x = -1, s = -y
+_EDGE_RESTRICTION = ((1, -1.0, 1.0), (0, 1.0, 1.0), (1, 1.0, -1.0), (0, -1.0, -1.0))
+
+
+def frame_weights(a, b):
+    """Weights (..., 3) of a.M b on the components (xx, xy, yy), for vectors (..., 2)."""
+    return np.stack(
+        [
+            a[..., 0] * b[..., 0],
+            a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0],
+            a[..., 1] * b[..., 1],
+        ],
+        axis=-1,
+    )
+
+
+def edge_traces(basis):
+    """Traces of a grid stack on the four edges, as coefficients in s.
+
+    Returns ``(nn, shear, tn)``, each a C-contiguous (4, nb, n) array whose
+    entry [j, k, m] is the coefficient of s**m on edge j of tensor k: the
+    normal-normal trace n.Mn, the effective shear n.div M + d_t(t.Mn), and
+    t.Mn.  The restriction multiplies coefficients by powers of +-1 only,
+    so traces of dyadic grids are exact.
+    """
+    div, _ = coefficient_grids(basis)
+    w_nn = frame_weights(EDGE_NORMALS, EDGE_NORMALS)
+    w_tn = frame_weights(EDGE_TANGENTS, EDGE_NORMALS)
+    k = np.arange(basis.shape[0])
+    traces = []
+    for j, (axis, value, sign) in enumerate(_EDGE_RESTRICTION):
+        grids = np.stack([basis @ w_nn[j], basis @ w_tn[j], div @ EDGE_NORMALS[j]], axis=-1)
+        on_edge = np.tensordot(value**k, grids, axes=(0, axis))
+        traces.append(on_edge * (sign**k)[:, None, None])
+    nn, tn, ndiv = np.ascontiguousarray(np.transpose(traces, (3, 0, 2, 1)))
+    # d_t is d/ds along the traversal
+    return nn, ndiv + _derivative(tn, 2), tn
 
 
 def dof_matrix(basis=None):
-    """Unnormalized 20x20 matrix D[i, j] = dof_i(phi_j)."""
+    """Unnormalized dof matrix D[m, k] = dof_m(phi_k) of a grid stack, (20, nb).
+
+    Rows: four m0 rows (constant normal-normal moment per edge), four m1
+    rows (linear moment), four q0 and four q1 rows for the effective shear,
+    then the four corner jumps of t.Mn: its value at the end of the edge
+    entering the corner minus its value at the start of the edge leaving
+    it.  The moments use the exact integrals of s**m over (-1, 1).
+    Defaults to the reference basis.
+    """
     if basis is None:
         basis = build_reference_basis()
-    D = np.zeros((20, 20))
-    for j, phi in enumerate(basis):
-        D[:, j] = dof_values(phi)
-    return D
+    nn, shear, tn = edge_traces(basis)
+    moments = _moments(basis.shape[0])
+    # one dot product per trace over the powers of s in order, the call a
+    # single coefficient vector makes, so the rounding does not depend on nb
+    rows = [(w @ t[..., None])[..., 0] for t in (nn, shear) for w in (moments[:-1], moments[1:])]
+    start = tn @ (-1.0) ** np.arange(basis.shape[0])
+    stop = tn.sum(axis=2)
+    return np.concatenate(rows + [np.roll(stop, 1, axis=0) - start])
 
 
 def verify_unisolvency(basis=None, tol=1e-12):
@@ -288,56 +238,11 @@ def trace_degrees(basis=None):
     """Max polynomial degree of each trace over all edges and shape functions."""
     if basis is None:
         basis = build_reference_basis()
-    deg_nn = max(
-        poly1_deg(trace_nn(phi, j), tol=1e-14) for phi in basis for j in range(4)
+    nn, shear, _ = edge_traces(basis)
+    return tuple(
+        int(max(np.flatnonzero(np.any(np.abs(c) > 1e-14, axis=(0, 1))), default=-1))
+        for c in (nn, shear)
     )
-    deg_sh = max(
-        poly1_deg(trace_shear(phi, j), tol=1e-14) for phi in basis for j in range(4)
-    )
-    return deg_nn, deg_sh
-
-
-def _derivative(c, axis):
-    """Coefficient grid of the partial derivative along degree axis 0 (x) or 1 (y).
-
-    The exact shift of :meth:`Poly2.dx` / :meth:`Poly2.dy`, padded with
-    zeros so that the grid keeps its shape.
-    """
-    n = c.shape[axis]
-    lead = (slice(None),) * axis
-    k = np.arange(1, n).reshape((n - 1,) + (1,) * (c.ndim - 1 - axis))
-    out = np.zeros_like(c)
-    out[lead + (slice(0, n - 1),)] = c[lead + (slice(1, n),)] * k
-    return out
-
-
-def coefficient_grids(basis):
-    """A basis stacked as zero-padded coefficient grids, degree axes first.
-
-    Returns ``(values, div, divdiv)`` of shapes (n, n, nb, 3), (n, n, nb, 2)
-    and (n, n, nb) for nb shape tensors: entry [i, j] is the coefficient of
-    x**i y**j of the components (xx, xy, yy), of the row divergence and of
-    div div.  One ``np.polynomial.polynomial.polyval2d`` call evaluates a
-    grid for the whole basis, in the Horner order of :meth:`Poly2.eval`;
-    the zero padding and the sums, which start from +0.0 as in
-    :meth:`Poly2.__add__`, leave every value bit for bit as the
-    per-function :meth:`SymTensorPoly.eval`, ``div`` and ``divdiv`` give.
-    """
-    comps = [p.c for phi in basis for p in (phi.axx, phi.axy, phi.ayy)]
-    n = max(max(c.shape) for c in comps)
-    values = np.zeros((n, n, len(comps)))
-    for k, c in enumerate(comps):
-        values[: c.shape[0], : c.shape[1], k] = c
-    values = values.reshape(n, n, len(basis), 3)
-    dx, dy = _derivative(values, 0), _derivative(values, 1)
-    div = 0.0 + dx[..., :2] + dy[..., 1:]
-    divdiv = (
-        0.0
-        + _derivative(dx[..., 0], 0)
-        + 2.0 * _derivative(dx[..., 1], 1)
-        + _derivative(dy[..., 2], 1)
-    )
-    return values, div, divdiv
 
 
 def divdiv_matrix(basis=None):
@@ -348,7 +253,7 @@ def divdiv_matrix(basis=None):
     """
     if basis is None:
         basis = build_reference_basis()
-    dd = coefficient_grids(basis)[2]
+    dd = coefficient_grids(basis)[1]
     p1 = np.zeros(dd.shape[:2], dtype=bool)
     p1[0, 0] = p1[1, 0] = p1[0, 1] = True
     bad = np.flatnonzero(np.any(dd[~p1] != 0.0, axis=0))
@@ -357,28 +262,8 @@ def divdiv_matrix(basis=None):
     return np.stack([dd[0, 0], dd[1, 0], dd[0, 1]], axis=-1)
 
 
-def bilinear_tensor_family():
-    """The 12 symmetric tensors with one bilinear monomial in one component."""
-    fam = []
-    for ci in range(3):
-        for (i, j) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
-            c = np.zeros((2, 2))
-            c[i, j] = 1.0
-            comps = [Poly2.zero(), Poly2.zero(), Poly2.zero()]
-            comps[ci] = Poly2(c)
-            fam.append(SymTensorPoly(*comps))
-    return fam
-
-
-def expand_in_basis(M, basis=None):
-    """Coefficients c with sum_i c_i phi_i = M, via the normalized dofs."""
-    if basis is None:
-        basis = build_reference_basis()
-    return dof_values(M) / DOF_DIAGONAL
-
-
 def sample_field(M, grid):
-    """Sample a SymTensorPoly on a grid x grid lattice over the square.
+    """Sample one tensor, coefficient grids (n, n, 3), on a grid x grid lattice.
 
     Returns an array with one row per point:
     x, y, Mxx, Mxy, Myy, (div M)_x, (div M)_y, div div M.
@@ -386,17 +271,7 @@ def sample_field(M, grid):
     s = np.linspace(-1.0, 1.0, grid)
     X, Y = np.meshgrid(s, s, indexing="ij")
     x, y = X.ravel(), Y.ravel()
-    wx, wy = M.div()
-    dd = M.divdiv()
-    return np.column_stack(
-        [
-            x,
-            y,
-            M.axx.eval(x, y),
-            M.axy.eval(x, y),
-            M.ayy.eval(x, y),
-            wx.eval(x, y),
-            wy.eval(x, y),
-            dd.eval(x, y),
-        ]
-    )
+    div, divdiv = coefficient_grids(M)
+    return np.vstack(
+        [x, y] + [np.polynomial.polynomial.polyval2d(x, y, c) for c in (M, div, divdiv)]
+    ).T

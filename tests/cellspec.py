@@ -1,15 +1,18 @@
-"""One-cell statement of the element map, the pushforward and the physical dofs.
+"""One-cell and one-tensor statements of the element, as the test oracle.
 
-The library builds these for whole meshes at once
-(:func:`ddivfem.piola.batch_geometry`, :func:`ddivfem.piola.dof_matrices`).
+The library builds the element maps and physical dofs for whole meshes at
+once (:func:`ddivfem.piola.batch_geometry`, :func:`ddivfem.piola.dof_matrices`).
 This module writes the same maps and functionals out for one cell at a time,
 in the form the :mod:`ddivfem.piola` docstring states them, and the tests
 use it as the specification that the batched layer is checked against.
 
-It also tabulates a reference basis one shape function at a time, through
-:meth:`SymTensorPoly.eval`, ``div`` and ``divdiv``, as the specification
-of the library's tabulations from stacked coefficient grids
-(:func:`ddivfem.reference.coefficient_grids`).
+The library holds the reference element as one array of coefficient grids
+(:func:`ddivfem.reference.build_reference_basis`).  This module builds the
+20 shape tensors from :class:`Poly2` products instead, as
+:class:`SymTensorPoly` objects, and states the reference dof functionals,
+the tabulations and the div div images one tensor at a time through the
+:class:`Poly2` calculus, as the specification of the library's routines
+over the whole grid stack.
 """
 
 import numpy as np
@@ -20,8 +23,140 @@ from ddivfem.piola import (
     _edge_param_points,
     _reference_edge_points,
 )
-from ddivfem.polys import Poly2, gauss_rule
-from ddivfem.reference import CORNERS, EDGE_CORNERS, SymTensorPoly
+from ddivfem.polys import Poly2, _moments, gauss_rule
+from ddivfem.reference import CORNERS, EDGE_CORNERS, EDGE_NORMALS, EDGE_TANGENTS
+
+
+class SymTensorPoly:
+    """Symmetric 2x2 tensor with polynomial entries (axx, axy, ayy)."""
+
+    def __init__(self, axx, axy, ayy):
+        self.axx = axx
+        self.axy = axy
+        self.ayy = ayy
+
+    def __add__(self, other):
+        return SymTensorPoly(self.axx + other.axx, self.axy + other.axy, self.ayy + other.ayy)
+
+    def __sub__(self, other):
+        return SymTensorPoly(self.axx - other.axx, self.axy - other.axy, self.ayy - other.ayy)
+
+    def __mul__(self, a):
+        return SymTensorPoly(self.axx * a, self.axy * a, self.ayy * a)
+
+    __rmul__ = __mul__
+
+    def eval(self, x, y):
+        """Component values (axx, axy, ayy) at the given points."""
+        return np.stack(
+            [self.axx.eval(x, y), self.axy.eval(x, y), self.ayy.eval(x, y)], axis=-1
+        )
+
+    def div(self):
+        """Row divergence (dx axx + dy axy, dx axy + dy ayy) as two Poly2."""
+        return (self.axx.dx() + self.axy.dy(), self.axy.dx() + self.ayy.dy())
+
+    def divdiv(self):
+        """The scalar dxx axx + 2 dxy axy + dyy ayy as a Poly2."""
+        return self.axx.dx().dx() + 2.0 * self.axy.dx().dy() + self.ayy.dy().dy()
+
+    def at_corner(self, c):
+        """The 2x2 matrix value at corner c (0..3)."""
+        x, y = CORNERS[c]
+        mxx = self.axx.eval(x, y)
+        mxy = self.axy.eval(x, y)
+        myy = self.ayy.eval(x, y)
+        return np.array([[mxx, mxy], [mxy, myy]])
+
+
+def reference_tensors():
+    """The 20 shape functions as a list of SymTensorPoly, built from Poly2 products.
+
+    All coefficients are integer multiples of 1/8, so the construction is
+    exact in binary floating point.
+    """
+    x = Poly2.x()
+    y = Poly2.y()
+    one = Poly2.const(1.0)
+    z = Poly2.zero()
+
+    def sym(axx, axy, ayy):
+        return SymTensorPoly(axx, axy, ayy)
+
+    e = 0.125  # 1/8
+
+    basis = []
+    # constant and linear normal-normal moments (edges 1..4): phi 1..8
+    basis.append(sym(z, z, e * (4.0 * one - 6.0 * y + 2.0 * y * y * y)))
+    basis.append(sym(e * (4.0 * one + 6.0 * x - 2.0 * x * x * x), z, z))
+    basis.append(sym(z, z, e * (4.0 * one + 6.0 * y - 2.0 * y * y * y)))
+    basis.append(sym(e * (4.0 * one - 6.0 * x + 2.0 * x * x * x), z, z))
+
+    basis.append(sym(z, e * (x * x - one), e * (4.0 * x * (one - y))))
+    basis.append(sym(e * (4.0 * (one + x) * y), e * (one - y * y), z))
+    basis.append(sym(z, e * (x * x - one), e * (-4.0 * x * (one + y))))
+    basis.append(sym(e * (-4.0 * (one - x) * y), e * (one - y * y), z))
+
+    # constant and linear effective-shear moments: phi 9..16
+    q = 0.25
+    basis.append(sym(z, z, q * ((one - y) * (y * y - one))))
+    basis.append(sym(q * ((one + x) * (x * x - one)), z, z))
+    basis.append(sym(z, z, q * ((one + y) * (y * y - one))))
+    basis.append(sym(q * ((one - x) * (x * x - one)), z, z))
+
+    basis.append(sym(z, e * ((one - y) * (one - x * x)), z))
+    basis.append(sym(z, e * ((one + x) * (y * y - one)), z))
+    basis.append(sym(z, e * ((one + y) * (one - x * x)), z))
+    basis.append(sym(z, e * ((one - x) * (y * y - one)), z))
+
+    # corner jump functions: phi 17..20
+    basis.append(
+        sym(
+            e * ((one - x) * (one - x * x)),
+            e * ((one - x) * (one - y)),
+            e * ((one - y) * (one - y * y)),
+        )
+    )
+    basis.append(
+        sym(
+            e * ((one + x) * (one - x * x)),
+            e * ((one + x) * (y - one)),
+            e * ((one - y) * (one - y * y)),
+        )
+    )
+    basis.append(
+        sym(
+            e * ((one + x) * (one - x * x)),
+            e * ((one + x) * (one + y)),
+            e * ((one + y) * (one - y * y)),
+        )
+    )
+    basis.append(
+        sym(
+            e * ((one - x) * (one - x * x)),
+            e * ((x - one) * (one + y)),
+            e * ((one + y) * (one - y * y)),
+        )
+    )
+    return basis
+
+
+def stack_grids(tensor_list):
+    """A list of SymTensorPoly as zero-padded coefficient grids (n, n, nb, 3)."""
+    comps = [p.c for phi in tensor_list for p in (phi.axx, phi.axy, phi.ayy)]
+    n = max(max(c.shape) for c in comps)
+    values = np.zeros((n, n, len(comps)))
+    for k, c in enumerate(comps):
+        values[: c.shape[0], : c.shape[1], k] = c
+    return values.reshape(n, n, len(tensor_list), 3)
+
+
+def tensors(basis):
+    """The tensors of a coefficient-grid stack (n, n, nb, 3) as SymTensorPoly."""
+    return [
+        SymTensorPoly(*(Poly2(basis[:, :, k, c]) for c in range(3)))
+        for k in range(basis.shape[2])
+    ]
 
 
 class ElementMap:
@@ -180,38 +315,128 @@ def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
 
 
 def cell_dof_matrix(mesh, k, basis, nq=EDGE_QUAD_POINTS):
-    """T (20, 20) of cell k: column i holds the physical dofs of basis function i."""
+    """T (20, 20) of cell k: column i holds the physical dofs of basis tensor i.
+
+    ``basis`` is a coefficient-grid stack (n, n, nb, 3).
+    """
     emap, frame = cell_geometry(mesh, k)
-    return np.column_stack([physical_dofs(emap, frame, phi, nq=nq) for phi in basis])
+    return np.column_stack([physical_dofs(emap, frame, phi, nq=nq) for phi in tensors(basis)])
+
+
+# -- reference dof functionals, one tensor at a time -----------------------------
+
+# On edge j the traversal parameter s runs over (-1, 1); the frozen variable,
+# its value, and the sign linking s to the free coordinate:
+#   e1: y = -1, s = +x;  e2: x = +1, s = +y;  e3: y = +1, s = -x;  e4: x = -1, s = -y
+_EDGE_RESTRICTION = [("y", -1.0, +1.0), ("x", 1.0, +1.0), ("y", 1.0, -1.0), ("x", -1.0, -1.0)]
+
+
+def restrict(p, var, value):
+    """1D coefficient array (low to high) of Poly2 p with ``var`` frozen at ``value``."""
+    powers_x = np.array([value**i for i in range(p.c.shape[0])])
+    powers_y = np.array([value**j for j in range(p.c.shape[1])])
+    out = np.trim_zeros(powers_x @ p.c if var == "x" else p.c @ powers_y, "b")
+    return out if len(out) else np.zeros(1)
+
+
+def restrict_to_edge(p, edge):
+    """1D coefficients (in the traversal parameter s) of Poly2 p on an edge."""
+    var, val, sign = _EDGE_RESTRICTION[edge]
+    c = restrict(p, var, val)
+    if sign < 0:
+        c = c * np.where(np.arange(len(c)) % 2 == 0, 1.0, -1.0)
+    return c
+
+
+def trace_nn(M, edge):
+    """Normal-normal trace n.Mn on an edge, as 1D coefficients in s."""
+    n = EDGE_NORMALS[edge]
+    p = n[0] * n[0] * M.axx + 2.0 * n[0] * n[1] * M.axy + n[1] * n[1] * M.ayy
+    return restrict_to_edge(p, edge)
+
+
+def trace_shear(M, edge):
+    """Effective shear trace n.div M + d_t(t.Mn) on an edge, in s coefficients."""
+    n = EDGE_NORMALS[edge]
+    t = EDGE_TANGENTS[edge]
+    wx, wy = M.div()
+    ndiv = n[0] * wx + n[1] * wy
+    tmn = (
+        t[0] * n[0] * M.axx
+        + (t[0] * n[1] + t[1] * n[0]) * M.axy
+        + t[1] * n[1] * M.ayy
+    )
+    dt_tmn = t[0] * tmn.dx() + t[1] * tmn.dy()
+    return restrict_to_edge(ndiv + dt_tmn, edge)
+
+
+def corner_jump(M, c):
+    """Jump of t.Mn at corner c: value from the edge ending there minus the
+    value from the edge starting there (counterclockwise traversal)."""
+    end_edge = (c - 1) % 4
+    start_edge = c
+    A = M.at_corner(c)
+    t_in, n_in = EDGE_TANGENTS[end_edge], EDGE_NORMALS[end_edge]
+    t_out, n_out = EDGE_TANGENTS[start_edge], EDGE_NORMALS[start_edge]
+    return float(t_in @ A @ n_in - t_out @ A @ n_out)
+
+
+def poly1_int(c):
+    """Exact integral of a 1D coefficient array over [-1, 1]."""
+    c = np.asarray(c, dtype=float)
+    return float(c @ _moments(len(c) - 1))
+
+
+def dof_values(M):
+    """All 20 degrees of freedom of a SymTensorPoly, unnormalized.
+
+    Ordering: four m0 rows (constant normal-normal moment per edge), four m1
+    rows (linear moment), four q0 and four q1 rows for the effective shear,
+    then the four corner jumps.
+    """
+    vals = np.zeros(20)
+    s = np.array([0.0, 1.0])  # the linear Legendre polynomial l(s) = s
+    for j in range(4):
+        nn = trace_nn(M, j)
+        sh = trace_shear(M, j)
+        vals[j] = poly1_int(nn)
+        vals[4 + j] = poly1_int(np.convolve(nn, s))
+        vals[8 + j] = poly1_int(sh)
+        vals[12 + j] = poly1_int(np.convolve(sh, s))
+    for c in range(4):
+        vals[16 + c] = corner_jump(M, c)
+    return vals
+
+
+def dof_matrix(basis):
+    """:func:`ddivfem.reference.dof_matrix`: (20, nb) dofs of a grid stack."""
+    return np.column_stack([dof_values(phi) for phi in tensors(basis)])
 
 
 # -- reference tabulations, one shape function at a time ------------------------
 
 
 def corrupted_basis(basis, i=7):
-    """A copy of a basis whose i-th tensor gains x^2 y in its xx component.
+    """A copy of a grid stack whose i-th tensor gains x^2 y in its xx component.
 
     The monomial lies outside every component mask, but its div div (2y)
     stays linear.
     """
-    bad = list(basis)
-    bump = np.zeros((3, 2))
-    bump[2, 1] = 0.25
-    phi = bad[i - 1]
-    bad[i - 1] = SymTensorPoly(phi.axx + Poly2(bump), phi.axy, phi.ayy)
+    bad = basis.copy()
+    bad[2, 1, i - 1, 0] += 0.25
     return bad
 
 
 def edge_tabulation(basis, nq):
     """``(val0, val1, div0, div1, ends)`` of :class:`ddivfem.piola.EdgeTabulation`."""
     s, w = _edge_param_points(nq)
-    nb = len(basis)
+    nb = basis.shape[2]
     val0 = np.zeros((nb, 4, 3))
     val1 = np.zeros((nb, 4, 3))
     div0 = np.zeros((nb, 4, 2))
     div1 = np.zeros((nb, 4, 2))
     corners = np.zeros((nb, 4, 3))
-    for i, phi in enumerate(basis):
+    for i, phi in enumerate(tensors(basis)):
         wx, wy = phi.div()
         for j in range(4):
             xh, yh = _reference_edge_points(j, s)
@@ -229,11 +454,11 @@ def volume_tabulation(basis, nq):
     """``(phi, divphi, ddphi)`` of :class:`ddivfem.piola.VolumeTabulation`."""
     rule = gauss_rule(nq, dim=2)
     xh, yh = rule.points[:, 0], rule.points[:, 1]
-    nb = len(basis)
+    nb = basis.shape[2]
     phi = np.zeros((nb, len(rule), 3))
     divphi = np.zeros((nb, len(rule), 2))
     ddphi = np.zeros((nb, len(rule)))
-    for i, p in enumerate(basis):
+    for i, p in enumerate(tensors(basis)):
         phi[i] = p.eval(xh, yh)
         wx, wy = p.div()
         divphi[i, :, 0] = wx.eval(xh, yh)
@@ -244,8 +469,8 @@ def volume_tabulation(basis, nq):
 
 def divdiv_matrix(basis):
     """:func:`ddivfem.reference.divdiv_matrix`: (nb, 3) coefficients on {1, x, y}."""
-    out = np.zeros((len(basis), 3))
-    for i, phi in enumerate(basis):
+    out = np.zeros((basis.shape[2], 3))
+    for i, phi in enumerate(tensors(basis)):
         p = phi.divdiv()
         if p.degx > 1 or p.degy > 1 or (p.degx == 1 and p.degy == 1 and p.c[1, 1] != 0.0):
             raise ValueError("div div of shape function %d is not in P1" % (i + 1))

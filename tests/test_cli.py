@@ -45,6 +45,22 @@ def test_sample_basis_rejects_bad_index(tmp_path):
         main(["sample-basis", "--phi", "0", "--out", str(tmp_path / "x.csv")])
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["interp-test", "--levels", "-1"], "--levels"),
+        (["interp-test", "--quad", "17"], "--quad"),
+        (["interp-test", "--quad", "0"], "--quad"),
+        (["solve", "--problem", "ex1", "--level", "-1"], "--level"),
+        (["convergence", "--problem", "ex2", "--start-level", "-1"], "--start-level"),
+    ],
+    ids=["levels", "quad-17", "quad-0", "solve-level", "start-level"],
+)
+def test_invalid_level_or_quadrature_order_names_the_flag(argv, flag):
+    with pytest.raises(SystemExit, match="^%s must be" % flag):
+        main(argv)
+
+
 def test_interp_test_runs(capsys):
     assert main(["interp-test", "--levels", "2", "--seed", "3"]) == 0
     out = capsys.readouterr().out

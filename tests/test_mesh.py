@@ -139,6 +139,8 @@ MALFORMED_TEXT = {
     "unknown-label": _edited({6: "0 1 X"}),
     "label-on-a-diagonal": _edited({6: "0 2 D"}),
     "label-on-a-point": _edited({6: "0 0 D"}),
+    "cell-index-beyond-int64": _edited({5: "0 1 2 99999999999999999999"}),
+    "conflicting-labels": _edited({9: "1 0 N"}),
 }
 
 
@@ -199,11 +201,29 @@ def test_small_parallelogram_far_from_the_origin_accepted():
     assert make_parallelogram_domain(corners, 1).num_cells == 4
 
 
-def test_shape_regularity_guard():
+@pytest.mark.parametrize("scale", [1e-100, 1e-15, 1.0, 1e8, 1e100])
+def test_shape_regularity_guard(scale):
     # aspect ratio far beyond the bound: singular values 24 vs ~1/24
-    skew = [[0.0, 0.0], [1.0, 0.0], [25.0, 1.0], [24.0, 1.0]]
-    with pytest.raises(MeshError):
+    skew = scale * np.array([[0.0, 0.0], [1.0, 0.0], [25.0, 1.0], [24.0, 1.0]])
+    with pytest.raises(MeshError, match="shape regularity"):
         make_parallelogram_domain(skew, 0)
+    # the unit square at the same scale passes, with a finite diameter
+    mesh = make_parallelogram_domain(scale * np.array(UNIT_SQUARE), 0)
+    assert mesh.h == pytest.approx(np.sqrt(2.0) * scale, rel=1e-15)
+
+
+UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("level", [-1, 1.5, "2"])
+@pytest.mark.parametrize("kind", ["parallelogram", "lshape"])
+def test_invalid_level_is_named(kind, level):
+    make = {
+        "parallelogram": lambda lvl: make_parallelogram_domain(EX1_CORNERS, lvl),
+        "lshape": make_lshape,
+    }[kind]
+    with pytest.raises(MeshError, match="refinement level .* got %r" % (level,)):
+        make(level)
 
 
 def test_direct_construction_validates():
@@ -215,8 +235,8 @@ def test_direct_construction_validates():
     verts = verts[:4]
     with pytest.raises(MeshError):
         Mesh(verts, np.array([[0, 1, 1, 3]]))  # repeated vertex
-    for bad in ([[0, 1, 2, 4]], [[-1, 1, 2, 3]]):
+    for bad in ([[0, 1, 2, 4]], [[-1, 1, 2, 3]], [[0, 1, 2, 10**20]]):
         with pytest.raises(MeshError):
-            Mesh(verts, np.array(bad))  # corner index out of range
+            Mesh(verts, bad)  # corner index out of range
     with pytest.raises(MeshError):
         Mesh(np.where(verts == 1.0, np.nan, verts), cells)  # non-finite coordinates

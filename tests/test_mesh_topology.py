@@ -76,7 +76,7 @@ class LoopMesh(Mesh):
 
         d1 = self.vertices[self.cells[:, 2]] - self.vertices[self.cells[:, 0]]
         d2 = self.vertices[self.cells[:, 3]] - self.vertices[self.cells[:, 1]]
-        self.h_cell = np.maximum(np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1))
+        self.h_cell = np.maximum(np.hypot(*d1.T), np.hypot(*d2.T))
 
     def _apply_labels(self, boundary_labels, default_label=DIRICHLET):
         labels = np.full(len(self.edges), "", dtype="<U1")

@@ -10,6 +10,7 @@ from cellspec import (
     one_cell_geometry,
     physical_dofs,
     push_tensor,
+    reference_tensors,
 )
 from ddivfem import piola
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
@@ -42,6 +43,11 @@ IDENTITY_DOF_SIGNS = (
 @pytest.fixture(scope="module")
 def basis():
     return build_reference_basis()
+
+
+@pytest.fixture(scope="module")
+def phis():
+    return reference_tensors()
 
 
 def test_element_map_examples():
@@ -84,9 +90,9 @@ def test_singular_map_rejected():
         batch_geometry(mesh)
 
 
-def test_push_tensor_value(basis):
+def test_push_tensor_value(phis):
     emap = element_map(make_parallelogram_domain(EX1_CORNERS, 0), 0)
-    phi = basis[0]
+    phi = phis[0]
     xh, yh = 0.3, -0.7
     Mhat = np.array(
         [
@@ -105,28 +111,28 @@ def test_identity_cell_dofs_are_signed_reference_norms(basis):
     assert np.allclose(T, np.diag(IDENTITY_DOF_SIGNS), atol=1e-13)
 
 
-def test_corner_jumps_of_pushed_edge_tensor(basis):
+def test_corner_jumps_of_pushed_edge_tensor(phis):
     # on the sheared benchmark cell the first edge tensor acquires nonzero
     # corner jumps: the pushforward preserves edge dofs, not jump values
     mesh = make_parallelogram_domain(EX1_CORNERS, 0)
     emap, frame = cell_geometry(mesh, 0)
-    dofs = physical_dofs(emap, frame, basis[0])
+    dofs = physical_dofs(emap, frame, phis[0])
     assert np.allclose(dofs[16:], [0.5, -0.5, 0.0, 0.0], atol=1e-13)
 
     # on a rectangle every non-corner tensor keeps zero jumps
     rect = make_parallelogram_domain([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]], 0)
     emap, frame = cell_geometry(rect, 0)
-    for phi in basis[:16]:
+    for phi in phis[:16]:
         dofs = physical_dofs(emap, frame, phi)
         assert np.abs(dofs[16:]).max() < 1e-13
 
 
-def test_physical_dofs_quadrature_invariance(basis):
+def test_physical_dofs_quadrature_invariance(phis):
     # the integrands are polynomials well inside the default rule's reach,
     # so raising the order must not move the values
     mesh = make_parallelogram_domain(EX1_CORNERS, 1)
     emap, frame = cell_geometry(mesh, 2)
-    for phi in (basis[0], basis[9], basis[18]):
+    for phi in (phis[0], phis[9], phis[18]):
         d4 = physical_dofs(emap, frame, phi, nq=4)
         d8 = physical_dofs(emap, frame, phi, nq=8)
         assert np.allclose(d4, d8, atol=1e-13)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from ddivfem.polys import (
-    DegreeBoundError,
-    Poly2,
-    gauss_rule,
-    poly1_deg,
-    poly1_int,
-    poly1_mul,
-)
+from ddivfem.polys import DegreeBoundError, Poly2, gauss_rule
 
 
 def test_gauss_two_point_nodes():
@@ -91,20 +84,3 @@ def test_products_respect_degree_bounds():
 def test_oversized_grid_rejected_at_construction():
     with pytest.raises(DegreeBoundError):
         Poly2(np.ones((6, 1)), bound=4)
-
-
-def test_restrict_gives_edge_coefficients():
-    x, y = Poly2.x(), Poly2.y()
-    p = (1.0 - x * x) * y
-    assert np.allclose(p.restrict("y", -1.0), [-1.0, 0.0, 1.0])
-    assert np.allclose(p.restrict("y", 1.0), [1.0, 0.0, -1.0])
-    # an identically vanishing trace still comes back as a valid polynomial
-    east = p.restrict("x", 1.0)
-    assert east.shape == (1,)
-    assert poly1_deg(east) == -1
-
-
-def test_univariate_helpers():
-    assert np.allclose(poly1_mul([1.0, 2.0], [0.0, 0.0, 3.0]), [0.0, 0.0, 3.0, 6.0])
-    assert poly1_int([0.0, 0.0, 1.0]) == pytest.approx(2.0 / 3.0)
-    assert poly1_deg([0.0, 1.0, 0.0]) == 1

@@ -2,25 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import cellspec
 from cellspec import corrupted_basis
 from ddivfem.piola import EdgeTabulation, VolumeTabulation
-from ddivfem.polys import Poly2, poly1_deg
+from ddivfem.polys import Poly2
 from ddivfem.reference import (
+    COMPONENT_MASKS,
     DOF_DIAGONAL,
-    SymTensorPoly,
-    bilinear_tensor_family,
     build_reference_basis,
-    corner_jump,
     divdiv_matrix,
     dof_matrix,
-    dof_values,
-    expand_in_basis,
+    edge_traces,
     in_reference_space,
     sample_field,
     trace_degrees,
-    trace_nn,
     verify_unisolvency,
 )
 
@@ -30,11 +29,24 @@ def basis():
     return build_reference_basis()
 
 
+def test_table_is_the_poly2_construction(basis):
+    # the numerator table against the 20 tensors built from Poly2 products
+    want = cellspec.stack_grids(cellspec.reference_tensors())
+    assert basis.shape == (4, 4, 20, 3)
+    assert np.array_equal(basis, want)
+    assert not np.any(np.signbit(basis) & (basis == 0.0))
+    # every call returns a fresh array
+    basis2 = build_reference_basis()
+    basis2[0, 0, 0, 2] = 7.0
+    assert build_reference_basis()[0, 0, 0, 2] == 0.5
+
+
 def test_dof_matrix_is_exactly_diagonal(basis):
     # every coefficient is a dyadic rational and the edge moments integrate
     # exactly, so the matrix is diagonal without rounding error
     D = dof_matrix(basis)
     assert np.array_equal(D, np.diag(DOF_DIAGONAL))
+    assert np.array_equal(dof_matrix(), D)
 
 
 def test_unisolvency_report(basis):
@@ -45,27 +57,30 @@ def test_unisolvency_report(basis):
 
 
 def test_closed_form_entries(basis):
+    def grid(p):
+        out = np.zeros((4, 4))
+        out[: p.c.shape[0], : p.c.shape[1]] = p.c
+        return out
+
     # first edge tensor: only the yy component, (4 - 6y + 2y^3) / 8
-    phi1 = basis[0]
-    assert phi1.axx.is_zero() and phi1.axy.is_zero()
-    assert np.array_equal(phi1.ayy.c, Poly2([[0.5, -0.75, 0.0, 0.25]]).c)
+    assert not basis[:, :, 0, :2].any()
+    assert np.array_equal(basis[:, :, 0, 2], grid(Poly2([[0.5, -0.75, 0.0, 0.25]])))
 
     # first off-diagonal bubble: only the xy component, (1 - y)(1 - x^2) / 8
-    phi13 = basis[12]
     want = (1.0 - Poly2.y()) * (1.0 - Poly2.x() * Poly2.x()) * 0.125
-    assert phi13.axx.is_zero() and phi13.ayy.is_zero()
-    assert np.array_equal(phi13.axy.c, want.c)
+    assert not basis[:, :, 12, 0].any() and not basis[:, :, 12, 2].any()
+    assert np.array_equal(basis[:, :, 12, 1], grid(want))
 
     # first corner tensor: xx entry (1 - x)(1 - x^2)/8, xy entry (1 - x)(1 - y)/8
-    phi17 = basis[16]
     x, y = Poly2.x(), Poly2.y()
-    assert np.array_equal(phi17.axx.c, ((1.0 - x) * (1.0 - x * x) * 0.125).c)
-    assert np.array_equal(phi17.axy.c, ((1.0 - x) * (1.0 - y) * 0.125).c)
+    assert np.array_equal(basis[:, :, 16, 0], grid((1.0 - x) * (1.0 - x * x) * 0.125))
+    assert np.array_equal(basis[:, :, 16, 1], grid((1.0 - x) * (1.0 - y) * 0.125))
 
 
 def test_components_stay_in_local_space(basis):
-    for phi in basis:
-        assert in_reference_space(phi)
+    assert in_reference_space(basis).all()
+    # the space X0 has dimension 20
+    assert COMPONENT_MASKS.sum() == 20
 
 
 def test_edge_traces_are_linear(basis):
@@ -74,13 +89,38 @@ def test_edge_traces_are_linear(basis):
     assert deg_sh <= 1
 
 
+def test_edge_traces_restrict_and_integrate_exactly():
+    # p = (1 - x^2) y in every component: on e1 (y = -1, s = x) the
+    # normal-normal trace is p(s, -1), on e3 (y = 1, s = -x) it is p(-s, 1),
+    # and it vanishes identically on e2 and e4 (x = +-1)
+    M = np.zeros((4, 4, 1, 3))
+    M[0, 1] = 1.0
+    M[2, 1] = -1.0
+    nn = edge_traces(M)[0][:, 0]
+    assert np.array_equal(nn[0], [-1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(nn[2], [1.0, 0.0, -1.0, 0.0])
+    assert not nn[1].any() and not nn[3].any()
+    assert trace_degrees(M)[0] == 2
+
+    # x^2 in yy: m0 on e1 is the integral of s^2 over (-1, 1), m1 of s^3;
+    # x in yy: m1 on e1 is the integral of s * s
+    M = np.zeros((4, 4, 2, 3))
+    M[2, 0, 0, 2] = 1.0
+    M[1, 0, 1, 2] = 1.0
+    D = dof_matrix(M)
+    assert D[0, 0] == 2.0 / 3.0 and D[4, 0] == 0.0
+    assert D[0, 1] == 0.0 and D[4, 1] == 2.0 / 3.0
+
+    # a vanishing trace has degree -1
+    assert trace_degrees(np.zeros((4, 4, 1, 3))) == (-1, -1)
+
+
 def test_interior_bubble_has_no_moment_trace(basis):
     # ninth tensor: zero normal moment on its edge, unit mean shear dof
-    phi9 = basis[8]
-    for edge in range(4):
-        assert poly1_deg(trace_nn(phi9, edge), tol=1e-14) == -1
+    nn = edge_traces(basis)[0]
+    assert not np.any(np.abs(nn[:, 8]) > 1e-14)
 
-    vals = dof_values(phi9)
+    vals = dof_matrix(basis)[:, 8]
     assert vals[8] == pytest.approx(2.0)
     others = np.delete(vals, 8)
     assert np.abs(others).max() < 1e-14
@@ -95,65 +135,71 @@ def test_divdiv_images(basis):
 
 
 def test_corner_jumps_are_delta_functionals(basis):
+    jumps = dof_matrix(basis)[16:]
     for j in range(4):
         for c in range(4):
             want = 1.0 if j == c else 0.0
-            assert corner_jump(basis[16 + j], c) == pytest.approx(want, abs=1e-14)
-    for i in range(16):
-        for c in range(4):
-            assert abs(corner_jump(basis[i], c)) < 1e-14
+            assert jumps[c, 16 + j] == pytest.approx(want, abs=1e-14)
+    assert np.abs(jumps[:, :16]).max() < 1e-14
+
+
+def bilinear_tensor_family():
+    """The 12 symmetric tensors with one bilinear monomial in one component."""
+    fam = np.zeros((4, 4, 12, 3))
+    for n, (c, (i, j)) in enumerate(
+        (c, ij) for c in range(3) for ij in [(0, 0), (1, 0), (0, 1), (1, 1)]
+    ):
+        fam[i, j, n, c] = 1.0
+    return fam
+
+
+def expand_in_basis(M):
+    """Coefficients c (nb_basis, nb) with sum_i c_i phi_i = M, via the normalized dofs."""
+    return dof_matrix(M) / DOF_DIAGONAL[:, None]
 
 
 def test_bilinear_tensors_are_contained(basis):
     # all twelve monomial tensors with entries in span{1, x, y, xy} expand
     # exactly in the basis
+    fam = bilinear_tensor_family()
+    R = np.einsum("ijkc,kn->ijnc", basis, expand_in_basis(fam))
     grid = np.linspace(-1.0, 1.0, 7)
     X, Y = np.meshgrid(grid, grid)
-    for M in bilinear_tensor_family():
-        coef = expand_in_basis(M, basis)
-        R = basis[0] * coef[0]
-        for i in range(1, 20):
-            R = R + basis[i] * coef[i]
-        diff = R - M
-        for comp in (diff.axx, diff.axy, diff.ayy):
-            assert np.abs(comp.eval(X, Y)).max() < 1e-13
+    diff = np.polynomial.polynomial.polyval2d(X, Y, R - fam)
+    assert np.abs(diff).max() < 1e-13
 
 
 def test_expand_in_basis_roundtrip(basis):
     rng = np.random.default_rng(3)
     c = rng.standard_normal(20)
-    M = basis[0] * c[0]
-    for i in range(1, 20):
-        M = M + basis[i] * c[i]
-    assert np.allclose(expand_in_basis(M, basis), c, atol=1e-13)
+    M = (np.moveaxis(basis, 2, 3) @ c)[:, :, None, :]
+    assert np.allclose(expand_in_basis(M)[:, 0], c, atol=1e-13)
 
 
 def test_corrupted_basis_is_detected(basis):
     bad = corrupted_basis(basis)  # x^2 y is outside every component mask
-    assert not in_reference_space(bad[6])
+    assert np.flatnonzero(~in_reference_space(bad)).tolist() == [6]
     rep = verify_unisolvency(bad, tol=1e-12)
     assert not rep["ok"]
     assert rep["worst_pair"][1] == 7
 
 
 def test_sample_field_grid(basis):
-    rows = sample_field(basis[0], 5)
+    rows = sample_field(basis[:, :, 0], 5)
     assert rows.shape == (25, 8)
     x, y = rows[:, 0], rows[:, 1]
     assert np.allclose(rows[:, 7], 1.5 * y, atol=1e-14)
     assert np.allclose(rows[:, 2], 0.0)
     # yy entry matches the closed form at the corners
-    assert rows[0, 4] == pytest.approx(basis[0].ayy.eval(x[0], y[0]))
+    phi1 = cellspec.reference_tensors()[0]
+    assert rows[0, 4] == pytest.approx(phi1.ayy.eval(x[0], y[0]))
 
 
 def leaves_p1(basis):
     """A copy of a basis whose fifth tensor gains x^2 y^2 in its xy component,
     so that its div div gains 8xy."""
-    bad = list(basis)
-    bump = np.zeros((3, 3))
-    bump[2, 2] = 1.0
-    phi = bad[4]
-    bad[4] = SymTensorPoly(phi.axx, phi.axy + Poly2(bump), phi.ayy)
+    bad = basis.copy()
+    bad[2, 2, 4, 1] += 1.0
     return bad
 
 
@@ -185,7 +231,29 @@ def test_divdiv_matrix_is_the_per_function_loop(basis, kind):
     assert np.array_equal(divdiv_matrix(b), cellspec.divdiv_matrix(b))
 
 
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_dof_matrix_is_the_per_function_loop(basis, kind):
+    b = BASES[kind](basis)
+    assert cellspec.dof_matrix(b).tobytes() == dof_matrix(b).tobytes()
+
+
 def test_divdiv_outside_p1_names_the_shape_tensor(basis):
     for check in (divdiv_matrix, cellspec.divdiv_matrix):
         with pytest.raises(ValueError, match="shape function 5 is not in P1"):
             check(leaves_p1(basis))
+
+
+# numerators over 8 of random dyadic grids, zero on about half of the entries
+_DYADIC_STACKS = arrays(
+    np.int64,
+    st.tuples(st.just(4), st.just(4), st.integers(1, 6), st.just(3)),
+    elements=st.integers(-64, 64) | st.just(0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerators=_DYADIC_STACKS)
+def test_dof_matrix_of_random_dyadic_grids_is_the_poly2_oracle(numerators):
+    # coefficients inside and outside the component masks alike
+    values = numerators / 8.0
+    assert cellspec.dof_matrix(values).tobytes() == dof_matrix(values).tobytes()

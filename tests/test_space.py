@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cellspec import cell_geometry, physical_dofs
+from cellspec import cell_geometry, physical_dofs, tensors
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
 from ddivfem.piola import BasisCache
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
@@ -89,6 +89,7 @@ def quadrature_conformity(mesh, basis, coeffs, nq):
     interior vertices in index order, keeping the first location of each
     maximum.
     """
+    basis = tensors(basis)
     phys = []
     for k in range(mesh.num_cells):
         M = basis[0] * float(coeffs[k][0])

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cellspec import element_map
+from cellspec import element_map, tensors
 import ddivfem.linsolve as linsolve
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
@@ -114,7 +114,7 @@ def test_dirichlet_load_quadratic_data_needs_hessian_term(basis_cache):
     load = dirichlet_load(mesh, dofmap, DirichletData(g, grad))
 
     phi_int = np.array(
-        [[p.axx.integrate(), p.axy.integrate(), p.ayy.integrate()] for p in basis_cache.basis]
+        [[p.axx.integrate(), p.axy.integrate(), p.ayy.integrate()] for p in tensors(basis_cache.basis)]
     )
     rng = np.random.default_rng(29)
     m = rng.standard_normal(dofmap.ndofs)
