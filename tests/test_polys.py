@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ddivfem.polys import DegreeBoundError, Poly2, gauss_rule
+from ddivfem.polys import DegreeBoundError, Poly2, _moments, gauss_rule
+from ddivfem.reference import dof_matrix, edge_traces, trace_degrees
 
 
 def test_gauss_two_point_nodes():
@@ -43,6 +44,38 @@ def test_ring_operations_and_calculus():
     # (2/3 - 2) * 4
     assert p.integrate() == pytest.approx(-16.0 / 3.0)
     assert (p - p).is_zero()
+
+
+def test_restrict_gives_edge_coefficients():
+    # p = (1 - x^2) y in every component: on e1 (y = -1, s = x) the
+    # normal-normal trace is p(s, -1), on e3 (y = 1, s = -x) it is p(-s, 1),
+    # and it vanishes identically on e2 and e4 (x = +-1)
+    M = np.zeros((4, 4, 1, 3))
+    M[0, 1] = 1.0
+    M[2, 1] = -1.0
+    nn = edge_traces(M)[0][:, 0]
+    assert np.array_equal(nn[0], [-1.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(nn[2], [1.0, 0.0, -1.0, 0.0])
+    assert not nn[1].any() and not nn[3].any()
+    assert trace_degrees(M)[0] == 2
+
+
+def test_univariate_helpers():
+    # moments of s**k over (-1, 1): 2/(k+1) for even k, 0 for odd
+    assert np.array_equal(_moments(4), [2.0, 0.0, 2.0 / 3.0, 0.0, 0.4])
+    assert np.array_equal(_moments(0), [2.0])
+
+    # x^2 in yy: m0 on e1 is the integral of s^2 over (-1, 1), m1 of s^3;
+    # x in yy: m1 on e1 is the integral of s * s
+    M = np.zeros((4, 4, 2, 3))
+    M[2, 0, 0, 2] = 1.0
+    M[1, 0, 1, 2] = 1.0
+    D = dof_matrix(M)
+    assert D[0, 0] == 2.0 / 3.0 and D[4, 0] == 0.0
+    assert D[0, 1] == 0.0 and D[4, 1] == 2.0 / 3.0
+
+    # a vanishing trace has degree -1
+    assert trace_degrees(np.zeros((4, 4, 1, 3))) == (-1, -1)
 
 
 def test_eval_matches_direct_summation():

@@ -89,32 +89,6 @@ def test_edge_traces_are_linear(basis):
     assert deg_sh <= 1
 
 
-def test_edge_traces_restrict_and_integrate_exactly():
-    # p = (1 - x^2) y in every component: on e1 (y = -1, s = x) the
-    # normal-normal trace is p(s, -1), on e3 (y = 1, s = -x) it is p(-s, 1),
-    # and it vanishes identically on e2 and e4 (x = +-1)
-    M = np.zeros((4, 4, 1, 3))
-    M[0, 1] = 1.0
-    M[2, 1] = -1.0
-    nn = edge_traces(M)[0][:, 0]
-    assert np.array_equal(nn[0], [-1.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(nn[2], [1.0, 0.0, -1.0, 0.0])
-    assert not nn[1].any() and not nn[3].any()
-    assert trace_degrees(M)[0] == 2
-
-    # x^2 in yy: m0 on e1 is the integral of s^2 over (-1, 1), m1 of s^3;
-    # x in yy: m1 on e1 is the integral of s * s
-    M = np.zeros((4, 4, 2, 3))
-    M[2, 0, 0, 2] = 1.0
-    M[1, 0, 1, 2] = 1.0
-    D = dof_matrix(M)
-    assert D[0, 0] == 2.0 / 3.0 and D[4, 0] == 0.0
-    assert D[0, 1] == 0.0 and D[4, 1] == 2.0 / 3.0
-
-    # a vanishing trace has degree -1
-    assert trace_degrees(np.zeros((4, 4, 1, 3))) == (-1, -1)
-
-
 def test_interior_bubble_has_no_moment_trace(basis):
     # ninth tensor: zero normal moment on its edge, unit mean shear dof
     nn = edge_traces(basis)[0]
