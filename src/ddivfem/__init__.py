@@ -1,6 +1,6 @@
 """Lowest-order H(div div) parallelogram elements for Kirchhoff-Love plates."""
 
-from .polys import Poly2, QuadRule, gauss_rule, DegreeBoundError
+from .polys import QuadRule, gauss_rule
 from .reference import (
     build_reference_basis,
     verify_unisolvency,

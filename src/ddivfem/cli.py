@@ -31,7 +31,6 @@ import numpy as np
 from .interpolation import TensorField, interpolate_ddiv, interpolation_error_study, tensor_errors
 from .mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
 from .piola import BasisCache, batch_geometry, dof_matrices
-from .polys import Poly2
 from .problems import convergence_study, get_example, solve_example
 from .reference import (
     build_reference_basis,
@@ -151,10 +150,9 @@ def _map_checks(basis, tol):
 
     mesh = make_parallelogram_domain(EX1_CORNERS, 2)
     dofmap = build_dof_map(mesh)
-    field = TensorField.from_polys(
-        Poly2(np.array([[0.3, -0.4], [0.7, 0.0]])),
-        Poly2(np.array([[-0.2, 0.5], [0.1, 0.0]])),
-        Poly2(np.array([[0.8, 0.2], [-0.6, 0.0]])),
+    # entrywise linear: entry [i][j] holds the (xx, xy, yy) coefficients of x**i y**j
+    field = TensorField.from_grid(
+        [[[0.3, -0.2, 0.8], [-0.4, 0.5, 0.2]], [[0.7, 0.1, -0.6], [0.0, 0.0, 0.0]]]
     )
     mcoef = interpolate_ddiv(mesh, dofmap, field)
     coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
@@ -240,6 +238,8 @@ def cmd_interp_test(args):
         raise SystemExit("--levels must be at least 0")
     if not 1 <= args.quad <= 16:
         raise SystemExit("--quad must be in 1..16")
+    if args.degree < 0:
+        raise SystemExit("--degree must be at least 0")
     rng = np.random.default_rng(args.seed)
     field = TensorField.random_poly(rng, deg=args.degree)
     rows = interpolation_error_study(field, range(args.levels + 1), nq=args.quad)

@@ -13,7 +13,8 @@ which is what the tests in this module quantify.
 
 import numpy as np
 
-from .polys import Poly2, gauss_rule
+from .polys import gauss_rule
+from .reference import coefficient_grids, grid_function
 from .mesh import make_parallelogram_domain, EX1_CORNERS
 from .piola import BasisCache, batch_geometry, edge_frames, normals
 from .space import build_dof_map, cell_coefficients
@@ -45,32 +46,29 @@ class TensorField:
         self.divdiv = divdiv
 
     @staticmethod
-    def from_polys(axx, axy, ayy):
-        """Exact field from Poly2 components in physical coordinates."""
-        wx = axx.dx() + axy.dy()
-        wy = axy.dx() + ayy.dy()
-        dd = wx.dx() + wy.dy()
+    def from_grid(grid):
+        """Exact field from one coefficient grid (n, n, 3) in physical coordinates.
 
-        def m(x, y):
-            return np.stack([axx.eval(x, y), axy.eval(x, y), ayy.eval(x, y)], axis=-1)
-
-        def div(x, y):
-            return np.stack([wx.eval(x, y), wy.eval(x, y)], axis=-1)
-
-        def divdiv(x, y):
-            return dd.eval(x, y)
-
-        f = TensorField(m, div, divdiv)
-        f.polys = (axx, axy, ayy)
-        return f
+        Entry [i, j] holds the coefficients of x**i y**j in (Mxx, Mxy, Myy),
+        the layout of :func:`ddivfem.reference.sample_field`.
+        """
+        grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 3 or grid.shape[2] != 3:
+            raise ValueError("a tensor field grid has shape (n, n, 3), got %s" % (grid.shape,))
+        div, divdiv = coefficient_grids(grid)
+        return TensorField(grid_function(grid), grid_function(div), grid_function(divdiv))
 
     @staticmethod
-    def random_poly(rng, deg=3, scale=1.0):
-        """Random polynomial tensor of per-variable degree <= deg."""
-        comps = [
-            Poly2(scale * rng.standard_normal((deg + 1, deg + 1))) for _ in range(3)
-        ]
-        return TensorField.from_polys(*comps)
+    def random_poly(rng, deg=3):
+        """Random polynomial tensor of per-variable degree <= deg.
+
+        Draws one standard normal (deg + 1, deg + 1) grid per component, in
+        the order xx, xy, yy.
+        """
+        if deg < 0:
+            raise ValueError("the degree of a random field must be at least 0, got %d" % deg)
+        comps = [rng.standard_normal((deg + 1, deg + 1)) for _ in range(3)]
+        return TensorField.from_grid(np.stack(comps, axis=-1))
 
 
 # -- degree of freedom extraction ---------------------------------------------

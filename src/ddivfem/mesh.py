@@ -44,6 +44,15 @@ def _first_seen(keys):
     return rank[inverse.ravel()], np.sort(at)
 
 
+def _relative_to_largest(v):
+    """Corner quadruples (..., 4, 2) divided by the largest coordinate of each.
+
+    Products of the results neither overflow nor underflow at any scale.
+    """
+    scale = np.maximum(np.abs(v).max(axis=(-2, -1)), np.finfo(float).tiny)
+    return v / scale[..., None, None]
+
+
 class Mesh:
     """A conforming mesh of parallelograms.
 
@@ -73,20 +82,27 @@ class Mesh:
 
     def __init__(self, vertices, cells, boundary_labels=None, default_label=DIRICHLET):
         self.vertices = np.asarray(vertices, dtype=float)
+        # indices are checked before the cast to int, which would truncate
+        # 2.7 to 2 and wrap or warn on values beyond the integer range
         try:
-            self.cells = np.asarray(cells, dtype=int)
-        except OverflowError:
-            raise MeshError("cell corner indices exceed the integer range") from None
+            cells = np.asarray(cells)
+            if cells.dtype.kind not in "iu":
+                cells = cells.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            raise MeshError("cell corner indices must be integers") from None
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
-        if self.cells.ndim != 2 or self.cells.shape[1] != 4:
+        if cells.ndim != 2 or cells.shape[1] != 4:
             raise MeshError("cells must be an (nk, 4) array")
-        if len(self.cells) == 0:
+        if len(cells) == 0:
             raise MeshError("a mesh needs at least one cell")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
-        if self.cells.min() < 0 or self.cells.max() >= len(self.vertices):
+        if not np.all(np.isfinite(cells) & (np.round(cells) == cells)):
+            raise MeshError("cell corner indices must be integers")
+        if cells.min() < 0 or cells.max() >= len(self.vertices):
             raise MeshError("cell corner indices must lie in [0, %d)" % len(self.vertices))
+        self.cells = cells.astype(int)
         self._build_topology()
         self._apply_labels(boundary_labels, default_label)
         self.validate()
@@ -166,9 +182,9 @@ class Mesh:
         # the closure defect is measured against its rounding floor, the
         # largest corner coordinate, so the test holds at every scale
         v = self.vertices[self.cells]
-        closure = v[:, 0] - v[:, 1] + v[:, 2] - v[:, 3]
-        defect = np.linalg.norm(closure, axis=1)
-        bad = np.nonzero(defect > 1e-12 * np.abs(v).max(axis=(1, 2)))[0]
+        w = _relative_to_largest(v)
+        defect = np.linalg.norm(w[:, 0] - w[:, 1] + w[:, 2] - w[:, 3], axis=1)
+        bad = np.nonzero(defect > 1e-12)[0]
         if len(bad):
             raise MeshError("cell %d is not a parallelogram" % bad[0])
 
@@ -283,13 +299,14 @@ def make_parallelogram_domain(corners, level):
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 2):
         raise MeshError("corners must be a (4, 2) array")
-    closure = corners[0] - corners[1] + corners[2] - corners[3]
-    if np.linalg.norm(closure) > 1e-12 * np.abs(corners).max():
+    c = _relative_to_largest(corners)
+    if np.linalg.norm(c[0] - c[1] + c[2] - c[3]) > 1e-12:
         raise MeshError("corners do not form a parallelogram")
+    a, b = c[1] - c[0], c[3] - c[0]
+    if a[0] * b[1] - a[1] * b[0] <= 0.0:
+        raise MeshError("corners are clockwise or degenerate")
     u = corners[1] - corners[0]
     w = corners[3] - corners[0]
-    if u[0] * w[1] - u[1] * w[0] <= 0.0:
-        raise MeshError("corners are clockwise or degenerate")
 
     n = _cells_per_side(level)
     ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")

@@ -13,12 +13,12 @@ import json
 
 import numpy as np
 
-from .polys import Poly2
 from .mesh import make_parallelogram_domain, make_lshape, EX1_CORNERS
 from .piola import BasisCache
 from .space import build_dof_map, cell_coefficients
 from .interpolation import TensorField, ddiv_gap, tensor_errors
 from .interpolation import _cell_blocks, _map_cells
+from .reference import _derivative, grid_function
 from .system import MaterialLaw, DirichletData, NeumannData, build_system, solve_problem
 
 #: published five-digit values of the corner exponent and its coefficient,
@@ -66,43 +66,44 @@ class ExactSolution:
         self.singular_vertex = singular_vertex
 
 
+#: coefficients c[i, j] of x**i y**j in the ex1 deflection
+#: u = (x^2 - 1)^2 ((x - y)^2 - 1)^2
+_EX1_DEFLECTION = np.array([
+    [  1,   0,  -2,   0,   1],
+    [  0,   4,   0,  -4,   0],
+    [ -4,   0,  10,   0,  -2],
+    [  0, -12,   0,   8,   0],
+    [  6,   0, -14,   0,   1],
+    [  0,  12,   0,  -4,   0],
+    [ -4,   0,   6,   0,   0],
+    [  0,  -4,   0,   0,   0],
+    [  1,   0,   0,   0,   0],
+], dtype=float)
+
+
 def exact_example1():
     """Clamped sheared parallelogram with u = (x^2-1)^2 ((x-y)^2-1)^2.
 
     The domain is the image of the unit square under (s, t) -> (s, s + t),
     scaled to corners (-1,-2), (1,0), (1,2), (-1,0); the deflection and its
     gradient vanish on the whole boundary, so the clamped data is zero.
-    All derived fields are exact polynomial calculus.
+    The gradient, the moments (the Hessian of u) and the load f = div div
+    of the moments are coefficient grids of u, all integers and so exact.
     """
-    x = Poly2([[0.0], [1.0]], bound=16)
-    y = Poly2([[0.0, 1.0]], bound=16)
-    one = Poly2([[1.0]], bound=16)
-    a = x * x - one
-    b = (x - y) * (x - y) - one
-    u = a * a * b * b
-
-    ux, uy = u.dx(), u.dy()
-    uxx, uxy, uyy = ux.dx(), ux.dy(), uy.dy()
-    wx = uxx.dx() + uxy.dy()
-    wy = uxy.dx() + uyy.dy()
-    f = wx.dx() + wy.dy()
-
-    field = TensorField.from_polys(uxx, uxy, uyy)
-
-    def u_eval(px, py):
-        return u.eval(px, py)
-
-    def grad_eval(px, py):
-        return np.stack([ux.eval(px, py), uy.eval(px, py)], axis=-1)
-
-    def f_eval(px, py):
-        return f.eval(px, py)
+    u = _EX1_DEFLECTION
+    grad = np.stack([_derivative(u, 0), _derivative(u, 1)], axis=-1)
+    hessian = np.stack(
+        [_derivative(grad[..., 0], 0), _derivative(grad[..., 0], 1), _derivative(grad[..., 1], 1)],
+        axis=-1,
+    )
+    field = TensorField.from_grid(hessian)
+    u_eval, grad_eval = grid_function(u), grid_function(grad)
 
     return ExactSolution(
         name="ex1",
         u=u_eval,
         grad_u=grad_eval,
-        f=f_eval,
+        f=field.divdiv,
         field=field,
         error_field=field,
         mesh_factory=lambda level: make_parallelogram_domain(EX1_CORNERS, level),

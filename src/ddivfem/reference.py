@@ -27,8 +27,6 @@ traversal parameter s in (-1, 1).
 
 import numpy as np
 
-from .polys import _moments
-
 # corner coordinates, counterclockwise from (-1, -1)
 CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
@@ -114,10 +112,16 @@ def in_reference_space(basis, tol=0.0):
     return np.all(np.abs(np.moveaxis(basis, 2, 3)[~COMPONENT_MASKS]) <= tol, axis=0)
 
 
+def _moments(deg):
+    """Integrals of t**k over [-1, 1] for k = 0..deg: 2/(k+1) for even k, 0 for odd."""
+    k = np.arange(deg + 1)
+    return np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+
+
 def _derivative(c, axis):
     """Coefficient grid of the partial derivative along degree axis 0 (x) or 1 (y).
 
-    The exact shift of :meth:`Poly2.dx` / :meth:`Poly2.dy`, padded with
+    An exact shift of the coefficients times their exponents, padded with
     zeros so that the grid keeps its shape.
     """
     n = c.shape[axis]
@@ -129,22 +133,35 @@ def _derivative(c, axis):
 
 
 def coefficient_grids(basis):
-    """Row divergence (n, n, nb, 2) and div div (n, n, nb) of a grid stack.
+    """Row divergence (n, n, ..., 2) and div div (n, n, ...) of grids (n, n, ..., 3).
 
-    The derivatives are exact coefficient shifts.  One
-    ``np.polynomial.polynomial.polyval2d`` call evaluates a grid for the
-    whole stack; the sums start from +0.0, as in :meth:`Poly2.__add__`, so
-    a zero coefficient never carries a negative sign into the values.
+    Takes a stack (n, n, nb, 3) or one tensor (n, n, 3).  The derivatives
+    are exact coefficient shifts, and div div is the divergence of the
+    divergence grid.  Every sum starts from +0.0, so a zero coefficient
+    never carries a negative sign into the values.
     """
     dx, dy = _derivative(basis, 0), _derivative(basis, 1)
     div = 0.0 + dx[..., :2] + dy[..., 1:]
-    divdiv = (
-        0.0
-        + _derivative(dx[..., 0], 0)
-        + 2.0 * _derivative(dx[..., 1], 1)
-        + _derivative(dy[..., 2], 1)
-    )
+    divdiv = 0.0 + _derivative(div[..., 0], 0) + _derivative(div[..., 1], 1)
     return div, divdiv
+
+
+def grid_function(grids):
+    """f(x, y) of coefficient grids (n, n) or (n, n, k): values (...) or (..., k).
+
+    Each component is evaluated by ``np.polynomial.polynomial.polyval2d``
+    from its own grid cut to its nonzero extent, so a component of low
+    degree costs few Horner steps.
+    """
+    grids = np.array(grids, dtype=float)
+    cut = []
+    for c in np.moveaxis(grids.reshape(grids.shape[:2] + (-1,)), 2, 0):
+        i, j = np.nonzero(c)
+        cut.append(c[: i.max() + 1, : j.max() + 1] if len(i) else np.zeros((1, 1)))
+    polyval2d = np.polynomial.polynomial.polyval2d
+    if grids.ndim == 2:
+        return lambda x, y: polyval2d(x, y, cut[0])
+    return lambda x, y: np.stack([polyval2d(x, y, c) for c in cut], axis=-1)
 
 
 # -- trace operators and degrees of freedom ----------------------------------

@@ -6,13 +6,14 @@ This module writes the same maps and functionals out for one cell at a time,
 in the form the :mod:`ddivfem.piola` docstring states them, and the tests
 use it as the specification that the batched layer is checked against.
 
-The library holds the reference element as one array of coefficient grids
-(:func:`ddivfem.reference.build_reference_basis`).  This module builds the
-20 shape tensors from :class:`Poly2` products instead, as
+The library holds every polynomial as coefficient grids: the reference
+element as one array (:func:`ddivfem.reference.build_reference_basis`),
+the exact fields through :meth:`ddivfem.interpolation.TensorField.from_grid`.
+This module keeps an independent bivariate polynomial calculus,
+:class:`Poly2`, builds the 20 shape tensors from its products as
 :class:`SymTensorPoly` objects, and states the reference dof functionals,
-the tabulations and the div div images one tensor at a time through the
-:class:`Poly2` calculus, as the specification of the library's routines
-over the whole grid stack.
+the tabulations, the div div images and tensor fields one tensor at a time
+through it, as the specification of the library's routines over grids.
 """
 
 import numpy as np
@@ -23,8 +24,116 @@ from ddivfem.piola import (
     _edge_param_points,
     _reference_edge_points,
 )
-from ddivfem.polys import Poly2, _moments, gauss_rule
-from ddivfem.reference import CORNERS, EDGE_CORNERS, EDGE_NORMALS, EDGE_TANGENTS
+from ddivfem.interpolation import TensorField
+from ddivfem.polys import gauss_rule
+from ddivfem.reference import CORNERS, EDGE_CORNERS, EDGE_NORMALS, EDGE_TANGENTS, _moments
+
+
+def _trim(c):
+    """Drop all-zero trailing rows/columns of a coefficient grid."""
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    nz = np.nonzero(c)
+    if len(nz[0]) == 0:
+        return np.zeros((1, 1))
+    return c[: nz[0].max() + 1, : nz[1].max() + 1].copy()
+
+
+class Poly2:
+    """Bivariate polynomial p(x, y) = sum_ij c[i, j] x**i y**j.
+
+    The coefficient grid ``c`` is kept trimmed to its nonzero extent; axis 0
+    is the x-degree.  Ring operations and derivatives act on the
+    coefficients, so identities hold exactly for dyadic grids.
+    """
+
+    def __init__(self, coeffs):
+        self.c = _trim(coeffs)
+
+    @staticmethod
+    def zero():
+        return Poly2([[0.0]])
+
+    @staticmethod
+    def const(a):
+        return Poly2([[float(a)]])
+
+    @staticmethod
+    def x():
+        return Poly2([[0.0], [1.0]])
+
+    @staticmethod
+    def y():
+        return Poly2([[0.0, 1.0]])
+
+    @property
+    def degx(self):
+        return self.c.shape[0] - 1
+
+    @property
+    def degy(self):
+        return self.c.shape[1] - 1
+
+    def is_zero(self, tol=0.0):
+        return np.all(np.abs(self.c) <= tol)
+
+    def _promote(self, other):
+        if isinstance(other, Poly2):
+            return other
+        return Poly2.const(other)
+
+    def __add__(self, other):
+        other = self._promote(other)
+        nx = max(self.c.shape[0], other.c.shape[0])
+        ny = max(self.c.shape[1], other.c.shape[1])
+        c = np.zeros((nx, ny))
+        c[: self.c.shape[0], : self.c.shape[1]] += self.c
+        c[: other.c.shape[0], : other.c.shape[1]] += other.c
+        return Poly2(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly2(-self.c)
+
+    def __sub__(self, other):
+        return self + (-self._promote(other))
+
+    def __rsub__(self, other):
+        return self._promote(other) - self
+
+    def __mul__(self, other):
+        if not isinstance(other, Poly2):
+            return Poly2(self.c * float(other))
+        c = np.zeros((self.degx + other.degx + 1, self.degy + other.degy + 1))
+        for i in range(self.c.shape[0]):
+            for j in range(self.c.shape[1]):
+                if self.c[i, j] != 0.0:
+                    c[i : i + other.c.shape[0], j : j + other.c.shape[1]] += (
+                        self.c[i, j] * other.c
+                    )
+        return Poly2(c)
+
+    __rmul__ = __mul__
+
+    def dx(self):
+        """Partial derivative with respect to x."""
+        if self.degx == 0:
+            return Poly2.zero()
+        return Poly2(self.c[1:, :] * np.arange(1, self.c.shape[0])[:, None])
+
+    def dy(self):
+        """Partial derivative with respect to y."""
+        if self.degy == 0:
+            return Poly2.zero()
+        return Poly2(self.c[:, 1:] * np.arange(1, self.c.shape[1])[None, :])
+
+    def integrate(self):
+        """Exact integral over the reference square [-1, 1]^2."""
+        return float(np.einsum("ij,i,j->", self.c, _moments(self.degx), _moments(self.degy)))
+
+    def eval(self, x, y):
+        """Evaluate at points of equal shape."""
+        return np.polynomial.polynomial.polyval2d(np.asarray(x), np.asarray(y), self.c)
 
 
 class SymTensorPoly:
@@ -157,6 +266,22 @@ def tensors(basis):
         SymTensorPoly(*(Poly2(basis[:, :, k, c]) for c in range(3)))
         for k in range(basis.shape[2])
     ]
+
+
+def tensor_field(grid):
+    """:meth:`ddivfem.interpolation.TensorField.from_grid` through the Poly2 calculus.
+
+    ``grid`` is one coefficient grid (n, n, 3); div div is the divergence
+    of the row divergence.
+    """
+    M = tensors(np.asarray(grid, dtype=float)[:, :, None, :])[0]
+    wx, wy = M.div()
+    dd = wx.dx() + wy.dy()
+
+    def div(x, y):
+        return np.stack([wx.eval(x, y), wy.eval(x, y)], axis=-1)
+
+    return TensorField(M.eval, div, dd.eval)
 
 
 class ElementMap:

@@ -53,8 +53,9 @@ def test_sample_basis_rejects_bad_index(tmp_path):
         (["interp-test", "--quad", "0"], "--quad"),
         (["solve", "--problem", "ex1", "--level", "-1"], "--level"),
         (["convergence", "--problem", "ex2", "--start-level", "-1"], "--start-level"),
+        (["interp-test", "--degree", "-1"], "--degree"),
     ],
-    ids=["levels", "quad-17", "quad-0", "solve-level", "start-level"],
+    ids=["levels", "quad-17", "quad-0", "solve-level", "start-level", "degree"],
 )
 def test_invalid_level_or_quadrature_order_names_the_flag(argv, flag):
     with pytest.raises(SystemExit, match="^%s must be" % flag):

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import cellspec
 from ddivfem.interpolation import (
     TensorField,
     commuting_residual,
@@ -20,10 +24,8 @@ SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
 
 def random_p1_field(rng):
-    from ddivfem.polys import Poly2
-
-    comps = [Poly2(rng.standard_normal((2, 2)) * [[1.0, 1.0], [1.0, 0.0]]) for _ in range(3)]
-    return TensorField.from_polys(*comps)
+    comps = [rng.standard_normal((2, 2)) * [[1.0, 1.0], [1.0, 0.0]] for _ in range(3)]
+    return TensorField.from_grid(np.stack(comps, axis=-1))
 
 
 def interp_error(mesh, field, cache):
@@ -47,13 +49,42 @@ def test_linear_tensors_reproduce_exactly(basis_cache):
 def test_bilinear_entries_do_not_survive_shear(basis_cache):
     # the pull-back of a bilinear entry onto a sheared cell leaves the local
     # space, so exact reproduction is limited to entrywise linear tensors
-    from ddivfem.polys import Poly2
-
-    c = np.zeros((2, 2))
-    c[1, 1] = 1.0
-    field = TensorField.from_polys(Poly2(c), Poly2.zero(), Poly2.zero())
+    grid = np.zeros((2, 2, 3))
+    grid[1, 1, 0] = 1.0
+    field = TensorField.from_grid(grid)
     err, _, _ = interp_error(make_parallelogram_domain(EX1_CORNERS, 2), field, basis_cache)
     assert err > 1e-4
+
+
+@st.composite
+def grid_and_points(draw):
+    """A standard normal grid (d + 1, d + 1, 3) of degree d = 0..4 with some
+    entries zeroed (-0.0 where the draw was negative), and 8 points (2, 8)."""
+    d = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = draw(arrays(np.bool_, (d + 1, d + 1, 3)))
+    return rng.standard_normal((d + 1, d + 1, 3)) * keep, rng.uniform(-2.0, 2.0, (2, 8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_and_points())
+def test_field_from_grid_is_the_poly2_field(case):
+    grid, (x, y) = case
+    got, want = TensorField.from_grid(grid), cellspec.tensor_field(grid)
+    for name in ("m", "div", "divdiv"):
+        assert getattr(got, name)(x, y).tobytes() == getattr(want, name)(x, y).tobytes()
+
+
+def test_random_poly_draws_three_grids_in_component_order():
+    field = TensorField.random_poly(np.random.default_rng(5), deg=2)
+    rng = np.random.default_rng(5)
+    want = cellspec.tensor_field(np.stack([rng.standard_normal((3, 3)) for _ in range(3)], axis=-1))
+    x, y = np.array([0.3, -0.7]), np.array([0.1, 0.9])
+    assert field.m(x, y).tobytes() == want.m(x, y).tobytes()
+    with pytest.raises(ValueError, match="at least 0"):
+        TensorField.random_poly(np.random.default_rng(5), deg=-1)
+    with pytest.raises(ValueError, match="shape"):
+        TensorField.from_grid(np.zeros((3, 3)))
 
 
 def test_interpolant_is_conforming(basis_cache):

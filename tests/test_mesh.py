@@ -186,7 +186,7 @@ def test_degenerate_corners_rejected():
 TRAPEZOID = np.array([[0.0, 0.0], [1.0, 0.0], [0.7, 1.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-13])
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e250])
 def test_closure_tolerance_scales_with_the_cell(scale):
     corners = scale * TRAPEZOID
     with pytest.raises(MeshError):
@@ -201,7 +201,7 @@ def test_small_parallelogram_far_from_the_origin_accepted():
     assert make_parallelogram_domain(corners, 1).num_cells == 4
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-15, 1.0, 1e8, 1e100])
+@pytest.mark.parametrize("scale", [1e-100, 1e-15, 1.0, 1e8, 1e100, 1e200, 1e250])
 def test_shape_regularity_guard(scale):
     # aspect ratio far beyond the bound: singular values 24 vs ~1/24
     skew = scale * np.array([[0.0, 0.0], [1.0, 0.0], [25.0, 1.0], [24.0, 1.0]])
@@ -238,5 +238,7 @@ def test_direct_construction_validates():
     for bad in ([[0, 1, 2, 4]], [[-1, 1, 2, 3]], [[0, 1, 2, 10**20]]):
         with pytest.raises(MeshError):
             Mesh(verts, bad)  # corner index out of range
+    with pytest.raises(MeshError, match="must be integers"):
+        Mesh(verts, [[0, 1, 2.7, 3]])  # not truncated to [0, 1, 2, 3]
     with pytest.raises(MeshError):
         Mesh(np.where(verts == 1.0, np.nan, verts), cells)  # non-finite coordinates

@@ -1,10 +1,11 @@
-"""Polynomial coefficient algebra and Gauss quadrature."""
+"""Gauss quadrature, the grid moments and traces, and the Poly2 oracle algebra."""
 
 import numpy as np
 import pytest
 
-from ddivfem.polys import DegreeBoundError, Poly2, _moments, gauss_rule
-from ddivfem.reference import dof_matrix, edge_traces, trace_degrees
+from cellspec import Poly2
+from ddivfem.polys import gauss_rule
+from ddivfem.reference import _moments, dof_matrix, edge_traces, trace_degrees
 
 
 def test_gauss_two_point_nodes():
@@ -97,23 +98,3 @@ def test_integrate_is_exact_for_monomials():
     c[1, 1] = 1.0
     assert Poly2(c).integrate() == 0.0
 
-
-def test_products_respect_degree_bounds():
-    x = Poly2([[0.0], [1.0]], bound=4)
-    p = x * x * x * x
-    assert p.degx == 4
-    with pytest.raises(DegreeBoundError):
-        p * x
-
-    # the default bound is 8
-    q = Poly2.x()
-    for _ in range(7):
-        q = q * Poly2.x()
-    assert q.degx == 8
-    with pytest.raises(DegreeBoundError):
-        q * Poly2.x()
-
-
-def test_oversized_grid_rejected_at_construction():
-    with pytest.raises(DegreeBoundError):
-        Poly2(np.ones((6, 1)), bound=4)

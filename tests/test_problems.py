@@ -9,7 +9,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import cellspec
+from cellspec import Poly2, SymTensorPoly
 from ddivfem.piola import BasisCache
 from ddivfem.problems import (
     BANDS,
@@ -17,6 +22,7 @@ from ddivfem.problems import (
     ConfigurationError,
     ConvergenceReport,
     corner_exponent,
+    _EX1_DEFLECTION,
     get_example,
     l2_errors,
     solve_example,
@@ -79,6 +85,41 @@ def test_polynomial_moments_are_the_hessian():
     for x, y in EX1_POINTS:
         M = np.asarray(ex1.field.m(x, y))
         assert np.abs(M - fd_hessian(ex1.u, x, y)).max() < 1e-5 * (1.0 + np.abs(M).max())
+
+
+def ex1_oracle():
+    """The ex1 deflection, its gradient and moments from Poly2 products."""
+    x, y = Poly2.x(), Poly2.y()
+    a = x * x - 1.0
+    b = (x - y) * (x - y) - 1.0
+    u = a * a * b * b
+    ux, uy = u.dx(), u.dy()
+    hessian = cellspec.stack_grids([SymTensorPoly(ux.dx(), ux.dy(), uy.dy())])[:, :, 0]
+    return u, ux, uy, cellspec.tensor_field(hessian)
+
+
+def test_ex1_deflection_grid_is_the_product_of_its_factors():
+    u = ex1_oracle()[0]
+    assert np.array_equal(_EX1_DEFLECTION, u.c)
+
+
+_POINTS = arrays(np.float64, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=_POINTS)
+def test_ex1_fields_are_the_poly2_calculus(points):
+    # bit for bit: the grids are integers and both evaluate the same trimmed grids
+    x, y = points.T
+    ex1 = get_example("ex1")
+    u, ux, uy, field = ex1_oracle()
+    want_grad = np.stack([ux.eval(x, y), uy.eval(x, y)], axis=-1)
+    assert ex1.u(x, y).tobytes() == u.eval(x, y).tobytes()
+    assert ex1.grad_u(x, y).tobytes() == want_grad.tobytes()
+    assert ex1.f(x, y).tobytes() == field.divdiv(x, y).tobytes()
+    for name in ("m", "div", "divdiv"):
+        got, want = getattr(ex1.field, name)(x, y), getattr(field, name)(x, y)
+        assert got.tobytes() == want.tobytes()
 
 
 # -- singular benchmark ----------------------------------------------------------

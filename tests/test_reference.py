@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import cellspec
-from cellspec import corrupted_basis
+from cellspec import Poly2, corrupted_basis
 from ddivfem.piola import EdgeTabulation, VolumeTabulation
-from ddivfem.polys import Poly2
 from ddivfem.reference import (
     COMPONENT_MASKS,
     DOF_DIAGONAL,
