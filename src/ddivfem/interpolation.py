@@ -16,7 +16,7 @@ import numpy as np
 from .polys import gauss_rule
 from .reference import coefficient_grids, grid_function
 from .mesh import make_parallelogram_domain, EX1_CORNERS
-from .piola import BasisCache, batch_geometry, edge_frames, normals
+from .piola import BasisCache, edge_frames, element_maps, normals
 from .space import build_dof_map, cell_coefficients
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
@@ -189,11 +189,10 @@ def _map_cells(mesh, cells, xh, yh):
     """``B`` (n, 2, 2) and ``det`` of the element maps F(xh) = a + B xh of
     some cells, and the images ``x``, ``y`` (n, npts) of reference points.
     """
-    g = batch_geometry(mesh, cells)
-    B, a = g.B, g.a
+    B, a, det = element_maps(mesh, cells)
     x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
     y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
-    return B, g.det, x, y
+    return B, det, x, y
 
 
 def _push(B, mref):

@@ -28,14 +28,17 @@ so only point values and plain integrals of the pushed field are needed.
 Corner jumps t_in.M n_in - t_out.M n_out are taken with the counterclockwise
 tangents of the edges entering and leaving the corner.
 
-Each convention lives in one place: ``_element_maps`` computes B and a,
-:func:`edge_frames` and :func:`normals` the edge frames.
+Each convention lives in one place: :func:`element_maps` computes B, a and
+det B, :func:`edge_frames` and :func:`normals` the edge frames.
 :func:`batch_geometry` combines them for any set of cells, and
 :func:`dof_matrices` builds the local dof matrices of all of them in one
-contraction.  :meth:`BasisCache.groups` is the only place the library
-builds, checks and inverts local dof matrices, one batch per call.  The
-test suite states the same maps and functionals one cell at a time
-(``tests/cellspec.py``) and checks this layer against them.
+contraction.  Cells whose :meth:`CellGeometry.keys` rows are equal have
+bitwise equal dof matrices, and :func:`cell_groups` groups them, so each
+distinct matrix is built once.  :meth:`BasisCache.groups` is the only place
+the library checks and inverts local dof matrices, one batch per call;
+:func:`ddivfem.space.check_conformity` builds one per group without
+inverting it.  The test suite states the same maps and functionals one cell
+at a time (``tests/cellspec.py``) and checks this layer against them.
 """
 
 import numpy as np
@@ -61,11 +64,19 @@ class GeometryError(ValueError):
     """Raised when an element map or dof frame is unusable."""
 
 
-def _element_maps(mesh, cells):
-    """``B`` (..., 2, 2) and ``a`` (..., 2) of the element maps of cells ``cells``."""
+def element_maps(mesh, cells):
+    """``B`` (n, 2, 2), ``a`` (n, 2) and ``det`` (n,) of the element maps of cells ``cells``.
+
+    Raises :class:`GeometryError` for a nonpositive determinant.
+    """
     v = mesh.vertices[mesh.cells[cells]]
     B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
-    return B, 0.5 * (v[..., 0, :] + v[..., 2, :])
+    det = np.linalg.det(B)
+    if np.any(det <= 0.0):
+        raise GeometryError(
+            "cell %d has a nonpositive element map determinant" % cells[np.argmin(det)]
+        )
+    return B, 0.5 * (v[..., 0, :] + v[..., 2, :]), det
 
 
 def edge_frames(mesh, edges):
@@ -195,14 +206,22 @@ def batch_geometry(mesh, cells=None):
     """CellGeometry of the cells ``cells`` of a mesh, by default all in cell order."""
     if cells is None:
         cells = np.arange(mesh.num_cells)
-    B, a = _element_maps(mesh, cells)
-    det = np.linalg.det(B)
-    if np.any(det <= 0.0):
-        raise GeometryError(
-            "cell %d has a nonpositive element map determinant" % cells[np.argmin(det)]
-        )
+    B, a, det = element_maps(mesh, cells)
     tangents, lengths = edge_frames(mesh, mesh.cell_edges[cells])
     return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward[cells])
+
+
+def cell_groups(keys):
+    """Groups of equal rows of ``keys`` (n, m), numbered by their first rows.
+
+    Returns ``(first, group)``: the first row of each group, ascending, and
+    the group (n,) of every row, so that ``keys[first[group]]`` equals
+    ``keys``.
+    """
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # numpy releases differ in the shape of the inverse; ravel keeps it 1-D
+    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 def dof_matrices(geometry, tab):
@@ -269,7 +288,8 @@ class BasisCache:
 
     :meth:`groups` builds, checks and inverts the dof matrices of the groups
     whose keys are new in one batch, and then hands every group to
-    :meth:`get` as ``(key, Tinv)``.  ``get`` returns the stored inverse of
+    :meth:`get` as ``(key, Tinv)``; it is the only place the library
+    inverts local dof matrices.  ``get`` returns the stored inverse of
     ``key``, or on a miss stores the one passed.  There is one ``get`` call
     per group on every ``groups`` call, and a miss adds exactly one entry,
     so a subclass that overrides ``get`` counts hits and misses per
@@ -291,16 +311,15 @@ class BasisCache:
         Returns ``(first, group, Tinv)``: the first cell of each group, groups
         numbered in the order of their first cells; the group of every
         cell; and ``Tinv`` (ngroups, 20, 20).  The keys of all cells come
-        from one :func:`batch_geometry`.  The first cells of the groups not
+        from one :func:`batch_geometry` and are grouped by
+        :func:`cell_groups`.  The first cells of the groups not
         yet stored get their dof matrices from one :func:`dof_matrices` call
         and their inverses from :func:`_checked_inverses`, which raises
         before anything is stored; each group is then looked up with one
         :meth:`get`, in the order of the groups.
         """
         keys = batch_geometry(mesh).keys()
-        _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        first = first[order]
+        first, group = cell_groups(keys)
         keys = [tuple(keys[k]) for k in first]
         new = [i for i, key in enumerate(keys) if key not in self._store]
         fresh = {}
@@ -308,7 +327,7 @@ class BasisCache:
             T = dof_matrices(batch_geometry(mesh, first[new]), self.edge_tabulation())
             fresh = dict(zip([keys[i] for i in new], _checked_inverses(T)))
         Tinv = np.stack([self.get(key, fresh.get(key)) for key in keys])
-        return first, np.argsort(order)[inverse.ravel()], Tinv
+        return first, group, Tinv
 
     def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
         """EdgeTabulation of the basis for an nq-point edge rule."""

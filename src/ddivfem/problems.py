@@ -286,10 +286,14 @@ def l2_errors(mesh, dofmap, cache, result, exact, nq=6, nq_singular=10):
 
     Returns a dict with the available error norms; entries whose exact
     counterpart is not square integrable are set to None.  Also reports the
-    norms of M_h and div div M_h for relative bounds.
+    norms of M_h and div div M_h for relative bounds.  The per-cell
+    expansion of ``result["m"]`` is read from ``result["coeffs"]`` when the
+    result carries it, as :func:`ddivfem.system.solve_problem`'s does.
     """
     orders = quadrature_orders(mesh, exact, nq, nq_singular)
-    coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
+    coeffs = result.get("coeffs")
+    if coeffs is None:
+        coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
     errs = tensor_errors(mesh, cache, coeffs, exact.error_field, nq=nq, cell_orders=orders)
 
     err_u2 = 0.0

@@ -19,7 +19,7 @@ cells and ``P.T @ D @ P`` assembles a block diagonal ``D`` of local matrices.
 import numpy as np
 import scipy.sparse as sp
 
-from .piola import BasisCache, batch_geometry, dof_matrices
+from .piola import BasisCache, batch_geometry, cell_groups, dof_matrices
 
 # slot layout of the 20 local dofs of a cell
 SLOT_M0 = 0
@@ -92,7 +92,23 @@ def build_dof_map(mesh):
 
 
 def cell_coefficients(mesh, dofmap, cache, mcoef):
-    """Reference expansion coefficients of every cell, shape (nk, 20)."""
+    """Reference expansion coefficients of every cell, shape (nk, 20).
+
+    ``mcoef`` is a global coefficient vector of length ``dofmap.ndofs``, and
+    ``dofmap`` must number the dofs of ``mesh``.
+    """
+    ndofs = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)
+    if dofmap.P.shape != (20 * mesh.num_cells, ndofs):
+        raise ValueError(
+            "the dof map expands %d dofs into %d cells, but the mesh has %d dofs and %d cells"
+            % (dofmap.ndofs, dofmap.P.shape[0] // 20, ndofs, mesh.num_cells)
+        )
+    mcoef = np.asarray(mcoef, dtype=float)
+    if mcoef.shape != (dofmap.ndofs,):
+        raise ValueError(
+            "expected a global coefficient vector of length ndofs = %d, got shape %s"
+            % (dofmap.ndofs, mcoef.shape)
+        )
     _, group, Tinv = cache.groups(mesh)
     local = (dofmap.P @ mcoef).reshape(-1, 20)
     return np.einsum("kij,kj->ki", Tinv[group], local)
@@ -104,9 +120,12 @@ def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
     For every interior edge the normal-normal and effective-shear moments in
     the global edge frame must agree from both sides; at every interior
     vertex the corner jumps of the surrounding cells must sum to zero.  The
-    dofs of every cell are ``T_k @ coeffs_k``, with the local dof matrices
-    ``T_k`` of all cells built for an ``nq``-point edge rule by
-    :func:`ddivfem.piola.dof_matrices`.
+    dofs of every cell are ``T_k @ coeffs_k``.  Cells with equal
+    :meth:`ddivfem.piola.CellGeometry.keys` rows have bitwise equal dof
+    matrices, so ``T_k`` is built once per group of such cells, for an
+    ``nq``-point edge rule, by :func:`ddivfem.piola.dof_matrices`; nothing
+    is inverted, and the cache's stored inverses are not consulted for raw
+    coefficients.
 
     ``mcoef`` is either an (ncells, 20) array of raw per-cell reference
     expansion coefficients or a global coefficient vector.  Raw coefficients
@@ -123,12 +142,20 @@ def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
     if cache is None:
         cache = BasisCache()
     mcoef = np.asarray(mcoef, dtype=float)
-    if mcoef.ndim == 2:
+    if mcoef.shape == (mesh.num_cells, 20):
         coeffs = mcoef
-    else:
+    elif mcoef.shape == (dofmap.ndofs,):
         coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
-    T = dof_matrices(batch_geometry(mesh), cache.edge_tabulation(nq))
-    phys = np.einsum("kmi,ki->km", T, coeffs)
+    else:
+        raise ValueError(
+            "expected raw coefficients of shape (ncells, 20) = (%d, 20) or a global vector "
+            "of length ndofs = %d, got shape %s" % (mesh.num_cells, dofmap.ndofs, mcoef.shape)
+        )
+    # dof_matrices computes each row of a batch on its own, so the matrix of
+    # a group's first cell is bitwise the matrix of every cell in the group
+    first, group = cell_groups(batch_geometry(mesh).keys())
+    T = dof_matrices(batch_geometry(mesh, first), cache.edge_tabulation(nq))
+    phys = np.einsum("kmi,ki->km", T[group], coeffs)
 
     # global-frame edge dofs; the outward shear values are sigma * global
     # with sigma differing between the two sides, so the global values of

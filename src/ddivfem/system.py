@@ -15,7 +15,7 @@ multiplier rows pinning the corresponding degrees of freedom.
 import numpy as np
 import scipy.sparse as sp
 
-from .piola import BasisCache, batch_geometry, edge_frames, normals
+from .piola import BasisCache, edge_frames, element_maps, normals
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
@@ -168,9 +168,8 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     # one compliance block per group of equal cells; the 1/det of both pushed
     # factors and the det of the volume element combine to a single 1/det
     first, group, Tinv = cache.groups(mesh)
-    geometry = batch_geometry(mesh)
-    det = geometry.det[first]
-    push = _push(geometry.B[first], np.broadcast_to(phi, (len(first),) + phi.shape))
+    B, _, det = element_maps(mesh, first)
+    push = _push(B, np.broadcast_to(phi, (len(first),) + phi.shape))
     comp = np.stack(material.apply_compliance(push[..., 0], push[..., 1], push[..., 2]), axis=-1)
     # sum over quadrature points p and components c as one matmul over (p, c)
     ng = len(first)
@@ -296,7 +295,8 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
 def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     """Direct solve of an assembled system.
 
-    Returns a dict with the tensor coefficients ``m``, the per-cell
+    Returns a dict with the tensor coefficients ``m``, their per-cell
+    reference expansion ``coeffs`` (shape (ncells, 20)), the per-cell
     deflection coefficients ``u`` (shape (ncells, 3)), the multipliers,
     solver diagnostics, and a conformity report of the tensor part.
     """
@@ -311,6 +311,7 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     conf = check_conformity(mesh, dofmap, coeffs, cache=cache)
     return {
         "m": m,
+        "coeffs": coeffs,
         "u": u,
         "lambda": lam,
         "solver": info,

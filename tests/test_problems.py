@@ -204,6 +204,25 @@ def test_error_integrals_stable_under_quadrature_order():
     assert e6["ddiv"] is None and e6["div"] is None
 
 
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+def test_l2_errors_read_the_solve_coefficients(problem):
+    # solve_problem hands its per-cell expansion on; a result without it
+    # (as the traced benchmark builds) is expanded again, to the same bits
+    cache = BasisCache()
+    exact = get_example(problem)
+    run = solve_example(exact, 2, cache=cache)
+    result = run["result"]
+    assert result["coeffs"].shape == (run["mesh"].num_cells, 20)
+    bare = {key: value for key, value in result.items() if key != "coeffs"}
+    got = l2_errors(run["mesh"], run["dofmap"], cache, result, exact)
+    want = l2_errors(run["mesh"], run["dofmap"], cache, bare, exact)
+    assert repr(got) == repr(want)
+    assert got == run["errors"]
+    # and the coefficients it carries are the ones measured
+    zero = dict(result, coeffs=np.zeros_like(result["coeffs"]))
+    assert l2_errors(run["mesh"], run["dofmap"], cache, zero, exact)["norm_Mh"] == 0.0
+
+
 # -- convergence orders -----------------------------------------------------------
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from cellspec import cell_geometry, physical_dofs, tensors
 from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from ddivfem.piola import BasisCache
+from ddivfem import space
+from ddivfem.piola import BasisCache, batch_geometry, cell_groups
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
 
@@ -143,3 +144,122 @@ def test_conformity_reports_no_location_without_violation():
     report = check_conformity(mesh, dofmap, raw)
     assert report["max_violation"] == 0.0
     assert (report["worst_edge_m"], report["worst_edge_q"], report["worst_vertex"]) == (-1, -1, -1)
+
+
+# -- one dof matrix per group of equal cells -------------------------------------
+
+
+def test_cell_groups_number_every_cell():
+    mesh = make_lshape(3)
+    keys = batch_geometry(mesh).keys()
+    first, group = cell_groups(keys)
+    assert group.shape == (mesh.num_cells,)
+    assert np.array_equal(first, np.sort(first))
+    assert np.array_equal(keys[first[group]], keys)
+    assert np.array_equal(group[first], np.arange(len(first)))
+    assert len(first) < mesh.num_cells
+
+
+def report_inputs(mesh, kind):
+    dofmap = build_dof_map(mesh)
+    rng = np.random.default_rng(41)
+    if kind == "raw":
+        return dofmap, rng.standard_normal((mesh.num_cells, 20))
+    return dofmap, rng.standard_normal(dofmap.ndofs)
+
+
+@pytest.mark.parametrize("nq", [4, 8])
+@pytest.mark.parametrize("kind", ["raw", "global"])
+@pytest.mark.parametrize("which", ["lshape", "graded"])
+def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind, nq):
+    # with every cell its own group the check builds the dof matrices of all
+    # cells in one batch, dof_matrices(batch_geometry(mesh), tab); grouping
+    # must give the same report to the last bit
+    mesh = make_lshape(3) if which == "lshape" else graded_mesh
+    dofmap, mcoef = report_inputs(mesh, kind)
+    cache = BasisCache()
+    got = check_conformity(mesh, dofmap, mcoef, cache=cache, nq=nq)
+
+    calls = []
+
+    def one_cell_groups(keys):
+        calls.append(len(keys))
+        return np.arange(len(keys)), np.arange(len(keys))
+
+    monkeypatch.setattr(space, "cell_groups", one_cell_groups)
+    want = check_conformity(mesh, dofmap, mcoef, cache=cache, nq=nq)
+    assert calls == [mesh.num_cells]
+    assert repr(got) == repr(want)
+
+
+def test_perturbed_cell_reported_inside_its_group():
+    # a conforming field whose coefficients change in one cell only; the
+    # cell is neither its group's first nor alone in it, so a check reading
+    # the representative's coefficients would pass the field
+    mesh = make_lshape(3)
+    dofmap = build_dof_map(mesh)
+    cache = BasisCache()
+    raw = cell_coefficients(mesh, dofmap, cache, np.random.default_rng(5).standard_normal(dofmap.ndofs))
+    first, group = cell_groups(batch_geometry(mesh).keys())
+    largest = np.argmax(np.bincount(group))
+    members = np.flatnonzero(group == largest)
+    k = members[len(members) // 2]
+    assert len(members) > 10 and k != first[largest]
+
+    before = check_conformity(mesh, dofmap, raw, cache=cache)
+    assert before["max_violation"] < 1e-12
+    raw[k] += np.random.default_rng(6).standard_normal(20)
+    report = check_conformity(mesh, dofmap, raw, cache=cache)
+    assert report["max_violation"] > 1e-3
+    worst = [
+        (report["max_moment_mismatch"], report["worst_edge_m"], mesh.cell_edges[k]),
+        (report["max_shear_mismatch"], report["worst_edge_q"], mesh.cell_edges[k]),
+        (report["max_jump_sum"], report["worst_vertex"], mesh.cells[k]),
+    ]
+    for value, where, own in worst:
+        if value > 1e-8:
+            assert where in own
+
+
+def test_raw_conformity_leaves_the_cached_inverses_alone(graded_mesh):
+    # raw coefficients need dof matrices only; asking the cache for inverses
+    # would add a condition check and move its hit and miss counts
+    class NoInverses(BasisCache):
+        def groups(self, mesh):
+            raise AssertionError("groups called")
+
+        def get(self, key, Tinv):
+            raise AssertionError("get called")
+
+    dofmap, raw = report_inputs(graded_mesh, "raw")
+    check_conformity(graded_mesh, dofmap, raw, cache=NoInverses())
+
+
+def bad_inputs():
+    """Calls with input of the wrong shape, and the message each must raise."""
+    mesh = make_lshape(1)
+    dofmap = build_dof_map(mesh)
+    other = build_dof_map(make_lshape(2))
+    nk, nd = mesh.num_cells, dofmap.ndofs
+    raw_msg = r"expected raw coefficients of shape \(ncells, 20\) = \(%d, 20\) or a global " % nk
+    vec_msg = r"expected a global coefficient vector of length ndofs = %d" % nd
+    map_msg = r"the dof map expands %d dofs into %d cells, but the mesh has %d dofs" % (
+        other.ndofs, other.P.shape[0] // 20, nd)
+    cases = [
+        ("raw-19-columns", check_conformity, dofmap, np.zeros((nk, 19)), raw_msg),
+        ("raw-extra-cell", check_conformity, dofmap, np.zeros((nk + 1, 20)), raw_msg),
+        ("global-short", check_conformity, dofmap, np.zeros(nd - 1),
+         raw_msg + r"vector of length ndofs = %d" % nd),
+        ("foreign-dofmap", check_conformity, other, np.zeros(other.ndofs), map_msg),
+        ("coefficients-of-raw", cell_coefficients, dofmap, np.zeros((nk, 20)), vec_msg),
+        ("coefficients-long", cell_coefficients, dofmap, np.zeros(nd + 1), vec_msg),
+        ("coefficients-foreign-dofmap", cell_coefficients, other, np.zeros(other.ndofs), map_msg),
+    ]
+    return [pytest.param(mesh, *case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("mesh, fn, dofmap, x, message", bad_inputs())
+def test_wrong_input_shape_rejected(mesh, fn, dofmap, x, message):
+    args = (mesh, dofmap, x) if fn is check_conformity else (mesh, dofmap, BasisCache(), x)
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

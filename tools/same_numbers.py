@@ -1,0 +1,160 @@
+"""Print which fixed outputs of the library differ from those of a parent commit.
+
+    python3 tools/same_numbers.py --parent a414132
+
+Run from the root of the changed checkout.  The parent commit is exported
+with ``git archive`` into a temporary directory, as ``tools/bench_record.py``
+does.  In each checkout, with that checkout's ``src`` on the path, this
+script computes the same fixed set of outputs:
+
+- the ``convergence_study`` rows of ex1 and ex2 at levels 1-5, conformity
+  included, by ``repr``;
+- the bytes of ``m``, ``u`` and ``lambda`` of ``solve_example`` for ex1 and
+  ex2 at levels 1, 3 and 5, and the ``repr`` of its solver and conformity
+  dicts;
+- the ``interpolation_error_study`` rows, levels 0-5 as in the
+  ``interp-commute`` workload, of ``TensorField.random_poly(default_rng(s),
+  3)`` for s = 1-10, by ``repr``;
+- the stdout and the mesh and solution files of ``ddivfem solve --problem
+  {ex1,ex2} --level 2``, and the stdout of ``ddivfem verify``;
+- the ten verdict lines of ``tests/test_acceptance.py``, timings masked.
+
+It prints one line per output, ``same`` or ``DIFFERS``, and exits 1 when any
+output differs.  Outputs are compared by SHA-256 digest, so a difference in
+the last bit of one number counts.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+LEVELS = range(1, 6)
+SOLVE_LEVELS = (1, 3, 5)
+INTERP_LEVELS = range(0, 6)
+INTERP_SEEDS = range(1, 11)
+CLI_LEVEL = 2
+
+#: the timing of a verdict line, e.g. "in 0.05 s"
+TIMING = re.compile(r" in [0-9.e+-]+ s\b")
+
+
+def digest(data):
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def library_outputs():
+    """Digest of every library output, by name; runs inside one checkout."""
+    import numpy as np
+
+    from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
+    from ddivfem import solve_example
+    from ddivfem.cli import main as cli_main
+
+    out = {}
+    for problem in ("ex1", "ex2"):
+        report = convergence_study(problem, levels=max(LEVELS), start=min(LEVELS))
+        out["convergence %s rows" % problem] = digest(repr(report.rows))
+        exact = get_example(problem)
+        for level in SOLVE_LEVELS:
+            result = solve_example(exact, level)["result"]
+            for key in ("m", "u", "lambda"):
+                out["solve %s L%d %s" % (problem, level, key)] = digest(result[key].tobytes())
+            for key in ("solver", "conformity"):
+                out["solve %s L%d %s" % (problem, level, key)] = digest(
+                    repr(sorted(result[key].items()))
+                )
+    for seed in INTERP_SEEDS:
+        field = TensorField.random_poly(np.random.default_rng(seed), 3)
+        rows = interpolation_error_study(field, INTERP_LEVELS)
+        out["interpolation seed %d rows" % seed] = digest(repr(rows))
+
+    # relative output paths in a fresh directory, so that the recorded
+    # configuration is the same in both checkouts
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for problem in ("ex1", "ex2"):
+                argv = ["solve", "--problem", problem, "--level", str(CLI_LEVEL),
+                        "--mesh-out", "mesh.txt", "--solution-out", "solution.json"]
+                name = "ddivfem solve %s L%d" % (problem, CLI_LEVEL)
+                out[name + " stdout"] = digest(_stdout(cli_main, argv))
+                for path in ("mesh.txt", "solution.json"):
+                    with open(path, "rb") as fh:
+                        out["%s %s" % (name, path)] = digest(fh.read())
+            out["ddivfem verify stdout"] = digest(_stdout(cli_main, ["verify"]))
+        finally:
+            os.chdir(here)
+    return out
+
+
+def _stdout(fn, argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        fn(argv)
+    return buf.getvalue()
+
+
+def acceptance_verdicts(checkout):
+    """The verdict lines of the acceptance tests of a checkout, timings masked."""
+    cmd = [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-s", "-q",
+           "-p", "no:cacheprovider"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
+    lines = re.findall(r"(?:PASS|FAIL)  criterion.*", proc.stdout)
+    return [TIMING.sub(" in <t> s", line) for line in lines]
+
+
+def outputs(checkout):
+    """All outputs of one checkout, by name."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--dump"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    verdicts = acceptance_verdicts(os.path.abspath(checkout))
+    out["acceptance verdicts (%d lines)" % len(verdicts)] = digest("\n".join(verdicts))
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", help="commit to compare this checkout against")
+    ap.add_argument("--dump", action="store_true",
+                    help="print this checkout's library output digests as one JSON line")
+    args = ap.parse_args(argv)
+    if args.dump:
+        print(json.dumps(library_outputs()))
+        return 0
+    if args.parent is None:
+        ap.error("--parent is required")
+
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short", args.parent + "^{commit}"],
+        stdout=subprocess.PIPE, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
+    with tempfile.TemporaryDirectory() as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
+        want = outputs(parent)
+    got = outputs(".")
+    differ = 0
+    for name in sorted(set(want) | set(got)):
+        same = want.get(name) is not None and want.get(name) == got.get(name)
+        differ += not same
+        print("%-8s %s" % ("same" if same else "DIFFERS", name))
+    print("%s against %s: %d of %d outputs differ"
+          % (os.path.abspath("."), commit, differ, len(set(want) | set(got))))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
