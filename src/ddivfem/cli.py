@@ -271,9 +271,16 @@ def _fmt_err(v):
     return "-" if v is None else "%.6e" % v
 
 
+def _check_rtol(rtol):
+    # written so that NaN fails too
+    if not (np.isfinite(rtol) and rtol > 0.0):
+        raise SystemExit("--rtol must be a positive finite number")
+
+
 def cmd_solve(args):
     if args.level < 0:
         raise SystemExit("--level must be at least 0")
+    _check_rtol(args.rtol)
     cache = BasisCache()
     exact = get_example(args.problem)
     run = solve_example(exact, args.level, cache=cache, rtol=args.rtol)
@@ -336,6 +343,7 @@ def cmd_convergence(args):
         raise SystemExit("--start-level must be at least 0")
     if args.start_level > args.levels:
         raise SystemExit("--start-level exceeds --levels")
+    _check_rtol(args.rtol)
     report = convergence_study(
         args.problem, levels=args.levels, start=args.start_level, rtol=args.rtol
     )

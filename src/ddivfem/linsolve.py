@@ -28,11 +28,13 @@ stays as a backstop.
 The tensor field, the deflection and the Neumann multipliers are then
 recovered cell by cell.
 
-The solve needs the cell structure that
-:meth:`ddivfem.system.SaddleSystem.full` attaches to K as ``K.plate``; a
-matrix without it is refused.  A few steps of iterative refinement on K
-follow, so that the final relative residual is certified rather than hoped
-for.
+Everything is read from the cell structure, a :class:`PlateBlocks`, which
+:attr:`ddivfem.system.SaddleSystem.plate` gives; K itself is never formed.
+A few steps of iterative refinement follow, so that the final relative
+residual is certified rather than hoped for.  Their residuals apply K cell
+by cell through the local saddle blocks, and ||K||_inf is bounded from below
+by the blocks as well, so the certificate is never looser than one measured
+on the assembled K.
 """
 
 from typing import NamedTuple
@@ -75,13 +77,14 @@ class PlateBlocks(NamedTuple):
     nu: int
 
 
-def residual_norm(A, x, b, anorm):
-    """Relative residual ||b - A x|| / max(||b||, ||A|| ||x||) in the inf norm.
+def residual_norm(r, x, b, anorm):
+    """Relative residual ||r|| / max(||b||, ||K|| ||x||) in the inf norm.
 
-    ``anorm`` is ||A||_inf, computed once per solve by the caller.
+    ``r`` is b - K x, and ``anorm`` is ||K||_inf or a lower bound on it,
+    computed once per solve by the caller.
     """
     denom = max(np.linalg.norm(b, np.inf), anorm * np.linalg.norm(x, np.inf), 1e-300)
-    return np.linalg.norm(b - A @ x, np.inf) / denom
+    return np.linalg.norm(r, np.inf) / denom
 
 
 def factor_spd(S):
@@ -123,7 +126,8 @@ class HybridSolver:
         P = sp.csr_matrix(plate.P)
         nk = len(plate.group)
         self.ndofs, self.nu = plate.ndofs, plate.nu
-        _check_rigid_kernel(P, plate.L, self.ndofs)
+        self.P, self.L, self.group = P, sp.csr_matrix(plate.L), plate.group
+        _check_rigid_kernel(P, self.L, self.ndofs)
 
         # Q selects the first local copy of every global dof, so Q P = I
         per_row = np.diff(P.indptr)
@@ -140,7 +144,7 @@ class HybridSolver:
         R = (sp.identity(20 * nk, format="csr") - P @ Q).tocsr()
         R.eliminate_zeros()
         R = R[np.diff(R.indptr) > 0]
-        Lam = sp.vstack([R, plate.L @ Q], format="csr")
+        Lam = sp.vstack([R, self.L @ Q], format="csr")
         self.n_continuity = R.shape[0]
 
         # move tensor slot s of cell k to column 23 k + s
@@ -151,6 +155,7 @@ class HybridSolver:
         local[:, :20, :20] = plate.A_loc
         local[:, :20, 20:] = -plate.B_loc.transpose(0, 2, 1)
         local[:, 20:, :20] = -plate.B_loc
+        self.local = local
         try:
             inv = np.linalg.inv(local)
         except np.linalg.LinAlgError as err:
@@ -189,6 +194,46 @@ class HybridSolver:
         u = y.reshape(-1, 23)[:, 20:].ravel()
         return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
 
+    def apply(self, x):
+        """K x from the local saddle blocks, with x = (m, u, lambda) as K orders it."""
+        nd, nu = self.ndofs, self.nu
+        m, lam = x[:nd], x[nd + nu :]
+        z = np.empty((len(self.group), 23))
+        z[:, :20] = (self.P @ m).reshape(-1, 20)
+        z[:, 20:] = x[nd : nd + nu].reshape(-1, 3)
+        # one matmul per group of equal cells
+        order = np.argsort(self.group, kind="stable")
+        bounds = np.searchsorted(self.group[order], np.arange(len(self.local) + 1))
+        out = np.empty_like(z)
+        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            cells = order[lo:hi]
+            out[cells] = z[cells] @ self.local[g].T
+        top = self.P.T @ out[:, :20].ravel() + self.L.T @ lam
+        return np.concatenate([top, out[:, 20:].ravel(), self.L @ m])
+
+    def norm_inf(self):
+        """Lower bound on ||K||_inf from the local blocks.
+
+        The rows of -B and of L are exact, and so is every column sum of
+        |B| and |L|, because within one cell no two slots share a global
+        dof.  A row of A contributes only its diagonal entry, so the bound
+        is ||K||_inf when the rows of -B or L dominate.
+        """
+        absP = abs(self.P)
+        absB = np.abs(self.local[:, 20:, :20])
+        diag_A = np.diagonal(self.local[:, :20, :20], axis1=1, axis2=2)
+        # the |P| row sums of each cell's slots weight the rows of |B_k|
+        weight = (absP @ np.ones(self.ndofs)).reshape(-1, 20)
+        norm_B = np.einsum("kar,kr->ka", absB[self.group], weight).max()
+        absL = abs(self.L)
+        norm_L = np.max(absL @ np.ones(self.ndofs), initial=0.0)
+        rows_A = (
+            self.P.multiply(self.P).T @ diag_A[self.group].ravel()
+            + absP.T @ absB.sum(axis=1)[self.group].ravel()
+            + absL.T @ np.ones(absL.shape[0])
+        )
+        return max(norm_B, norm_L, rows_A.max())
+
 
 def _check_rigid_kernel(P, L, ndofs):
     """Reject a plate whose constraint rows leave the rigid deflections free.
@@ -224,12 +269,14 @@ def solve_saddle(A, b, rtol=1e-10):
 
     Parameters
     ----------
-    A : sparse matrix
-        A plate matrix from :meth:`ddivfem.system.SaddleSystem.full`, which
-        carries its cell structure as ``A.plate``.
+    A : PlateBlocks
+        The cell structure of the plate, :attr:`ddivfem.system.SaddleSystem.plate`.
+        A matrix from :meth:`ddivfem.system.SaddleSystem.full` is accepted
+        too; only the cell structure it carries as ``A.plate`` is read.
     b : ndarray
     rtol : float
-        Certified relative residual bound for the returned solution.
+        Certified relative residual bound for the returned solution, a
+        positive finite number.
 
     Returns
     -------
@@ -240,36 +287,38 @@ def solve_saddle(A, b, rtol=1e-10):
         factors) and ``pivot_ratio`` (smallest pivot over its diagonal entry
         of S, None when S is empty).
 
-    Raises ``ValueError`` when ``A`` carries no cell structure or its shape
-    does not match, ``SingularSystemError`` on a singular matrix or a pivot
-    breakdown, and ``ResidualError`` when the residual is above ``rtol`` or
-    not finite.
+    Raises ``ValueError`` for an ``rtol`` that is not a positive finite
+    number, a matrix without cell structure or a size mismatch,
+    ``SingularSystemError`` on a singular matrix or a pivot breakdown, and
+    ``ResidualError`` when the residual is above ``rtol`` or not finite.
     """
+    if not (np.isfinite(rtol) and rtol > 0.0):
+        raise ValueError("rtol must be a positive finite number, got %r" % (rtol,))
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    plate = getattr(A, "plate", None)
+    # a matrix of SaddleSystem.full carries the blocks; a plain copy does not
+    plate = A if isinstance(A, PlateBlocks) else getattr(A, "plate", None)
     if plate is None:
-        raise ValueError("the cell structure is missing: solve the matrix of SaddleSystem.full")
-    A = A.tocsc()
-    if A.shape != (n, n):
-        raise ValueError("matrix/vector shape mismatch: %s vs %d" % (A.shape, n))
+        raise ValueError("the cell structure is missing: pass SaddleSystem.plate")
     if plate.ndofs + plate.nu + plate.L.shape[0] != n:
-        raise ValueError("cell structure does not match a matrix of size %d" % n)
+        raise ValueError("cell structure does not match a right hand side of size %d" % n)
     hybrid = HybridSolver(plate)
     solve, info = hybrid.solve, hybrid.info()
 
     x = solve(b)
     steps = 0
-    anorm = spla.norm(A, np.inf)
-    res = residual_norm(A, x, b, anorm)
+    anorm = hybrid.norm_inf()
+    r = b - hybrid.apply(x)
+    res = residual_norm(r, x, b, anorm)
     while res > 1e-12 and steps < REFINE_STEPS:
-        x_new = x + solve(b - A @ x)
-        new_res = residual_norm(A, x_new, b, anorm)
+        x_new = x + solve(r)
+        r_new = b - hybrid.apply(x_new)
+        new_res = residual_norm(r_new, x_new, b, anorm)
         # a step that does not lower the residual is dropped, so that the
         # certified residual is the one of the returned x
         if not new_res < res:
             break
-        x, res = x_new, new_res
+        x, r, res = x_new, r_new, new_res
         steps += 1
     # written so that a NaN residual fails too
     if not res <= rtol:

@@ -48,7 +48,8 @@ class MaterialLaw:
         if kind == "identity":
             self.E, self.nu = 1.0, 0.0
         elif kind == "isotropic":
-            if not (-1.0 < self.nu < 0.5) or self.E <= 0.0:
+            # written so that NaN fails too
+            if not (-1.0 < self.nu < 0.5 and self.E > 0.0):
                 raise MaterialError(
                     "isotropic law needs E > 0 and -1 < nu < 0.5, got E=%g nu=%g"
                     % (self.E, self.nu)
@@ -105,9 +106,10 @@ class SaddleSystem:
 
     Attributes
     ----------
-    A : csr_matrix, (nm, nm)
-        Compliance block on the free tensor dofs, from :func:`assemble`;
-        ``A.cells`` holds its cell structure.
+    cells : tuple
+        ``(P, group, A_loc, B_loc)`` from :func:`assemble`: the compliance
+        block is A = P^T blockdiag(A_loc[group]) P on the free tensor dofs,
+        and is not formed.
     B : csr_matrix, (nu, nm)
         Rows are the elementwise linear test functions.
     L : sparse matrix, (nc, nm)
@@ -117,30 +119,47 @@ class SaddleSystem:
         Boundary functional, source functional, constraint values.
     """
 
-    def __init__(self, A, B, L, G, F, d, ndofs, nu):
+    def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
             L = sp.csr_matrix((0, ndofs))
-        self.A, self.B, self.L = A, B, L
+        self.cells, self.B, self.L = cells, B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
 
-    def full(self):
-        """Symmetric indefinite block matrix and right hand side.
+    @property
+    def plate(self):
+        """The cell structure that :func:`ddivfem.linsolve.solve_saddle` solves."""
+        return PlateBlocks(*self.cells, self.L, self.ndofs, self.nu)
 
-        The returned csc matrix carries the cell structure of ``A`` and the
-        constraint rows on to the solver as ``K.plate``, from which
-        :func:`ddivfem.linsolve.solve_saddle` hybridizes the solve.
+    def rhs(self):
+        """Right hand side in the order (m, u, lambda) of the unknowns."""
+        return np.concatenate([self.G, -self.F, self.d])
+
+    def full(self):
+        """Symmetric indefinite block matrix K and right hand side.
+
+        K = [[A, -B^T, L^T], [-B, 0, 0], [L, 0, 0]] is formed here and
+        nowhere on the solve path; it serves as an oracle.  The returned csc
+        matrix carries :attr:`plate` as ``K.plate``, which
+        :func:`ddivfem.linsolve.solve_saddle` reads in place of K.
         """
+        P, group, A_loc, _ = self.cells
+        nk = len(group)
+        ptr = np.arange(nk + 1)
+        A_cells = sp.bsr_matrix((A_loc[group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
+        A = (P.T @ A_cells @ P).tocsr()
+        # structural zeros of the local blocks are dropped
+        A.eliminate_zeros()
         K = sp.bmat(
-            [[self.A, -self.B.T, self.L.T], [-self.B, None, None], [self.L, None, None]],
+            [[A, -self.B.T, self.L.T], [-self.B, None, None], [self.L, None, None]],
             format="csc",
         )
-        K.plate = PlateBlocks(*self.A.cells, self.L, self.ndofs, self.nu)
-        return K, np.concatenate([self.G, -self.F, self.d])
+        K.plate = self.plate
+        return K, self.rhs()
 
 
 def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
-    """Assemble the compliance block A and the div-div block B.
+    """Cell blocks of the compliance block A and the global div-div block B.
 
     The compliance block is integrated on the reference square (degree six
     polynomials, so a 4x4 Gauss rule is exact); the div-div block needs no
@@ -148,10 +167,11 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     linears, whose mass against {1, xh, yh} is known in closed form, and the
     determinant factors cancel under the pushforward.
 
-    The returned ``A`` carries ``A.cells = (P, group, A_loc, B_loc)``: the
+    Returns ``(cells, B)`` with ``cells = (P, group, A_loc, B_loc)``: the
     local-to-global operator, the group of every cell and the local blocks
-    of each group, with A = P^T blockdiag(A_loc[group]) P and
-    B = blockdiag(B_loc[group]) P.
+    of each group, so that A = P^T blockdiag(A_loc[group]) P and
+    B = blockdiag(B_loc[group]) P.  The global A is not formed;
+    :meth:`SaddleSystem.full` forms it for the assembled K.
     """
     if material is None:
         material = MaterialLaw()
@@ -178,18 +198,13 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
     B_loc = Bref.T @ Tinv  # (ngroups, 3, 20); Bref is map independent
 
-    # A = P^T blockdiag(A_k) P and B = blockdiag(B_k) P; structural zeros of
-    # the local blocks are dropped so that they do not reach the factorization
+    # B = blockdiag(B_k) P; structural zeros of the local blocks are dropped
     nk = mesh.num_cells
     ptr = np.arange(nk + 1)
-    A_cells = sp.bsr_matrix((A_loc[group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
     B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
-    A = (dofmap.P.T @ A_cells @ dofmap.P).tocsr()
     Bmat = (B_cells @ dofmap.P).tocsr()
-    A.eliminate_zeros()
     Bmat.eliminate_zeros()
-    A.cells = (dofmap.P, group, A_loc, B_loc)
-    return A, Bmat
+    return (dofmap.P, group, A_loc, B_loc), Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
@@ -280,7 +295,7 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
     """Assemble the complete saddle system for a load and boundary data."""
     if cache is None:
         cache = BasisCache()
-    A, B = assemble(mesh, dofmap, material=material, cache=cache)
+    cells, B = assemble(mesh, dofmap, material=material, cache=cache)
     F = source_load(mesh, f, nq=nq_data)
     if dirichlet is None:
         dirichlet = DirichletData.zero()
@@ -289,7 +304,7 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
         L, d = neumann_constraints(mesh, dofmap, neumann, nq=nq_data)
     else:
         L, d = sp.csr_matrix((0, dofmap.ndofs)), np.zeros(0)
-    return SaddleSystem(A, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)
+    return SaddleSystem(cells, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)
 
 
 def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
@@ -300,8 +315,7 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     deflection coefficients ``u`` (shape (ncells, 3)), the multipliers,
     solver diagnostics, and a conformity report of the tensor part.
     """
-    K, rhs = system.full()
-    x, info = solve_saddle(K, rhs, rtol=rtol)
+    x, info = solve_saddle(system.plate, system.rhs(), rtol=rtol)
     m = x[: system.ndofs]
     u = x[system.ndofs : system.ndofs + system.nu].reshape(-1, 3)
     lam = x[system.ndofs + system.nu :]

@@ -54,8 +54,14 @@ def test_sample_basis_rejects_bad_index(tmp_path):
         (["solve", "--problem", "ex1", "--level", "-1"], "--level"),
         (["convergence", "--problem", "ex2", "--start-level", "-1"], "--start-level"),
         (["interp-test", "--degree", "-1"], "--degree"),
+        (["solve", "--problem", "ex1", "--level", "1", "--rtol", "-1"], "--rtol"),
+        (["solve", "--problem", "ex1", "--level", "1", "--rtol", "nan"], "--rtol"),
+        (["convergence", "--problem", "ex1", "--levels", "1", "--rtol", "0"], "--rtol"),
     ],
-    ids=["levels", "quad-17", "quad-0", "solve-level", "start-level", "degree"],
+    ids=[
+        "levels", "quad-17", "quad-0", "solve-level", "start-level", "degree",
+        "solve-rtol-negative", "solve-rtol-nan", "convergence-rtol-zero",
+    ],
 )
 def test_invalid_level_or_quadrature_order_names_the_flag(argv, flag):
     with pytest.raises(SystemExit, match="^%s must be" % flag):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cellspec import element_map, tensors
+from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
@@ -19,8 +20,8 @@ from ddivfem.system import (
     DirichletData,
     MaterialError,
     MaterialLaw,
-    assemble,
     NeumannData,
+    SaddleSystem,
     build_system,
     dirichlet_load,
     neumann_interior_vertices,
@@ -35,6 +36,8 @@ from ddivfem.system import (
 def test_material_validation():
     with pytest.raises(MaterialError):
         MaterialLaw("isotropic", E=-1.0, nu=0.3)
+    with pytest.raises(MaterialError):
+        MaterialLaw("isotropic", E=np.nan, nu=0.2)
     with pytest.raises(MaterialError):
         MaterialLaw("isotropic", E=1.0, nu=0.5)
     with pytest.raises(MaterialError):
@@ -221,14 +224,89 @@ def _plate_system(problem, level, cache=None):
 
 def test_singular_system_raises():
     system = _plate_system("ex1", 1)
-    P, group, A_loc, B_loc = system.A.cells
-    system.A.cells = (P, group, np.zeros_like(A_loc), B_loc)
+    P, group, A_loc, B_loc = system.cells
+    system.cells = (P, group, np.zeros_like(A_loc), B_loc)
     K, rhs = system.full()
     with pytest.raises(SingularSystemError, match="singular local saddle block"):
         solve_saddle(K, rhs)
     # a plain copy of K has lost the cell structure the solve needs
     with pytest.raises(ValueError, match="cell structure"):
         solve_saddle(sp.csc_matrix(K), rhs)
+
+
+@pytest.mark.parametrize("rtol", [-1.0, 0.0, np.nan, np.inf])
+def test_rtol_must_be_positive_and_finite(rtol, monkeypatch):
+    system = _plate_system("ex1", 1)
+
+    def unreachable(S):
+        raise AssertionError("the multiplier system was factored")
+
+    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    with pytest.raises(ValueError, match="rtol must be"):
+        solve_saddle(system.plate, system.rhs(), rtol=rtol)
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_blocks_and_matrix_solve_alike(problem, level, basis_cache):
+    # the matrix of full() is read only for the cell structure it carries
+    system = _plate_system(problem, level, cache=basis_cache)
+    K, rhs = system.full()
+    x, info = solve_saddle(system.plate, system.rhs())
+    x_K, info_K = solve_saddle(K, rhs)
+    assert np.array_equal(x, x_K)
+    assert info == info_K
+
+
+def _blocks_and_matrix(system):
+    K, _ = system.full()
+    return linsolve.HybridSolver(system.plate), K
+
+
+@pytest.mark.parametrize("which", ["ex2-2", "graded"])
+def test_cellwise_apply_is_the_matrix_product(which, graded_mesh):
+    if which == "graded":
+        mesh = graded_mesh
+        dofmap = build_dof_map(mesh)
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+    else:
+        system = _plate_system("ex2", 2)
+        assert system.L.shape[0] > 0
+    hybrid, K = _blocks_and_matrix(system)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(K.shape[0])
+        want = K @ x
+        assert np.abs(hybrid.apply(x) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("problem", ["ex1", "ex2"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_block_norm_is_the_matrix_norm(problem, level):
+    hybrid, K = _blocks_and_matrix(_plate_system(problem, level))
+    assert hybrid.norm_inf() == pytest.approx(spla.norm(K, np.inf), rel=1e-14)
+
+
+@pytest.mark.parametrize("diameter", [1e-15, 1e8])
+def test_block_norm_bounds_the_matrix_norm_from_below(diameter):
+    # under a similarity the rows of A may dominate, and their off-diagonal
+    # entries are left out of the bound, which only makes the residual stricter
+    mesh = graded_rectangle(diameter)
+    dofmap = build_dof_map(mesh)
+    system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+    hybrid, K = _blocks_and_matrix(system)
+    norm = hybrid.norm_inf()
+    assert 0.0 < norm <= (1.0 + 1e-14) * spla.norm(K, np.inf)
+
+
+def test_solve_problem_forms_no_matrix(monkeypatch):
+    def unreachable(self):
+        raise AssertionError("the saddle matrix was formed")
+
+    monkeypatch.setattr(SaddleSystem, "full", unreachable)
+    for problem in ("ex1", "ex2"):
+        run = solve_example(get_example(problem), 2)
+        assert run["result"]["solver"]["residual"] <= 1e-10
 
 
 def test_pivot_breakdown_detected():
@@ -254,7 +332,7 @@ def test_residual_failure_raises(monkeypatch):
     # the hybrid solve is accurate, so a genuinely unreachable residual
     # needs a rigged measurement; this checks the guard actually fires
     K, rhs = _plate_system("ex1", 1).full()
-    monkeypatch.setattr(linsolve, "residual_norm", lambda A, x, b, anorm: 1.0)
+    monkeypatch.setattr(linsolve, "residual_norm", lambda r, x, b, anorm: 1.0)
     with pytest.raises(ResidualError):
         solve_saddle(K, rhs, rtol=1e-10)
 
@@ -332,8 +410,10 @@ def test_deflection_equation_uniformly_solvable(basis_cache):
     for lvl in range(4):
         mesh = make_parallelogram_domain(EX1_CORNERS, lvl)
         dofmap = build_dof_map(mesh)
-        A, B = assemble(mesh, dofmap, cache=basis_cache)
-        A, B = A.toarray(), B.toarray()
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), cache=basis_cache)
+        K, _ = system.full()
+        nd = dofmap.ndofs
+        A, B = K[:nd, :nd].toarray(), system.B.toarray()
         dets = np.array([element_map(mesh, k).det for k in range(mesh.num_cells)])
         mu = np.concatenate([d * np.array([4.0, 4.0 / 3.0, 4.0 / 3.0]) for d in dets])
         At = A + B.T @ (B / mu[:, None])
