@@ -28,6 +28,15 @@ stays as a backstop.
 The tensor field, the deflection and the Neumann multipliers are then
 recovered cell by cell.
 
+The solver holds the local saddle blocks and their symmetrized inverses
+once per group, as (ngroups, 23, 23) arrays, and every cellwise product
+gathers them a fixed number of cells at a time.  Each block is scaled
+symmetrically before it is inverted, so that cells of any size give an
+accurate inverse.  S is written from Lambda and the inverses without a
+block matrix over all cells, and is held only until SuperLU has factored
+it: it is freed before the factors are read for the pivot test, which
+copies L and U.
+
 Everything is read from the cell structure, a :class:`PlateBlocks`, which
 :attr:`ddivfem.system.SaddleSystem.plate` gives; K itself is never formed.
 A few steps of iterative refinement follow, so that the final relative
@@ -48,6 +57,9 @@ PIVOT_BREAKDOWN_TOL = 1e-13
 
 #: iterative refinement steps after the direct solve, at most
 REFINE_STEPS = 3
+
+#: cells whose local blocks are gathered at once in a cellwise product
+_CHUNK = 256
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -96,16 +108,22 @@ def factor_spd(S):
     ``PIVOT_BREAKDOWN_TOL``, negative ones included, or when the
     factorization leaves the diagonal.
     """
+    diag = S.diagonal()
     try:
         lu = spla.splu(
             S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
         )
     except RuntimeError as err:
         raise SingularSystemError(str(err)) from err
+    # the factor keeps no reference to S, so when the caller holds none
+    # either, S is freed here, before lu.U makes csc copies of L and U;
+    # CPython 3.11 and later hand a call's arguments over to the callee, so
+    # factor_spd(expression) leaves the caller none
+    del S
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SingularSystemError("off-diagonal pivot in a symmetric factorization")
     # Pr S Pc = L U, and row i of S is row perm_c[i] of the permuted matrix
-    ratio = lu.U.diagonal()[lu.perm_c] / S.diagonal()
+    ratio = lu.U.diagonal()[lu.perm_c] / diag
     worst = int(np.argmin(ratio))
     if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
         raise SingularSystemError(
@@ -119,7 +137,9 @@ class HybridSolver:
     """Hybridized solve of a plate saddle matrix from its cell structure.
 
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
-    :mod:`ddivfem.space`, then the three deflection coefficients.
+    :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
+    has the local saddle block ``local[group[k]]`` and its inverse
+    ``inv[group[k]]``; ``lu`` factors S, which is not kept.
     """
 
     def __init__(self, plate):
@@ -156,22 +176,30 @@ class HybridSolver:
         local[:, :20, 20:] = -plate.B_loc.transpose(0, 2, 1)
         local[:, 20:, :20] = -plate.B_loc
         self.local = local
-        try:
-            inv = np.linalg.inv(local)
-        except np.linalg.LinAlgError as err:
-            raise SingularSystemError("singular local saddle block: %s" % err) from err
-        if not np.all(np.isfinite(inv)):
-            raise SingularSystemError("non-finite inverse of a local saddle block")
-        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
-        ptr = np.arange(nk + 1)
-        self.M = sp.bsr_matrix((inv[plate.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
+        self.inv = _local_inverses(local)
 
-        S = (self.Lam @ self.M @ self.Lam.T).tocsc()
-        self.schur_n = S.shape[0]
+        # S is built, factored and dropped in one expression, so no reference
+        # to it outlives the factorization
+        self.schur_n = self.Lam.shape[0]
         self.lu, self.pivot_ratio = None, None
         if self.schur_n > 0:
-            self.lu, ratio = factor_spd(S)
+            self.lu, ratio = factor_spd(self._schur())
             self.pivot_ratio = float(ratio.min())
+
+    def _schur(self):
+        """S = Lam blockdiag(inv[group]) Lam^T, in csc form.
+
+        The nonzero of Lam in column 23 k + s contributes its value times
+        row s of cell k's inverse, so W = Lam blockdiag(inv[group]) is
+        written entry by entry over the 20 tensor columns of the cell; its
+        deflection columns meet only zero rows of Lam^T.
+        """
+        Lam = self.Lam
+        cell, slot = np.divmod(Lam.indices, 23)
+        data = Lam.data[:, None] * self.inv[self.group[cell], slot, :20]
+        cols = 23 * cell[:, None] + np.arange(20, dtype=cell.dtype)
+        W = sp.csr_matrix((data.ravel(), cols.ravel(), 20 * Lam.indptr), shape=Lam.shape)
+        return (W @ Lam.T).tocsc()
 
     def info(self):
         return {
@@ -186,10 +214,10 @@ class HybridSolver:
         nd, nu = self.ndofs, self.nu
         z = self.Q.T @ b[:nd]
         z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
-        r = self.Lam @ (self.M @ z)
+        r = self.Lam @ self._cellwise(self.inv, z)
         r[self.n_continuity :] -= b[nd + nu :]
         mu = self.lu.solve(r) if self.lu is not None else r
-        y = self.M @ (z - self.Lam.T @ mu)
+        y = self._cellwise(self.inv, z - self.Lam.T @ mu)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
         u = y.reshape(-1, 23)[:, 20:].ravel()
         return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
@@ -201,15 +229,22 @@ class HybridSolver:
         z = np.empty((len(self.group), 23))
         z[:, :20] = (self.P @ m).reshape(-1, 20)
         z[:, 20:] = x[nd : nd + nu].reshape(-1, 3)
-        # one matmul per group of equal cells
-        order = np.argsort(self.group, kind="stable")
-        bounds = np.searchsorted(self.group[order], np.arange(len(self.local) + 1))
-        out = np.empty_like(z)
-        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            cells = order[lo:hi]
-            out[cells] = z[cells] @ self.local[g].T
+        out = self._cellwise(self.local, z)
         top = self.P.T @ out[:, :20].ravel() + self.L.T @ lam
         return np.concatenate([top, out[:, 20:].ravel(), self.L @ m])
+
+    def _cellwise(self, blocks, z):
+        """blocks[group[k]] @ z_k for every cell k, z in the shape (ncells, 23) or flat.
+
+        The blocks are gathered ``_CHUNK`` cells at a time, so neither a
+        copy per cell of the whole mesh nor a Python step per group is made.
+        """
+        zk = z.reshape(-1, 23)
+        out = np.empty_like(zk)
+        for lo in range(0, len(zk), _CHUNK):
+            cells = slice(lo, lo + _CHUNK)
+            out[cells] = (blocks[self.group[cells]] @ zk[cells, :, None])[..., 0]
+        return out.reshape(z.shape)
 
     def norm_inf(self):
         """Lower bound on ||K||_inf from the local blocks.
@@ -233,6 +268,32 @@ class HybridSolver:
             + absL.T @ np.ones(absL.shape[0])
         )
         return max(norm_B, norm_L, rows_A.max())
+
+
+def _local_inverses(local):
+    """Symmetrized inverses of local saddle blocks (n, 23, 23), scaled for the inversion.
+
+    Each block is scaled symmetrically by D before ``np.linalg.inv`` and the
+    inverse scaled back, inv(X) = D inv(D X D) D: the 20 tensor rows by
+    1 / sqrt(|A_ii|), then the three deflection rows by one over the largest
+    entry of their row of the scaled |B|.  The blocks of cells far from unit
+    size mix entries of very different magnitudes, which an unscaled
+    inversion turns into a wrong, even indefinite, S.
+    """
+    d = np.empty(local.shape[:2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[:, :20] = 1.0 / np.sqrt(np.abs(np.diagonal(local[:, :20, :20], axis1=1, axis2=2)))
+        d[:, 20:] = 1.0 / (np.abs(local[:, 20:, :20]) * d[:, None, :20]).max(axis=2)
+    if not np.all(np.isfinite(d)):
+        raise SingularSystemError("singular local saddle block: a zero or non-finite scale")
+    try:
+        inv = np.linalg.inv(local * d[:, :, None] * d[:, None, :])
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError("singular local saddle block: %s" % err) from err
+    inv *= d[:, :, None] * d[:, None, :]
+    if not np.all(np.isfinite(inv)):
+        raise SingularSystemError("non-finite inverse of a local saddle block")
+    return 0.5 * (inv + inv.transpose(0, 2, 1))
 
 
 def _check_rigid_kernel(P, L, ndofs):

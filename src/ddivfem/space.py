@@ -97,21 +97,9 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
     ``mcoef`` is a global coefficient vector of length ``dofmap.ndofs``, and
     ``dofmap`` must number the dofs of ``mesh``.
     """
-    ndofs = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)
-    if dofmap.P.shape != (20 * mesh.num_cells, ndofs):
-        raise ValueError(
-            "the dof map expands %d dofs into %d cells, but the mesh has %d dofs and %d cells"
-            % (dofmap.ndofs, dofmap.P.shape[0] // 20, ndofs, mesh.num_cells)
-        )
-    mcoef = np.asarray(mcoef, dtype=float)
-    if mcoef.shape != (dofmap.ndofs,):
-        raise ValueError(
-            "expected a global coefficient vector of length ndofs = %d, got shape %s"
-            % (dofmap.ndofs, mcoef.shape)
-        )
+    mcoef = _global_vector(mesh, dofmap, mcoef)
     _, group, Tinv = cache.groups(mesh)
-    local = (dofmap.P @ mcoef).reshape(-1, 20)
-    return np.einsum("kij,kj->ki", Tinv[group], local)
+    return _expand(dofmap, group, Tinv, mcoef)
 
 
 def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
@@ -151,10 +139,51 @@ def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
             "expected raw coefficients of shape (ncells, 20) = (%d, 20) or a global vector "
             "of length ndofs = %d, got shape %s" % (mesh.num_cells, dofmap.ndofs, mcoef.shape)
         )
+    first, group = cell_groups(batch_geometry(mesh).keys())
+    return _conformity(mesh, first, group, coeffs, cache.edge_tabulation(nq))
+
+
+def _coefficients_and_conformity(mesh, dofmap, cache, mcoef):
+    """``cell_coefficients`` and the default ``check_conformity`` report of
+    the coefficients, from one grouping of the cells.
+
+    Bit for bit what the two public calls give: :meth:`BasisCache.groups`
+    groups the cells by the same keys as the check does.
+    """
+    mcoef = _global_vector(mesh, dofmap, mcoef)
+    first, group, Tinv = cache.groups(mesh)
+    coeffs = _expand(dofmap, group, Tinv, mcoef)
+    return coeffs, _conformity(mesh, first, group, coeffs, cache.edge_tabulation(4))
+
+
+def _global_vector(mesh, dofmap, mcoef):
+    """``mcoef`` as a float vector of length ndofs, once the dof map fits the mesh."""
+    ndofs = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)
+    if dofmap.P.shape != (20 * mesh.num_cells, ndofs):
+        raise ValueError(
+            "the dof map expands %d dofs into %d cells, but the mesh has %d dofs and %d cells"
+            % (dofmap.ndofs, dofmap.P.shape[0] // 20, ndofs, mesh.num_cells)
+        )
+    mcoef = np.asarray(mcoef, dtype=float)
+    if mcoef.shape != (dofmap.ndofs,):
+        raise ValueError(
+            "expected a global coefficient vector of length ndofs = %d, got shape %s"
+            % (dofmap.ndofs, mcoef.shape)
+        )
+    return mcoef
+
+
+def _expand(dofmap, group, Tinv, mcoef):
+    """Coefficients (nk, 20) of a global vector, cell k through ``Tinv[group[k]]``."""
+    local = (dofmap.P @ mcoef).reshape(-1, 20)
+    return np.einsum("kij,kj->ki", Tinv[group], local)
+
+
+def _conformity(mesh, first, group, coeffs, tab):
+    """Conformity report of raw coefficients, for cells grouped as ``(first, group)``."""
     # dof_matrices computes each row of a batch on its own, so the matrix of
     # a group's first cell is bitwise the matrix of every cell in the group
-    first, group = cell_groups(batch_geometry(mesh).keys())
-    T = dof_matrices(batch_geometry(mesh, first), cache.edge_tabulation(nq))
+    T = dof_matrices(batch_geometry(mesh, first), tab)
     phys = np.einsum("kmi,ki->km", T[group], coeffs)
 
     # global-frame edge dofs; the outward shear values are sigma * global

@@ -20,7 +20,7 @@ from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
 from .linsolve import PlateBlocks, solve_saddle
-from .space import cell_coefficients, check_conformity
+from .space import _coefficients_and_conformity
 
 #: volume rule order for the compliance block; its integrands are rational
 #: only through the constant 1/det factor, polynomial of degree six otherwise
@@ -321,8 +321,7 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     lam = x[system.ndofs + system.nu :]
     if cache is None:
         cache = BasisCache()
-    coeffs = cell_coefficients(mesh, dofmap, cache, m)
-    conf = check_conformity(mesh, dofmap, coeffs, cache=cache)
+    coeffs, conf = _coefficients_and_conformity(mesh, dofmap, cache, m)
     return {
         "m": m,
         "coeffs": coeffs,

@@ -1,5 +1,8 @@
 """Assembly, boundary data, constraints, and the saddle point solver."""
 
+import sys
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,13 +12,14 @@ import scipy.sparse.linalg as spla
 from cellspec import element_map, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
+from ddivfem import piola, space
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
 from ddivfem.reference import divdiv_matrix
-from ddivfem.space import build_dof_map, cell_coefficients
+from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 from ddivfem.system import (
     DirichletData,
     MaterialError,
@@ -297,6 +301,124 @@ def test_block_norm_bounds_the_matrix_norm_from_below(diameter):
     hybrid, K = _blocks_and_matrix(system)
     norm = hybrid.norm_inf()
     assert 0.0 < norm <= (1.0 + 1e-14) * spla.norm(K, np.inf)
+
+
+def _three_plates(which, graded_mesh):
+    if which == "graded":
+        # every cell its own group
+        dofmap = build_dof_map(graded_mesh)
+        return build_system(graded_mesh, dofmap, lambda x, y: np.ones_like(x))
+    problem, level = which.split("-")
+    return _plate_system(problem, int(level))
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
+def test_multiplier_system_is_the_block_product(which, graded_mesh):
+    system = _three_plates(which, graded_mesh)
+    if which == "ex2-3":
+        assert system.L.shape[0] > 0
+    hybrid = linsolve.HybridSolver(system.plate)
+    nk = len(hybrid.group)
+    ptr = np.arange(nk + 1)
+    M = sp.bsr_matrix((hybrid.inv[hybrid.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
+    want = (hybrid.Lam @ M @ hybrid.Lam.T).toarray()
+    got = hybrid._schur()
+    assert got.format == "csc"
+    assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
+def test_solve_then_apply_gives_back_the_right_hand_side(which, graded_mesh):
+    system = _three_plates(which, graded_mesh)
+    hybrid = linsolve.HybridSolver(system.plate)
+    b = np.random.default_rng(3).standard_normal(system.ndofs + system.nu + system.L.shape[0])
+    x = hybrid.solve(b)
+    r = b - hybrid.apply(x)
+    assert linsolve.residual_norm(r, x, b, hybrid.norm_inf()) <= 1e-12
+
+
+def test_solver_keeps_no_block_per_cell():
+    # ex2 level 3 has 192 cells in 3 groups; the local blocks and their
+    # inverses are held once per group
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 3).plate)
+    nk = len(hybrid.group)
+    assert hybrid.local.shape == hybrid.inv.shape == (3, 23, 23)
+    for name, value in vars(hybrid).items():
+        if isinstance(value, np.ndarray):
+            assert value.shape[:1] != (nk,) or value.shape[1:] != (23, 23), name
+        assert not (sp.issparse(value) and value.format == "bsr"), name
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 CPython keeps each call argument referenced by the caller until the call returns",
+)
+def test_multiplier_system_is_freed_before_the_factors_are_read(monkeypatch):
+    # reading lu.U copies L and U; S must be gone by then, so that the two
+    # never share the peak
+    splu, held = spla.splu, []
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                assert held[0]() is None, "S is still referenced when the factors are read"
+            return getattr(self.lu, name)
+
+    def watched(S, **options):
+        held.append(weakref.ref(S))
+        return Factor(splu(S, **options))
+
+    monkeypatch.setattr(spla, "splu", watched)
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 2).plate)
+    assert len(held) == 1 and 0.0 < hybrid.pivot_ratio <= 1.0
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-15, 1e-13, 1e-8, 1e8])
+def test_clamped_plate_solves_at_any_scale(scale, level):
+    # under x -> s x the clamped plate with f = 1 has the deflection s^4 u
+    # in the same pulled-back coefficients; unscaled local inversions used
+    # to turn S indefinite at some of these scales
+    def deflection(s):
+        mesh = make_parallelogram_domain(EX1_CORNERS * s, level)
+        dofmap = build_dof_map(mesh)
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+        return solve_problem(mesh, dofmap, system)["u"]
+
+    want = deflection(1.0)
+    got = deflection(scale) / scale**4
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
+    # the coefficients and the conformity report share one grouping, and
+    # are bit for bit those of the public calls
+    exact = get_example("ex2")
+    mesh = exact.mesh(2)
+    dofmap = build_dof_map(mesh)
+    system = build_system(
+        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
+        neumann=exact.neumann, cache=basis_cache,
+    )
+    calls = []
+    grouping = piola.cell_groups
+
+    def counted(keys):
+        calls.append(len(keys))
+        return grouping(keys)
+
+    monkeypatch.setattr(piola, "cell_groups", counted)
+    monkeypatch.setattr(space, "cell_groups", counted)
+    result = solve_problem(mesh, dofmap, system, cache=basis_cache)
+    assert calls == [mesh.num_cells]
+    monkeypatch.undo()
+    coeffs = cell_coefficients(mesh, dofmap, basis_cache, result["m"])
+    assert np.array_equal(result["coeffs"], coeffs)
+    report = check_conformity(mesh, dofmap, coeffs, cache=basis_cache)
+    assert repr(result["conformity"]) == repr(report)
 
 
 def test_solve_problem_forms_no_matrix(monkeypatch):
