@@ -329,8 +329,8 @@ def _commuting_residual(mesh, cache, coeffs, field, nq):
 # -- convergence of the interpolation error ------------------------------------
 
 
-def interpolation_error_study(field, levels, corners=None, nq=6):
-    """Interpolation errors and observed orders on a refined parallelogram.
+def interpolation_error_study(field, levels, nq=6):
+    """Interpolation errors and observed orders on the refined ex1 parallelogram.
 
     Returns a list of rows ``(level, h, err, eoc, commuting, ddnorm)``
     where the last two entries are the residual of the commuting identity
@@ -339,13 +339,11 @@ def interpolation_error_study(field, levels, corners=None, nq=6):
     flagged with eoc ``None`` since rounding noise has no meaningful
     order.
     """
-    if corners is None:
-        corners = EX1_CORNERS
     cache = BasisCache()
     rows = []
     prev = None
     for lvl in levels:
-        mesh = make_parallelogram_domain(corners, lvl)
+        mesh = make_parallelogram_domain(EX1_CORNERS, lvl)
         dofmap = build_dof_map(mesh)
         mcoef = interpolate_ddiv(mesh, dofmap, field, nq=nq)
         coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)

@@ -24,9 +24,13 @@ The shear moments are evaluated through the integration-by-parts form
     q0 = int_e n.div M ds + [t.Mn](hi) - [t.Mn](lo),
     q1 = int_e n.div M l ds + [t.Mn](hi) + [t.Mn](lo) - (2/|e|) int_e t.Mn ds,
 
-so only point values and plain integrals of the pushed field are needed.
-Corner jumps t_in.M n_in - t_out.M n_out are taken with the counterclockwise
-tangents of the edges entering and leaving the corner.
+so only corner values and moments against 1 and s of the pushed field are
+needed.  Corner jumps t_in.M n_in - t_out.M n_out are taken with the
+counterclockwise tangents of the edges entering and leaving the corner.
+Under the pushforward all of these are fixed linear combinations of the
+reference basis's edge moments and corner values; :class:`EdgeTabulation`
+reads those exactly off the restriction of the coefficient grids to the
+edges (:func:`ddivfem.reference.edge_restriction`), with no edge rule.
 
 Each convention lives in one place: :func:`element_maps` computes B, a and
 det B, :func:`edge_frames` and :func:`normals` the edge frames.
@@ -38,26 +42,22 @@ distinct matrix is built once.  :meth:`BasisCache.groups` is the only place
 the library checks and inverts local dof matrices, one batch per call;
 :func:`ddivfem.space.check_conformity` builds one per group without
 inverting it.  The test suite states the same maps and functionals one cell
-at a time (``tests/cellspec.py``) and checks this layer against them.
+at a time, with its own Gauss rule along the edges (``tests/cellspec.py``),
+and checks this layer against them.
 """
 
 import numpy as np
 
 from .polys import gauss_rule
 from .reference import (
-    CORNERS,
-    EDGE_CORNERS,
     build_reference_basis,
     coefficient_grids,
+    edge_restriction,
     frame_weights,
 )
 
 #: above this condition number the local dof matrix is considered broken
 CONDITION_LIMIT = 1e8
-
-#: Gauss points per edge when integrating traces of the pushed basis
-#: (their integrands are polynomials of degree at most seven)
-EDGE_QUAD_POINTS = 4
 
 
 class GeometryError(ValueError):
@@ -98,37 +98,18 @@ def normals(t):
     return np.stack([t[..., 1], -t[..., 0]], axis=-1)
 
 
-def _edge_param_points(nq):
-    """Gauss nodes and weights on the reference edge parameter (-1, 1)."""
-    rule = gauss_rule(nq, dim=1)
-    return rule.points, rule.weights
-
-
-def _reference_edge_points(edge, s):
-    """Reference coordinates of the points at traversal parameter s on an edge."""
-    a = CORNERS[EDGE_CORNERS[edge][0]]
-    b = CORNERS[EDGE_CORNERS[edge][1]]
-    xh = 0.5 * (a[0] + b[0]) + 0.5 * (b[0] - a[0]) * s
-    yh = 0.5 * (a[1] + b[1]) + 0.5 * (b[1] - a[1]) * s
-    return xh, yh
-
-
 def _tabulate(grid, xh, yh):
-    """Values (nb, ..., c) at points (...) of coefficient grids (n, n, nb, c).
-
-    The result is C-contiguous: numpy's matmul sums a strided operand in
-    another order, which would change the last bits of the edge moments.
-    """
-    vals = np.polynomial.polynomial.polyval2d(xh, yh, grid)
-    return np.ascontiguousarray(np.moveaxis(vals, 1, -1))
+    """Values (nb, ..., c) at points (...) of coefficient grids (n, n, nb, c)."""
+    return np.moveaxis(np.polynomial.polynomial.polyval2d(xh, yh, grid), 1, -1)
 
 
 class EdgeTabulation:
     """What the 20 physical dof functionals read of a reference basis.
 
-    The functionals are linear in the tensor, so each is fixed once the edge
-    rule is: Gauss moments along the reference edges and corner values.  For
-    basis function i and reference edge j (traversal parameter s):
+    The functionals are linear in the tensor, so each is fixed by exact
+    moments of the basis along the reference edges and its corner values,
+    all read off :func:`ddivfem.reference.edge_restriction`.  For basis
+    function i and reference edge j (traversal parameter s):
 
     ``val0[i, j]``, ``val1[i, j]`` : (3,)
         Moments of the components (xx, xy, yy) against 1 and s.
@@ -136,21 +117,27 @@ class EdgeTabulation:
         The same for the row divergence.
     ``ends[i, j]`` : (2, 3)
         Component values at the start and end corner of the edge.
+
+    On the reference basis, and on any dyadic basis whose integer-weighted
+    sums are exact, every entry is the exact rational rounded once.
     """
 
-    def __init__(self, basis, nq):
-        s, w = _edge_param_points(nq)
-        div, _ = coefficient_grids(basis)
-        # (4, nq) nodes, one row per reference edge
-        xh, yh = np.stack([_reference_edge_points(j, s) for j in range(4)], axis=1)
-        vals = _tabulate(basis, xh, yh)
-        divs = _tabulate(div, xh, yh)
-        self.val0 = w @ vals
-        self.val1 = (w * s) @ vals
-        self.div0 = w @ divs
-        self.div1 = (w * s) @ divs
-        corners = _tabulate(basis, CORNERS[:, 0], CORNERS[:, 1])
-        self.ends = corners[:, np.array(EDGE_CORNERS)]
+    def __init__(self, basis):
+        n = basis.shape[0]
+        vals = edge_restriction(basis)
+        divs = edge_restriction(coefficient_grids(basis)[0])
+        # the integral of s**k over (-1, 1) is 2/(k + 1) for even k: integer
+        # weights over the least common multiple of the odd k + 1 (for n = 4,
+        # 30, 0, 10, 0, 6 over 15) against 1 and s, then one division
+        k = np.arange(n + 1)
+        den = np.lcm.reduce(k[::2] + 1)
+        num = np.where(k % 2 == 0, 2 * den // (k + 1), 0.0)
+        w = np.stack([num[:-1], num[1:]])
+        self.val0, self.val1 = np.einsum("pm,jmic->pijc", w, vals) / den
+        self.div0, self.div1 = np.einsum("pm,jmic->pijc", w, divs) / den
+        # s = -1 at the start corner of the edge and s = +1 at its end
+        ends = np.stack([(-1.0) ** np.arange(n), np.ones(n)])
+        self.ends = np.einsum("em,jmic->ijec", ends, vals)
 
 
 class VolumeTabulation:
@@ -283,8 +270,8 @@ class BasisCache:
     that :func:`dof_matrices` reads.  Cells share an inverse only when
     their dof matrices are bitwise equal; uniform meshes have a handful of
     distinct keys, so each distinct local matrix is inverted once.  The
-    cache also owns the tabulations of its reference basis, one per kind
-    and rule, built on first use.
+    cache also owns the tabulations of its reference basis, the edge
+    tabulation and one volume tabulation per rule, built on first use.
 
     :meth:`groups` builds, checks and inverts the dof matrices of the groups
     whose keys are new in one batch, and then hands every group to
@@ -329,18 +316,18 @@ class BasisCache:
         Tinv = np.stack([self.get(key, fresh.get(key)) for key in keys])
         return first, group, Tinv
 
-    def edge_tabulation(self, nq=EDGE_QUAD_POINTS):
-        """EdgeTabulation of the basis for an nq-point edge rule."""
-        return self._tabulation(EdgeTabulation, nq)
+    def edge_tabulation(self):
+        """EdgeTabulation of the basis."""
+        return self._tabulation(EdgeTabulation)
 
     def volume_tabulation(self, nq):
         """VolumeTabulation of the basis for an nq x nq Gauss rule."""
         return self._tabulation(VolumeTabulation, nq)
 
-    def _tabulation(self, kind, nq):
-        tab = self._tabs.get((kind, nq))
+    def _tabulation(self, kind, *args):
+        tab = self._tabs.get((kind,) + args)
         if tab is None:
-            tab = self._tabs[(kind, nq)] = kind(self.basis, nq)
+            tab = self._tabs[(kind,) + args] = kind(self.basis, *args)
         return tab
 
     def __len__(self):

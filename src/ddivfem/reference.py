@@ -27,12 +27,6 @@ traversal parameter s in (-1, 1).
 
 import numpy as np
 
-# corner coordinates, counterclockwise from (-1, -1)
-CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-
-# per edge: (start corner, end corner), both as indices into CORNERS
-EDGE_CORNERS = [(0, 1), (1, 2), (2, 3), (3, 0)]
-
 EDGE_TANGENTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
 
@@ -184,24 +178,37 @@ def frame_weights(a, b):
     )
 
 
+def edge_restriction(grids):
+    """Coefficients in s (4, n, ..., c) of grids (n, n, ..., c) on the four edges.
+
+    The restriction multiplies coefficients by powers of +-1 only, so
+    restrictions of dyadic grids are exact.
+    """
+    k = np.arange(len(grids))
+    shape = (-1,) + (1,) * (grids.ndim - 2)
+    return np.stack([
+        np.tensordot(value**k, grids, axes=(0, axis)) * (sign**k).reshape(shape)
+        for axis, value, sign in _EDGE_RESTRICTION
+    ])
+
+
 def edge_traces(basis):
     """Traces of a grid stack on the four edges, as coefficients in s.
 
     Returns ``(nn, shear, tn)``, each a C-contiguous (4, nb, n) array whose
     entry [j, k, m] is the coefficient of s**m on edge j of tensor k: the
     normal-normal trace n.Mn, the effective shear n.div M + d_t(t.Mn), and
-    t.Mn.  The restriction multiplies coefficients by powers of +-1 only,
-    so traces of dyadic grids are exact.
+    t.Mn.  The frame weights are integers and the restriction multiplies by
+    powers of +-1 only, so traces of dyadic grids are exact.
     """
     div, _ = coefficient_grids(basis)
+    # n.Mn, t.Mn and n.div M in the frame of every edge, (n, n, nb, 4, 3);
+    # edge j reads the traces in its own frame j
     w_nn = frame_weights(EDGE_NORMALS, EDGE_NORMALS)
     w_tn = frame_weights(EDGE_TANGENTS, EDGE_NORMALS)
-    k = np.arange(basis.shape[0])
-    traces = []
-    for j, (axis, value, sign) in enumerate(_EDGE_RESTRICTION):
-        grids = np.stack([basis @ w_nn[j], basis @ w_tn[j], div @ EDGE_NORMALS[j]], axis=-1)
-        on_edge = np.tensordot(value**k, grids, axes=(0, axis))
-        traces.append(on_edge * (sign**k)[:, None, None])
+    grids = np.stack([basis @ w_nn.T, basis @ w_tn.T, div @ EDGE_NORMALS.T], axis=-1)
+    j = np.arange(4)
+    traces = edge_restriction(grids)[j, :, :, j]
     nn, tn, ndiv = np.ascontiguousarray(np.transpose(traces, (3, 0, 2, 1)))
     # d_t is d/ds along the traversal
     return nn, ndiv + _derivative(tn, 2), tn

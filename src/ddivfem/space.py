@@ -102,18 +102,19 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
     return _expand(dofmap, group, Tinv, mcoef)
 
 
-def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
+def check_conformity(mesh, dofmap, mcoef, cache=None):
     """Verify interelement continuity of a tensor field from its physical dofs.
 
     For every interior edge the normal-normal and effective-shear moments in
     the global edge frame must agree from both sides; at every interior
     vertex the corner jumps of the surrounding cells must sum to zero.  The
-    dofs of every cell are ``T_k @ coeffs_k``.  Cells with equal
-    :meth:`ddivfem.piola.CellGeometry.keys` rows have bitwise equal dof
-    matrices, so ``T_k`` is built once per group of such cells, for an
-    ``nq``-point edge rule, by :func:`ddivfem.piola.dof_matrices`; nothing
-    is inverted, and the cache's stored inverses are not consulted for raw
-    coefficients.
+    dofs of every cell are ``T_k @ coeffs_k``, where ``T_k`` reads the exact
+    edge moments and corner values of the cache's
+    :class:`ddivfem.piola.EdgeTabulation`; no edge quadrature is involved.
+    Cells with equal :meth:`ddivfem.piola.CellGeometry.keys` rows have
+    bitwise equal dof matrices, so ``T_k`` is built once per group of such
+    cells by :func:`ddivfem.piola.dof_matrices`; nothing is inverted, and
+    the cache's stored inverses are not consulted for raw coefficients.
 
     ``mcoef`` is either an (ncells, 20) array of raw per-cell reference
     expansion coefficients or a global coefficient vector.  Raw coefficients
@@ -140,12 +141,12 @@ def check_conformity(mesh, dofmap, mcoef, cache=None, nq=4):
             "of length ndofs = %d, got shape %s" % (mesh.num_cells, dofmap.ndofs, mcoef.shape)
         )
     first, group = cell_groups(batch_geometry(mesh).keys())
-    return _conformity(mesh, first, group, coeffs, cache.edge_tabulation(nq))
+    return _conformity(mesh, first, group, coeffs, cache.edge_tabulation())
 
 
 def _coefficients_and_conformity(mesh, dofmap, cache, mcoef):
-    """``cell_coefficients`` and the default ``check_conformity`` report of
-    the coefficients, from one grouping of the cells.
+    """``cell_coefficients`` and the ``check_conformity`` report of the
+    coefficients, from one grouping of the cells.
 
     Bit for bit what the two public calls give: :meth:`BasisCache.groups`
     groups the cells by the same keys as the check does.
@@ -153,7 +154,7 @@ def _coefficients_and_conformity(mesh, dofmap, cache, mcoef):
     mcoef = _global_vector(mesh, dofmap, mcoef)
     first, group, Tinv = cache.groups(mesh)
     coeffs = _expand(dofmap, group, Tinv, mcoef)
-    return coeffs, _conformity(mesh, first, group, coeffs, cache.edge_tabulation(4))
+    return coeffs, _conformity(mesh, first, group, coeffs, cache.edge_tabulation())
 
 
 def _global_vector(mesh, dofmap, mcoef):

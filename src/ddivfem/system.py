@@ -158,7 +158,7 @@ class SaddleSystem:
         return K, self.rhs()
 
 
-def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
+def assemble(mesh, dofmap, material=None, cache=None):
     """Cell blocks of the compliance block A and the global div-div block B.
 
     The compliance block is integrated on the reference square (degree six
@@ -178,7 +178,7 @@ def assemble(mesh, dofmap, material=None, cache=None, nq=VOLUME_QUAD_POINTS):
     if cache is None:
         cache = BasisCache()
 
-    tab = cache.volume_tabulation(nq)
+    tab = cache.volume_tabulation(VOLUME_QUAD_POINTS)
     phi, w = tab.phi, tab.rule.weights
 
     # dd[i, a]: coefficient of div div phi_i on {1, xh, yh}; exact
@@ -290,18 +290,17 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     return L, vals
 
 
-def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None,
-                 cache=None, nq_data=DATA_QUAD_POINTS):
+def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None, cache=None):
     """Assemble the complete saddle system for a load and boundary data."""
     if cache is None:
         cache = BasisCache()
     cells, B = assemble(mesh, dofmap, material=material, cache=cache)
-    F = source_load(mesh, f, nq=nq_data)
+    F = source_load(mesh, f)
     if dirichlet is None:
         dirichlet = DirichletData.zero()
-    G = dirichlet_load(mesh, dofmap, dirichlet, nq=nq_data)
+    G = dirichlet_load(mesh, dofmap, dirichlet)
     if neumann is not None and len(mesh.neumann_edges()) > 0:
-        L, d = neumann_constraints(mesh, dofmap, neumann, nq=nq_data)
+        L, d = neumann_constraints(mesh, dofmap, neumann)
     else:
         L, d = sp.csr_matrix((0, dofmap.ndofs)), np.zeros(0)
     return SaddleSystem(cells, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)

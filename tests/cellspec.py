@@ -14,19 +14,28 @@ This module keeps an independent bivariate polynomial calculus,
 :class:`SymTensorPoly` objects, and states the reference dof functionals,
 the tabulations, the div div images and tensor fields one tensor at a time
 through it, as the specification of the library's routines over grids.
+The edge tabulation is stated as exact ``Fraction`` moments of the edge
+restrictions; the one-cell physical dofs integrate along the edges with
+their own Gauss rule, independent of the library's exact moments.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from ddivfem.piola import (
-    EDGE_QUAD_POINTS,
-    CellGeometry,
-    _edge_param_points,
-    _reference_edge_points,
-)
+from ddivfem.piola import CellGeometry
 from ddivfem.interpolation import TensorField
 from ddivfem.polys import gauss_rule
-from ddivfem.reference import CORNERS, EDGE_CORNERS, EDGE_NORMALS, EDGE_TANGENTS, _moments
+from ddivfem.reference import EDGE_NORMALS, EDGE_TANGENTS, _moments
+
+# reference corner coordinates, counterclockwise from (-1, -1), and per edge
+# its (start corner, end corner) as indices into CORNERS
+CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+EDGE_CORNERS = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+#: Gauss points per edge of the one-cell functionals (their integrands are
+#: polynomials of degree at most seven)
+EDGE_QUAD_POINTS = 4
 
 
 def _trim(c):
@@ -379,6 +388,21 @@ def push_tensor(emap, M, xh, yh):
     )
 
 
+def edge_gauss_points(nq):
+    """Gauss nodes and weights on the reference edge parameter (-1, 1)."""
+    rule = gauss_rule(nq, dim=1)
+    return rule.points, rule.weights
+
+
+def reference_edge_points(edge, s):
+    """Reference coordinates of the points at traversal parameter s on an edge."""
+    a = CORNERS[EDGE_CORNERS[edge][0]]
+    b = CORNERS[EDGE_CORNERS[edge][1]]
+    xh = 0.5 * (a[0] + b[0]) + 0.5 * (b[0] - a[0]) * s
+    yh = 0.5 * (a[1] + b[1]) + 0.5 * (b[1] - a[1]) * s
+    return xh, yh
+
+
 def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
     """The 20 physical degrees of freedom of the pushed tensor H_K(M).
 
@@ -387,12 +411,12 @@ def physical_dofs(emap, frame, M, nq=EDGE_QUAD_POINTS):
     moments use the integration-by-parts form of the piola docstring.
     Corner jumps are taken in the cell-local counterclockwise frames.
     """
-    s, w = _edge_param_points(nq)
+    s, w = edge_gauss_points(nq)
     wx_p, wy_p = M.div()
     dofs = np.zeros(20)
 
     for j in range(4):
-        xh, yh = _reference_edge_points(j, s)
+        xh, yh = reference_edge_points(j, s)
         vals = M.eval(xh, yh)
         pxx, pxy, pyy = push_components(emap, vals[:, 0], vals[:, 1], vals[:, 2])
         dvx, dvy = push_divergence(emap, wx_p.eval(xh, yh), wy_p.eval(xh, yh))
@@ -552,27 +576,38 @@ def corrupted_basis(basis, i=7):
     return bad
 
 
-def edge_tabulation(basis, nq):
-    """``(val0, val1, div0, div1, ends)`` of :class:`ddivfem.piola.EdgeTabulation`."""
-    s, w = _edge_param_points(nq)
+def exact_moments(c):
+    """Integrals of a 1D coefficient array against 1 and s over (-1, 1), as Fractions."""
+    c = [Fraction(v) for v in c]
+    return tuple(
+        sum(v * Fraction(2, m + 1 + p) for m, v in enumerate(c) if (m + p) % 2 == 0)
+        for p in (0, 1)
+    )
+
+
+def edge_tabulation(basis):
+    """``(val0, val1, div0, div1, ends)`` of :class:`ddivfem.piola.EdgeTabulation`.
+
+    Each entry is the exact moment or corner value of the ``Poly2``
+    restriction to the edge, as a ``Fraction``, rounded once by ``float``.
+    """
     nb = basis.shape[2]
     val0 = np.zeros((nb, 4, 3))
     val1 = np.zeros((nb, 4, 3))
     div0 = np.zeros((nb, 4, 2))
     div1 = np.zeros((nb, 4, 2))
-    corners = np.zeros((nb, 4, 3))
+    ends = np.zeros((nb, 4, 2, 3))
     for i, phi in enumerate(tensors(basis)):
         wx, wy = phi.div()
         for j in range(4):
-            xh, yh = _reference_edge_points(j, s)
-            vals = phi.eval(xh, yh)
-            divs = np.stack([wx.eval(xh, yh), wy.eval(xh, yh)], axis=-1)
-            val0[i, j] = w @ vals
-            val1[i, j] = (w * s) @ vals
-            div0[i, j] = w @ divs
-            div1[i, j] = (w * s) @ divs
-        corners[i] = phi.eval(CORNERS[:, 0], CORNERS[:, 1])
-    return val0, val1, div0, div1, corners[:, np.array(EDGE_CORNERS)]
+            for c, p in enumerate((phi.axx, phi.axy, phi.ayy)):
+                r = restrict_to_edge(p, j)
+                val0[i, j, c], val1[i, j, c] = map(float, exact_moments(r))
+                ends[i, j, 0, c] = float(sum(Fraction(v) * (-1) ** m for m, v in enumerate(r)))
+                ends[i, j, 1, c] = float(sum(Fraction(v) for v in r))
+            for c, p in enumerate((wx, wy)):
+                div0[i, j, c], div1[i, j, c] = map(float, exact_moments(restrict_to_edge(p, j)))
+    return val0, val1, div0, div1, ends
 
 
 def volume_tabulation(basis, nq):

@@ -111,6 +111,14 @@ def test_identity_cell_dofs_are_signed_reference_norms(basis):
     assert np.allclose(T, np.diag(IDENTITY_DOF_SIGNS), atol=1e-13)
 
 
+def test_identity_cell_dof_matrix_is_exactly_the_signed_diagonal():
+    # on the reference square the pushforward is the identity, and the exact
+    # edge moments leave no rounding off the diagonal
+    square = batch_geometry(make_parallelogram_domain(SQUARE, 0))
+    T = dof_matrices(square, BasisCache().edge_tabulation())
+    assert np.array_equal(T[0], np.diag(IDENTITY_DOF_SIGNS))
+
+
 def test_corner_jumps_of_pushed_edge_tensor(phis):
     # on the sheared benchmark cell the first edge tensor acquires nonzero
     # corner jumps: the pushforward preserves edge dofs, not jump values
@@ -150,8 +158,9 @@ def test_local_matrix_cache_collapses_uniform_mesh(basis, cell_basis):
 
 @pytest.mark.parametrize("nq", [4, 8])
 def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
-    # physical_dofs is the single-cell specification of the functionals
-    tab = EdgeTabulation(basis, nq)
+    # physical_dofs is the single-cell specification of the functionals,
+    # integrated by its own nq-point Gauss rule along the edges
+    tab = EdgeTabulation(basis)
     for mesh in (graded_mesh, make_lshape(2)):
         T = dof_matrices(batch_geometry(mesh), tab)
         assert T.shape == (mesh.num_cells, 20, 20)

@@ -188,14 +188,19 @@ def test_volume_tabulation_is_the_per_function_loop(basis, kind, nq):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", sorted(BASES))
-@pytest.mark.parametrize("nq", [4, 8])
-def test_edge_tabulation_is_the_per_function_loop(basis, kind, nq):
-    b = BASES[kind](basis)
-    tab = EdgeTabulation(b, nq)
+def assert_exact_edge_tabulation(b):
+    # every entry is the exact Fraction moment or corner value of the Poly2
+    # restriction, rounded once
+    tab = EdgeTabulation(b)
     got = (tab.val0, tab.val1, tab.div0, tab.div1, tab.ends)
-    for g, want in zip(got, cellspec.edge_tabulation(b, nq)):
-        assert np.array_equal(g, want)
+    for g, want in zip(got, cellspec.edge_tabulation(b)):
+        assert g.shape == want.shape
+        assert g.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_edge_tabulation_is_the_exact_moments(basis, kind):
+    assert_exact_edge_tabulation(BASES[kind](basis))
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))
@@ -230,3 +235,9 @@ def test_dof_matrix_of_random_dyadic_grids_is_the_poly2_oracle(numerators):
     # coefficients inside and outside the component masks alike
     values = numerators / 8.0
     assert cellspec.dof_matrix(values).tobytes() == dof_matrix(values).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(numerators=_DYADIC_STACKS)
+def test_edge_tabulation_of_random_dyadic_grids_is_the_exact_moments(numerators):
+    assert_exact_edge_tabulation(numerators / 8.0)

@@ -120,12 +120,13 @@ def quadrature_conformity(mesh, basis, coeffs, nq):
 
 @pytest.mark.parametrize("nq", [4, 8])
 def test_conformity_of_raw_coefficients_matches_quadrature(graded_mesh, nq):
+    # the check's exact edge functionals against the oracle's nq-point rule
     cache = BasisCache()
     rng = np.random.default_rng(31)
     for mesh in (graded_mesh, make_lshape(1)):
         dofmap = build_dof_map(mesh)
         raw = rng.standard_normal((mesh.num_cells, 20))
-        report = check_conformity(mesh, dofmap, raw, cache=cache, nq=nq)
+        report = check_conformity(mesh, dofmap, raw, cache=cache)
         want = quadrature_conformity(mesh, cache.basis, raw, nq)
         for key in ("max_moment_mismatch", "max_shear_mismatch", "max_jump_sum"):
             assert report[key] == pytest.approx(want[key], rel=1e-12)
@@ -168,17 +169,16 @@ def report_inputs(mesh, kind):
     return dofmap, rng.standard_normal(dofmap.ndofs)
 
 
-@pytest.mark.parametrize("nq", [4, 8])
 @pytest.mark.parametrize("kind", ["raw", "global"])
 @pytest.mark.parametrize("which", ["lshape", "graded"])
-def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind, nq):
+def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind):
     # with every cell its own group the check builds the dof matrices of all
     # cells in one batch, dof_matrices(batch_geometry(mesh), tab); grouping
     # must give the same report to the last bit
     mesh = make_lshape(3) if which == "lshape" else graded_mesh
     dofmap, mcoef = report_inputs(mesh, kind)
     cache = BasisCache()
-    got = check_conformity(mesh, dofmap, mcoef, cache=cache, nq=nq)
+    got = check_conformity(mesh, dofmap, mcoef, cache=cache)
 
     calls = []
 
@@ -187,7 +187,7 @@ def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, whi
         return np.arange(len(keys)), np.arange(len(keys))
 
     monkeypatch.setattr(space, "cell_groups", one_cell_groups)
-    want = check_conformity(mesh, dofmap, mcoef, cache=cache, nq=nq)
+    want = check_conformity(mesh, dofmap, mcoef, cache=cache)
     assert calls == [mesh.num_cells]
     assert repr(got) == repr(want)
 
