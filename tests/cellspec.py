@@ -610,6 +610,34 @@ def edge_tabulation(basis):
     return val0, val1, div0, div1, ends
 
 
+def edge_gauss_tabulation(basis, nq):
+    """``edge_tabulation(basis)`` by an nq-point Gauss rule, one function at a time.
+
+    The moments are sums over the rule's nodes, exact up to rounding for
+    nq >= 2 since the restrictions have degree at most three; the corner
+    values are evaluations of the tensor at the edge ends.
+    """
+    s, w = edge_gauss_points(nq)
+    nb = basis.shape[2]
+    val0 = np.zeros((nb, 4, 3))
+    val1 = np.zeros((nb, 4, 3))
+    div0 = np.zeros((nb, 4, 2))
+    div1 = np.zeros((nb, 4, 2))
+    corners = np.zeros((nb, 4, 3))
+    for i, phi in enumerate(tensors(basis)):
+        wx, wy = phi.div()
+        for j in range(4):
+            xh, yh = reference_edge_points(j, s)
+            vals = phi.eval(xh, yh)
+            divs = np.stack([wx.eval(xh, yh), wy.eval(xh, yh)], axis=-1)
+            val0[i, j] = w @ vals
+            val1[i, j] = (w * s) @ vals
+            div0[i, j] = w @ divs
+            div1[i, j] = (w * s) @ divs
+        corners[i] = phi.eval(CORNERS[:, 0], CORNERS[:, 1])
+    return val0, val1, div0, div1, corners[:, np.array(EDGE_CORNERS)]
+
+
 def volume_tabulation(basis, nq):
     """``(phi, divphi, ddphi)`` of :class:`ddivfem.piola.VolumeTabulation`."""
     rule = gauss_rule(nq, dim=2)

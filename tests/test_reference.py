@@ -199,8 +199,17 @@ def assert_exact_edge_tabulation(b):
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))
-def test_edge_tabulation_is_the_exact_moments(basis, kind):
-    assert_exact_edge_tabulation(BASES[kind](basis))
+@pytest.mark.parametrize("nq", [4, 8])
+def test_edge_tabulation_is_the_per_function_loop(basis, kind, nq):
+    # the exact moments byte for byte, and the nq-point Gauss loop over the
+    # functions to rounding
+    b = BASES[kind](basis)
+    assert_exact_edge_tabulation(b)
+    tab = EdgeTabulation(b)
+    got = (tab.val0, tab.val1, tab.div0, tab.div1, tab.ends)
+    for g, want in zip(got, cellspec.edge_gauss_tabulation(b, nq)):
+        assert g.shape == want.shape
+        assert np.abs(g - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("kind", sorted(BASES))

@@ -169,12 +169,14 @@ def report_inputs(mesh, kind):
     return dofmap, rng.standard_normal(dofmap.ndofs)
 
 
+@pytest.mark.parametrize("nq", [4, 8])
 @pytest.mark.parametrize("kind", ["raw", "global"])
 @pytest.mark.parametrize("which", ["lshape", "graded"])
-def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind):
+def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind, nq):
     # with every cell its own group the check builds the dof matrices of all
     # cells in one batch, dof_matrices(batch_geometry(mesh), tab); grouping
-    # must give the same report to the last bit
+    # must give the same report to the last bit, and the maxima of the
+    # oracle's nq-point edge rule to rounding
     mesh = make_lshape(3) if which == "lshape" else graded_mesh
     dofmap, mcoef = report_inputs(mesh, kind)
     cache = BasisCache()
@@ -190,6 +192,12 @@ def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, whi
     want = check_conformity(mesh, dofmap, mcoef, cache=cache)
     assert calls == [mesh.num_cells]
     assert repr(got) == repr(want)
+
+    coeffs = mcoef if kind == "raw" else cell_coefficients(mesh, dofmap, cache, mcoef)
+    oracle = quadrature_conformity(mesh, cache.basis, coeffs, nq)
+    scale = max(1.0, np.abs(coeffs).max())
+    for key in ("max_moment_mismatch", "max_shear_mismatch", "max_jump_sum"):
+        assert got[key] == pytest.approx(oracle[key], rel=1e-12, abs=1e-12 * scale)
 
 
 def test_perturbed_cell_reported_inside_its_group():
