@@ -293,10 +293,11 @@ def cmd_solve(args):
     info = result["solver"]
     ratio = info["pivot_ratio"]
     print(
-        "solver: %s, residual %.3e, %d refinement step(s), multiplier system n %d, fill %d, "
-        "min pivot/diagonal %s"
+        "solver: %s, residual %.3e, %d refinement step(s), multiplier system n %d "
+        "(%d rows condensed in %d patch(es)), fill %d, min pivot/diagonal %s"
         % (
-            info["path"], info["residual"], info["refined"], info["schur_n"], info["fill"],
+            info["path"], info["residual"], info["refined"], info["schur_n"],
+            info["condensed_n"], info["patches"], info["fill"],
             "-" if ratio is None else "%.3e" % ratio,
         )
     )

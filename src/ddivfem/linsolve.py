@@ -12,30 +12,46 @@ an edge moment must equal the first, and an eliminated corner jump must
 balance the kept jumps at its vertex.  The Neumann rows ``L`` are read on the
 first local copy of each global dof.  Each cell then carries the 23 x 23
 local saddle block [[A_k, -B_k^T], [-B_k, 0]], inverted once per group of
-equal cells, and only the multiplier system
+equal cells.  The multiplier system
 
     S = Lambda blockdiag(W_k) Lambda^T,
 
-with W_k the tensor block of the local inverse, is factored.  S is symmetric
-positive definite exactly when K is regular, so it is factored without
-pivoting in a symmetric ordering, and a pivot that falls below
-``PIVOT_BREAKDOWN_TOL`` times its diagonal entry of S counts as a
-breakdown; the ratio does not move under a diagonal scaling of the dofs.
+with W_k the tensor block of the local inverse, is symmetric positive
+definite exactly when K is regular.  Before anything is factored, the mesh
+is cut into small subdomains, as in FETI (C. Farhat, F.-X. Roux, IJNME 32
+(1991) 1205-1227): 2 x 2 patches, the four cells around an interior vertex,
+read off the jump rows that touch four cells in one greedy pass; a cell
+that no patch covers is a patch of its own.  Each patch eliminates its 16 inner
+edge-moment rows and the jump row of its center vertex against its cell
+inverses G, with one scaled 17 x 17 SPD solve per group of equal patches:
+
+    G~ = G - G Lambda_I^T (Lambda_I G Lambda_I^T)^-1 Lambda_I G.
+
+Only the condensed system S_c = Lambda_B G~ Lambda_B^T on the rows between
+patches and the Neumann rows is handed to SuperLU, in symmetric mode
+without pivoting.  S_c is written patch by patch on the clique pattern of
+the patches, explicit zeros included, so that its ordering and fill follow
+the mesh and not the rounding of its entries.  The pivots of both stages,
+in the order [patch interiors, rest], are the pivots of S itself, and each
+is divided by its diagonal entry of the uncondensed S; a ratio below
+``PIVOT_BREAKDOWN_TOL`` counts as a breakdown in either stage.  The ratio
+does not move under a diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
 on the whole boundary with the rigid deflections left free, is rejected from
 the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
 stays as a backstop.
 The tensor field, the deflection and the Neumann multipliers are then
-recovered cell by cell.
+recovered patch by patch as y = G~ (z - Lambda_B^T mu).
 
 The solver holds the local saddle blocks and their symmetrized inverses
-once per group, as (ngroups, 23, 23) arrays, and every cellwise product
-gathers them a fixed number of cells at a time.  Each block is scaled
-symmetrically before it is inverted, so that cells of any size give an
-accurate inverse.  S is written from Lambda and the inverses without a
-block matrix over all cells, and is held only until SuperLU has factored
-it: it is freed before the factors are read for the pivot test, which
-copies L and U.
+once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
+the patch interiors once per patch group; every cellwise or patchwise
+product gathers them a fixed number of cells at a time.  Each local block
+is scaled symmetrically before it is inverted, so that cells of any size
+give an accurate inverse.  S_c is written from Lambda_B and these blocks
+without a matrix over all cells, and is held only until SuperLU has
+factored it: it is freed before the factors are read for the pivot test,
+which copies L and U.
 
 Everything is read from the cell structure, a :class:`PlateBlocks`, which
 :attr:`ddivfem.system.SaddleSystem.plate` gives; K itself is never formed.
@@ -60,6 +76,9 @@ REFINE_STEPS = 3
 
 #: cells whose local blocks are gathered at once in a cellwise product
 _CHUNK = 256
+
+#: patches whose dense row blocks are formed at once when S_c is built
+_PATCHES = 16
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -99,16 +118,19 @@ def residual_norm(r, x, b, anorm):
     return np.linalg.norm(r, np.inf) / denom
 
 
-def factor_spd(S):
+def factor_spd(S, diag=None):
     """Symmetric factorization of an SPD matrix and its pivot quality.
 
     Returns ``(lu, ratio)`` with ``ratio[i]`` the pivot of row i of S over
-    ``S[i, i]``: 1 for a diagonal matrix, and at most 1 for any SPD matrix.
-    Raises ``SingularSystemError`` when a ratio is below
-    ``PIVOT_BREAKDOWN_TOL``, negative ones included, or when the
-    factorization leaves the diagonal.
+    ``diag[i]``, by default ``S[i, i]``: 1 for a diagonal matrix, and at
+    most 1 for any SPD matrix.  When S is a Schur complement of a larger
+    SPD matrix, ``diag`` holds that matrix's diagonal on the rows of S, and
+    the ratios are those of the whole elimination.  Raises
+    ``SingularSystemError`` when a ratio is below ``PIVOT_BREAKDOWN_TOL``,
+    negative ones included, or when the factorization leaves the diagonal.
     """
-    diag = S.diagonal()
+    if diag is None:
+        diag = S.diagonal()
     try:
         lu = spla.splu(
             S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
@@ -139,7 +161,13 @@ class HybridSolver:
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
     :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
     has the local saddle block ``local[group[k]]`` and its inverse
-    ``inv[group[k]]``; ``lu`` factors S, which is not kept.
+    ``inv[group[k]]``.  The cells are covered by ``patches``: each row holds
+    the four cells around an interior vertex, or one cell padded with the
+    index ``ncells``.  ``Lam_I`` holds the multiplier rows inside the
+    patches, patch by patch, and ``Lam_B`` the rest, continuity rows before
+    Neumann rows.  Patch p eliminates its rows of ``Lam_I`` through
+    ``V[pgroup[p]]``, and ``lu`` factors the condensed multiplier system
+    S_c, which is not kept.
     """
 
     def __init__(self, plate):
@@ -163,13 +191,10 @@ class HybridSolver:
         # first, or an eliminated jump plus the kept jumps at its vertex
         R = (sp.identity(20 * nk, format="csr") - P @ Q).tocsr()
         R.eliminate_zeros()
-        R = R[np.diff(R.indptr) > 0]
-        Lam = sp.vstack([R, self.L @ Q], format="csr")
-        self.n_continuity = R.shape[0]
-
+        R.sort_indices()
         # move tensor slot s of cell k to column 23 k + s
+        R = _widen(R[np.diff(R.indptr) > 0])
         self.Q = _widen(Q)
-        self.Lam = _widen(Lam)
 
         local = np.zeros((len(plate.A_loc), 23, 23))
         local[:, :20, :20] = plate.A_loc
@@ -178,28 +203,33 @@ class HybridSolver:
         self.local = local
         self.inv = _local_inverses(local)
 
-        # S is built, factored and dropped in one expression, so no reference
-        # to it outlives the factorization
-        self.schur_n = self.Lam.shape[0]
-        self.lu, self.pivot_ratio = None, None
+        # the continuity rows inside a patch are condensed; Neumann rows never are
+        self.patches, inside = _patch_cover(R, nk)
+        self.Lam_I = R[inside]
+        outside = np.delete(np.arange(R.shape[0]), inside)
+        self.Lam_B = sp.vstack([R[outside], self.L @ self.Q], format="csr")
+        self.pgroup, self.V, ratio = _condense(
+            self.Lam_I, self.patches, self._cell_inverses(), self.inv
+        )
+
+        # S_c is built, factored and dropped in one expression, so no
+        # reference to it outlives the factorization
+        self.schur_n = self.Lam_B.shape[0]
+        self.lu = None
         if self.schur_n > 0:
-            self.lu, ratio = factor_spd(self._schur())
-            self.pivot_ratio = float(ratio.min())
+            # the pivots of S_c are measured against the diagonal of S
+            diagonal = np.zeros(self.schur_n)
+            self.lu, ratio_c = factor_spd(self._schur(diagonal), diagonal)
+            ratio = np.concatenate([ratio, ratio_c])
+        self.pivot_ratio = float(ratio.min()) if len(ratio) else None
 
-    def _schur(self):
-        """S = Lam blockdiag(inv[group]) Lam^T, in csc form.
+    def _cell_inverses(self):
+        """Index in ``inv`` of each patch cell's inverse (npatch, 4), -1 for a padding cell.
 
-        The nonzero of Lam in column 23 k + s contributes its value times
-        row s of cell k's inverse, so W = Lam blockdiag(inv[group]) is
-        written entry by entry over the 20 tensor columns of the cell; its
-        deflection columns meet only zero rows of Lam^T.
+        A padding cell meets only zero rows, so the last inverse it reads
+        adds nothing.
         """
-        Lam = self.Lam
-        cell, slot = np.divmod(Lam.indices, 23)
-        data = Lam.data[:, None] * self.inv[self.group[cell], slot, :20]
-        cols = 23 * cell[:, None] + np.arange(20, dtype=cell.dtype)
-        W = sp.csr_matrix((data.ravel(), cols.ravel(), 20 * Lam.indptr), shape=Lam.shape)
-        return (W @ Lam.T).tocsc()
+        return np.append(self.group, -1)[self.patches]
 
     def info(self):
         return {
@@ -207,20 +237,100 @@ class HybridSolver:
             "schur_n": self.schur_n,
             "fill": self.lu.nnz if self.lu is not None else 0,
             "pivot_ratio": self.pivot_ratio,
+            "patches": int(np.count_nonzero(self.patches[:, 1] < len(self.group))),
+            "condensed_n": self.Lam_I.shape[0],
         }
+
+    def _schur(self, diagonal=None):
+        """S_c = Lam_B G~ Lam_B^T in csc form, with G~ the condensed patch inverses.
+
+        Patch p adds E (Gp - Vp^T Vp) E^T, with Gp its cell inverses and E
+        the rows of ``Lam_B`` that meet it, restricted to its 80 tensor
+        slots.  Every pair of rows that meets a common patch gets an entry,
+        so the pattern is that of the mesh, explicit zeros included, and the
+        ordering does not follow the rounding of the entries.  The dense
+        blocks exist ``_PATCHES`` patches at a time.  When ``diagonal``
+        is given, diag(Lam_B G Lam_B^T), the diagonal of the uncondensed S
+        on these rows, is added to it.
+        """
+        Lam, npatch = self.Lam_B, len(self.patches)
+        nb = Lam.shape[0]
+        cell, slot = np.divmod(Lam.indices, 23)
+        patch_of, place = _places(self.patches)
+        # (patch, row) pairs in patch-major order, and each row's rank in its patch
+        key = patch_of[cell] * nb + np.repeat(np.arange(nb), np.diff(Lam.indptr))
+        pair, at = np.unique(key, return_inverse=True)
+        at = at.reshape(-1)
+        pair_patch = pair // nb
+        count = np.bincount(pair_patch, minlength=npatch)
+        rank = np.arange(len(pair)) - (np.cumsum(count) - count)[pair_patch]
+        table = np.full((npatch, count.max(initial=0)), -1, dtype=np.int32)
+        table[pair_patch, rank] = pair % nb
+        order = np.argsort(at, kind="stable")
+        starts = np.arange(0, npatch, _PATCHES)
+        bounds = np.append(np.searchsorted(pair_patch[at[order]], starts), len(order))
+
+        # the entries, patch by patch: every pair of rows that meets the patch
+        valid = table >= 0
+        pairs = valid[:, :, None] & valid[:, None, :]
+        i = np.broadcast_to(table[:, :, None], pairs.shape)[pairs]
+        j = np.broadcast_to(table[:, None, :], pairs.shape)[pairs]
+        ends = np.concatenate([[0], np.cumsum(pairs.sum(axis=(1, 2)))])
+        data = np.empty(len(i))
+
+        inverses = self._cell_inverses()
+        m = self.V.shape[1]
+        for lo, nz in zip(starts, np.split(order, bounds[1:-1])):
+            patches = slice(lo, lo + _PATCHES)
+            c, r = table[patches].shape
+            # E and F = E Gp, cell by cell, on the 4 x 20 tensor slots
+            E = np.zeros((c, r, 4, 20))
+            E[patch_of[cell[nz]] - lo, rank[at[nz]], place[cell[nz]], slot[nz]] = Lam.data[nz]
+            F = np.empty_like(E)
+            for q in range(4):
+                np.matmul(E[:, :, q], self.inv[inverses[patches, q], :20, :20], out=F[:, :, q])
+            E, F = E.reshape(c, r, 80).transpose(0, 2, 1), F.reshape(c, r, 80)
+            V = self.V[self.pgroup[patches]].reshape(c, m, 4, 23)[..., :20]
+            U = V.reshape(c, m, 80) @ E
+            block = F @ E
+            if diagonal is not None:
+                at_rows = valid[patches]
+                diagonal += np.bincount(
+                    table[patches][at_rows],
+                    np.diagonal(block, axis1=1, axis2=2)[at_rows],
+                    minlength=nb,
+                )
+            block -= U.transpose(0, 2, 1) @ U
+            data[ends[lo] : ends[lo + c]] = block[pairs[patches]]
+        # the last chunk's blocks go before the conversion allocates the matrix
+        del E, F, V, U, block
+        return sp.coo_matrix((data, (i, j)), shape=(nb, nb)).tocsc()
 
     def solve(self, b):
         """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
+        nl = self.L.shape[0]
         z = self.Q.T @ b[:nd]
         z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
-        r = self.Lam @ self._cellwise(self.inv, z)
-        r[self.n_continuity :] -= b[nd + nu :]
+        r = self.Lam_B @ self._condensed(z)
+        r[self.schur_n - nl :] -= b[nd + nu :]
         mu = self.lu.solve(r) if self.lu is not None else r
-        y = self._cellwise(self.inv, z - self.Lam.T @ mu)
+        y = self._condensed(z - self.Lam_B.T @ mu)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
         u = y.reshape(-1, 23)[:, 20:].ravel()
-        return np.concatenate([self.Q @ y, u, mu[self.n_continuity :]])
+        return np.concatenate([self.Q @ y, u, mu[self.schur_n - nl :]])
+
+    def _condensed(self, z):
+        """G~ z: the cell inverses applied to z, less each patch's Vp^T Vp z_p."""
+        nk = len(self.group)
+        zk = np.concatenate([z.reshape(-1, 23), np.zeros((1, 23))])
+        out = np.zeros_like(zk)
+        for lo in range(0, len(self.patches), _CHUNK // 4):
+            patches = self.patches[lo : lo + _CHUNK // 4]
+            V = self.V[self.pgroup[lo : lo + _CHUNK // 4]]
+            t = V @ zk[patches].reshape(len(patches), 92, 1)
+            out[patches] = (V.transpose(0, 2, 1) @ t).reshape(-1, 4, 23)
+        return (self._cellwise(self.inv, z).reshape(-1, 23) - out[:nk]).reshape(z.shape)
 
     def apply(self, x):
         """K x from the local saddle blocks, with x = (m, u, lambda) as K orders it."""
@@ -268,6 +378,139 @@ class HybridSolver:
             + absL.T @ np.ones(absL.shape[0])
         )
         return max(norm_B, norm_L, rows_A.max())
+
+
+def _patch_cover(R, nk):
+    """2 x 2 patches that cover the cells, and the continuity rows inside them.
+
+    R holds the continuity rows on 23 slots per cell.  A row that touches
+    four cells is the eliminated jump of an interior vertex with four cells
+    around it.  One greedy pass over these rows, in their order, takes the
+    four cells as a patch when none of them is taken yet; each cell left
+    over is a patch of its own, padded with the index ``nk``.  Returns
+    ``(patches, inside)``: the (npatch, 4) cells of the patches, and the
+    rows of R whose cells all lie in one patch, patch by patch.
+    """
+    cell = R.indices // 23
+    start = R.indptr[:-1]
+    quads = cell[start[np.diff(R.indptr) == 4][:, None] + np.arange(4)]
+    quads = quads[np.all(np.diff(quads, axis=1) != 0, axis=1)]
+    free = [True] * nk
+    chosen = []
+    for a, b, c, d in quads.tolist():
+        if free[a] and free[b] and free[c] and free[d]:
+            free[a] = free[b] = free[c] = free[d] = False
+            chosen.append((a, b, c, d))
+    lone = np.flatnonzero(free)
+    patches = np.concatenate(
+        [np.array(chosen, dtype=int).reshape(-1, 4), np.full((len(lone), 4), nk)]
+    )
+    patches[len(chosen) :, 0] = lone
+    if R.shape[0] == 0:
+        return patches, np.zeros(0, dtype=int)
+    owner = _places(patches)[0][cell]
+    first = np.minimum.reduceat(owner, start)
+    inside = np.flatnonzero(first == np.maximum.reduceat(owner, start))
+    return patches, inside[np.argsort(first[inside], kind="stable")]
+
+
+def _places(patches):
+    """Patch and place (0 to 3) in it of every cell index that ``patches`` holds."""
+    patch_of = np.empty(patches.max() + 1, dtype=np.int64)
+    place = np.empty_like(patch_of)
+    patch_of[patches] = np.arange(len(patches))[:, None]
+    place[patches] = np.arange(4)
+    return patch_of, place
+
+
+def _condense(Lam_I, patches, cell_inv, inv):
+    """Patch groups and the elimination of the rows inside each patch.
+
+    ``Lam_I`` holds the rows inside the patches, patch by patch, and
+    ``cell_inv`` the index in ``inv`` of each patch cell's inverse, -1 for
+    a padding cell, which meets only zero rows.  Patches whose cells share
+    their inverses and whose inside rows agree on the 92 patch slots form a
+    group.
+    A group with inside rows X and cell inverses Gp (92 x 92) scales its SPD
+    system S_p = X Gp X^T to unit diagonal by D and factors D S_p D = C C^T;
+    then V = C^-1 D X Gp, so that Gp - V^T V is the condensed patch
+    inverse, one 17 x 17 solve per group.  Returns ``(pgroup, V, ratio)``
+    with ``ratio`` the pivots of the inside rows over their diagonal
+    entries of S, the first stage of the pivot test.
+    """
+    npatch, ni = len(patches), Lam_I.shape[0]
+    cell, slot = np.divmod(Lam_I.indices, 23)
+    patch_of, place = _places(patches)
+    owner = patch_of[cell]
+    # rank of each row in its patch, and of each nonzero among the patch's
+    rows = np.bincount(owner[Lam_I.indptr[:-1]], minlength=npatch)
+    row = np.repeat(np.arange(ni), np.diff(Lam_I.indptr))
+    r = row - (np.cumsum(rows) - rows)[owner]
+    col = 23 * place[cell] + slot
+    nnz = np.bincount(owner, minlength=npatch)
+    k = np.arange(len(owner)) - (np.cumsum(nnz) - nnz)[owner]
+    width = nnz.max(initial=0)
+    key = np.full((npatch, 4 + 3 * width), -1.0)
+    key[:, :4] = cell_inv
+    key[owner, 4 + k] = r
+    key[owner, 4 + width + k] = col
+    key[owner, 4 + 2 * width + k] = Lam_I.data
+    rows_as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, rep, pgroup = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+
+    # the inside rows of one patch per group, eliminated _CHUNK // 4 groups at a time
+    ng, m = len(rep), rows.max(initial=0)
+    of_rep = np.full(npatch, -1)
+    of_rep[rep] = np.arange(ng)
+    sel = of_rep[owner] >= 0
+    X = np.zeros((ng, m, 92))
+    X[of_rep[owner[sel]], r[sel], col[sel]] = Lam_I.data[sel]
+    inside = np.arange(m) < rows[rep][:, None]
+    V, ratio = np.empty_like(X), np.empty((ng, m))
+    # a mesh without patches has no rows to eliminate, and no 0 x 0 factor is asked for
+    for lo in range(0, ng if m else 0, _CHUNK // 4):
+        reps = slice(lo, lo + _CHUNK // 4)
+        V[reps], ratio[reps] = _eliminate(X[reps], inv, cell_inv[rep[reps]], inside[reps])
+    if inside.any():
+        g, i = np.unravel_index(np.argmin(np.where(inside, ratio, np.inf)), ratio.shape)
+        if not ratio[g, i] >= PIVOT_BREAKDOWN_TOL:
+            raise SingularSystemError(
+                "multiplier system not positive definite: pivot / diagonal %.3e in patch %d"
+                % (ratio[g, i], rep[g])
+            )
+    return pgroup.reshape(-1), V, ratio[inside]
+
+
+def _eliminate(X, inv, cells, inside):
+    """V = C^-1 D X Gp and the pivot ratios of patches with inside rows X (n, m, 92).
+
+    ``inv[cells[p]]`` are the inverses of the four cells of patch p, whose
+    block diagonal is Gp, and ``inside`` (n, m) marks the rows of X that a
+    patch has; the others are zero and get a unit diagonal entry.  D
+    scales S_p = X Gp X^T to unit diagonal, and C C^T = D S_p D, so that
+    the ratios, the squared diagonal of C, are the pivots of S_p over its
+    diagonal entries.
+    """
+    n, m = X.shape[:2]
+    XG = np.empty_like(X)
+    for q in range(4):
+        slots = slice(23 * q, 23 * q + 23)
+        np.matmul(X[:, :, slots], inv[cells[:, q]], out=XG[:, :, slots])
+    S = XG @ X.transpose(0, 2, 1)
+    g, i = np.nonzero(~inside)
+    S[g, i, i] = 1.0
+    d = np.diagonal(S, axis1=1, axis2=2)
+    if not np.all(d > 0.0):
+        raise SingularSystemError("multiplier system not positive definite inside a patch")
+    d = 1.0 / np.sqrt(d)
+    try:
+        C = np.linalg.cholesky(S * d[:, :, None] * d[:, None, :])
+    except np.linalg.LinAlgError as err:
+        raise SingularSystemError(
+            "multiplier system not positive definite inside a patch"
+        ) from err
+    XG *= d[:, :, None]
+    return np.linalg.inv(C) @ XG, np.diagonal(C, axis1=1, axis2=2) ** 2
 
 
 def _local_inverses(local):
@@ -343,10 +586,13 @@ def solve_saddle(A, b, rtol=1e-10):
     -------
     x : ndarray
     info : dict
-        Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``schur_n``
-        (size of the multiplier system S), ``fill`` (nonzeros of its
-        factors) and ``pivot_ratio`` (smallest pivot over its diagonal entry
-        of S, None when S is empty).
+        Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``patches``
+        (number of 2 x 2 patches), ``condensed_n`` (multipliers eliminated
+        inside them), ``schur_n`` (size of the condensed system S_c that
+        SuperLU factors, 0 when every multiplier is condensed), ``fill``
+        (nonzeros of its factors) and ``pivot_ratio`` (smallest pivot of
+        either stage over its diagonal entry of the uncondensed multiplier
+        system S, None when S is empty).
 
     Raises ``ValueError`` for an ``rtol`` that is not a positive finite
     number, a matrix without cell structure or a size mismatch,

@@ -124,6 +124,21 @@ def test_solve_reports_missing_errors_as_dashes(capsys):
     assert out.strip().endswith("div -")
 
 
+@pytest.mark.parametrize(
+    "problem, level, line",
+    [
+        ("ex1", "1", "multiplier system n 0 (17 rows condensed in 1 patch(es)), fill 0,"),
+        ("ex2", "0", "multiplier system n 39 (0 rows condensed in 0 patch(es)), fill 760,"),
+    ],
+)
+def test_solve_reports_the_condensation(capsys, problem, level, line):
+    # a fully condensed plate and one without any patch
+    assert main(["solve", "--problem", problem, "--level", level]) == 0
+    out = capsys.readouterr().out
+    assert line in out
+    assert "min pivot/diagonal -" not in out
+
+
 def test_convergence_writes_csv_and_json(tmp_path, capsys):
     out_csv = tmp_path / "conv.csv"
     args = [

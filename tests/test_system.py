@@ -312,19 +312,49 @@ def _three_plates(which, graded_mesh):
     return _plate_system(problem, int(level))
 
 
+def _uncondensed_system(hybrid):
+    """The whole multiplier system S = Lam bsr(inv[group]) Lam^T, rows [inside, rest]."""
+    nk = len(hybrid.group)
+    ptr = np.arange(nk + 1)
+    M = sp.bsr_matrix((hybrid.inv[hybrid.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
+    Lam = sp.vstack([hybrid.Lam_I, hybrid.Lam_B])
+    return (Lam @ M @ Lam.T).toarray()
+
+
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_multiplier_system_is_the_block_product(which, graded_mesh):
+    # the factored system is the Schur complement of the patch interiors in
+    # the cell-level product
     system = _three_plates(which, graded_mesh)
     if which == "ex2-3":
         assert system.L.shape[0] > 0
     hybrid = linsolve.HybridSolver(system.plate)
-    nk = len(hybrid.group)
-    ptr = np.arange(nk + 1)
-    M = sp.bsr_matrix((hybrid.inv[hybrid.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
-    want = (hybrid.Lam @ M @ hybrid.Lam.T).toarray()
+    S = _uncondensed_system(hybrid)
+    ni = hybrid.Lam_I.shape[0]
+    assert ni > 0
+    want = S[ni:, ni:] - S[ni:, :ni] @ np.linalg.solve(S[:ni, :ni], S[:ni, ni:])
     got = hybrid._schur()
     assert got.format == "csc"
     assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
+def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
+    # eliminating the patch interiors first and then S_c in SuperLU's order
+    # is a symmetric elimination of S itself: both stages' pivots are read
+    # against the diagonal of S, not of S_c
+    system = _three_plates(which, graded_mesh)
+    hybrid = linsolve.HybridSolver(system.plate)
+    S = _uncondensed_system(hybrid)
+    ni = hybrid.Lam_I.shape[0]
+    diagonal = np.zeros(hybrid.schur_n)
+    _, ratio = factor_spd(hybrid._schur(diagonal), diagonal)
+    assert np.allclose(diagonal, np.diag(S)[ni:], rtol=1e-14, atol=0.0)
+    order = np.concatenate([np.arange(ni), ni + np.argsort(hybrid.lu.perm_c)])
+    pivots = np.diag(np.linalg.cholesky(S[np.ix_(order, order)])) ** 2
+    want = pivots / np.diag(S)[order]
+    assert np.allclose(ratio, want[ni:][hybrid.lu.perm_c], rtol=1e-8, atol=0.0)
+    assert hybrid.pivot_ratio == pytest.approx(want.min(), rel=1e-8)
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
@@ -338,14 +368,18 @@ def test_solve_then_apply_gives_back_the_right_hand_side(which, graded_mesh):
 
 
 def test_solver_keeps_no_block_per_cell():
-    # ex2 level 3 has 192 cells in 3 groups; the local blocks and their
-    # inverses are held once per group
+    # ex2 level 3 has 192 cells in 3 groups and 48 patches in 4 groups; the
+    # local blocks and their inverses are held once per cell group, the
+    # elimination of the patch interiors once per patch group
     hybrid = linsolve.HybridSolver(_plate_system("ex2", 3).plate)
-    nk = len(hybrid.group)
+    nk, npatch = len(hybrid.group), len(hybrid.patches)
+    assert npatch == 48
     assert hybrid.local.shape == hybrid.inv.shape == (3, 23, 23)
+    assert hybrid.V.shape == (4, 17, 92)
     for name, value in vars(hybrid).items():
         if isinstance(value, np.ndarray):
             assert value.shape[:1] != (nk,) or value.shape[1:] != (23, 23), name
+            assert value.shape[:1] != (npatch,) or value.ndim < 3, name
         assert not (sp.issparse(value) and value.format == "bsr"), name
 
 
@@ -472,6 +506,134 @@ def test_hybrid_and_colamd_solves_agree_with_neumann_rows(basis_cache):
     nd, nu = system.ndofs, system.nu
     for part in (slice(0, nd), slice(nd, nd + nu), slice(nd + nu, None)):
         assert np.abs(x[part] - y[part]).max() <= 1e-9 * np.abs(y[part]).max()
+
+
+def _graded_grid(nx, ny, seed=3):
+    """nx x ny rectangle mesh with knot gaps drawn from [0.6, 1.4]: no two cells alike."""
+    rng = np.random.default_rng(seed)
+    xs = np.concatenate([[0.0], np.cumsum(rng.uniform(0.6, 1.4, nx))])
+    ys = np.concatenate([[0.0], np.cumsum(rng.uniform(0.6, 1.4, ny))])
+    xx, yy = np.meshgrid(xs, ys, indexing="ij")
+    v = (ny + 1) * np.arange(nx)[:, None] + np.arange(ny)
+    cells = np.stack([v, v + ny + 1, v + ny + 2, v + 1], axis=-1).reshape(-1, 4)
+    return Mesh(np.column_stack([xx.ravel(), yy.ravel()]), cells)
+
+
+@pytest.mark.parametrize("which", ["graded-5x3", "ex2-0"])
+def test_partial_and_empty_patch_covers_agree_with_colamd(which):
+    # the 5 x 3 grid leaves cells alone beside its patches, and the three
+    # cells of the level-0 L-shape share no interior vertex, so no patch
+    if which == "ex2-0":
+        system = _plate_system("ex2", 0)
+    else:
+        mesh = _graded_grid(5, 3)
+        system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+    hybrid = linsolve.HybridSolver(system.plate)
+    lone = np.count_nonzero(hybrid.patches[:, 1] == len(hybrid.group))
+    assert (lone, hybrid.info()["patches"]) == ((7, 2) if which != "ex2-0" else (3, 0))
+    K, rhs = system.full()
+    x, info = solve_saddle(K, rhs)
+    y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
+    assert info["condensed_n"] == 17 * info["patches"]
+    nd, nu = system.ndofs, system.nu
+    for part in (slice(0, nd), slice(nd, nd + nu), slice(nd + nu, None)):
+        if part.start < len(y):
+            assert np.abs(x[part] - y[part]).max() <= 1e-9 * np.abs(y[part]).max()
+
+
+def test_fully_condensed_plate_is_certified():
+    # ex1 level 1 is one patch with no Neumann rows, so no multiplier is left
+    # for SuperLU; the pivot test and the residual certificate still run
+    system = _plate_system("ex1", 1)
+    x, info = solve_saddle(system.plate, system.rhs())
+    assert (info["schur_n"], info["fill"], info["patches"], info["condensed_n"]) == (0, 0, 1, 17)
+    assert info["residual"] <= 1e-10
+    assert 0.0 < info["pivot_ratio"] <= 1.0
+    K, rhs = system.full()
+    y = np.linalg.solve(K.toarray(), rhs)
+    assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded", "graded-5x3"])
+def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
+    if which == "graded-5x3":
+        mesh = _graded_grid(5, 3)
+        system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+    else:
+        system = _three_plates(which, graded_mesh)
+    hybrid = linsolve.HybridSolver(system.plate)
+    nk = len(hybrid.group)
+    cells = hybrid.patches[hybrid.patches < nk]
+    assert np.array_equal(np.sort(cells), np.arange(nk))
+    # a patch is one cell or four, never two or three
+    assert set(np.count_nonzero(hybrid.patches < nk, axis=1)) <= {1, 4}
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
+def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
+    # 16 moment rows on the four inner edges and the jump row of the center
+    # vertex; Neumann rows stay in Lam_B, last and as L Q
+    system = _three_plates(which, graded_mesh)
+    hybrid = linsolve.HybridSolver(system.plate)
+    nk, npatch = len(hybrid.group), len(hybrid.patches)
+    owner = np.empty(nk + 1, dtype=int)
+    owner[hybrid.patches] = np.arange(npatch)[:, None]
+    Lam_I = hybrid.Lam_I.tocoo()
+    cells = owner[Lam_I.col // 23]
+    row_patch = np.full(Lam_I.shape[0], -1)
+    row_patch[Lam_I.row] = cells
+    assert np.array_equal(cells, row_patch[Lam_I.row]), "a condensed row leaves its patch"
+    four = np.count_nonzero(hybrid.patches < nk, axis=1) == 4
+    assert np.array_equal(np.bincount(row_patch, minlength=npatch), np.where(four, 17, 0))
+    nl = system.L.shape[0]
+    assert (which == "ex2-3") == (nl > 0)
+    tail = hybrid.Lam_B[hybrid.Lam_B.shape[0] - nl :]
+    assert np.array_equal(tail.toarray(), (hybrid.L @ hybrid.Q).toarray())
+
+
+def test_patch_groups_follow_the_inside_rows():
+    # the 16 patches of ex1 level 3 are one group; scaling the inside rows
+    # of one patch must give it its own group and its own elimination
+    hybrid = linsolve.HybridSolver(_plate_system("ex1", 3).plate)
+    assert set(hybrid.pgroup) == {0}
+    Lam_I = hybrid.Lam_I.copy()
+    Lam_I.data[: Lam_I.indptr[17]] *= 2.0
+    pgroup, V, _ = linsolve._condense(Lam_I, hybrid.patches, hybrid._cell_inverses(), hybrid.inv)
+    assert len(set(pgroup)) == 2 and np.count_nonzero(pgroup == pgroup[0]) == 1
+    # the same rows times 2 span the same space, so the condensed inverse,
+    # Gp - V^T V, is unchanged
+    first, rest = V[pgroup[0]], V[pgroup[1]]
+    assert np.allclose(first.T @ first, rest.T @ rest, rtol=0.0, atol=1e-12 * np.abs(rest).max() ** 2)
+
+
+def test_patch_interior_breakdown_detected():
+    # the first stage of the pivot test, before SuperLU is reached: a repeated
+    # inner row makes the patch system singular, and a row within 1e-6 of an
+    # inner row gives a pivot of 3e-14 times its diagonal entry
+    hybrid = linsolve.HybridSolver(_plate_system("ex1", 1).plate)
+    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, hybrid.Lam_I.shape[1]))
+    near = hybrid.Lam_I[0] + 1e-6 * e0
+    for extra, match in [(hybrid.Lam_I[0], "not positive definite"), (near, "pivot / diagonal")]:
+        Lam_I = sp.vstack([hybrid.Lam_I, extra], format="csr")
+        with pytest.raises(SingularSystemError, match=match):
+            linsolve._condense(Lam_I, hybrid.patches, hybrid._cell_inverses(), hybrid.inv)
+
+
+def test_multiplier_system_pattern_is_rotation_invariant():
+    # S_c is written on the clique pattern of the patches, so its ordering
+    # and fill follow the mesh, not the rounding of rotated cell data
+    base = make_lshape(3)
+
+    def solver_info(angle):
+        c, s = np.cos(angle), np.sin(angle)
+        mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells)
+        dofmap = build_dof_map(mesh)
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+        return solve_problem(mesh, dofmap, system)["solver"]
+
+    want, got = solver_info(0.0), solver_info(0.7)
+    assert (got["schur_n"], got["fill"]) == (want["schur_n"], want["fill"])
+    assert got["pivot_ratio"] == pytest.approx(want["pivot_ratio"], rel=1e-6)
 
 
 def test_all_neumann_plate_rejected(monkeypatch):
