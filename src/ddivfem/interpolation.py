@@ -14,7 +14,7 @@ which is what the tests in this module quantify.
 import numpy as np
 
 from .polys import gauss_rule
-from .reference import coefficient_grids, grid_function
+from .reference import coefficient_grids, frame_weights, grid_function
 from .mesh import make_parallelogram_domain, EX1_CORNERS
 from .piola import BasisCache, edge_frames, element_maps, normals
 from .space import build_dof_map, cell_coefficients
@@ -76,11 +76,7 @@ class TensorField:
 
 def _pair(t, n, mv):
     """t.M n for tensor components (xx, xy, yy) in the last axis of ``mv``."""
-    return (
-        t[..., 0] * n[..., 0] * mv[..., 0]
-        + (t[..., 0] * n[..., 1] + t[..., 1] * n[..., 0]) * mv[..., 1]
-        + t[..., 1] * n[..., 1] * mv[..., 2]
-    )
+    return (frame_weights(t, n) * mv).sum(-1)
 
 
 def _edge_rule(mesh, e, nq):

@@ -68,6 +68,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .mesh import cell_groups
+
 #: pivot over its diagonal entry of S under which the pivot counts as a breakdown
 PIVOT_BREAKDOWN_TOL = 1e-13
 
@@ -241,7 +243,7 @@ class HybridSolver:
             "condensed_n": self.Lam_I.shape[0],
         }
 
-    def _schur(self, diagonal=None):
+    def _schur(self, diagonal):
         """S_c = Lam_B G~ Lam_B^T in csc form, with G~ the condensed patch inverses.
 
         Patch p adds E (Gp - Vp^T Vp) E^T, with Gp its cell inverses and E
@@ -249,9 +251,8 @@ class HybridSolver:
         slots.  Every pair of rows that meets a common patch gets an entry,
         so the pattern is that of the mesh, explicit zeros included, and the
         ordering does not follow the rounding of the entries.  The dense
-        blocks exist ``_PATCHES`` patches at a time.  When ``diagonal``
-        is given, diag(Lam_B G Lam_B^T), the diagonal of the uncondensed S
-        on these rows, is added to it.
+        blocks exist ``_PATCHES`` patches at a time.  ``diagonal`` gains
+        diag(Lam_B G Lam_B^T), the diagonal of the uncondensed S on these rows.
         """
         Lam, npatch = self.Lam_B, len(self.patches)
         nb = Lam.shape[0]
@@ -293,13 +294,12 @@ class HybridSolver:
             V = self.V[self.pgroup[patches]].reshape(c, m, 4, 23)[..., :20]
             U = V.reshape(c, m, 80) @ E
             block = F @ E
-            if diagonal is not None:
-                at_rows = valid[patches]
-                diagonal += np.bincount(
-                    table[patches][at_rows],
-                    np.diagonal(block, axis1=1, axis2=2)[at_rows],
-                    minlength=nb,
-                )
+            at_rows = valid[patches]
+            diagonal += np.bincount(
+                table[patches][at_rows],
+                np.diagonal(block, axis1=1, axis2=2)[at_rows],
+                minlength=nb,
+            )
             block -= U.transpose(0, 2, 1) @ U
             data[ends[lo] : ends[lo + c]] = block[pairs[patches]]
         # the last chunk's blocks go before the conversion allocates the matrix
@@ -430,7 +430,7 @@ def _condense(Lam_I, patches, cell_inv, inv):
     ``cell_inv`` the index in ``inv`` of each patch cell's inverse, -1 for
     a padding cell, which meets only zero rows.  Patches whose cells share
     their inverses and whose inside rows agree on the 92 patch slots form a
-    group.
+    group; the groups are numbered by their first patches.
     A group with inside rows X and cell inverses Gp (92 x 92) scales its SPD
     system S_p = X Gp X^T to unit diagonal by D and factors D S_p D = C C^T;
     then V = C^-1 D X Gp, so that Gp - V^T V is the condensed patch
@@ -455,8 +455,7 @@ def _condense(Lam_I, patches, cell_inv, inv):
     key[owner, 4 + k] = r
     key[owner, 4 + width + k] = col
     key[owner, 4 + 2 * width + k] = Lam_I.data
-    rows_as_bytes = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-    _, rep, pgroup = np.unique(rows_as_bytes, return_index=True, return_inverse=True)
+    rep, pgroup = cell_groups(key)
 
     # the inside rows of one patch per group, eliminated _CHUNK // 4 groups at a time
     ng, m = len(rep), rows.max(initial=0)
@@ -478,7 +477,7 @@ def _condense(Lam_I, patches, cell_inv, inv):
                 "multiplier system not positive definite: pivot / diagonal %.3e in patch %d"
                 % (ratio[g, i], rep[g])
             )
-    return pgroup.reshape(-1), V, ratio[inside]
+    return pgroup, V, ratio[inside]
 
 
 def _eliminate(X, inv, cells, inside):

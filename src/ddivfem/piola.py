@@ -30,17 +30,18 @@ counterclockwise tangents of the edges entering and leaving the corner.
 Under the pushforward all of these are fixed linear combinations of the
 reference basis's edge moments and corner values; :class:`EdgeTabulation`
 reads those exactly off the restriction of the coefficient grids to the
-edges (:func:`ddivfem.reference.edge_restriction`), with no edge rule.
+edges (:func:`ddivfem.reference.edge_restriction`) with the weights of
+:func:`ddivfem.reference.edge_weights`, and with no edge rule.
 
 Each convention lives in one place: :func:`element_maps` computes B, a and
 det B, :func:`edge_frames` and :func:`normals` the edge frames.
 :func:`batch_geometry` combines them for any set of cells, and
 :func:`dof_matrices` builds the local dof matrices of all of them in one
 contraction.  Cells whose :meth:`CellGeometry.keys` rows are equal have
-bitwise equal dof matrices, and :func:`cell_groups` groups them, so each
-distinct matrix is built once.  :meth:`BasisCache.groups` is the only place
-the library checks and inverts local dof matrices, one batch per call;
-:func:`ddivfem.space.check_conformity` builds one per group without
+bitwise equal dof matrices, and :func:`ddivfem.mesh.cell_groups` groups
+them, so each distinct matrix is built once.  :meth:`BasisCache.groups` is
+the only place the library checks and inverts local dof matrices, one batch
+per call; :func:`ddivfem.space.check_conformity` builds one per group without
 inverting it.  The test suite states the same maps and functionals one cell
 at a time, with its own Gauss rule along the edges (``tests/cellspec.py``),
 and checks this layer against them.
@@ -48,11 +49,13 @@ and checks this layer against them.
 
 import numpy as np
 
+from .mesh import cell_groups
 from .polys import gauss_rule
 from .reference import (
     build_reference_basis,
     coefficient_grids,
     edge_restriction,
+    edge_weights,
     frame_weights,
 )
 
@@ -123,20 +126,12 @@ class EdgeTabulation:
     """
 
     def __init__(self, basis):
-        n = basis.shape[0]
         vals = edge_restriction(basis)
         divs = edge_restriction(coefficient_grids(basis)[0])
-        # the integral of s**k over (-1, 1) is 2/(k + 1) for even k: integer
-        # weights over the least common multiple of the odd k + 1 (for n = 4,
-        # 30, 0, 10, 0, 6 over 15) against 1 and s, then one division
-        k = np.arange(n + 1)
-        den = np.lcm.reduce(k[::2] + 1)
-        num = np.where(k % 2 == 0, 2 * den // (k + 1), 0.0)
-        w = np.stack([num[:-1], num[1:]])
+        # s = -1 at the start corner of the edge and s = +1 at its end
+        w, den, ends = edge_weights(basis.shape[0])
         self.val0, self.val1 = np.einsum("pm,jmic->pijc", w, vals) / den
         self.div0, self.div1 = np.einsum("pm,jmic->pijc", w, divs) / den
-        # s = -1 at the start corner of the edge and s = +1 at its end
-        ends = np.stack([(-1.0) ** np.arange(n), np.ones(n)])
         self.ends = np.einsum("em,jmic->ijec", ends, vals)
 
 
@@ -181,12 +176,12 @@ class CellGeometry:
         """One row per cell of the exact values :func:`dof_matrices` reads.
 
         B, the tangents, the lengths and ``forward``; the determinant follows
-        from B.  Adding 0.0 folds -0.0 into 0.0, so rows are equal exactly
-        when the dof matrices built from them are.
+        from B.  Rows that :func:`ddivfem.mesh.cell_groups` groups, -0.0
+        and 0.0 alike, give bitwise equal dof matrices.
         """
         n = len(self.B)
         rows = [self.B.reshape(n, 4), self.tangents.reshape(n, 8), self.lengths, self.forward]
-        return np.hstack(rows) + 0.0
+        return np.hstack(rows)
 
 
 def batch_geometry(mesh, cells=None):
@@ -196,19 +191,6 @@ def batch_geometry(mesh, cells=None):
     B, a, det = element_maps(mesh, cells)
     tangents, lengths = edge_frames(mesh, mesh.cell_edges[cells])
     return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward[cells])
-
-
-def cell_groups(keys):
-    """Groups of equal rows of ``keys`` (n, m), numbered by their first rows.
-
-    Returns ``(first, group)``: the first row of each group, ascending, and
-    the group (n,) of every row, so that ``keys[first[group]]`` equals
-    ``keys``.
-    """
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    # numpy releases differ in the shape of the inverse; ravel keeps it 1-D
-    return first[order], np.argsort(order)[inverse.ravel()]
 
 
 def dof_matrices(geometry, tab):
@@ -299,7 +281,7 @@ class BasisCache:
         numbered in the order of their first cells; the group of every
         cell; and ``Tinv`` (ngroups, 20, 20).  The keys of all cells come
         from one :func:`batch_geometry` and are grouped by
-        :func:`cell_groups`.  The first cells of the groups not
+        :func:`ddivfem.mesh.cell_groups`.  The first cells of the groups not
         yet stored get their dof matrices from one :func:`dof_matrices` call
         and their inverses from :func:`_checked_inverses`, which raises
         before anything is stored; each group is then looked up with one

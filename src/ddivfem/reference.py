@@ -23,6 +23,9 @@ Edge and corner numbering on K = [-1, 1]^2, traversed counterclockwise::
 Each edge carries the unit tangent t of the traversal, the outward unit
 normal n = (t_y, -t_x), and the linear Legendre polynomial l(s) = s in the
 traversal parameter s in (-1, 1).
+
+:func:`edge_weights` gives the edge moments and end values of a trace in s
+to :func:`dof_matrix` here and to :class:`ddivfem.piola.EdgeTabulation`.
 """
 
 import numpy as np
@@ -106,12 +109,6 @@ def in_reference_space(basis, tol=0.0):
     return np.all(np.abs(np.moveaxis(basis, 2, 3)[~COMPONENT_MASKS]) <= tol, axis=0)
 
 
-def _moments(deg):
-    """Integrals of t**k over [-1, 1] for k = 0..deg: 2/(k+1) for even k, 0 for odd."""
-    k = np.arange(deg + 1)
-    return np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
-
-
 def _derivative(c, axis):
     """Coefficient grid of the partial derivative along degree axis 0 (x) or 1 (y).
 
@@ -164,6 +161,23 @@ def grid_function(grids):
 # the frozen coordinate, its value, and the sign linking s to the free one:
 #   e1: y = -1, s = +x;  e2: x = +1, s = +y;  e3: y = +1, s = -x;  e4: x = -1, s = -y
 _EDGE_RESTRICTION = ((1, -1.0, 1.0), (0, 1.0, 1.0), (1, 1.0, -1.0), (0, -1.0, -1.0))
+
+
+def edge_weights(n):
+    """``(moments, den, ends)`` on the n coefficients in s of a polynomial.
+
+    Its moments against 1 and s over (-1, 1) are ``moments`` (2, n), integers,
+    times the coefficients, summed and divided by ``den``; its values at
+    s = -1 and +1 are ``ends`` (2, n) times them.  On dyadic coefficients the
+    sums are exact, and the one division rounds the exact moment once.
+    """
+    # s**k integrates to 2/(k + 1) for even k; den is the lcm of the odd
+    # k + 1, so for n = 4 the weights are 30, 0, 10, 0, 6 over 15
+    k = np.arange(n + 1)
+    den = np.lcm.reduce(k[::2] + 1)
+    num = np.where(k % 2 == 0, 2 * den // (k + 1), 0.0)
+    ends = np.stack([(-1.0) ** np.arange(n), np.ones(n)])
+    return np.stack([num[:-1], num[1:]]), den, ends
 
 
 def frame_weights(a, b):
@@ -221,18 +235,16 @@ def dof_matrix(basis=None):
     rows (linear moment), four q0 and four q1 rows for the effective shear,
     then the four corner jumps of t.Mn: its value at the end of the edge
     entering the corner minus its value at the start of the edge leaving
-    it.  The moments use the exact integrals of s**m over (-1, 1).
-    Defaults to the reference basis.
+    it.  The moments and end values take the weights of
+    :func:`edge_weights`, so on dyadic grids every entry is the exact value
+    rounded once.  Defaults to the reference basis.
     """
     if basis is None:
         basis = build_reference_basis()
     nn, shear, tn = edge_traces(basis)
-    moments = _moments(basis.shape[0])
-    # one dot product per trace over the powers of s in order, the call a
-    # single coefficient vector makes, so the rounding does not depend on nb
-    rows = [(w @ t[..., None])[..., 0] for t in (nn, shear) for w in (moments[:-1], moments[1:])]
-    start = tn @ (-1.0) ** np.arange(basis.shape[0])
-    stop = tn.sum(axis=2)
+    moments, den, ends = edge_weights(basis.shape[0])
+    rows = [np.einsum("pm,jim->pji", moments, t).reshape(8, -1) / den for t in (nn, shear)]
+    start, stop = np.einsum("em,jim->eji", ends, tn)
     return np.concatenate(rows + [np.roll(stop, 1, axis=0) - start])
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from ddivfem.piola import CellGeometry
 from ddivfem.interpolation import TensorField
 from ddivfem.polys import gauss_rule
-from ddivfem.reference import EDGE_NORMALS, EDGE_TANGENTS, _moments
+from ddivfem.reference import EDGE_NORMALS, EDGE_TANGENTS
 
 # reference corner coordinates, counterclockwise from (-1, -1), and per edge
 # its (start corner, end corner) as indices into CORNERS
@@ -45,6 +45,12 @@ def _trim(c):
     if len(nz[0]) == 0:
         return np.zeros((1, 1))
     return c[: nz[0].max() + 1, : nz[1].max() + 1].copy()
+
+
+def _moments(deg):
+    """Integrals of t**k over [-1, 1] for k = 0..deg: 2/(k+1) for even k, 0 for odd."""
+    k = np.arange(deg + 1)
+    return np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
 
 
 class Poly2:
@@ -504,17 +510,24 @@ def trace_nn(M, edge):
     return restrict_to_edge(p, edge)
 
 
+def _tmn(M, edge):
+    """t.Mn in the frame of an edge, as a Poly2 on the whole square."""
+    n = EDGE_NORMALS[edge]
+    t = EDGE_TANGENTS[edge]
+    return (
+        t[0] * n[0] * M.axx
+        + (t[0] * n[1] + t[1] * n[0]) * M.axy
+        + t[1] * n[1] * M.ayy
+    )
+
+
 def trace_shear(M, edge):
     """Effective shear trace n.div M + d_t(t.Mn) on an edge, in s coefficients."""
     n = EDGE_NORMALS[edge]
     t = EDGE_TANGENTS[edge]
     wx, wy = M.div()
     ndiv = n[0] * wx + n[1] * wy
-    tmn = (
-        t[0] * n[0] * M.axx
-        + (t[0] * n[1] + t[1] * n[0]) * M.axy
-        + t[1] * n[1] * M.ayy
-    )
+    tmn = _tmn(M, edge)
     dt_tmn = t[0] * tmn.dx() + t[1] * tmn.dy()
     return restrict_to_edge(ndiv + dt_tmn, edge)
 
@@ -583,6 +596,28 @@ def exact_moments(c):
         sum(v * Fraction(2, m + 1 + p) for m, v in enumerate(c) if (m + p) % 2 == 0)
         for p in (0, 1)
     )
+
+
+def exact_dof_matrix(basis):
+    """:func:`ddivfem.reference.dof_matrix` as exact values, each rounded once.
+
+    The moments are the ``Fraction`` moments of the ``Poly2`` traces, and a
+    corner jump is the exact value of t.Mn at the end (s = +1) of the edge
+    entering the corner minus its value at the start (s = -1) of the edge
+    leaving it.
+    """
+    cols = []
+    for M in tensors(basis):
+        vals = [None] * 20
+        for j in range(4):
+            vals[j], vals[4 + j] = exact_moments(trace_nn(M, j))
+            vals[8 + j], vals[12 + j] = exact_moments(trace_shear(M, j))
+        tn = [[Fraction(v) for v in restrict_to_edge(_tmn(M, j), j)] for j in range(4)]
+        for c in range(4):
+            start = sum(v * (-1) ** m for m, v in enumerate(tn[c]))
+            vals[16 + c] = sum(tn[c - 1]) - start
+        cols.append([float(v) for v in vals])
+    return np.array(cols).T
 
 
 def edge_tabulation(basis):

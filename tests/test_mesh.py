@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ddivfem.mesh import (
     EX1_CORNERS,
     Mesh,
     MeshError,
     canonical_form,
+    cell_groups,
     import_text,
     make_lshape,
     make_parallelogram_domain,
@@ -242,3 +246,53 @@ def test_direct_construction_validates():
         Mesh(verts, [[0, 1, 2.7, 3]])  # not truncated to [0, 1, 2, 3]
     with pytest.raises(MeshError):
         Mesh(np.where(verts == 1.0, np.nan, verts), cells)  # non-finite coordinates
+
+
+# -- one numbering of equal keys ----------------------------------------------
+
+
+@st.composite
+def repeated_keys(draw, width, elements, dtype=float):
+    """Keys drawn again and again from a few distinct ones, (n,) or (n, width).
+
+    A float key gets the sign of some of its zeros flipped.
+    """
+    npool = draw(st.integers(1, 6))
+    pool = draw(arrays(dtype, (npool,) if width is None else (npool, width), elements=elements))
+    picks = draw(st.lists(st.integers(0, npool - 1), min_size=1, max_size=40))
+    keys = pool[picks]
+    if dtype == float:
+        flip = draw(arrays(bool, keys.shape)) & (keys == 0.0)
+        keys[flip] = -keys[flip]
+    return keys
+
+
+# 1-D edge and lattice-node keys; rows of the 17 values of a cell key, where
+# -0.0 and 0.0 must form one group; rows of 112 like the key of a 2 x 2 patch
+# of 36 nonzeros (four cell inverses, then row ranks, columns and values)
+_KEYS = {
+    "int64": repeated_keys(None, st.integers(-(2**62), 2**62), dtype=np.int64),
+    "cell": repeated_keys(17, st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])),
+    "patch": repeated_keys(112, st.sampled_from([-1.0, 0.0, -0.0, 1.0, 3.0, 91.0, -0.25])),
+}
+
+
+def first_appearance(keys):
+    """``(first, group)`` of keys numbered as a dict of tuples first meets them."""
+    seen = {}
+    group = [seen.setdefault(tuple(np.atleast_1d(key).tolist()), len(seen)) for key in keys]
+    return [group.index(g) for g in range(len(seen))], group
+
+
+@pytest.mark.parametrize("kind", sorted(_KEYS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cell_groups_number_keys_by_first_appearance(kind, data):
+    keys = data.draw(_KEYS[kind])
+    first, group = cell_groups(keys)
+    want_first, want_group = first_appearance(keys)
+    assert first.tolist() == want_first
+    assert group.tolist() == want_group
+    assert np.array_equal(keys[first[group]], keys)
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(group[first], np.arange(len(first)))

@@ -1,11 +1,13 @@
 """Gauss quadrature, the grid moments and traces, and the Poly2 oracle algebra."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cellspec import Poly2
 from ddivfem.polys import gauss_rule
-from ddivfem.reference import _moments, dof_matrix, edge_traces, trace_degrees
+from ddivfem.reference import dof_matrix, edge_traces, edge_weights, trace_degrees
 
 
 def test_gauss_two_point_nodes():
@@ -62,9 +64,16 @@ def test_restrict_gives_edge_coefficients():
 
 
 def test_univariate_helpers():
-    # moments of s**k over (-1, 1): 2/(k+1) for even k, 0 for odd
-    assert np.array_equal(_moments(4), [2.0, 0.0, 2.0 / 3.0, 0.0, 0.4])
-    assert np.array_equal(_moments(0), [2.0])
+    # moments of s**k over (-1, 1): 2/(k+1) for even k, 0 for odd; the
+    # weight on the coefficient of s**k against s**p is the moment of s**(k+p)
+    for n in (1, 4):
+        moments, den, ends = edge_weights(n)
+        for p in (0, 1):
+            for k in range(n):
+                want = Fraction(2, k + p + 1) if (k + p) % 2 == 0 else 0
+                assert Fraction(moments[p, k]) / int(den) == want
+        # values at s = -1 and s = +1
+        assert np.array_equal(ends, [(-1.0) ** np.arange(n), np.ones(n)])
 
     # x^2 in yy: m0 on e1 is the integral of s^2 over (-1, 1), m1 of s^3;
     # x in yy: m1 on e1 is the integral of s * s

@@ -241,9 +241,11 @@ _DYADIC_STACKS = arrays(
 @settings(max_examples=60, deadline=None)
 @given(numerators=_DYADIC_STACKS)
 def test_dof_matrix_of_random_dyadic_grids_is_the_poly2_oracle(numerators):
-    # coefficients inside and outside the component masks alike
+    # coefficients inside and outside the component masks alike; every entry
+    # is the exact Fraction moment or corner jump of the Poly2 traces,
+    # rounded once
     values = numerators / 8.0
-    assert cellspec.dof_matrix(values).tobytes() == dof_matrix(values).tobytes()
+    assert cellspec.exact_dof_matrix(values).tobytes() == dof_matrix(values).tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,9 +3,9 @@
     python3 tools/bench_record.py --parent 3eaf060 --out BENCH_10.json
 
 Run from the root of the changed checkout.  The parent commit is exported
-with ``git archive`` into a temporary directory.  For every workload and
-each of the seeds 1-10, ``perfbench/run.py --trace 0 --seconds 30`` runs
-once in each checkout, the two alternating and the side that goes first
+into a temporary directory by ``tools/parent_checkout.py``.  For every
+workload and each of the seeds 1-10, ``perfbench/run.py --trace 0 --seconds
+30`` runs once in each checkout, the two alternating and the side that goes first
 switching from seed to seed; then ``--trace 1`` runs once per checkout with
 the first seed.  Each checkout benchmarks its own ``src`` with its own
 ``perfbench``.  The file keeps the last JSON line of every run, the machine
@@ -18,7 +18,8 @@ import json
 import statistics
 import subprocess
 import sys
-import tempfile
+
+from parent_checkout import parent_checkout
 
 WORKLOADS = ("ex1-conv", "ex2-conv", "graded-ex1", "interp-commute")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
@@ -93,13 +94,7 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.parent + "^{commit}"],
-        stdout=subprocess.PIPE, text=True, check=True,
-    ).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
-    with tempfile.TemporaryDirectory() as parent:
-        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
+    with parent_checkout(args.parent) as (commit, parent):
         record = measure({"parent": parent, "change": "."})
     record["parent_commit"] = commit
     with open(args.out, "w") as fh:

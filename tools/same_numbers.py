@@ -3,8 +3,8 @@
     python3 tools/same_numbers.py --parent a414132
 
 Run from the root of the changed checkout.  The parent commit is exported
-with ``git archive`` into a temporary directory, as ``tools/bench_record.py``
-does.  In each checkout, with that checkout's ``src`` on the path, this
+into a temporary directory by ``tools/parent_checkout.py``, as for
+``tools/bench_record.py``.  In each checkout, with that checkout's ``src`` on the path, this
 script computes the same fixed set of outputs:
 
 - the ``convergence_study`` rows of ex1 and ex2 at levels 1-5, conformity
@@ -34,6 +34,8 @@ import re
 import subprocess
 import sys
 import tempfile
+
+from parent_checkout import parent_checkout
 
 LEVELS = range(1, 6)
 SOLVE_LEVELS = (1, 3, 5)
@@ -137,13 +139,7 @@ def main(argv=None):
     if args.parent is None:
         ap.error("--parent is required")
 
-    commit = subprocess.run(
-        ["git", "rev-parse", "--short", args.parent + "^{commit}"],
-        stdout=subprocess.PIPE, text=True, check=True,
-    ).stdout.strip()
-    archive = subprocess.run(["git", "archive", commit], stdout=subprocess.PIPE, check=True)
-    with tempfile.TemporaryDirectory() as parent:
-        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout, check=True)
+    with parent_checkout(args.parent) as (commit, parent):
         want = outputs(parent)
     got = outputs(".")
     differ = 0
