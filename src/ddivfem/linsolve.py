@@ -53,16 +53,15 @@ without a matrix over all cells, and is held only until SuperLU has
 factored it: it is freed before the factors are read for the pivot test,
 which copies L and U.
 
-Everything is read from the cell structure, a :class:`PlateBlocks`, which
-:attr:`ddivfem.system.SaddleSystem.plate` gives; K itself is never formed.
+Everything is read from the cell structure of the assembled
+:class:`ddivfem.system.SaddleSystem`: ``P``, ``group``, ``A_loc``,
+``B_loc``, ``L``, ``ndofs`` and ``nu``; K itself is never formed.
 A few steps of iterative refinement follow, so that the final relative
 residual is certified rather than hoped for.  Their residuals apply K cell
 by cell through the local saddle blocks, and ||K||_inf is bounded from below
 by the blocks as well, so the certificate is never looser than one measured
 on the assembled K.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,25 +90,6 @@ class ResidualError(RuntimeError):
     """Raised when a solve cannot reach the requested residual."""
 
 
-class PlateBlocks(NamedTuple):
-    """Cell structure of a plate saddle matrix.
-
-    A = P^T blockdiag(A_k) P and B = blockdiag(B_k) P, where cell k has the
-    blocks ``A_loc[group[k]]`` (20, 20) and ``B_loc[group[k]]`` (3, 20).
-    ``L`` holds the constraint rows on the ``ndofs`` tensor dofs, with no
-    rows when there are none; ``nu`` is the number of deflection unknowns,
-    three per cell.
-    """
-
-    P: object
-    group: np.ndarray
-    A_loc: np.ndarray
-    B_loc: np.ndarray
-    L: object
-    ndofs: int
-    nu: int
-
-
 def residual_norm(r, x, b, anorm):
     """Relative residual ||r|| / max(||b||, ||K|| ||x||) in the inf norm.
 
@@ -120,19 +100,18 @@ def residual_norm(r, x, b, anorm):
     return np.linalg.norm(r, np.inf) / denom
 
 
-def factor_spd(S, diag=None):
+def factor_spd(S, diag):
     """Symmetric factorization of an SPD matrix and its pivot quality.
 
     Returns ``(lu, ratio)`` with ``ratio[i]`` the pivot of row i of S over
-    ``diag[i]``, by default ``S[i, i]``: 1 for a diagonal matrix, and at
-    most 1 for any SPD matrix.  When S is a Schur complement of a larger
-    SPD matrix, ``diag`` holds that matrix's diagonal on the rows of S, and
-    the ratios are those of the whole elimination.  Raises
-    ``SingularSystemError`` when a ratio is below ``PIVOT_BREAKDOWN_TOL``,
-    negative ones included, or when the factorization leaves the diagonal.
+    ``diag[i]``.  With ``diag`` the diagonal of S, a ratio is 1 for a
+    diagonal matrix and at most 1 for any SPD matrix.  When S is a Schur
+    complement of a larger SPD matrix, ``diag`` holds that matrix's
+    diagonal on the rows of S, and the ratios are those of the whole
+    elimination.  Raises ``SingularSystemError`` when a ratio is below
+    ``PIVOT_BREAKDOWN_TOL``, negative ones included, or when the
+    factorization leaves the diagonal.
     """
-    if diag is None:
-        diag = S.diagonal()
     try:
         lu = spla.splu(
             S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
@@ -159,6 +138,10 @@ def factor_spd(S, diag=None):
 
 class HybridSolver:
     """Hybridized solve of a plate saddle matrix from its cell structure.
+
+    ``plate`` is a :class:`ddivfem.system.SaddleSystem`, or anything with
+    its attributes ``P``, ``group``, ``A_loc``, ``B_loc``, ``L``, ``ndofs``
+    and ``nu``.
 
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
     :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
@@ -572,10 +555,11 @@ def solve_saddle(A, b, rtol=1e-10):
 
     Parameters
     ----------
-    A : PlateBlocks
-        The cell structure of the plate, :attr:`ddivfem.system.SaddleSystem.plate`.
-        A matrix from :meth:`ddivfem.system.SaddleSystem.full` is accepted
-        too; only the cell structure it carries as ``A.plate`` is read.
+    A : SaddleSystem
+        The assembled plate, a :class:`ddivfem.system.SaddleSystem`, whose
+        cell structure is read.  A matrix from
+        :meth:`ddivfem.system.SaddleSystem.full` is accepted too; only the
+        system it carries as ``A.plate`` is read.
     b : ndarray
     rtol : float
         Certified relative residual bound for the returned solution, a
@@ -602,10 +586,10 @@ def solve_saddle(A, b, rtol=1e-10):
         raise ValueError("rtol must be a positive finite number, got %r" % (rtol,))
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    # a matrix of SaddleSystem.full carries the blocks; a plain copy does not
-    plate = A if isinstance(A, PlateBlocks) else getattr(A, "plate", None)
-    if plate is None:
-        raise ValueError("the cell structure is missing: pass SaddleSystem.plate")
+    # a matrix of SaddleSystem.full carries the system; a plain copy does not
+    plate = getattr(A, "plate", A)
+    if not hasattr(plate, "A_loc"):
+        raise ValueError("the cell structure is missing: pass the SaddleSystem")
     if plate.ndofs + plate.nu + plate.L.shape[0] != n:
         raise ValueError("cell structure does not match a right hand side of size %d" % n)
     hybrid = HybridSolver(plate)

@@ -144,19 +144,6 @@ def check_conformity(mesh, dofmap, mcoef, cache=None):
     return _conformity(mesh, first, group, coeffs, cache.edge_tabulation())
 
 
-def _coefficients_and_conformity(mesh, dofmap, cache, mcoef):
-    """``cell_coefficients`` and the ``check_conformity`` report of the
-    coefficients, from one grouping of the cells.
-
-    Bit for bit what the two public calls give: :meth:`BasisCache.groups`
-    groups the cells by the same keys as the check does.
-    """
-    mcoef = _global_vector(mesh, dofmap, mcoef)
-    first, group, Tinv = cache.groups(mesh)
-    coeffs = _expand(dofmap, group, Tinv, mcoef)
-    return coeffs, _conformity(mesh, first, group, coeffs, cache.edge_tabulation())
-
-
 def _global_vector(mesh, dofmap, mcoef):
     """``mcoef`` as a float vector of length ndofs, once the dof map fits the mesh."""
     ndofs = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)

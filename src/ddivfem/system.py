@@ -19,8 +19,8 @@ from .piola import BasisCache, edge_frames, element_maps, normals
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
-from .linsolve import PlateBlocks, solve_saddle
-from .space import _coefficients_and_conformity
+from .linsolve import solve_saddle
+from .space import _conformity, _expand
 
 #: volume rule order for the compliance block; its integrands are rational
 #: only through the constant 1/det factor, polynomial of degree six otherwise
@@ -102,14 +102,24 @@ class NeumannData:
 
 
 class SaddleSystem:
-    """Assembled blocks of the mixed system.
+    """The assembled plate: cell blocks, global B and the right hand side.
+
+    This record is what :func:`ddivfem.linsolve.solve_saddle` solves and
+    what :func:`solve_problem` expands the solution with, so the cells are
+    grouped once per solve, by :func:`assemble`.
 
     Attributes
     ----------
-    cells : tuple
-        ``(P, group, A_loc, B_loc)`` from :func:`assemble`: the compliance
-        block is A = P^T blockdiag(A_loc[group]) P on the free tensor dofs,
-        and is not formed.
+    P : csr_matrix, (20 ncells, ndofs)
+        The local-to-global operator of the dof map.
+    first, group, Tinv : ndarrays
+        The cell groups of :meth:`ddivfem.piola.BasisCache.groups`: the
+        first cell of each group, the group of every cell and the inverse
+        dof matrix (20, 20) of each group.
+    A_loc, B_loc : ndarrays, (ngroups, 20, 20) and (ngroups, 3, 20)
+        Local blocks of each group: the compliance block
+        A = P^T blockdiag(A_loc[group]) P on the free tensor dofs, which is
+        not formed, and B = blockdiag(B_loc[group]) P.
     B : csr_matrix, (nu, nm)
         Rows are the elementwise linear test functions.
     L : sparse matrix, (nc, nm)
@@ -117,19 +127,17 @@ class SaddleSystem:
         ``L`` of None is taken as that empty matrix.
     G, F, d : ndarrays
         Boundary functional, source functional, constraint values.
+    ndofs, nu : int
+        Numbers of tensor and deflection unknowns.
     """
 
     def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
             L = sp.csr_matrix((0, ndofs))
-        self.cells, self.B, self.L = cells, B, L
+        self.P, self.first, self.group, self.Tinv, self.A_loc, self.B_loc = cells
+        self.B, self.L = B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
-
-    @property
-    def plate(self):
-        """The cell structure that :func:`ddivfem.linsolve.solve_saddle` solves."""
-        return PlateBlocks(*self.cells, self.L, self.ndofs, self.nu)
 
     def rhs(self):
         """Right hand side in the order (m, u, lambda) of the unknowns."""
@@ -140,21 +148,20 @@ class SaddleSystem:
 
         K = [[A, -B^T, L^T], [-B, 0, 0], [L, 0, 0]] is formed here and
         nowhere on the solve path; it serves as an oracle.  The returned csc
-        matrix carries :attr:`plate` as ``K.plate``, which
+        matrix carries this system as ``K.plate``, which
         :func:`ddivfem.linsolve.solve_saddle` reads in place of K.
         """
-        P, group, A_loc, _ = self.cells
-        nk = len(group)
+        nk = len(self.group)
         ptr = np.arange(nk + 1)
-        A_cells = sp.bsr_matrix((A_loc[group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
-        A = (P.T @ A_cells @ P).tocsr()
+        A_cells = sp.bsr_matrix((self.A_loc[self.group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
+        A = (self.P.T @ A_cells @ self.P).tocsr()
         # structural zeros of the local blocks are dropped
         A.eliminate_zeros()
         K = sp.bmat(
             [[A, -self.B.T, self.L.T], [-self.B, None, None], [self.L, None, None]],
             format="csc",
         )
-        K.plate = self.plate
+        K.plate = self
         return K, self.rhs()
 
 
@@ -167,9 +174,10 @@ def assemble(mesh, dofmap, material=None, cache=None):
     linears, whose mass against {1, xh, yh} is known in closed form, and the
     determinant factors cancel under the pushforward.
 
-    Returns ``(cells, B)`` with ``cells = (P, group, A_loc, B_loc)``: the
-    local-to-global operator, the group of every cell and the local blocks
-    of each group, so that A = P^T blockdiag(A_loc[group]) P and
+    Returns ``(cells, B)`` with ``cells = (P, first, group, Tinv, A_loc,
+    B_loc)``: the local-to-global operator, the cell groups of
+    :meth:`ddivfem.piola.BasisCache.groups` and the local blocks of each
+    group, so that A = P^T blockdiag(A_loc[group]) P and
     B = blockdiag(B_loc[group]) P.  The global A is not formed;
     :meth:`SaddleSystem.full` forms it for the assembled K.
     """
@@ -204,7 +212,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
     B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
     Bmat = (B_cells @ dofmap.P).tocsr()
     Bmat.eliminate_zeros()
-    return (dofmap.P, group, A_loc, B_loc), Bmat
+    return (dofmap.P, first, group, Tinv, A_loc, B_loc), Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
@@ -312,15 +320,20 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     Returns a dict with the tensor coefficients ``m``, their per-cell
     reference expansion ``coeffs`` (shape (ncells, 20)), the per-cell
     deflection coefficients ``u`` (shape (ncells, 3)), the multipliers,
-    solver diagnostics, and a conformity report of the tensor part.
+    solver diagnostics, and a conformity report of the tensor part.  The
+    coefficients and the report read the cell groups that the system
+    carries, so the cells are grouped once, by :func:`assemble`; they are
+    bit for bit those of :func:`ddivfem.space.cell_coefficients` and
+    :func:`ddivfem.space.check_conformity`.
     """
-    x, info = solve_saddle(system.plate, system.rhs(), rtol=rtol)
+    x, info = solve_saddle(system, system.rhs(), rtol=rtol)
     m = x[: system.ndofs]
     u = x[system.ndofs : system.ndofs + system.nu].reshape(-1, 3)
     lam = x[system.ndofs + system.nu :]
     if cache is None:
         cache = BasisCache()
-    coeffs, conf = _coefficients_and_conformity(mesh, dofmap, cache, m)
+    coeffs = _expand(dofmap, system.group, system.Tinv, m)
+    conf = _conformity(mesh, system.first, system.group, coeffs, cache.edge_tabulation())
     return {
         "m": m,
         "coeffs": coeffs,

@@ -228,8 +228,7 @@ def _plate_system(problem, level, cache=None):
 
 def test_singular_system_raises():
     system = _plate_system("ex1", 1)
-    P, group, A_loc, B_loc = system.cells
-    system.cells = (P, group, np.zeros_like(A_loc), B_loc)
+    system.A_loc = np.zeros_like(system.A_loc)
     K, rhs = system.full()
     with pytest.raises(SingularSystemError, match="singular local saddle block"):
         solve_saddle(K, rhs)
@@ -247,7 +246,7 @@ def test_rtol_must_be_positive_and_finite(rtol, monkeypatch):
 
     monkeypatch.setattr(linsolve, "factor_spd", unreachable)
     with pytest.raises(ValueError, match="rtol must be"):
-        solve_saddle(system.plate, system.rhs(), rtol=rtol)
+        solve_saddle(system, system.rhs(), rtol=rtol)
 
 
 @pytest.mark.parametrize("problem", ["ex1", "ex2"])
@@ -256,7 +255,7 @@ def test_blocks_and_matrix_solve_alike(problem, level, basis_cache):
     # the matrix of full() is read only for the cell structure it carries
     system = _plate_system(problem, level, cache=basis_cache)
     K, rhs = system.full()
-    x, info = solve_saddle(system.plate, system.rhs())
+    x, info = solve_saddle(system, system.rhs())
     x_K, info_K = solve_saddle(K, rhs)
     assert np.array_equal(x, x_K)
     assert info == info_K
@@ -264,7 +263,7 @@ def test_blocks_and_matrix_solve_alike(problem, level, basis_cache):
 
 def _blocks_and_matrix(system):
     K, _ = system.full()
-    return linsolve.HybridSolver(system.plate), K
+    return linsolve.HybridSolver(system), K
 
 
 @pytest.mark.parametrize("which", ["ex2-2", "graded"])
@@ -328,7 +327,7 @@ def test_multiplier_system_is_the_block_product(which, graded_mesh):
     system = _three_plates(which, graded_mesh)
     if which == "ex2-3":
         assert system.L.shape[0] > 0
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     S = _uncondensed_system(hybrid)
     ni = hybrid.Lam_I.shape[0]
     assert ni > 0
@@ -344,7 +343,7 @@ def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
     # is a symmetric elimination of S itself: both stages' pivots are read
     # against the diagonal of S, not of S_c
     system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     S = _uncondensed_system(hybrid)
     ni = hybrid.Lam_I.shape[0]
     diagonal = np.zeros(hybrid.schur_n)
@@ -360,7 +359,7 @@ def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_solve_then_apply_gives_back_the_right_hand_side(which, graded_mesh):
     system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     b = np.random.default_rng(3).standard_normal(system.ndofs + system.nu + system.L.shape[0])
     x = hybrid.solve(b)
     r = b - hybrid.apply(x)
@@ -371,7 +370,7 @@ def test_solver_keeps_no_block_per_cell():
     # ex2 level 3 has 192 cells in 3 groups and 48 patches in 4 groups; the
     # local blocks and their inverses are held once per cell group, the
     # elimination of the patch interiors once per patch group
-    hybrid = linsolve.HybridSolver(_plate_system("ex2", 3).plate)
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 3))
     nk, npatch = len(hybrid.group), len(hybrid.patches)
     assert npatch == 48
     assert hybrid.local.shape == hybrid.inv.shape == (3, 23, 23)
@@ -406,7 +405,7 @@ def test_multiplier_system_is_freed_before_the_factors_are_read(monkeypatch):
         return Factor(splu(S, **options))
 
     monkeypatch.setattr(spla, "splu", watched)
-    hybrid = linsolve.HybridSolver(_plate_system("ex2", 2).plate)
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 2))
     assert len(held) == 1 and 0.0 < hybrid.pivot_ratio <= 1.0
 
 
@@ -428,15 +427,11 @@ def test_clamped_plate_solves_at_any_scale(scale, level):
 
 
 def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
-    # the coefficients and the conformity report share one grouping, and
-    # are bit for bit those of the public calls
+    # assembly, the solve, the coefficients and the conformity report share
+    # one grouping, and the last two are bit for bit those of the public calls
     exact = get_example("ex2")
     mesh = exact.mesh(2)
     dofmap = build_dof_map(mesh)
-    system = build_system(
-        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
-        neumann=exact.neumann, cache=basis_cache,
-    )
     calls = []
     grouping = piola.cell_groups
 
@@ -446,6 +441,10 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
 
     monkeypatch.setattr(piola, "cell_groups", counted)
     monkeypatch.setattr(space, "cell_groups", counted)
+    system = build_system(
+        mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
+        neumann=exact.neumann, cache=basis_cache,
+    )
     result = solve_problem(mesh, dofmap, system, cache=basis_cache)
     assert calls == [mesh.num_cells]
     monkeypatch.undo()
@@ -467,10 +466,12 @@ def test_solve_problem_forms_no_matrix(monkeypatch):
 
 def test_pivot_breakdown_detected():
     with pytest.raises(SingularSystemError, match="pivot / diagonal 1.1"):
-        factor_spd(sp.csc_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        S = sp.csc_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+        factor_spd(S, S.diagonal())
     # a small diagonal entry is a scale, not a breakdown: every pivot equals
     # its own diagonal entry
-    _, ratio = factor_spd(sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc())
+    S = sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc()
+    _, ratio = factor_spd(S, S.diagonal())
     assert np.array_equal(ratio, np.ones(4))
 
 
@@ -528,7 +529,7 @@ def test_partial_and_empty_patch_covers_agree_with_colamd(which):
     else:
         mesh = _graded_grid(5, 3)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     lone = np.count_nonzero(hybrid.patches[:, 1] == len(hybrid.group))
     assert (lone, hybrid.info()["patches"]) == ((7, 2) if which != "ex2-0" else (3, 0))
     K, rhs = system.full()
@@ -545,7 +546,7 @@ def test_fully_condensed_plate_is_certified():
     # ex1 level 1 is one patch with no Neumann rows, so no multiplier is left
     # for SuperLU; the pivot test and the residual certificate still run
     system = _plate_system("ex1", 1)
-    x, info = solve_saddle(system.plate, system.rhs())
+    x, info = solve_saddle(system, system.rhs())
     assert (info["schur_n"], info["fill"], info["patches"], info["condensed_n"]) == (0, 0, 1, 17)
     assert info["residual"] <= 1e-10
     assert 0.0 < info["pivot_ratio"] <= 1.0
@@ -561,7 +562,7 @@ def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     else:
         system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     nk = len(hybrid.group)
     cells = hybrid.patches[hybrid.patches < nk]
     assert np.array_equal(np.sort(cells), np.arange(nk))
@@ -574,7 +575,7 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     # 16 moment rows on the four inner edges and the jump row of the center
     # vertex; Neumann rows stay in Lam_B, last and as L Q
     system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system.plate)
+    hybrid = linsolve.HybridSolver(system)
     nk, npatch = len(hybrid.group), len(hybrid.patches)
     owner = np.empty(nk + 1, dtype=int)
     owner[hybrid.patches] = np.arange(npatch)[:, None]
@@ -594,7 +595,7 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
 def test_patch_groups_follow_the_inside_rows():
     # the 16 patches of ex1 level 3 are one group; scaling the inside rows
     # of one patch must give it its own group and its own elimination
-    hybrid = linsolve.HybridSolver(_plate_system("ex1", 3).plate)
+    hybrid = linsolve.HybridSolver(_plate_system("ex1", 3))
     assert set(hybrid.pgroup) == {0}
     Lam_I = hybrid.Lam_I.copy()
     Lam_I.data[: Lam_I.indptr[17]] *= 2.0
@@ -610,7 +611,7 @@ def test_patch_interior_breakdown_detected():
     # the first stage of the pivot test, before SuperLU is reached: a repeated
     # inner row makes the patch system singular, and a row within 1e-6 of an
     # inner row gives a pivot of 3e-14 times its diagonal entry
-    hybrid = linsolve.HybridSolver(_plate_system("ex1", 1).plate)
+    hybrid = linsolve.HybridSolver(_plate_system("ex1", 1))
     e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, hybrid.Lam_I.shape[1]))
     near = hybrid.Lam_I[0] + 1e-6 * e0
     for extra, match in [(hybrid.Lam_I[0], "not positive definite"), (near, "pivot / diagonal")]:
@@ -634,6 +635,37 @@ def test_multiplier_system_pattern_is_rotation_invariant():
     want, got = solver_info(0.0), solver_info(0.7)
     assert (got["schur_n"], got["fill"]) == (want["schur_n"], want["fill"])
     assert got["pivot_ratio"] == pytest.approx(want["pivot_ratio"], rel=1e-6)
+
+
+def _moved(mesh, angle, shift):
+    """The mesh rotated by ``angle`` about the origin, then shifted, labels kept."""
+    c, s = np.cos(angle), np.sin(angle)
+    b = mesh.boundary_edges
+    labels = {frozenset(pair): lab for pair, lab in zip(mesh.edges[b].tolist(), mesh.edge_label[b])}
+    vertices = mesh.vertices @ np.array([[c, s], [-s, c]]) + np.asarray(shift, dtype=float)
+    return Mesh(vertices, mesh.cells, labels)
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "lshape-3"])
+def test_solution_solves_the_rotated_and_translated_plate(which):
+    # the dofs live in global edge frames and the deflection in pulled-back
+    # coefficients, so a rigid motion leaves the clamped plate under f = 1
+    # and its solution unchanged; only the rounding of the moved vertices,
+    # about eps |shift| / h relative, may add to the solve's own residual
+    mesh = get_example("ex1").mesh(3) if which == "ex1-3" else make_lshape(3)
+    h = mesh.h_cell.max()
+    load = lambda x, y: np.ones_like(x)
+    system = build_system(mesh, build_dof_map(mesh), load)
+    x, info = solve_saddle(system, system.rhs())
+    eps = np.finfo(float).eps
+    for angle, shift in [(0.7, (0.0, 0.0)), (0.7, (3.0, -2.0)), (2.0, (30.0, 17.0)),
+                         (0.3, (1e3, 1e3))]:
+        moved = _moved(mesh, angle, shift)
+        system = build_system(moved, build_dof_map(moved), load)
+        hybrid = linsolve.HybridSolver(system)
+        b = system.rhs()
+        res = linsolve.residual_norm(b - hybrid.apply(x), x, b, hybrid.norm_inf())
+        assert res <= info["residual"] + 100.0 * eps * (1.0 + np.hypot(*shift) / h), (angle, shift)
 
 
 def test_all_neumann_plate_rejected(monkeypatch):
@@ -672,7 +704,7 @@ def test_spd_pivots_are_matched_to_their_diagonal_entries():
     S[2, :] = 1.0
     S[:, 2] = 1.0
     S[2, 2] = 10.0
-    lu, ratio = factor_spd(S.tocsc())
+    lu, ratio = factor_spd(S.tocsc(), S.diagonal())
     # the ordering is not its own inverse, so a transposed mapping would show
     assert not np.array_equal(np.argsort(lu.perm_c), lu.perm_c)
     want = np.ones(6)
@@ -682,7 +714,8 @@ def test_spd_pivots_are_matched_to_their_diagonal_entries():
 
 def test_indefinite_multiplier_system_rejected():
     with pytest.raises(SingularSystemError):
-        factor_spd(sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]]))
+        S = sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]])
+        factor_spd(S, S.diagonal())
 
 
 # -- discrete stability ---------------------------------------------------------------

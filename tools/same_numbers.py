@@ -12,6 +12,11 @@ script computes the same fixed set of outputs:
 - the bytes of ``m``, ``u`` and ``lambda`` of ``solve_example`` for ex1 and
   ex2 at levels 1, 3 and 5, and the ``repr`` of its solver and conformity
   dicts;
+- the same five outputs of ``solve_problem`` on ``make_lshape(3)`` rotated
+  by ``ROTATED_ANGLE`` with its labels, f = 1 and the Neumann data of
+  ``TensorField.random_poly(default_rng(0), 2)``: 192 cells in 119 cell
+  groups, so the per-group paths of assembly, solve and conformity check
+  see many groups;
 - the ``interpolation_error_study`` rows, levels 0-5 as in the
   ``interp-commute`` workload, of ``TensorField.random_poly(default_rng(s),
   3)`` for s = 1-10, by ``repr``;
@@ -42,6 +47,8 @@ SOLVE_LEVELS = (1, 3, 5)
 INTERP_LEVELS = range(0, 6)
 INTERP_SEEDS = range(1, 11)
 CLI_LEVEL = 2
+ROTATED_LEVEL = 3
+ROTATED_ANGLE = 0.7
 
 #: the timing of a verdict line, e.g. "in 0.05 s"
 TIMING = re.compile(r" in [0-9.e+-]+ s\b")
@@ -58,8 +65,10 @@ def library_outputs():
     import numpy as np
 
     from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
-    from ddivfem import solve_example
+    from ddivfem import NeumannData, build_system, solve_example, solve_problem
     from ddivfem.cli import main as cli_main
+    from ddivfem.mesh import Mesh, make_lshape
+    from ddivfem.space import build_dof_map
 
     out = {}
     for problem in ("ex1", "ex2"):
@@ -74,6 +83,22 @@ def library_outputs():
                 out["solve %s L%d %s" % (problem, level, key)] = digest(
                     repr(sorted(result[key].items()))
                 )
+
+    base = make_lshape(ROTATED_LEVEL)
+    c, s = np.cos(ROTATED_ANGLE), np.sin(ROTATED_ANGLE)
+    b = base.boundary_edges
+    labels = {frozenset(pair): lab for pair, lab in zip(base.edges[b].tolist(), base.edge_label[b])}
+    mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells, labels)
+    dofmap = build_dof_map(mesh)
+    neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
+    system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), neumann=neumann)
+    result = solve_problem(mesh, dofmap, system)
+    name = "solve rotated lshape L%d" % ROTATED_LEVEL
+    for key in ("m", "u", "lambda"):
+        out["%s %s" % (name, key)] = digest(result[key].tobytes())
+    for key in ("solver", "conformity"):
+        out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
+
     for seed in INTERP_SEEDS:
         field = TensorField.random_poly(np.random.default_rng(seed), 3)
         rows = interpolation_error_study(field, INTERP_LEVELS)
