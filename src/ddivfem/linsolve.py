@@ -9,10 +9,11 @@ by Arnold-Brezzi hybridization instead.  The 20 tensor dofs of every cell
 are broken apart, so that the tensor field lives in the local dof space of
 all cells, and continuity is imposed by multipliers: a second local copy of
 an edge moment must equal the first, and an eliminated corner jump must
-balance the kept jumps at its vertex.  The Neumann rows ``L`` are read on the
-first local copy of each global dof.  Each cell then carries the 23 x 23
-local saddle block [[A_k, -B_k^T], [-B_k, 0]], inverted once per group of
-equal cells.  The multiplier system
+balance the kept jumps at its vertex: the rows ``C`` of the dof map.  The
+Neumann rows ``L`` are read on the first local copy of each global dof, the
+one that ``Q`` selects.  Each cell then carries the 23 x 23 local saddle
+block [[A_k, -B_k^T], [-B_k, 0]], inverted once per group of equal cells.
+The multiplier system
 
     S = Lambda blockdiag(W_k) Lambda^T,
 
@@ -54,7 +55,7 @@ factored it: it is freed before the factors are read for the pivot test,
 which copies L and U.
 
 Everything is read from the cell structure of the assembled
-:class:`ddivfem.system.SaddleSystem`: ``P``, ``group``, ``A_loc``,
+:class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
 ``B_loc``, ``L``, ``ndofs`` and ``nu``; K itself is never formed.
 A few steps of iterative refinement follow, so that the final relative
 residual is certified rather than hoped for.  Their residuals apply K cell
@@ -140,8 +141,8 @@ class HybridSolver:
     """Hybridized solve of a plate saddle matrix from its cell structure.
 
     ``plate`` is a :class:`ddivfem.system.SaddleSystem`, or anything with
-    its attributes ``P``, ``group``, ``A_loc``, ``B_loc``, ``L``, ``ndofs``
-    and ``nu``.
+    its attributes ``dofmap``, ``group``, ``A_loc``, ``B_loc``, ``L``,
+    ``ndofs`` and ``nu``, and ``dofmap`` provides ``P``, ``Q`` and ``C``.
 
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
     :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
@@ -156,30 +157,14 @@ class HybridSolver:
     """
 
     def __init__(self, plate):
-        P = sp.csr_matrix(plate.P)
         nk = len(plate.group)
         self.ndofs, self.nu = plate.ndofs, plate.nu
-        self.P, self.L, self.group = P, sp.csr_matrix(plate.L), plate.group
-        _check_rigid_kernel(P, self.L, self.ndofs)
+        self.P, self.L, self.group = plate.dofmap.P, sp.csr_matrix(plate.L), plate.group
+        _check_rigid_kernel(self.P, self.L, self.ndofs)
 
-        # Q selects the first local copy of every global dof, so Q P = I
-        per_row = np.diff(P.indptr)
-        rows = np.repeat(np.arange(P.shape[0]), per_row)
-        unit = (per_row[rows] == 1) & (P.data == 1.0)
-        dofs, at = np.unique(P.indices[unit], return_index=True)
-        if len(dofs) != self.ndofs:
-            raise ValueError("%d of %d global dofs have a local copy" % (len(dofs), self.ndofs))
-        Q = sp.csr_matrix(
-            (np.ones(self.ndofs), (dofs, rows[unit][at])), shape=(self.ndofs, 20 * nk)
-        )
-        # continuity: the nonzero rows of I - P Q, a second copy against the
-        # first, or an eliminated jump plus the kept jumps at its vertex
-        R = (sp.identity(20 * nk, format="csr") - P @ Q).tocsr()
-        R.eliminate_zeros()
-        R.sort_indices()
         # move tensor slot s of cell k to column 23 k + s
-        R = _widen(R[np.diff(R.indptr) > 0])
-        self.Q = _widen(Q)
+        R = _widen(plate.dofmap.C)
+        self.Q = _widen(plate.dofmap.Q)
 
         local = np.zeros((len(plate.A_loc), 23, 23))
         local[:, :20, :20] = plate.A_loc
@@ -544,8 +529,7 @@ def _check_rigid_kernel(P, L, ndofs):
 
 
 def _widen(X):
-    """Columns 20 k + s of X moved to 23 k + s."""
-    X = sp.csr_matrix(X)
+    """Columns 20 k + s of a csr matrix X moved to 23 k + s."""
     cols = 23 * (X.indices // 20) + X.indices % 20
     return sp.csr_matrix((X.data, cols, X.indptr), shape=(X.shape[0], 23 * (X.shape[1] // 20)))
 

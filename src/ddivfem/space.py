@@ -14,7 +14,10 @@ The whole local-to-global map is one sparse matrix ``P`` of shape
 (20 #cells, ndofs): row ``20 k + slot`` expands local slot ``slot`` of cell
 ``k``, so ``(P @ x).reshape(-1, 20)`` holds the local dof vectors of all
 cells and ``P.T @ D @ P`` assembles a block diagonal ``D`` of local matrices.
+The continuity rows ``C``, with ``C P = 0``, state the conformity of the space.
 """
+
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,6 +45,12 @@ class DofMap:
     jump_id : (ncells, 4) int array
         Global id of the jump dof at each (cell, corner), or -1 when
         eliminated; ``jump_id[(k, c)]`` reads one entry.
+    Q, C : csr_matrices, (ndofs, 20 ncells) and (20 ncells - ndofs, 20 ncells)
+        Built on first use.  Q selects the first local copy of every global
+        dof, so Q P = I.  C holds the nonzero rows of I - P Q in slot order,
+        entries +-1 sorted: four per interior edge, a second copy of an edge
+        dof against the first, and one per interior vertex, its eliminated
+        jump plus the kept jumps there.
     """
 
     def __init__(self, mesh):
@@ -76,15 +85,28 @@ class DofMap:
         vals[len(rows) - partner.sum() :] = -1.0
         self.P = sp.csr_matrix((vals, (rows, cols)), shape=(20 * nk, self.ndofs))
 
+    @cached_property
+    def Q(self):
+        P = self.P
+        rows = np.flatnonzero(np.diff(P.indptr) == 1)
+        rows = rows[P.data[P.indptr[rows]] == 1.0]
+        dofs, at = np.unique(P.indices[P.indptr[rows]], return_index=True)
+        if len(dofs) != self.ndofs:
+            raise ValueError("%d of %d global dofs have a local copy" % (len(dofs), self.ndofs))
+        return sp.csr_matrix((np.ones(self.ndofs), (dofs, rows[at])), shape=P.T.shape)
+
+    @cached_property
+    def C(self):
+        C = sp.identity(self.P.shape[0], format="csr") - self.P @ self.Q
+        C.eliminate_zeros()
+        C.sort_indices()
+        return C[np.diff(C.indptr) > 0]
+
 
 def build_dof_map(mesh):
     """DofMap of a mesh, with the dimension formula double-checked."""
     dm = DofMap(mesh)
-    expected = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)
-    if dm.ndofs != expected:
-        raise AssertionError(
-            "dof count %d does not match 4E + 4K - N0 = %d" % (dm.ndofs, expected)
-        )
+    _check_fits(mesh, dm)
     return dm
 
 
@@ -97,7 +119,13 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
     ``mcoef`` is a global coefficient vector of length ``dofmap.ndofs``, and
     ``dofmap`` must number the dofs of ``mesh``.
     """
-    mcoef = _global_vector(mesh, dofmap, mcoef)
+    _check_fits(mesh, dofmap)
+    mcoef = np.asarray(mcoef, dtype=float)
+    if mcoef.shape != (dofmap.ndofs,):
+        raise ValueError(
+            "expected a global coefficient vector of length ndofs = %d, got shape %s"
+            % (dofmap.ndofs, mcoef.shape)
+        )
     _, group, Tinv = cache.groups(mesh)
     return _expand(dofmap, group, Tinv, mcoef)
 
@@ -107,9 +135,9 @@ def check_conformity(mesh, dofmap, mcoef, cache=None):
 
     For every interior edge the normal-normal and effective-shear moments in
     the global edge frame must agree from both sides; at every interior
-    vertex the corner jumps of the surrounding cells must sum to zero.  The
-    dofs of every cell are ``T_k @ coeffs_k``, where ``T_k`` reads the exact
-    edge moments and corner values of the cache's
+    vertex the corner jumps of the surrounding cells must sum to zero: the
+    rows ``dofmap.C``.  The dofs of every cell are ``T_k @ coeffs_k``, where
+    ``T_k`` reads the exact edge moments and corner values of the cache's
     :class:`ddivfem.piola.EdgeTabulation`; no edge quadrature is involved.
     Cells with equal :meth:`ddivfem.piola.CellGeometry.keys` rows have
     bitwise equal dof matrices, so ``T_k`` is built once per group of such
@@ -130,35 +158,30 @@ def check_conformity(mesh, dofmap, mcoef, cache=None):
     """
     if cache is None:
         cache = BasisCache()
+    _check_fits(mesh, dofmap)
     mcoef = np.asarray(mcoef, dtype=float)
     if mcoef.shape == (mesh.num_cells, 20):
         coeffs = mcoef
+        first, group = cell_groups(batch_geometry(mesh).keys())
     elif mcoef.shape == (dofmap.ndofs,):
-        coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
+        first, group, Tinv = cache.groups(mesh)
+        coeffs = _expand(dofmap, group, Tinv, mcoef)
     else:
         raise ValueError(
             "expected raw coefficients of shape (ncells, 20) = (%d, 20) or a global vector "
             "of length ndofs = %d, got shape %s" % (mesh.num_cells, dofmap.ndofs, mcoef.shape)
         )
-    first, group = cell_groups(batch_geometry(mesh).keys())
-    return _conformity(mesh, first, group, coeffs, cache.edge_tabulation())
+    return _conformity(mesh, dofmap, first, group, coeffs, cache.edge_tabulation())
 
 
-def _global_vector(mesh, dofmap, mcoef):
-    """``mcoef`` as a float vector of length ndofs, once the dof map fits the mesh."""
+def _check_fits(mesh, dofmap):
+    """Raise ``ValueError`` unless the dof map has the counts 4E + 4K - N0 and K of the mesh."""
     ndofs = 4 * mesh.num_edges + 4 * mesh.num_cells - len(mesh.interior_vertices)
     if dofmap.P.shape != (20 * mesh.num_cells, ndofs):
         raise ValueError(
             "the dof map expands %d dofs into %d cells, but the mesh has %d dofs and %d cells"
             % (dofmap.ndofs, dofmap.P.shape[0] // 20, ndofs, mesh.num_cells)
         )
-    mcoef = np.asarray(mcoef, dtype=float)
-    if mcoef.shape != (dofmap.ndofs,):
-        raise ValueError(
-            "expected a global coefficient vector of length ndofs = %d, got shape %s"
-            % (dofmap.ndofs, mcoef.shape)
-        )
-    return mcoef
 
 
 def _expand(dofmap, group, Tinv, mcoef):
@@ -167,31 +190,22 @@ def _expand(dofmap, group, Tinv, mcoef):
     return np.einsum("kij,kj->ki", Tinv[group], local)
 
 
-def _conformity(mesh, first, group, coeffs, tab):
+def _conformity(mesh, dofmap, first, group, coeffs, tab):
     """Conformity report of raw coefficients, for cells grouped as ``(first, group)``."""
     # dof_matrices computes each row of a batch on its own, so the matrix of
     # a group's first cell is bitwise the matrix of every cell in the group
     T = dof_matrices(batch_geometry(mesh, first), tab)
     phys = np.einsum("kmi,ki->km", T[group], coeffs)
 
-    # global-frame edge dofs; the outward shear values are sigma * global
-    # with sigma differing between the two sides, so the global values of
-    # all four moments must agree
-    edges = np.nonzero(mesh.edge_cells[:, 1] >= 0)[0]
-    slots = np.array([SLOT_M0, SLOT_M1, SLOT_Q0, SLOT_Q1])
-    sides = []
-    for k in mesh.edge_cells[edges].T:
-        j = np.argmax(mesh.cell_edges[k] == edges[:, None], axis=1)
-        sides.append(phys[k[:, None], slots + j[:, None]])
-    diff = np.abs(sides[0] - sides[1])
-    max_m, where_m = _worst(diff[:, :2].max(axis=1), edges)
-    max_q, where_q = _worst(diff[:, 2:].max(axis=1), edges)
-
-    jump_sums = np.bincount(
-        mesh.cells.ravel(), weights=phys[:, SLOT_JUMP:].ravel(), minlength=mesh.num_vertices
-    )
-    vertices = mesh.interior_vertices
-    max_j, where_j = _worst(np.abs(jump_sums[vertices]), vertices)
+    # a continuity row is named by its first slot: the first copy of edge dof
+    # 4 e + r (moments r < 2, global-frame shears r >= 2) or an eliminated jump
+    gap = np.abs(dofmap.C @ phys.ravel())
+    k, slot = np.divmod(dofmap.C.indices[dofmap.C.indptr[:-1]], 20)
+    jump = slot >= SLOT_JUMP
+    edge, r = np.divmod(dofmap.P.indices[dofmap.P.indptr[20 * k + slot][~jump]], 4)
+    max_m, where_m = _worst(gap[~jump][r < 2], edge[r < 2])
+    max_q, where_q = _worst(gap[~jump][r >= 2], edge[r >= 2])
+    max_j, where_j = _worst(gap[jump], mesh.cells[k[jump], slot[jump] - SLOT_JUMP])
 
     return {
         "max_moment_mismatch": max_m,
@@ -205,13 +219,14 @@ def _conformity(mesh, first, group, coeffs, tab):
 
 
 def _worst(values, ids):
-    """Maximum of ``values`` and the first id attaining it; (0.0, -1) if not positive.
+    """Maximum of ``values`` and the lowest id attaining it; (0.0, -1) if not positive.
 
-    A NaN counts as a violation and is reported where it first occurs.
+    A NaN counts as a violation and is reported at the lowest id that has one.
     """
     if len(values) == 0:
         return 0.0, -1
-    i = int(np.argmax(values))
+    order = np.argsort(ids, kind="stable")
+    i = order[np.argmax(values[order])]
     top = float(values[i])
     if top <= 0.0:
         return 0.0, -1

@@ -110,8 +110,8 @@ class SaddleSystem:
 
     Attributes
     ----------
-    P : csr_matrix, (20 ncells, ndofs)
-        The local-to-global operator of the dof map.
+    dofmap, P : ddivfem.space.DofMap and csr_matrix (20 ncells, ndofs)
+        The dof map and its local-to-global operator ``dofmap.P``.
     first, group, Tinv : ndarrays
         The cell groups of :meth:`ddivfem.piola.BasisCache.groups`: the
         first cell of each group, the group of every cell and the inverse
@@ -134,8 +134,8 @@ class SaddleSystem:
     def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
             L = sp.csr_matrix((0, ndofs))
-        self.P, self.first, self.group, self.Tinv, self.A_loc, self.B_loc = cells
-        self.B, self.L = B, L
+        self.dofmap, self.first, self.group, self.Tinv, self.A_loc, self.B_loc = cells
+        self.P, self.B, self.L = self.dofmap.P, B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
 
@@ -174,12 +174,12 @@ def assemble(mesh, dofmap, material=None, cache=None):
     linears, whose mass against {1, xh, yh} is known in closed form, and the
     determinant factors cancel under the pushforward.
 
-    Returns ``(cells, B)`` with ``cells = (P, first, group, Tinv, A_loc,
-    B_loc)``: the local-to-global operator, the cell groups of
+    Returns ``(cells, B)`` with ``cells = (dofmap, first, group, Tinv,
+    A_loc, B_loc)``: the dof map itself, the cell groups of
     :meth:`ddivfem.piola.BasisCache.groups` and the local blocks of each
     group, so that A = P^T blockdiag(A_loc[group]) P and
-    B = blockdiag(B_loc[group]) P.  The global A is not formed;
-    :meth:`SaddleSystem.full` forms it for the assembled K.
+    B = blockdiag(B_loc[group]) P for P = ``dofmap.P``.  The global A is not
+    formed; :meth:`SaddleSystem.full` forms it for the assembled K.
     """
     if material is None:
         material = MaterialLaw()
@@ -212,7 +212,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
     B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
     Bmat = (B_cells @ dofmap.P).tocsr()
     Bmat.eliminate_zeros()
-    return (dofmap.P, first, group, Tinv, A_loc, B_loc), Bmat
+    return (dofmap, first, group, Tinv, A_loc, B_loc), Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
@@ -333,7 +333,7 @@ def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
     if cache is None:
         cache = BasisCache()
     coeffs = _expand(dofmap, system.group, system.Tinv, m)
-    conf = _conformity(mesh, system.first, system.group, coeffs, cache.edge_tabulation())
+    conf = _conformity(mesh, dofmap, system.first, system.group, coeffs, cache.edge_tabulation())
     return {
         "m": m,
         "coeffs": coeffs,

@@ -52,6 +52,19 @@ def graded_mesh():
 
 
 @pytest.fixture(scope="session")
+def hexagon_mesh():
+    """Three rhombi around the origin, with the six corners on the unit circle.
+
+    The origin is an interior vertex of three cells, where every other
+    mesh of the tests has four or none.
+    """
+    s = np.sqrt(3.0) / 2.0
+    ring = [(1.0, 0.0), (0.5, s), (-0.5, s), (-1.0, 0.0), (-0.5, -s), (0.5, -s)]
+    vertices = np.array([(0.0, 0.0)] + ring)
+    return Mesh(vertices, np.array([[0, 1, 2, 3], [0, 3, 4, 5], [0, 5, 6, 1]]))
+
+
+@pytest.fixture(scope="session")
 def ex1_report():
     """Full clamped-parallelogram study, levels 1-5, shared across tests."""
     t0 = time.perf_counter()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cellspec import cell_geometry, physical_dofs, tensors
-from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from ddivfem import space
+from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
+from ddivfem import piola, space
 from ddivfem.piola import BasisCache, batch_geometry, cell_groups
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
@@ -43,6 +43,30 @@ def test_one_jump_eliminated_per_interior_vertex():
         row = dofmap.P[20 * k + 16 + c]
         assert sorted(row.indices) == sorted(partners)
         assert np.all(row.data == -1.0)
+
+
+@pytest.mark.parametrize("which", ["ex1-2", "lshape-2", "graded", "rotated-lshape-3", "hexagon"])
+def test_continuity_rows_vanish_on_the_space(which, graded_mesh, hexagon_mesh):
+    # C P = 0 with entries +-1: four rows per interior edge, two copies of
+    # each edge dof, and one per interior vertex, its jumps summed
+    if which == "rotated-lshape-3":
+        c, s = np.cos(0.7), np.sin(0.7)
+        base = make_lshape(3)
+        mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells)
+    else:
+        mesh = {
+            "ex1-2": make_parallelogram_domain(EX1_CORNERS, 2),
+            "lshape-2": make_lshape(2),
+            "graded": graded_mesh,
+            "hexagon": hexagon_mesh,
+        }[which]
+    dofmap = build_dof_map(mesh)
+    C = dofmap.C
+    assert (C @ dofmap.P).count_nonzero() == 0
+    interior_edges = mesh.num_edges - len(mesh.boundary_edges)
+    assert C.shape[0] == 20 * mesh.num_cells - dofmap.ndofs
+    assert C.shape[0] == 4 * interior_edges + len(mesh.interior_vertices)
+    assert np.all(np.abs(C.data) == 1.0)
 
 
 def test_any_coefficient_vector_is_conforming():
@@ -176,7 +200,8 @@ def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, whi
     # with every cell its own group the check builds the dof matrices of all
     # cells in one batch, dof_matrices(batch_geometry(mesh), tab); grouping
     # must give the same report to the last bit, and the maxima of the
-    # oracle's nq-point edge rule to rounding
+    # oracle's nq-point edge rule to rounding.  A raw field is grouped in
+    # space, a global vector by the cache's groups in piola
     mesh = make_lshape(3) if which == "lshape" else graded_mesh
     dofmap, mcoef = report_inputs(mesh, kind)
     cache = BasisCache()
@@ -189,6 +214,7 @@ def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, whi
         return np.arange(len(keys)), np.arange(len(keys))
 
     monkeypatch.setattr(space, "cell_groups", one_cell_groups)
+    monkeypatch.setattr(piola, "cell_groups", one_cell_groups)
     want = check_conformity(mesh, dofmap, mcoef, cache=cache)
     assert calls == [mesh.num_cells]
     assert repr(got) == repr(want)
@@ -227,6 +253,57 @@ def test_perturbed_cell_reported_inside_its_group():
     for value, where, own in worst:
         if value > 1e-8:
             assert where in own
+
+
+@pytest.mark.parametrize("kind", ["m0", "m1", "q0", "q1", "jump"])
+def test_conformity_names_the_moved_dof(kind, basis_cache):
+    # one physical dof of one cell moves by delta: T_k Tinv_k e_slot = e_slot,
+    # so only the row of that dof changes, by delta, and the report names
+    # its edge or vertex
+    mesh = make_lshape(3)
+    dofmap = build_dof_map(mesh)
+    raw = cell_coefficients(
+        mesh, dofmap, basis_cache, np.random.default_rng(11).standard_normal(dofmap.ndofs)
+    )
+    # a cell with four interior corners, so its edges are interior too
+    k = np.flatnonzero(np.isin(mesh.cells, mesh.interior_vertices).all(axis=1))[3]
+    j = 2
+    first = {"m0": space.SLOT_M0, "m1": space.SLOT_M1, "q0": space.SLOT_Q0,
+             "q1": space.SLOT_Q1, "jump": space.SLOT_JUMP}[kind]
+    _, group, Tinv = basis_cache.groups(mesh)
+    delta = -0.75
+    raw[k] += delta * Tinv[group[k]][:, first + j]
+    report = check_conformity(mesh, dofmap, raw, cache=basis_cache)
+
+    if kind == "jump":
+        key, where, place = "max_jump_sum", "worst_vertex", mesh.cells[k, j]
+    elif kind in ("m0", "m1"):
+        key, where, place = "max_moment_mismatch", "worst_edge_m", mesh.cell_edges[k, j]
+    else:
+        key, where, place = "max_shear_mismatch", "worst_edge_q", mesh.cell_edges[k, j]
+    assert report[where] == place
+    assert report[key] == pytest.approx(abs(delta), rel=1e-12)
+    for other in {"max_moment_mismatch", "max_shear_mismatch", "max_jump_sum"} - {key}:
+        assert report[other] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["raw", "global"])
+def test_conformity_groups_the_cells_once(kind, monkeypatch):
+    # a raw field is grouped for its dof matrices, a global vector by the
+    # cache's groups, whose dof matrices serve the report as well
+    mesh = make_lshape(2)
+    dofmap, mcoef = report_inputs(mesh, kind)
+    calls = []
+    grouping = piola.cell_groups
+
+    def counted(keys):
+        calls.append(len(keys))
+        return grouping(keys)
+
+    monkeypatch.setattr(piola, "cell_groups", counted)
+    monkeypatch.setattr(space, "cell_groups", counted)
+    check_conformity(mesh, dofmap, mcoef, cache=BasisCache())
+    assert calls == [mesh.num_cells]
 
 
 def test_raw_conformity_leaves_the_cached_inverses_alone(graded_mesh):

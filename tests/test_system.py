@@ -15,7 +15,7 @@ import ddivfem.linsolve as linsolve
 from ddivfem import piola, space
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
-from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
+from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
 from ddivfem.reference import divdiv_matrix
@@ -452,6 +452,23 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
     assert np.array_equal(result["coeffs"], coeffs)
     report = check_conformity(mesh, dofmap, coeffs, cache=basis_cache)
     assert repr(result["conformity"]) == repr(report)
+
+
+def test_plate_around_a_vertex_of_three_cells(hexagon_mesh):
+    # the jump row of the hexagon's center sums three corners; the coarsest
+    # mesh has no vertex of four cells, hence no 2 x 2 patch
+    mesh = hexagon_mesh
+    for level in range(3):
+        if level:
+            mesh = refine_uniform(mesh)
+        dofmap = build_dof_map(mesh)
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
+        result = solve_problem(mesh, dofmap, system)
+        assert result["solver"]["residual"] <= 1e-10
+        assert result["conformity"]["max_violation"] <= 1e-12
+        assert result["ddiv_residual"] <= 1e-12
+        if level == 0:
+            assert result["solver"]["patches"] == 0
 
 
 def test_solve_problem_forms_no_matrix(monkeypatch):

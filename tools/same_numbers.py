@@ -17,6 +17,11 @@ script computes the same fixed set of outputs:
   ``TensorField.random_poly(default_rng(0), 2)``: 192 cells in 119 cell
   groups, so the per-group paths of assembly, solve and conformity check
   see many groups;
+- the ``repr`` of ``check_conformity`` on raw coefficients, on ex2 at level
+  ``RAW_LEVEL`` and on the rotated L-shape above, for two fields each: a
+  random (ncells, 20) array drawn from ``default_rng(RAW_SEED)``, and the
+  conforming field of a random global vector with one cell's coefficients
+  moved by a random vector;
 - the ``interpolation_error_study`` rows, levels 0-5 as in the
   ``interp-commute`` workload, of ``TensorField.random_poly(default_rng(s),
   3)`` for s = 1-10, by ``repr``;
@@ -49,6 +54,8 @@ INTERP_SEEDS = range(1, 11)
 CLI_LEVEL = 2
 ROTATED_LEVEL = 3
 ROTATED_ANGLE = 0.7
+RAW_LEVEL = 3
+RAW_SEED = 7
 
 #: the timing of a verdict line, e.g. "in 0.05 s"
 TIMING = re.compile(r" in [0-9.e+-]+ s\b")
@@ -65,7 +72,8 @@ def library_outputs():
     import numpy as np
 
     from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
-    from ddivfem import NeumannData, build_system, solve_example, solve_problem
+    from ddivfem import BasisCache, NeumannData, build_system, solve_example, solve_problem
+    from ddivfem import cell_coefficients, check_conformity
     from ddivfem.cli import main as cli_main
     from ddivfem.mesh import Mesh, make_lshape
     from ddivfem.space import build_dof_map
@@ -98,6 +106,17 @@ def library_outputs():
         out["%s %s" % (name, key)] = digest(result[key].tobytes())
     for key in ("solver", "conformity"):
         out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
+
+    meshes = [("ex2 L%d" % RAW_LEVEL, get_example("ex2").mesh(RAW_LEVEL)), ("rotated lshape", mesh)]
+    for name, mesh in meshes:
+        dofmap, cache = build_dof_map(mesh), BasisCache()
+        rng = np.random.default_rng(RAW_SEED)
+        raw = rng.standard_normal((mesh.num_cells, 20))
+        moved = cell_coefficients(mesh, dofmap, cache, rng.standard_normal(dofmap.ndofs))
+        moved[mesh.num_cells // 2] += rng.standard_normal(20)
+        for field, coeffs in (("random", raw), ("moved cell", moved)):
+            report = check_conformity(mesh, dofmap, coeffs, cache=cache)
+            out["raw conformity %s %s" % (name, field)] = digest(repr(sorted(report.items())))
 
     for seed in INTERP_SEEDS:
         field = TensorField.random_poly(np.random.default_rng(seed), 3)
