@@ -18,41 +18,57 @@ The multiplier system
     S = Lambda blockdiag(W_k) Lambda^T,
 
 with W_k the tensor block of the local inverse, is symmetric positive
-definite exactly when K is regular.  Before anything is factored, the mesh
-is cut into small subdomains, as in FETI (C. Farhat, F.-X. Roux, IJNME 32
-(1991) 1205-1227): 2 x 2 patches, the four cells around an interior vertex,
-read off the jump rows that touch four cells in one greedy pass; a cell
-that no patch covers is a patch of its own.  Each patch eliminates its 16 inner
+definite exactly when K is regular.  It is factored by nested dissection
+(A. George, SINUM 10 (1973) 345-363) with dense fronts (I. Duff, J. Reid,
+ACM TOMS 9 (1983) 302-325).  First the mesh is cut into small subdomains,
+as in FETI (C. Farhat, F.-X. Roux, IJNME 32 (1991) 1205-1227): 2 x 2
+patches, the four cells around an interior vertex; a cell that no patch
+covers is a patch of its own.  Each patch eliminates its 16 inner
 edge-moment rows and the jump row of its center vertex against its cell
 inverses G, with one scaled 17 x 17 SPD solve per group of equal patches:
 
     G~ = G - G Lambda_I^T (Lambda_I G Lambda_I^T)^-1 Lambda_I G.
 
-Only the condensed system S_c = Lambda_B G~ Lambda_B^T on the rows between
-patches and the Neumann rows is handed to SuperLU, in symmetric mode
-without pivoting.  S_c is written patch by patch on the clique pattern of
-the patches, explicit zeros included, so that its ordering and fill follow
-the mesh and not the rounding of its entries.  The pivots of both stages,
-in the order [patch interiors, rest], are the pivots of S itself, and each
-is divided by its diagonal entry of the uncondensed S; a ratio below
-``PIVOT_BREAKDOWN_TOL`` counts as a breakdown in either stage.  The ratio
+The rest, Lambda_B, continuity rows and Neumann rows, leaves the system
+S_c = Lambda_B G~ Lambda_B^T, the sum of one update per patch on the rows
+that meet it.  Then, level by level, four blocks of the level below around
+a vertex form a block, the patches being the blocks of level 1.  The
+updates of its four blocks are summed into a dense front on the rows that
+meet it; the rows whose cells all lie in the block, Neumann rows included,
+are eliminated by one scaled Cholesky factorization per group of equal
+blocks, and the Schur complement on the other rows is the block's update
+for the level above.  One rule covers every level: the vertex rows that
+touch four cells, in reverse row order, each taking four blocks of the
+level below when none is taken yet.  The levels end when no vertex has
+four whole blocks around it.  Only the system on the rows that no block
+holds, the sum of the updates of the blocks and patches that no level
+takes, is handed to SuperLU, in symmetric mode without pivoting.  It is
+written on the clique pattern of those blocks, explicit zeros included,
+so that its ordering and fill follow the mesh and not the rounding of its
+entries.  The pivots of all stages, in the order [patch interiors, the
+blocks of each level, rest], are the pivots of S itself, and each is
+divided by its diagonal entry of the uncondensed S; a ratio below
+``PIVOT_BREAKDOWN_TOL`` counts as a breakdown at any stage.  The ratio
 does not move under a diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
 on the whole boundary with the rigid deflections left free, is rejected from
 the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
 stays as a backstop.
-The tensor field, the deflection and the Neumann multipliers are then
-recovered patch by patch as y = G~ (z - Lambda_B^T mu).
+The multipliers are found by forward elimination level by level, the
+SuperLU solve and back substitution, and the tensor field, the deflection
+and the Neumann multipliers are then recovered patch by patch as
+y = G~ (z - Lambda_B^T mu).
 
 The solver holds the local saddle blocks and their symmetrized inverses
-once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
-the patch interiors once per patch group; every cellwise or patchwise
-product gathers them a fixed number of cells at a time.  Each local block
-is scaled symmetrically before it is inverted, so that cells of any size
-give an accurate inverse.  S_c is written from Lambda_B and these blocks
-without a matrix over all cells, and is held only until SuperLU has
-factored it: it is freed before the factors are read for the pivot test,
-which copies L and U.
+once per cell group, as (ngroups, 23, 23) arrays, the elimination of
+the patch interiors once per patch group and that of each level once per
+group of equal blocks; every cellwise, patchwise or blockwise product
+gathers them a fixed number of cells or entries at a time.  Each local
+block is scaled symmetrically before it is inverted, so that cells of any
+size give an accurate inverse.  The updates exist once per group of equal
+blocks and only until the level above has summed them; the system handed
+to SuperLU is held only until SuperLU has factored it, before the factors
+are read for the pivot test, which copies L and U.
 
 Everything is read from the cell structure of the assembled
 :class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
@@ -63,6 +79,8 @@ by cell through the local saddle blocks, and ||K||_inf is bounded from below
 by the blocks as well, so the certificate is never looser than one measured
 on the assembled K.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,8 +97,14 @@ REFINE_STEPS = 3
 #: cells whose local blocks are gathered at once in a cellwise product
 _CHUNK = 256
 
-#: patches whose dense row blocks are formed at once when S_c is built
+#: patch groups whose dense row blocks are formed at once for their updates
 _PATCHES = 16
+
+#: entries of the dense fronts, or of their gathered factors, formed at once
+_FRONT = 1 << 20
+
+#: order up to which a triangular factor is inverted whole, not by halves
+_HALVES = 32
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -152,8 +176,13 @@ class HybridSolver:
     index ``ncells``.  ``Lam_I`` holds the multiplier rows inside the
     patches, patch by patch, and ``Lam_B`` the rest, continuity rows before
     Neumann rows.  Patch p eliminates its rows of ``Lam_I`` through
-    ``V[pgroup[p]]``, and ``lu`` factors the condensed multiplier system
-    S_c, which is not kept.
+    ``V[pgroup[p]]``.  Each entry of ``levels``, a :class:`_Level`,
+    eliminates the rows of ``Lam_B`` inside the blocks of one level above
+    the patches, and ``lu`` factors the multiplier system on the rows
+    ``top`` of ``Lam_B`` that no block holds; that system is not kept.
+    ``order`` lists the rows of S, numbered as in [Lam_I; Lam_B], in the
+    order they are eliminated, and ``ratio`` holds the pivot of each row
+    over its diagonal entry of S.
     """
 
     def __init__(self, plate):
@@ -173,25 +202,60 @@ class HybridSolver:
         self.local = local
         self.inv = _local_inverses(local)
 
-        # the continuity rows inside a patch are condensed; Neumann rows never are
-        self.patches, inside = _patch_cover(R, nk)
+        # the continuity rows inside a patch are condensed against the cell
+        # inverses; Neumann rows never are at this level
+        cover = _cover(R, nk)
+        chosen = cover[0] if cover else np.zeros((0, 4), dtype=int)
+        lone = np.setdiff1d(np.arange(nk), chosen)
+        self.patches = np.full((len(chosen) + len(lone), 4), nk)
+        self.patches[: len(chosen)] = chosen
+        self.patches[len(chosen) :, 0] = lone
+        of_cell = _lift(np.arange(nk), chosen)
+        owner = _row_blocks(R, of_cell)
+        inside = np.flatnonzero(owner >= 0)
+        inside = inside[np.argsort(owner[inside], kind="stable")]
         self.Lam_I = R[inside]
         outside = np.delete(np.arange(R.shape[0]), inside)
         self.Lam_B = sp.vstack([R[outside], self.L @ self.Q], format="csr")
-        self.pgroup, self.V, ratio = _condense(
+        self.pgroup, self.V, ratio_I = _condense(
             self.Lam_I, self.patches, self._cell_inverses(), self.inv
         )
 
-        # S_c is built, factored and dropped in one expression, so no
-        # reference to it outlives the factorization
-        self.schur_n = self.Lam_B.shape[0]
+        # each level above condenses the rows of Lam_B inside its blocks,
+        # Neumann rows included, against the updates of the blocks below
+        ni, nb = self.Lam_I.shape[0], self.Lam_B.shape[0]
+        self.ratio = np.concatenate([ratio_I, np.empty(nb)])
+        order = [np.arange(ni)]
+        units, roots, self.levels = self._patch_updates(), [], []
+        for depth, blocks in enumerate(cover[1:], start=2):
+            of_cell = _lift(of_cell, blocks)
+            level, rows, ratio, units, rest = _merge(
+                units, blocks, _row_blocks(self.Lam_B, of_cell), depth
+            )
+            self.levels.append(level)
+            roots.append(rest)
+            self.ratio[ni + rows] = ratio
+            order.append(ni + rows)
+        roots.append(units)
+        del units
+
+        # the multiplier system on the rows left is built, factored and
+        # dropped in one expression, so no reference to it outlives the
+        # factorization
+        eliminated = np.concatenate(order)
+        self.condensed_n = len(eliminated)
+        # the rows of Lam_I number below 0 in Lam_B and drop out
+        self.top = np.setdiff1d(np.arange(nb), eliminated - ni)
+        self.schur_n = len(self.top)
         self.lu = None
         if self.schur_n > 0:
-            # the pivots of S_c are measured against the diagonal of S
+            # its pivots are measured against the diagonal of S
             diagonal = np.zeros(self.schur_n)
-            self.lu, ratio_c = factor_spd(self._schur(diagonal), diagonal)
-            ratio = np.concatenate([ratio, ratio_c])
-        self.pivot_ratio = float(ratio.min()) if len(ratio) else None
+            self.lu, ratio = factor_spd(_assemble(roots, self.top, nb, diagonal), diagonal)
+            self.ratio[ni + self.top] = ratio
+            order.append(ni + self.top[np.argsort(self.lu.perm_c)])
+        self.order = np.concatenate(order)
+        self.pivot_ratio = float(self.ratio.min()) if len(self.ratio) else None
 
     def _cell_inverses(self):
         """Index in ``inv`` of each patch cell's inverse (npatch, 4), -1 for a padding cell.
@@ -208,85 +272,102 @@ class HybridSolver:
             "fill": self.lu.nnz if self.lu is not None else 0,
             "pivot_ratio": self.pivot_ratio,
             "patches": int(np.count_nonzero(self.patches[:, 1] < len(self.group))),
-            "condensed_n": self.Lam_I.shape[0],
+            "levels": len(self.levels),
+            "condensed_n": self.condensed_n,
         }
 
-    def _schur(self, diagonal):
-        """S_c = Lam_B G~ Lam_B^T in csc form, with G~ the condensed patch inverses.
+    def _patch_updates(self):
+        """The rows of ``Lam_B`` that meet each patch and the patch updates on them.
 
-        Patch p adds E (Gp - Vp^T Vp) E^T, with Gp its cell inverses and E
-        the rows of ``Lam_B`` that meet it, restricted to its 80 tensor
-        slots.  Every pair of rows that meets a common patch gets an entry,
-        so the pattern is that of the mesh, explicit zeros included, and the
-        ordering does not follow the rounding of the entries.  The dense
-        blocks exist ``_PATCHES`` patches at a time.  ``diagonal`` gains
-        diag(Lam_B G Lam_B^T), the diagonal of the uncondensed S on these rows.
+        Patch p adds E (Gp - Vp^T Vp) E^T to the multiplier system on these
+        rows, with Gp its cell inverses and E the rows restricted to its 80
+        tensor slots, and its cells add diag(E Gp E^T) to the diagonal of
+        the uncondensed S.  A patch orders its rows by their first patch
+        slot, then by row.  Patches of one patch group whose rows agree on
+        the patch slots form an update group, and each group's update is
+        formed once, ``_PATCHES`` groups at a time.  Returns ``(outer,
+        group, U, diag)``: the rows (npatch, w), padded with the row count
+        of ``Lam_B``, the update group of each patch, and per group the
+        update (ngroups, w, w) and the diagonal (ngroups, w).
         """
         Lam, npatch = self.Lam_B, len(self.patches)
         nb = Lam.shape[0]
         cell, slot = np.divmod(Lam.indices, 23)
         patch_of, place = _places(self.patches)
-        # (patch, row) pairs in patch-major order, and each row's rank in its patch
-        key = patch_of[cell] * nb + np.repeat(np.arange(nb), np.diff(Lam.indptr))
-        pair, at = np.unique(key, return_inverse=True)
+        owner, col = patch_of[cell], 20 * place[cell] + slot
+        row = np.repeat(np.arange(nb), np.diff(Lam.indptr))
+        # the (patch, row) pairs, each row ranked in its patch
+        pair, at = np.unique(owner * nb + row, return_inverse=True)
         at = at.reshape(-1)
-        pair_patch = pair // nb
+        first = np.full(len(pair), 80)
+        np.minimum.at(first, at, col)
+        pair_patch, pair_row = np.divmod(pair, nb)
+        by_rank = np.lexsort((pair_row, first, pair_patch))
         count = np.bincount(pair_patch, minlength=npatch)
-        rank = np.arange(len(pair)) - (np.cumsum(count) - count)[pair_patch]
-        table = np.full((npatch, count.max(initial=0)), -1, dtype=np.int32)
-        table[pair_patch, rank] = pair % nb
-        order = np.argsort(at, kind="stable")
-        starts = np.arange(0, npatch, _PATCHES)
-        bounds = np.append(np.searchsorted(pair_patch[at[order]], starts), len(order))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+        outer = np.full((npatch, count.max(initial=0)), nb)
+        outer[pair_patch, rank] = pair_row
 
-        # the entries, patch by patch: every pair of rows that meets the patch
-        valid = table >= 0
-        pairs = valid[:, :, None] & valid[:, None, :]
-        i = np.broadcast_to(table[:, :, None], pairs.shape)[pairs]
-        j = np.broadcast_to(table[:, None, :], pairs.shape)[pairs]
-        ends = np.concatenate([[0], np.cumsum(pairs.sum(axis=(1, 2)))])
-        data = np.empty(len(i))
+        # the nonzeros patch by patch in the order of rank and slot: with the
+        # patch group, they key the update group
+        nz = np.lexsort((col, rank[at], owner))
+        nnz = np.bincount(owner, minlength=npatch)
+        k = np.arange(len(nz)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
+        width = nnz.max(initial=0)
+        key = np.full((npatch, 1 + 3 * width), -1.0)
+        key[:, 0] = self.pgroup
+        key[owner[nz], 1 + k] = rank[at[nz]]
+        key[owner[nz], 1 + width + k] = col[nz]
+        key[owner[nz], 1 + 2 * width + k] = Lam.data[nz]
+        rep, group = cell_groups(key)
 
-        inverses = self._cell_inverses()
-        m = self.V.shape[1]
-        for lo, nz in zip(starts, np.split(order, bounds[1:-1])):
-            patches = slice(lo, lo + _PATCHES)
-            c, r = table[patches].shape
+        ng, w, m = len(rep), outer.shape[1], self.V.shape[1]
+        of_rep = np.full(npatch, -1)
+        of_rep[rep] = np.arange(ng)
+        # the nonzeros of the representatives, by group since rep ascends
+        nz = nz[of_rep[owner[nz]] >= 0]
+        bounds = np.searchsorted(of_rep[owner[nz]], np.arange(0, ng + _PATCHES, _PATCHES))
+        U, diag = np.empty((ng, w, w)), np.empty((ng, w))
+        inverses = self._cell_inverses()[rep]
+        for lo, part in zip(range(0, ng, _PATCHES), np.split(nz, bounds[1:-1])):
+            c = min(_PATCHES, ng - lo)
+            chunk = slice(lo, lo + c)
             # E and F = E Gp, cell by cell, on the 4 x 20 tensor slots
-            E = np.zeros((c, r, 4, 20))
-            E[patch_of[cell[nz]] - lo, rank[at[nz]], place[cell[nz]], slot[nz]] = Lam.data[nz]
+            E = np.zeros((c, w, 4, 20))
+            at_E = of_rep[owner[part]] - lo, rank[at[part]], place[cell[part]], slot[part]
+            E[at_E] = Lam.data[part]
             F = np.empty_like(E)
             for q in range(4):
-                np.matmul(E[:, :, q], self.inv[inverses[patches, q], :20, :20], out=F[:, :, q])
-            E, F = E.reshape(c, r, 80).transpose(0, 2, 1), F.reshape(c, r, 80)
-            V = self.V[self.pgroup[patches]].reshape(c, m, 4, 23)[..., :20]
-            U = V.reshape(c, m, 80) @ E
+                np.matmul(E[:, :, q], self.inv[inverses[chunk, q], :20, :20], out=F[:, :, q])
+            E, F = E.reshape(c, w, 80).transpose(0, 2, 1), F.reshape(c, w, 80)
+            V = self.V[self.pgroup[rep[chunk]]].reshape(c, m, 4, 23)[..., :20]
+            VE = V.reshape(c, m, 80) @ E
             block = F @ E
-            at_rows = valid[patches]
-            diagonal += np.bincount(
-                table[patches][at_rows],
-                np.diagonal(block, axis1=1, axis2=2)[at_rows],
-                minlength=nb,
-            )
-            block -= U.transpose(0, 2, 1) @ U
-            data[ends[lo] : ends[lo + c]] = block[pairs[patches]]
-        # the last chunk's blocks go before the conversion allocates the matrix
-        del E, F, V, U, block
-        return sp.coo_matrix((data, (i, j)), shape=(nb, nb)).tocsc()
+            diag[chunk] = np.diagonal(block, axis1=1, axis2=2)
+            U[chunk] = block - VE.transpose(0, 2, 1) @ VE
+        return outer, group, U, diag
 
     def solve(self, b):
         """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
-        nl = self.L.shape[0]
+        nl, nb = self.L.shape[0], self.Lam_B.shape[0]
         z = self.Q.T @ b[:nd]
         z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
-        r = self.Lam_B @ self._condensed(z)
-        r[self.schur_n - nl :] -= b[nd + nu :]
-        mu = self.lu.solve(r) if self.lu is not None else r
+        # one entry past the rows of Lam_B stays 0 for the padding of the blocks
+        r = np.append(self.Lam_B @ self._condensed(z), 0.0)
+        r[nb - nl : nb] -= b[nd + nu :]
+        for level in self.levels:
+            _forward(level, r)
+        mu = np.zeros(nb + 1)
+        mu[self.top] = self.lu.solve(r[self.top]) if self.lu is not None else r[self.top]
+        for level in reversed(self.levels):
+            _backward(level, r, mu)
+        mu = mu[:nb]
         y = self._condensed(z - self.Lam_B.T @ mu)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
         u = y.reshape(-1, 23)[:, 20:].ravel()
-        return np.concatenate([self.Q @ y, u, mu[self.schur_n - nl :]])
+        return np.concatenate([self.Q @ y, u, mu[nb - nl :]])
 
     def _condensed(self, z):
         """G~ z: the cell inverses applied to z, less each patch's Vp^T Vp z_p."""
@@ -348,38 +429,68 @@ class HybridSolver:
         return max(norm_B, norm_L, rows_A.max())
 
 
-def _patch_cover(R, nk):
-    """2 x 2 patches that cover the cells, and the continuity rows inside them.
+def _cover(R, nk):
+    """Blocks of every level, the 2 x 2 patches first, and one rule for all.
 
     R holds the continuity rows on 23 slots per cell.  A row that touches
-    four cells is the eliminated jump of an interior vertex with four cells
-    around it.  One greedy pass over these rows, in their order, takes the
-    four cells as a patch when none of them is taken yet; each cell left
-    over is a patch of its own, padded with the index ``nk``.  Returns
-    ``(patches, inside)``: the (npatch, 4) cells of the patches, and the
-    rows of R whose cells all lie in one patch, patch by patch.
+    four cells is the jump row of an interior vertex with four cells
+    around it; these rows are the candidates at every level.  At level 1
+    the cells are the blocks of the level below, and at level l > 1 the
+    blocks that level l - 1 took.  A candidate qualifies when its four
+    cells lie in four different blocks of the level below, and one greedy
+    pass over the candidates in reverse row order takes its four blocks as
+    a block when none of them is taken yet.  The levels end at the first
+    that takes no block.  Returns one (n_l, 4) array per level: the cells
+    of each patch at level 1, the indices of its four blocks of level
+    l - 1 above, in the column order of the row.
+
+    The order relies on the numbering of
+    :func:`ddivfem.mesh.refine_uniform`, which numbers the four children
+    of cell k as 4 k to 4 k + 3 around the centre of k, and on the jump row
+    of a vertex, which sits at the slot of its lowest cell.  In reverse
+    row order the centre of the highest cell comes first, and every vertex
+    that straddles two parents is reached only after the higher parent's
+    centre has taken its children, so the cover is the full lattice of
+    2 x 2, 4 x 4, ... blocks on every uniformly refined mesh; tensor grids
+    numbered row by row are covered from their last corner alike.  On other
+    numberings the cover may leave blocks that a better one would take.
     """
     cell = R.indices // 23
     start = R.indptr[:-1]
-    quads = cell[start[np.diff(R.indptr) == 4][:, None] + np.arange(4)]
-    quads = quads[np.all(np.diff(quads, axis=1) != 0, axis=1)]
-    free = [True] * nk
-    chosen = []
-    for a, b, c, d in quads.tolist():
-        if free[a] and free[b] and free[c] and free[d]:
-            free[a] = free[b] = free[c] = free[d] = False
-            chosen.append((a, b, c, d))
-    lone = np.flatnonzero(free)
-    patches = np.concatenate(
-        [np.array(chosen, dtype=int).reshape(-1, 4), np.full((len(lone), 4), nk)]
-    )
-    patches[len(chosen) :, 0] = lone
-    if R.shape[0] == 0:
-        return patches, np.zeros(0, dtype=int)
-    owner = _places(patches)[0][cell]
-    first = np.minimum.reduceat(owner, start)
-    inside = np.flatnonzero(first == np.maximum.reduceat(owner, start))
-    return patches, inside[np.argsort(first[inside], kind="stable")]
+    quads = cell[start[np.diff(R.indptr) == 4][::-1, None] + np.arange(4)]
+    of_cell, levels = np.arange(nk), []
+    while True:
+        blocks = of_cell[quads]
+        ranked = np.sort(blocks, axis=1)
+        blocks = blocks[(ranked[:, 0] >= 0) & np.all(np.diff(ranked, axis=1) != 0, axis=1)]
+        free = [True] * (of_cell.max(initial=-1) + 1)
+        chosen = []
+        for a, b, c, d in blocks.tolist():
+            if free[a] and free[b] and free[c] and free[d]:
+                free[a] = free[b] = free[c] = free[d] = False
+                chosen.append((a, b, c, d))
+        if not chosen:
+            return levels
+        levels.append(np.array(chosen))
+        of_cell = _lift(of_cell, levels[-1])
+
+
+def _lift(of_cell, blocks):
+    """The block of ``blocks`` that holds each cell, read from its block below; -1 for none."""
+    up = np.full(of_cell.max(initial=-1) + 2, -1)
+    up[blocks] = np.arange(len(blocks))[:, None]
+    return up[of_cell]
+
+
+def _row_blocks(X, of_cell):
+    """The block that holds all cells of each row of X (23 slots per cell), -1 for none."""
+    owner = of_cell[X.indices // 23]
+    full = np.diff(X.indptr) > 0
+    out = np.full(X.shape[0], -1)
+    if full.any():
+        lo = np.minimum.reduceat(owner, X.indptr[:-1][full])
+        out[full] = np.where(lo == np.maximum.reduceat(owner, X.indptr[:-1][full]), lo, -1)
+    return out
 
 
 def _places(patches):
@@ -403,8 +514,8 @@ def _condense(Lam_I, patches, cell_inv, inv):
     system S_p = X Gp X^T to unit diagonal by D and factors D S_p D = C C^T;
     then V = C^-1 D X Gp, so that Gp - V^T V is the condensed patch
     inverse, one 17 x 17 solve per group.  Returns ``(pgroup, V, ratio)``
-    with ``ratio`` the pivots of the inside rows over their diagonal
-    entries of S, the first stage of the pivot test.
+    with ``ratio`` the pivot of each row of ``Lam_I`` over its diagonal
+    entry of S, the first stage of the pivot test.
     """
     npatch, ni = len(patches), Lam_I.shape[0]
     cell, slot = np.divmod(Lam_I.indices, 23)
@@ -445,7 +556,8 @@ def _condense(Lam_I, patches, cell_inv, inv):
                 "multiplier system not positive definite: pivot / diagonal %.3e in patch %d"
                 % (ratio[g, i], rep[g])
             )
-    return pgroup, V, ratio[inside]
+    first = owner[Lam_I.indptr[:-1]]
+    return pgroup, V, ratio[pgroup[first], np.arange(ni) - (np.cumsum(rows) - rows)[first]]
 
 
 def _eliminate(X, inv, cells, inside):
@@ -453,12 +565,9 @@ def _eliminate(X, inv, cells, inside):
 
     ``inv[cells[p]]`` are the inverses of the four cells of patch p, whose
     block diagonal is Gp, and ``inside`` (n, m) marks the rows of X that a
-    patch has; the others are zero and get a unit diagonal entry.  D
-    scales S_p = X Gp X^T to unit diagonal, and C C^T = D S_p D, so that
-    the ratios, the squared diagonal of C, are the pivots of S_p over its
-    diagonal entries.
+    patch has; the others are zero and get a unit diagonal entry.  The
+    factor of S_p = X Gp X^T is that of :func:`_factor`.
     """
-    n, m = X.shape[:2]
     XG = np.empty_like(X)
     for q in range(4):
         slots = slice(23 * q, 23 * q + 23)
@@ -466,18 +575,211 @@ def _eliminate(X, inv, cells, inside):
     S = XG @ X.transpose(0, 2, 1)
     g, i = np.nonzero(~inside)
     S[g, i, i] = 1.0
+    M, ratio = _factor(S, "inside a patch")
+    return M @ XG, ratio
+
+
+def _factor(S, where):
+    """M = C^-1 D and the pivot ratios of SPD matrices S (n, m, m).
+
+    D scales S to unit diagonal, and C C^T = D S D, so that the ratios, the
+    squared diagonal of C, are the pivots of S over its diagonal entries.
+    Every failure of the dense factorization, a nonpositive diagonal entry
+    included, raises ``SingularSystemError`` naming ``where``.
+    """
     d = np.diagonal(S, axis1=1, axis2=2)
     if not np.all(d > 0.0):
-        raise SingularSystemError("multiplier system not positive definite inside a patch")
+        raise SingularSystemError("multiplier system not positive definite " + where)
     d = 1.0 / np.sqrt(d)
     try:
         C = np.linalg.cholesky(S * d[:, :, None] * d[:, None, :])
+        M = _lower_inverse(C)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(
-            "multiplier system not positive definite inside a patch"
+            "multiplier system not positive definite %s: %s" % (where, err)
         ) from err
-    XG *= d[:, :, None]
-    return np.linalg.inv(C) @ XG, np.diagonal(C, axis1=1, axis2=2) ** 2
+    return M * d[:, None, :], np.diagonal(C, axis1=1, axis2=2) ** 2
+
+
+def _lower_inverse(C):
+    """Inverses of lower triangular matrices C (n, m, m), by halves.
+
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], so batched
+    products do the work that a general inverse spends on the zeros.
+    """
+    m = C.shape[-1]
+    if m <= _HALVES:
+        return np.linalg.inv(C)
+    h = m // 2
+    out = np.zeros_like(C)
+    out[:, :h, :h] = _lower_inverse(C[:, :h, :h])
+    out[:, h:, h:] = _lower_inverse(C[:, h:, h:])
+    out[:, h:, :h] = -out[:, h:, h:] @ (C[:, h:, :h] @ out[:, :h, :h])
+    return out
+
+
+class _Level(NamedTuple):
+    """The eliminations of one level of blocks above the patches.
+
+    Block b eliminates the rows ``inner[b]`` of ``Lam_B`` and passes its
+    update to the rows ``outer[b]``, both padded with the row count of
+    ``Lam_B``.  Its group g = ``group[b]`` holds M = C^-1 D (ngroups, mI,
+    mI) and W = M F_IO (ngroups, mI, mO) of its front F.
+    """
+
+    inner: np.ndarray
+    outer: np.ndarray
+    group: np.ndarray
+    M: np.ndarray
+    W: np.ndarray
+
+
+def _merge(units, blocks, owner, depth):
+    """The blocks of one level: their eliminations and their updates.
+
+    ``units`` = ``(outer, group, U, diag)`` describes the blocks of the
+    level below as :meth:`HybridSolver._patch_updates` does the patches,
+    ``blocks`` (n, 4) picks four of them for each block of this level, and
+    ``owner`` is the block of this level that holds all cells of each row
+    of ``Lam_B``, -1 for none.  The front of a block has the rows of its
+    four units in their order, each at its first place, the rows inside the
+    block (I) before the others (O), and it is the sum of the four units'
+    updates.  Blocks whose units fall in the same groups and whose rows take
+    the same places form a group; one front per group is formed, at most
+    ``_FRONT`` entries at a time, and factored as in :func:`_factor`, D F_II
+    D = C C^T.  With M = C^-1 D and W = M F_IO, the block's update F_OO -
+    W^T W goes up on its rows O.  Returns ``(level, rows, ratio, units,
+    rest)``: the :class:`_Level`, the rows eliminated block by block in
+    the order of their fronts, their pivots over the diagonal of S, the
+    blocks of this level in the form of ``units``, and the units below that
+    no block takes.
+    """
+    outer, group, U, diag = units
+    nb, n, w = len(owner), len(blocks), outer.shape[1]
+    ent = outer[blocks].ravel()
+    valid = ent < nb
+    # each (block, row) pair once, the pairs in the order of first places
+    key = np.repeat(np.arange(n), 4 * w)[valid] * nb + ent[valid]
+    pair, first, at = np.unique(key, return_index=True, return_inverse=True)
+    seq = np.argsort(first)
+    pair_block, pair_row = np.divmod(pair[seq], nb)
+    ins = owner[pair_row] == pair_block
+    nI = np.bincount(pair_block[ins], minlength=n)
+    nO = np.bincount(pair_block[~ins], minlength=n)
+    rI = np.cumsum(ins) - ins - (np.cumsum(nI) - nI)[pair_block]
+    rO = np.cumsum(~ins) - ~ins - (np.cumsum(nO) - nO)[pair_block]
+    mI, mO = nI.max(), nO.max()
+    inner, up = np.full((n, mI), nb), np.full((n, mO), nb)
+    inner[pair_block[ins], rI[ins]] = pair_row[ins]
+    up[pair_block[~ins], rO[~ins]] = pair_row[~ins]
+    # the place of every unit row in its block's front, mI + mO for padding
+    place = np.empty(len(pair), dtype=np.int64)
+    place[seq] = np.where(ins, rI, mI + rO)
+    front_at = np.full(len(ent), mI + mO)
+    front_at[valid] = place[at.reshape(-1)]
+    front_at = front_at.reshape(n, 4, w)
+    rep, bgroup = cell_groups(np.concatenate([group[blocks], front_at.reshape(n, -1)], axis=1))
+
+    ng, m = len(rep), mI + mO
+    M, W = np.empty((ng, mI, mI)), np.empty((ng, mI, mO))
+    U_up, diag_up, ratio = np.empty((ng, mO, mO)), np.empty((ng, mO)), np.empty((ng, mI))
+    step = max(1, _FRONT // (m + 1) ** 2)
+    for lo in range(0, ng, step):
+        reps = rep[lo : lo + step]
+        chunk, c = slice(lo, lo + len(reps)), len(reps)
+        F, d = np.zeros((c, m + 1, m + 1)), np.zeros((c, m + 1))
+        for q in range(4):
+            # the rows of one unit take distinct places, so += adds each once;
+            # F and d are indexed flat, as rows of the stacked fronts
+            at_q, unit = front_at[reps, q], group[blocks[reps, q]]
+            rows = at_q + (m + 1) * np.arange(c)[:, None]
+            F.reshape(-1)[rows[:, :, None] * (m + 1) + at_q[:, None, :]] += U[unit]
+            d.reshape(-1)[rows] += diag[unit]
+        # a block with fewer than mI inside rows gets unit pivots for the rest
+        gi, i = np.nonzero(np.arange(mI) >= nI[reps][:, None])
+        F[gi, i, i] = d[gi, i] = 1.0
+        M[chunk], pivots = _factor(F[:, :mI, :mI], "in a block of level %d" % depth)
+        W[chunk] = M[chunk] @ F[:, :mI, mI:m]
+        U_up[chunk] = F[:, mI:m, mI:m] - W[chunk].transpose(0, 2, 1) @ W[chunk]
+        diag_up[chunk] = d[:, mI:m]
+        ratio[chunk] = pivots * np.diagonal(F, axis1=1, axis2=2)[:, :mI] / d[:, :mI]
+    real = np.arange(mI) < nI[rep][:, None]
+    g, i = np.unravel_index(np.argmin(np.where(real, ratio, np.inf)), ratio.shape)
+    if not ratio[g, i] >= PIVOT_BREAKDOWN_TOL:
+        raise SingularSystemError(
+            "multiplier system not positive definite: pivot / diagonal %.3e in block %d of level %d"
+            % (ratio[g, i], rep[g], depth)
+        )
+    rest = np.setdiff1d(np.arange(len(outer)), blocks)
+    kept = inner < nb
+    return (
+        _Level(inner, up, bgroup, M, W),
+        inner[kept],
+        ratio[bgroup][kept],
+        (up, bgroup, U_up, diag_up),
+        (outer[rest], group[rest], U, diag),
+    )
+
+
+def _chunks(level):
+    """Slices of blocks of a level whose gathered M and W hold at most ``_FRONT`` entries."""
+    mI, mO = level.W.shape[1:]
+    step = max(1, _FRONT // max(mI * (mI + mO), 1))
+    return [slice(lo, lo + step) for lo in range(0, len(level.group), step)]
+
+
+def _forward(level, r):
+    """Eliminate the level's inner rows from r in place: r_I <- M r_I, r_O -= W^T M r_I.
+
+    ``r`` has one entry past the rows of ``Lam_B``, which the padding reads
+    as 0 and leaves 0.
+    """
+    for blocks in _chunks(level):
+        g, inner = level.group[blocks], level.inner[blocks]
+        t = (level.M[g] @ r[inner][:, :, None])[..., 0]
+        r[inner] = t
+        r -= np.bincount(
+            level.outer[blocks].ravel(), (t[:, None, :] @ level.W[g])[:, 0].ravel(), len(r)
+        )
+
+
+def _backward(level, r, mu):
+    """Recover the level's inner multipliers in place: mu_I = M^T (r_I - W mu_O)."""
+    for blocks in _chunks(level):
+        g, inner = level.group[blocks], level.inner[blocks]
+        t = r[inner] - (level.W[g] @ mu[level.outer[blocks]][:, :, None])[..., 0]
+        mu[inner] = (t[:, None, :] @ level.M[g])[:, 0]
+
+
+def _assemble(roots, top, nb, diagonal):
+    """The multiplier system on the rows ``top`` of ``Lam_B`` in csc form.
+
+    ``roots`` lists, in the form of the ``units`` of :func:`_merge`, the
+    blocks and patches that no block above takes; their rows are rows of
+    ``top``, and the system is the sum of their updates.  Every pair of
+    rows that meets a common root gets an entry, explicit zeros included,
+    so the pattern is that of the mesh and the ordering does not follow
+    the rounding of the entries.  ``diagonal`` gains what the roots' cells
+    add to the diagonal of the uncondensed S on these rows.
+    """
+    at = np.full(nb + 1, -1)
+    at[top] = np.arange(len(top))
+    i, j, data = [], [], []
+    for outer, group, U, diag in roots:
+        rows = at[outer]
+        valid = rows >= 0
+        diagonal += np.bincount(rows[valid], diag[group][valid], minlength=len(top))
+        step = max(1, _FRONT // max(outer.shape[1] ** 2, 1))
+        for lo in range(0, len(outer), step):
+            part = slice(lo, lo + step)
+            pairs = valid[part, :, None] & valid[part, None, :]
+            i.append(np.broadcast_to(rows[part, :, None], pairs.shape)[pairs])
+            j.append(np.broadcast_to(rows[part, None, :], pairs.shape)[pairs])
+            data.append(U[group[part]][pairs])
+    n = len(top)
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(i), np.concatenate(j))), shape=(n, n)
+    ).tocsc()
 
 
 def _local_inverses(local):
@@ -554,12 +856,14 @@ def solve_saddle(A, b, rtol=1e-10):
     x : ndarray
     info : dict
         Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``patches``
-        (number of 2 x 2 patches), ``condensed_n`` (multipliers eliminated
-        inside them), ``schur_n`` (size of the condensed system S_c that
-        SuperLU factors, 0 when every multiplier is condensed), ``fill``
-        (nonzeros of its factors) and ``pivot_ratio`` (smallest pivot of
-        either stage over its diagonal entry of the uncondensed multiplier
-        system S, None when S is empty).
+        (number of 2 x 2 patches), ``levels`` (number of block levels above
+        the patches), ``condensed_n`` (multipliers eliminated before
+        SuperLU, inside the patches and the blocks), ``schur_n`` (size of
+        the system on the rows between the top blocks that SuperLU factors,
+        0 when every multiplier is condensed), ``fill`` (nonzeros of its
+        factors) and ``pivot_ratio`` (smallest pivot of any stage over its
+        diagonal entry of the uncondensed multiplier system S, None when S
+        is empty).
 
     Raises ``ValueError`` for an ``rtol`` that is not a positive finite
     number, a matrix without cell structure or a size mismatch,

@@ -139,6 +139,21 @@ def test_solve_reports_the_condensation(capsys, problem, level, line):
     assert "min pivot/diagonal -" not in out
 
 
+@pytest.mark.parametrize(
+    "level, line",
+    [
+        ("3", "multiplier system n 0 (497 rows condensed in 16 patch(es)), fill 0,"),
+        ("4", "multiplier system n 0 (2145 rows condensed in 64 patch(es)), fill 0,"),
+    ],
+)
+def test_solve_reports_the_block_levels(capsys, level, line):
+    # ex1 is one square of 2^l x 2^l cells: the top block holds every row
+    assert main(["solve", "--problem", "ex1", "--level", level]) == 0
+    out = capsys.readouterr().out
+    assert line in out
+    assert ", %d block level(s) above the patches\n" % (int(level) - 1) in out
+
+
 def test_convergence_writes_csv_and_json(tmp_path, capsys):
     out_csv = tmp_path / "conv.csv"
     args = [

@@ -1,6 +1,7 @@
 """Assembly, boundary data, constraints, and the saddle point solver."""
 
 import sys
+import types
 import weakref
 
 import numpy as np
@@ -320,39 +321,53 @@ def _uncondensed_system(hybrid):
     return (Lam @ M @ Lam.T).toarray()
 
 
-@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
-def test_multiplier_system_is_the_block_product(which, graded_mesh):
-    # the factored system is the Schur complement of the patch interiors in
-    # the cell-level product
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-2", "ex2-3", "graded"])
+def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch):
+    # the system handed to SuperLU is the Schur complement, in the
+    # cell-level product, of every row eliminated before it: the patch
+    # interiors and the rows inside the blocks of every level above them;
+    # on ex1 level 3 the top block holds every row, and nothing is handed
     system = _three_plates(which, graded_mesh)
-    if which == "ex2-3":
+    if which.startswith("ex2"):
         assert system.L.shape[0] > 0
+    handed, factor = [], linsolve.factor_spd
+
+    def recorded(S, diagonal):
+        handed.append((S, diagonal.copy()))
+        return factor(S, diagonal)
+
+    monkeypatch.setattr(linsolve, "factor_spd", recorded)
     hybrid = linsolve.HybridSolver(system)
+    info = hybrid.info()
     S = _uncondensed_system(hybrid)
-    ni = hybrid.Lam_I.shape[0]
-    assert ni > 0
-    want = S[ni:, ni:] - S[ni:, :ni] @ np.linalg.solve(S[:ni, :ni], S[:ni, ni:])
-    got = hybrid._schur(np.zeros(hybrid.schur_n))
+    top = hybrid.Lam_I.shape[0] + hybrid.top
+    rest = np.setdiff1d(np.arange(len(S)), top)
+    assert (len(top), len(rest)) == (info["schur_n"], info["condensed_n"])
+    assert info["levels"] > 0 and len(handed) == (which != "ex1-3")
+    if not handed:
+        assert len(top) == 0
+        return
+    S_rt = S[np.ix_(rest, top)]
+    want = S[np.ix_(top, top)] - S_rt.T @ np.linalg.solve(S[np.ix_(rest, rest)], S_rt)
+    got, diagonal = handed[0]
     assert got.format == "csc"
     assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.allclose(diagonal, np.diag(S)[top], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
-    # eliminating the patch interiors first and then S_c in SuperLU's order
-    # is a symmetric elimination of S itself: both stages' pivots are read
-    # against the diagonal of S, not of S_c
+    # eliminating the patch interiors, then the blocks level by level, then
+    # the rest in SuperLU's order is one symmetric elimination of S itself:
+    # every pivot is read against the diagonal of S
     system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
     S = _uncondensed_system(hybrid)
-    ni = hybrid.Lam_I.shape[0]
-    diagonal = np.zeros(hybrid.schur_n)
-    _, ratio = factor_spd(hybrid._schur(diagonal), diagonal)
-    assert np.allclose(diagonal, np.diag(S)[ni:], rtol=1e-14, atol=0.0)
-    order = np.concatenate([np.arange(ni), ni + np.argsort(hybrid.lu.perm_c)])
+    order = hybrid.order
+    assert np.array_equal(np.sort(order), np.arange(len(S)))
     pivots = np.diag(np.linalg.cholesky(S[np.ix_(order, order)])) ** 2
     want = pivots / np.diag(S)[order]
-    assert np.allclose(ratio, want[ni:][hybrid.lu.perm_c], rtol=1e-8, atol=0.0)
+    assert np.allclose(hybrid.ratio[order], want, rtol=1e-8, atol=0.0)
     assert hybrid.pivot_ratio == pytest.approx(want.min(), rel=1e-8)
 
 
@@ -635,6 +650,144 @@ def test_patch_interior_breakdown_detected():
         Lam_I = sp.vstack([hybrid.Lam_I, extra], format="csr")
         with pytest.raises(SingularSystemError, match=match):
             linsolve._condense(Lam_I, hybrid.patches, hybrid._cell_inverses(), hybrid.inv)
+
+
+@pytest.mark.parametrize(
+    "which, counts",
+    [
+        ("ex2-4", [192, 48, 12, 3]),
+        ("ex2-5", [768, 192, 48, 12, 3]),
+        ("hexagon-1", [3]),
+        ("hexagon-2", [12, 3]),
+        ("hexagon-3", [48, 12, 3]),
+    ],
+)
+def test_one_cover_rule_takes_the_full_lattice(which, counts, hexagon_mesh):
+    # reverse row order meets the centre of every parent cell of
+    # refine_uniform before the vertices between parents, at every level
+    name, level = which.split("-")
+    mesh = get_example("ex2").mesh(int(level)) if name == "ex2" else hexagon_mesh
+    for _ in range(int(level) if name == "hexagon" else 0):
+        mesh = refine_uniform(mesh)
+    cover = linsolve._cover(linsolve._widen(build_dof_map(mesh).C), mesh.num_cells)
+    assert [len(blocks) for blocks in cover] == counts
+    below = mesh.num_cells
+    for blocks in cover:
+        # four different blocks of the level below, each taken once
+        assert np.array_equal(np.unique(blocks), np.unique(blocks.ravel()))
+        assert len(np.unique(blocks)) == blocks.size and blocks.max() < below
+        below = len(blocks)
+
+
+@pytest.mark.parametrize("level, schur_n, fill", [(4, 3900, 667280), (5, 1000, 500000)])
+def test_blocks_leave_superlu_the_rows_between_the_top_blocks(level, schur_n, fill):
+    # at ex2 level 4 SuperLU used to factor 3 900 rows with 667 280 nonzeros;
+    # the blocks condense all but the rows between the three 2^l-cell squares
+    # of the L-shape, Neumann rows included
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", level))
+    info = hybrid.info()
+    assert info["levels"] == level - 1
+    assert info["schur_n"] < schur_n and info["fill"] < fill
+    assert info["schur_n"] + info["condensed_n"] == hybrid.Lam_I.shape[0] + hybrid.Lam_B.shape[0]
+
+
+@pytest.mark.parametrize("which", ["ex1-3", "graded-8x8"])
+def test_lattice_plate_leaves_superlu_nothing(which, monkeypatch):
+    # the top block covers the whole clamped plate, so every multiplier is
+    # condensed in dense fronts; the graded grid has no two cells alike
+    if which == "ex1-3":
+        system = _plate_system("ex1", 3)
+    else:
+        mesh = _graded_grid(8, 8)
+        system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+
+    def unreachable(S, diagonal):
+        raise AssertionError("the multiplier system was factored")
+
+    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    x, info = solve_saddle(system, system.rhs())
+    assert (info["schur_n"], info["fill"], info["patches"], info["levels"]) == (0, 0, 16, 2)
+    assert info["residual"] <= 1e-10 and 0.0 < info["pivot_ratio"] <= 1.0
+
+
+def test_block_interior_breakdown_detected(monkeypatch):
+    # the pivot test in a front above the patches, before SuperLU is reached:
+    # a copy within 1e-7 of an edge row between two patches of the one
+    # level-2 block of ex1 level 2 gives a pivot of about 1e-15 times its
+    # diagonal entry
+    system = _plate_system("ex1", 2)
+    dofmap, nk = system.dofmap, system.dofmap.P.shape[0] // 20
+    patches = linsolve.HybridSolver(system).patches
+    patch_of = np.empty(nk + 1, dtype=int)
+    patch_of[patches] = np.arange(len(patches))[:, None]
+    C = dofmap.C
+    between = [
+        i for i in range(C.shape[0])
+        if len(set(patch_of[C.indices[C.indptr[i] : C.indptr[i + 1]] // 20])) == 2
+        and C.indptr[i + 1] - C.indptr[i] == 2
+    ]
+    row = C[between[0]]
+    near = row + sp.csr_matrix(([1e-7], ([0], [row.indices[0]])), shape=row.shape)
+    plate = types.SimpleNamespace(
+        group=system.group, A_loc=system.A_loc, B_loc=system.B_loc, L=system.L,
+        ndofs=system.ndofs, nu=system.nu,
+        dofmap=types.SimpleNamespace(P=dofmap.P, Q=dofmap.Q, C=sp.vstack([C, near], format="csr")),
+    )
+
+    def unreachable(S, diagonal):
+        raise AssertionError("the multiplier system was factored")
+
+    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    with pytest.raises(SingularSystemError, match="pivot / diagonal .* of level 2"):
+        linsolve.HybridSolver(plate)
+
+
+def test_blocks_group_by_their_units_and_the_places_of_their_rows():
+    # two blocks of four units of one group: in the first, units 0 and 1
+    # share the block's inside row, in the second units 0 and 2 do, so the
+    # fronts differ and must not share an elimination; each block's update
+    # is the Schur complement of its own front
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((3, 3))
+    U, diag = (a @ a.T + 3.0 * np.eye(3))[None], np.full((1, 3), 10.0)
+    outer = np.array([[0, 1, 2], [2, 3, 4], [5, 6, 7], [8, 9, 10],
+                      [11, 12, 13], [14, 15, 16], [13, 17, 18], [19, 20, 21]])
+    owner = np.full(22, -1)
+    owner[[2, 13]] = [0, 1]
+    blocks = np.arange(8).reshape(2, 4)
+    level, rows, _, (up, group, U_up, _), rest = linsolve._merge(
+        (outer, np.zeros(8, dtype=int), U, diag), blocks, owner, 2
+    )
+    assert len(set(group)) == 2 and np.array_equal(rows, [2, 13]) and len(rest[0]) == 0
+    for b in range(2):
+        order = np.concatenate([level.inner[b], up[b]])
+        at = {row: i for i, row in enumerate(order)}
+        F = np.zeros((len(order), len(order)))
+        for unit in blocks[b]:
+            i = [at[row] for row in outer[unit]]
+            F[np.ix_(i, i)] += U[0]
+        want = F[1:, 1:] - np.outer(F[1:, 0], F[0, 1:]) / F[0, 0]
+        assert np.allclose(U_up[group[b]], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("where", ["patch", "block"])
+@pytest.mark.parametrize("name", ["cholesky", "inv"])
+def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
+    # a LinAlgError of any dense factorization of the multiplier system, in
+    # a patch (17 rows) or in a front above, leaves the solver as a
+    # SingularSystemError; the 23 x 23 local inversions run as they are
+    system = _plate_system("ex1", 2)
+    dense = getattr(np.linalg, name)
+
+    def failing(a):
+        n = a.shape[-1]
+        if n != 23 and (n == 17) == (where == "patch"):
+            raise np.linalg.LinAlgError("%s of a %d x %d matrix" % (name, n, n))
+        return dense(a)
+
+    monkeypatch.setattr(np.linalg, name, failing)
+    with pytest.raises(SingularSystemError, match="%s of a" % name):
+        linsolve.HybridSolver(system)
 
 
 def test_multiplier_system_pattern_is_rotation_invariant():

@@ -31,7 +31,11 @@ script computes the same fixed set of outputs:
 
 It prints one line per output, ``same`` or ``DIFFERS``, and exits 1 when any
 output differs.  Outputs are compared by SHA-256 digest, so a difference in
-the last bit of one number counts.
+the last bit of one number counts.  A differing output is followed by its
+largest relative change: over a solution vector max |new - old| / max |old|,
+over a text (rows, dicts, printed lines) the largest |new - old| / |old| of
+the numbers in it, read in order, with the two values, or the two counts
+when they differ.
 """
 
 import argparse
@@ -60,11 +64,33 @@ RAW_SEED = 7
 #: the timing of a verdict line, e.g. "in 0.05 s"
 TIMING = re.compile(r" in [0-9.e+-]+ s\b")
 
+#: a number in a text, as repr or printf writes it
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
 
 def digest(data):
+    """The digest of an output and the numbers in it: a text's, or an array's entries."""
     if isinstance(data, str):
-        data = data.encode()
-    return hashlib.sha256(data).hexdigest()
+        numbers, kind, data = [float(x) for x in NUMBER.findall(data)], "text", data.encode()
+    else:
+        numbers, kind, data = data.ravel().tolist(), "vector", data.tobytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "kind": kind, "numbers": numbers}
+
+
+def largest_change(old, new):
+    """The largest relative change from one output to another, as text."""
+    import numpy as np
+
+    a, b = np.array(old["numbers"]), np.array(new["numbers"])
+    if a.shape != b.shape:
+        return "%d numbers, were %d" % (len(b), len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if old["kind"] == "vector":
+            change = np.abs(b - a).max(initial=0.0) / np.abs(a).max(initial=0.0)
+            return "largest relative change %.1e" % change
+        change = np.where(a != b, np.abs(b - a) / np.abs(a), 0.0)
+    i = int(np.argmax(change))
+    return "largest relative change %.1e (%r -> %r)" % (change[i], float(a[i]), float(b[i]))
 
 
 def library_outputs():
@@ -86,7 +112,7 @@ def library_outputs():
         for level in SOLVE_LEVELS:
             result = solve_example(exact, level)["result"]
             for key in ("m", "u", "lambda"):
-                out["solve %s L%d %s" % (problem, level, key)] = digest(result[key].tobytes())
+                out["solve %s L%d %s" % (problem, level, key)] = digest(result[key])
             for key in ("solver", "conformity"):
                 out["solve %s L%d %s" % (problem, level, key)] = digest(
                     repr(sorted(result[key].items()))
@@ -103,7 +129,7 @@ def library_outputs():
     result = solve_problem(mesh, dofmap, system)
     name = "solve rotated lshape L%d" % ROTATED_LEVEL
     for key in ("m", "u", "lambda"):
-        out["%s %s" % (name, key)] = digest(result[key].tobytes())
+        out["%s %s" % (name, key)] = digest(result[key])
     for key in ("solver", "conformity"):
         out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
 
@@ -135,7 +161,7 @@ def library_outputs():
                 name = "ddivfem solve %s L%d" % (problem, CLI_LEVEL)
                 out[name + " stdout"] = digest(_stdout(cli_main, argv))
                 for path in ("mesh.txt", "solution.json"):
-                    with open(path, "rb") as fh:
+                    with open(path) as fh:
                         out["%s %s" % (name, path)] = digest(fh.read())
             out["ddivfem verify stdout"] = digest(_stdout(cli_main, ["verify"]))
         finally:
@@ -188,9 +214,11 @@ def main(argv=None):
     got = outputs(".")
     differ = 0
     for name in sorted(set(want) | set(got)):
-        same = want.get(name) is not None and want.get(name) == got.get(name)
+        old, new = want.get(name), got.get(name)
+        same = old is not None and new is not None and old["sha256"] == new["sha256"]
         differ += not same
-        print("%-8s %s" % ("same" if same else "DIFFERS", name))
+        change = "" if same or old is None or new is None else ": " + largest_change(old, new)
+        print("%-8s %s%s" % ("same" if same else "DIFFERS", name, change))
     print("%s against %s: %d of %d outputs differ"
           % (os.path.abspath("."), commit, differ, len(set(want) | set(got))))
     return 1 if differ else 0
