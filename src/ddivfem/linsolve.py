@@ -11,64 +11,57 @@ all cells, and continuity is imposed by multipliers: a second local copy of
 an edge moment must equal the first, and an eliminated corner jump must
 balance the kept jumps at its vertex: the rows ``C`` of the dof map.  The
 Neumann rows ``L`` are read on the first local copy of each global dof, the
-one that ``Q`` selects.  Each cell then carries the 23 x 23 local saddle
-block [[A_k, -B_k^T], [-B_k, 0]], inverted once per group of equal cells.
-The multiplier system
+one that ``Q`` selects.  Together they are the rows of one multiplier
+matrix Lambda = [C; L Q].  Each cell carries the 23 x 23 local saddle block
+[[A_k, -B_k^T], [-B_k, 0]], inverted once per group of equal cells.  The
+multiplier system
 
     S = Lambda blockdiag(W_k) Lambda^T,
 
-with W_k the tensor block of the local inverse, is symmetric positive
+with W_k the tensor block of the local inverse G_k, is symmetric positive
 definite exactly when K is regular.  It is factored by nested dissection
 (A. George, SINUM 10 (1973) 345-363) with dense fronts (I. Duff, J. Reid,
-ACM TOMS 9 (1983) 302-325).  First the mesh is cut into small subdomains,
-as in FETI (C. Farhat, F.-X. Roux, IJNME 32 (1991) 1205-1227): 2 x 2
-patches, the four cells around an interior vertex; a cell that no patch
-covers is a patch of its own.  Each patch eliminates its 16 inner
-edge-moment rows and the jump row of its center vertex against its cell
-inverses G, with one scaled 17 x 17 SPD solve per group of equal patches:
-
-    G~ = G - G Lambda_I^T (Lambda_I G Lambda_I^T)^-1 Lambda_I G.
-
-The rest, Lambda_B, continuity rows and Neumann rows, leaves the system
-S_c = Lambda_B G~ Lambda_B^T, the sum of one update per patch on the rows
-that meet it.  Then, level by level, four blocks of the level below around
-a vertex form a block, the patches being the blocks of level 1.  The
-updates of its four blocks are summed into a dense front on the rows that
-meet it; the rows whose cells all lie in the block, Neumann rows included,
-are eliminated by one scaled Cholesky factorization per group of equal
-blocks, and the Schur complement on the other rows is the block's update
-for the level above.  One rule covers every level: the vertex rows that
-touch four cells, in reverse row order, each taking four blocks of the
-level below when none is taken yet.  The levels end when no vertex has
-four whole blocks around it.  Only the system on the rows that no block
-holds, the sum of the updates of the blocks and patches that no level
-takes, is handed to SuperLU, in symmetric mode without pivoting.  It is
-written on the clique pattern of those blocks, explicit zeros included,
-so that its ordering and fill follow the mesh and not the rounding of its
-entries.  The pivots of all stages, in the order [patch interiors, the
+ACM TOMS 9 (1983) 302-325), in levels of blocks.  The cells are the blocks
+of level 0: cell k adds its update E W_k E^T to S, with E the rows that meet
+the cell on its tensor slots.  At every level above, four blocks of the
+level below around a vertex form a block; at level 1 these are the 2 x 2
+patches of four cells, the small subdomains of FETI (C. Farhat, F.-X. Roux,
+IJNME 32 (1991) 1205-1227).  One front rule applies at every level: the
+updates of the four blocks are summed into a dense front on the rows that
+meet the block; the rows whose cells all lie in the block, continuity and
+Neumann rows alike, are eliminated by one scaled Cholesky factorization per
+group of equal blocks, and the Schur complement on the other rows is the
+block's update for the level above.  One cover rule picks the blocks of
+every level: the vertex rows that touch four cells, in reverse row order,
+each taking four blocks of the level below when none is taken yet.  The
+levels end when no vertex has four whole blocks around it.  Only the system
+on the rows that no block holds, the sum of the updates of the cells and
+blocks that no level takes, is handed to SuperLU, in symmetric mode without
+pivoting.  It is written on the clique pattern of those roots, explicit
+zeros included, so that its ordering and fill follow the mesh and not the
+rounding of its entries.  The pivots of all stages, in the order [the
 blocks of each level, rest], are the pivots of S itself, and each is
-divided by its diagonal entry of the uncondensed S; a ratio below
-``PIVOT_BREAKDOWN_TOL`` counts as a breakdown at any stage.  The ratio
-does not move under a diagonal scaling of the dofs.
+divided by its diagonal entry of S; a ratio below ``PIVOT_BREAKDOWN_TOL``
+counts as a breakdown at any stage.  The ratio does not move under a
+diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
 on the whole boundary with the rigid deflections left free, is rejected from
 the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
 stays as a backstop.
 The multipliers are found by forward elimination level by level, the
-SuperLU solve and back substitution, and the tensor field, the deflection
-and the Neumann multipliers are then recovered patch by patch as
-y = G~ (z - Lambda_B^T mu).
+SuperLU solve and back substitution, and the tensor field and the
+deflection are then recovered cell by cell as y = blockdiag(G_k) (z -
+Lambda^T mu).
 
 The solver holds the local saddle blocks and their symmetrized inverses
-once per cell group, as (ngroups, 23, 23) arrays, the elimination of
-the patch interiors once per patch group and that of each level once per
-group of equal blocks; every cellwise, patchwise or blockwise product
-gathers them a fixed number of cells or entries at a time.  Each local
-block is scaled symmetrically before it is inverted, so that cells of any
-size give an accurate inverse.  The updates exist once per group of equal
-blocks and only until the level above has summed them; the system handed
-to SuperLU is held only until SuperLU has factored it, before the factors
-are read for the pivot test, which copies L and U.
+once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
+each level once per group of equal blocks; every cellwise or blockwise
+product gathers them a fixed number of cells or entries at a time.  Each
+local block is scaled symmetrically before it is inverted, so that cells of
+any size give an accurate inverse.  The updates exist once per group of
+equal cells or blocks and only until the level above has summed them; the
+system handed to SuperLU is held only until SuperLU has factored it, before
+the factors are read for the pivot test, which copies L and U.
 
 Everything is read from the cell structure of the assembled
 :class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
@@ -96,9 +89,6 @@ REFINE_STEPS = 3
 
 #: cells whose local blocks are gathered at once in a cellwise product
 _CHUNK = 256
-
-#: patch groups whose dense row blocks are formed at once for their updates
-_PATCHES = 16
 
 #: entries of the dense fronts, or of their gathered factors, formed at once
 _FRONT = 1 << 20
@@ -171,18 +161,14 @@ class HybridSolver:
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
     :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
     has the local saddle block ``local[group[k]]`` and its inverse
-    ``inv[group[k]]``.  The cells are covered by ``patches``: each row holds
-    the four cells around an interior vertex, or one cell padded with the
-    index ``ncells``.  ``Lam_I`` holds the multiplier rows inside the
-    patches, patch by patch, and ``Lam_B`` the rest, continuity rows before
-    Neumann rows.  Patch p eliminates its rows of ``Lam_I`` through
-    ``V[pgroup[p]]``.  Each entry of ``levels``, a :class:`_Level`,
-    eliminates the rows of ``Lam_B`` inside the blocks of one level above
-    the patches, and ``lu`` factors the multiplier system on the rows
-    ``top`` of ``Lam_B`` that no block holds; that system is not kept.
-    ``order`` lists the rows of S, numbered as in [Lam_I; Lam_B], in the
-    order they are eliminated, and ``ratio`` holds the pivot of each row
-    over its diagonal entry of S.
+    ``inv[group[k]]``.  ``Lam`` holds the multiplier rows on these slots,
+    continuity rows before Neumann rows.  Entry l of ``levels``, a
+    :class:`_Level`, eliminates the rows of ``Lam`` inside the blocks of
+    level l + 1, the 2 x 2 patches first, and ``lu`` factors the multiplier
+    system on the rows ``top`` that no block holds; that system is not
+    kept.  ``order`` lists the rows of ``Lam`` in the order they are
+    eliminated, and ``ratio`` holds the pivot of each row over its diagonal
+    entry of S.
     """
 
     def __init__(self, plate):
@@ -194,6 +180,7 @@ class HybridSolver:
         # move tensor slot s of cell k to column 23 k + s
         R = _widen(plate.dofmap.C)
         self.Q = _widen(plate.dofmap.Q)
+        self.Lam = sp.vstack([R, self.L @ self.Q], format="csr")
 
         local = np.zeros((len(plate.A_loc), 23, 23))
         local[:, :20, :20] = plate.A_loc
@@ -202,40 +189,21 @@ class HybridSolver:
         self.local = local
         self.inv = _local_inverses(local)
 
-        # the continuity rows inside a patch are condensed against the cell
-        # inverses; Neumann rows never are at this level
-        cover = _cover(R, nk)
-        chosen = cover[0] if cover else np.zeros((0, 4), dtype=int)
-        lone = np.setdiff1d(np.arange(nk), chosen)
-        self.patches = np.full((len(chosen) + len(lone), 4), nk)
-        self.patches[: len(chosen)] = chosen
-        self.patches[len(chosen) :, 0] = lone
-        of_cell = _lift(np.arange(nk), chosen)
-        owner = _row_blocks(R, of_cell)
-        inside = np.flatnonzero(owner >= 0)
-        inside = inside[np.argsort(owner[inside], kind="stable")]
-        self.Lam_I = R[inside]
-        outside = np.delete(np.arange(R.shape[0]), inside)
-        self.Lam_B = sp.vstack([R[outside], self.L @ self.Q], format="csr")
-        self.pgroup, self.V, ratio_I = _condense(
-            self.Lam_I, self.patches, self._cell_inverses(), self.inv
-        )
-
-        # each level above condenses the rows of Lam_B inside its blocks,
-        # Neumann rows included, against the updates of the blocks below
-        ni, nb = self.Lam_I.shape[0], self.Lam_B.shape[0]
-        self.ratio = np.concatenate([ratio_I, np.empty(nb)])
-        order = [np.arange(ni)]
-        units, roots, self.levels = self._patch_updates(), [], []
-        for depth, blocks in enumerate(cover[1:], start=2):
+        # the cells are the blocks of level 0, and each level eliminates the
+        # rows inside its blocks against the updates of the blocks below
+        nb = self.Lam.shape[0]
+        self.ratio, order = np.empty(nb), [np.zeros(0, dtype=int)]
+        units, of_cell = _cell_updates(self.Lam, self.group, self.inv), np.arange(nk)
+        roots, self.levels = [], []
+        for depth, blocks in enumerate(_cover(R, nk), start=1):
             of_cell = _lift(of_cell, blocks)
             level, rows, ratio, units, rest = _merge(
-                units, blocks, _row_blocks(self.Lam_B, of_cell), depth
+                units, blocks, _row_blocks(self.Lam, of_cell), depth
             )
             self.levels.append(level)
             roots.append(rest)
-            self.ratio[ni + rows] = ratio
-            order.append(ni + rows)
+            self.ratio[rows] = ratio
+            order.append(rows)
         roots.append(units)
         del units
 
@@ -244,26 +212,17 @@ class HybridSolver:
         # factorization
         eliminated = np.concatenate(order)
         self.condensed_n = len(eliminated)
-        # the rows of Lam_I number below 0 in Lam_B and drop out
-        self.top = np.setdiff1d(np.arange(nb), eliminated - ni)
+        self.top = np.setdiff1d(np.arange(nb), eliminated)
         self.schur_n = len(self.top)
         self.lu = None
         if self.schur_n > 0:
             # its pivots are measured against the diagonal of S
             diagonal = np.zeros(self.schur_n)
             self.lu, ratio = factor_spd(_assemble(roots, self.top, nb, diagonal), diagonal)
-            self.ratio[ni + self.top] = ratio
-            order.append(ni + self.top[np.argsort(self.lu.perm_c)])
+            self.ratio[self.top] = ratio
+            order.append(self.top[np.argsort(self.lu.perm_c)])
         self.order = np.concatenate(order)
         self.pivot_ratio = float(self.ratio.min()) if len(self.ratio) else None
-
-    def _cell_inverses(self):
-        """Index in ``inv`` of each patch cell's inverse (npatch, 4), -1 for a padding cell.
-
-        A padding cell meets only zero rows, so the last inverse it reads
-        adds nothing.
-        """
-        return np.append(self.group, -1)[self.patches]
 
     def info(self):
         return {
@@ -271,91 +230,19 @@ class HybridSolver:
             "schur_n": self.schur_n,
             "fill": self.lu.nnz if self.lu is not None else 0,
             "pivot_ratio": self.pivot_ratio,
-            "patches": int(np.count_nonzero(self.patches[:, 1] < len(self.group))),
-            "levels": len(self.levels),
+            "patches": len(self.levels[0].group) if self.levels else 0,
+            "levels": max(len(self.levels) - 1, 0),
             "condensed_n": self.condensed_n,
         }
-
-    def _patch_updates(self):
-        """The rows of ``Lam_B`` that meet each patch and the patch updates on them.
-
-        Patch p adds E (Gp - Vp^T Vp) E^T to the multiplier system on these
-        rows, with Gp its cell inverses and E the rows restricted to its 80
-        tensor slots, and its cells add diag(E Gp E^T) to the diagonal of
-        the uncondensed S.  A patch orders its rows by their first patch
-        slot, then by row.  Patches of one patch group whose rows agree on
-        the patch slots form an update group, and each group's update is
-        formed once, ``_PATCHES`` groups at a time.  Returns ``(outer,
-        group, U, diag)``: the rows (npatch, w), padded with the row count
-        of ``Lam_B``, the update group of each patch, and per group the
-        update (ngroups, w, w) and the diagonal (ngroups, w).
-        """
-        Lam, npatch = self.Lam_B, len(self.patches)
-        nb = Lam.shape[0]
-        cell, slot = np.divmod(Lam.indices, 23)
-        patch_of, place = _places(self.patches)
-        owner, col = patch_of[cell], 20 * place[cell] + slot
-        row = np.repeat(np.arange(nb), np.diff(Lam.indptr))
-        # the (patch, row) pairs, each row ranked in its patch
-        pair, at = np.unique(owner * nb + row, return_inverse=True)
-        at = at.reshape(-1)
-        first = np.full(len(pair), 80)
-        np.minimum.at(first, at, col)
-        pair_patch, pair_row = np.divmod(pair, nb)
-        by_rank = np.lexsort((pair_row, first, pair_patch))
-        count = np.bincount(pair_patch, minlength=npatch)
-        rank = np.empty_like(by_rank)
-        rank[by_rank] = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-        outer = np.full((npatch, count.max(initial=0)), nb)
-        outer[pair_patch, rank] = pair_row
-
-        # the nonzeros patch by patch in the order of rank and slot: with the
-        # patch group, they key the update group
-        nz = np.lexsort((col, rank[at], owner))
-        nnz = np.bincount(owner, minlength=npatch)
-        k = np.arange(len(nz)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
-        width = nnz.max(initial=0)
-        key = np.full((npatch, 1 + 3 * width), -1.0)
-        key[:, 0] = self.pgroup
-        key[owner[nz], 1 + k] = rank[at[nz]]
-        key[owner[nz], 1 + width + k] = col[nz]
-        key[owner[nz], 1 + 2 * width + k] = Lam.data[nz]
-        rep, group = cell_groups(key)
-
-        ng, w, m = len(rep), outer.shape[1], self.V.shape[1]
-        of_rep = np.full(npatch, -1)
-        of_rep[rep] = np.arange(ng)
-        # the nonzeros of the representatives, by group since rep ascends
-        nz = nz[of_rep[owner[nz]] >= 0]
-        bounds = np.searchsorted(of_rep[owner[nz]], np.arange(0, ng + _PATCHES, _PATCHES))
-        U, diag = np.empty((ng, w, w)), np.empty((ng, w))
-        inverses = self._cell_inverses()[rep]
-        for lo, part in zip(range(0, ng, _PATCHES), np.split(nz, bounds[1:-1])):
-            c = min(_PATCHES, ng - lo)
-            chunk = slice(lo, lo + c)
-            # E and F = E Gp, cell by cell, on the 4 x 20 tensor slots
-            E = np.zeros((c, w, 4, 20))
-            at_E = of_rep[owner[part]] - lo, rank[at[part]], place[cell[part]], slot[part]
-            E[at_E] = Lam.data[part]
-            F = np.empty_like(E)
-            for q in range(4):
-                np.matmul(E[:, :, q], self.inv[inverses[chunk, q], :20, :20], out=F[:, :, q])
-            E, F = E.reshape(c, w, 80).transpose(0, 2, 1), F.reshape(c, w, 80)
-            V = self.V[self.pgroup[rep[chunk]]].reshape(c, m, 4, 23)[..., :20]
-            VE = V.reshape(c, m, 80) @ E
-            block = F @ E
-            diag[chunk] = np.diagonal(block, axis1=1, axis2=2)
-            U[chunk] = block - VE.transpose(0, 2, 1) @ VE
-        return outer, group, U, diag
 
     def solve(self, b):
         """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
-        nl, nb = self.L.shape[0], self.Lam_B.shape[0]
+        nl, nb = self.L.shape[0], self.Lam.shape[0]
         z = self.Q.T @ b[:nd]
         z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
-        # one entry past the rows of Lam_B stays 0 for the padding of the blocks
-        r = np.append(self.Lam_B @ self._condensed(z), 0.0)
+        # one entry past the rows of Lam stays 0 for the padding of the blocks
+        r = np.append(self.Lam @ self._cellwise(self.inv, z), 0.0)
         r[nb - nl : nb] -= b[nd + nu :]
         for level in self.levels:
             _forward(level, r)
@@ -364,22 +251,10 @@ class HybridSolver:
         for level in reversed(self.levels):
             _backward(level, r, mu)
         mu = mu[:nb]
-        y = self._condensed(z - self.Lam_B.T @ mu)
+        y = self._cellwise(self.inv, z - self.Lam.T @ mu)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
         u = y.reshape(-1, 23)[:, 20:].ravel()
         return np.concatenate([self.Q @ y, u, mu[nb - nl :]])
-
-    def _condensed(self, z):
-        """G~ z: the cell inverses applied to z, less each patch's Vp^T Vp z_p."""
-        nk = len(self.group)
-        zk = np.concatenate([z.reshape(-1, 23), np.zeros((1, 23))])
-        out = np.zeros_like(zk)
-        for lo in range(0, len(self.patches), _CHUNK // 4):
-            patches = self.patches[lo : lo + _CHUNK // 4]
-            V = self.V[self.pgroup[lo : lo + _CHUNK // 4]]
-            t = V @ zk[patches].reshape(len(patches), 92, 1)
-            out[patches] = (V.transpose(0, 2, 1) @ t).reshape(-1, 4, 23)
-        return (self._cellwise(self.inv, z).reshape(-1, 23) - out[:nk]).reshape(z.shape)
 
     def apply(self, x):
         """K x from the local saddle blocks, with x = (m, u, lambda) as K orders it."""
@@ -493,90 +368,55 @@ def _row_blocks(X, of_cell):
     return out
 
 
-def _places(patches):
-    """Patch and place (0 to 3) in it of every cell index that ``patches`` holds."""
-    patch_of = np.empty(patches.max() + 1, dtype=np.int64)
-    place = np.empty_like(patch_of)
-    patch_of[patches] = np.arange(len(patches))[:, None]
-    place[patches] = np.arange(4)
-    return patch_of, place
+def _cell_updates(Lam, group, inv):
+    """The rows of ``Lam`` that meet each cell and the cell updates on them.
 
-
-def _condense(Lam_I, patches, cell_inv, inv):
-    """Patch groups and the elimination of the rows inside each patch.
-
-    ``Lam_I`` holds the rows inside the patches, patch by patch, and
-    ``cell_inv`` the index in ``inv`` of each patch cell's inverse, -1 for
-    a padding cell, which meets only zero rows.  Patches whose cells share
-    their inverses and whose inside rows agree on the 92 patch slots form a
-    group; the groups are numbered by their first patches.
-    A group with inside rows X and cell inverses Gp (92 x 92) scales its SPD
-    system S_p = X Gp X^T to unit diagonal by D and factors D S_p D = C C^T;
-    then V = C^-1 D X Gp, so that Gp - V^T V is the condensed patch
-    inverse, one 17 x 17 solve per group.  Returns ``(pgroup, V, ratio)``
-    with ``ratio`` the pivot of each row of ``Lam_I`` over its diagonal
-    entry of S, the first stage of the pivot test.
+    Cell k adds E W_k E^T to the multiplier system on these rows, with W_k
+    the tensor block of ``inv[group[k]]`` and E the rows on its 20 tensor
+    slots, and the diagonal of that update to the diagonal of S.  A cell
+    ranks its rows by their first slot, then by row.  Cells of one group
+    whose rows agree on the cell's slots form an update group, and each
+    group's update is formed once.  Returns ``(outer, group, U, diag)`` in
+    the form of the ``units`` of :func:`_merge`: the rows (ncells, w),
+    padded with the row count of ``Lam``, the update group of each cell,
+    and per group the update (ngroups, w, w) and its diagonal (ngroups, w).
     """
-    npatch, ni = len(patches), Lam_I.shape[0]
-    cell, slot = np.divmod(Lam_I.indices, 23)
-    patch_of, place = _places(patches)
-    owner = patch_of[cell]
-    # rank of each row in its patch, and of each nonzero among the patch's
-    rows = np.bincount(owner[Lam_I.indptr[:-1]], minlength=npatch)
-    row = np.repeat(np.arange(ni), np.diff(Lam_I.indptr))
-    r = row - (np.cumsum(rows) - rows)[owner]
-    col = 23 * place[cell] + slot
-    nnz = np.bincount(owner, minlength=npatch)
-    k = np.arange(len(owner)) - (np.cumsum(nnz) - nnz)[owner]
+    nb, nk = Lam.shape[0], len(group)
+    cell, slot = np.divmod(Lam.indices, 23)
+    row = np.repeat(np.arange(nb), np.diff(Lam.indptr))
+    # the (cell, row) pairs, each row ranked in its cell
+    pair, at = np.unique(cell * nb + row, return_inverse=True)
+    at = at.reshape(-1)
+    first = np.full(len(pair), 20)
+    np.minimum.at(first, at, slot)
+    pair_cell, pair_row = np.divmod(pair, nb)
+    by_rank = np.lexsort((pair_row, first, pair_cell))
+    count = np.bincount(pair_cell, minlength=nk)
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
+    outer = np.full((nk, count.max(initial=0)), nb)
+    outer[pair_cell, rank] = pair_row
+
+    # the nonzeros cell by cell in the order of rank and slot: with the cell
+    # group, they key the update group
+    nz = np.lexsort((slot, rank[at], cell))
+    nnz = np.bincount(cell, minlength=nk)
+    k = np.arange(len(nz)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
     width = nnz.max(initial=0)
-    key = np.full((npatch, 4 + 3 * width), -1.0)
-    key[:, :4] = cell_inv
-    key[owner, 4 + k] = r
-    key[owner, 4 + width + k] = col
-    key[owner, 4 + 2 * width + k] = Lam_I.data
-    rep, pgroup = cell_groups(key)
+    key = np.full((nk, 1 + 3 * width), -1.0)
+    key[:, 0] = group
+    key[cell[nz], 1 + k] = rank[at[nz]]
+    key[cell[nz], 1 + width + k] = slot[nz]
+    key[cell[nz], 1 + 2 * width + k] = Lam.data[nz]
+    rep, cgroup = cell_groups(key)
 
-    # the inside rows of one patch per group, eliminated _CHUNK // 4 groups at a time
-    ng, m = len(rep), rows.max(initial=0)
-    of_rep = np.full(npatch, -1)
-    of_rep[rep] = np.arange(ng)
-    sel = of_rep[owner] >= 0
-    X = np.zeros((ng, m, 92))
-    X[of_rep[owner[sel]], r[sel], col[sel]] = Lam_I.data[sel]
-    inside = np.arange(m) < rows[rep][:, None]
-    V, ratio = np.empty_like(X), np.empty((ng, m))
-    # a mesh without patches has no rows to eliminate, and no 0 x 0 factor is asked for
-    for lo in range(0, ng if m else 0, _CHUNK // 4):
-        reps = slice(lo, lo + _CHUNK // 4)
-        V[reps], ratio[reps] = _eliminate(X[reps], inv, cell_inv[rep[reps]], inside[reps])
-    if inside.any():
-        g, i = np.unravel_index(np.argmin(np.where(inside, ratio, np.inf)), ratio.shape)
-        if not ratio[g, i] >= PIVOT_BREAKDOWN_TOL:
-            raise SingularSystemError(
-                "multiplier system not positive definite: pivot / diagonal %.3e in patch %d"
-                % (ratio[g, i], rep[g])
-            )
-    first = owner[Lam_I.indptr[:-1]]
-    return pgroup, V, ratio[pgroup[first], np.arange(ni) - (np.cumsum(rows) - rows)[first]]
-
-
-def _eliminate(X, inv, cells, inside):
-    """V = C^-1 D X Gp and the pivot ratios of patches with inside rows X (n, m, 92).
-
-    ``inv[cells[p]]`` are the inverses of the four cells of patch p, whose
-    block diagonal is Gp, and ``inside`` (n, m) marks the rows of X that a
-    patch has; the others are zero and get a unit diagonal entry.  The
-    factor of S_p = X Gp X^T is that of :func:`_factor`.
-    """
-    XG = np.empty_like(X)
-    for q in range(4):
-        slots = slice(23 * q, 23 * q + 23)
-        np.matmul(X[:, :, slots], inv[cells[:, q]], out=XG[:, :, slots])
-    S = XG @ X.transpose(0, 2, 1)
-    g, i = np.nonzero(~inside)
-    S[g, i, i] = 1.0
-    M, ratio = _factor(S, "inside a patch")
-    return M @ XG, ratio
+    of_rep = np.full(nk, -1)
+    of_rep[rep] = np.arange(len(rep))
+    mine = of_rep[cell] >= 0
+    E = np.zeros((len(rep), outer.shape[1], 20))
+    E[of_rep[cell[mine]], rank[at[mine]], slot[mine]] = Lam.data[mine]
+    U = E @ inv[group[rep], :20, :20] @ E.transpose(0, 2, 1)
+    return outer, cgroup, U, np.diagonal(U, axis1=1, axis2=2)
 
 
 def _factor(S, where):
@@ -619,11 +459,11 @@ def _lower_inverse(C):
 
 
 class _Level(NamedTuple):
-    """The eliminations of one level of blocks above the patches.
+    """The eliminations of one level of blocks, the 2 x 2 patches at level 1.
 
-    Block b eliminates the rows ``inner[b]`` of ``Lam_B`` and passes its
+    Block b eliminates the rows ``inner[b]`` of ``Lam`` and passes its
     update to the rows ``outer[b]``, both padded with the row count of
-    ``Lam_B``.  Its group g = ``group[b]`` holds M = C^-1 D (ngroups, mI,
+    ``Lam``.  Its group g = ``group[b]`` holds M = C^-1 D (ngroups, mI,
     mI) and W = M F_IO (ngroups, mI, mO) of its front F.
     """
 
@@ -638,10 +478,12 @@ def _merge(units, blocks, owner, depth):
     """The blocks of one level: their eliminations and their updates.
 
     ``units`` = ``(outer, group, U, diag)`` describes the blocks of the
-    level below as :meth:`HybridSolver._patch_updates` does the patches,
-    ``blocks`` (n, 4) picks four of them for each block of this level, and
-    ``owner`` is the block of this level that holds all cells of each row
-    of ``Lam_B``, -1 for none.  The front of a block has the rows of its
+    level below, the cells below level 1, as :func:`_cell_updates` does the
+    cells: the rows of ``Lam`` that meet each unit, its group, and per group
+    its update on those rows and their diagonal entries of S.  ``blocks``
+    (n, 4) picks four units for each block of this level, and ``owner`` is
+    the block of this level that holds all cells of each row of ``Lam``, -1
+    for none.  The front of a block has the rows of its
     four units in their order, each at its first place, the rows inside the
     block (I) before the others (O), and it is the sum of the four units'
     updates.  Blocks whose units fall in the same groups and whose rows take
@@ -731,7 +573,7 @@ def _chunks(level):
 def _forward(level, r):
     """Eliminate the level's inner rows from r in place: r_I <- M r_I, r_O -= W^T M r_I.
 
-    ``r`` has one entry past the rows of ``Lam_B``, which the padding reads
+    ``r`` has one entry past the rows of ``Lam``, which the padding reads
     as 0 and leaves 0.
     """
     for blocks in _chunks(level):
@@ -752,10 +594,10 @@ def _backward(level, r, mu):
 
 
 def _assemble(roots, top, nb, diagonal):
-    """The multiplier system on the rows ``top`` of ``Lam_B`` in csc form.
+    """The multiplier system on the rows ``top`` of ``Lam`` in csc form.
 
     ``roots`` lists, in the form of the ``units`` of :func:`_merge`, the
-    blocks and patches that no block above takes; their rows are rows of
+    cells and blocks that no block above takes; their rows are rows of
     ``top``, and the system is the sum of their updates.  Every pair of
     rows that meets a common root gets an entry, explicit zeros included,
     so the pattern is that of the mesh and the ordering does not follow
@@ -856,14 +698,14 @@ def solve_saddle(A, b, rtol=1e-10):
     x : ndarray
     info : dict
         Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``patches``
-        (number of 2 x 2 patches), ``levels`` (number of block levels above
-        the patches), ``condensed_n`` (multipliers eliminated before
-        SuperLU, inside the patches and the blocks), ``schur_n`` (size of
-        the system on the rows between the top blocks that SuperLU factors,
-        0 when every multiplier is condensed), ``fill`` (nonzeros of its
-        factors) and ``pivot_ratio`` (smallest pivot of any stage over its
-        diagonal entry of the uncondensed multiplier system S, None when S
-        is empty).
+        (number of blocks of level 1, the 2 x 2 patches of four cells),
+        ``levels`` (number of block levels above them), ``condensed_n``
+        (multipliers eliminated inside the blocks of every level before
+        SuperLU), ``schur_n`` (size of the system on the rows between the
+        top blocks that SuperLU factors, 0 when every multiplier is
+        condensed), ``fill`` (nonzeros of its factors) and ``pivot_ratio``
+        (smallest pivot of any level or of SuperLU over its diagonal entry
+        of the multiplier system S, None when S is empty).
 
     Raises ``ValueError`` for an ``rtol`` that is not a positive finite
     number, a matrix without cell structure or a size mismatch,

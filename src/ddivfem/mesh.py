@@ -11,7 +11,7 @@ point at the end, which keeps vertex identification exact across block
 seams and refinement levels.
 
 :func:`cell_groups` is the library's one numbering of equal keys: edges and
-lattice nodes here, equal cells in ``piola`` and equal patches in ``linsolve``.
+lattice nodes here, equal cells in ``piola`` and equal cells and blocks in ``linsolve``.
 """
 
 import operator

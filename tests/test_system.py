@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 from cellspec import element_map, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
-from ddivfem import piola, space
+from ddivfem import TensorField, piola, space
 from ddivfem.interpolation import p1_eval, project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
@@ -313,20 +313,19 @@ def _three_plates(which, graded_mesh):
 
 
 def _uncondensed_system(hybrid):
-    """The whole multiplier system S = Lam bsr(inv[group]) Lam^T, rows [inside, rest]."""
+    """The whole multiplier system S = Lam bsr(inv[group]) Lam^T, rows as in Lam."""
     nk = len(hybrid.group)
     ptr = np.arange(nk + 1)
     M = sp.bsr_matrix((hybrid.inv[hybrid.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
-    Lam = sp.vstack([hybrid.Lam_I, hybrid.Lam_B])
-    return (Lam @ M @ Lam.T).toarray()
+    return (hybrid.Lam @ M @ hybrid.Lam.T).toarray()
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-2", "ex2-3", "graded"])
 def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch):
     # the system handed to SuperLU is the Schur complement, in the
-    # cell-level product, of every row eliminated before it: the patch
-    # interiors and the rows inside the blocks of every level above them;
-    # on ex1 level 3 the top block holds every row, and nothing is handed
+    # cell-level product, of every row eliminated before it: the rows inside
+    # the blocks of every level, the 2 x 2 patches of level 1 first; on ex1
+    # level 3 the top block holds every row, and nothing is handed
     system = _three_plates(which, graded_mesh)
     if which.startswith("ex2"):
         assert system.L.shape[0] > 0
@@ -340,7 +339,7 @@ def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch)
     hybrid = linsolve.HybridSolver(system)
     info = hybrid.info()
     S = _uncondensed_system(hybrid)
-    top = hybrid.Lam_I.shape[0] + hybrid.top
+    top = hybrid.top
     rest = np.setdiff1d(np.arange(len(S)), top)
     assert (len(top), len(rest)) == (info["schur_n"], info["condensed_n"])
     assert info["levels"] > 0 and len(handed) == (which != "ex1-3")
@@ -357,8 +356,8 @@ def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch)
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
-    # eliminating the patch interiors, then the blocks level by level, then
-    # the rest in SuperLU's order is one symmetric elimination of S itself:
+    # eliminating the blocks level by level, the patches first, then the
+    # rest in SuperLU's order is one symmetric elimination of S itself:
     # every pivot is read against the diagonal of S
     system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
@@ -382,14 +381,18 @@ def test_solve_then_apply_gives_back_the_right_hand_side(which, graded_mesh):
 
 
 def test_solver_keeps_no_block_per_cell():
-    # ex2 level 3 has 192 cells in 3 groups and 48 patches in 4 groups; the
-    # local blocks and their inverses are held once per cell group, the
-    # elimination of the patch interiors once per patch group
+    # ex2 level 3 has 192 cells in 3 groups and 48 patches in 18 level-1
+    # groups; the local blocks and their inverses are held once per cell
+    # group, the elimination of every level once per group of its blocks
     hybrid = linsolve.HybridSolver(_plate_system("ex2", 3))
-    nk, npatch = len(hybrid.group), len(hybrid.patches)
+    nk, npatch = len(hybrid.group), len(hybrid.levels[0].group)
     assert npatch == 48
     assert hybrid.local.shape == hybrid.inv.shape == (3, 23, 23)
-    assert hybrid.V.shape == (4, 17, 92)
+    patches = hybrid.levels[0]
+    assert patches.M.shape == (18, 40, 40) and patches.W.shape == (18, 40, 40)
+    for level in hybrid.levels:
+        ngroups = level.group.max() + 1
+        assert level.M.shape[0] == level.W.shape[0] == ngroups
     for name, value in vars(hybrid).items():
         if isinstance(value, np.ndarray):
             assert value.shape[:1] != (nk,) or value.shape[1:] != (23, 23), name
@@ -552,18 +555,44 @@ def _graded_grid(nx, ny, seed=3):
     return Mesh(np.column_stack([xx.ravel(), yy.ravel()]), cells)
 
 
+def _patches(system):
+    """The cells of each 2 x 2 patch, the blocks of level 1, as the cover takes them."""
+    cover = linsolve._cover(linsolve._widen(system.dofmap.C), system.dofmap.P.shape[0] // 20)
+    return cover[0] if cover else np.zeros((0, 4), dtype=int)
+
+
+def _with_continuity(system, C):
+    """The plate of ``system`` with the continuity rows C in place of its own."""
+    dofmap = system.dofmap
+    return types.SimpleNamespace(
+        group=system.group, A_loc=system.A_loc, B_loc=system.B_loc, L=system.L,
+        ndofs=system.ndofs, nu=system.nu,
+        dofmap=types.SimpleNamespace(P=dofmap.P, Q=dofmap.Q, C=C),
+    )
+
+
+def _row_cells(hybrid):
+    """The cells that each row of ``hybrid.Lam`` meets, as sets."""
+    Lam = hybrid.Lam
+    return [set(Lam.indices[Lam.indptr[i] : Lam.indptr[i + 1]] // 23) for i in range(Lam.shape[0])]
+
+
 @pytest.mark.parametrize("which", ["graded-5x3", "ex2-0"])
 def test_partial_and_empty_patch_covers_agree_with_colamd(which):
     # the 5 x 3 grid leaves cells alone beside its patches, and the three
-    # cells of the level-0 L-shape share no interior vertex, so no patch
+    # cells of the level-0 L-shape share no interior vertex, so no patch;
+    # a cell that no patch takes is a root of its own, and every row that
+    # meets it is left to SuperLU
     if which == "ex2-0":
         system = _plate_system("ex2", 0)
     else:
         mesh = _graded_grid(5, 3)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     hybrid = linsolve.HybridSolver(system)
-    lone = np.count_nonzero(hybrid.patches[:, 1] == len(hybrid.group))
-    assert (lone, hybrid.info()["patches"]) == ((7, 2) if which != "ex2-0" else (3, 0))
+    lone = np.setdiff1d(np.arange(len(hybrid.group)), _patches(system))
+    assert (len(lone), hybrid.info()["patches"]) == ((7, 2) if which != "ex2-0" else (3, 0))
+    meets_lone = [i for i, cells in enumerate(_row_cells(hybrid)) if cells & set(lone)]
+    assert np.isin(meets_lone, hybrid.top).all()
     K, rhs = system.full()
     x, info = solve_saddle(K, rhs)
     y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
@@ -589,67 +618,83 @@ def test_fully_condensed_plate_is_certified():
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded", "graded-5x3"])
 def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
+    # a patch is four different cells, no cell lies in two patches, and the
+    # level-1 front of each patch holds exactly the rows that meet its cells
     if which == "graded-5x3":
         mesh = _graded_grid(5, 3)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     else:
         system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
-    nk = len(hybrid.group)
-    cells = hybrid.patches[hybrid.patches < nk]
-    assert np.array_equal(np.sort(cells), np.arange(nk))
-    # a patch is one cell or four, never two or three
-    assert set(np.count_nonzero(hybrid.patches < nk, axis=1)) <= {1, 4}
+    patches, level = _patches(system), hybrid.levels[0]
+    assert len(np.unique(patches)) == patches.size and patches.max() < len(hybrid.group)
+    assert len(level.group) == len(patches) == hybrid.info()["patches"]
+    nb, rows = hybrid.Lam.shape[0], _row_cells(hybrid)
+    for b, cells in enumerate(patches):
+        front = set(level.inner[b]) | set(level.outer[b])
+        assert front - {nb} == {i for i, meets in enumerate(rows) if meets & set(cells)}
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     # 16 moment rows on the four inner edges and the jump row of the center
-    # vertex; Neumann rows stay in Lam_B, last and as L Q
+    # vertex, plus the Neumann rows of its cells; the Neumann rows are the
+    # last rows of Lam, as L Q
     system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
-    nk, npatch = len(hybrid.group), len(hybrid.patches)
-    owner = np.empty(nk + 1, dtype=int)
-    owner[hybrid.patches] = np.arange(npatch)[:, None]
-    Lam_I = hybrid.Lam_I.tocoo()
-    cells = owner[Lam_I.col // 23]
-    row_patch = np.full(Lam_I.shape[0], -1)
-    row_patch[Lam_I.row] = cells
-    assert np.array_equal(cells, row_patch[Lam_I.row]), "a condensed row leaves its patch"
-    four = np.count_nonzero(hybrid.patches < nk, axis=1) == 4
-    assert np.array_equal(np.bincount(row_patch, minlength=npatch), np.where(four, 17, 0))
-    nl = system.L.shape[0]
+    patches, level = _patches(system), hybrid.levels[0]
+    nc, nl = system.dofmap.C.shape[0], system.L.shape[0]
     assert (which == "ex2-3") == (nl > 0)
-    tail = hybrid.Lam_B[hybrid.Lam_B.shape[0] - nl :]
-    assert np.array_equal(tail.toarray(), (hybrid.L @ hybrid.Q).toarray())
+    assert np.array_equal(hybrid.Lam[nc:].toarray(), (hybrid.L @ hybrid.Q).toarray())
+    rows, nb = _row_cells(hybrid), hybrid.Lam.shape[0]
+    neumann = 0
+    for b, cells in enumerate(patches):
+        inner = level.inner[b][level.inner[b] < nb]
+        assert set(inner) == {i for i, meets in enumerate(rows) if meets <= set(cells)}
+        assert np.count_nonzero(inner < nc) == 17
+        neumann += np.count_nonzero(inner >= nc)
+    # at ex2 level 3 each Neumann row lies in one cell, and every cell is in a patch
+    assert neumann == nl
 
 
 def test_patch_groups_follow_the_inside_rows():
-    # the 16 patches of ex1 level 3 are one group; scaling the inside rows
-    # of one patch must give it its own group and its own elimination
-    hybrid = linsolve.HybridSolver(_plate_system("ex1", 3))
-    assert set(hybrid.pgroup) == {0}
-    Lam_I = hybrid.Lam_I.copy()
-    Lam_I.data[: Lam_I.indptr[17]] *= 2.0
-    pgroup, V, _ = linsolve._condense(Lam_I, hybrid.patches, hybrid._cell_inverses(), hybrid.inv)
-    assert len(set(pgroup)) == 2 and np.count_nonzero(pgroup == pgroup[0]) == 1
-    # the same rows times 2 span the same space, so the condensed inverse,
-    # Gp - V^T V, is unchanged
-    first, rest = V[pgroup[0]], V[pgroup[1]]
-    assert np.allclose(first.T @ first, rest.T @ rest, rtol=0.0, atol=1e-12 * np.abs(rest).max() ** 2)
+    # the 16 patches of ex1 level 3 fall in 9 level-1 groups, the four inner
+    # patches in one; scaling the inside rows of one inner patch must give
+    # it its own group and its own elimination
+    system = _plate_system("ex1", 3)
+    level = linsolve.HybridSolver(system).levels[0]
+    assert np.array_equal(np.bincount(level.group), [1, 2, 1, 2, 4, 2, 1, 2, 1])
+    g = 4
+    b = np.flatnonzero(level.group == g)[0]
+    C = system.dofmap.C.copy()
+    for i in level.inner[b]:
+        C.data[C.indptr[i] : C.indptr[i + 1]] *= 2.0
+    scaled = linsolve.HybridSolver(_with_continuity(system, C)).levels[0]
+    assert len(set(scaled.group)) == 10 and np.count_nonzero(scaled.group == scaled.group[b]) == 1
+    # the same rows times 2 span the same space, so the Schur complement of
+    # the front on its outer rows, F_OO - W^T W, is unchanged
+    want, got = level.W[g], scaled.W[scaled.group[b]]
+    assert np.allclose(got.T @ got, want.T @ want, rtol=0.0, atol=1e-12 * np.abs(want).max() ** 2)
 
 
-def test_patch_interior_breakdown_detected():
-    # the first stage of the pivot test, before SuperLU is reached: a repeated
-    # inner row makes the patch system singular, and a row within 1e-6 of an
-    # inner row gives a pivot of 3e-14 times its diagonal entry
-    hybrid = linsolve.HybridSolver(_plate_system("ex1", 1))
-    e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, hybrid.Lam_I.shape[1]))
-    near = hybrid.Lam_I[0] + 1e-6 * e0
-    for extra, match in [(hybrid.Lam_I[0], "not positive definite"), (near, "pivot / diagonal")]:
-        Lam_I = sp.vstack([hybrid.Lam_I, extra], format="csr")
+def test_patch_interior_breakdown_detected(monkeypatch):
+    # the pivot test at level 1, before SuperLU is reached: a repeated inner
+    # row makes the front of the one patch of ex1 level 1 singular, and a
+    # row within 1e-6 of an inner row gives a pivot of 3e-14 times its
+    # diagonal entry
+    system = _plate_system("ex1", 1)
+    C = system.dofmap.C
+    near = C[0] + sp.csr_matrix(([1e-6], ([0], [0])), shape=(1, C.shape[1]))
+
+    def unreachable(S, diagonal):
+        raise AssertionError("the multiplier system was factored")
+
+    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    for extra, match in [(C[0], "not positive definite.* of level 1"),
+                         (near, "pivot / diagonal .* of level 1")]:
+        plate = _with_continuity(system, sp.vstack([C, extra], format="csr"))
         with pytest.raises(SingularSystemError, match=match):
-            linsolve._condense(Lam_I, hybrid.patches, hybrid._cell_inverses(), hybrid.inv)
+            linsolve.HybridSolver(plate)
 
 
 @pytest.mark.parametrize(
@@ -688,7 +733,43 @@ def test_blocks_leave_superlu_the_rows_between_the_top_blocks(level, schur_n, fi
     info = hybrid.info()
     assert info["levels"] == level - 1
     assert info["schur_n"] < schur_n and info["fill"] < fill
-    assert info["schur_n"] + info["condensed_n"] == hybrid.Lam_I.shape[0] + hybrid.Lam_B.shape[0]
+    assert info["schur_n"] + info["condensed_n"] == hybrid.Lam.shape[0]
+
+
+def test_neumann_rows_inside_a_patch_are_eliminated_at_level_1():
+    # ex2 level 1 has three patches and no level above; SuperLU used to get
+    # their Neumann rows too, 85 rows with 3 526 nonzeros in the factors
+    info = linsolve.HybridSolver(_plate_system("ex2", 1)).info()
+    assert (info["patches"], info["levels"]) == (3, 0)
+    assert (info["schur_n"], info["fill"]) == (18, 342)
+
+
+def _rotated_lshape():
+    """make_lshape(3) rotated by 0.7 with its labels, f = 1 and random Neumann data."""
+    mesh = _moved(make_lshape(3), 0.7, (0.0, 0.0))
+    neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
+    return build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x), neumann=neumann)
+
+
+@pytest.mark.parametrize("which", ["ex2-1", "ex2-2", "ex2-3", "rotated"])
+def test_no_row_inside_a_block_is_left_to_superlu(which):
+    # at every level, patches included, a row whose cells all lie in one
+    # block is eliminated in that block's front, Neumann rows alike
+    if which == "rotated":
+        system = _rotated_lshape()
+    else:
+        system = _plate_system("ex2", int(which.split("-")[1]))
+    assert system.L.shape[0] > 0
+    hybrid = linsolve.HybridSolver(system)
+    rows = _row_cells(hybrid)
+    of_cell = np.arange(len(hybrid.group))
+    cover = linsolve._cover(linsolve._widen(system.dofmap.C), len(of_cell))
+    assert len(cover) == len(hybrid.levels) > 0
+    for blocks in cover:
+        of_cell = linsolve._lift(of_cell, blocks)
+        owners = [set(of_cell[list(cells)]) for cells in rows]
+        inside = [i for i, owner in enumerate(owners) if len(owner) == 1 and -1 not in owner]
+        assert not np.isin(inside, hybrid.top).any()
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "graded-8x8"])
@@ -716,11 +797,10 @@ def test_block_interior_breakdown_detected(monkeypatch):
     # level-2 block of ex1 level 2 gives a pivot of about 1e-15 times its
     # diagonal entry
     system = _plate_system("ex1", 2)
-    dofmap, nk = system.dofmap, system.dofmap.P.shape[0] // 20
-    patches = linsolve.HybridSolver(system).patches
-    patch_of = np.empty(nk + 1, dtype=int)
+    patches = _patches(system)
+    patch_of = np.empty(len(system.group), dtype=int)
     patch_of[patches] = np.arange(len(patches))[:, None]
-    C = dofmap.C
+    C = system.dofmap.C
     between = [
         i for i in range(C.shape[0])
         if len(set(patch_of[C.indices[C.indptr[i] : C.indptr[i + 1]] // 20])) == 2
@@ -728,11 +808,7 @@ def test_block_interior_breakdown_detected(monkeypatch):
     ]
     row = C[between[0]]
     near = row + sp.csr_matrix(([1e-7], ([0], [row.indices[0]])), shape=row.shape)
-    plate = types.SimpleNamespace(
-        group=system.group, A_loc=system.A_loc, B_loc=system.B_loc, L=system.L,
-        ndofs=system.ndofs, nu=system.nu,
-        dofmap=types.SimpleNamespace(P=dofmap.P, Q=dofmap.Q, C=sp.vstack([C, near], format="csr")),
-    )
+    plate = _with_continuity(system, sp.vstack([C, near], format="csr"))
 
     def unreachable(S, diagonal):
         raise AssertionError("the multiplier system was factored")
@@ -791,8 +867,9 @@ def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
 
 
 def test_multiplier_system_pattern_is_rotation_invariant():
-    # S_c is written on the clique pattern of the patches, so its ordering
-    # and fill follow the mesh, not the rounding of rotated cell data
+    # the system handed to SuperLU is written on the clique pattern of the
+    # cells and blocks that no level takes, so its ordering and fill follow
+    # the mesh, not the rounding of rotated cell data
     base = make_lshape(3)
 
     def solver_info(angle):
