@@ -12,9 +12,9 @@ an edge moment must equal the first, and an eliminated corner jump must
 balance the kept jumps at its vertex: the rows ``C`` of the dof map.  The
 Neumann rows ``L`` are read on the first local copy of each global dof, the
 one that ``Q`` selects.  Together they are the rows of one multiplier
-matrix Lambda = [C; L Q].  Each cell carries the 23 x 23 local saddle block
-[[A_k, -B_k^T], [-B_k, 0]], inverted once per group of equal cells.  The
-multiplier system
+matrix Lambda = [C; L Q], on the dof map's 20 tensor slots per cell.  Each
+cell carries the 23 x 23 local saddle block [[A_k, -B_k^T], [-B_k, 0]],
+inverted once per group of equal cells.  The multiplier system
 
     S = Lambda blockdiag(W_k) Lambda^T,
 
@@ -22,15 +22,20 @@ with W_k the tensor block of the local inverse G_k, is symmetric positive
 definite exactly when K is regular.  It is factored by nested dissection
 (A. George, SINUM 10 (1973) 345-363) with dense fronts (I. Duff, J. Reid,
 ACM TOMS 9 (1983) 302-325), in levels of blocks.  The cells are the blocks
-of level 0: cell k adds its update E W_k E^T to S, with E the rows that meet
-the cell on its tensor slots.  At every level above, four blocks of the
-level below around a vertex form a block; at level 1 these are the 2 x 2
-patches of four cells, the small subdomains of FETI (C. Farhat, F.-X. Roux,
-IJNME 32 (1991) 1205-1227).  One front rule applies at every level: the
-updates of the four blocks are summed into a dense front on the rows that
-meet the block; the rows whose cells all lie in the block, continuity and
-Neumann rows alike, are eliminated by one scaled Cholesky factorization per
-group of equal blocks, and the Schur complement on the other rows is the
+of level 0.  Every row meets a cell in at most one slot: a row of C sets a
+second copy of an edge dof against the first, or sums the jumps at one
+vertex, one corner per cell, and a row of L Q pins the first copy of one
+dof.  So cell k adds v v^T * W_k[s, s] (entrywise) to S, with s and v the
+slots and values of the rows that meet it: a gather, not a product.  At
+every level above, four blocks of the level below around a vertex form a
+block; at level 1 these are the 2 x 2 patches of four cells, the small
+subdomains of FETI (C. Farhat, F.-X. Roux, IJNME 32 (1991) 1205-1227).  One
+front rule applies at every level: the updates of the four blocks are
+summed into a dense front on the rows that meet the block; the rows whose
+cells all lie in the block, continuity and Neumann rows alike, are
+eliminated by one scaled Cholesky factorization per group of equal blocks
+and LAPACK's triangular inverse of each factor (E. Anderson et al., LAPACK
+Users' Guide, SIAM 1999), and the Schur complement on the other rows is the
 block's update for the level above.  One cover rule picks the blocks of
 every level: the vertex rows that touch four cells, in reverse row order,
 each taking four blocks of the level below when none is taken yet.  The
@@ -51,7 +56,7 @@ stays as a backstop.
 The multipliers are found by forward elimination level by level, the
 SuperLU solve and back substitution, and the tensor field and the
 deflection are then recovered cell by cell as y = blockdiag(G_k) (z -
-Lambda^T mu).
+Lambda^T mu), with Lambda^T mu on the tensor slots.
 
 The solver holds the local saddle blocks and their symmetrized inverses
 once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
@@ -78,6 +83,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import cell_groups
 
@@ -92,9 +98,6 @@ _CHUNK = 256
 
 #: entries of the dense fronts, or of their gathered factors, formed at once
 _FRONT = 1 << 20
-
-#: order up to which a triangular factor is inverted whole, not by halves
-_HALVES = 32
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -161,7 +164,8 @@ class HybridSolver:
     Local dof vectors use 23 slots per cell: the 20 tensor slots of
     :mod:`ddivfem.space`, then the three deflection coefficients.  Cell k
     has the local saddle block ``local[group[k]]`` and its inverse
-    ``inv[group[k]]``.  ``Lam`` holds the multiplier rows on these slots,
+    ``inv[group[k]]``.  ``Lam`` holds the multiplier rows on the 20 tensor
+    slots per cell, the columns of ``dofmap.C`` and ``dofmap.Q``,
     continuity rows before Neumann rows.  Entry l of ``levels``, a
     :class:`_Level`, eliminates the rows of ``Lam`` inside the blocks of
     level l + 1, the 2 x 2 patches first, and ``lu`` factors the multiplier
@@ -177,10 +181,8 @@ class HybridSolver:
         self.P, self.L, self.group = plate.dofmap.P, sp.csr_matrix(plate.L), plate.group
         _check_rigid_kernel(self.P, self.L, self.ndofs)
 
-        # move tensor slot s of cell k to column 23 k + s
-        R = _widen(plate.dofmap.C)
-        self.Q = _widen(plate.dofmap.Q)
-        self.Lam = sp.vstack([R, self.L @ self.Q], format="csr")
+        self.Q = plate.dofmap.Q
+        self.Lam = sp.vstack([plate.dofmap.C, self.L @ self.Q], format="csr")
 
         local = np.zeros((len(plate.A_loc), 23, 23))
         local[:, :20, :20] = plate.A_loc
@@ -193,13 +195,9 @@ class HybridSolver:
         # rows inside its blocks against the updates of the blocks below
         nb = self.Lam.shape[0]
         self.ratio, order = np.empty(nb), [np.zeros(0, dtype=int)]
-        units, of_cell = _cell_updates(self.Lam, self.group, self.inv), np.arange(nk)
-        roots, self.levels = [], []
-        for depth, blocks in enumerate(_cover(R, nk), start=1):
-            of_cell = _lift(of_cell, blocks)
-            level, rows, ratio, units, rest = _merge(
-                units, blocks, _row_blocks(self.Lam, of_cell), depth
-            )
+        units, roots, self.levels = _cell_updates(self.Lam, self.group, self.inv), [], []
+        for depth, (blocks, owner) in enumerate(_cover(self.Lam, nk), start=1):
+            level, rows, ratio, units, rest = _merge(units, blocks, owner, depth)
             self.levels.append(level)
             roots.append(rest)
             self.ratio[rows] = ratio
@@ -239,10 +237,9 @@ class HybridSolver:
         """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
         nl, nb = self.L.shape[0], self.Lam.shape[0]
-        z = self.Q.T @ b[:nd]
-        z.reshape(-1, 23)[:, 20:] = b[nd : nd + nu].reshape(-1, 3)
+        z = _slots(self.Q.T @ b[:nd], b[nd : nd + nu])
         # one entry past the rows of Lam stays 0 for the padding of the blocks
-        r = np.append(self.Lam @ self._cellwise(self.inv, z), 0.0)
+        r = np.append(self.Lam @ self._cellwise(self.inv, z)[:, :20].ravel(), 0.0)
         r[nb - nl : nb] -= b[nd + nu :]
         for level in self.levels:
             _forward(level, r)
@@ -251,34 +248,30 @@ class HybridSolver:
         for level in reversed(self.levels):
             _backward(level, r, mu)
         mu = mu[:nb]
-        y = self._cellwise(self.inv, z - self.Lam.T @ mu)
+        z[:, :20] -= (self.Lam.T @ mu).reshape(-1, 20)
+        y = self._cellwise(self.inv, z)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
-        u = y.reshape(-1, 23)[:, 20:].ravel()
-        return np.concatenate([self.Q @ y, u, mu[nb - nl :]])
+        return np.concatenate([self.Q @ y[:, :20].ravel(), y[:, 20:].ravel(), mu[nb - nl :]])
 
     def apply(self, x):
         """K x from the local saddle blocks, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
         m, lam = x[:nd], x[nd + nu :]
-        z = np.empty((len(self.group), 23))
-        z[:, :20] = (self.P @ m).reshape(-1, 20)
-        z[:, 20:] = x[nd : nd + nu].reshape(-1, 3)
-        out = self._cellwise(self.local, z)
+        out = self._cellwise(self.local, _slots(self.P @ m, x[nd : nd + nu]))
         top = self.P.T @ out[:, :20].ravel() + self.L.T @ lam
         return np.concatenate([top, out[:, 20:].ravel(), self.L @ m])
 
     def _cellwise(self, blocks, z):
-        """blocks[group[k]] @ z_k for every cell k, z in the shape (ncells, 23) or flat.
+        """blocks[group[k]] @ z[k] for every cell k, z in the shape (ncells, 23).
 
         The blocks are gathered ``_CHUNK`` cells at a time, so neither a
         copy per cell of the whole mesh nor a Python step per group is made.
         """
-        zk = z.reshape(-1, 23)
-        out = np.empty_like(zk)
-        for lo in range(0, len(zk), _CHUNK):
+        out = np.empty_like(z)
+        for lo in range(0, len(z), _CHUNK):
             cells = slice(lo, lo + _CHUNK)
-            out[cells] = (blocks[self.group[cells]] @ zk[cells, :, None])[..., 0]
-        return out.reshape(z.shape)
+            out[cells] = (blocks[self.group[cells]] @ z[cells, :, None])[..., 0]
+        return out
 
     def norm_inf(self):
         """Lower bound on ||K||_inf from the local blocks.
@@ -304,20 +297,26 @@ class HybridSolver:
         return max(norm_B, norm_L, rows_A.max())
 
 
-def _cover(R, nk):
+def _slots(tensor, deflection):
+    """Local vectors (ncells, 23): the 20 tensor slots, then the three deflection coefficients."""
+    return np.concatenate([tensor.reshape(-1, 20), deflection.reshape(-1, 3)], axis=1)
+
+
+def _cover(Lam, nk):
     """Blocks of every level, the 2 x 2 patches first, and one rule for all.
 
-    R holds the continuity rows on 23 slots per cell.  A row that touches
-    four cells is the jump row of an interior vertex with four cells
-    around it; these rows are the candidates at every level.  At level 1
-    the cells are the blocks of the level below, and at level l > 1 the
-    blocks that level l - 1 took.  A candidate qualifies when its four
-    cells lie in four different blocks of the level below, and one greedy
-    pass over the candidates in reverse row order takes its four blocks as
-    a block when none of them is taken yet.  The levels end at the first
-    that takes no block.  Returns one (n_l, 4) array per level: the cells
-    of each patch at level 1, the indices of its four blocks of level
-    l - 1 above, in the column order of the row.
+    ``Lam`` holds the multiplier rows on 20 slots per cell.  A row that
+    touches four cells is the jump row of an interior vertex with four cells
+    around it; these rows are the candidates at every level, and Neumann
+    rows, with one nonzero each, never are.  At level 1 the cells are the
+    blocks of the level below, and at level l > 1 the blocks that level
+    l - 1 took.  A candidate qualifies when its four cells lie in four
+    different blocks of the level below, and one greedy pass over the
+    candidates in reverse row order takes its four blocks as a block when
+    none of them is taken yet.  The levels end at the first that takes no
+    block.  Yields per level (n_l, 4) blocks, the cells of each patch at
+    level 1, the indices of its four blocks of level l - 1 above, in the
+    column order of the row, and their :func:`_row_blocks` of ``Lam``.
 
     The order relies on the numbering of
     :func:`ddivfem.mesh.refine_uniform`, which numbers the four children
@@ -330,10 +329,10 @@ def _cover(R, nk):
     numbered row by row are covered from their last corner alike.  On other
     numberings the cover may leave blocks that a better one would take.
     """
-    cell = R.indices // 23
-    start = R.indptr[:-1]
-    quads = cell[start[np.diff(R.indptr) == 4][::-1, None] + np.arange(4)]
-    of_cell, levels = np.arange(nk), []
+    cell = Lam.indices // 20
+    start = Lam.indptr[:-1]
+    quads = cell[start[np.diff(Lam.indptr) == 4][::-1, None] + np.arange(4)]
+    of_cell = np.arange(nk)
     while True:
         blocks = of_cell[quads]
         ranked = np.sort(blocks, axis=1)
@@ -345,9 +344,10 @@ def _cover(R, nk):
                 free[a] = free[b] = free[c] = free[d] = False
                 chosen.append((a, b, c, d))
         if not chosen:
-            return levels
-        levels.append(np.array(chosen))
-        of_cell = _lift(of_cell, levels[-1])
+            return
+        blocks = np.array(chosen)
+        of_cell = _lift(of_cell, blocks)
+        yield blocks, _row_blocks(Lam, of_cell)
 
 
 def _lift(of_cell, blocks):
@@ -358,8 +358,8 @@ def _lift(of_cell, blocks):
 
 
 def _row_blocks(X, of_cell):
-    """The block that holds all cells of each row of X (23 slots per cell), -1 for none."""
-    owner = of_cell[X.indices // 23]
+    """The block that holds all cells of each row of X (20 slots per cell), -1 for none."""
+    owner = of_cell[X.indices // 20]
     full = np.diff(X.indptr) > 0
     out = np.full(X.shape[0], -1)
     if full.any():
@@ -371,51 +371,35 @@ def _row_blocks(X, of_cell):
 def _cell_updates(Lam, group, inv):
     """The rows of ``Lam`` that meet each cell and the cell updates on them.
 
-    Cell k adds E W_k E^T to the multiplier system on these rows, with W_k
-    the tensor block of ``inv[group[k]]`` and E the rows on its 20 tensor
-    slots, and the diagonal of that update to the diagonal of S.  A cell
-    ranks its rows by their first slot, then by row.  Cells of one group
-    whose rows agree on the cell's slots form an update group, and each
-    group's update is formed once.  Returns ``(outer, group, U, diag)`` in
-    the form of the ``units`` of :func:`_merge`: the rows (ncells, w),
-    padded with the row count of ``Lam``, the update group of each cell,
-    and per group the update (ngroups, w, w) and its diagonal (ngroups, w).
+    Every row meets a cell in at most one slot, so the rows that meet cell
+    k are its nonzeros, ranked by slot s, then by row, with values v.  With
+    W_k the tensor block of ``inv[group[k]]``, the cell adds v v^T * W_k[s,
+    s] (entrywise) to the multiplier system on these rows, and its diagonal
+    to the diagonal of S.  Cells of one group with the same slots and
+    values form an update group, and each group's update is gathered once.
+    Returns ``(outer, group, U, diag)`` in the form of the ``units`` of
+    :func:`_merge`: the rows (ncells, w), padded with the row count of
+    ``Lam``, the update group of each cell, and per group the update
+    (ngroups, w, w) and its diagonal (ngroups, w).  Raises ``ValueError``
+    when a row meets a cell in two slots.
     """
     nb, nk = Lam.shape[0], len(group)
-    cell, slot = np.divmod(Lam.indices, 23)
+    cell, slot = np.divmod(Lam.indices, 20)
     row = np.repeat(np.arange(nb), np.diff(Lam.indptr))
-    # the (cell, row) pairs, each row ranked in its cell
-    pair, at = np.unique(cell * nb + row, return_inverse=True)
-    at = at.reshape(-1)
-    first = np.full(len(pair), 20)
-    np.minimum.at(first, at, slot)
-    pair_cell, pair_row = np.divmod(pair, nb)
-    by_rank = np.lexsort((pair_row, first, pair_cell))
-    count = np.bincount(pair_cell, minlength=nk)
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(len(pair)) - np.repeat(np.cumsum(count) - count, count)
-    outer = np.full((nk, count.max(initial=0)), nb)
-    outer[pair_cell, rank] = pair_row
-
-    # the nonzeros cell by cell in the order of rank and slot: with the cell
-    # group, they key the update group
-    nz = np.lexsort((slot, rank[at], cell))
-    nnz = np.bincount(cell, minlength=nk)
-    k = np.arange(len(nz)) - np.repeat(np.cumsum(nnz) - nnz, nnz)
-    width = nnz.max(initial=0)
-    key = np.full((nk, 1 + 3 * width), -1.0)
-    key[:, 0] = group
-    key[cell[nz], 1 + k] = rank[at[nz]]
-    key[cell[nz], 1 + width + k] = slot[nz]
-    key[cell[nz], 1 + 2 * width + k] = Lam.data[nz]
-    rep, cgroup = cell_groups(key)
-
-    of_rep = np.full(nk, -1)
-    of_rep[rep] = np.arange(len(rep))
-    mine = of_rep[cell] >= 0
-    E = np.zeros((len(rep), outer.shape[1], 20))
-    E[of_rep[cell[mine]], rank[at[mine]], slot[mine]] = Lam.data[mine]
-    U = E @ inv[group[rep], :20, :20] @ E.transpose(0, 2, 1)
+    nz = np.lexsort((row, slot, cell))
+    count = np.bincount(cell, minlength=nk)
+    at = cell[nz], np.arange(len(nz)) - np.repeat(np.cumsum(count) - count, count)
+    w = count.max(initial=0)
+    # each cell's rows, slots and values by rank, padded with nb, slot -1 and 0
+    outer, slots, values = np.full((nk, w), nb), np.full((nk, w), -1), np.zeros((nk, w))
+    outer[at], slots[at], values[at] = row[nz], slot[nz], Lam.data[nz]
+    ranked = np.sort(outer, axis=1)
+    if np.any((ranked[:, 1:] == ranked[:, :-1]) & (ranked[:, 1:] < nb)):
+        raise ValueError("a multiplier row meets a cell in two slots")
+    # with the cell group, the slots and values key the update group
+    rep, cgroup = cell_groups(np.concatenate([group[:, None], slots, values], axis=1))
+    s, v = slots[rep], values[rep]
+    U = v[:, :, None] * inv[group[rep][:, None, None], s[:, :, None], s[:, None, :]] * v[:, None, :]
     return outer, cgroup, U, np.diagonal(U, axis1=1, axis2=2)
 
 
@@ -424,8 +408,9 @@ def _factor(S, where):
 
     D scales S to unit diagonal, and C C^T = D S D, so that the ratios, the
     squared diagonal of C, are the pivots of S over its diagonal entries.
-    Every failure of the dense factorization, a nonpositive diagonal entry
-    included, raises ``SingularSystemError`` naming ``where``.
+    C^-1 is LAPACK's ``dtrtri``, one call per factor.  Every failure, a
+    nonpositive diagonal entry included, raises ``SingularSystemError``
+    naming ``where``.
     """
     d = np.diagonal(S, axis1=1, axis2=2)
     if not np.all(d > 0.0):
@@ -433,29 +418,16 @@ def _factor(S, where):
     d = 1.0 / np.sqrt(d)
     try:
         C = np.linalg.cholesky(S * d[:, :, None] * d[:, None, :])
-        M = _lower_inverse(C)
+        M = np.empty_like(C)
+        for i, c in enumerate(C):
+            M[i], info = lapack.dtrtri(c, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError("triangular inverse: dtrtri info %d" % info)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(
             "multiplier system not positive definite %s: %s" % (where, err)
         ) from err
     return M * d[:, None, :], np.diagonal(C, axis1=1, axis2=2) ** 2
-
-
-def _lower_inverse(C):
-    """Inverses of lower triangular matrices C (n, m, m), by halves.
-
-    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], so batched
-    products do the work that a general inverse spends on the zeros.
-    """
-    m = C.shape[-1]
-    if m <= _HALVES:
-        return np.linalg.inv(C)
-    h = m // 2
-    out = np.zeros_like(C)
-    out[:, :h, :h] = _lower_inverse(C[:, :h, :h])
-    out[:, h:, h:] = _lower_inverse(C[:, h:, h:])
-    out[:, h:, :h] = -out[:, h:, h:] @ (C[:, h:, :h] @ out[:, :h, :h])
-    return out
 
 
 class _Level(NamedTuple):
@@ -672,12 +644,6 @@ def _check_rigid_kernel(P, L, ndofs):
         )
 
 
-def _widen(X):
-    """Columns 20 k + s of a csr matrix X moved to 23 k + s."""
-    cols = 23 * (X.indices // 20) + X.indices % 20
-    return sp.csr_matrix((X.data, cols, X.indptr), shape=(X.shape[0], 23 * (X.shape[1] // 20)))
-
-
 def solve_saddle(A, b, rtol=1e-10):
     """Solve a plate saddle system by hybridization.
 
@@ -708,7 +674,8 @@ def solve_saddle(A, b, rtol=1e-10):
         of the multiplier system S, None when S is empty).
 
     Raises ``ValueError`` for an ``rtol`` that is not a positive finite
-    number, a matrix without cell structure or a size mismatch,
+    number, a matrix without cell structure, a size mismatch or a
+    multiplier row that meets a cell in two slots,
     ``SingularSystemError`` on a singular matrix or a pivot breakdown, and
     ``ResidualError`` when the residual is above ``rtol`` or not finite.
     """

@@ -140,9 +140,16 @@ class Mesh:
         on_boundary[self.edges[self.boundary_edges]] = True
         self.interior_vertices = np.nonzero(~on_boundary)[0]
 
-        d1 = self.vertices[self.cells[:, 2]] - self.vertices[self.cells[:, 0]]
-        d2 = self.vertices[self.cells[:, 3]] - self.vertices[self.cells[:, 1]]
-        self.h_cell = np.maximum(np.hypot(*d1.T), np.hypot(*d2.T))
+        # coordinates near the largest float can overflow the edge vectors
+        # and diagonals; the cell is named before any product of them is formed
+        v = self.vertices[self.cells]
+        with np.errstate(over="ignore"):
+            sides = v[:, [1, 2, 3, 0]] - v
+            d1, d2 = v[:, 2] - v[:, 0], v[:, 3] - v[:, 1]
+            self.h_cell = np.maximum(np.hypot(*d1.T), np.hypot(*d2.T))
+        bad = np.flatnonzero(~(np.isfinite(sides).all(axis=(1, 2)) & np.isfinite(self.h_cell)))
+        if len(bad):
+            raise MeshError("cell %d has an edge vector or diagonal that is not finite" % bad[0])
 
     def _apply_labels(self, boundary_labels, default_label):
         given = dict(boundary_labels or {})

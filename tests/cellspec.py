@@ -20,6 +20,7 @@ their own Gauss rule, independent of the library's exact moments.
 """
 
 from fractions import Fraction
+from math import perm
 
 import numpy as np
 
@@ -688,6 +689,64 @@ def volume_tabulation(basis, nq):
         divphi[i, :, 1] = wy.eval(xh, yh)
         ddphi[i] = p.divdiv().eval(xh, yh)
     return phi, divphi, ddphi
+
+
+#: the terms (component, x derivatives, y derivatives, weight) of each entry
+#: of M, div M and div div M
+_TENSOR_OUTPUTS = (
+    [[(0, 0, 0, 1)], [(1, 0, 0, 1)], [(2, 0, 0, 1)]],
+    [[(0, 1, 0, 1), (1, 0, 1, 1)], [(1, 1, 0, 1), (2, 0, 1, 1)]],
+    [[(0, 2, 0, 1), (1, 1, 1, 2), (2, 0, 2, 1)]],
+)
+
+
+def _dyadic(v):
+    """A float as p / 2**e with integers p and e >= 0."""
+    p, q = float(v).as_integer_ratio()
+    return p, q.bit_length() - 1
+
+
+def exact_tensor_values(grid, x, y):
+    """M, div M and div div M of one coefficient grid (n, n, 3) at float points, exactly.
+
+    Every coefficient and coordinate is a dyadic rational, so each entry is
+    an integer over a power of two, a ``Fraction`` rounded once to float.
+    Returns ``(values, magnitudes)``, each the list of M (..., 3), div M
+    (..., 2) and div div M (...); a magnitude is the same sum over the
+    absolute values of its terms, so that it bounds the rounding of any
+    order of evaluation.
+    """
+    grid = np.asarray(grid, dtype=float)
+    coef = {tuple(ijk): _dyadic(grid[tuple(ijk)]) for ijk in np.argwhere(grid).tolist()}
+    shape = np.shape(x)
+    values = [np.zeros(shape + (len(out),)) for out in _TENSOR_OUTPUTS]
+    magnitudes = [np.zeros_like(v) for v in values]
+    for at, (xv, yv) in enumerate(zip(np.ravel(x).tolist(), np.ravel(y).tolist())):
+        (px, ex), (py, ey) = _dyadic(xv), _dyadic(yv)
+        idx = np.unravel_index(at, shape)
+        for out, value, magnitude in zip(_TENSOR_OUTPUTS, values, magnitudes):
+            for entry, combination in enumerate(out):
+                terms = [
+                    (w * perm(i, dx) * perm(j, dy) * p * px ** (i - dx) * py ** (j - dy),
+                     e + (i - dx) * ex + (j - dy) * ey)
+                    for comp, dx, dy, w in combination
+                    for (i, j, k), (p, e) in coef.items()
+                    if k == comp and i >= dx and j >= dy
+                ]
+                top = max((e for _, e in terms), default=0)
+                value[idx + (entry,)] = Fraction(sum(p << (top - e) for p, e in terms), 1 << top)
+                magnitude[idx + (entry,)] = Fraction(
+                    sum(abs(p) << (top - e) for p, e in terms), 1 << top
+                )
+    return (
+        [values[0], values[1], values[2][..., 0]],
+        [magnitudes[0], magnitudes[1], magnitudes[2][..., 0]],
+    )
+
+
+def ulps_off(got, values, magnitudes):
+    """Largest |got - value| in units in the last place of the largest magnitude."""
+    return float(np.abs(got - values).max() / np.spacing(np.max(magnitudes)))
 
 
 def divdiv_matrix(basis):

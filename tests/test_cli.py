@@ -4,9 +4,11 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ddivfem.cli import main
 from ddivfem.mesh import import_text
+from ddivfem.space import DofMap
 
 
 def test_verify_passes(capsys):
@@ -25,6 +27,26 @@ def test_verify_catches_a_corrupted_shape_tensor(capsys):
     assert "FAIL" in out
     assert "7" in out
     assert "8 of 8" not in out
+
+
+def test_verify_reports_a_wrong_dof_count_on_its_own(capsys, monkeypatch):
+    # a dof map of the three-cell L-shape with one dof too many fails the
+    # dof count formula, and only that check: the other map checks still run
+    init = DofMap.__init__
+
+    def off_by_one(self, mesh):
+        init(self, mesh)
+        if mesh.num_cells == 3:
+            self.ndofs += 1
+            self.P = sp.hstack([self.P, sp.csr_matrix((self.P.shape[0], 1))], format="csr")
+
+    monkeypatch.setattr(DofMap, "__init__", off_by_one)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    maps = out[out.index("element maps") :].splitlines()[1:5]
+    assert [line.split()[0] for line in maps] == ["PASS", "PASS", "PASS", "FAIL"]
+    assert "dof count formula" in maps[3] and "3 cells: 53 vs 52" in maps[3]
+    assert "7 of 8 checks passed" in out
 
 
 def test_sample_basis_stdout(capsys):

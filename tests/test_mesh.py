@@ -158,6 +158,80 @@ def test_malformed_text_raises_mesh_error(tmp_path, text):
         import_text(path)
 
 
+@pytest.mark.parametrize(
+    "corners",
+    [
+        [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308]],
+        # finite edge vectors, and a diagonal whose length overflows
+        [[0.0, 0.0], [1.5e308, 0.0], [1.5e308, 1.5e308], [0.0, 1.5e308]],
+    ],
+)
+def test_overflowing_edge_vectors_rejected(tmp_path, corners):
+    # under the suite's RuntimeWarning policy an overflow would surface as a
+    # warning, and without it as a "degenerate or clockwise" cell
+    with pytest.raises(MeshError, match="cell 0 has an edge vector or diagonal that is not finite"):
+        Mesh(np.array(corners), np.array([[0, 1, 2, 3]]))
+    path = tmp_path / "mesh.txt"
+    path.write_text(_edited({i + 1: "%r %r" % tuple(c) for i, c in enumerate(corners)}))
+    with pytest.raises(MeshError, match="not finite"):
+        import_text(path)
+    # the same square at 1e308 has finite vectors and diameter
+    assert Mesh(np.array(UNIT_SQUARE) * 1e308, np.array([[0, 1, 2, 3]])).h == np.hypot(1e308, 1e308)
+
+
+#: what a mutated field may read: special and extreme numbers, labels, junk
+MUTANTS = st.sampled_from(
+    ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e20", "-1e20", "0", "-1", "2.5",
+     "21", "99999999999999999999", "D", "N", "X", "0x1"]
+)
+
+
+@st.composite
+def mutated_mesh_text(draw):
+    """The text of make_lshape(1), scaled, with counts, numbers, lines and labels mutated."""
+    mesh = make_lshape(1)
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    b = mesh.boundary_edges
+    lines = [["21", "12", "32"]]
+    lines += [["%r" % (scale * v) for v in xy] for xy in mesh.vertices.tolist()]
+    lines += [[str(c) for c in cell] for cell in mesh.cells.tolist()]
+    lines += [[str(lo), str(hi), lab] for (lo, hi), lab in zip(mesh.edges[b].tolist(), mesh.edge_label[b])]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["count", "field", "truncate", "drop", "label", "far"]))
+        if kind == "count":
+            lines[0] = lines[0] + ["0"] * (3 - len(lines[0]))
+            lines[0][draw(st.integers(0, 2))] = str(draw(st.integers(-1, 40)))
+        elif kind == "field" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(MUTANTS)
+        elif kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, max(len(lines[i]) - 1, 0)))]
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "label":
+            lines.append([str(draw(st.integers(-1, 22))), str(draw(st.integers(-1, 22))),
+                          draw(st.sampled_from(["D", "N", "X"]))])
+        elif kind == "far" and len(lines) > 21:
+            # opposite corners of one cell at -+1e308: its diagonal overflows
+            lo, hi = mesh.cells[draw(st.integers(0, mesh.num_cells - 1))][[0, 2]]
+            lines[1 + lo], lines[1 + hi] = ["-1e308", "-1e308"], ["1e308", "1e308"]
+    return "\n".join(" ".join(fields) for fields in lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_mesh_text())
+def test_import_of_a_mutated_file_is_a_mesh_or_a_mesh_error(tmp_path_factory, text):
+    # whatever the file says, import_text returns a Mesh or raises MeshError:
+    # no other exception, and no RuntimeWarning under the suite's policy
+    path = tmp_path_factory.getbasetemp() / "mutated-mesh.txt"
+    path.write_text(text)
+    try:
+        mesh = import_text(path)
+    except MeshError:
+        return
+    assert isinstance(mesh, Mesh) and np.all(np.isfinite(mesh.h_cell))
+
+
 def test_label_on_an_interior_edge_rejected():
     mesh = make_lshape(1)
     e = np.nonzero(mesh.edge_cells[:, 1] >= 0)[0][0]

@@ -313,10 +313,15 @@ def _three_plates(which, graded_mesh):
 
 
 def _uncondensed_system(hybrid):
-    """The whole multiplier system S = Lam bsr(inv[group]) Lam^T, rows as in Lam."""
+    """The whole multiplier system S = Lam bsr(W[group]) Lam^T, rows as in Lam.
+
+    W is the tensor block of each local inverse, on the 20 slots per cell
+    that the rows of Lam use.
+    """
     nk = len(hybrid.group)
     ptr = np.arange(nk + 1)
-    M = sp.bsr_matrix((hybrid.inv[hybrid.group], ptr[:-1], ptr), shape=(23 * nk, 23 * nk))
+    W = hybrid.inv[hybrid.group, :20, :20]
+    M = sp.bsr_matrix((W, ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
     return (hybrid.Lam @ M @ hybrid.Lam.T).toarray()
 
 
@@ -557,8 +562,9 @@ def _graded_grid(nx, ny, seed=3):
 
 def _patches(system):
     """The cells of each 2 x 2 patch, the blocks of level 1, as the cover takes them."""
-    cover = linsolve._cover(linsolve._widen(system.dofmap.C), system.dofmap.P.shape[0] // 20)
-    return cover[0] if cover else np.zeros((0, 4), dtype=int)
+    for blocks, _ in linsolve._cover(system.dofmap.C, system.dofmap.P.shape[0] // 20):
+        return blocks
+    return np.zeros((0, 4), dtype=int)
 
 
 def _with_continuity(system, C):
@@ -574,7 +580,7 @@ def _with_continuity(system, C):
 def _row_cells(hybrid):
     """The cells that each row of ``hybrid.Lam`` meets, as sets."""
     Lam = hybrid.Lam
-    return [set(Lam.indices[Lam.indptr[i] : Lam.indptr[i + 1]] // 23) for i in range(Lam.shape[0])]
+    return [set(Lam.indices[Lam.indptr[i] : Lam.indptr[i + 1]] // 20) for i in range(Lam.shape[0])]
 
 
 @pytest.mark.parametrize("which", ["graded-5x3", "ex2-0"])
@@ -680,11 +686,12 @@ def test_patch_groups_follow_the_inside_rows():
 def test_patch_interior_breakdown_detected(monkeypatch):
     # the pivot test at level 1, before SuperLU is reached: a repeated inner
     # row makes the front of the one patch of ex1 level 1 singular, and a
-    # row within 1e-6 of an inner row gives a pivot of 3e-14 times its
-    # diagonal entry
+    # copy of the jump row C[0] with one entry moved by 5e-7 gives a pivot
+    # of 3e-14 times its diagonal entry
     system = _plate_system("ex1", 1)
     C = system.dofmap.C
-    near = C[0] + sp.csr_matrix(([1e-6], ([0], [0])), shape=(1, C.shape[1]))
+    near = C[0].copy()
+    near.data[0] += 5e-7
 
     def unreachable(S, diagonal):
         raise AssertionError("the multiplier system was factored")
@@ -695,6 +702,18 @@ def test_patch_interior_breakdown_detected(monkeypatch):
         plate = _with_continuity(system, sp.vstack([C, extra], format="csr"))
         with pytest.raises(SingularSystemError, match=match):
             linsolve.HybridSolver(plate)
+
+
+def test_row_meeting_a_cell_in_two_slots_is_rejected():
+    # every row of C and of L Q meets a cell in one slot, so a cell's update
+    # is gathered from the slots of its rows; a row on the first two edge
+    # moments of cell 0 is not such a row, and it is refused, not summed
+    system = _plate_system("ex1", 1)
+    C = system.dofmap.C
+    row = sp.csr_matrix(([1.0, 1.0], ([0, 0], [0, 1])), shape=(1, C.shape[1]))
+    plate = _with_continuity(system, sp.vstack([C, row], format="csr"))
+    with pytest.raises(ValueError, match="meets a cell in two slots"):
+        linsolve.HybridSolver(plate)
 
 
 @pytest.mark.parametrize(
@@ -714,7 +733,7 @@ def test_one_cover_rule_takes_the_full_lattice(which, counts, hexagon_mesh):
     mesh = get_example("ex2").mesh(int(level)) if name == "ex2" else hexagon_mesh
     for _ in range(int(level) if name == "hexagon" else 0):
         mesh = refine_uniform(mesh)
-    cover = linsolve._cover(linsolve._widen(build_dof_map(mesh).C), mesh.num_cells)
+    cover = [blocks for blocks, _ in linsolve._cover(build_dof_map(mesh).C, mesh.num_cells)]
     assert [len(blocks) for blocks in cover] == counts
     below = mesh.num_cells
     for blocks in cover:
@@ -763,12 +782,13 @@ def test_no_row_inside_a_block_is_left_to_superlu(which):
     hybrid = linsolve.HybridSolver(system)
     rows = _row_cells(hybrid)
     of_cell = np.arange(len(hybrid.group))
-    cover = linsolve._cover(linsolve._widen(system.dofmap.C), len(of_cell))
+    cover = list(linsolve._cover(hybrid.Lam, len(of_cell)))
     assert len(cover) == len(hybrid.levels) > 0
-    for blocks in cover:
+    for blocks, row_block in cover:
         of_cell = linsolve._lift(of_cell, blocks)
         owners = [set(of_cell[list(cells)]) for cells in rows]
         inside = [i for i, owner in enumerate(owners) if len(owner) == 1 and -1 not in owner]
+        assert np.array_equal(np.flatnonzero(row_block >= 0), inside)
         assert not np.isin(inside, hybrid.top).any()
 
 
@@ -849,20 +869,36 @@ def test_blocks_group_by_their_units_and_the_places_of_their_rows():
 @pytest.mark.parametrize("where", ["patch", "block"])
 @pytest.mark.parametrize("name", ["cholesky", "inv"])
 def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
-    # a LinAlgError of any dense factorization of the multiplier system, in
-    # a patch (17 rows) or in a front above, leaves the solver as a
-    # SingularSystemError; the 23 x 23 local inversions run as they are
+    # a failure of either dense step on the multiplier system, the Cholesky
+    # factorization or LAPACK's triangular inverse of its factor, in a patch
+    # (17 rows) or in a front above, leaves the solver as a
+    # SingularSystemError
     system = _plate_system("ex1", 2)
-    dense = getattr(np.linalg, name)
 
-    def failing(a):
-        n = a.shape[-1]
-        if n != 23 and (n == 17) == (where == "patch"):
-            raise np.linalg.LinAlgError("%s of a %d x %d matrix" % (name, n, n))
-        return dense(a)
+    def fails(n):
+        return (n == 17) == (where == "patch")
 
-    monkeypatch.setattr(np.linalg, name, failing)
-    with pytest.raises(SingularSystemError, match="%s of a" % name):
+    if name == "cholesky":
+        cholesky = np.linalg.cholesky
+
+        def failing(a):
+            n = a.shape[-1]
+            if fails(n):
+                raise np.linalg.LinAlgError("cholesky of a %d x %d matrix" % (n, n))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing)
+        match = "cholesky of a"
+    else:
+        dtrtri = sla.lapack.dtrtri
+
+        def failing(c, lower=0):
+            # info k > 0 is LAPACK's report of a zero diagonal entry k
+            return (c, 1) if fails(c.shape[0]) else dtrtri(c, lower=lower)
+
+        monkeypatch.setattr(sla.lapack, "dtrtri", failing)
+        match = "dtrtri info 1"
+    with pytest.raises(SingularSystemError, match=match):
         linsolve.HybridSolver(system)
 
 
