@@ -165,7 +165,7 @@ def _map_checks(basis, tol):
         )
     )
 
-    conf = check_conformity(mesh, dofmap, mcoef, cache=cache)
+    conf = check_conformity(mesh, dofmap, coeffs, cache=cache)
     checks.append(
         (
             "interface conformity",

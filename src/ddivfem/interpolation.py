@@ -14,7 +14,7 @@ which is what the tests in this module quantify.
 import numpy as np
 
 from .polys import gauss_rule
-from .reference import coefficient_grids, frame_weights, grid_function
+from .reference import coefficient_grids, divdiv_matrix, frame_weights, grid_function
 from .mesh import make_parallelogram_domain, EX1_CORNERS
 from .piola import BasisCache, edge_frames, element_maps, normals
 from .space import build_dof_map, cell_coefficients
@@ -287,16 +287,12 @@ def ddiv_gap(mesh, cache, coeffs, p1):
     """Squared L2 norms of div div M_h - p and of p over the mesh.
 
     ``p`` is elementwise linear with (ncells, 3) coefficients ``p1`` in the
-    pulled-back {1, xh, yh} basis.  div div M_h is elementwise linear too,
-    so the integrands are quadratic per cell and a 2-point Gauss rule
-    integrates them exactly.
+    pulled-back {1, xh, yh} basis, as is div div M_h (``coeffs @ divdiv_matrix
+    / det``); that basis is orthogonal, with reference mass ``P1_MASS_DIAG``.
     """
-    tab = cache.volume_tabulation(2)
-    w = tab.rule.weights
-    _, det, _, _ = _map_cells(mesh, np.arange(mesh.num_cells), tab.xh, tab.yh)
-    rhs = p1 @ np.stack([np.ones_like(tab.xh), tab.xh, tab.yh])
-    diff = coeffs @ tab.ddphi / det[:, None] - rhs
-    return float(det @ (diff**2 @ w)), float(det @ (rhs**2 @ w))
+    det = element_maps(mesh, np.arange(mesh.num_cells))[2]
+    diff = coeffs @ divdiv_matrix(cache.basis) / det[:, None] - p1
+    return float(det @ (diff**2 @ P1_MASS_DIAG)), float(det @ (p1**2 @ P1_MASS_DIAG))
 
 
 # -- commuting diagram ----------------------------------------------------------
@@ -305,9 +301,8 @@ def ddiv_gap(mesh, cache, coeffs, p1):
 def commuting_residual(mesh, dofmap, field, cache=None, nq=6):
     """L2 norm of div div (Pi M) - Pi1 (div div M) over the mesh.
 
-    Both sides are elementwise linear, so the residual integrand is a
-    quadratic polynomial per cell and a 2-point Gauss rule integrates it
-    exactly.  Returns (absolute residual, norm of div div M).
+    Both sides are elementwise linear, so :func:`ddiv_gap` integrates the
+    residual exactly.  Returns (absolute residual, norm of div div M).
     """
     if cache is None:
         cache = BasisCache()

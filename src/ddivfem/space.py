@@ -130,27 +130,22 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
     return _expand(dofmap, group, Tinv, mcoef)
 
 
-def check_conformity(mesh, dofmap, mcoef, cache=None):
+def check_conformity(mesh, dofmap, coeffs, cache=None):
     """Verify interelement continuity of a tensor field from its physical dofs.
 
-    For every interior edge the normal-normal and effective-shear moments in
-    the global edge frame must agree from both sides; at every interior
-    vertex the corner jumps of the surrounding cells must sum to zero: the
-    rows ``dofmap.C``.  The dofs of every cell are ``T_k @ coeffs_k``, where
-    ``T_k`` reads the exact edge moments and corner values of the cache's
+    ``coeffs`` holds raw per-cell reference expansion coefficients, shape
+    (ncells, 20), as :func:`cell_coefficients` returns; the check quantifies
+    how nonconforming such a piecewise field is.  For every interior edge
+    the normal-normal and effective-shear moments in the global edge frame
+    must agree from both sides; at every interior vertex the corner jumps of
+    the surrounding cells must sum to zero: the rows ``dofmap.C``.  The dofs
+    of every cell are ``T_k @ coeffs_k``, where ``T_k`` reads the exact edge
+    moments and corner values of the cache's
     :class:`ddivfem.piola.EdgeTabulation`; no edge quadrature is involved.
     Cells with equal :meth:`ddivfem.piola.CellGeometry.keys` rows have
     bitwise equal dof matrices, so ``T_k`` is built once per group of such
     cells by :func:`ddivfem.piola.dof_matrices`; nothing is inverted, and
-    the cache's stored inverses are not consulted for raw coefficients.
-
-    ``mcoef`` is either an (ncells, 20) array of raw per-cell reference
-    expansion coefficients or a global coefficient vector.  Raw coefficients
-    get a true interface check: it quantifies how nonconforming an arbitrary
-    piecewise field is.  A global vector is first expanded per cell through
-    the cached ``Tinv``, so the check certifies the round trip
-    ``T_k Tinv_k`` and the sharing of edge dofs and eliminated jumps in the
-    dof map.
+    the cache's stored inverses are not consulted.
 
     Returns a dict with the three maximal violations and their locations:
     the lowest edge or vertex index attaining each maximum, or -1 when it is
@@ -159,18 +154,13 @@ def check_conformity(mesh, dofmap, mcoef, cache=None):
     if cache is None:
         cache = BasisCache()
     _check_fits(mesh, dofmap)
-    mcoef = np.asarray(mcoef, dtype=float)
-    if mcoef.shape == (mesh.num_cells, 20):
-        coeffs = mcoef
-        first, group = cell_groups(batch_geometry(mesh).keys())
-    elif mcoef.shape == (dofmap.ndofs,):
-        first, group, Tinv = cache.groups(mesh)
-        coeffs = _expand(dofmap, group, Tinv, mcoef)
-    else:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (mesh.num_cells, 20):
         raise ValueError(
-            "expected raw coefficients of shape (ncells, 20) = (%d, 20) or a global vector "
-            "of length ndofs = %d, got shape %s" % (mesh.num_cells, dofmap.ndofs, mcoef.shape)
+            "expected raw coefficients of shape (ncells, 20) = (%d, 20), got shape %s"
+            % (mesh.num_cells, coeffs.shape)
         )
+    first, group = cell_groups(batch_geometry(mesh).keys())
     return _conformity(mesh, dofmap, first, group, coeffs, cache.edge_tabulation())
 
 

@@ -760,3 +760,79 @@ def divdiv_matrix(basis):
         c[: p.c.shape[0], : p.c.shape[1]] = p.c
         out[i] = [c[0, 0], c[1, 0], c[0, 1]]
     return out
+
+
+# -- the corner singularity in polar form ------------------------------------------
+
+
+def corner_mode_fields(alpha, C):
+    """u, grad u, grad grad u and its divergence of the ex2 corner mode, by polar calculus.
+
+    u = r^(1+a) g(psi) with g(psi) = cos((a+1) psi) + C cos((a-1) psi) and
+    psi = phi - pi/4 measured from the bisector of the reentrant corner,
+    phi in [-pi/2, 3pi/2).  Every field is written out by the chain rules
+    in r and phi, independent of the library's complex potentials.
+    """
+
+    def polar(px, py):
+        px = np.asarray(px, dtype=float)
+        py = np.asarray(py, dtype=float)
+        r = np.hypot(px, py)
+        phi = np.arctan2(py, px)
+        phi = np.where(phi < -0.5 * np.pi, phi + 2.0 * np.pi, phi)
+        return r, phi
+
+    ap, am = alpha + 1.0, alpha - 1.0
+
+    def g(psi):
+        return np.cos(ap * psi) + C * np.cos(am * psi)
+
+    def gp(psi):
+        return -ap * np.sin(ap * psi) - C * am * np.sin(am * psi)
+
+    def gpp(psi):
+        return -ap * ap * np.cos(ap * psi) - C * am * am * np.cos(am * psi)
+
+    def u_eval(px, py):
+        r, phi = polar(px, py)
+        return r**ap * g(phi - 0.25 * np.pi)
+
+    def grad_eval(px, py):
+        r, phi = polar(px, py)
+        psi = phi - 0.25 * np.pi
+        c, s = np.cos(phi), np.sin(phi)
+        ur = ap * r**alpha * g(psi)
+        uphi_r = r**alpha * gp(psi)  # u_phi / r
+        return np.stack([c * ur - s * uphi_r, s * ur + c * uphi_r], axis=-1)
+
+    def hess_eval(px, py):
+        r, phi = polar(px, py)
+        psi = phi - 0.25 * np.pi
+        c, s = np.cos(phi), np.sin(phi)
+        ra = r ** (alpha - 1.0)
+        urr = ap * alpha * ra * g(psi)
+        mixed = alpha * ra * gp(psi)  # u_rphi / r - u_phi / r^2
+        angular = ra * (ap * g(psi) + gpp(psi))  # u_r / r + u_phiphi / r^2
+        uxx = c * c * urr - 2.0 * s * c * mixed + s * s * angular
+        uyy = s * s * urr + 2.0 * s * c * mixed + c * c * angular
+        uxy = s * c * (urr - angular) + (c * c - s * s) * mixed
+        return np.stack([uxx, uxy, uyy], axis=-1)
+
+    # the Laplacian is D r^(a-1) cos((a-1) psi); div M is its gradient
+    D = 4.0 * alpha * C
+    beta = alpha - 1.0
+
+    def div_eval(px, py):
+        r, phi = polar(px, py)
+        psi = phi - 0.25 * np.pi
+        c, s = np.cos(phi), np.sin(phi)
+        amp = D * beta * r ** (beta - 1.0)
+        return np.stack(
+            [
+                amp * (c * np.cos(beta * psi) + s * np.sin(beta * psi)),
+                amp * (s * np.cos(beta * psi) - c * np.sin(beta * psi)),
+            ],
+            axis=-1,
+        )
+
+    return u_eval, grad_eval, hess_eval, div_eval

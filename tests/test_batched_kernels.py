@@ -21,6 +21,7 @@ from ddivfem import piola
 from ddivfem.interpolation import (
     TensorField,
     commuting_residual,
+    ddiv_gap,
     interpolate_ddiv,
     interpolation_error_study,
     project_p1,
@@ -491,12 +492,20 @@ def test_error_integrals_match_a_cell_loop():
         assert rel_gap(got[key], want[key]) <= 1e-12, key
     assert got["norm_ddiv"] == 0.0
 
+    # div div M_h - p is linear per cell, so a 2-point rule integrates its square
     tab = cache.volume_tabulation(2)
-    dd2 = 0.0
+    p1 = np.random.default_rng(6).standard_normal((mesh.num_cells, 3))
+    dd2, gap2, p2 = 0.0, 0.0, 0.0
     for k in range(mesh.num_cells):
         emap = element_map(mesh, k)
-        dd2 += emap.det * np.sum(tab.rule.weights * (rand[k] @ tab.ddphi / emap.det) ** 2)
+        ddh = rand[k] @ tab.ddphi / emap.det
+        p = p1[k] @ [np.ones_like(tab.xh), tab.xh, tab.yh]
+        dd2 += emap.det * np.sum(tab.rule.weights * ddh**2)
+        gap2 += emap.det * np.sum(tab.rule.weights * (ddh - p) ** 2)
+        p2 += emap.det * np.sum(tab.rule.weights * p**2)
     assert rel_gap(ddiv_norm(mesh, cache, rand), np.sqrt(dd2)) <= 1e-12
+    got_gap2, got_p2 = ddiv_gap(mesh, cache, rand, p1)
+    assert rel_gap(got_gap2, gap2) <= 1e-12 and rel_gap(got_p2, p2) <= 1e-12
 
 
 def test_block_size_does_not_change_the_integrals(monkeypatch):

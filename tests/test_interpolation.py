@@ -15,8 +15,14 @@ from ddivfem.interpolation import (
     project_p1,
     tensor_errors,
 )
-from ddivfem.mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from ddivfem.piola import BasisCache
+from ddivfem.mesh import (
+    EX1_CORNERS,
+    SHAPE_REGULARITY_LIMIT,
+    Mesh,
+    make_lshape,
+    make_parallelogram_domain,
+)
+from ddivfem.piola import BasisCache, element_maps
 from ddivfem.problems import get_example
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
@@ -98,7 +104,8 @@ def test_interpolant_is_conforming(basis_cache):
     field = TensorField.random_poly(rng, deg=3)
     mesh = make_lshape(2)
     _, dofmap, mcoef = interp_error(mesh, field, basis_cache)
-    report = check_conformity(mesh, dofmap, mcoef, cache=basis_cache)
+    coeffs = cell_coefficients(mesh, dofmap, basis_cache, mcoef)
+    report = check_conformity(mesh, dofmap, coeffs, cache=basis_cache)
     assert report["max_violation"] < 1e-9
 
 
@@ -142,6 +149,50 @@ def test_commuting_identity_with_trigonometric_field(basis_cache):
     dofmap = build_dof_map(mesh)
     res, norm = commuting_residual(mesh, dofmap, field, cache=basis_cache, nq=8)
     assert res <= 1e-9 * (1.0 + norm)
+
+
+BASE_MESHES = {"ex1-2": make_parallelogram_domain(EX1_CORNERS, 2), "lshape-2": make_lshape(2)}
+
+
+@st.composite
+def affine_images(draw):
+    """A base mesh moved by x -> A x + b, with A = s R(t1) diag(1, k) R(t2).
+
+    The stretch k stays below SHAPE_REGULARITY_LIMIT over the largest cell
+    condition number of the base mesh, so every image is shape regular; the
+    scale s runs over 1e-15..1e15 and the shift b up to 1e4 s.
+    """
+    base = BASE_MESHES[draw(st.sampled_from(sorted(BASE_MESHES)))]
+    B = element_maps(base, np.arange(base.num_cells))[0]
+    k = draw(st.floats(1.0, 0.99 * SHAPE_REGULARITY_LIMIT / np.linalg.cond(B).max()))
+    t1, t2 = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
+    s = 10.0 ** draw(st.floats(-15.0, 15.0))
+    b = s * np.array([draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))])
+    c1, s1, c2, s2 = np.cos(t1), np.sin(t1), np.cos(t2), np.sin(t2)
+    A = s * np.array([[c1, -s1], [s1, c1]]) @ np.diag([1.0, k]) @ np.array([[c2, -s2], [s2, c2]])
+    return Mesh(base.vertices @ A.T + b, base.cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mesh=affine_images(), seed=st.integers(0, 2**32 - 1))
+def test_interpolant_commutes_and_conforms_on_affine_meshes(mesh, seed):
+    # the commuting identity and the continuity of the interpolant are exact
+    # on any parallelogram mesh.  Rounding leaves continuity gaps of the size
+    # of the largest dof, and div div errors of eps |M| / h^2 over the area,
+    # times 1 + |x| / h for the rounding of the vertices relative to h
+    field = TensorField.random_poly(np.random.default_rng(seed), deg=3)
+    dofmap = build_dof_map(mesh)
+    cache = BasisCache()
+    mcoef = interpolate_ddiv(mesh, dofmap, field)
+    coeffs = cell_coefficients(mesh, dofmap, cache, mcoef)
+    report = check_conformity(mesh, dofmap, coeffs, cache=cache)
+    assert report["max_violation"] <= 1e-13 * np.abs(mcoef).max()
+
+    res, _ = commuting_residual(mesh, dofmap, field, cache=cache)
+    size = np.abs(field.m(*mesh.vertices.T)).max()
+    area = 4.0 * element_maps(mesh, np.arange(mesh.num_cells))[2].sum()
+    h = mesh.h_cell.min()
+    assert res <= 1e-12 * size * np.sqrt(area) / h**2 * (1.0 + np.abs(mesh.vertices).max() / h)
 
 
 def test_interpolation_error_second_order(basis_cache):

@@ -174,6 +174,35 @@ def test_singular_divergence_and_biharmonicity():
         assert ex2.f(x, y) == 0.0
 
 
+def closed_lshape_points():
+    """Points of the closed L-shape without the corner: a lattice, rays from
+    the corner down to r = 1e-6, and both notch edges with +0.0 and -0.0."""
+    s = np.linspace(-1.0, 1.0, 21)
+    x, y = (a.ravel() for a in np.meshgrid(s, s))
+    keep = ((x >= 0.0) | (y >= 0.0)) & ((x != 0.0) | (y != 0.0))
+    r = np.geomspace(1e-6, 1.0, 25)[:, None]
+    phi = np.linspace(-0.5 * np.pi, np.pi, 13)
+    t = r.ravel()
+    zero = np.zeros_like(t)
+    x = np.concatenate([x[keep], (r * np.cos(phi)).ravel(), -t, -t, zero, -zero])
+    y = np.concatenate([y[keep], (r * np.sin(phi)).ravel(), zero, -zero, -t, -t])
+    return x, y
+
+
+def test_singular_fields_are_the_polar_calculus():
+    # the complex potentials against the chain rules in r and phi; the k-th
+    # derivative is measured against its size r^(1 + a - k) at the point,
+    # since u and grad u vanish on the clamped notch edges
+    ex2 = get_example("ex2")
+    x, y = closed_lshape_points()
+    r = np.hypot(x, y)
+    polar = cellspec.corner_mode_fields(ex2.alpha, ex2.coeff)
+    fields = (ex2.u, ex2.grad_u, ex2.field.m, ex2.field.div)
+    for k, (got, want) in enumerate(zip(fields, polar)):
+        diff = np.abs(got(x, y) - want(x, y)).reshape(len(x), -1).max(axis=1)
+        assert np.all(diff <= 1e-13 * r ** (1.0 + ex2.alpha - k)), k
+
+
 def test_unknown_problem_name():
     with pytest.raises(ConfigurationError):
         get_example("ex3")
