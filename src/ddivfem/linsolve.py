@@ -26,7 +26,8 @@ of level 0.  Every row meets a cell in at most one slot: a row of C sets a
 second copy of an edge dof against the first, or sums the jumps at one
 vertex, one corner per cell, and a row of L Q pins the first copy of one
 dof.  So cell k adds v v^T * W_k[s, s] (entrywise) to S, with s and v the
-slots and values of the rows that meet it: a gather, not a product.  At
+slots and values of the rows that meet it: a gather, not a product, and
+diag(S) is summed once over the nonzeros of Lambda, v W_k[s, s] v each.  At
 every level above, four blocks of the level below around a vertex form a
 block; at level 1 these are the 2 x 2 patches of four cells, the small
 subdomains of FETI (C. Farhat, F.-X. Roux, IJNME 32 (1991) 1205-1227).  One
@@ -46,7 +47,7 @@ pivoting.  It is written on the clique pattern of those roots, explicit
 zeros included, so that its ordering and fill follow the mesh and not the
 rounding of its entries.  The pivots of all stages, in the order [the
 blocks of each level, rest], are the pivots of S itself, and each is
-divided by its diagonal entry of S; a ratio below ``PIVOT_BREAKDOWN_TOL``
+divided by its entry of diag(S); a ratio below ``PIVOT_BREAKDOWN_TOL``
 counts as a breakdown at any stage.  The ratio does not move under a
 diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
@@ -63,10 +64,11 @@ once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
 each level once per group of equal blocks; every cellwise or blockwise
 product gathers them a fixed number of cells or entries at a time.  Each
 local block is scaled symmetrically before it is inverted, so that cells of
-any size give an accurate inverse.  The updates exist once per group of
-equal cells or blocks and only until the level above has summed them; the
-system handed to SuperLU is held only until SuperLU has factored it, before
-the factors are read for the pivot test, which copies L and U.
+any size give an accurate inverse.  The cells and blocks are units
+``(outer, group, U)``, their rows, group and one update per group; the
+updates exist only until the level above has summed them, and the system
+handed to SuperLU only until SuperLU has factored it, before the factors
+are read for the pivot test, which copies L and U.
 
 Everything is read from the cell structure of the assembled
 :class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
@@ -195,15 +197,15 @@ class HybridSolver:
         # rows inside its blocks against the updates of the blocks below
         nb = self.Lam.shape[0]
         self.ratio, order = np.empty(nb), [np.zeros(0, dtype=int)]
-        units, roots, self.levels = _cell_updates(self.Lam, self.group, self.inv), [], []
+        units, diagonal = _cell_updates(self.Lam, self.group, self.inv)
+        roots, self.levels = [], []
         for depth, (blocks, owner) in enumerate(_cover(self.Lam, nk), start=1):
-            level, rows, ratio, units, rest = _merge(units, blocks, owner, depth)
+            level, rows, ratio, units, rest = _merge(units, diagonal, blocks, owner, depth)
             self.levels.append(level)
             roots.append(rest)
             self.ratio[rows] = ratio
             order.append(rows)
         roots.append(units)
-        del units
 
         # the multiplier system on the rows left is built, factored and
         # dropped in one expression, so no reference to it outlives the
@@ -215,8 +217,7 @@ class HybridSolver:
         self.lu = None
         if self.schur_n > 0:
             # its pivots are measured against the diagonal of S
-            diagonal = np.zeros(self.schur_n)
-            self.lu, ratio = factor_spd(_assemble(roots, self.top, nb, diagonal), diagonal)
+            self.lu, ratio = factor_spd(_assemble(roots, self.top, nb), diagonal[self.top])
             self.ratio[self.top] = ratio
             order.append(self.top[np.argsort(self.lu.perm_c)])
         self.order = np.concatenate(order)
@@ -369,19 +370,19 @@ def _row_blocks(X, of_cell):
 
 
 def _cell_updates(Lam, group, inv):
-    """The rows of ``Lam`` that meet each cell and the cell updates on them.
+    """The rows of ``Lam`` that meet each cell, the cell updates on them, and diag(S).
 
     Every row meets a cell in at most one slot, so the rows that meet cell
     k are its nonzeros, ranked by slot s, then by row, with values v.  With
     W_k the tensor block of ``inv[group[k]]``, the cell adds v v^T * W_k[s,
-    s] (entrywise) to the multiplier system on these rows, and its diagonal
-    to the diagonal of S.  Cells of one group with the same slots and
-    values form an update group, and each group's update is gathered once.
-    Returns ``(outer, group, U, diag)`` in the form of the ``units`` of
-    :func:`_merge`: the rows (ncells, w), padded with the row count of
-    ``Lam``, the update group of each cell, and per group the update
-    (ngroups, w, w) and its diagonal (ngroups, w).  Raises ``ValueError``
-    when a row meets a cell in two slots.
+    s] (entrywise) to the multiplier system on these rows.  Cells of one
+    group with the same slots and values form an update group, and each
+    group's update is gathered once.  The diagonal of S is one sum over the
+    nonzeros of ``Lam``, of v W_k[s, s] v each.  Returns ``(outer, group,
+    U)`` in the form of the ``units`` of :func:`_merge`, the rows (ncells,
+    w) padded with the row count of ``Lam``, the update group of each cell
+    and per group the update (ngroups, w, w), and the diagonal of S.
+    Raises ``ValueError`` when a row meets a cell in two slots.
     """
     nb, nk = Lam.shape[0], len(group)
     cell, slot = np.divmod(Lam.indices, 20)
@@ -400,7 +401,8 @@ def _cell_updates(Lam, group, inv):
     rep, cgroup = cell_groups(np.concatenate([group[:, None], slots, values], axis=1))
     s, v = slots[rep], values[rep]
     U = v[:, :, None] * inv[group[rep][:, None, None], s[:, :, None], s[:, None, :]] * v[:, None, :]
-    return outer, cgroup, U, np.diagonal(U, axis1=1, axis2=2)
+    diagonal = np.bincount(row, Lam.data * inv[group[cell], slot, slot] * Lam.data, nb)
+    return (outer, cgroup, U), diagonal
 
 
 def _factor(S, where):
@@ -446,37 +448,36 @@ class _Level(NamedTuple):
     W: np.ndarray
 
 
-def _merge(units, blocks, owner, depth):
+def _merge(units, diagonal, blocks, owner, depth):
     """The blocks of one level: their eliminations and their updates.
 
-    ``units`` = ``(outer, group, U, diag)`` describes the blocks of the
-    level below, the cells below level 1, as :func:`_cell_updates` does the
-    cells: the rows of ``Lam`` that meet each unit, its group, and per group
-    its update on those rows and their diagonal entries of S.  ``blocks``
+    ``units`` = ``(outer, group, U)`` describes the blocks of the level
+    below, the cells below level 1, as :func:`_cell_updates` does the cells:
+    the rows of ``Lam`` that meet each unit, its group, and per group its
+    update on those rows.  ``diagonal`` is the diagonal of S.  ``blocks``
     (n, 4) picks four units for each block of this level, and ``owner`` is
     the block of this level that holds all cells of each row of ``Lam``, -1
-    for none.  The front of a block has the rows of its
-    four units in their order, each at its first place, the rows inside the
-    block (I) before the others (O), and it is the sum of the four units'
-    updates.  Blocks whose units fall in the same groups and whose rows take
-    the same places form a group; one front per group is formed, at most
-    ``_FRONT`` entries at a time, and factored as in :func:`_factor`, D F_II
-    D = C C^T.  With M = C^-1 D and W = M F_IO, the block's update F_OO -
-    W^T W goes up on its rows O.  Returns ``(level, rows, ratio, units,
-    rest)``: the :class:`_Level`, the rows eliminated block by block in
-    the order of their fronts, their pivots over the diagonal of S, the
+    for none.  The front of a block has the rows of its four units in their
+    order, each at its first place, the rows inside the block (I) before
+    the others (O), and it is the sum of the four units' updates.  Blocks
+    whose units fall in the same groups and whose rows take the same places
+    form a group; one front per group is formed, at most ``_FRONT`` entries
+    at a time, and factored as in :func:`_factor`, D F_II D = C C^T.  With
+    M = C^-1 D and W = M F_IO, the block's update F_OO - W^T W goes up on
+    its rows O.  Returns ``(level, rows, ratio, units, rest)``: the
+    :class:`_Level`, the rows eliminated block by block in the order of
+    their fronts, their pivots over their entries of ``diagonal``, the
     blocks of this level in the form of ``units``, and the units below that
     no block takes.
     """
-    outer, group, U, diag = units
+    outer, group, U = units
     nb, n, w = len(owner), len(blocks), outer.shape[1]
     ent = outer[blocks].ravel()
     valid = ent < nb
     # each (block, row) pair once, the pairs in the order of first places
     key = np.repeat(np.arange(n), 4 * w)[valid] * nb + ent[valid]
-    pair, first, at = np.unique(key, return_index=True, return_inverse=True)
-    seq = np.argsort(first)
-    pair_block, pair_row = np.divmod(pair[seq], nb)
+    first, at = cell_groups(key)
+    pair_block, pair_row = np.divmod(key[first], nb)
     ins = owner[pair_row] == pair_block
     nI = np.bincount(pair_block[ins], minlength=n)
     nO = np.bincount(pair_block[~ins], minlength=n)
@@ -487,51 +488,47 @@ def _merge(units, blocks, owner, depth):
     inner[pair_block[ins], rI[ins]] = pair_row[ins]
     up[pair_block[~ins], rO[~ins]] = pair_row[~ins]
     # the place of every unit row in its block's front, mI + mO for padding
-    place = np.empty(len(pair), dtype=np.int64)
-    place[seq] = np.where(ins, rI, mI + rO)
     front_at = np.full(len(ent), mI + mO)
-    front_at[valid] = place[at.reshape(-1)]
+    front_at[valid] = np.where(ins, rI, mI + rO)[at]
     front_at = front_at.reshape(n, 4, w)
     rep, bgroup = cell_groups(np.concatenate([group[blocks], front_at.reshape(n, -1)], axis=1))
 
     ng, m = len(rep), mI + mO
     M, W = np.empty((ng, mI, mI)), np.empty((ng, mI, mO))
-    U_up, diag_up, ratio = np.empty((ng, mO, mO)), np.empty((ng, mO)), np.empty((ng, mI))
+    U_up, pivot = np.empty((ng, mO, mO)), np.empty((ng, mI))
     step = max(1, _FRONT // (m + 1) ** 2)
     for lo in range(0, ng, step):
         reps = rep[lo : lo + step]
         chunk, c = slice(lo, lo + len(reps)), len(reps)
-        F, d = np.zeros((c, m + 1, m + 1)), np.zeros((c, m + 1))
+        F = np.zeros((c, m + 1, m + 1))
         for q in range(4):
             # the rows of one unit take distinct places, so += adds each once;
-            # F and d are indexed flat, as rows of the stacked fronts
+            # F is indexed flat, as rows of the stacked fronts
             at_q, unit = front_at[reps, q], group[blocks[reps, q]]
             rows = at_q + (m + 1) * np.arange(c)[:, None]
             F.reshape(-1)[rows[:, :, None] * (m + 1) + at_q[:, None, :]] += U[unit]
-            d.reshape(-1)[rows] += diag[unit]
         # a block with fewer than mI inside rows gets unit pivots for the rest
         gi, i = np.nonzero(np.arange(mI) >= nI[reps][:, None])
-        F[gi, i, i] = d[gi, i] = 1.0
+        F[gi, i, i] = 1.0
         M[chunk], pivots = _factor(F[:, :mI, :mI], "in a block of level %d" % depth)
         W[chunk] = M[chunk] @ F[:, :mI, mI:m]
         U_up[chunk] = F[:, mI:m, mI:m] - W[chunk].transpose(0, 2, 1) @ W[chunk]
-        diag_up[chunk] = d[:, mI:m]
-        ratio[chunk] = pivots * np.diagonal(F, axis1=1, axis2=2)[:, :mI] / d[:, :mI]
-    real = np.arange(mI) < nI[rep][:, None]
-    g, i = np.unravel_index(np.argmin(np.where(real, ratio, np.inf)), ratio.shape)
-    if not ratio[g, i] >= PIVOT_BREAKDOWN_TOL:
+        pivot[chunk] = pivots * np.diagonal(F, axis1=1, axis2=2)[:, :mI]
+    kept = inner < nb
+    ratio = pivot[bgroup][kept] / diagonal[inner[kept]]
+    worst = np.argmin(ratio)
+    if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
         raise SingularSystemError(
             "multiplier system not positive definite: pivot / diagonal %.3e in block %d of level %d"
-            % (ratio[g, i], rep[g], depth)
+            % (ratio[worst], np.nonzero(kept)[0][worst], depth)
         )
     rest = np.setdiff1d(np.arange(len(outer)), blocks)
-    kept = inner < nb
     return (
         _Level(inner, up, bgroup, M, W),
         inner[kept],
-        ratio[bgroup][kept],
-        (up, bgroup, U_up, diag_up),
-        (outer[rest], group[rest], U, diag),
+        ratio,
+        (up, bgroup, U_up),
+        (outer[rest], group[rest], U),
     )
 
 
@@ -565,24 +562,22 @@ def _backward(level, r, mu):
         mu[inner] = (t[:, None, :] @ level.M[g])[:, 0]
 
 
-def _assemble(roots, top, nb, diagonal):
+def _assemble(roots, top, nb):
     """The multiplier system on the rows ``top`` of ``Lam`` in csc form.
 
-    ``roots`` lists, in the form of the ``units`` of :func:`_merge`, the
-    cells and blocks that no block above takes; their rows are rows of
-    ``top``, and the system is the sum of their updates.  Every pair of
-    rows that meets a common root gets an entry, explicit zeros included,
-    so the pattern is that of the mesh and the ordering does not follow
-    the rounding of the entries.  ``diagonal`` gains what the roots' cells
-    add to the diagonal of the uncondensed S on these rows.
+    ``roots`` lists, in the form ``(outer, group, U)`` of the ``units`` of
+    :func:`_merge`, the cells and blocks that no block above takes; their
+    rows are rows of ``top``, and the system is the sum of their updates.
+    Every pair of rows that meets a common root gets an entry, explicit
+    zeros included, so the pattern is that of the mesh and the ordering
+    does not follow the rounding of the entries.
     """
     at = np.full(nb + 1, -1)
     at[top] = np.arange(len(top))
     i, j, data = [], [], []
-    for outer, group, U, diag in roots:
+    for outer, group, U in roots:
         rows = at[outer]
         valid = rows >= 0
-        diagonal += np.bincount(rows[valid], diag[group][valid], minlength=len(top))
         step = max(1, _FRONT // max(outer.shape[1] ** 2, 1))
         for lo in range(0, len(outer), step):
             part = slice(lo, lo + step)

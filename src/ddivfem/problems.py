@@ -457,23 +457,13 @@ def convergence_study(problem, levels=5, start=1, cache=None, rtol=1e-10):
         run = solve_example(exact, level, cache=cache, rtol=rtol)
         errs = run["errors"]
         mesh = run["mesh"]
-        row = {
-            "level": level,
-            "nelem": mesh.num_cells,
-            "h": mesh.h,
-            "err_u": errs["u"],
-            "eoc_u": _eoc(prev.get("u"), errs["u"]),
-            "err_M": errs["M"],
-            "eoc_M": _eoc(prev.get("M"), errs["M"]),
-            "err_ddiv": errs["ddiv"],
-            "eoc_ddiv": _eoc(prev.get("ddiv"), errs["ddiv"]),
-            "err_div": errs["div"],
-            "eoc_div": _eoc(prev.get("div"), errs["div"]),
-            "norm_Mh": errs["norm_Mh"],
-            "ddiv_Mh": errs["ddiv_Mh"],
-            "conformity": run["result"]["conformity"]["max_violation"],
-        }
+        row = {"level": level, "nelem": mesh.num_cells, "h": mesh.h}
+        for key in ("u", "M", "ddiv", "div"):
+            row["err_" + key] = errs[key]
+            row["eoc_" + key] = _eoc(prev.get(key), errs[key])
+        row["norm_Mh"], row["ddiv_Mh"] = errs["norm_Mh"], errs["ddiv_Mh"]
+        row["conformity"] = run["result"]["conformity"]["max_violation"]
         rows.append(row)
-        prev = {"u": errs["u"], "M": errs["M"], "ddiv": errs["ddiv"], "div": errs["div"]}
+        prev = errs
     extras = {} if exact.alpha is None else {"alpha": exact.alpha, "coeff": exact.coeff}
     return ConvergenceReport(exact.name, rows, extras=extras)

@@ -46,7 +46,10 @@ class MaterialLaw:
         self.E = float(E)
         self.nu = float(nu)
         if kind == "identity":
-            self.E, self.nu = 1.0, 0.0
+            if not (self.E == 1.0 and self.nu == 0.0):
+                raise MaterialError(
+                    "identity law has E=1 and nu=0, got E=%g nu=%g" % (self.E, self.nu)
+                )
         elif kind == "isotropic":
             # written so that NaN fails too
             if not (-1.0 < self.nu < 0.5 and self.E > 0.0):

@@ -49,6 +49,10 @@ def test_material_validation():
         MaterialLaw("isotropic", E=1.0, nu=-1.0)
     with pytest.raises(MaterialError):
         MaterialLaw("orthotropic")
+    # the identity law is E = 1, nu = 0, and does not drop other values
+    for E, nu in [(5.0, 0.3), (5.0, 0.0), (1.0, 0.3), (np.nan, 0.0)]:
+        with pytest.raises(MaterialError, match="identity law"):
+            MaterialLaw("identity", E=E, nu=nu)
 
 
 def test_identity_material_is_passthrough():
@@ -348,6 +352,9 @@ def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch)
     rest = np.setdiff1d(np.arange(len(S)), top)
     assert (len(top), len(rest)) == (info["schur_n"], info["condensed_n"])
     assert info["levels"] > 0 and len(handed) == (which != "ex1-3")
+    # diag(S), summed once over the nonzeros of Lam, on every row
+    _, diagonal = linsolve._cell_updates(hybrid.Lam, hybrid.group, hybrid.inv)
+    assert np.allclose(diagonal, np.diag(S), rtol=1e-14, atol=0.0)
     if not handed:
         assert len(top) == 0
         return
@@ -845,14 +852,15 @@ def test_blocks_group_by_their_units_and_the_places_of_their_rows():
     # is the Schur complement of its own front
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
-    U, diag = (a @ a.T + 3.0 * np.eye(3))[None], np.full((1, 3), 10.0)
+    U = (a @ a.T + 3.0 * np.eye(3))[None]
     outer = np.array([[0, 1, 2], [2, 3, 4], [5, 6, 7], [8, 9, 10],
                       [11, 12, 13], [14, 15, 16], [13, 17, 18], [19, 20, 21]])
+    diagonal = np.bincount(outer.ravel(), np.tile(np.diag(U[0]), 8), 22)
     owner = np.full(22, -1)
     owner[[2, 13]] = [0, 1]
     blocks = np.arange(8).reshape(2, 4)
-    level, rows, _, (up, group, U_up, _), rest = linsolve._merge(
-        (outer, np.zeros(8, dtype=int), U, diag), blocks, owner, 2
+    level, rows, _, (up, group, U_up), rest = linsolve._merge(
+        (outer, np.zeros(8, dtype=int), U), diagonal, blocks, owner, 2
     )
     assert len(set(group)) == 2 and np.array_equal(rows, [2, 13]) and len(rest[0]) == 0
     for b in range(2):
