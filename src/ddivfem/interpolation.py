@@ -226,11 +226,6 @@ def project_p1(mesh, f, nq=6):
     return p1_moments(mesh, f, nq)[0] / P1_MASS_DIAG[None, :]
 
 
-def p1_eval(coeffs_k, xh, yh):
-    """Values of a per-cell linear from its {1, xh, yh} coefficients."""
-    return coeffs_k[0] + coeffs_k[1] * xh + coeffs_k[2] * yh
-
-
 # -- error norms -----------------------------------------------------------------
 
 

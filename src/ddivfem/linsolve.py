@@ -61,10 +61,12 @@ Lambda^T mu), with Lambda^T mu on the tensor slots.
 
 The solver holds the local saddle blocks and their symmetrized inverses
 once per cell group, as (ngroups, 23, 23) arrays, and the elimination of
-each level once per group of equal blocks; every cellwise or blockwise
-product gathers them a fixed number of cells or entries at a time.  Each
-local block is scaled symmetrically before it is inverted, so that cells of
-any size give an accurate inverse.  The cells and blocks are units
+each level once per group of equal blocks, at the size of their fronts.  A
+cellwise product gathers the local blocks a fixed number of cells at a
+time, fronts of equal size are factored together, and a sweep of a solve
+takes one pair of products per group.  Each local block is scaled
+symmetrically before it is inverted, so that cells of any size give an
+accurate inverse.  The cells and blocks are units
 ``(outer, group, U)``, their rows, group and one update per group; the
 updates exist only until the level above has summed them, and the system
 handed to SuperLU only until SuperLU has factored it, before the factors
@@ -239,16 +241,14 @@ class HybridSolver:
         nd, nu = self.ndofs, self.nu
         nl, nb = self.L.shape[0], self.Lam.shape[0]
         z = _slots(self.Q.T @ b[:nd], b[nd : nd + nu])
-        # one entry past the rows of Lam stays 0 for the padding of the blocks
-        r = np.append(self.Lam @ self._cellwise(self.inv, z)[:, :20].ravel(), 0.0)
-        r[nb - nl : nb] -= b[nd + nu :]
+        r = self.Lam @ self._cellwise(self.inv, z)[:, :20].ravel()
+        r[nb - nl :] -= b[nd + nu :]
         for level in self.levels:
             _forward(level, r)
-        mu = np.zeros(nb + 1)
+        mu = np.zeros(nb)
         mu[self.top] = self.lu.solve(r[self.top]) if self.lu is not None else r[self.top]
         for level in reversed(self.levels):
             _backward(level, r, mu)
-        mu = mu[:nb]
         z[:, :20] -= (self.Lam.T @ mu).reshape(-1, 20)
         y = self._cellwise(self.inv, z)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
@@ -435,17 +435,17 @@ def _factor(S, where):
 class _Level(NamedTuple):
     """The eliminations of one level of blocks, the 2 x 2 patches at level 1.
 
-    Block b eliminates the rows ``inner[b]`` of ``Lam`` and passes its
-    update to the rows ``outer[b]``, both padded with the row count of
-    ``Lam``.  Its group g = ``group[b]`` holds M = C^-1 D (ngroups, mI,
-    mI) and W = M F_IO (ngroups, mI, mO) of its front F.
+    Block b lies in group ``group[b]`` of the blocks with equal fronts.
+    Group g eliminates the rows ``inner[g]`` (n_g, nI) of ``Lam``, one row
+    per block, and passes the updates to the rows ``outer[g]`` (n_g, nO);
+    ``M[g]`` = C^-1 D (nI, nI) and ``W[g]`` = M F_IO (nI, nO) of its front F.
     """
 
-    inner: np.ndarray
-    outer: np.ndarray
+    inner: list
+    outer: list
     group: np.ndarray
-    M: np.ndarray
-    W: np.ndarray
+    M: list
+    W: list
 
 
 def _merge(units, diagonal, blocks, owner, depth):
@@ -460,15 +460,15 @@ def _merge(units, diagonal, blocks, owner, depth):
     for none.  The front of a block has the rows of its four units in their
     order, each at its first place, the rows inside the block (I) before
     the others (O), and it is the sum of the four units' updates.  Blocks
-    whose units fall in the same groups and whose rows take the same places
-    form a group; one front per group is formed, at most ``_FRONT`` entries
+    whose units fall in the same groups, with as many inside rows and rows
+    at the same places, form a group.  One front per group is formed at its
+    own size, the fronts of equal size together, at most ``_FRONT`` entries
     at a time, and factored as in :func:`_factor`, D F_II D = C C^T.  With
     M = C^-1 D and W = M F_IO, the block's update F_OO - W^T W goes up on
     its rows O.  Returns ``(level, rows, ratio, units, rest)``: the
-    :class:`_Level`, the rows eliminated block by block in the order of
-    their fronts, their pivots over their entries of ``diagonal``, the
-    blocks of this level in the form of ``units``, and the units below that
-    no block takes.
+    :class:`_Level`, the rows eliminated group by group, their pivots over
+    their entries of ``diagonal``, the blocks of this level in the form of
+    ``units``, and the units below that no block takes.
     """
     outer, group, U = units
     nb, n, w = len(owner), len(blocks), outer.shape[1]
@@ -483,83 +483,81 @@ def _merge(units, diagonal, blocks, owner, depth):
     nO = np.bincount(pair_block[~ins], minlength=n)
     rI = np.cumsum(ins) - ins - (np.cumsum(nI) - nI)[pair_block]
     rO = np.cumsum(~ins) - ~ins - (np.cumsum(nO) - nO)[pair_block]
-    mI, mO = nI.max(), nO.max()
-    inner, up = np.full((n, mI), nb), np.full((n, mO), nb)
-    inner[pair_block[ins], rI[ins]] = pair_row[ins]
+    inside, up = np.full((n, nI.max()), nb), np.full((n, nO.max()), nb)
+    inside[pair_block[ins], rI[ins]] = pair_row[ins]
     up[pair_block[~ins], rO[~ins]] = pair_row[~ins]
-    # the place of every unit row in its block's front, mI + mO for padding
-    front_at = np.full(len(ent), mI + mO)
-    front_at[valid] = np.where(ins, rI, mI + rO)[at]
+    # the place of every unit row in its block's front, one past it for padding
+    front_at = np.repeat(nI + nO, 4 * w)
+    front_at[valid] = np.where(ins, rI, nI[pair_block] + rO)[at]
     front_at = front_at.reshape(n, 4, w)
-    rep, bgroup = cell_groups(np.concatenate([group[blocks], front_at.reshape(n, -1)], axis=1))
+    rep, bgroup = cell_groups(np.c_[group[blocks], nI, front_at.reshape(n, -1)])
+    ng = len(rep)
+    # the blocks of each group, ascending
+    by_group, end = np.argsort(bgroup, kind="stable"), np.cumsum(np.bincount(bgroup)).tolist()
+    members = [by_group[a:b] for a, b in zip([0] + end[:-1], end)]
 
-    ng, m = len(rep), mI + mO
-    M, W = np.empty((ng, mI, mI)), np.empty((ng, mI, mO))
-    U_up, pivot = np.empty((ng, mO, mO)), np.empty((ng, mI))
-    step = max(1, _FRONT // (m + 1) ** 2)
-    for lo in range(0, ng, step):
-        reps = rep[lo : lo + step]
-        chunk, c = slice(lo, lo + len(reps)), len(reps)
-        F = np.zeros((c, m + 1, m + 1))
-        for q in range(4):
-            # the rows of one unit take distinct places, so += adds each once;
-            # F is indexed flat, as rows of the stacked fronts
-            at_q, unit = front_at[reps, q], group[blocks[reps, q]]
-            rows = at_q + (m + 1) * np.arange(c)[:, None]
-            F.reshape(-1)[rows[:, :, None] * (m + 1) + at_q[:, None, :]] += U[unit]
-        # a block with fewer than mI inside rows gets unit pivots for the rest
-        gi, i = np.nonzero(np.arange(mI) >= nI[reps][:, None])
-        F[gi, i, i] = 1.0
-        M[chunk], pivots = _factor(F[:, :mI, :mI], "in a block of level %d" % depth)
-        W[chunk] = M[chunk] @ F[:, :mI, mI:m]
-        U_up[chunk] = F[:, mI:m, mI:m] - W[chunk].transpose(0, 2, 1) @ W[chunk]
-        pivot[chunk] = pivots * np.diagonal(F, axis1=1, axis2=2)[:, :mI]
-    kept = inner < nb
-    ratio = pivot[bgroup][kept] / diagonal[inner[kept]]
+    # the fronts of all groups of one size are formed and factored together
+    M, W, pivot = [None] * ng, [None] * ng, [None] * ng
+    U_up = np.zeros((ng, up.shape[1], up.shape[1]))
+    sized, size = cell_groups(np.c_[nI[rep], nO[rep]])
+    for s, b in enumerate(rep[sized]):
+        mI, mO, m = nI[b], nO[b], nI[b] + nO[b]
+        of_size = np.flatnonzero(size == s)
+        step = max(1, _FRONT // (m + 1) ** 2)
+        for lo in range(0, len(of_size), step):
+            gs = of_size[lo : lo + step]
+            reps, c = rep[gs], len(gs)
+            F = np.zeros((c, m + 1, m + 1))
+            for q in range(4):
+                # the rows of one unit take distinct places, so += adds each once;
+                # F is indexed flat, as rows of the stacked fronts
+                at_q, unit = front_at[reps, q], group[blocks[reps, q]]
+                rows = at_q + (m + 1) * np.arange(c)[:, None]
+                F.reshape(-1)[rows[:, :, None] * (m + 1) + at_q[:, None, :]] += U[unit]
+            Ms, pivots = _factor(F[:, :mI, :mI], "in a block of level %d" % depth)
+            Ws = Ms @ F[:, :mI, mI:m]
+            U_up[gs, :mO, :mO] = F[:, mI:m, mI:m] - Ws.transpose(0, 2, 1) @ Ws
+            pivots *= np.diagonal(F, axis1=1, axis2=2)[:, :mI]
+            for g, Mg, Wg, pg in zip(gs, Ms, Ws, pivots):
+                M[g], W[g], pivot[g] = Mg, Wg, pg
+    inner = [inside[b, : nI[b[0]]] for b in members]
+    rows = np.concatenate([i.ravel() for i in inner])
+    ratio = np.concatenate([np.tile(p, len(b)) for p, b in zip(pivot, members)]) / diagonal[rows]
     worst = np.argmin(ratio)
     if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
         raise SingularSystemError(
             "multiplier system not positive definite: pivot / diagonal %.3e in block %d of level %d"
-            % (ratio[worst], np.nonzero(kept)[0][worst], depth)
+            % (ratio[worst], owner[rows[worst]], depth)
         )
     rest = np.setdiff1d(np.arange(len(outer)), blocks)
     return (
-        _Level(inner, up, bgroup, M, W),
-        inner[kept],
+        _Level(inner, [up[b, : nO[b[0]]] for b in members], bgroup, M, W),
+        rows,
         ratio,
         (up, bgroup, U_up),
         (outer[rest], group[rest], U),
     )
 
 
-def _chunks(level):
-    """Slices of blocks of a level whose gathered M and W hold at most ``_FRONT`` entries."""
-    mI, mO = level.W.shape[1:]
-    step = max(1, _FRONT // max(mI * (mI + mO), 1))
-    return [slice(lo, lo + step) for lo in range(0, len(level.group), step)]
-
-
 def _forward(level, r):
     """Eliminate the level's inner rows from r in place: r_I <- M r_I, r_O -= W^T M r_I.
 
-    ``r`` has one entry past the rows of ``Lam``, which the padding reads
-    as 0 and leaves 0.
+    One pair of products per group; no outer row of a level is an inner row
+    of it, so the updates of all groups are subtracted by one sum at the end.
     """
-    for blocks in _chunks(level):
-        g, inner = level.group[blocks], level.inner[blocks]
-        t = (level.M[g] @ r[inner][:, :, None])[..., 0]
+    rows, updates = [], []
+    for inner, outer, M, W in zip(level.inner, level.outer, level.M, level.W):
+        t = r[inner] @ M.T
         r[inner] = t
-        r -= np.bincount(
-            level.outer[blocks].ravel(), (t[:, None, :] @ level.W[g])[:, 0].ravel(), len(r)
-        )
+        rows.append(outer.ravel())
+        updates.append((t @ W).ravel())
+    r -= np.bincount(np.concatenate(rows), np.concatenate(updates), len(r))
 
 
 def _backward(level, r, mu):
-    """Recover the level's inner multipliers in place: mu_I = M^T (r_I - W mu_O)."""
-    for blocks in _chunks(level):
-        g, inner = level.group[blocks], level.inner[blocks]
-        t = r[inner] - (level.W[g] @ mu[level.outer[blocks]][:, :, None])[..., 0]
-        mu[inner] = (t[:, None, :] @ level.M[g])[:, 0]
+    """Recover the level's inner multipliers in place: mu_I = M^T (r_I - W mu_O), per group."""
+    for inner, outer, M, W in zip(level.inner, level.outer, level.M, level.W):
+        mu[inner] = (r[inner] - mu[outer] @ W.T) @ M
 
 
 def _assemble(roots, top, nb):

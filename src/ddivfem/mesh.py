@@ -388,24 +388,3 @@ def refine_uniform(mesh):
     }
     return Mesh(vertices, cells, boundary_labels=labels)
 
-
-def canonical_form(mesh, digits=12):
-    """Coordinate-based canonical representation for mesh comparisons.
-
-    Returns the cells and the labeled boundary edges as sorted lists of
-    their sorted corner coordinates, independent of vertex and cell
-    numbering.
-    """
-    p = np.round(mesh.vertices, digits)
-
-    def sorted_rows(points):
-        # sort the points within each row, then the rows, lexicographically
-        order = np.lexsort((points[..., 1], points[..., 0]))
-        rows = np.take_along_axis(points, order[..., None], axis=1).reshape(len(points), -1)
-        order = np.lexsort(rows.T[::-1])
-        return rows[order].tolist(), order
-
-    cells, _ = sorted_rows(p[mesh.cells])
-    bdry, order = sorted_rows(p[mesh.edges[mesh.boundary_edges]])
-    return cells, list(zip(bdry, mesh.edge_label[mesh.boundary_edges][order].tolist()))
-

@@ -17,6 +17,8 @@ through it, as the specification of the library's routines over grids.
 The edge tabulation is stated as exact ``Fraction`` moments of the edge
 restrictions; the one-cell physical dofs integrate along the edges with
 their own Gauss rule, independent of the library's exact moments.
+It also holds two helpers that only the tests use: the values of a per-cell
+linear, and a numbering-free form of a mesh for comparing meshes.
 """
 
 from fractions import Fraction
@@ -836,3 +838,32 @@ def corner_mode_fields(alpha, C):
         )
 
     return u_eval, grad_eval, hess_eval, div_eval
+
+
+# -- per-cell linears and mesh comparison --------------------------------------
+
+
+def p1_eval(coeffs_k, xh, yh):
+    """Values of a per-cell linear from its {1, xh, yh} coefficients."""
+    return coeffs_k[0] + coeffs_k[1] * xh + coeffs_k[2] * yh
+
+
+def canonical_form(mesh, digits=12):
+    """Coordinate-based canonical representation for mesh comparisons.
+
+    Returns the cells and the labeled boundary edges as sorted lists of
+    their sorted corner coordinates, independent of vertex and cell
+    numbering.
+    """
+    p = np.round(mesh.vertices, digits)
+
+    def sorted_rows(points):
+        # sort the points within each row, then the rows, lexicographically
+        order = np.lexsort((points[..., 1], points[..., 0]))
+        rows = np.take_along_axis(points, order[..., None], axis=1).reshape(len(points), -1)
+        order = np.lexsort(rows.T[::-1])
+        return rows[order].tolist(), order
+
+    cells, _ = sorted_rows(p[mesh.cells])
+    bdry, order = sorted_rows(p[mesh.edges[mesh.boundary_edges]])
+    return cells, list(zip(bdry, mesh.edge_label[mesh.boundary_edges][order].tolist()))

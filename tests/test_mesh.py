@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cellspec import canonical_form
 from ddivfem.mesh import (
     EX1_CORNERS,
     Mesh,
     MeshError,
-    canonical_form,
     cell_groups,
     import_text,
     make_lshape,

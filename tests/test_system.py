@@ -10,11 +10,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cellspec import element_map, tensors
+from cellspec import element_map, p1_eval, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
 from ddivfem import TensorField, piola, space
-from ddivfem.interpolation import p1_eval, project_p1
+from ddivfem.interpolation import project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
 from ddivfem.polys import gauss_rule
@@ -400,16 +400,46 @@ def test_solver_keeps_no_block_per_cell():
     nk, npatch = len(hybrid.group), len(hybrid.levels[0].group)
     assert npatch == 48
     assert hybrid.local.shape == hybrid.inv.shape == (3, 23, 23)
-    patches = hybrid.levels[0]
-    assert patches.M.shape == (18, 40, 40) and patches.W.shape == (18, 40, 40)
+    assert len(hybrid.levels[0].M) == len(hybrid.levels[0].W) == 18
     for level in hybrid.levels:
         ngroups = level.group.max() + 1
-        assert level.M.shape[0] == level.W.shape[0] == ngroups
+        assert len(level.inner) == len(level.outer) == len(level.M) == len(level.W) == ngroups
+        for g, (inner, outer, M, W) in enumerate(zip(level.inner, level.outer, level.M, level.W)):
+            nI, nO = inner.shape[1], outer.shape[1]
+            assert len(inner) == len(outer) == np.count_nonzero(level.group == g)
+            assert M.shape == (nI, nI) and W.shape == (nI, nO)
     for name, value in vars(hybrid).items():
         if isinstance(value, np.ndarray):
             assert value.shape[:1] != (nk,) or value.shape[1:] != (23, 23), name
             assert value.shape[:1] != (npatch,) or value.ndim < 3, name
         assert not (sp.issparse(value) and value.format == "bsr"), name
+
+
+def test_fronts_keep_the_size_of_their_blocks():
+    # at ex2 level 3 the patches without Neumann rows eliminate their 17
+    # inner rows with a 17 x 17 M, beside the patches on the Neumann edge,
+    # and the M and W of every level hold nI (nI + nO) entries per block,
+    # with nI the rows inside the block but inside no block below, and nO
+    # the other rows that meet it and that no block below holds
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 3))
+    nc, nk = hybrid.Lam.shape[0] - hybrid.L.shape[0], len(hybrid.group)
+    patches = hybrid.levels[0]
+    sizes = {M.shape for M in patches.M}
+    assert (17, 17) in sizes and len(sizes) > 1
+    for inner, M in zip(patches.inner, patches.M):
+        assert (inner >= nc).any() or M.shape == (17, 17)
+    cells = _row_cells(hybrid)
+    of_cell, below = np.arange(nk), np.zeros(len(cells), dtype=bool)
+    for level, (blocks, owner) in zip(hybrid.levels, linsolve._cover(hybrid.Lam, nk)):
+        of_cell = linsolve._lift(of_cell, blocks)
+        nI = np.bincount(owner[(owner >= 0) & ~below], minlength=len(blocks))
+        front = np.zeros(len(blocks), dtype=int)
+        for row_cells in (c for c, done in zip(cells, below) if not done):
+            front[list(set(of_cell[list(row_cells)]) - {-1})] += 1
+        below |= owner >= 0
+        want = np.sum(nI * front)
+        got = sum(len(inner) * (M.size + W.size) for inner, M, W in zip(level.inner, level.M, level.W))
+        assert got == want
 
 
 @pytest.mark.skipif(
@@ -590,6 +620,15 @@ def _row_cells(hybrid):
     return [set(Lam.indices[Lam.indptr[i] : Lam.indptr[i + 1]] // 20) for i in range(Lam.shape[0])]
 
 
+def _block_rows(level):
+    """The inner and the outer rows of every block of a level, in block order."""
+    inner, outer = [None] * len(level.group), [None] * len(level.group)
+    for g, (rows_in, rows_out) in enumerate(zip(level.inner, level.outer)):
+        for b, i, o in zip(np.flatnonzero(level.group == g), rows_in, rows_out):
+            inner[b], outer[b] = i, o
+    return inner, outer
+
+
 @pytest.mark.parametrize("which", ["graded-5x3", "ex2-0"])
 def test_partial_and_empty_patch_covers_agree_with_colamd(which):
     # the 5 x 3 grid leaves cells alone beside its patches, and the three
@@ -642,10 +681,11 @@ def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
     patches, level = _patches(system), hybrid.levels[0]
     assert len(np.unique(patches)) == patches.size and patches.max() < len(hybrid.group)
     assert len(level.group) == len(patches) == hybrid.info()["patches"]
-    nb, rows = hybrid.Lam.shape[0], _row_cells(hybrid)
-    for b, cells in enumerate(patches):
-        front = set(level.inner[b]) | set(level.outer[b])
-        assert front - {nb} == {i for i, meets in enumerate(rows) if meets & set(cells)}
+    rows = _row_cells(hybrid)
+    for cells, inner, outer in zip(patches, *_block_rows(level)):
+        front = set(inner) | set(outer)
+        assert len(front) == len(inner) + len(outer)
+        assert front == {i for i, meets in enumerate(rows) if meets & set(cells)}
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
@@ -659,10 +699,9 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     nc, nl = system.dofmap.C.shape[0], system.L.shape[0]
     assert (which == "ex2-3") == (nl > 0)
     assert np.array_equal(hybrid.Lam[nc:].toarray(), (hybrid.L @ hybrid.Q).toarray())
-    rows, nb = _row_cells(hybrid), hybrid.Lam.shape[0]
+    rows = _row_cells(hybrid)
     neumann = 0
-    for b, cells in enumerate(patches):
-        inner = level.inner[b][level.inner[b] < nb]
+    for cells, inner in zip(patches, _block_rows(level)[0]):
         assert set(inner) == {i for i, meets in enumerate(rows) if meets <= set(cells)}
         assert np.count_nonzero(inner < nc) == 17
         neumann += np.count_nonzero(inner >= nc)
@@ -680,7 +719,7 @@ def test_patch_groups_follow_the_inside_rows():
     g = 4
     b = np.flatnonzero(level.group == g)[0]
     C = system.dofmap.C.copy()
-    for i in level.inner[b]:
+    for i in _block_rows(level)[0][b]:
         C.data[C.indptr[i] : C.indptr[i + 1]] *= 2.0
     scaled = linsolve.HybridSolver(_with_continuity(system, C)).levels[0]
     assert len(set(scaled.group)) == 10 and np.count_nonzero(scaled.group == scaled.group[b]) == 1
@@ -846,32 +885,42 @@ def test_block_interior_breakdown_detected(monkeypatch):
 
 
 def test_blocks_group_by_their_units_and_the_places_of_their_rows():
-    # two blocks of four units of one group: in the first, units 0 and 1
+    # four blocks of four units of one group: in the first, units 0 and 1
     # share the block's inside row, in the second units 0 and 2 do, so the
-    # fronts differ and must not share an elimination; each block's update
-    # is the Schur complement of its own front
+    # fronts differ and must not share an elimination.  The third and the
+    # fourth put their rows at the same places, but two of them lie inside
+    # the third and one inside the fourth, so their fronts differ too.  Each
+    # block's update is the Schur complement of its own front
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
     U = (a @ a.T + 3.0 * np.eye(3))[None]
     outer = np.array([[0, 1, 2], [2, 3, 4], [5, 6, 7], [8, 9, 10],
-                      [11, 12, 13], [14, 15, 16], [13, 17, 18], [19, 20, 21]])
-    diagonal = np.bincount(outer.ravel(), np.tile(np.diag(U[0]), 8), 22)
-    owner = np.full(22, -1)
-    owner[[2, 13]] = [0, 1]
-    blocks = np.arange(8).reshape(2, 4)
+                      [11, 12, 13], [14, 15, 16], [13, 17, 18], [19, 20, 21],
+                      [22, 23, 24], [24, 25, 26], [27, 28, 29], [30, 31, 32],
+                      [33, 34, 35], [35, 36, 37], [38, 39, 40], [41, 42, 43]])
+    nb = 44
+    diagonal = np.bincount(outer.ravel(), np.tile(np.diag(U[0]), 16), nb)
+    owner = np.full(nb, -1)
+    owner[[2, 13, 22, 23, 33]] = [0, 1, 2, 2, 3]
+    blocks = np.arange(16).reshape(4, 4)
     level, rows, _, (up, group, U_up), rest = linsolve._merge(
-        (outer, np.zeros(8, dtype=int), U), diagonal, blocks, owner, 2
+        (outer, np.zeros(16, dtype=int), U), diagonal, blocks, owner, 2
     )
-    assert len(set(group)) == 2 and np.array_equal(rows, [2, 13]) and len(rest[0]) == 0
-    for b in range(2):
-        order = np.concatenate([level.inner[b], up[b]])
+    assert len(set(group)) == 4 and len(rest[0]) == 0
+    assert np.array_equal(rows, [2, 13, 22, 23, 33])
+    for b, inner in enumerate(_block_rows(level)[0]):
+        nO = np.count_nonzero(up[b] < nb)
+        order = np.concatenate([inner, up[b, :nO]])
         at = {row: i for i, row in enumerate(order)}
         F = np.zeros((len(order), len(order)))
         for unit in blocks[b]:
             i = [at[row] for row in outer[unit]]
             F[np.ix_(i, i)] += U[0]
-        want = F[1:, 1:] - np.outer(F[1:, 0], F[0, 1:]) / F[0, 0]
-        assert np.allclose(U_up[group[b]], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        nI = len(inner)
+        want = F[nI:, nI:] - F[nI:, :nI] @ np.linalg.solve(F[:nI, :nI], F[:nI, nI:])
+        got = U_up[group[b]]
+        assert np.allclose(got[:nO, :nO], want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert not got[nO:].any() and not got[:, nO:].any()
 
 
 @pytest.mark.parametrize("where", ["patch", "block"])
