@@ -67,10 +67,14 @@ time, fronts of equal size are factored together, and a sweep of a solve
 takes one pair of products per group.  Each local block is scaled
 symmetrically before it is inverted, so that cells of any size give an
 accurate inverse.  The cells and blocks are units
-``(outer, group, U)``, their rows, group and one update per group; the
-updates exist only until the level above has summed them, and the system
-handed to SuperLU only until SuperLU has factored it, before the factors
-are read for the pivot test, which copies L and U.
+``(outer, group, U)``, their rows, group and one update per group, k x k
+on the k rows of the group's units.  A front is summed from the real
+entries of its four units by one bincount, and it is freed once its
+factors and update are formed.  The updates exist only until the level
+above has summed them, and the units that no block takes keep copies of
+only the updates they use.  The system handed to SuperLU exists only until
+SuperLU has factored it, before the factors are read for the pivot test,
+which copies L and U.
 
 Everything is read from the cell structure of the assembled
 :class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
@@ -100,7 +104,7 @@ REFINE_STEPS = 3
 #: cells whose local blocks are gathered at once in a cellwise product
 _CHUNK = 256
 
-#: entries of the dense fronts, or of their gathered factors, formed at once
+#: entries of the dense fronts formed at once, each front m x m on its m rows
 _FRONT = 1 << 20
 
 
@@ -214,7 +218,9 @@ class HybridSolver:
         # factorization
         eliminated = np.concatenate(order)
         self.condensed_n = len(eliminated)
-        self.top = np.setdiff1d(np.arange(nb), eliminated)
+        top = np.ones(nb, dtype=bool)
+        top[eliminated] = False
+        self.top = np.flatnonzero(top)
         self.schur_n = len(self.top)
         self.lu = None
         if self.schur_n > 0:
@@ -381,7 +387,7 @@ def _cell_updates(Lam, group, inv):
     nonzeros of ``Lam``, of v W_k[s, s] v each.  Returns ``(outer, group,
     U)`` in the form of the ``units`` of :func:`_merge`, the rows (ncells,
     w) padded with the row count of ``Lam``, the update group of each cell
-    and per group the update (ngroups, w, w), and the diagonal of S.
+    and per group its update (k, k) on its k rows, and the diagonal of S.
     Raises ``ValueError`` when a row meets a cell in two slots.
     """
     nb, nk = Lam.shape[0], len(group)
@@ -399,8 +405,10 @@ def _cell_updates(Lam, group, inv):
         raise ValueError("a multiplier row meets a cell in two slots")
     # with the cell group, the slots and values key the update group
     rep, cgroup = cell_groups(np.concatenate([group[:, None], slots, values], axis=1))
-    s, v = slots[rep], values[rep]
-    U = v[:, :, None] * inv[group[rep][:, None, None], s[:, :, None], s[:, None, :]] * v[:, None, :]
+    U = [
+        v[:k, None] * inv[g][s[:k, None], s[:k]] * v[:k]
+        for g, s, v, k in zip(group[rep].tolist(), slots[rep], values[rep], count[rep].tolist())
+    ]
     diagonal = np.bincount(row, Lam.data * inv[group[cell], slot, slot] * Lam.data, nb)
     return (outer, cgroup, U), diagonal
 
@@ -459,16 +467,19 @@ def _merge(units, diagonal, blocks, owner, depth):
     the block of this level that holds all cells of each row of ``Lam``, -1
     for none.  The front of a block has the rows of its four units in their
     order, each at its first place, the rows inside the block (I) before
-    the others (O), and it is the sum of the four units' updates.  Blocks
-    whose units fall in the same groups, with as many inside rows and rows
-    at the same places, form a group.  One front per group is formed at its
-    own size, the fronts of equal size together, at most ``_FRONT`` entries
-    at a time, and factored as in :func:`_factor`, D F_II D = C C^T.  With
-    M = C^-1 D and W = M F_IO, the block's update F_OO - W^T W goes up on
-    its rows O.  Returns ``(level, rows, ratio, units, rest)``: the
-    :class:`_Level`, the rows eliminated group by group, their pivots over
-    their entries of ``diagonal``, the blocks of this level in the form of
-    ``units``, and the units below that no block takes.
+    the others (O), and it is the sum of the four units' updates, summed by
+    :func:`_extend_add`.  Blocks whose units fall in the same groups, with
+    as many inside rows and rows at the same places, form a group.  One
+    front per group is formed at its own size m x m, the fronts of equal
+    size together, at most ``_FRONT`` entries at a time, factored as in
+    :func:`_factor`, D F_II D = C C^T, and freed before the next batch.
+    With M = C^-1 D and W = M F_IO, the block's update F_OO - W^T W goes up
+    on its rows O, one (nO, nO) update per group.  Returns ``(level, rows,
+    ratio, units, rest)``: the :class:`_Level`, the rows eliminated group by
+    group, their pivots over their entries of ``diagonal``, the blocks of
+    this level in the form of ``units``, their rows (n, nO) padded with the
+    row count of ``Lam``, and the units below that no block takes, with
+    copies of only the updates that they use.
     """
     outer, group, U = units
     nb, n, w = len(owner), len(blocks), outer.shape[1]
@@ -486,8 +497,8 @@ def _merge(units, diagonal, blocks, owner, depth):
     inside, up = np.full((n, nI.max()), nb), np.full((n, nO.max()), nb)
     inside[pair_block[ins], rI[ins]] = pair_row[ins]
     up[pair_block[~ins], rO[~ins]] = pair_row[~ins]
-    # the place of every unit row in its block's front, one past it for padding
-    front_at = np.repeat(nI + nO, 4 * w)
+    # the place of every unit row in its block's front, -1 for padding
+    front_at = np.full(4 * n * w, -1)
     front_at[valid] = np.where(ins, rI, nI[pair_block] + rO)[at]
     front_at = front_at.reshape(n, 4, w)
     rep, bgroup = cell_groups(np.c_[group[blocks], nI, front_at.reshape(n, -1)])
@@ -497,29 +508,25 @@ def _merge(units, diagonal, blocks, owner, depth):
     members = [by_group[a:b] for a, b in zip([0] + end[:-1], end)]
 
     # the fronts of all groups of one size are formed and factored together
-    M, W, pivot = [None] * ng, [None] * ng, [None] * ng
-    U_up = np.zeros((ng, up.shape[1], up.shape[1]))
+    M, W, U_up, pivot = [None] * ng, [None] * ng, [None] * ng, [None] * ng
     sized, size = cell_groups(np.c_[nI[rep], nO[rep]])
     for s, b in enumerate(rep[sized]):
-        mI, mO, m = nI[b], nO[b], nI[b] + nO[b]
+        mI, m = nI[b], nI[b] + nO[b]
         of_size = np.flatnonzero(size == s)
-        step = max(1, _FRONT // (m + 1) ** 2)
+        step = max(1, _FRONT // m**2)
         for lo in range(0, len(of_size), step):
             gs = of_size[lo : lo + step]
             reps, c = rep[gs], len(gs)
-            F = np.zeros((c, m + 1, m + 1))
-            for q in range(4):
-                # the rows of one unit take distinct places, so += adds each once;
-                # F is indexed flat, as rows of the stacked fronts
-                at_q, unit = front_at[reps, q], group[blocks[reps, q]]
-                rows = at_q + (m + 1) * np.arange(c)[:, None]
-                F.reshape(-1)[rows[:, :, None] * (m + 1) + at_q[:, None, :]] += U[unit]
+            F = _extend_add(U, group[blocks[reps]], front_at[reps], m)
             Ms, pivots = _factor(F[:, :mI, :mI], "in a block of level %d" % depth)
-            Ws = Ms @ F[:, :mI, mI:m]
-            U_up[gs, :mO, :mO] = F[:, mI:m, mI:m] - Ws.transpose(0, 2, 1) @ Ws
+            Ws = Ms @ F[:, :mI, mI:]
+            # the update F_OO - W^T W, written over W^T W
+            Us = Ws.transpose(0, 2, 1) @ Ws
+            np.subtract(F[:, mI:, mI:], Us, out=Us)
             pivots *= np.diagonal(F, axis1=1, axis2=2)[:, :mI]
-            for g, Mg, Wg, pg in zip(gs, Ms, Ws, pivots):
-                M[g], W[g], pivot[g] = Mg, Wg, pg
+            del F
+            for g, Mg, Wg, Ug, pg in zip(gs, Ms, Ws, Us, pivots):
+                M[g], W[g], U_up[g], pivot[g] = Mg, Wg, Ug, pg
     inner = [inside[b, : nI[b[0]]] for b in members]
     rows = np.concatenate([i.ravel() for i in inner])
     ratio = np.concatenate([np.tile(p, len(b)) for p, b in zip(pivot, members)]) / diagonal[rows]
@@ -529,13 +536,20 @@ def _merge(units, diagonal, blocks, owner, depth):
             "multiplier system not positive definite: pivot / diagonal %.3e in block %d of level %d"
             % (ratio[worst], owner[rows[worst]], depth)
         )
-    rest = np.setdiff1d(np.arange(len(outer)), blocks)
+    # the units below that no block takes keep copies of only the updates
+    # they use, so that all others are freed with the level below
+    rest = np.ones(len(outer), dtype=bool)
+    rest[blocks] = False
+    rest = np.flatnonzero(rest)
+    used = np.zeros(len(U), dtype=bool)
+    used[group[rest]] = True
+    kept = [U[g].copy() for g in np.flatnonzero(used)]
     return (
         _Level(inner, [up[b, : nO[b[0]]] for b in members], bgroup, M, W),
         rows,
         ratio,
         (up, bgroup, U_up),
-        (outer[rest], group[rest], U),
+        (outer[rest], np.cumsum(used)[group[rest]] - 1, kept),
     )
 
 
@@ -560,6 +574,29 @@ def _backward(level, r, mu):
         mu[inner] = (r[inner] - mu[outer] @ W.T) @ M
 
 
+def _extend_add(U, units, places, m):
+    """Fronts (c, m, m), each the sum of the updates ``U`` of its four units.
+
+    ``units`` (c, 4) holds the update group of each unit, and ``places``
+    (c, 4, w) the places of the unit's rows in its front, its real rows
+    first.  One bincount sums the real entries of all units from 0.0, the
+    units of each front in their order; the rows of one unit take distinct
+    places, so a unit adds to an entry at most once.
+    """
+    c = len(units)
+    units, places = units.T.ravel().tolist(), places.transpose(1, 0, 2).reshape(4 * c, -1)
+    size = [U[u].size for u in units]
+    index, value = np.empty(sum(size), dtype=np.intp), np.empty(sum(size))
+    lo = 0
+    for p, (u, n) in enumerate(zip(units, size)):
+        at = places[p, : len(U[u])]
+        out = index[lo : lo + n].reshape(len(at), len(at))
+        np.add(((p % c) * m + at[:, None]) * m, at, out=out)
+        value[lo : lo + n] = U[u].ravel()
+        lo += n
+    return np.bincount(index, value, c * m * m).reshape(c, m, m)
+
+
 def _assemble(roots, top, nb):
     """The multiplier system on the rows ``top`` of ``Lam`` in csc form.
 
@@ -568,25 +605,29 @@ def _assemble(roots, top, nb):
     rows are rows of ``top``, and the system is the sum of their updates.
     Every pair of rows that meets a common root gets an entry, explicit
     zeros included, so the pattern is that of the mesh and the ordering
-    does not follow the rounding of the entries.
+    does not follow the rounding of the entries.  The entries are listed
+    root by root, each update row by row, and written group by group.
     """
     at = np.full(nb + 1, -1)
     at[top] = np.arange(len(top))
-    i, j, data = [], [], []
+    count = [np.array([u.size for u in U], dtype=int)[group] for _, group, U in roots]
+    count = np.concatenate(count)
+    first, nnz = np.cumsum(count) - count, count.sum()
+    # the row and column indices in the index type of the csc matrix, so that none is copied
+    i, j, data = np.empty(nnz, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
     for outer, group, U in roots:
         rows = at[outer]
-        valid = rows >= 0
-        step = max(1, _FRONT // max(outer.shape[1] ** 2, 1))
-        for lo in range(0, len(outer), step):
-            part = slice(lo, lo + step)
-            pairs = valid[part, :, None] & valid[part, None, :]
-            i.append(np.broadcast_to(rows[part, :, None], pairs.shape)[pairs])
-            j.append(np.broadcast_to(rows[part, None, :], pairs.shape)[pairs])
-            data.append(U[group[part]][pairs])
+        for g, u in enumerate(U):
+            of_g = np.flatnonzero(group == g)
+            k = len(u)
+            # the k x k entries of each root of the group, row by row
+            place = first[of_g, None] + np.arange(k * k)
+            i[place] = np.repeat(rows[of_g, :k], k, axis=1)
+            j[place] = np.tile(rows[of_g, :k], k)
+            data[place] = u.ravel()
+        first = first[len(group) :]
     n = len(top)
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(i), np.concatenate(j))), shape=(n, n)
-    ).tocsc()
+    return sp.coo_matrix((data, (i, j)), shape=(n, n)).tocsc()
 
 
 def _local_inverses(local):

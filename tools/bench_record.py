@@ -3,7 +3,10 @@
     python3 tools/bench_record.py --parent 3eaf060 --out BENCH_10.json
 
 Run from the root of the changed checkout.  The parent commit is exported
-into a temporary directory by ``tools/parent_checkout.py``.  For every
+into a temporary directory by ``tools/parent_checkout.py``, and the files
+that git tracks in this checkout, as the working tree holds them, are
+copied into another, so that neither side starts with a ``__pycache__`` or
+other untracked file; stage new files before recording.  For every
 workload and each of the seeds 1-10, ``perfbench/run.py --trace 0 --seconds
 30`` runs once in each checkout, the two alternating and the side that goes first
 switching from seed to seed; then ``--trace 1`` runs once per checkout with
@@ -19,7 +22,7 @@ import statistics
 import subprocess
 import sys
 
-from parent_checkout import parent_checkout
+from parent_checkout import parent_checkout, tree_checkout
 
 WORKLOADS = ("ex1-conv", "ex2-conv", "graded-ex1", "interp-commute")
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
@@ -94,8 +97,8 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
-    with parent_checkout(args.parent) as (commit, parent):
-        record = measure({"parent": parent, "change": "."})
+    with parent_checkout(args.parent) as (commit, parent), tree_checkout() as change:
+        record = measure({"parent": parent, "change": change})
     record["parent_commit"] = commit
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

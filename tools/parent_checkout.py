@@ -1,6 +1,8 @@
-"""Export a commit of this repository into a temporary directory.
+"""Export a commit, or the tracked files of the working tree, into a temporary directory.
 
     with parent_checkout("3eaf060") as (commit, path):
+        ...
+    with tree_checkout() as path:
         ...
 
 ``tools/bench_record.py`` and ``tools/same_numbers.py`` compare the
@@ -9,6 +11,8 @@ them from the root of the changed checkout.
 """
 
 import contextlib
+import os
+import shutil
 import subprocess
 import tempfile
 
@@ -28,3 +32,21 @@ def parent_checkout(rev):
     with tempfile.TemporaryDirectory() as path:
         subprocess.run(["tar", "-x", "-C", path], input=archive.stdout, check=True)
         yield commit, path
+
+
+@contextlib.contextmanager
+def tree_checkout():
+    """Yield the path of a copy of the files that git tracks, as the working tree holds them.
+
+    The copy starts as bare as one of :func:`parent_checkout`: no
+    ``__pycache__``, build output or other untracked file comes along.
+    Tracked files deleted from the working tree are left out; the directory
+    is removed on exit.
+    """
+    listed = subprocess.run(["git", "ls-files", "-z"], stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory() as path:
+        for name in listed.decode().split("\0"):
+            if name and os.path.isfile(name):
+                os.makedirs(os.path.join(path, os.path.dirname(name)), exist_ok=True)
+                shutil.copy2(name, os.path.join(path, name))
+        yield path
