@@ -229,15 +229,16 @@ def project_p1(mesh, f, nq=6):
 # -- error norms -----------------------------------------------------------------
 
 
-def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
+def tensor_errors(mesh, cache, coeffs, field, nq=6):
     """Squared L2 errors of a piecewise tensor against an exact field.
 
     Parameters
     ----------
     coeffs : (ncells, 20) array
         Reference expansion coefficients per cell.
-    cell_orders : (ncells,) int array, optional
-        Per-cell quadrature order override (for cells near singular points).
+    nq : int or (ncells,) int array
+        Gauss rule order, one for all cells or one per cell (raised on
+        cells near singular points).
 
     Returns
     -------
@@ -246,9 +247,7 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6, cell_orders=None):
     with the squared norms of the exact field, and ``norm_Mh`` with the
     squared norm of the piecewise tensor.
     """
-    orders = np.full(mesh.num_cells, nq, dtype=int)
-    if cell_orders is not None:
-        orders = np.asarray(cell_orders, dtype=int)
+    orders = np.broadcast_to(nq, (mesh.num_cells,))
     res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0,
            "norm_Mh": 0.0}
     for q, cells in _cell_blocks(orders):

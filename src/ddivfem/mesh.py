@@ -312,6 +312,8 @@ def make_parallelogram_domain(corners, level):
     corners = np.asarray(corners, dtype=float)
     if corners.shape != (4, 2):
         raise MeshError("corners must be a (4, 2) array")
+    if not np.all(np.isfinite(corners)):
+        raise MeshError("corners must be finite")
     c = _relative_to_largest(corners)
     if np.linalg.norm(c[0] - c[1] + c[2] - c[3]) > 1e-12:
         raise MeshError("corners do not form a parallelogram")

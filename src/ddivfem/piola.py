@@ -70,14 +70,17 @@ class GeometryError(ValueError):
 def element_maps(mesh, cells):
     """``B`` (n, 2, 2), ``a`` (n, 2) and ``det`` (n,) of the element maps of cells ``cells``.
 
-    Raises :class:`GeometryError` for a nonpositive determinant.
+    Raises :class:`GeometryError` for a determinant that is not finite and positive.
     """
     v = mesh.vertices[mesh.cells[cells]]
     B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
-    det = np.linalg.det(B)
-    if np.any(det <= 0.0):
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(B)
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if np.any(bad):
         raise GeometryError(
-            "cell %d has a nonpositive element map determinant" % cells[np.argmin(det)]
+            "cell %d has a nonpositive or overflowing element map determinant"
+            % cells[np.argmax(bad)]
         )
     return B, 0.5 * (v[..., 0, :] + v[..., 2, :]), det
 

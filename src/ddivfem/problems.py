@@ -115,7 +115,7 @@ def exact_example1():
         mesh_factory=lambda level: make_parallelogram_domain(EX1_CORNERS, level),
         dirichlet=DirichletData(u_eval, grad_eval),
         neumann=None,
-        material=MaterialLaw("identity"),
+        material=MaterialLaw(),
     )
 
 
@@ -229,7 +229,7 @@ def exact_example2():
         mesh_factory=make_lshape,
         dirichlet=DirichletData(zero_eval, grad_zero),
         neumann=NeumannData(field),
-        material=MaterialLaw("identity"),
+        material=MaterialLaw(),
         singular_vertex=(0.0, 0.0),
         alpha=alpha,
         coeff=C,
@@ -277,7 +277,7 @@ def l2_errors(mesh, dofmap, cache, result, exact, nq=6, nq_singular=10):
     coeffs = result.get("coeffs")
     if coeffs is None:
         coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
-    errs = tensor_errors(mesh, cache, coeffs, exact.error_field, nq=nq, cell_orders=orders)
+    errs = tensor_errors(mesh, cache, coeffs, exact.error_field, nq=orders)
 
     err_u2 = 0.0
     for q, cells in _cell_blocks(orders):
@@ -390,7 +390,7 @@ class ConvergenceReport:
     def all_pass(self):
         return all(v["pass"] for v in self.band_check().values())
 
-    def to_csv(self, path=None):
+    def to_csv(self):
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
             cells = []
@@ -403,13 +403,9 @@ class ConvergenceReport:
                 else:
                     cells.append("%.17g" % v)
             lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
-    def to_json(self, path=None):
+    def to_json(self):
         payload = {
             "schema_version": 1,
             "problem": self.problem,
@@ -422,11 +418,7 @@ class ConvergenceReport:
             "all_pass": self.all_pass(),
         }
         payload.update(self.extras)
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def table(self):
         """Aligned text table for terminal output."""

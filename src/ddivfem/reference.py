@@ -103,10 +103,10 @@ def build_reference_basis():
     return values
 
 
-def in_reference_space(basis, tol=0.0):
+def in_reference_space(basis):
     """Per tensor of a grid stack (4, 4, nb, 3): are all coefficients outside
-    the component masks within tol?"""
-    return np.all(np.abs(np.moveaxis(basis, 2, 3)[~COMPONENT_MASKS]) <= tol, axis=0)
+    the component masks zero?"""
+    return np.all(np.moveaxis(basis, 2, 3)[~COMPONENT_MASKS] == 0.0, axis=0)
 
 
 def _derivative(c, axis):

@@ -35,51 +35,44 @@ class MaterialError(ValueError):
 
 
 class MaterialLaw:
-    """Bending stiffness C with its inverse (compliance) action.
+    """The isotropic bending law C K = E [(1 - nu) K + nu tr(K) I] with its
+    inverse (compliance) action; E and nu are keyword-only.
 
-    ``identity`` uses M = grad grad u.  ``isotropic`` uses the scaled law
-    C K = E [(1 - nu) K + nu tr(K) I] which requires -1 < nu < 0.5.
+    The defaults E = 1, nu = 0 give the identity law M = grad grad u.  The
+    law needs 0 < E < inf and -1 < nu < 0.5.  C^-1 scales trace-free
+    tensors by dev = 1 / (E (1 - nu)) and multiples of I by
+    vol = 1 / (E (1 + nu)); :class:`MaterialError` is raised unless both
+    are finite and positive and vol / dev, the condition of C^-1 for
+    nu < 0, stays below 1 / eps, so that the law is still positive definite
+    in double precision.
     """
 
-    def __init__(self, kind="identity", E=1.0, nu=0.0):
-        self.kind = kind
+    def __init__(self, *, E=1.0, nu=0.0):
         self.E = float(E)
         self.nu = float(nu)
-        if kind == "identity":
-            if not (self.E == 1.0 and self.nu == 0.0):
-                raise MaterialError(
-                    "identity law has E=1 and nu=0, got E=%g nu=%g" % (self.E, self.nu)
-                )
-        elif kind == "isotropic":
-            # written so that NaN fails too
-            if not (-1.0 < self.nu < 0.5 and self.E > 0.0):
-                raise MaterialError(
-                    "isotropic law needs E > 0 and -1 < nu < 0.5, got E=%g nu=%g"
-                    % (self.E, self.nu)
-                )
-        else:
-            raise MaterialError("unknown material kind %r" % kind)
-        if np.linalg.eigvalsh(self.compliance_gram()).min() <= 0.0:
-            raise MaterialError("compliance is not positive definite")
+        # written so that NaN fails too; the Frobenius form doubles dev on
+        # the shear component
+        with np.errstate(divide="ignore", over="ignore"):
+            dev, vol = np.divide(1.0, [self.E * (1.0 - self.nu), self.E * (1.0 + self.nu)])
+            ok = (
+                0.0 < self.E < np.inf
+                and -1.0 < self.nu < 0.5
+                and 0.0 < vol
+                and vol * np.finfo(float).eps < dev
+                and 2.0 * dev < np.inf
+            )
+        if not ok:
+            raise MaterialError(
+                "isotropic law needs 0 < E < inf, -1 < nu < 0.5 and a finite, "
+                "resolvable compliance, got E=%r nu=%r" % (self.E, self.nu)
+            )
 
     def apply_compliance(self, mxx, mxy, myy):
         """Componentwise C^-1 M for arrays of tensor components."""
-        if self.kind == "identity":
-            return mxx, mxy, myy
         trm = mxx + myy
         c = self.nu / (1.0 + self.nu)
         fac = 1.0 / (self.E * (1.0 - self.nu))
         return fac * (mxx - c * trm), fac * mxy, fac * (myy - c * trm)
-
-    def compliance_gram(self):
-        """Matrix of the quadratic form M -> C^-1 M : M in (Mxx, Myy, Mxy)."""
-        basis = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
-        G = np.zeros((3, 3))
-        for a, (axx, axy, ayy) in enumerate(basis):
-            cxx, cxy, cyy = self.apply_compliance(axx, axy, ayy)
-            for b, (bxx, bxy, byy) in enumerate(basis):
-                G[a, b] = cxx * bxx + 2.0 * cxy * bxy + cyy * byy
-        return G
 
 
 class DirichletData:

@@ -260,6 +260,17 @@ def test_degenerate_corners_rejected():
         make_parallelogram_domain([[0, 0], [0, 1], [1, 1], [1, 0]], 1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+def test_corners_that_are_not_finite_rejected(bad, where):
+    # also the third corner, which only closes the parallelogram and places
+    # no vertex
+    corners = np.array(EX1_CORNERS, dtype=float)
+    corners[where] = bad
+    with pytest.raises(MeshError, match="finite"):
+        make_parallelogram_domain(corners, 1)
+
+
 #: closure defect 0.3: a trapezoid, not a parallelogram
 TRAPEZOID = np.array([[0.0, 0.0], [1.0, 0.0], [0.7, 1.0], [0.0, 1.0]])
 

@@ -90,6 +90,17 @@ def test_singular_map_rejected():
         batch_geometry(mesh)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_element_maps_rejected(scale):
+    # det B overflows while the corners stay finite; the library's error,
+    # not numpy's overflow warning or a failed SVD in the condition check
+    mesh = make_parallelogram_domain(np.array(EX1_CORNERS) * scale, 1)
+    with pytest.raises(GeometryError, match="determinant"):
+        batch_geometry(mesh)
+    with pytest.raises(GeometryError, match="determinant"):
+        build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+
+
 def test_push_tensor_value(phis):
     emap = element_map(make_parallelogram_domain(EX1_CORNERS, 0), 0)
     phi = phis[0]

@@ -314,7 +314,7 @@ def test_csv_layout_and_blanks(ex2_report):
 
 def test_csv_full_columns(ex1_report, tmp_path):
     path = tmp_path / "table.csv"
-    ex1_report.to_csv(path)
+    path.write_text(ex1_report.to_csv())
     lines = path.read_text().strip().split("\n")
     first = dict(zip(CSV_COLUMNS, lines[1].split(",")))
     assert first["eoc_u"] == ""  # no previous level
@@ -325,7 +325,8 @@ def test_csv_full_columns(ex1_report, tmp_path):
 
 
 def test_json_report(ex1_report, ex2_report, tmp_path):
-    payload = json.loads(ex1_report.to_json(tmp_path / "report.json"))
+    (tmp_path / "report.json").write_text(ex1_report.to_json())
+    payload = json.loads((tmp_path / "report.json").read_text())
     assert payload["schema_version"] == 1
     assert payload["problem"] == "ex1"
     assert payload["all_pass"] is True

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -39,37 +41,73 @@ from ddivfem.system import (
 # -- material law ------------------------------------------------------------
 
 
+def compliance_gram(law):
+    """Matrix of the quadratic form M -> C^-1 M : M in (Mxx, Myy, Mxy)."""
+    basis = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]
+    G = np.zeros((3, 3))
+    for a, (axx, axy, ayy) in enumerate(basis):
+        cxx, cxy, cyy = law.apply_compliance(axx, axy, ayy)
+        for b, (bxx, bxy, byy) in enumerate(basis):
+            G[a, b] = cxx * bxx + 2.0 * cxy * bxy + cyy * byy
+    return G
+
+
 def test_material_validation():
     with pytest.raises(MaterialError):
-        MaterialLaw("isotropic", E=-1.0, nu=0.3)
+        MaterialLaw(E=-1.0, nu=0.3)
     with pytest.raises(MaterialError):
-        MaterialLaw("isotropic", E=np.nan, nu=0.2)
+        MaterialLaw(E=np.nan, nu=0.2)
     with pytest.raises(MaterialError):
-        MaterialLaw("isotropic", E=1.0, nu=0.5)
+        MaterialLaw(E=1.0, nu=0.5)
     with pytest.raises(MaterialError):
-        MaterialLaw("isotropic", E=1.0, nu=-1.0)
-    with pytest.raises(MaterialError):
-        MaterialLaw("orthotropic")
-    # the identity law is E = 1, nu = 0, and does not drop other values
-    for E, nu in [(5.0, 0.3), (5.0, 0.0), (1.0, 0.3), (np.nan, 0.0)]:
-        with pytest.raises(MaterialError, match="identity law"):
-            MaterialLaw("identity", E=E, nu=nu)
+        MaterialLaw(E=1.0, nu=-1.0)
+    # compliances that overflow, or whose ratio double precision cannot resolve
+    for E, nu in [(1e-320, 0.2), (1e-310, 0.0), (1e300, np.nextafter(-1.0, 0.0))]:
+        with pytest.raises(MaterialError):
+            MaterialLaw(E=E, nu=nu)
+    # the parameters are keyword-only
+    with pytest.raises(TypeError):
+        MaterialLaw("isotropic", E=2.0, nu=0.3)
 
 
 def test_identity_material_is_passthrough():
     law = MaterialLaw()
     assert law.apply_compliance(1.5, -0.25, 0.75) == (1.5, -0.25, 0.75)
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((3, 40, 9)) * 10.0 ** rng.integers(-300, 300, (3, 40, 9))
+    assert all(np.array_equal(c, x) for c, x in zip(law.apply_compliance(*m), m))
 
 
 def test_isotropic_compliance():
     # at nu = 0 the law collapses to scaling by 1/E
-    law = MaterialLaw("isotropic", E=4.0, nu=0.0)
+    law = MaterialLaw(E=4.0, nu=0.0)
     assert np.allclose(law.apply_compliance(2.0, 1.0, -3.0), (0.5, 0.25, -0.75))
 
-    law = MaterialLaw("isotropic", E=200.0, nu=0.3)
-    G = law.compliance_gram()
+    law = MaterialLaw(E=200.0, nu=0.3)
+    G = compliance_gram(law)
     assert np.allclose(G, G.T)
     assert np.all(np.linalg.eigvalsh(G) > 0)
+
+
+#: moduli from subnormal to overflow, and the values beyond
+MODULI = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300, 1.7e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(E=MODULI, nu=st.one_of(st.floats(-1.0, 0.5), st.floats(allow_nan=True)))
+def test_every_law_is_rejected_or_positive_definite(E, nu):
+    # the library's own error or a law whose compliance form is finite and
+    # positive definite: never numpy's LinAlgError or a RuntimeWarning
+    try:
+        law = MaterialLaw(E=E, nu=nu)
+    except MaterialError:
+        return
+    G = compliance_gram(law)
+    assert np.all(np.isfinite(G))
+    assert np.linalg.eigvalsh(G).min() > 0.0
 
 
 # -- loads --------------------------------------------------------------------

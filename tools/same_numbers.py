@@ -16,7 +16,8 @@ script computes the same fixed set of outputs:
   by ``ROTATED_ANGLE`` with its labels, f = 1 and the Neumann data of
   ``TensorField.random_poly(default_rng(0), 2)``: 192 cells in 119 cell
   groups, so the per-group paths of assembly, solve and conformity check
-  see many groups;
+  see many groups; and once more with the isotropic law E = 2, nu = 0.3,
+  so that one output goes through a compliance that is not the identity;
 - the ``repr`` of ``check_conformity`` on raw coefficients, on ex2 at level
   ``RAW_LEVEL`` and on the rotated L-shape above, for two fields each: a
   random (ncells, 20) array drawn from ``default_rng(RAW_SEED)``, and the
@@ -41,6 +42,7 @@ when they differ.
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -98,7 +100,8 @@ def library_outputs():
     import numpy as np
 
     from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
-    from ddivfem import BasisCache, NeumannData, build_system, solve_example, solve_problem
+    from ddivfem import BasisCache, MaterialLaw, NeumannData, build_system, solve_example
+    from ddivfem import solve_problem
     from ddivfem import cell_coefficients, check_conformity
     from ddivfem.cli import main as cli_main
     from ddivfem.mesh import Mesh, make_lshape
@@ -125,13 +128,17 @@ def library_outputs():
     mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells, labels)
     dofmap = build_dof_map(mesh)
     neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
-    system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), neumann=neumann)
-    result = solve_problem(mesh, dofmap, system)
-    name = "solve rotated lshape L%d" % ROTATED_LEVEL
-    for key in ("m", "u", "lambda"):
-        out["%s %s" % (name, key)] = digest(result[key])
-    for key in ("solver", "conformity"):
-        out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
+    # parents before the keyword-only law take its kind first
+    isotropic = ("isotropic",) if "kind" in inspect.signature(MaterialLaw).parameters else ()
+    for law, material in (("", None), (" E=2 nu=0.3", MaterialLaw(*isotropic, E=2.0, nu=0.3))):
+        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), material=material,
+                              neumann=neumann)
+        result = solve_problem(mesh, dofmap, system)
+        name = "solve rotated lshape L%d%s" % (ROTATED_LEVEL, law)
+        for key in ("m", "u", "lambda"):
+            out["%s %s" % (name, key)] = digest(result[key])
+        for key in ("solver", "conformity"):
+            out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
 
     meshes = [("ex2 L%d" % RAW_LEVEL, get_example("ex2").mesh(RAW_LEVEL)), ("rotated lshape", mesh)]
     for name, mesh in meshes:
