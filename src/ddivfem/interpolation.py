@@ -242,14 +242,13 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6):
 
     Returns
     -------
-    dict with keys ``M``, ``div``, ``ddiv`` (those the field provides),
-    holding sums of squared cellwise errors, plus matching ``norm_*`` keys
-    with the squared norms of the exact field, and ``norm_Mh`` with the
+    dict with keys ``M``, ``div``, ``ddiv``, holding sums of squared
+    cellwise errors (0 for a part the field does not provide), ``norm_M``
+    with the squared norm of the exact tensor, and ``norm_Mh`` with the
     squared norm of the piecewise tensor.
     """
     orders = np.broadcast_to(nq, (mesh.num_cells,))
-    res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_div": 0.0, "norm_ddiv": 0.0,
-           "norm_Mh": 0.0}
+    res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_Mh": 0.0}
     for q, cells in _cell_blocks(orders):
         tab = cache.volume_tabulation(q)
         B, det, x, y = _map_cells(mesh, cells, tab.xh, tab.yh)
@@ -267,13 +266,11 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6):
             pd = np.einsum("kab,kpb->kpa", B, dref) / det[:, None, None]
             exd = field.div(x, y)
             res["div"] += np.sum(w * ((pd - exd) ** 2).sum(axis=-1))
-            res["norm_div"] += np.sum(w * (exd**2).sum(axis=-1))
 
         if field.divdiv is not None:
             ddh = ck @ tab.ddphi / det[:, None]
             exdd = field.divdiv(x, y)
             res["ddiv"] += np.sum(w * (ddh - exdd) ** 2)
-            res["norm_ddiv"] += np.sum(w * exdd**2)
     return res
 
 

@@ -178,9 +178,8 @@ class HybridSolver:
     :class:`_Level`, eliminates the rows of ``Lam`` inside the blocks of
     level l + 1, the 2 x 2 patches first, and ``lu`` factors the multiplier
     system on the rows ``top`` that no block holds; that system is not
-    kept.  ``order`` lists the rows of ``Lam`` in the order they are
-    eliminated, and ``ratio`` holds the pivot of each row over its diagonal
-    entry of S.
+    kept.  ``ratio`` holds the pivot of each row over its diagonal entry
+    of S.
     """
 
     def __init__(self, plate):
@@ -202,7 +201,7 @@ class HybridSolver:
         # the cells are the blocks of level 0, and each level eliminates the
         # rows inside its blocks against the updates of the blocks below
         nb = self.Lam.shape[0]
-        self.ratio, order = np.empty(nb), [np.zeros(0, dtype=int)]
+        self.ratio, top = np.empty(nb), np.ones(nb, dtype=bool)
         units, diagonal = _cell_updates(self.Lam, self.group, self.inv)
         roots, self.levels = [], []
         for depth, (blocks, owner) in enumerate(_cover(self.Lam, nk), start=1):
@@ -210,25 +209,20 @@ class HybridSolver:
             self.levels.append(level)
             roots.append(rest)
             self.ratio[rows] = ratio
-            order.append(rows)
+            top[rows] = False
         roots.append(units)
 
         # the multiplier system on the rows left is built, factored and
         # dropped in one expression, so no reference to it outlives the
         # factorization
-        eliminated = np.concatenate(order)
-        self.condensed_n = len(eliminated)
-        top = np.ones(nb, dtype=bool)
-        top[eliminated] = False
         self.top = np.flatnonzero(top)
         self.schur_n = len(self.top)
+        self.condensed_n = nb - self.schur_n
         self.lu = None
         if self.schur_n > 0:
             # its pivots are measured against the diagonal of S
             self.lu, ratio = factor_spd(_assemble(roots, self.top, nb), diagonal[self.top])
             self.ratio[self.top] = ratio
-            order.append(self.top[np.argsort(self.lu.perm_c)])
-        self.order = np.concatenate(order)
         self.pivot_ratio = float(self.ratio.min()) if len(self.ratio) else None
 
     def info(self):

@@ -28,6 +28,11 @@ from .system import MaterialLaw, DirichletData, NeumannData, build_system, solve
 ALPHA_REFERENCE = 0.54448
 COEFF_REFERENCE = 1.8414
 
+#: Gauss rule order of the error integrals, and the order on the cells at
+#: the singular vertex of a benchmark
+ERROR_QUAD_POINTS = 6
+SINGULAR_QUAD_POINTS = 10
+
 #: convergence bands checked at the finest level pair
 BANDS = {
     "ex1": {"u": (1.8, 2.2), "M": (1.8, 2.2), "ddiv": (1.8, 2.2), "div": (0.8, 1.2)},
@@ -247,15 +252,15 @@ def get_example(name):
 # -- errors ---------------------------------------------------------------------
 
 
-def quadrature_orders(mesh, exact, nq, nq_singular):
+def quadrature_orders(mesh, exact):
     """Per-cell orders, raised on cells touching the singular vertex."""
-    orders = np.full(mesh.num_cells, nq, dtype=int)
+    orders = np.full(mesh.num_cells, ERROR_QUAD_POINTS, dtype=int)
     if exact.singular_vertex is not None:
         sx, sy = exact.singular_vertex
         at = np.nonzero(
             (mesh.vertices[:, 0] == sx) & (mesh.vertices[:, 1] == sy)
         )[0]
-        orders[np.isin(mesh.cells, at).any(axis=1)] = nq_singular
+        orders[np.isin(mesh.cells, at).any(axis=1)] = SINGULAR_QUAD_POINTS
     return orders
 
 
@@ -264,7 +269,7 @@ def ddiv_norm(mesh, cache, coeffs):
     return float(np.sqrt(ddiv_gap(mesh, cache, coeffs, np.zeros((mesh.num_cells, 3)))[0]))
 
 
-def l2_errors(mesh, dofmap, cache, result, exact, nq=6, nq_singular=10):
+def l2_errors(mesh, dofmap, cache, result, exact):
     """Deflection, moment, div div and divergence errors of a solution.
 
     Returns a dict with the available error norms; entries whose exact
@@ -273,7 +278,7 @@ def l2_errors(mesh, dofmap, cache, result, exact, nq=6, nq_singular=10):
     expansion of ``result["m"]`` is read from ``result["coeffs"]`` when the
     result carries it, as :func:`ddivfem.system.solve_problem`'s does.
     """
-    orders = quadrature_orders(mesh, exact, nq, nq_singular)
+    orders = quadrature_orders(mesh, exact)
     coeffs = result.get("coeffs")
     if coeffs is None:
         coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
@@ -313,7 +318,7 @@ def solve_example(exact, level, cache=None, rtol=1e-10):
         neumann=exact.neumann,
         cache=cache,
     )
-    result = solve_problem(mesh, dofmap, system, cache=cache, rtol=rtol)
+    result = solve_problem(mesh, dofmap, system, rtol=rtol)
     errors = l2_errors(mesh, dofmap, cache, result, exact)
     return {
         "mesh": mesh,

@@ -228,7 +228,7 @@ def edge_traces(basis):
     return nn, ndiv + _derivative(tn, 2), tn
 
 
-def dof_matrix(basis=None):
+def dof_matrix(basis):
     """Unnormalized dof matrix D[m, k] = dof_m(phi_k) of a grid stack, (20, nb).
 
     Rows: four m0 rows (constant normal-normal moment per edge), four m1
@@ -237,10 +237,8 @@ def dof_matrix(basis=None):
     entering the corner minus its value at the start of the edge leaving
     it.  The moments and end values take the weights of
     :func:`edge_weights`, so on dyadic grids every entry is the exact value
-    rounded once.  Defaults to the reference basis.
+    rounded once.
     """
-    if basis is None:
-        basis = build_reference_basis()
     nn, shear, tn = edge_traces(basis)
     moments, den, ends = edge_weights(basis.shape[0])
     rows = [np.einsum("pm,jim->pji", moments, t).reshape(8, -1) / den for t in (nn, shear)]
@@ -248,7 +246,7 @@ def dof_matrix(basis=None):
     return np.concatenate(rows + [np.roll(stop, 1, axis=0) - start])
 
 
-def verify_unisolvency(basis=None, tol=1e-12):
+def verify_unisolvency(basis, tol=1e-12):
     """Check duality of shape functions and normalized degrees of freedom.
 
     Returns
@@ -270,10 +268,8 @@ def verify_unisolvency(basis=None, tol=1e-12):
     return report
 
 
-def trace_degrees(basis=None):
+def trace_degrees(basis):
     """Max polynomial degree of each trace over all edges and shape functions."""
-    if basis is None:
-        basis = build_reference_basis()
     nn, shear, _ = edge_traces(basis)
     return tuple(
         int(max(np.flatnonzero(np.any(np.abs(c) > 1e-14, axis=(0, 1))), default=-1))
@@ -281,14 +277,12 @@ def trace_degrees(basis=None):
     )
 
 
-def divdiv_matrix(basis=None):
+def divdiv_matrix(basis):
     """Coefficients of div div phi_i in the monomial basis {1, x, y}.
 
     Returns an array of shape (nb, 3); raises ``ValueError`` naming the
     first shape function whose image leaves P1.
     """
-    if basis is None:
-        basis = build_reference_basis()
     dd = coefficient_grids(basis)[1]
     p1 = np.zeros(dd.shape[:2], dtype=bool)
     p1[0, 0] = p1[1, 0] = p1[0, 1] = True

@@ -15,7 +15,7 @@ multiplier rows pinning the corresponding degrees of freedom.
 import numpy as np
 import scipy.sparse as sp
 
-from .piola import BasisCache, edge_frames, element_maps, normals
+from .piola import BasisCache, GeometryError, edge_frames, element_maps, normals
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
@@ -106,12 +106,14 @@ class SaddleSystem:
 
     Attributes
     ----------
-    dofmap, P : ddivfem.space.DofMap and csr_matrix (20 ncells, ndofs)
-        The dof map and its local-to-global operator ``dofmap.P``.
+    dofmap : ddivfem.space.DofMap
+        The dof map, with its local-to-global operator ``dofmap.P``.
     first, group, Tinv : ndarrays
         The cell groups of :meth:`ddivfem.piola.BasisCache.groups`: the
         first cell of each group, the group of every cell and the inverse
         dof matrix (20, 20) of each group.
+    edge_tabulation : ddivfem.piola.EdgeTabulation
+        Of the basis those inverses came from; :func:`solve_problem` reads it.
     A_loc, B_loc : ndarrays, (ngroups, 20, 20) and (ngroups, 3, 20)
         Local blocks of each group: the compliance block
         A = P^T blockdiag(A_loc[group]) P on the free tensor dofs, which is
@@ -130,8 +132,9 @@ class SaddleSystem:
     def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
             L = sp.csr_matrix((0, ndofs))
-        self.dofmap, self.first, self.group, self.Tinv, self.A_loc, self.B_loc = cells
-        self.P, self.B, self.L = self.dofmap.P, B, L
+        (self.dofmap, self.first, self.group, self.Tinv, self.edge_tabulation,
+         self.A_loc, self.B_loc) = cells
+        self.B, self.L = B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
 
@@ -150,7 +153,7 @@ class SaddleSystem:
         nk = len(self.group)
         ptr = np.arange(nk + 1)
         A_cells = sp.bsr_matrix((self.A_loc[self.group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
-        A = (self.P.T @ A_cells @ self.P).tocsr()
+        A = (self.dofmap.P.T @ A_cells @ self.dofmap.P).tocsr()
         # structural zeros of the local blocks are dropped
         A.eliminate_zeros()
         K = sp.bmat(
@@ -171,11 +174,13 @@ def assemble(mesh, dofmap, material=None, cache=None):
     determinant factors cancel under the pushforward.
 
     Returns ``(cells, B)`` with ``cells = (dofmap, first, group, Tinv,
-    A_loc, B_loc)``: the dof map itself, the cell groups of
-    :meth:`ddivfem.piola.BasisCache.groups` and the local blocks of each
-    group, so that A = P^T blockdiag(A_loc[group]) P and
-    B = blockdiag(B_loc[group]) P for P = ``dofmap.P``.  The global A is not
-    formed; :meth:`SaddleSystem.full` forms it for the assembled K.
+    edge_tabulation, A_loc, B_loc)``: the dof map itself, the cell groups of
+    :meth:`ddivfem.piola.BasisCache.groups`, the edge tabulation of the
+    cache's basis and the local blocks of each group, so that
+    A = P^T blockdiag(A_loc[group]) P and B = blockdiag(B_loc[group]) P for
+    P = ``dofmap.P``.  The global A is not formed; :meth:`SaddleSystem.full`
+    forms it for the assembled K.  A compliance block that overflows raises
+    :class:`ddivfem.piola.GeometryError` naming the first cell of its group.
     """
     if material is None:
         material = MaterialLaw()
@@ -193,13 +198,17 @@ def assemble(mesh, dofmap, material=None, cache=None):
     # factors and the det of the volume element combine to a single 1/det
     first, group, Tinv = cache.groups(mesh)
     B, _, det = element_maps(mesh, first)
-    push = _push(B, np.broadcast_to(phi, (len(first),) + phi.shape))
-    comp = np.stack(material.apply_compliance(push[..., 0], push[..., 1], push[..., 2]), axis=-1)
-    # sum over quadrature points p and components c as one matmul over (p, c)
     ng = len(first)
-    weighted = (push * (w[:, None] * FROBENIUS)).reshape(ng, 20, -1)
-    Ahat = comp.reshape(ng, 20, -1) @ weighted.transpose(0, 2, 1) / det[:, None, None]
-    A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
+    with np.errstate(over="ignore", invalid="ignore"):
+        push = _push(B, np.broadcast_to(phi, (ng,) + phi.shape))
+        comp = np.stack(material.apply_compliance(*np.moveaxis(push, -1, 0)), axis=-1)
+        # sum over quadrature points p and components c as one matmul over (p, c)
+        weighted = (push * (w[:, None] * FROBENIUS)).reshape(ng, 20, -1)
+        Ahat = comp.reshape(ng, 20, -1) @ weighted.transpose(0, 2, 1) / det[:, None, None]
+        A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
+    if not np.isfinite(A_loc).all():
+        bad = first[np.argmax(~np.isfinite(A_loc).all(axis=(1, 2)))]
+        raise GeometryError("compliance block of cell %d is not finite" % bad)
     B_loc = Bref.T @ Tinv  # (ngroups, 3, 20); Bref is map independent
 
     # B = blockdiag(B_k) P; structural zeros of the local blocks are dropped
@@ -208,7 +217,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
     B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
     Bmat = (B_cells @ dofmap.P).tocsr()
     Bmat.eliminate_zeros()
-    return (dofmap, first, group, Tinv, A_loc, B_loc), Bmat
+    return (dofmap, first, group, Tinv, cache.edge_tabulation(), A_loc, B_loc), Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
@@ -296,8 +305,6 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
 
 def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None, cache=None):
     """Assemble the complete saddle system for a load and boundary data."""
-    if cache is None:
-        cache = BasisCache()
     cells, B = assemble(mesh, dofmap, material=material, cache=cache)
     F = source_load(mesh, f)
     if dirichlet is None:
@@ -310,26 +317,24 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None, c
     return SaddleSystem(cells, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)
 
 
-def solve_problem(mesh, dofmap, system, cache=None, rtol=1e-10):
+def solve_problem(mesh, dofmap, system, rtol=1e-10):
     """Direct solve of an assembled system.
 
     Returns a dict with the tensor coefficients ``m``, their per-cell
     reference expansion ``coeffs`` (shape (ncells, 20)), the per-cell
     deflection coefficients ``u`` (shape (ncells, 3)), the multipliers,
     solver diagnostics, and a conformity report of the tensor part.  The
-    coefficients and the report read the cell groups that the system
-    carries, so the cells are grouped once, by :func:`assemble`; they are
-    bit for bit those of :func:`ddivfem.space.cell_coefficients` and
+    coefficients and the report read the cell groups and the basis that the
+    system was assembled with, so the cells are grouped once; they are bit
+    for bit those of :func:`ddivfem.space.cell_coefficients` and
     :func:`ddivfem.space.check_conformity`.
     """
     x, info = solve_saddle(system, system.rhs(), rtol=rtol)
     m = x[: system.ndofs]
     u = x[system.ndofs : system.ndofs + system.nu].reshape(-1, 3)
     lam = x[system.ndofs + system.nu :]
-    if cache is None:
-        cache = BasisCache()
     coeffs = _expand(dofmap, system.group, system.Tinv, m)
-    conf = _conformity(mesh, dofmap, system.first, system.group, coeffs, cache.edge_tabulation())
+    conf = _conformity(mesh, dofmap, system.first, system.group, coeffs, system.edge_tabulation)
     return {
         "m": m,
         "coeffs": coeffs,

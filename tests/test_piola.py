@@ -236,7 +236,7 @@ def clamped_plate_moments(diameter):
     dofmap = build_dof_map(mesh)
     cache = BasisCache()
     system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), cache=cache)
-    m = solve_problem(mesh, dofmap, system, cache=cache)["m"]
+    m = solve_problem(mesh, dofmap, system)["m"]
     return len(cache), np.abs(m).max() / diameter**2
 
 

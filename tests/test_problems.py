@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 import cellspec
 from cellspec import Poly2, SymTensorPoly
+from ddivfem import problems
 from ddivfem.piola import BasisCache
 from ddivfem.problems import (
     BANDS,
@@ -211,25 +212,31 @@ def test_unknown_problem_name():
 # -- error measurement ---------------------------------------------------------
 
 
-def test_error_integrals_stable_under_quadrature_order():
+def test_error_integrals_stable_under_quadrature_order(monkeypatch):
     cache = BasisCache()
-    ex1 = get_example("ex1")
-    run = solve_example(ex1, 2, cache=cache)
-    e6 = l2_errors(run["mesh"], run["dofmap"], cache, run["result"], ex1, nq=6)
-    e8 = l2_errors(run["mesh"], run["dofmap"], cache, run["result"], ex1, nq=8)
+    examples = [get_example("ex1"), get_example("ex2")]
+    runs = [(exact, solve_example(exact, 2, cache=cache)) for exact in examples]
+
+    def errors(nq, nq_singular):
+        monkeypatch.setattr(problems, "ERROR_QUAD_POINTS", nq)
+        monkeypatch.setattr(problems, "SINGULAR_QUAD_POINTS", nq_singular)
+        return [
+            l2_errors(run["mesh"], run["dofmap"], cache, run["result"], exact) for exact, run in runs
+        ]
+
+    assert (problems.ERROR_QUAD_POINTS, problems.SINGULAR_QUAD_POINTS) == (6, 10)
+    (e6, e6_ex2), (e8, e8_ex2) = errors(6, 10), errors(8, 12)
     for key in ("u", "M", "ddiv", "div"):
         # polynomial integrands: already exact at the default order
         assert e6[key] == pytest.approx(e8[key], rel=1e-12)
 
-    ex2 = get_example("ex2")
-    run = solve_example(ex2, 2, cache=cache)
-    e6 = l2_errors(run["mesh"], run["dofmap"], cache, run["result"], ex2, nq=6, nq_singular=10)
-    e8 = l2_errors(run["mesh"], run["dofmap"], cache, run["result"], ex2, nq=8, nq_singular=12)
+    e6, e8 = e6_ex2, e8_ex2
     assert e6["u"] == pytest.approx(e8["u"], rel=1e-6)
     # the moment integrand behaves like r^(2 alpha - 4) near the corner, so
     # raising the order there still moves the third digit; anything tighter
     # than a percent would be claiming accuracy the quadrature does not have
     assert e6["M"] == pytest.approx(e8["M"], rel=1e-2)
+    assert e6["M"] != e8["M"]
     assert e6["ddiv"] is None and e6["div"] is None
 
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import cellspec
 from cellspec import Poly2, corrupted_basis
-from ddivfem.piola import EdgeTabulation, VolumeTabulation
+from ddivfem.piola import BasisCache, EdgeTabulation, VolumeTabulation
 from ddivfem.reference import (
     COMPONENT_MASKS,
     DOF_DIAGONAL,
@@ -45,7 +45,8 @@ def test_dof_matrix_is_exactly_diagonal(basis):
     # exactly, so the matrix is diagonal without rounding error
     D = dof_matrix(basis)
     assert np.array_equal(D, np.diag(DOF_DIAGONAL))
-    assert np.array_equal(dof_matrix(), D)
+    # and so is that of the basis a BasisCache holds by default
+    assert np.array_equal(dof_matrix(BasisCache().basis), D)
 
 
 def test_unisolvency_report(basis):

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 from cellspec import element_map, p1_eval, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
-from ddivfem import TensorField, piola, space
+from ddivfem import GeometryError, TensorField, piola, space
 from ddivfem.interpolation import project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
@@ -413,7 +413,12 @@ def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
     system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
     S = _uncondensed_system(hybrid)
-    order = hybrid.order
+    # the elimination order: the inner rows of every level, then the rows
+    # left in the order SuperLU factors them
+    order = [inner.ravel() for level in hybrid.levels for inner in level.inner]
+    if hybrid.lu is not None:
+        order.append(hybrid.top[np.argsort(hybrid.lu.perm_c)])
+    order = np.concatenate(order)
     assert np.array_equal(np.sort(order), np.arange(len(S)))
     pivots = np.diag(np.linalg.cholesky(S[np.ix_(order, order)])) ** 2
     want = pivots / np.diag(S)[order]
@@ -577,6 +582,13 @@ def test_roots_keep_only_the_updates_they_use(monkeypatch):
             assert np.all(in_top[row[:k]]) and np.all(row[k:] == nb)
 
 
+def clamped_plate(mesh):
+    """m and u of the clamped plate under f = 1 on a mesh."""
+    dofmap = build_dof_map(mesh)
+    result = solve_problem(mesh, dofmap, build_system(mesh, dofmap, lambda x, y: np.ones_like(x)))
+    return result["m"], result["u"]
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1e-15, 1e-13, 1e-8, 1e8])
 def test_clamped_plate_solves_at_any_scale(scale, level):
@@ -584,14 +596,39 @@ def test_clamped_plate_solves_at_any_scale(scale, level):
     # in the same pulled-back coefficients; unscaled local inversions used
     # to turn S indefinite at some of these scales
     def deflection(s):
-        mesh = make_parallelogram_domain(EX1_CORNERS * s, level)
-        dofmap = build_dof_map(mesh)
-        system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x))
-        return solve_problem(mesh, dofmap, system)["u"]
+        return clamped_plate(make_parallelogram_domain(EX1_CORNERS * s, level))[1]
 
     want = deflection(1.0)
     got = deflection(scale) / scale**4
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    log_s=st.floats(-15.0, 8.0),
+    angle=st.floats(-np.pi, np.pi),
+    t=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+def test_clamped_plate_answer_is_similarity_covariant(log_s, angle, t):
+    # under x -> s R x + s t the moments become s^2 R M R^T and the
+    # deflection s^4 u: every tensor dof, read in the frame of its own edge,
+    # scales like s^2, and the pulled-back deflection coefficients like s^4
+    base = make_parallelogram_domain(EX1_CORNERS, 2)
+    s, c, r = 10.0**log_s, np.cos(angle), np.sin(angle)
+    mesh = Mesh(s * (base.vertices @ np.array([[c, r], [-r, c]])) + s * np.array(t), base.cells)
+    m_want, u_want = clamped_plate(base)
+    m, u = clamped_plate(mesh)
+    assert np.abs(m / s**2 - m_want).max() <= 1e-12 * np.abs(m_want).max()
+    assert np.abs(u / s**4 - u_want).max() <= 1e-12 * np.abs(u_want).max()
+
+
+@pytest.mark.parametrize("scale", [1e78, 1e150])
+def test_overflowing_compliance_block_rejected(scale):
+    # the element maps are finite, but the compliance block of every cell
+    # overflows; the library's error, not numpy's overflow warning
+    mesh = make_parallelogram_domain(EX1_CORNERS * scale, 1)
+    with pytest.raises(GeometryError, match="compliance block of cell 0 is not finite"):
+        build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
 
 
 def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
@@ -613,8 +650,10 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
         mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
         neumann=exact.neumann, cache=basis_cache,
     )
-    result = solve_problem(mesh, dofmap, system, cache=basis_cache)
+    result = solve_problem(mesh, dofmap, system)
     assert calls == [mesh.num_cells]
+    # the conformity check reads the tabulation of the assembled basis
+    assert system.edge_tabulation is basis_cache.edge_tabulation()
     monkeypatch.undo()
     coeffs = cell_coefficients(mesh, dofmap, basis_cache, result["m"])
     assert np.array_equal(result["coeffs"], coeffs)

@@ -30,7 +30,9 @@ script computes the same fixed set of outputs:
   {ex1,ex2} --level 2``, and the stdout of ``ddivfem verify``;
 - the ten verdict lines of ``tests/test_acceptance.py``, timings masked.
 
-It prints one line per output, ``same`` or ``DIFFERS``, and exits 1 when any
+Each checkout's outputs are computed under ``-W error::RuntimeWarning``, the
+warning policy of the test suite, so a numpy overflow fails the run.  It
+prints one line per output, ``same`` or ``DIFFERS``, and exits 1 when any
 output differs.  Outputs are compared by SHA-256 digest, so a difference in
 the last bit of one number counts.  A differing output is followed by its
 largest relative change: over a solution vector max |new - old| / max |old|,
@@ -195,7 +197,7 @@ def acceptance_verdicts(checkout):
 
 def outputs(checkout):
     """All outputs of one checkout, by name."""
-    cmd = [sys.executable, os.path.abspath(__file__), "--dump"]
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", os.path.abspath(__file__), "--dump"]
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
     proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True, check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
