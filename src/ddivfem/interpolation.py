@@ -191,13 +191,29 @@ def _map_cells(mesh, cells, xh, yh):
     return B, det, x, y
 
 
-def _push(B, mref):
-    """Components (xx, xy, yy) of B Mh B^T, cell by cell, for Mh of shape (n, ..., 3).
+def _push_matrix(B):
+    """R(B) (n, 3, 3) with push(Mh) = R Mh on the components (xx, xy, yy).
 
-    Dividing by det B completes the pushforward of :mod:`ddivfem.piola`.
+    R Mh holds the components of B Mh B^T; its entries are quadratic in B.
     """
-    M = mref[..., [0, 1, 1, 2]].reshape(mref.shape[:-1] + (2, 2))
-    return np.einsum("kab,k...bc,kdc->k...ad", B, M, B)[..., [0, 0, 1], [0, 1, 1]]
+    b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    return np.stack(
+        [
+            np.stack([b00 * b00, 2.0 * b00 * b01, b01 * b01], axis=-1),
+            np.stack([b00 * b10, b00 * b11 + b01 * b10, b01 * b11], axis=-1),
+            np.stack([b10 * b10, 2.0 * b10 * b11, b11 * b11], axis=-1),
+        ],
+        axis=1,
+    )
+
+
+def _push(B, mref):
+    """Components (xx, xy, yy) of B Mh B^T, cell by cell, for Mh of shape (n, p, 3).
+
+    One matmul by R(B)^T of :func:`_push_matrix`; dividing by det B
+    completes the pushforward of :mod:`ddivfem.piola`.
+    """
+    return mref @ _push_matrix(B).transpose(0, 2, 1)
 
 
 # -- elementwise projection onto linears ---------------------------------------
@@ -255,15 +271,16 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6):
         w = tab.rule.weights * det[:, None]
         ck = coeffs[cells]
 
-        pm = _push(B, np.einsum("ki,ipc->kpc", ck, tab.phi)) / det[:, None, None]
+        npts = len(tab.rule.weights)
+        pm = _push(B, (ck @ tab.phi.reshape(20, -1)).reshape(-1, npts, 3)) / det[:, None, None]
         ex = field.m(x, y)
         res["M"] += np.sum(w * ((pm - ex) ** 2 @ FROBENIUS))
         res["norm_M"] += np.sum(w * (ex**2 @ FROBENIUS))
         res["norm_Mh"] += np.sum(w * (pm**2 @ FROBENIUS))
 
         if field.div is not None:
-            dref = np.einsum("ki,ipc->kpc", ck, tab.divphi)
-            pd = np.einsum("kab,kpb->kpa", B, dref) / det[:, None, None]
+            dref = (ck @ tab.divphi.reshape(20, -1)).reshape(-1, npts, 2)
+            pd = dref @ B.transpose(0, 2, 1) / det[:, None, None]
             exd = field.div(x, y)
             res["div"] += np.sum(w * ((pd - exd) ** 2).sum(axis=-1))
 

@@ -377,7 +377,8 @@ def _cell_updates(Lam, group, inv):
     W_k the tensor block of ``inv[group[k]]``, the cell adds v v^T * W_k[s,
     s] (entrywise) to the multiplier system on these rows.  Cells of one
     group with the same slots and values form an update group, and each
-    group's update is gathered once.  The diagonal of S is one sum over the
+    group's update is gathered once, those of all groups with equal row
+    count k in one indexed product.  The diagonal of S is one sum over the
     nonzeros of ``Lam``, of v W_k[s, s] v each.  Returns ``(outer, group,
     U)`` in the form of the ``units`` of :func:`_merge`, the rows (ncells,
     w) padded with the row count of ``Lam``, the update group of each cell
@@ -399,10 +400,13 @@ def _cell_updates(Lam, group, inv):
         raise ValueError("a multiplier row meets a cell in two slots")
     # with the cell group, the slots and values key the update group
     rep, cgroup = cell_groups(np.concatenate([group[:, None], slots, values], axis=1))
-    U = [
-        v[:k, None] * inv[g][s[:k, None], s[:k]] * v[:k]
-        for g, s, v, k in zip(group[rep].tolist(), slots[rep], values[rep], count[rep].tolist())
-    ]
+    U, k = [None] * len(rep), count[rep]
+    for n in np.unique(k).tolist():
+        of_k = np.flatnonzero(k == n)
+        g, s, v = group[rep[of_k]], slots[rep[of_k], :n], values[rep[of_k], :n]
+        batch = v[:, :, None] * inv[g[:, None, None], s[:, :, None], s[:, None, :]] * v[:, None, :]
+        for u, Ug in zip(of_k.tolist(), batch):
+            U[u] = Ug
     diagonal = np.bincount(row, Lam.data * inv[group[cell], slot, slot] * Lam.data, nb)
     return (outer, cgroup, U), diagonal
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .piola import BasisCache, GeometryError, edge_frames, element_maps, normals
 from .reference import divdiv_matrix
-from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push, p1_moments
+from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push_matrix, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
 from .linsolve import solve_saddle
 from .space import _conformity, _expand
@@ -167,11 +167,17 @@ class SaddleSystem:
 def assemble(mesh, dofmap, material=None, cache=None):
     """Cell blocks of the compliance block A and the global div-div block B.
 
-    The compliance block is integrated on the reference square (degree six
-    polynomials, so a 4x4 Gauss rule is exact); the div-div block needs no
-    quadrature at all since div div maps the reference shape functions into
-    linears, whose mass against {1, xh, yh} is known in closed form, and the
-    determinant factors cancel under the pushforward.
+    The element maps are affine, so the compliance block of a group is the
+    reference moments Phi[a, b, i, j] = sum_p w_p phi_i^a(p) phi_j^b(p) of
+    the components of the reference shape functions, integrated once per
+    call by a 4x4 Gauss rule (degree six polynomials, so it is exact),
+    contracted with one 3x3 factor G = R^T (C^-1 diag(1, 2, 1)) R and
+    divided by det B; R = R(B) pushes the components (xx, xy, yy), one per
+    group, and C^-1 is read off ``material.apply_compliance`` of the unit
+    components.  The div-div block needs no quadrature at all since div div
+    maps the reference shape functions into linears, whose mass against
+    {1, xh, yh} is known in closed form, and the determinant factors cancel
+    under the pushforward.
 
     Returns ``(cells, B)`` with ``cells = (dofmap, first, group, Tinv,
     edge_tabulation, A_loc, B_loc)``: the dof map itself, the cell groups of
@@ -194,17 +200,18 @@ def assemble(mesh, dofmap, material=None, cache=None):
     dd = divdiv_matrix(cache.basis)
     Bref = dd * P1_MASS_DIAG[None, :]  # (20, 3); <divdiv phi_i, p_a> on the square
 
-    # one compliance block per group of equal cells; the 1/det of both pushed
-    # factors and the det of the volume element combine to a single 1/det
+    # Phi[a, b, i, j] as (9, 400); the 1/det of both pushed factors and the
+    # det of the volume element combine to a single 1/det
+    moments = np.einsum("p,ipa,jpb->abij", w, phi, phi).reshape(9, -1)
+    # C^-1 on the components: column d is the compliance of unit component d
+    comp = np.stack(material.apply_compliance(*np.eye(3)))
     first, group, Tinv = cache.groups(mesh)
     B, _, det = element_maps(mesh, first)
     ng = len(first)
     with np.errstate(over="ignore", invalid="ignore"):
-        push = _push(B, np.broadcast_to(phi, (ng,) + phi.shape))
-        comp = np.stack(material.apply_compliance(*np.moveaxis(push, -1, 0)), axis=-1)
-        # sum over quadrature points p and components c as one matmul over (p, c)
-        weighted = (push * (w[:, None] * FROBENIUS)).reshape(ng, 20, -1)
-        Ahat = comp.reshape(ng, 20, -1) @ weighted.transpose(0, 2, 1) / det[:, None, None]
+        R = _push_matrix(B)
+        G = R.transpose(0, 2, 1) @ (comp.T * FROBENIUS) @ R
+        Ahat = (G.reshape(ng, 9) @ moments).reshape(ng, 20, 20) / det[:, None, None]
         A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
     if not np.isfinite(A_loc).all():
         bad = first[np.argmax(~np.isfinite(A_loc).all(axis=(1, 2)))]

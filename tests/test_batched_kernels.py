@@ -415,10 +415,24 @@ def assemble_oracle(mesh, dofmap, material, cache, cell_basis, nq=4):
     return A, B
 
 
-@pytest.mark.parametrize("which", ["graded", "lshape"])
+def rotated(mesh, scale, angle=0.7):
+    """The mesh rotated by ``angle`` about the origin and scaled by ``scale``."""
+    c, s = np.cos(angle), np.sin(angle)
+    return Mesh(scale * mesh.vertices @ np.array([[c, s], [-s, c]]), mesh.cells)
+
+
+#: scales of the rotated graded meshes, whose cells are all distinct and
+#: none of them axis aligned
+ROTATED_SCALES = {"rotated-graded-1e-15": 1e-15, "rotated-graded-1": 1.0, "rotated-graded-1e8": 1e8}
+
+
+@pytest.mark.parametrize("which", ["graded", "lshape"] + list(ROTATED_SCALES))
 def test_assembly_matches_a_gather_loop(which, graded_mesh, cell_basis):
-    mesh = graded_mesh if which == "graded" else make_lshape(1)
-    material = MaterialLaw(E=2.0, nu=0.3) if which == "lshape" else MaterialLaw()
+    if which in ROTATED_SCALES:
+        mesh = rotated(graded_mesh, ROTATED_SCALES[which])
+    else:
+        mesh = graded_mesh if which == "graded" else make_lshape(1)
+    material = MaterialLaw() if which == "graded" else MaterialLaw(E=2.0, nu=0.3)
     dofmap = build_dof_map(mesh)
     cache = BasisCache()
     cells, B = assemble(mesh, dofmap, material=material, cache=cache)
@@ -467,7 +481,18 @@ def errors_oracle(mesh, cache, coeffs, field, orders, u=None, exact_u=None):
     return out
 
 
-def test_error_integrals_match_a_cell_loop():
+def random_coefficient_errors(mesh, cache, coeffs, field, orders):
+    """The oracle's and the library's error integrals of ``coeffs``, checked to agree."""
+    want = errors_oracle(mesh, cache, coeffs, field, orders)
+    got = tensor_errors(mesh, cache, coeffs, field, nq=orders)
+    assert set(got) == {"M", "div", "ddiv", "norm_M", "norm_Mh"}
+    for key in ("M", "div", "ddiv", "norm_M"):
+        assert rel_gap(got[key], want[key]) <= 1e-12, key
+    assert rel_gap(got["norm_Mh"], want["Mh"]) <= 1e-12
+    return want, got
+
+
+def test_error_integrals_match_a_cell_loop(graded_mesh):
     ex2 = get_example("ex2")
     cache = BasisCache()
     run = solve_example(ex2, 2, cache=cache)
@@ -485,14 +510,16 @@ def test_error_integrals_match_a_cell_loop():
 
     # random coefficients give every integral, div div included, a size
     rand = np.random.default_rng(5).standard_normal(coeffs.shape)
-    want = errors_oracle(mesh, cache, rand, ex2.field, orders)
-    got = tensor_errors(mesh, cache, rand, ex2.field, nq=orders)
-    assert set(got) == {"M", "div", "ddiv", "norm_M", "norm_Mh"}
-    for key in ("M", "div", "ddiv", "norm_M"):
-        assert rel_gap(got[key], want[key]) <= 1e-12, key
-    assert rel_gap(got["norm_Mh"], want["Mh"]) <= 1e-12
+    want, got = random_coefficient_errors(mesh, cache, rand, ex2.field, orders)
     # ex2 carries no load, so its div div error is all of div div M_h
     assert want["norm_ddiv"] == 0.0 and got["ddiv"] > 0.0
+    # the L-shape cells map by diagonal B; a rotated graded mesh has the
+    # cross terms of the push on every cell
+    graded = rotated(graded_mesh, 1.0)
+    mixed = np.where(np.arange(graded.num_cells) % 3 == 0, 10, 6)
+    field = TensorField.random_poly(np.random.default_rng(8), deg=3)
+    rand_graded = np.random.default_rng(4).standard_normal((graded.num_cells, 20))
+    random_coefficient_errors(graded, cache, rand_graded, field, mixed)
 
     # div div M_h - p is linear per cell, so a 2-point rule integrates its square
     tab = cache.volume_tabulation(2)

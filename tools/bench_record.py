@@ -12,8 +12,11 @@ workload and each of the seeds 1-10, ``perfbench/run.py --trace 0 --seconds
 switching from seed to seed; then ``--trace 1`` runs once per checkout with
 the first seed.  Each checkout benchmarks its own ``src`` with its own
 ``perfbench``.  The file keeps the last JSON line of every run, the machine
-description that ``run.py`` prints, and per workload the medians of the
-end-to-end metrics with the number of seeds on which the change read lower.
+description that ``run.py`` prints, and per workload and end-to-end metric
+the summary of :func:`summarize`: both medians, the parent's quartile
+distance, the pairs in which the change read better and a verdict.  The
+workloads, the metrics, their bounds and which direction is better are
+read from ``BENCHMARK.json``.
 """
 
 import argparse
@@ -24,8 +27,6 @@ import sys
 
 from parent_checkout import parent_checkout, tree_checkout
 
-WORKLOADS = ("ex1-conv", "ex2-conv", "graded-ex1", "interp-commute")
-END_TO_END = ("wall_s", "setup_s", "peak_rss_mb")
 #: ten alternating pairs per workload, the fewest that can show a gain
 SEEDS = tuple(range(1, 11))
 SECONDS = 30
@@ -50,7 +51,46 @@ def values(result):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def measure(sides):
+def summarize(parent, change, better, bound):
+    """Medians, the parent's quartile distance and the verdict of one metric on one workload.
+
+    ``parent`` and ``change`` hold the runs of the two sides, pair by pair;
+    ``better`` is "lower" or "higher" and ``bound`` the share of the
+    parent's median by which the change may be worse.  The verdict is
+    ``gain`` when the change reads better in at least nine of ten pairs,
+    ties counting for neither, and its median is better by more than the
+    parent's quartile distance (IQR).  Otherwise it is ``unresolved`` when
+    that IQR is wider than the bound times the parent's median, unless every
+    run of the change reads better than every run of the parent;
+    ``worse than bound`` when the change's median is worse by more than the
+    bound; and ``within bound`` else.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    iqr = q3 - q1
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    gain = sign * (p_med - c_med)
+    if 10 * wins >= 9 * len(parent) and gain > iqr:
+        verdict = "gain"
+    elif iqr > bound * abs(p_med) and not every_run_better:
+        verdict = "unresolved"
+    elif -gain > bound * abs(p_med):
+        verdict = "worse than bound"
+    else:
+        verdict = "within bound"
+    return {
+        "parent_median": p_med,
+        "change_median": c_med,
+        "parent_iqr": iqr,
+        "change_better": wins,
+        "pairs": len(parent),
+        "verdict": verdict,
+    }
+
+
+def measure(sides, benchmark):
     record = {
         "schema_version": 1,
         "command": "python3 perfbench/run.py --workload W --seed S --seconds %d --trace T"
@@ -61,7 +101,7 @@ def measure(sides):
         "traced": {side: {} for side in sides},
         "summary": {},
     }
-    for w in WORKLOADS:
+    for w in [workload["name"] for workload in benchmark["workloads"]]:
         for side in sides:
             record["untraced"][side][w] = []
         for i, seed in enumerate(SEEDS):
@@ -78,15 +118,10 @@ def measure(sides):
                 "seed": SEEDS[0], "correct": result["correct"], "metrics": values(result)
             }
         summary = record["summary"][w] = {}
-        for metric in END_TO_END:
-            p = [r["metrics"][metric] for r in record["untraced"]["parent"][w]]
-            c = [r["metrics"][metric] for r in record["untraced"]["change"][w]]
-            summary[metric] = {
-                "parent_median": statistics.median(p),
-                "change_median": statistics.median(c),
-                "change_lower": sum(b < a for a, b in zip(p, c)),
-                "pairs": len(p),
-            }
+        for metric in benchmark["end_to_end"]:
+            p = [r["metrics"][metric["name"]] for r in record["untraced"]["parent"][w]]
+            c = [r["metrics"][metric["name"]] for r in record["untraced"]["change"][w]]
+            summary[metric["name"]] = summarize(p, c, metric["better"], metric["bound"])
         print(w, json.dumps(summary), flush=True)
     return record
 
@@ -97,8 +132,10 @@ def main(argv=None):
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
 
+    with open("BENCHMARK.json") as fh:
+        benchmark = json.load(fh)
     with parent_checkout(args.parent) as (commit, parent), tree_checkout() as change:
-        record = measure({"parent": parent, "change": change})
+        record = measure({"parent": parent, "change": change}, benchmark)
     record["parent_commit"] = commit
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
