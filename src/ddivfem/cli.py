@@ -295,12 +295,12 @@ def cmd_solve(args):
     ratio = info["pivot_ratio"]
     print(
         "solver: %s, residual %.3e, %d refinement step(s), multiplier system n %d "
-        "(%d rows condensed in %d patch(es)), fill %d, min pivot/diagonal %s, "
-        "%d block level(s) above the patches"
+        "in %d patch(es) and %d block level(s) above them, root front %d, "
+        "min pivot/diagonal %s"
         % (
-            info["path"], info["residual"], info["refined"], info["schur_n"],
-            info["condensed_n"], info["patches"], info["fill"],
-            "-" if ratio is None else "%.3e" % ratio, info["levels"],
+            info["path"], info["residual"], info["refined"],
+            info["condensed_n"] + info["root_n"], info["patches"], info["levels"],
+            info["root_n"], "-" if ratio is None else "%.3e" % ratio,
         )
     )
     print("conformity: worst interface mismatch %.3e" % result["conformity"]["max_violation"])

@@ -27,35 +27,37 @@ second copy of an edge dof against the first, or sums the jumps at one
 vertex, one corner per cell, and a row of L Q pins the first copy of one
 dof.  So cell k adds v v^T * W_k[s, s] (entrywise) to S, with s and v the
 slots and values of the rows that meet it: a gather, not a product, and
-diag(S) is summed once over the nonzeros of Lambda, v W_k[s, s] v each.  At
-every level above, four blocks of the level below around a vertex form a
-block; at level 1 these are the 2 x 2 patches of four cells, the small
+diag(S) is summed once over the nonzeros of Lambda, v W_k[s, s] v each.  The
+cells and blocks of a level are its units.  At every level above, two to
+four units of the level below form a block, four around a vertex where they
+meet; at level 1 these are mostly the 2 x 2 patches of four cells, the small
 subdomains of FETI (C. Farhat, F.-X. Roux, IJNME 32 (1991) 1205-1227).  One
-front rule applies at every level: the updates of the four blocks are
+front rule applies at every level: the updates of the units of a block are
 summed into a dense front on the rows that meet the block; the rows whose
 cells all lie in the block, continuity and Neumann rows alike, are
 eliminated by one scaled Cholesky factorization per group of equal blocks
 and LAPACK's triangular inverse of each factor (E. Anderson et al., LAPACK
 Users' Guide, SIAM 1999), and the Schur complement on the other rows is the
 block's update for the level above.  One cover rule picks the blocks of
-every level: the vertex rows that touch four cells, in reverse row order,
-each taking four blocks of the level below when none is taken yet.  The
-levels end when no vertex has four whole blocks around it.  Only the system
-on the rows that no block holds, the sum of the updates of the cells and
-blocks that no level takes, is handed to SuperLU, in symmetric mode without
-pivoting.  It is written on the clique pattern of those roots, explicit
-zeros included, so that its ordering and fill follow the mesh and not the
-rounding of its entries.  The pivots of all stages, in the order [the
-blocks of each level, rest], are the pivots of S itself, and each is
-divided by its entry of diag(S); a ratio below ``PIVOT_BREAKDOWN_TOL``
-counts as a breakdown at any stage.  The ratio does not move under a
-diagonal scaling of the dofs.
+every level.  The vertex rows that touch four cells are taken first, in
+reverse row order, each taking four units of the level below when none is
+taken yet.  When units are left free, the rows that join three free units,
+then those that join two, take them alike, also in reverse row order, and
+the units that no block takes are units of the level above as they are.
+The levels go on until a block holds every row, so the elimination tree of
+a connected mesh closes in one root (J. W. H. Liu, SIAM Review 34 (1992)
+82-109), and that root is a front like any other, a lone cell with rows of
+its own included.  The pivots of all levels, in
+the order of the blocks of each level, are the pivots of S itself, and
+each is divided by its entry of diag(S); a ratio below
+``PIVOT_BREAKDOWN_TOL`` counts as a breakdown at any level, the root's
+included.  The ratio does not move under a diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
 on the whole boundary with the rigid deflections left free, is rejected from
 the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
 stays as a backstop.
-The multipliers are found by forward elimination level by level, the
-SuperLU solve and back substitution, and the tensor field and the
+The multipliers are found by forward elimination level by level up to the
+root and back substitution down from it, and the tensor field and the
 deflection are then recovered cell by cell as y = blockdiag(G_k) (z -
 Lambda^T mu), with Lambda^T mu on the tensor slots.
 
@@ -66,15 +68,12 @@ cellwise product gathers the local blocks a fixed number of cells at a
 time, fronts of equal size are factored together, and a sweep of a solve
 takes one pair of products per group.  Each local block is scaled
 symmetrically before it is inverted, so that cells of any size give an
-accurate inverse.  The cells and blocks are units
-``(outer, group, U)``, their rows, group and one update per group, k x k
-on the k rows of the group's units.  A front is summed from the real
-entries of its four units by one bincount, and it is freed once its
-factors and update are formed.  The updates exist only until the level
-above has summed them, and the units that no block takes keep copies of
-only the updates they use.  The system handed to SuperLU exists only until
-SuperLU has factored it, before the factors are read for the pivot test,
-which copies L and U.
+accurate inverse.  The units of a level are held as ``(outer, group,
+U)``, their rows, group and one update per group, k x k on the k rows of
+the group's units.  A front is summed from the real entries of its units
+by one bincount, and it is freed once its factors and update are formed.
+The updates exist only until the level above has summed them, and the
+units that no block takes keep copies of only the updates they use.
 
 Everything is read from the cell structure of the assembled
 :class:`ddivfem.system.SaddleSystem`: ``dofmap``, ``group``, ``A_loc``,
@@ -90,7 +89,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .mesh import cell_groups
@@ -126,42 +124,6 @@ def residual_norm(r, x, b, anorm):
     return np.linalg.norm(r, np.inf) / denom
 
 
-def factor_spd(S, diag):
-    """Symmetric factorization of an SPD matrix and its pivot quality.
-
-    Returns ``(lu, ratio)`` with ``ratio[i]`` the pivot of row i of S over
-    ``diag[i]``.  With ``diag`` the diagonal of S, a ratio is 1 for a
-    diagonal matrix and at most 1 for any SPD matrix.  When S is a Schur
-    complement of a larger SPD matrix, ``diag`` holds that matrix's
-    diagonal on the rows of S, and the ratios are those of the whole
-    elimination.  Raises ``SingularSystemError`` when a ratio is below
-    ``PIVOT_BREAKDOWN_TOL``, negative ones included, or when the
-    factorization leaves the diagonal.
-    """
-    try:
-        lu = spla.splu(
-            S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
-        )
-    except RuntimeError as err:
-        raise SingularSystemError(str(err)) from err
-    # the factor keeps no reference to S, so when the caller holds none
-    # either, S is freed here, before lu.U makes csc copies of L and U;
-    # CPython 3.11 and later hand a call's arguments over to the callee, so
-    # factor_spd(expression) leaves the caller none
-    del S
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SingularSystemError("off-diagonal pivot in a symmetric factorization")
-    # Pr S Pc = L U, and row i of S is row perm_c[i] of the permuted matrix
-    ratio = lu.U.diagonal()[lu.perm_c] / diag
-    worst = int(np.argmin(ratio))
-    if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
-        raise SingularSystemError(
-            "multiplier system not positive definite: pivot / diagonal %.3e at row %d"
-            % (ratio[worst], worst)
-        )
-    return lu, ratio
-
-
 class HybridSolver:
     """Hybridized solve of a plate saddle matrix from its cell structure.
 
@@ -176,10 +138,10 @@ class HybridSolver:
     slots per cell, the columns of ``dofmap.C`` and ``dofmap.Q``,
     continuity rows before Neumann rows.  Entry l of ``levels``, a
     :class:`_Level`, eliminates the rows of ``Lam`` inside the blocks of
-    level l + 1, the 2 x 2 patches first, and ``lu`` factors the multiplier
-    system on the rows ``top`` that no block holds; that system is not
-    kept.  ``ratio`` holds the pivot of each row over its diagonal entry
-    of S.
+    level l + 1, the 2 x 2 patches first; the last level is the root, the
+    one block that holds every cell of a connected mesh and eliminates the
+    rows left.  ``ratio`` holds the pivot of each row over its diagonal
+    entry of S.
     """
 
     def __init__(self, plate):
@@ -190,6 +152,9 @@ class HybridSolver:
 
         self.Q = plate.dofmap.Q
         self.Lam = sp.vstack([plate.dofmap.C, self.L @ self.Q], format="csr")
+        empty = np.flatnonzero(np.diff(self.Lam.indptr) == 0)
+        if len(empty):
+            raise SingularSystemError("multiplier row %d meets no cell" % empty[0])
 
         local = np.zeros((len(plate.A_loc), 23, 23))
         local[:, :20, :20] = plate.A_loc
@@ -198,42 +163,26 @@ class HybridSolver:
         self.local = local
         self.inv = _local_inverses(local)
 
-        # the cells are the blocks of level 0, and each level eliminates the
-        # rows inside its blocks against the updates of the blocks below
-        nb = self.Lam.shape[0]
-        self.ratio, top = np.empty(nb), np.ones(nb, dtype=bool)
+        # the cells are the units of level 0, and each level eliminates the
+        # rows inside its blocks against the updates of the units below
+        self.ratio = np.empty(self.Lam.shape[0])
         units, diagonal = _cell_updates(self.Lam, self.group, self.inv)
-        roots, self.levels = [], []
+        self.levels = []
         for depth, (blocks, owner) in enumerate(_cover(self.Lam, nk), start=1):
-            level, rows, ratio, units, rest = _merge(units, diagonal, blocks, owner, depth)
+            level, rows, ratio, units = _merge(units, diagonal, blocks, owner, depth)
             self.levels.append(level)
-            roots.append(rest)
             self.ratio[rows] = ratio
-            top[rows] = False
-        roots.append(units)
-
-        # the multiplier system on the rows left is built, factored and
-        # dropped in one expression, so no reference to it outlives the
-        # factorization
-        self.top = np.flatnonzero(top)
-        self.schur_n = len(self.top)
-        self.condensed_n = nb - self.schur_n
-        self.lu = None
-        if self.schur_n > 0:
-            # its pivots are measured against the diagonal of S
-            self.lu, ratio = factor_spd(_assemble(roots, self.top, nb), diagonal[self.top])
-            self.ratio[self.top] = ratio
         self.pivot_ratio = float(self.ratio.min()) if len(self.ratio) else None
 
     def info(self):
+        root_n = self.levels[-1].inner[0].shape[1] if self.levels else 0
         return {
             "path": "hybrid",
-            "schur_n": self.schur_n,
-            "fill": self.lu.nnz if self.lu is not None else 0,
+            "root_n": root_n,
             "pivot_ratio": self.pivot_ratio,
             "patches": len(self.levels[0].group) if self.levels else 0,
             "levels": max(len(self.levels) - 1, 0),
-            "condensed_n": self.condensed_n,
+            "condensed_n": self.Lam.shape[0] - root_n,
         }
 
     def solve(self, b):
@@ -246,7 +195,6 @@ class HybridSolver:
         for level in self.levels:
             _forward(level, r)
         mu = np.zeros(nb)
-        mu[self.top] = self.lu.solve(r[self.top]) if self.lu is not None else r[self.top]
         for level in reversed(self.levels):
             _backward(level, r, mu)
         z[:, :20] -= (self.Lam.T @ mu).reshape(-1, 20)
@@ -304,20 +252,27 @@ def _slots(tensor, deflection):
 
 
 def _cover(Lam, nk):
-    """Blocks of every level, the 2 x 2 patches first, and one rule for all.
+    """Blocks of every level, the 2 x 2 patches first, up to one root; one rule for all.
 
-    ``Lam`` holds the multiplier rows on 20 slots per cell.  A row that
-    touches four cells is the jump row of an interior vertex with four cells
-    around it; these rows are the candidates at every level, and Neumann
-    rows, with one nonzero each, never are.  At level 1 the cells are the
-    blocks of the level below, and at level l > 1 the blocks that level
-    l - 1 took.  A candidate qualifies when its four cells lie in four
-    different blocks of the level below, and one greedy pass over the
-    candidates in reverse row order takes its four blocks as a block when
-    none of them is taken yet.  The levels end at the first that takes no
-    block.  Yields per level (n_l, 4) blocks, the cells of each patch at
-    level 1, the indices of its four blocks of level l - 1 above, in the
-    column order of the row, and their :func:`_row_blocks` of ``Lam``.
+    ``Lam`` holds the multiplier rows on 20 slots per cell.  The units of
+    level 0 are the cells, and those of level l > 0 are the blocks that
+    level l took, followed by the units below that it left, in their order.
+    A row that touches four cells is the jump row of an interior vertex
+    with four cells around it; these rows are the first candidates at every
+    level, and Neumann rows, with one nonzero each, never are.  Such a
+    candidate qualifies when its four cells lie in four different units,
+    and one greedy pass over the candidates in reverse row order takes its
+    four units as a block when none of them is taken yet.  When units are
+    left free, two more passes over the rows that no block holds, in
+    reverse row order, take the free units that one row joins, three at a
+    time, then two.  When no row joins two units, each unit with rows of
+    its own is a block alone: a lone cell, or each part of a mesh in parts.
+    The levels end when every row is held by a block, so the last block of
+    a connected mesh is the root, which holds every cell.  Yields per level
+    (n_l, 4) blocks, the units of each block in the column order of its row
+    and padded with -1, the cells of each patch at level 1, and the block
+    of this level that holds all cells of each row, -1 for none and for the
+    rows that a block below holds.
 
     The order relies on the numbering of
     :func:`ddivfem.mesh.refine_uniform`, which numbers the four children
@@ -325,36 +280,66 @@ def _cover(Lam, nk):
     of a vertex, which sits at the slot of its lowest cell.  In reverse
     row order the centre of the highest cell comes first, and every vertex
     that straddles two parents is reached only after the higher parent's
-    centre has taken its children, so the cover is the full lattice of
-    2 x 2, 4 x 4, ... blocks on every uniformly refined mesh; tensor grids
-    numbered row by row are covered from their last corner alike.  On other
-    numberings the cover may leave blocks that a better one would take.
+    centre has taken its children, so the four-unit passes take the full
+    lattice of 2 x 2, 4 x 4, ... blocks on every uniformly refined mesh;
+    tensor grids numbered row by row are covered from their last corner
+    alike.  On other numberings the four-unit passes may leave units that a
+    better cover would take, and the passes of three and two units take
+    them.
     """
+    nb = Lam.shape[0]
     cell = Lam.indices // 20
-    start = Lam.indptr[:-1]
-    quads = cell[start[np.diff(Lam.indptr) == 4][::-1, None] + np.arange(4)]
-    of_cell = np.arange(nk)
-    while True:
+    start, count = Lam.indptr[:-1], np.diff(Lam.indptr)
+    quads = cell[start[count == 4][::-1, None] + np.arange(4)]
+    # the rows that no block holds yet
+    of_cell, left = np.arange(nk), np.arange(nb)
+    while len(left):
+        n, X = of_cell.max() + 1, Lam[left]
+        free, chosen = [True] * n, []
+
+        def take(candidates):
+            for units in candidates.tolist():
+                if all(map(free.__getitem__, units)):
+                    for u in units:
+                        free[u] = False
+                    chosen.append(units + [-1] * (4 - len(units)))
+
         blocks = of_cell[quads]
         ranked = np.sort(blocks, axis=1)
-        blocks = blocks[(ranked[:, 0] >= 0) & np.all(np.diff(ranked, axis=1) != 0, axis=1)]
-        free = [True] * (of_cell.max(initial=-1) + 1)
-        chosen = []
-        for a, b, c, d in blocks.tolist():
-            if free[a] and free[b] and free[c] and free[d]:
-                free[a] = free[b] = free[c] = free[d] = False
-                chosen.append((a, b, c, d))
+        take(blocks[np.all(np.diff(ranked, axis=1) != 0, axis=1)])
+        if 4 * len(chosen) < n:
+            # the units of each row left once, ascending, rows in order
+            pairs = np.unique(np.repeat(np.arange(len(left)), np.diff(X.indptr)) * n
+                              + of_cell[X.indices // 20])
+            units = pairs % n
+            joined = np.bincount(pairs // n, minlength=len(left))
+            first = np.cumsum(joined) - joined
+            for k in (3, 2):
+                rows = np.flatnonzero(joined == k)[::-1]
+                take(units[first[rows, None] + np.arange(k)])
         if not chosen:
-            return
+            # no row joins two units: each unit with rows of its own is a front
+            chosen = [[u, -1, -1, -1] for u in np.unique(units[first[joined == 1]]).tolist()]
         blocks = np.array(chosen)
         of_cell = _lift(of_cell, blocks)
-        yield blocks, _row_blocks(Lam, of_cell)
+        held = _row_blocks(X, of_cell)
+        owner = np.full(nb, -1)
+        owner[left] = np.where(held < len(blocks), held, -1)
+        left = left[owner[left] < 0]
+        yield blocks, owner
 
 
 def _lift(of_cell, blocks):
-    """The block of ``blocks`` that holds each cell, read from its block below; -1 for none."""
-    up = np.full(of_cell.max(initial=-1) + 2, -1)
-    up[blocks] = np.arange(len(blocks))[:, None]
+    """The unit of the level above that holds each cell, given its unit below.
+
+    The blocks come first, then the units below that no block takes, in
+    their order; -1 in ``blocks`` pads a block of fewer than four units.
+    """
+    n = of_cell.max(initial=-1) + 1
+    up, rest = np.empty(n + 1, dtype=int), np.ones(n + 1, dtype=bool)
+    up[blocks], rest[blocks] = np.arange(len(blocks))[:, None], False
+    rest[-1] = False
+    up[rest] = len(blocks) + np.arange(np.count_nonzero(rest))
     return up[of_cell]
 
 
@@ -457,30 +442,35 @@ class _Level(NamedTuple):
 def _merge(units, diagonal, blocks, owner, depth):
     """The blocks of one level: their eliminations and their updates.
 
-    ``units`` = ``(outer, group, U)`` describes the blocks of the level
+    ``units`` = ``(outer, group, U)`` describes the units of the level
     below, the cells below level 1, as :func:`_cell_updates` does the cells:
     the rows of ``Lam`` that meet each unit, its group, and per group its
     update on those rows.  ``diagonal`` is the diagonal of S.  ``blocks``
-    (n, 4) picks four units for each block of this level, and ``owner`` is
-    the block of this level that holds all cells of each row of ``Lam``, -1
-    for none.  The front of a block has the rows of its four units in their
-    order, each at its first place, the rows inside the block (I) before
-    the others (O), and it is the sum of the four units' updates, summed by
-    :func:`_extend_add`.  Blocks whose units fall in the same groups, with
-    as many inside rows and rows at the same places, form a group.  One
-    front per group is formed at its own size m x m, the fronts of equal
-    size together, at most ``_FRONT`` entries at a time, factored as in
-    :func:`_factor`, D F_II D = C C^T, and freed before the next batch.
-    With M = C^-1 D and W = M F_IO, the block's update F_OO - W^T W goes up
-    on its rows O, one (nO, nO) update per group.  Returns ``(level, rows,
-    ratio, units, rest)``: the :class:`_Level`, the rows eliminated group by
-    group, their pivots over their entries of ``diagonal``, the blocks of
-    this level in the form of ``units``, their rows (n, nO) padded with the
-    row count of ``Lam``, and the units below that no block takes, with
-    copies of only the updates that they use.
+    (n, 4) picks up to four units for each block of this level, padded
+    with -1, which stands for an empty unit with a 0 x 0 update, and
+    ``owner`` is the block of this level that holds all cells of each row
+    of ``Lam``, -1 for none and for the rows that a block below holds.  The
+    front of a block has the rows of its units in their order, each at its
+    first place, the rows inside the block (I) before the others (O), and
+    it is the sum of the units' updates, summed by :func:`_extend_add`.
+    Blocks whose units fall in the same groups, with as many inside rows
+    and rows at the same places, form a group.  One front per group is formed at its own size m x m, the
+    fronts of equal size together, at most ``_FRONT`` entries at a time,
+    factored as in :func:`_factor`, D F_II D = C C^T, and freed before the
+    next batch.  With M = C^-1 D and W = M F_IO, the block's update F_OO -
+    W^T W goes up on its rows O, one (nO, nO) update per group.  Returns
+    ``(level, rows, ratio, units)``: the :class:`_Level`, the rows
+    eliminated group by group, their pivots over their entries of
+    ``diagonal``, and the units of the level above in the form of
+    ``units``: the blocks of this level, their rows padded with the row
+    count of ``Lam``, then the units below that no block takes, with copies
+    of only the updates that they use.
     """
     outer, group, U = units
     nb, n, w = len(owner), len(blocks), outer.shape[1]
+    # the empty unit, last, that -1 in blocks picks
+    outer = np.vstack([outer, np.full(w, nb)])
+    group, U = np.append(group, len(U)), U + [np.zeros((0, 0))]
     ent = outer[blocks].ravel()
     valid = ent < nb
     # each (block, row) pair once, the pairs in the order of first places
@@ -538,16 +528,20 @@ def _merge(units, diagonal, blocks, owner, depth):
     # they use, so that all others are freed with the level below
     rest = np.ones(len(outer), dtype=bool)
     rest[blocks] = False
-    rest = np.flatnonzero(rest)
+    rest = np.flatnonzero(rest[:-1])
     used = np.zeros(len(U), dtype=bool)
     used[group[rest]] = True
-    kept = [U[g].copy() for g in np.flatnonzero(used)]
+    up_units = np.full((n + len(rest), max(up.shape[1], w)), nb)
+    up_units[:n, : up.shape[1]], up_units[n:, :w] = up, outer[rest]
     return (
         _Level(inner, [up[b, : nO[b[0]]] for b in members], bgroup, M, W),
         rows,
         ratio,
-        (up, bgroup, U_up),
-        (outer[rest], np.cumsum(used)[group[rest]] - 1, kept),
+        (
+            up_units,
+            np.concatenate([bgroup, ng + np.cumsum(used)[group[rest]] - 1]),
+            U_up + [U[g].copy() for g in np.flatnonzero(used)],
+        ),
     )
 
 
@@ -573,9 +567,10 @@ def _backward(level, r, mu):
 
 
 def _extend_add(U, units, places, m):
-    """Fronts (c, m, m), each the sum of the updates ``U`` of its four units.
+    """Fronts (c, m, m), each the sum of the updates ``U`` of its units.
 
-    ``units`` (c, 4) holds the update group of each unit, and ``places``
+    ``units`` (c, 4) holds the update group of each unit, a group with a
+    0 x 0 update where a front has fewer than four units, and ``places``
     (c, 4, w) the places of the unit's rows in its front, its real rows
     first.  One bincount sums the real entries of all units from 0.0, the
     units of each front in their order; the rows of one unit take distinct
@@ -593,39 +588,6 @@ def _extend_add(U, units, places, m):
         value[lo : lo + n] = U[u].ravel()
         lo += n
     return np.bincount(index, value, c * m * m).reshape(c, m, m)
-
-
-def _assemble(roots, top, nb):
-    """The multiplier system on the rows ``top`` of ``Lam`` in csc form.
-
-    ``roots`` lists, in the form ``(outer, group, U)`` of the ``units`` of
-    :func:`_merge`, the cells and blocks that no block above takes; their
-    rows are rows of ``top``, and the system is the sum of their updates.
-    Every pair of rows that meets a common root gets an entry, explicit
-    zeros included, so the pattern is that of the mesh and the ordering
-    does not follow the rounding of the entries.  The entries are listed
-    root by root, each update row by row, and written group by group.
-    """
-    at = np.full(nb + 1, -1)
-    at[top] = np.arange(len(top))
-    count = [np.array([u.size for u in U], dtype=int)[group] for _, group, U in roots]
-    count = np.concatenate(count)
-    first, nnz = np.cumsum(count) - count, count.sum()
-    # the row and column indices in the index type of the csc matrix, so that none is copied
-    i, j, data = np.empty(nnz, np.int32), np.empty(nnz, np.int32), np.empty(nnz)
-    for outer, group, U in roots:
-        rows = at[outer]
-        for g, u in enumerate(U):
-            of_g = np.flatnonzero(group == g)
-            k = len(u)
-            # the k x k entries of each root of the group, row by row
-            place = first[of_g, None] + np.arange(k * k)
-            i[place] = np.repeat(rows[of_g, :k], k, axis=1)
-            j[place] = np.tile(rows[of_g, :k], k)
-            data[place] = u.ravel()
-        first = first[len(group) :]
-    n = len(top)
-    return sp.coo_matrix((data, (i, j)), shape=(n, n)).tocsc()
 
 
 def _local_inverses(local):
@@ -687,6 +649,7 @@ def solve_saddle(A, b, rtol=1e-10):
         :meth:`ddivfem.system.SaddleSystem.full` is accepted too; only the
         system it carries as ``A.plate`` is read.
     b : ndarray
+        Real right hand side of shape (n,), with n the order of K.
     rtol : float
         Certified relative residual bound for the returned solution, a
         positive finite number.
@@ -696,31 +659,35 @@ def solve_saddle(A, b, rtol=1e-10):
     x : ndarray
     info : dict
         Keys ``residual``, ``refined``, ``path`` ('hybrid'), ``patches``
-        (number of blocks of level 1, the 2 x 2 patches of four cells),
-        ``levels`` (number of block levels above them), ``condensed_n``
-        (multipliers eliminated inside the blocks of every level before
-        SuperLU), ``schur_n`` (size of the system on the rows between the
-        top blocks that SuperLU factors, 0 when every multiplier is
-        condensed), ``fill`` (nonzeros of its factors) and ``pivot_ratio``
-        (smallest pivot of any level or of SuperLU over its diagonal entry
-        of the multiplier system S, None when S is empty).
+        (number of blocks of level 1, mostly the 2 x 2 patches of four
+        cells), ``levels`` (number of block levels above them, the root's
+        included), ``root_n`` (rows of the root front, the one block that
+        every elimination tree closes in, 0 when there are no multipliers),
+        ``condensed_n`` (multipliers eliminated below the root) and
+        ``pivot_ratio`` (smallest pivot of any level over its diagonal
+        entry of the multiplier system S, None when S is empty).
 
     Raises ``ValueError`` for an ``rtol`` that is not a positive finite
-    number, a matrix without cell structure, a size mismatch or a
-    multiplier row that meets a cell in two slots,
-    ``SingularSystemError`` on a singular matrix or a pivot breakdown, and
-    ``ResidualError`` when the residual is above ``rtol`` or not finite.
+    number, a matrix without cell structure, a right hand side that is not
+    a real vector of shape (n,) or a multiplier row that meets a cell in two
+    slots, ``SingularSystemError`` on a singular matrix or a pivot
+    breakdown, and ``ResidualError`` when the residual is above ``rtol`` or
+    not finite.
     """
     if not (np.isfinite(rtol) and rtol > 0.0):
         raise ValueError("rtol must be a positive finite number, got %r" % (rtol,))
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
     # a matrix of SaddleSystem.full carries the system; a plain copy does not
     plate = getattr(A, "plate", A)
     if not hasattr(plate, "A_loc"):
         raise ValueError("the cell structure is missing: pass the SaddleSystem")
-    if plate.ndofs + plate.nu + plate.L.shape[0] != n:
-        raise ValueError("cell structure does not match a right hand side of size %d" % n)
+    n = plate.ndofs + plate.nu + plate.L.shape[0]
+    b = np.asarray(b)
+    if b.shape != (n,) or np.iscomplexobj(b):
+        raise ValueError(
+            "expected a real right hand side of shape (%d,), got %s of shape %s"
+            % (n, b.dtype, b.shape)
+        )
+    b = b.astype(float)
     hybrid = HybridSolver(plate)
     solve, info = hybrid.solve, hybrid.info()
 

@@ -149,31 +149,35 @@ def test_solve_reports_missing_errors_as_dashes(capsys):
 @pytest.mark.parametrize(
     "problem, level, line",
     [
-        ("ex1", "1", "multiplier system n 0 (17 rows condensed in 1 patch(es)), fill 0,"),
-        ("ex2", "0", "multiplier system n 39 (0 rows condensed in 0 patch(es)), fill 760,"),
+        ("ex1", "1", "n 17 in 1 patch(es) and 0 block level(s) above them, root front 17,"),
+        ("ex2", "0", "n 39 in 1 patch(es) and 1 block level(s) above them, root front 14,"),
     ],
+    ids=["ex1-1", "ex2-0"],
 )
-def test_solve_reports_the_condensation(capsys, problem, level, line):
-    # a fully condensed plate and one without any patch
+def test_solve_reports_the_root_front(capsys, problem, level, line):
+    # ex1 level 1 is one patch, which is the root; the three cells of ex2
+    # level 0 meet at no interior vertex, so a pair of them is the one
+    # block of level 1, and the root joins it to the third cell
     assert main(["solve", "--problem", problem, "--level", level]) == 0
     out = capsys.readouterr().out
-    assert line in out
+    assert "multiplier system " + line in out
     assert "min pivot/diagonal -" not in out
 
 
 @pytest.mark.parametrize(
     "level, line",
     [
-        ("3", "multiplier system n 0 (497 rows condensed in 16 patch(es)), fill 0,"),
-        ("4", "multiplier system n 0 (2145 rows condensed in 64 patch(es)), fill 0,"),
+        ("3", "n 497 in 16 patch(es) and 2 block level(s) above them, root front 77,"),
+        ("4", "n 2145 in 64 patch(es) and 3 block level(s) above them, root front 157,"),
     ],
+    ids=["ex1-3", "ex1-4"],
 )
-def test_solve_reports_the_block_levels(capsys, level, line):
-    # ex1 is one square of 2^l x 2^l cells: the top block holds every row
+def test_solve_reports_the_levels_up_to_the_root(capsys, level, line):
+    # ex1 is one square of 2^l x 2^l cells: the top block of the lattice
+    # holds every row and is the root
     assert main(["solve", "--problem", "ex1", "--level", level]) == 0
     out = capsys.readouterr().out
-    assert line in out
-    assert ", %d block level(s) above the patches\n" % (int(level) - 1) in out
+    assert "multiplier system " + line in out
 
 
 def test_convergence_writes_csv_and_json(tmp_path, capsys):

@@ -1,9 +1,7 @@
 """Assembly, boundary data, constraints, and the saddle point solver."""
 
-import sys
 import tracemalloc
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
 from ddivfem import GeometryError, TensorField, piola, space
 from ddivfem.interpolation import project_p1
-from ddivfem.linsolve import ResidualError, SingularSystemError, factor_spd, solve_saddle
+from ddivfem.linsolve import ResidualError, SingularSystemError, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
@@ -285,10 +283,10 @@ def test_singular_system_raises():
 def test_rtol_must_be_positive_and_finite(rtol, monkeypatch):
     system = _plate_system("ex1", 1)
 
-    def unreachable(S):
+    def unreachable(S, where):
         raise AssertionError("the multiplier system was factored")
 
-    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    monkeypatch.setattr(linsolve, "_factor", unreachable)
     with pytest.raises(ValueError, match="rtol must be"):
         solve_saddle(system, system.rhs(), rtol=rtol)
 
@@ -370,55 +368,46 @@ def _uncondensed_system(hybrid):
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-2", "ex2-3", "graded"])
 def test_multiplier_system_is_the_block_product(which, graded_mesh, monkeypatch):
-    # the system handed to SuperLU is the Schur complement, in the
-    # cell-level product, of every row eliminated before it: the rows inside
-    # the blocks of every level, the 2 x 2 patches of level 1 first; on ex1
-    # level 3 the top block holds every row, and nothing is handed
+    # the root front is the Schur complement, in the cell-level product, of
+    # every row eliminated below it: the rows inside the blocks of every
+    # level, the 2 x 2 patches of level 1 first
     system = _three_plates(which, graded_mesh)
     if which.startswith("ex2"):
         assert system.L.shape[0] > 0
-    handed, factor = [], linsolve.factor_spd
+    factored, factor = [], linsolve._factor
 
-    def recorded(S, diagonal):
-        handed.append((S, diagonal.copy()))
-        return factor(S, diagonal)
+    def recorded(S, where):
+        factored.append(S.copy())
+        return factor(S, where)
 
-    monkeypatch.setattr(linsolve, "factor_spd", recorded)
+    monkeypatch.setattr(linsolve, "_factor", recorded)
     hybrid = linsolve.HybridSolver(system)
     info = hybrid.info()
     S = _uncondensed_system(hybrid)
-    top = hybrid.top
+    (root,) = hybrid.levels[-1].inner
+    top = root[0]
     rest = np.setdiff1d(np.arange(len(S)), top)
-    assert (len(top), len(rest)) == (info["schur_n"], info["condensed_n"])
-    assert info["levels"] > 0 and len(handed) == (which != "ex1-3")
+    assert (len(top), len(rest)) == (info["root_n"], info["condensed_n"])
+    assert info["levels"] > 0 and hybrid.levels[-1].outer[0].shape == (1, 0)
     # diag(S), summed once over the nonzeros of Lam, on every row
     _, diagonal = linsolve._cell_updates(hybrid.Lam, hybrid.group, hybrid.inv)
     assert np.allclose(diagonal, np.diag(S), rtol=1e-14, atol=0.0)
-    if not handed:
-        assert len(top) == 0
-        return
     S_rt = S[np.ix_(rest, top)]
     want = S[np.ix_(top, top)] - S_rt.T @ np.linalg.solve(S[np.ix_(rest, rest)], S_rt)
-    got, diagonal = handed[0]
-    assert got.format == "csc"
-    assert np.abs(got.toarray() - want).max() <= 1e-14 * np.abs(want).max()
-    assert np.allclose(diagonal, np.diag(S)[top], rtol=1e-14, atol=0.0)
+    (got,) = factored[-1]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "graded"])
 def test_pivot_ratios_are_those_of_the_uncondensed_system(which, graded_mesh):
-    # eliminating the blocks level by level, the patches first, then the
-    # rest in SuperLU's order is one symmetric elimination of S itself:
-    # every pivot is read against the diagonal of S
+    # eliminating the blocks level by level, the patches first and the root
+    # last, is one symmetric elimination of S itself: every pivot is read
+    # against the diagonal of S
     system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
     S = _uncondensed_system(hybrid)
-    # the elimination order: the inner rows of every level, then the rows
-    # left in the order SuperLU factors them
-    order = [inner.ravel() for level in hybrid.levels for inner in level.inner]
-    if hybrid.lu is not None:
-        order.append(hybrid.top[np.argsort(hybrid.lu.perm_c)])
-    order = np.concatenate(order)
+    # the elimination order: the inner rows of every level
+    order = np.concatenate([inner.ravel() for level in hybrid.levels for inner in level.inner])
     assert np.array_equal(np.sort(order), np.arange(len(S)))
     pivots = np.diag(np.linalg.cholesky(S[np.ix_(order, order)])) ** 2
     want = pivots / np.diag(S)[order]
@@ -479,38 +468,11 @@ def test_fronts_keep_the_size_of_their_blocks():
         nI = np.bincount(owner[(owner >= 0) & ~below], minlength=len(blocks))
         front = np.zeros(len(blocks), dtype=int)
         for row_cells in (c for c, done in zip(cells, below) if not done):
-            front[list(set(of_cell[list(row_cells)]) - {-1})] += 1
+            front[[u for u in set(of_cell[list(row_cells)]) if u < len(blocks)]] += 1
         below |= owner >= 0
         want = np.sum(nI * front)
         got = sum(len(inner) * (M.size + W.size) for inner, M, W in zip(level.inner, level.M, level.W))
         assert got == want
-
-
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before 3.11 CPython keeps each call argument referenced by the caller until the call returns",
-)
-def test_multiplier_system_is_freed_before_the_factors_are_read(monkeypatch):
-    # reading lu.U copies L and U; S must be gone by then, so that the two
-    # never share the peak
-    splu, held = spla.splu, []
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def __getattr__(self, name):
-            if name in ("L", "U"):
-                assert held[0]() is None, "S is still referenced when the factors are read"
-            return getattr(self.lu, name)
-
-    def watched(S, **options):
-        held.append(weakref.ref(S))
-        return Factor(splu(S, **options))
-
-    monkeypatch.setattr(spla, "splu", watched)
-    hybrid = linsolve.HybridSolver(_plate_system("ex2", 2))
-    assert len(held) == 1 and 0.0 < hybrid.pivot_ratio <= 1.0
 
 
 def test_build_peak_stays_within_three_times_the_kept_factors():
@@ -548,9 +510,12 @@ def test_updates_are_handed_up_at_their_real_size(monkeypatch):
     for g, u in enumerate(U):
         k = np.count_nonzero(outer[group == g] < nb, axis=1)
         assert u.shape == (k[0], k[0]) and np.all(k == k[0])
-    assert len(handed) == len(hybrid.levels) == 3
-    for level, _, _, (up, group, U), _ in handed:
-        assert len(U) == len(level.outer)
+    assert len(handed) == len(hybrid.levels) == 5
+    for level, _, _, (up, group, U) in handed:
+        # the blocks of the level come first, in the groups of their fronts
+        n = len(level.group)
+        up, group = up[:n], group[:n]
+        assert np.array_equal(group, level.group)
         for g, (rows, u) in enumerate(zip(level.outer, U)):
             nO = rows.shape[1]
             assert u.shape == (nO, nO)
@@ -558,28 +523,32 @@ def test_updates_are_handed_up_at_their_real_size(monkeypatch):
 
 
 def test_roots_keep_only_the_updates_they_use(monkeypatch):
-    # the cells and blocks that no level takes hand SuperLU the updates of
-    # their own groups only, each on its real rows, all of them rows of the
-    # system handed; no level's whole update array is held until then
-    handed, assemble = [], linsolve._assemble
+    # the units that no block of a level takes go up to the level above as
+    # they are, with copies of the updates of their own groups only, each on
+    # its real rows, all of them rows that no block holds yet; no level's
+    # whole update array is held until then
+    handed, merge = [], linsolve._merge
 
-    def recorded(roots, top, nb):
-        handed.append([(outer.copy(), group.copy(), list(U)) for outer, group, U in roots])
-        return assemble(roots, top, nb)
+    def recorded(*args):
+        handed.append(merge(*args))
+        return handed[-1]
 
-    monkeypatch.setattr(linsolve, "_assemble", recorded)
+    monkeypatch.setattr(linsolve, "_merge", recorded)
     hybrid = linsolve.HybridSolver(_plate_system("ex2", 3))
     nb = hybrid.Lam.shape[0]
-    in_top = np.zeros(nb + 1, dtype=bool)
-    in_top[hybrid.top] = True
-    (roots,) = handed
-    assert len(roots) == len(hybrid.levels) + 1
-    assert sum(len(group) for _, group, _ in roots) > 0
-    for outer, group, U in roots:
+    held, carried = np.zeros(nb, dtype=bool), 0
+    for level, rows, _, (outer, group, U) in handed:
+        held[rows] = True
+        n = len(level.group)
+        carried += len(group) - n
         assert np.array_equal(np.unique(group), np.arange(len(U)))
+        for g in np.unique(group[n:]):
+            assert U[g].base is None
         for row, g in zip(outer, group):
             k = len(U[g])
-            assert np.all(in_top[row[:k]]) and np.all(row[k:] == nb)
+            assert not held[row[:k]].any() and np.all(row[k:] == nb)
+    # one square of the L-shape waits beside the pair of the other two
+    assert carried == 1 and held.all()
 
 
 def clamped_plate(mesh):
@@ -675,7 +644,9 @@ def test_plate_around_a_vertex_of_three_cells(hexagon_mesh):
         assert result["conformity"]["max_violation"] <= 1e-12
         assert result["ddiv_residual"] <= 1e-12
         if level == 0:
-            assert result["solver"]["patches"] == 0
+            # the jump row of the centre joins the three cells in the root
+            info = result["solver"]
+            assert (info["patches"], info["levels"], info["root_n"]) == (1, 0, 13)
 
 
 def test_solve_problem_forms_no_matrix(monkeypatch):
@@ -689,14 +660,21 @@ def test_solve_problem_forms_no_matrix(monkeypatch):
 
 
 def test_pivot_breakdown_detected():
-    with pytest.raises(SingularSystemError, match="pivot / diagonal 1.1"):
-        S = sp.csc_matrix([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        factor_spd(S, S.diagonal())
-    # a small diagonal entry is a scale, not a breakdown: every pivot equals
-    # its own diagonal entry
-    S = sp.diags([1.0, 1.0, 1e-20, 1.0]).tocsc()
-    _, ratio = factor_spd(S, S.diagonal())
-    assert np.array_equal(ratio, np.ones(4))
+    # the pivot test in the root front: ex2 level 1 closes in a root at
+    # level 3, on the rows between the pair of squares of level 2 and the
+    # third square; a copy within 1e-7 of one of them, put first so that
+    # the cover stays the same, gives a pivot of about 1e-15 times its
+    # diagonal entry
+    system = _plate_system("ex2", 1)
+    hybrid = linsolve.HybridSolver(system)
+    (root,) = hybrid.levels[-1].inner
+    assert len(hybrid.levels) == 3 and root.shape == (1, 9)
+    C = system.dofmap.C
+    row = C[root[0, 0]]
+    near = row + sp.csr_matrix(([1e-7], ([0], [row.indices[0]])), shape=row.shape)
+    plate = _with_continuity(system, sp.vstack([near, C], format="csr"))
+    with pytest.raises(SingularSystemError, match="pivot / diagonal .* in block 0 of level 3"):
+        linsolve.HybridSolver(plate)
 
 
 @pytest.mark.parametrize("problem", ["ex1", "ex2"])
@@ -707,6 +685,19 @@ def test_non_finite_solution_raises(problem):
     rhs[len(rhs) // 2] = np.nan
     with pytest.raises(ResidualError, match="residual nan"):
         solve_saddle(K, rhs)
+
+
+@pytest.mark.parametrize("problem, level", [("ex1", 2), ("ex2", 1)])
+@pytest.mark.parametrize("which", ["0-d", "n x 1", "n x 2", "complex"])
+def test_right_hand_side_must_be_a_real_vector(which, problem, level):
+    # a right hand side of another shape, or a complex one, whose imaginary
+    # part the solve would drop, is refused before anything is factored
+    system = _plate_system(problem, level)
+    b = system.rhs()
+    bad = {"0-d": np.asarray(b[0]), "n x 1": b[:, None], "n x 2": np.c_[b, b],
+           "complex": b + 1j}[which]
+    with pytest.raises(ValueError, match=r"real right hand side of shape \(%d,\)" % len(b)):
+        solve_saddle(system, bad)
 
 
 def test_residual_failure_raises(monkeypatch):
@@ -726,7 +717,7 @@ def test_hybrid_and_colamd_solves_agree_with_neumann_rows(basis_cache):
     # the oracle factors K whole: COLAMD with partial pivoting
     y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
     assert info["path"] == "hybrid"
-    assert 0 < info["schur_n"] < K.shape[0] and info["fill"] > 0
+    assert 0 < info["root_n"] < K.shape[0]
     assert 0.0 < info["pivot_ratio"] <= 1.0
     nd, nu = system.ndofs, system.nu
     for part in (slice(0, nd), slice(nd, nd + nu), slice(nd + nu, None)):
@@ -745,7 +736,7 @@ def _graded_grid(nx, ny, seed=3):
 
 
 def _patches(system):
-    """The cells of each 2 x 2 patch, the blocks of level 1, as the cover takes them."""
+    """The cells of each block of level 1, mostly 2 x 2 patches, padded with -1."""
     for blocks, _ in linsolve._cover(system.dofmap.C, system.dofmap.P.shape[0] // 20):
         return blocks
     return np.zeros((0, 4), dtype=int)
@@ -776,26 +767,36 @@ def _block_rows(level):
     return inner, outer
 
 
+def _closes_in_one_root(hybrid):
+    """Assert that the levels eliminate every row once, the last level in one block, the root."""
+    root = hybrid.levels[-1]
+    assert len(root.group) == 1 and root.outer[0].shape == (1, 0)
+    rows = np.concatenate([inner.ravel() for level in hybrid.levels for inner in level.inner])
+    assert np.array_equal(np.sort(rows), np.arange(hybrid.Lam.shape[0]))
+
+
 @pytest.mark.parametrize("which", ["graded-5x3", "ex2-0"])
 def test_partial_and_empty_patch_covers_agree_with_colamd(which):
-    # the 5 x 3 grid leaves cells alone beside its patches, and the three
-    # cells of the level-0 L-shape share no interior vertex, so no patch;
-    # a cell that no patch takes is a root of its own, and every row that
-    # meets it is left to SuperLU
+    # the 5 x 3 grid leaves cells beside its two 2 x 2 patches, and the
+    # three cells of the level-0 L-shape share no interior vertex, so no
+    # 2 x 2 patch at all; the cells that no patch takes join blocks of two
+    # or three units that one row joins, or wait for the level above, and
+    # the tree closes in one root all the same
     if which == "ex2-0":
         system = _plate_system("ex2", 0)
     else:
         mesh = _graded_grid(5, 3)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     hybrid = linsolve.HybridSolver(system)
-    lone = np.setdiff1d(np.arange(len(hybrid.group)), _patches(system))
-    assert (len(lone), hybrid.info()["patches"]) == ((7, 2) if which != "ex2-0" else (3, 0))
-    meets_lone = [i for i, cells in enumerate(_row_cells(hybrid)) if cells & set(lone)]
-    assert np.isin(meets_lone, hybrid.top).all()
+    patches = _patches(system)
+    four = patches[(patches >= 0).all(axis=1)]
+    lone = np.setdiff1d(np.arange(len(hybrid.group)), four)
+    assert (len(lone), len(four)) == ((7, 2) if which != "ex2-0" else (3, 0))
+    _closes_in_one_root(hybrid)
     K, rhs = system.full()
     x, info = solve_saddle(K, rhs)
     y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
-    assert info["condensed_n"] == 17 * info["patches"]
+    assert info["condensed_n"] + info["root_n"] == hybrid.Lam.shape[0]
     nd, nu = system.ndofs, system.nu
     for part in (slice(0, nd), slice(nd, nd + nu), slice(nd + nu, None)):
         if part.start < len(y):
@@ -803,11 +804,12 @@ def test_partial_and_empty_patch_covers_agree_with_colamd(which):
 
 
 def test_fully_condensed_plate_is_certified():
-    # ex1 level 1 is one patch with no Neumann rows, so no multiplier is left
-    # for SuperLU; the pivot test and the residual certificate still run
+    # ex1 level 1 is one patch with no Neumann rows, and that patch is the
+    # root, with all 17 multipliers; the pivot test and the residual
+    # certificate run as on any plate
     system = _plate_system("ex1", 1)
     x, info = solve_saddle(system, system.rhs())
-    assert (info["schur_n"], info["fill"], info["patches"], info["condensed_n"]) == (0, 0, 1, 17)
+    assert (info["root_n"], info["patches"], info["levels"], info["condensed_n"]) == (17, 1, 0, 0)
     assert info["residual"] <= 1e-10
     assert 0.0 < info["pivot_ratio"] <= 1.0
     K, rhs = system.full()
@@ -826,7 +828,8 @@ def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
         system = _three_plates(which, graded_mesh)
     hybrid = linsolve.HybridSolver(system)
     patches, level = _patches(system), hybrid.levels[0]
-    assert len(np.unique(patches)) == patches.size and patches.max() < len(hybrid.group)
+    taken = patches[patches >= 0]
+    assert len(np.unique(taken)) == taken.size and taken.max() < len(hybrid.group)
     assert len(level.group) == len(patches) == hybrid.info()["patches"]
     rows = _row_cells(hybrid)
     for cells, inner, outer in zip(patches, *_block_rows(level)):
@@ -850,7 +853,9 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     neumann = 0
     for cells, inner in zip(patches, _block_rows(level)[0]):
         assert set(inner) == {i for i, meets in enumerate(rows) if meets <= set(cells)}
-        assert np.count_nonzero(inner < nc) == 17
+        # the graded mesh has a column of cells beside its patches, paired
+        # at level 1 on the rows of the edge between them
+        assert np.count_nonzero(inner < nc) == (17 if np.all(cells >= 0) else 4)
         neumann += np.count_nonzero(inner >= nc)
     # at ex2 level 3 each Neumann row lies in one cell, and every cell is in a patch
     assert neumann == nl
@@ -876,20 +881,15 @@ def test_patch_groups_follow_the_inside_rows():
     assert np.allclose(got.T @ got, want.T @ want, rtol=0.0, atol=1e-12 * np.abs(want).max() ** 2)
 
 
-def test_patch_interior_breakdown_detected(monkeypatch):
-    # the pivot test at level 1, before SuperLU is reached: a repeated inner
-    # row makes the front of the one patch of ex1 level 1 singular, and a
-    # copy of the jump row C[0] with one entry moved by 5e-7 gives a pivot
-    # of 3e-14 times its diagonal entry
+def test_patch_interior_breakdown_detected():
+    # the pivot test at level 1: a repeated inner row makes the front of the
+    # one patch of ex1 level 1, its root, singular, and a copy of the jump
+    # row C[0] with one entry moved by 5e-7 gives a pivot of 3e-14 times its
+    # diagonal entry
     system = _plate_system("ex1", 1)
     C = system.dofmap.C
     near = C[0].copy()
     near.data[0] += 5e-7
-
-    def unreachable(S, diagonal):
-        raise AssertionError("the multiplier system was factored")
-
-    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
     for extra, match in [(C[0], "not positive definite.* of level 1"),
                          (near, "pivot / diagonal .* of level 1")]:
         plate = _with_continuity(system, sp.vstack([C, extra], format="csr"))
@@ -909,19 +909,31 @@ def test_row_meeting_a_cell_in_two_slots_is_rejected():
         linsolve.HybridSolver(plate)
 
 
+def test_row_meeting_no_cell_is_singular():
+    # a multiplier row without a nonzero is a zero row of S, which no block
+    # would ever hold; it is refused before the cover is made
+    system = _plate_system("ex1", 1)
+    C = system.dofmap.C
+    plate = _with_continuity(system, sp.vstack([C, sp.csr_matrix((1, C.shape[1]))], format="csr"))
+    with pytest.raises(SingularSystemError, match="multiplier row %d meets no cell" % C.shape[0]):
+        linsolve.HybridSolver(plate)
+
+
 @pytest.mark.parametrize(
     "which, counts",
     [
-        ("ex2-4", [192, 48, 12, 3]),
-        ("ex2-5", [768, 192, 48, 12, 3]),
-        ("hexagon-1", [3]),
-        ("hexagon-2", [12, 3]),
-        ("hexagon-3", [48, 12, 3]),
+        ("ex2-4", [192, 48, 12, 3, 1, 1]),
+        ("ex2-5", [768, 192, 48, 12, 3, 1, 1]),
+        ("hexagon-1", [3, 1]),
+        ("hexagon-2", [12, 3, 1]),
+        ("hexagon-3", [48, 12, 3, 1]),
     ],
 )
 def test_one_cover_rule_takes_the_full_lattice(which, counts, hexagon_mesh):
     # reverse row order meets the centre of every parent cell of
-    # refine_uniform before the vertices between parents, at every level
+    # refine_uniform before the vertices between parents, at every level;
+    # above the lattice, the three squares of the L-shape close in a pair
+    # and the root, and the three rhombi of the hexagon in one root
     name, level = which.split("-")
     mesh = get_example("ex2").mesh(int(level)) if name == "ex2" else hexagon_mesh
     for _ in range(int(level) if name == "hexagon" else 0):
@@ -929,31 +941,46 @@ def test_one_cover_rule_takes_the_full_lattice(which, counts, hexagon_mesh):
     cover = [blocks for blocks, _ in linsolve._cover(build_dof_map(mesh).C, mesh.num_cells)]
     assert [len(blocks) for blocks in cover] == counts
     below = mesh.num_cells
-    for blocks in cover:
-        # four different blocks of the level below, each taken once
-        assert np.array_equal(np.unique(blocks), np.unique(blocks.ravel()))
-        assert len(np.unique(blocks)) == blocks.size and blocks.max() < below
-        below = len(blocks)
+    for blocks, n in zip(cover, counts):
+        # two to four different units of the level below, each taken once;
+        # the lattice takes four
+        taken = blocks[blocks >= 0]
+        assert np.all(np.count_nonzero(blocks >= 0, axis=1) >= 2)
+        assert len(np.unique(taken)) == taken.size and taken.max() < below
+        assert taken.size == 4 * n or n == 1
+        below += n - taken.size
+    assert below == 1
 
 
 @pytest.mark.parametrize("level, schur_n, fill", [(4, 3900, 667280), (5, 1000, 500000)])
 def test_blocks_leave_superlu_the_rows_between_the_top_blocks(level, schur_n, fill):
-    # at ex2 level 4 SuperLU used to factor 3 900 rows with 667 280 nonzeros;
-    # the blocks condense all but the rows between the three 2^l-cell squares
-    # of the L-shape, Neumann rows included
+    # at ex2 level 4 the rows left between the top blocks once made a sparse
+    # system of 3 900 rows whose factors held 667 280 nonzeros; the three
+    # 2^l-cell squares of the L-shape close in a pair of squares and the
+    # root, on the 10 2^l - 2 and 5 2^l - 1 rows between them, Neumann rows
+    # included, and the root's dense factor holds fewer entries
     hybrid = linsolve.HybridSolver(_plate_system("ex2", level))
     info = hybrid.info()
-    assert info["levels"] == level - 1
-    assert info["schur_n"] < schur_n and info["fill"] < fill
-    assert info["schur_n"] + info["condensed_n"] == hybrid.Lam.shape[0]
+    assert info["levels"] == level + 1
+    pair, root = hybrid.levels[-2:]
+    assert len(pair.group) == len(root.group) == 1
+    assert pair.M[0].shape[0] + pair.W[0].shape[1] == 10 * 2**level - 2
+    assert info["root_n"] == 5 * 2**level - 1 < schur_n and root.M[0].size < fill
+    assert info["root_n"] + info["condensed_n"] == hybrid.Lam.shape[0]
 
 
 def test_neumann_rows_inside_a_patch_are_eliminated_at_level_1():
-    # ex2 level 1 has three patches and no level above; SuperLU used to get
-    # their Neumann rows too, 85 rows with 3 526 nonzeros in the factors
-    info = linsolve.HybridSolver(_plate_system("ex2", 1)).info()
-    assert (info["patches"], info["levels"]) == (3, 0)
-    assert (info["schur_n"], info["fill"]) == (18, 342)
+    # ex2 level 1 has three patches, which eliminate every Neumann row; the
+    # 18 rows between them meet in the front of a pair of patches, and the
+    # root has the 9 rows between that pair and the third patch
+    hybrid = linsolve.HybridSolver(_plate_system("ex2", 1))
+    info = hybrid.info()
+    assert (info["patches"], info["levels"], info["root_n"]) == (3, 2, 9)
+    nb, nl = hybrid.Lam.shape[0], hybrid.L.shape[0]
+    patch_rows = np.concatenate([inner.ravel() for inner in hybrid.levels[0].inner])
+    assert np.isin(np.arange(nb - nl, nb), patch_rows).all()
+    pair = hybrid.levels[1]
+    assert pair.M[0].shape[0] + pair.W[0].shape[1] == 18
 
 
 def _rotated_lshape():
@@ -965,8 +992,9 @@ def _rotated_lshape():
 
 @pytest.mark.parametrize("which", ["ex2-1", "ex2-2", "ex2-3", "rotated"])
 def test_no_row_inside_a_block_is_left_to_superlu(which):
-    # at every level, patches included, a row whose cells all lie in one
-    # block is eliminated in that block's front, Neumann rows alike
+    # at every level, patches and root included, a row whose cells all lie
+    # in one block, and in no block below, is eliminated in that block's
+    # front, Neumann rows alike
     if which == "rotated":
         system = _rotated_lshape()
     else:
@@ -974,41 +1002,134 @@ def test_no_row_inside_a_block_is_left_to_superlu(which):
     assert system.L.shape[0] > 0
     hybrid = linsolve.HybridSolver(system)
     rows = _row_cells(hybrid)
-    of_cell = np.arange(len(hybrid.group))
+    of_cell, below = np.arange(len(hybrid.group)), np.zeros(len(rows), dtype=bool)
     cover = list(linsolve._cover(hybrid.Lam, len(of_cell)))
     assert len(cover) == len(hybrid.levels) > 0
-    for blocks, row_block in cover:
+    for level, (blocks, row_block) in zip(hybrid.levels, cover):
         of_cell = linsolve._lift(of_cell, blocks)
         owners = [set(of_cell[list(cells)]) for cells in rows]
-        inside = [i for i, owner in enumerate(owners) if len(owner) == 1 and -1 not in owner]
+        inside = [
+            i for i, owner in enumerate(owners)
+            if not below[i] and len(owner) == 1 and min(owner) < len(blocks)
+        ]
         assert np.array_equal(np.flatnonzero(row_block >= 0), inside)
-        assert not np.isin(inside, hybrid.top).any()
+        eliminated = np.concatenate([inner.ravel() for inner in level.inner])
+        assert np.array_equal(np.sort(eliminated), inside)
+        below[inside] = True
+    assert below.all()
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "graded-8x8"])
-def test_lattice_plate_leaves_superlu_nothing(which, monkeypatch):
-    # the top block covers the whole clamped plate, so every multiplier is
-    # condensed in dense fronts; the graded grid has no two cells alike
+def test_lattice_plate_leaves_superlu_nothing(which):
+    # the top block of the lattice covers the whole clamped plate and is its
+    # root, so every block is four units and no pair or root is added; the
+    # graded grid has no two cells alike
     if which == "ex1-3":
         system = _plate_system("ex1", 3)
     else:
         mesh = _graded_grid(8, 8)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
-
-    def unreachable(S, diagonal):
-        raise AssertionError("the multiplier system was factored")
-
-    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
     x, info = solve_saddle(system, system.rhs())
-    assert (info["schur_n"], info["fill"], info["patches"], info["levels"]) == (0, 0, 16, 2)
+    assert (info["root_n"], info["patches"], info["levels"]) == (77, 16, 2)
+    cover = [blocks for blocks, _ in linsolve._cover(system.dofmap.C, len(system.group))]
+    assert [len(blocks) for blocks in cover] == [16, 4, 1]
+    assert all(np.all(blocks >= 0) for blocks in cover)
     assert info["residual"] <= 1e-10 and 0.0 < info["pivot_ratio"] <= 1.0
 
 
-def test_block_interior_breakdown_detected(monkeypatch):
-    # the pivot test in a front above the patches, before SuperLU is reached:
-    # a copy within 1e-7 of an edge row between two patches of the one
-    # level-2 block of ex1 level 2 gives a pivot of about 1e-15 times its
-    # diagonal entry
+def _ex2_system(mesh):
+    """The ex2 plate on a mesh: its load, material and boundary data."""
+    exact = get_example("ex2")
+    return build_system(mesh, build_dof_map(mesh), exact.f, material=exact.material,
+                        dirichlet=exact.dirichlet, neumann=exact.neumann)
+
+
+def _renumbered(mesh, seed):
+    """The mesh with cells and vertices in seeded random order, labels kept, and the cell order."""
+    rng = np.random.default_rng(seed)
+    cells, vertices = rng.permutation(mesh.num_cells), rng.permutation(mesh.num_vertices)
+    new = np.empty_like(vertices)
+    new[vertices] = np.arange(len(vertices))
+    b = mesh.boundary_edges
+    pairs = zip(new[mesh.edges[b]].tolist(), mesh.edge_label[b])
+    labels = {frozenset(pair): lab for pair, lab in pairs}
+    return Mesh(mesh.vertices[vertices], new[mesh.cells[cells]], labels), cells
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["ex2-3-renumbered", "hexagon-0", "hexagon-1", "hexagon-2", "ex2-0", "graded-5x3", "one-cell"],
+)
+def test_every_tree_closes_in_one_root(which, hexagon_mesh):
+    # a mesh numbered at random, where the four-unit passes leave many units
+    # free; a vertex of three cells; an L-shape with no vertex of four
+    # cells; a grid with cells beside its patches; and one cell whose two
+    # Neumann edges give it 9 rows of its own and no continuity row
+    load = lambda x, y: np.ones_like(x)
+    if which == "ex2-3-renumbered":
+        mesh, cells = _renumbered(get_example("ex2").mesh(3), 1)
+        system = _ex2_system(mesh)
+    elif which == "ex2-0":
+        mesh = get_example("ex2").mesh(0)
+        system = _ex2_system(mesh)
+    elif which == "one-cell":
+        corners = np.array([[0.0, 0.0], [2.0, 0.5], [2.5, 1.5], [0.5, 1.0]])
+        mesh = Mesh(corners, np.array([[0, 1, 2, 3]]),
+                    {frozenset((0, 1)): "N", frozenset((1, 2)): "N"})
+        neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
+        system = build_system(mesh, build_dof_map(mesh), load, neumann=neumann)
+        assert system.L.shape[0] == 9 and system.dofmap.C.shape[0] == 0
+    else:
+        if which == "graded-5x3":
+            mesh = _graded_grid(5, 3)
+        else:
+            mesh = hexagon_mesh
+            for _ in range(int(which.split("-")[1])):
+                mesh = refine_uniform(mesh)
+        system = build_system(mesh, build_dof_map(mesh), load)
+    hybrid = linsolve.HybridSolver(system)
+    _closes_in_one_root(hybrid)
+    result = solve_problem(mesh, system.dofmap, system)
+    assert result["solver"]["residual"] <= 1e-10
+    if which != "ex2-3-renumbered":
+        return
+    # the largest front of the random numbering stays near those of the
+    # lattice, and the answer is the lattice's, cell by cell
+    fronts = [M.shape[0] + W.shape[1] for level in hybrid.levels for M, W in zip(level.M, level.W)]
+    assert max(fronts) <= 400
+    base = get_example("ex2").mesh(3)
+    want = solve_problem(base, build_dof_map(base), _ex2_system(base))
+    for key, width in (("coeffs", 20), ("u", 3)):
+        got, ref = result[key].reshape(-1, width), want[key].reshape(-1, width)[cells]
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), key
+
+
+def test_each_part_of_a_mesh_in_parts_closes():
+    # a ring of eight cells around a hole and, apart from it, one cell with
+    # two Neumann edges (Euler characteristic 0 + 1): no row joins the two
+    # parts, so the ring closes in its own root, and the lone cell's 9 rows
+    # then form a front of that cell alone
+    corners = [(x, y) for y in range(4) for x in range(4)] + [(5, 0), (6, 0), (6, 1), (5, 1)]
+    cells = [[4 * y + x, 4 * y + x + 1, 4 * y + x + 5, 4 * y + x + 4]
+             for y in range(3) for x in range(3) if (x, y) != (1, 1)]
+    mesh = Mesh(np.array(corners, dtype=float), np.array(cells + [[16, 17, 18, 19]]),
+                {frozenset((16, 17)): "N", frozenset((17, 18)): "N"})
+    neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
+    system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x), neumann=neumann)
+    hybrid = linsolve.HybridSolver(system)
+    cover = [blocks for blocks, _ in linsolve._cover(hybrid.Lam, mesh.num_cells)]
+    assert [len(blocks) for blocks in cover] == [4, 2, 1, 1]
+    assert cover[-1].tolist() == [[1, -1, -1, -1]]
+    _closes_in_one_root(hybrid)
+    assert hybrid.info()["root_n"] == system.L.shape[0] == 9
+    result = solve_problem(mesh, system.dofmap, system)
+    assert result["solver"]["residual"] <= 1e-10
+
+
+def test_block_interior_breakdown_detected():
+    # the pivot test in a front above the patches: a copy within 1e-7 of an
+    # edge row between two patches of the one level-2 block of ex1 level 2,
+    # its root, gives a pivot of about 1e-15 times its diagonal entry
     system = _plate_system("ex1", 2)
     patches = _patches(system)
     patch_of = np.empty(len(system.group), dtype=int)
@@ -1022,11 +1143,6 @@ def test_block_interior_breakdown_detected(monkeypatch):
     row = C[between[0]]
     near = row + sp.csr_matrix(([1e-7], ([0], [row.indices[0]])), shape=row.shape)
     plate = _with_continuity(system, sp.vstack([C, near], format="csr"))
-
-    def unreachable(S, diagonal):
-        raise AssertionError("the multiplier system was factored")
-
-    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
     with pytest.raises(SingularSystemError, match="pivot / diagonal .* of level 2"):
         linsolve.HybridSolver(plate)
 
@@ -1050,10 +1166,10 @@ def test_blocks_group_by_their_units_and_the_places_of_their_rows():
     owner = np.full(nb, -1)
     owner[[2, 13, 22, 23, 33]] = [0, 1, 2, 2, 3]
     blocks = np.arange(16).reshape(4, 4)
-    level, rows, _, (up, group, U_up), rest = linsolve._merge(
+    level, rows, _, (up, group, U_up) = linsolve._merge(
         (outer, np.zeros(16, dtype=int), U), diagonal, blocks, owner, 2
     )
-    assert len(set(group)) == 4 and len(rest[0]) == 0
+    assert len(set(group)) == len(group) == 4
     assert np.array_equal(rows, [2, 13, 22, 23, 33])
     for b, inner in enumerate(_block_rows(level)[0]):
         nO = np.count_nonzero(up[b] < nb)
@@ -1107,9 +1223,9 @@ def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
 
 
 def test_multiplier_system_pattern_is_rotation_invariant():
-    # the system handed to SuperLU is written on the clique pattern of the
-    # cells and blocks that no level takes, so its ordering and fill follow
-    # the mesh, not the rounding of rotated cell data
+    # the cover reads only the pattern of the multiplier rows, so its blocks
+    # and the sizes of their fronts follow the mesh, not the rounding of
+    # rotated cell data
     base = make_lshape(3)
 
     def solver_info(angle):
@@ -1120,7 +1236,8 @@ def test_multiplier_system_pattern_is_rotation_invariant():
         return solve_problem(mesh, dofmap, system)["solver"]
 
     want, got = solver_info(0.0), solver_info(0.7)
-    assert (got["schur_n"], got["fill"]) == (want["schur_n"], want["fill"])
+    for key in ("root_n", "condensed_n", "patches", "levels"):
+        assert got[key] == want[key], key
     assert got["pivot_ratio"] == pytest.approx(want["pivot_ratio"], rel=1e-6)
 
 
@@ -1165,10 +1282,10 @@ def test_all_neumann_plate_rejected(monkeypatch):
     dofmap = build_dof_map(mesh)
     system = build_system(mesh, dofmap, exact.f, neumann=NeumannData(exact.field))
 
-    def unreachable(S):
+    def unreachable(S, where):
         raise AssertionError("the multiplier system was factored")
 
-    monkeypatch.setattr(linsolve, "factor_spd", unreachable)
+    monkeypatch.setattr(linsolve, "_factor", unreachable)
     with pytest.raises(SingularSystemError, match="rigid deflections"):
         solve_problem(mesh, dofmap, system)
 
@@ -1183,26 +1300,23 @@ def test_all_neumann_plate_rejected(monkeypatch):
 
 
 def test_spd_pivots_are_matched_to_their_diagonal_entries():
-    # an arrow matrix with its hub in row 2: the ordering eliminates the hub
-    # last, every other pivot is its own diagonal entry and the hub's is its
-    # Schur complement
+    # an arrow matrix with its hub last: every other pivot is its own
+    # diagonal entry and the hub's is its Schur complement, each read over
+    # its diagonal entry of S, and M = C^-1 D gives S^-1 = M^T M
     d = np.array([5.0, 1.0, 3.0, 2.0, 4.0, 7.0])
-    S = sp.lil_matrix(np.diag(d))
-    S[2, :] = 1.0
-    S[:, 2] = 1.0
-    S[2, 2] = 10.0
-    lu, ratio = factor_spd(S.tocsc(), S.diagonal())
-    # the ordering is not its own inverse, so a transposed mapping would show
-    assert not np.array_equal(np.argsort(lu.perm_c), lu.perm_c)
+    S = np.diag(d)
+    S[5, :] = S[:, 5] = 1.0
+    S[5, 5] = 10.0
+    M, ratio = linsolve._factor(S[None], "in a test")
     want = np.ones(6)
-    want[2] = 1.0 - np.sum(1.0 / np.delete(d, 2)) / 10.0
-    assert np.allclose(ratio, want, rtol=1e-14, atol=0.0)
+    want[5] = 1.0 - np.sum(1.0 / d[:5]) / 10.0
+    assert np.allclose(ratio[0], want, rtol=1e-14, atol=0.0)
+    assert np.allclose(M[0].T @ M[0], np.linalg.inv(S), rtol=1e-14, atol=1e-15)
 
 
 def test_indefinite_multiplier_system_rejected():
-    with pytest.raises(SingularSystemError):
-        S = sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]])
-        factor_spd(S, S.diagonal())
+    with pytest.raises(SingularSystemError, match="not positive definite in a test"):
+        linsolve._factor(np.array([[[1.0, 2.0], [2.0, 1.0]]]), "in a test")
 
 
 # -- discrete stability ---------------------------------------------------------------

@@ -18,6 +18,12 @@ script computes the same fixed set of outputs:
   groups, so the per-group paths of assembly, solve and conformity check
   see many groups; and once more with the isotropic law E = 2, nu = 0.3,
   so that one output goes through a compliance that is not the identity;
+- the bytes of ``m``, ``u`` and ``lambda`` and the ``repr`` of the solver
+  dict of ``solve_problem`` with the ex2 data on ex2 at level
+  ``RENUMBERED_LEVEL``, its cells and vertices in the order of
+  ``default_rng(RENUMBERED_SEED)`` permutations, boundary labels carried
+  along: the solver's block cover then meets a numbering that
+  ``refine_uniform`` did not make, so a change of the cover shows;
 - the ``repr`` of ``check_conformity`` on raw coefficients, on ex2 at level
   ``RAW_LEVEL`` and on the rotated L-shape above, for two fields each: a
   random (ncells, 20) array drawn from ``default_rng(RAW_SEED)``, and the
@@ -64,6 +70,8 @@ ROTATED_LEVEL = 3
 ROTATED_ANGLE = 0.7
 RAW_LEVEL = 3
 RAW_SEED = 7
+RENUMBERED_LEVEL = 3
+RENUMBERED_SEED = 1
 
 #: the timing of a verdict line, e.g. "in 0.05 s"
 TIMING = re.compile(r" in [0-9.e+-]+ s\b")
@@ -141,6 +149,23 @@ def library_outputs():
             out["%s %s" % (name, key)] = digest(result[key])
         for key in ("solver", "conformity"):
             out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
+
+    ex2, rng = get_example("ex2"), np.random.default_rng(RENUMBERED_SEED)
+    base = ex2.mesh(RENUMBERED_LEVEL)
+    cells, vertices = rng.permutation(base.num_cells), rng.permutation(base.num_vertices)
+    new = np.empty_like(vertices)
+    new[vertices] = np.arange(len(vertices))
+    b = base.boundary_edges
+    labels = {frozenset(new[pair].tolist()): lab for pair, lab in zip(base.edges[b], base.edge_label[b])}
+    renumbered = Mesh(base.vertices[vertices], new[base.cells[cells]], labels)
+    dofmap = build_dof_map(renumbered)
+    system = build_system(renumbered, dofmap, ex2.f, material=ex2.material,
+                          dirichlet=ex2.dirichlet, neumann=ex2.neumann)
+    result = solve_problem(renumbered, dofmap, system)
+    name = "solve ex2 L%d renumbered" % RENUMBERED_LEVEL
+    for key in ("m", "u", "lambda"):
+        out["%s %s" % (name, key)] = digest(result[key])
+    out[name + " solver"] = digest(repr(sorted(result["solver"].items())))
 
     meshes = [("ex2 L%d" % RAW_LEVEL, get_example("ex2").mesh(RAW_LEVEL)), ("rotated lshape", mesh)]
     for name, mesh in meshes:
