@@ -39,15 +39,19 @@ eliminated by one scaled Cholesky factorization per group of equal blocks
 and LAPACK's triangular inverse of each factor (E. Anderson et al., LAPACK
 Users' Guide, SIAM 1999), and the Schur complement on the other rows is the
 block's update for the level above.  One cover rule picks the blocks of
-every level.  The vertex rows that touch four cells are taken first, in
-reverse row order, each taking four units of the level below when none is
-taken yet.  When units are left free, the rows that join three free units,
-then those that join two, take them alike, also in reverse row order, and
-the units that no block takes are units of the level above as they are.
-The levels go on until a block holds every row, so the elimination tree of
-a connected mesh closes in one root (J. W. H. Liu, SIAM Review 34 (1992)
-82-109), and that root is a front like any other, a lone cell with rows of
-its own included.  The pivots of all levels, in
+every level, from the rows of its units alone, as the level below hands
+them up; a row joins the units that carry it.  The rows that join four
+units are taken first, in reverse row order, each taking its four units
+when none is taken yet: the jump rows of interior vertices with four
+cells, and around a vertex of more cells its jump row once those cells lie
+in four units.  When units are left free, the rows that join three free
+units, then those that join two, take them alike, also in reverse row
+order, and the units that no block takes are units of the level above as
+they are.  A row is inside a block when the block holds every unit that
+carries it.  The levels go on while a unit has a row left, so the
+elimination tree of a connected mesh closes in one root (J. W. H. Liu,
+SIAM Review 34 (1992) 82-109), and that root is a front like any other, a
+lone cell with rows of its own included.  The pivots of all levels, in
 the order of the blocks of each level, are the pivots of S itself, and
 each is divided by its entry of diag(S); a ratio below
 ``PIVOT_BREAKDOWN_TOL`` counts as a breakdown at any level, the root's
@@ -138,14 +142,15 @@ class HybridSolver:
     slots per cell, the columns of ``dofmap.C`` and ``dofmap.Q``,
     continuity rows before Neumann rows.  Entry l of ``levels``, a
     :class:`_Level`, eliminates the rows of ``Lam`` inside the blocks of
-    level l + 1, the 2 x 2 patches first; the last level is the root, the
-    one block that holds every cell of a connected mesh and eliminates the
-    rows left.  ``ratio`` holds the pivot of each row over its diagonal
-    entry of S.
+    level l + 1, the 2 x 2 patches first.  :func:`_cover` picks the blocks
+    of each level from the rows of the units below, the cells or the units
+    that :func:`_merge` hands up, and the levels go on while a unit has a
+    row left; the last level is the root, the one block that holds every
+    cell of a connected mesh and eliminates the rows left.  ``ratio`` holds
+    the pivot of each row over its diagonal entry of S.
     """
 
     def __init__(self, plate):
-        nk = len(plate.group)
         self.ndofs, self.nu = plate.ndofs, plate.nu
         self.P, self.L, self.group = plate.dofmap.P, sp.csr_matrix(plate.L), plate.group
         _check_rigid_kernel(self.P, self.L, self.ndofs)
@@ -167,9 +172,10 @@ class HybridSolver:
         # rows inside its blocks against the updates of the units below
         self.ratio = np.empty(self.Lam.shape[0])
         units, diagonal = _cell_updates(self.Lam, self.group, self.inv)
-        self.levels = []
-        for depth, (blocks, owner) in enumerate(_cover(self.Lam, nk), start=1):
-            level, rows, ratio, units = _merge(units, diagonal, blocks, owner, depth)
+        nb, self.levels = len(diagonal), []
+        while np.any(units[0] < nb):
+            blocks = _cover(units[0], nb)
+            level, rows, ratio, units = _merge(units, diagonal, blocks, len(self.levels) + 1)
             self.levels.append(level)
             self.ratio[rows] = ratio
         self.pivot_ratio = float(self.ratio.min()) if len(self.ratio) else None
@@ -251,28 +257,26 @@ def _slots(tensor, deflection):
     return np.concatenate([tensor.reshape(-1, 20), deflection.reshape(-1, 3)], axis=1)
 
 
-def _cover(Lam, nk):
-    """Blocks of every level, the 2 x 2 patches first, up to one root; one rule for all.
+def _cover(outer, nb):
+    """The blocks of one level, picked from the rows of its units; one rule for all levels.
 
-    ``Lam`` holds the multiplier rows on 20 slots per cell.  The units of
-    level 0 are the cells, and those of level l > 0 are the blocks that
-    level l took, followed by the units below that it left, in their order.
-    A row that touches four cells is the jump row of an interior vertex
-    with four cells around it; these rows are the first candidates at every
-    level, and Neumann rows, with one nonzero each, never are.  Such a
-    candidate qualifies when its four cells lie in four different units,
-    and one greedy pass over the candidates in reverse row order takes its
-    four units as a block when none of them is taken yet.  When units are
-    left free, two more passes over the rows that no block holds, in
-    reverse row order, take the free units that one row joins, three at a
-    time, then two.  When no row joins two units, each unit with rows of
-    its own is a block alone: a lone cell, or each part of a mesh in parts.
-    The levels end when every row is held by a block, so the last block of
-    a connected mesh is the root, which holds every cell.  Yields per level
-    (n_l, 4) blocks, the units of each block in the column order of its row
-    and padded with -1, the cells of each patch at level 1, and the block
-    of this level that holds all cells of each row, -1 for none and for the
-    rows that a block below holds.
+    ``outer`` (n, w) holds the rows that meet each unit of the level below,
+    padded with ``nb``, the row count of ``Lam``: the cells at level 0, as
+    :func:`_cell_updates` hands them up, and the units that :func:`_merge`
+    hands up above.  The rows of one unit are distinct, so each (row, unit)
+    pair occurs once.  A row joins the units that carry it.  For k = 4,
+    then 3, then 2, one greedy pass over the rows that join k units, in
+    reverse row order, takes the k units of a row as a block when all of
+    them are still free; the passes stop once no unit is free.  A row that
+    joins four units is mostly the jump row of an interior vertex with four
+    cells around it, whose cells lie in four units.  The jump row of a
+    vertex of more than four cells is a candidate too, at the level where
+    its cells lie in four units; only there does the rule differ from one
+    that takes the rows of four cells alone.  Neumann rows, with one
+    nonzero each, join one unit and are never candidates.  When no row
+    joins two to four units, each unit with rows of its own is a block
+    alone: a lone cell, or each part of a mesh in parts.  Returns (n_l, 4)
+    blocks, the units of each block ascending and padded with -1.
 
     The order relies on the numbering of
     :func:`ddivfem.mesh.refine_uniform`, which numbers the four children
@@ -280,78 +284,34 @@ def _cover(Lam, nk):
     of a vertex, which sits at the slot of its lowest cell.  In reverse
     row order the centre of the highest cell comes first, and every vertex
     that straddles two parents is reached only after the higher parent's
-    centre has taken its children, so the four-unit passes take the full
-    lattice of 2 x 2, 4 x 4, ... blocks on every uniformly refined mesh;
-    tensor grids numbered row by row are covered from their last corner
-    alike.  On other numberings the four-unit passes may leave units that a
-    better cover would take, and the passes of three and two units take
-    them.
+    centre has taken its children, so the four-unit pass of every level
+    takes the full lattice of 2 x 2, 4 x 4, ... blocks on every uniformly
+    refined mesh; tensor grids numbered row by row are covered from their
+    last corner alike.  On other numberings the four-unit pass may leave
+    units that a better cover would take, and the passes of three and two
+    units take them.
     """
-    nb = Lam.shape[0]
-    cell = Lam.indices // 20
-    start, count = Lam.indptr[:-1], np.diff(Lam.indptr)
-    quads = cell[start[count == 4][::-1, None] + np.arange(4)]
-    # the rows that no block holds yet
-    of_cell, left = np.arange(nk), np.arange(nb)
-    while len(left):
-        n, X = of_cell.max() + 1, Lam[left]
-        free, chosen = [True] * n, []
-
-        def take(candidates):
-            for units in candidates.tolist():
-                if all(map(free.__getitem__, units)):
-                    for u in units:
-                        free[u] = False
-                    chosen.append(units + [-1] * (4 - len(units)))
-
-        blocks = of_cell[quads]
-        ranked = np.sort(blocks, axis=1)
-        take(blocks[np.all(np.diff(ranked, axis=1) != 0, axis=1)])
-        if 4 * len(chosen) < n:
-            # the units of each row left once, ascending, rows in order
-            pairs = np.unique(np.repeat(np.arange(len(left)), np.diff(X.indptr)) * n
-                              + of_cell[X.indices // 20])
-            units = pairs % n
-            joined = np.bincount(pairs // n, minlength=len(left))
-            first = np.cumsum(joined) - joined
-            for k in (3, 2):
-                rows = np.flatnonzero(joined == k)[::-1]
-                take(units[first[rows, None] + np.arange(k)])
-        if not chosen:
-            # no row joins two units: each unit with rows of its own is a front
-            chosen = [[u, -1, -1, -1] for u in np.unique(units[first[joined == 1]]).tolist()]
-        blocks = np.array(chosen)
-        of_cell = _lift(of_cell, blocks)
-        held = _row_blocks(X, of_cell)
-        owner = np.full(nb, -1)
-        owner[left] = np.where(held < len(blocks), held, -1)
-        left = left[owner[left] < 0]
-        yield blocks, owner
-
-
-def _lift(of_cell, blocks):
-    """The unit of the level above that holds each cell, given its unit below.
-
-    The blocks come first, then the units below that no block takes, in
-    their order; -1 in ``blocks`` pads a block of fewer than four units.
-    """
-    n = of_cell.max(initial=-1) + 1
-    up, rest = np.empty(n + 1, dtype=int), np.ones(n + 1, dtype=bool)
-    up[blocks], rest[blocks] = np.arange(len(blocks))[:, None], False
-    rest[-1] = False
-    up[rest] = len(blocks) + np.arange(np.count_nonzero(rest))
-    return up[of_cell]
-
-
-def _row_blocks(X, of_cell):
-    """The block that holds all cells of each row of X (20 slots per cell), -1 for none."""
-    owner = of_cell[X.indices // 20]
-    full = np.diff(X.indptr) > 0
-    out = np.full(X.shape[0], -1)
-    if full.any():
-        lo = np.minimum.reduceat(owner, X.indptr[:-1][full])
-        out[full] = np.where(lo == np.maximum.reduceat(owner, X.indptr[:-1][full]), lo, -1)
-    return out
+    n = len(outer)
+    # the (row, unit) pairs by row, then unit
+    pairs = np.sort(outer.ravel() * n + np.repeat(np.arange(n), outer.shape[1]))
+    row, unit = np.divmod(pairs[pairs < nb * n], n)
+    joined = np.bincount(row, minlength=nb)
+    first = np.cumsum(joined) - joined
+    free, nfree, chosen = [True] * n, n, []
+    for k in (4, 3, 2):
+        if not nfree:
+            break
+        rows = np.flatnonzero(joined == k)[::-1]
+        for units in unit[first[rows, None] + np.arange(k)].tolist():
+            if all(map(free.__getitem__, units)):
+                for u in units:
+                    free[u] = False
+                nfree -= k
+                chosen.append(units + [-1] * (4 - k))
+    if not chosen:
+        # no row joins two to four units: each unit with rows of its own is a front
+        chosen = [[u, -1, -1, -1] for u in np.unique(unit[first[joined == 1]]).tolist()]
+    return np.array(chosen)
 
 
 def _cell_updates(Lam, group, inv):
@@ -439,22 +399,23 @@ class _Level(NamedTuple):
     W: list
 
 
-def _merge(units, diagonal, blocks, owner, depth):
+def _merge(units, diagonal, blocks, depth):
     """The blocks of one level: their eliminations and their updates.
 
     ``units`` = ``(outer, group, U)`` describes the units of the level
     below, the cells below level 1, as :func:`_cell_updates` does the cells:
     the rows of ``Lam`` that meet each unit, its group, and per group its
     update on those rows.  ``diagonal`` is the diagonal of S.  ``blocks``
-    (n, 4) picks up to four units for each block of this level, padded
-    with -1, which stands for an empty unit with a 0 x 0 update, and
-    ``owner`` is the block of this level that holds all cells of each row
-    of ``Lam``, -1 for none and for the rows that a block below holds.  The
-    front of a block has the rows of its units in their order, each at its
-    first place, the rows inside the block (I) before the others (O), and
-    it is the sum of the units' updates, summed by :func:`_extend_add`.
-    Blocks whose units fall in the same groups, with as many inside rows
-    and rows at the same places, form a group.  One front per group is formed at its own size m x m, the
+    (n, 4), as :func:`_cover` picks them, holds up to four units for each
+    block of this level, padded with -1, which stands for an empty unit
+    with a 0 x 0 update.  A row is inside a block when the block holds
+    every unit that carries it: its (block, row) pair occurs as often as
+    the row occurs in ``outer``.  The front of a block has the rows of its
+    units in their order, each at its first place, the rows inside the
+    block (I) before the others (O), and it is the sum of the units'
+    updates, summed by :func:`_extend_add`.  Blocks whose units fall in the
+    same groups, with as many inside rows and rows at the same places, form
+    a group.  One front per group is formed at its own size m x m, the
     fronts of equal size together, at most ``_FRONT`` entries at a time,
     factored as in :func:`_factor`, D F_II D = C C^T, and freed before the
     next batch.  With M = C^-1 D and W = M F_IO, the block's update F_OO -
@@ -467,7 +428,8 @@ def _merge(units, diagonal, blocks, owner, depth):
     of only the updates that they use.
     """
     outer, group, U = units
-    nb, n, w = len(owner), len(blocks), outer.shape[1]
+    nb, n, w = len(diagonal), len(blocks), outer.shape[1]
+    carried = np.bincount(outer.ravel(), minlength=nb + 1)
     # the empty unit, last, that -1 in blocks picks
     outer = np.vstack([outer, np.full(w, nb)])
     group, U = np.append(group, len(U)), U + [np.zeros((0, 0))]
@@ -477,7 +439,8 @@ def _merge(units, diagonal, blocks, owner, depth):
     key = np.repeat(np.arange(n), 4 * w)[valid] * nb + ent[valid]
     first, at = cell_groups(key)
     pair_block, pair_row = np.divmod(key[first], nb)
-    ins = owner[pair_row] == pair_block
+    # a row is inside a block that holds every unit that carries it
+    ins = np.bincount(at) == carried[pair_row]
     nI = np.bincount(pair_block[ins], minlength=n)
     nO = np.bincount(pair_block[~ins], minlength=n)
     rI = np.cumsum(ins) - ins - (np.cumsum(nI) - nI)[pair_block]
@@ -520,9 +483,10 @@ def _merge(units, diagonal, blocks, owner, depth):
     ratio = np.concatenate([np.tile(p, len(b)) for p, b in zip(pivot, members)]) / diagonal[rows]
     worst = np.argmin(ratio)
     if not ratio[worst] >= PIVOT_BREAKDOWN_TOL:
+        block = np.concatenate([np.repeat(b, i.shape[1]) for b, i in zip(members, inner)])[worst]
         raise SingularSystemError(
             "multiplier system not positive definite: pivot / diagonal %.3e in block %d of level %d"
-            % (ratio[worst], owner[rows[worst]], depth)
+            % (ratio[worst], block, depth)
         )
     # the units below that no block takes keep copies of only the updates
     # they use, so that all others are freed with the level below
@@ -709,5 +673,5 @@ def solve_saddle(A, b, rtol=1e-10):
     # written so that a NaN residual fails too
     if not res <= rtol:
         raise ResidualError("%s solve residual %.3e exceeds %.3e" % (info["path"], res, rtol))
-    info.update(residual=res, refined=steps)
+    info.update(residual=float(res), refined=steps)
     return x, info

@@ -454,7 +454,7 @@ def test_fronts_keep_the_size_of_their_blocks():
     # and the M and W of every level hold nI (nI + nO) entries per block,
     # with nI the rows inside the block but inside no block below, and nO
     # the other rows that meet it and that no block below holds
-    hybrid = linsolve.HybridSolver(_plate_system("ex2", 3))
+    hybrid, picked = _covered(_plate_system("ex2", 3))
     nc, nk = hybrid.Lam.shape[0] - hybrid.L.shape[0], len(hybrid.group)
     patches = hybrid.levels[0]
     sizes = {M.shape for M in patches.M}
@@ -462,9 +462,9 @@ def test_fronts_keep_the_size_of_their_blocks():
     for inner, M in zip(patches.inner, patches.M):
         assert (inner >= nc).any() or M.shape == (17, 17)
     cells = _row_cells(hybrid)
-    of_cell, below = np.arange(nk), np.zeros(len(cells), dtype=bool)
-    for level, (blocks, owner) in zip(hybrid.levels, linsolve._cover(hybrid.Lam, nk)):
-        of_cell = linsolve._lift(of_cell, blocks)
+    below = np.zeros(len(cells), dtype=bool)
+    for level, (blocks, of_cell) in zip(hybrid.levels, _lifted(picked, nk)):
+        owner = _row_owners(cells, of_cell, len(blocks))
         nI = np.bincount(owner[(owner >= 0) & ~below], minlength=len(blocks))
         front = np.zeros(len(blocks), dtype=int)
         for row_cells in (c for c, done in zip(cells, below) if not done):
@@ -735,11 +735,45 @@ def _graded_grid(nx, ny, seed=3):
     return Mesh(np.column_stack([xx.ravel(), yy.ravel()]), cells)
 
 
-def _patches(system):
-    """The cells of each block of level 1, mostly 2 x 2 patches, padded with -1."""
-    for blocks, _ in linsolve._cover(system.dofmap.C, system.dofmap.P.shape[0] // 20):
-        return blocks
-    return np.zeros((0, 4), dtype=int)
+def _covered(plate):
+    """The solver of a plate, and the blocks of each level as its cover hands them to _merge.
+
+    The blocks of level 1 are cells, mostly 2 x 2 patches, padded with -1.
+    """
+    picked, merge = [], linsolve._merge
+
+    def recorded(units, diagonal, blocks, depth):
+        picked.append(blocks)
+        return merge(units, diagonal, blocks, depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linsolve, "_merge", recorded)
+        hybrid = linsolve.HybridSolver(plate)
+    return hybrid, picked
+
+
+def _lifted(picked, ncells):
+    """Per level, its blocks and the unit of that level that holds each cell.
+
+    The units of a level are its blocks, then the units below that no block
+    takes, in their order; -1 pads a block of fewer than four units.
+    """
+    of_cell = np.arange(ncells)
+    for blocks in picked:
+        block, unit = np.nonzero(blocks >= 0)
+        taken = np.zeros(of_cell.max() + 1, dtype=bool)
+        taken[blocks[block, unit]] = True
+        up = np.empty(len(taken), dtype=int)
+        up[blocks[block, unit]] = block
+        up[~taken] = len(blocks) + np.arange(np.count_nonzero(~taken))
+        of_cell = up[of_cell]
+        yield blocks, of_cell
+
+
+def _row_owners(rows, of_cell, nblocks):
+    """The block that holds all cells of each row, -1 for none."""
+    owners = [set(of_cell[list(cells)].tolist()) for cells in rows]
+    return np.array([min(o) if len(o) == 1 and min(o) < nblocks else -1 for o in owners])
 
 
 def _with_continuity(system, C):
@@ -767,6 +801,19 @@ def _block_rows(level):
     return inner, outer
 
 
+def _eliminated_where_first_held(hybrid, cover):
+    """Assert that each row is eliminated once, at the first level where a block holds its cells."""
+    rows = _row_cells(hybrid)
+    below = np.zeros(len(rows), dtype=bool)
+    assert len(cover) == len(hybrid.levels) > 0
+    for level, (blocks, of_cell) in zip(hybrid.levels, _lifted(cover, len(hybrid.group))):
+        inside = np.flatnonzero((_row_owners(rows, of_cell, len(blocks)) >= 0) & ~below)
+        eliminated = np.concatenate([inner.ravel() for inner in level.inner])
+        assert np.array_equal(np.sort(eliminated), inside)
+        below[inside] = True
+    assert below.all()
+
+
 def _closes_in_one_root(hybrid):
     """Assert that the levels eliminate every row once, the last level in one block, the root."""
     root = hybrid.levels[-1]
@@ -787,8 +834,7 @@ def test_partial_and_empty_patch_covers_agree_with_colamd(which):
     else:
         mesh = _graded_grid(5, 3)
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
-    hybrid = linsolve.HybridSolver(system)
-    patches = _patches(system)
+    hybrid, (patches, *_) = _covered(system)
     four = patches[(patches >= 0).all(axis=1)]
     lone = np.setdiff1d(np.arange(len(hybrid.group)), four)
     assert (len(lone), len(four)) == ((7, 2) if which != "ex2-0" else (3, 0))
@@ -810,6 +856,8 @@ def test_fully_condensed_plate_is_certified():
     system = _plate_system("ex1", 1)
     x, info = solve_saddle(system, system.rhs())
     assert (info["root_n"], info["patches"], info["levels"], info["condensed_n"]) == (17, 1, 0, 0)
+    # plain floats, so that the repr of the dict holds only its numbers
+    assert type(info["residual"]) is float and type(info["pivot_ratio"]) is float
     assert info["residual"] <= 1e-10
     assert 0.0 < info["pivot_ratio"] <= 1.0
     K, rhs = system.full()
@@ -826,8 +874,8 @@ def test_patch_cover_numbers_every_cell_once(which, graded_mesh):
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     else:
         system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system)
-    patches, level = _patches(system), hybrid.levels[0]
+    hybrid, (patches, *_) = _covered(system)
+    level = hybrid.levels[0]
     taken = patches[patches >= 0]
     assert len(np.unique(taken)) == taken.size and taken.max() < len(hybrid.group)
     assert len(level.group) == len(patches) == hybrid.info()["patches"]
@@ -844,8 +892,8 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     # vertex, plus the Neumann rows of its cells; the Neumann rows are the
     # last rows of Lam, as L Q
     system = _three_plates(which, graded_mesh)
-    hybrid = linsolve.HybridSolver(system)
-    patches, level = _patches(system), hybrid.levels[0]
+    hybrid, (patches, *_) = _covered(system)
+    level = hybrid.levels[0]
     nc, nl = system.dofmap.C.shape[0], system.L.shape[0]
     assert (which == "ex2-3") == (nl > 0)
     assert np.array_equal(hybrid.Lam[nc:].toarray(), (hybrid.L @ hybrid.Q).toarray())
@@ -938,7 +986,10 @@ def test_one_cover_rule_takes_the_full_lattice(which, counts, hexagon_mesh):
     mesh = get_example("ex2").mesh(int(level)) if name == "ex2" else hexagon_mesh
     for _ in range(int(level) if name == "hexagon" else 0):
         mesh = refine_uniform(mesh)
-    cover = [blocks for blocks, _ in linsolve._cover(build_dof_map(mesh).C, mesh.num_cells)]
+    # the clamped plate under f = 1: its multiplier rows are the continuity rows alone
+    system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+    assert system.L.shape[0] == 0
+    _, cover = _covered(system)
     assert [len(blocks) for blocks in cover] == counts
     below = mesh.num_cells
     for blocks, n in zip(cover, counts):
@@ -1000,23 +1051,7 @@ def test_no_row_inside_a_block_is_left_to_superlu(which):
     else:
         system = _plate_system("ex2", int(which.split("-")[1]))
     assert system.L.shape[0] > 0
-    hybrid = linsolve.HybridSolver(system)
-    rows = _row_cells(hybrid)
-    of_cell, below = np.arange(len(hybrid.group)), np.zeros(len(rows), dtype=bool)
-    cover = list(linsolve._cover(hybrid.Lam, len(of_cell)))
-    assert len(cover) == len(hybrid.levels) > 0
-    for level, (blocks, row_block) in zip(hybrid.levels, cover):
-        of_cell = linsolve._lift(of_cell, blocks)
-        owners = [set(of_cell[list(cells)]) for cells in rows]
-        inside = [
-            i for i, owner in enumerate(owners)
-            if not below[i] and len(owner) == 1 and min(owner) < len(blocks)
-        ]
-        assert np.array_equal(np.flatnonzero(row_block >= 0), inside)
-        eliminated = np.concatenate([inner.ravel() for inner in level.inner])
-        assert np.array_equal(np.sort(eliminated), inside)
-        below[inside] = True
-    assert below.all()
+    _eliminated_where_first_held(*_covered(system))
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "graded-8x8"])
@@ -1031,7 +1066,7 @@ def test_lattice_plate_leaves_superlu_nothing(which):
         system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
     x, info = solve_saddle(system, system.rhs())
     assert (info["root_n"], info["patches"], info["levels"]) == (77, 16, 2)
-    cover = [blocks for blocks, _ in linsolve._cover(system.dofmap.C, len(system.group))]
+    _, cover = _covered(system)
     assert [len(blocks) for blocks in cover] == [16, 4, 1]
     assert all(np.all(blocks >= 0) for blocks in cover)
     assert info["residual"] <= 1e-10 and 0.0 < info["pivot_ratio"] <= 1.0
@@ -1104,6 +1139,63 @@ def test_every_tree_closes_in_one_root(which, hexagon_mesh):
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), key
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_any_numbering_gives_the_same_answer(seed):
+    # the blocks that the cover picks follow the numbering of the mesh, but
+    # on any numbering of ex2 level 2 each row is eliminated once, in the
+    # first block that holds all its cells, the tree closes in one root, and
+    # the answer is that of the mesh as refine_uniform numbers it
+    base = get_example("ex2").mesh(2)
+    mesh, cells = _renumbered(base, seed)
+    system = _ex2_system(mesh)
+    hybrid, cover = _covered(system)
+    _closes_in_one_root(hybrid)
+    _eliminated_where_first_held(hybrid, cover)
+    result = solve_problem(mesh, system.dofmap, system)
+    want = solve_problem(base, build_dof_map(base), _ex2_system(base))
+    for key, width in (("coeffs", 20), ("u", 3)):
+        got, ref = result[key].reshape(-1, width), want[key].reshape(-1, width)[cells]
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max(), key
+
+
+def _star():
+    """Six rhombi around the origin: corners 0, e_k, e_k + e_k+1, e_k+1, e_k at 60 degree steps.
+
+    The origin is an interior vertex of six cells, the only vertex of more
+    than four cells in the tests.
+    """
+    angle = np.arange(6) * np.pi / 3.0
+    e = np.column_stack([np.cos(angle), np.sin(angle)])
+    k = np.arange(6)
+    cells = np.column_stack([np.zeros(6, dtype=int), 1 + k, 7 + k, 1 + (k + 1) % 6])
+    return Mesh(np.vstack([np.zeros((1, 2)), e, e + np.roll(e, -1, axis=0)]), cells)
+
+
+@pytest.mark.parametrize(
+    "refinements, counts, root_n", [(0, [3, 1], 13), (1, [6, 3, 1], 28), (2, [24, 6, 3, 1], 58)]
+)
+def test_vertex_of_six_cells_closes_in_one_root(refinements, counts, root_n):
+    # the jump row of the origin joins six units, more than a block takes:
+    # the cover takes the lattice inside each refined rhombus, then three
+    # pairs of rhombi that the edge rows between them join, and the row of
+    # the origin then joins the three pairs in the root
+    mesh = _star()
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+    hybrid, cover = _covered(system)
+    assert [len(blocks) for blocks in cover] == counts
+    _closes_in_one_root(hybrid)
+    K, rhs = system.full()
+    x, info = solve_saddle(K, rhs)
+    assert info["root_n"] == root_n and info["residual"] <= 1e-10
+    y = spla.splu(sp.csc_matrix(K), permc_spec="COLAMD").solve(rhs)
+    nd, nu = system.ndofs, system.nu
+    for part in (slice(0, nd), slice(nd, nd + nu)):
+        assert np.abs(x[part] - y[part]).max() <= 1e-9 * np.abs(y[part]).max()
+
+
 def test_each_part_of_a_mesh_in_parts_closes():
     # a ring of eight cells around a hole and, apart from it, one cell with
     # two Neumann edges (Euler characteristic 0 + 1): no row joins the two
@@ -1116,8 +1208,7 @@ def test_each_part_of_a_mesh_in_parts_closes():
                 {frozenset((16, 17)): "N", frozenset((17, 18)): "N"})
     neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
     system = build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x), neumann=neumann)
-    hybrid = linsolve.HybridSolver(system)
-    cover = [blocks for blocks, _ in linsolve._cover(hybrid.Lam, mesh.num_cells)]
+    hybrid, cover = _covered(system)
     assert [len(blocks) for blocks in cover] == [4, 2, 1, 1]
     assert cover[-1].tolist() == [[1, -1, -1, -1]]
     _closes_in_one_root(hybrid)
@@ -1131,7 +1222,7 @@ def test_block_interior_breakdown_detected():
     # edge row between two patches of the one level-2 block of ex1 level 2,
     # its root, gives a pivot of about 1e-15 times its diagonal entry
     system = _plate_system("ex1", 2)
-    patches = _patches(system)
+    _, (patches, *_) = _covered(system)
     patch_of = np.empty(len(system.group), dtype=int)
     patch_of[patches] = np.arange(len(patches))[:, None]
     C = system.dofmap.C
@@ -1152,25 +1243,26 @@ def test_blocks_group_by_their_units_and_the_places_of_their_rows():
     # share the block's inside row, in the second units 0 and 2 do, so the
     # fronts differ and must not share an elimination.  The third and the
     # fourth put their rows at the same places, but two of them lie inside
-    # the third and one inside the fourth, so their fronts differ too.  Each
-    # block's update is the Schur complement of its own front
+    # the third and one inside the fourth, so their fronts differ too.  A row
+    # is inside when its block holds every unit that carries it: thirteen
+    # units that no block takes carry every other row.  Each block's update
+    # is the Schur complement of its own front
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 3))
     U = [a @ a.T + 3.0 * np.eye(3)]
+    nb, inside = 44, [2, 13, 22, 23, 33]
     outer = np.array([[0, 1, 2], [2, 3, 4], [5, 6, 7], [8, 9, 10],
                       [11, 12, 13], [14, 15, 16], [13, 17, 18], [19, 20, 21],
                       [22, 23, 24], [24, 25, 26], [27, 28, 29], [30, 31, 32],
                       [33, 34, 35], [35, 36, 37], [38, 39, 40], [41, 42, 43]])
-    nb = 44
-    diagonal = np.bincount(outer.ravel(), np.tile(np.diag(U[0]), 16), nb)
-    owner = np.full(nb, -1)
-    owner[[2, 13, 22, 23, 33]] = [0, 1, 2, 2, 3]
+    outer = np.vstack([outer, np.setdiff1d(np.arange(nb), inside).reshape(13, 3)])
+    diagonal = np.bincount(outer.ravel(), np.tile(np.diag(U[0]), len(outer)), nb)
     blocks = np.arange(16).reshape(4, 4)
     level, rows, _, (up, group, U_up) = linsolve._merge(
-        (outer, np.zeros(16, dtype=int), U), diagonal, blocks, owner, 2
+        (outer, np.zeros(len(outer), dtype=int), U), diagonal, blocks, 2
     )
-    assert len(set(group)) == len(group) == 4
-    assert np.array_equal(rows, [2, 13, 22, 23, 33])
+    assert len(set(group[:4])) == len(level.group) == 4
+    assert np.array_equal(rows, inside)
     for b, inner in enumerate(_block_rows(level)[0]):
         nO = np.count_nonzero(up[b] < nb)
         order = np.concatenate([inner, up[b, :nO]])

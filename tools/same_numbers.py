@@ -44,7 +44,8 @@ the last bit of one number counts.  A differing output is followed by its
 largest relative change: over a solution vector max |new - old| / max |old|,
 over a text (rows, dicts, printed lines) the largest |new - old| / |old| of
 the numbers in it, read in order, with the two values, or the two counts
-when they differ.
+when they differ.  Over a dict whose key set changed, it is the keys added
+and the keys removed instead.
 """
 
 import argparse
@@ -81,18 +82,29 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
 
 
 def digest(data):
-    """The digest of an output and the numbers in it: a text's, or an array's entries."""
+    """The digest of an output and the numbers in it: a text's, or an array's entries.
+
+    A dict is digested as the ``repr`` of its sorted items, and its keys are kept.
+    """
+    keys = None
+    if isinstance(data, dict):
+        keys, data = sorted(data), repr(sorted(data.items()))
     if isinstance(data, str):
         numbers, kind, data = [float(x) for x in NUMBER.findall(data)], "text", data.encode()
     else:
         numbers, kind, data = data.ravel().tolist(), "vector", data.tobytes()
-    return {"sha256": hashlib.sha256(data).hexdigest(), "kind": kind, "numbers": numbers}
+    return {"sha256": hashlib.sha256(data).hexdigest(), "kind": kind, "numbers": numbers,
+            "keys": keys}
 
 
 def largest_change(old, new):
     """The largest relative change from one output to another, as text."""
     import numpy as np
 
+    if old["keys"] != new["keys"]:
+        added = sorted(set(new["keys"]) - set(old["keys"]))
+        removed = sorted(set(old["keys"]) - set(new["keys"]))
+        return "keys added %s, removed %s" % (added, removed)
     a, b = np.array(old["numbers"]), np.array(new["numbers"])
     if a.shape != b.shape:
         return "%d numbers, were %d" % (len(b), len(a))
@@ -127,9 +139,7 @@ def library_outputs():
             for key in ("m", "u", "lambda"):
                 out["solve %s L%d %s" % (problem, level, key)] = digest(result[key])
             for key in ("solver", "conformity"):
-                out["solve %s L%d %s" % (problem, level, key)] = digest(
-                    repr(sorted(result[key].items()))
-                )
+                out["solve %s L%d %s" % (problem, level, key)] = digest(result[key])
 
     base = make_lshape(ROTATED_LEVEL)
     c, s = np.cos(ROTATED_ANGLE), np.sin(ROTATED_ANGLE)
@@ -148,7 +158,7 @@ def library_outputs():
         for key in ("m", "u", "lambda"):
             out["%s %s" % (name, key)] = digest(result[key])
         for key in ("solver", "conformity"):
-            out["%s %s" % (name, key)] = digest(repr(sorted(result[key].items())))
+            out["%s %s" % (name, key)] = digest(result[key])
 
     ex2, rng = get_example("ex2"), np.random.default_rng(RENUMBERED_SEED)
     base = ex2.mesh(RENUMBERED_LEVEL)
@@ -165,7 +175,7 @@ def library_outputs():
     name = "solve ex2 L%d renumbered" % RENUMBERED_LEVEL
     for key in ("m", "u", "lambda"):
         out["%s %s" % (name, key)] = digest(result[key])
-    out[name + " solver"] = digest(repr(sorted(result["solver"].items())))
+    out[name + " solver"] = digest(result["solver"])
 
     meshes = [("ex2 L%d" % RAW_LEVEL, get_example("ex2").mesh(RAW_LEVEL)), ("rotated lshape", mesh)]
     for name, mesh in meshes:
@@ -176,7 +186,7 @@ def library_outputs():
         moved[mesh.num_cells // 2] += rng.standard_normal(20)
         for field, coeffs in (("random", raw), ("moved cell", moved)):
             report = check_conformity(mesh, dofmap, coeffs, cache=cache)
-            out["raw conformity %s %s" % (name, field)] = digest(repr(sorted(report.items())))
+            out["raw conformity %s %s" % (name, field)] = digest(report)
 
     for seed in INTERP_SEEDS:
         field = TensorField.random_poly(np.random.default_rng(seed), 3)
