@@ -175,7 +175,8 @@ _BLOCK_CELLS = 256
 
 def _cell_blocks(orders):
     """(order, cells) for blocks of cells sharing one quadrature order."""
-    for q in np.unique(orders):
+    # the distinct orders; a plain np.unique imports numpy.ma on first use
+    for q in np.flatnonzero(np.bincount(orders)):
         cells = np.nonzero(orders == q)[0]
         for start in range(0, len(cells), _BLOCK_CELLS):
             yield int(q), cells[start : start + _BLOCK_CELLS]

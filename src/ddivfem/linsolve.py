@@ -36,26 +36,25 @@ front rule applies at every level: the updates of the units of a block are
 summed into a dense front on the rows that meet the block; the rows whose
 cells all lie in the block, continuity and Neumann rows alike, are
 eliminated by one scaled Cholesky factorization per group of equal blocks
-and LAPACK's triangular inverse of each factor (E. Anderson et al., LAPACK
-Users' Guide, SIAM 1999), and the Schur complement on the other rows is the
-block's update for the level above.  One cover rule picks the blocks of
-every level, from the rows of its units alone, as the level below hands
-them up; a row joins the units that carry it.  The rows that join four
-units are taken first, in reverse row order, each taking its four units
-when none is taken yet: the jump rows of interior vertices with four
-cells, and around a vertex of more cells its jump row once those cells lie
-in four units.  When units are left free, the rows that join three free
+and a batched inverse of the factors by halves, and the Schur complement on
+the other rows is the block's update for the level above.  One cover rule
+picks the blocks of every level, from the rows of its units alone, as the
+level below hands them up; a row joins the units that carry it.  The rows
+that join four units are taken first, in reverse row order, each taking its
+four units when none is taken yet: the jump rows of interior vertices with
+four cells, and around a vertex of more cells its jump row once those cells
+lie in four units.  When units are left free, the rows that join three free
 units, then those that join two, take them alike, also in reverse row
 order, and the units that no block takes are units of the level above as
 they are.  A row is inside a block when the block holds every unit that
 carries it.  The levels go on while a unit has a row left, so the
-elimination tree of a connected mesh closes in one root (J. W. H. Liu,
-SIAM Review 34 (1992) 82-109), and that root is a front like any other, a
-lone cell with rows of its own included.  The pivots of all levels, in
-the order of the blocks of each level, are the pivots of S itself, and
-each is divided by its entry of diag(S); a ratio below
-``PIVOT_BREAKDOWN_TOL`` counts as a breakdown at any level, the root's
-included.  The ratio does not move under a diagonal scaling of the dofs.
+elimination tree of a connected mesh closes in one root (J. W. H. Liu, SIAM
+Review 34 (1992) 82-109), and that root is a front like any other, a lone
+cell with rows of its own included.  The pivots of all levels, in the order
+of the blocks of each level, are the pivots of S itself, and each is
+divided by its entry of diag(S); a ratio below ``PIVOT_BREAKDOWN_TOL``
+counts as a breakdown at any level, the root's included.  The ratio does
+not move under a diagonal scaling of the dofs.
 The one singular case that well-formed plate data can produce, Neumann rows
 on the whole boundary with the rigid deflections left free, is rejected from
 the sparsity of ``P`` and ``L`` before any factorization, and the pivot test
@@ -92,10 +91,9 @@ on the assembled K.
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .mesh import cell_groups
+from .space import Csr
 
 #: pivot over its diagonal entry of S under which the pivot counts as a breakdown
 PIVOT_BREAKDOWN_TOL = 1e-13
@@ -108,6 +106,9 @@ _CHUNK = 256
 
 #: entries of the dense fronts formed at once, each front m x m on its m rows
 _FRONT = 1 << 20
+
+#: order up to which a triangular factor is inverted whole, not by halves
+_HALVES = 64
 
 
 class SingularSystemError(np.linalg.LinAlgError):
@@ -152,11 +153,18 @@ class HybridSolver:
 
     def __init__(self, plate):
         self.ndofs, self.nu = plate.ndofs, plate.nu
-        self.P, self.L, self.group = plate.dofmap.P, sp.csr_matrix(plate.L), plate.group
+        self.P, self.L, self.group = plate.dofmap.P, plate.L, plate.group
         _check_rigid_kernel(self.P, self.L, self.ndofs)
 
         self.Q = plate.dofmap.Q
-        self.Lam = sp.vstack([plate.dofmap.C, self.L @ self.Q], format="csr")
+        # L Q moves each entry of L to the first local copy of its dof
+        C, L = plate.dofmap.C, plate.L
+        self.Lam = Csr(
+            np.concatenate([C.indptr, C.indptr[-1] + L.indptr[1:]]),
+            np.concatenate([C.indices, self.Q.indices[L.indices]]),
+            np.concatenate([C.data, L.data]),
+            (C.shape[0] + L.shape[0], C.shape[1]),
+        )
         empty = np.flatnonzero(np.diff(self.Lam.indptr) == 0)
         if len(empty):
             raise SingularSystemError("multiplier row %d meets no cell" % empty[0])
@@ -195,7 +203,7 @@ class HybridSolver:
         """Solution of K x = b, with x = (m, u, lambda) as K orders it."""
         nd, nu = self.ndofs, self.nu
         nl, nb = self.L.shape[0], self.Lam.shape[0]
-        z = _slots(self.Q.T @ b[:nd], b[nd : nd + nu])
+        z = _slots(self.Q.rmatvec(b[:nd]), b[nd : nd + nu])
         r = self.Lam @ self._cellwise(self.inv, z)[:, :20].ravel()
         r[nb - nl :] -= b[nd + nu :]
         for level in self.levels:
@@ -203,7 +211,7 @@ class HybridSolver:
         mu = np.zeros(nb)
         for level in reversed(self.levels):
             _backward(level, r, mu)
-        z[:, :20] -= (self.Lam.T @ mu).reshape(-1, 20)
+        z[:, :20] -= self.Lam.rmatvec(mu).reshape(-1, 20)
         y = self._cellwise(self.inv, z)
         # the Neumann multipliers are those of K, since P^T (I - P Q)^T = 0
         return np.concatenate([self.Q @ y[:, :20].ravel(), y[:, 20:].ravel(), mu[nb - nl :]])
@@ -213,7 +221,7 @@ class HybridSolver:
         nd, nu = self.ndofs, self.nu
         m, lam = x[:nd], x[nd + nu :]
         out = self._cellwise(self.local, _slots(self.P @ m, x[nd : nd + nu]))
-        top = self.P.T @ out[:, :20].ravel() + self.L.T @ lam
+        top = self.P.rmatvec(out[:, :20].ravel()) + self.L.rmatvec(lam)
         return np.concatenate([top, out[:, 20:].ravel(), self.L @ m])
 
     def _cellwise(self, blocks, z):
@@ -236,18 +244,18 @@ class HybridSolver:
         dof.  A row of A contributes only its diagonal entry, so the bound
         is ||K||_inf when the rows of -B or L dominate.
         """
-        absP = abs(self.P)
+        P, L, nd = self.P, self.L, self.ndofs
+        absP, absL = np.abs(P.data), np.abs(L.data)
         absB = np.abs(self.local[:, 20:, :20])
         diag_A = np.diagonal(self.local[:, :20, :20], axis1=1, axis2=2)
         # the |P| row sums of each cell's slots weight the rows of |B_k|
-        weight = (absP @ np.ones(self.ndofs)).reshape(-1, 20)
+        weight = np.bincount(P.rows, absP, P.shape[0]).reshape(-1, 20)
         norm_B = np.einsum("kar,kr->ka", absB[self.group], weight).max()
-        absL = abs(self.L)
-        norm_L = np.max(absL @ np.ones(self.ndofs), initial=0.0)
+        norm_L = np.max(np.bincount(L.rows, absL, L.shape[0]), initial=0.0)
         rows_A = (
-            self.P.multiply(self.P).T @ diag_A[self.group].ravel()
-            + absP.T @ absB.sum(axis=1)[self.group].ravel()
-            + absL.T @ np.ones(absL.shape[0])
+            np.bincount(P.indices, P.data * P.data * diag_A[self.group].ravel()[P.rows], nd)
+            + np.bincount(P.indices, absP * absB.sum(axis=1)[self.group].ravel()[P.rows], nd)
+            + np.bincount(L.indices, absL, nd)
         )
         return max(norm_B, norm_L, rows_A.max())
 
@@ -309,8 +317,10 @@ def _cover(outer, nb):
                 nfree -= k
                 chosen.append(units + [-1] * (4 - k))
     if not chosen:
-        # no row joins two to four units: each unit with rows of its own is a front
-        chosen = [[u, -1, -1, -1] for u in np.unique(unit[first[joined == 1]]).tolist()]
+        # no row joins two to four units: each unit with rows of its own is a
+        # front; distinct by bincount, since a plain np.unique imports numpy.ma
+        lone = np.flatnonzero(np.bincount(unit[first[joined == 1]])).tolist()
+        chosen = [[u, -1, -1, -1] for u in lone]
     return np.array(chosen)
 
 
@@ -330,9 +340,8 @@ def _cell_updates(Lam, group, inv):
     and per group its update (k, k) on its k rows, and the diagonal of S.
     Raises ``ValueError`` when a row meets a cell in two slots.
     """
-    nb, nk = Lam.shape[0], len(group)
+    nb, nk, row = Lam.shape[0], len(group), Lam.rows
     cell, slot = np.divmod(Lam.indices, 20)
-    row = np.repeat(np.arange(nb), np.diff(Lam.indptr))
     nz = np.lexsort((row, slot, cell))
     count = np.bincount(cell, minlength=nk)
     at = cell[nz], np.arange(len(nz)) - np.repeat(np.cumsum(count) - count, count)
@@ -346,7 +355,7 @@ def _cell_updates(Lam, group, inv):
     # with the cell group, the slots and values key the update group
     rep, cgroup = cell_groups(np.concatenate([group[:, None], slots, values], axis=1))
     U, k = [None] * len(rep), count[rep]
-    for n in np.unique(k).tolist():
+    for n in np.flatnonzero(np.bincount(k)).tolist():
         of_k = np.flatnonzero(k == n)
         g, s, v = group[rep[of_k]], slots[rep[of_k], :n], values[rep[of_k], :n]
         batch = v[:, :, None] * inv[g[:, None, None], s[:, :, None], s[:, None, :]] * v[:, None, :]
@@ -361,9 +370,9 @@ def _factor(S, where):
 
     D scales S to unit diagonal, and C C^T = D S D, so that the ratios, the
     squared diagonal of C, are the pivots of S over its diagonal entries.
-    C^-1 is LAPACK's ``dtrtri``, one call per factor.  Every failure, a
-    nonpositive diagonal entry included, raises ``SingularSystemError``
-    naming ``where``.
+    C^-1 is inverted by halves, all factors at once, in
+    :func:`_lower_inverse`.  Every failure, a nonpositive diagonal entry
+    included, raises ``SingularSystemError`` naming ``where``.
     """
     d = np.diagonal(S, axis1=1, axis2=2)
     if not np.all(d > 0.0):
@@ -371,16 +380,30 @@ def _factor(S, where):
     d = 1.0 / np.sqrt(d)
     try:
         C = np.linalg.cholesky(S * d[:, :, None] * d[:, None, :])
-        M = np.empty_like(C)
-        for i, c in enumerate(C):
-            M[i], info = lapack.dtrtri(c, lower=1)
-            if info != 0:
-                raise np.linalg.LinAlgError("triangular inverse: dtrtri info %d" % info)
+        M = _lower_inverse(C)
     except np.linalg.LinAlgError as err:
         raise SingularSystemError(
             "multiplier system not positive definite %s: %s" % (where, err)
         ) from err
     return M * d[:, None, :], np.diagonal(C, axis1=1, axis2=2) ** 2
+
+
+def _lower_inverse(C):
+    """Inverses of lower triangular matrices C (n, m, m), by halves.
+
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], so batched
+    products do the work that a general inverse spends on the zeros; orders
+    up to ``_HALVES`` are inverted whole.
+    """
+    m = C.shape[-1]
+    if m <= _HALVES:
+        return np.linalg.inv(C)
+    h = m // 2
+    out = np.zeros_like(C)
+    out[:, :h, :h] = _lower_inverse(C[:, :h, :h])
+    out[:, h:, h:] = _lower_inverse(C[:, h:, h:])
+    out[:, h:, :h] = -out[:, h:, h:] @ (C[:, h:, :h] @ out[:, :h, :h])
+    return out
 
 
 class _Level(NamedTuple):
@@ -590,7 +613,6 @@ def _check_rigid_kernel(P, L, ndofs):
     B^T p solves the homogeneous system and K is singular.  This holds in
     exact arithmetic; no pivot has to show it.
     """
-    L = sp.csr_matrix(L)
     unit = np.repeat(np.diff(L.indptr) == 1, np.diff(L.indptr))
     pinned = np.zeros(ndofs, dtype=bool)
     pinned[L.indices[unit & (L.data != 0.0)]] = True

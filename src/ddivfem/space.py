@@ -11,16 +11,16 @@ others.  The resulting count is
     ndofs = 4 #edges + 4 #cells - #interior vertices.
 
 The whole local-to-global map is one sparse matrix ``P`` of shape
-(20 #cells, ndofs): row ``20 k + slot`` expands local slot ``slot`` of cell
-``k``, so ``(P @ x).reshape(-1, 20)`` holds the local dof vectors of all
-cells and ``P.T @ D @ P`` assembles a block diagonal ``D`` of local matrices.
-The continuity rows ``C``, with ``C P = 0``, state the conformity of the space.
+(20 #cells, ndofs), held as a :class:`Csr`: row ``20 k + slot`` expands
+local slot ``slot`` of cell ``k``, so ``(P @ x).reshape(-1, 20)`` holds the
+local dof vectors of all cells and P^T D P assembles a block diagonal ``D``
+of local matrices.  The continuity rows ``C``, with ``C P = 0``, state the
+conformity of the space.
 """
 
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .piola import BasisCache, batch_geometry, cell_groups, dof_matrices
 
@@ -32,25 +32,64 @@ SLOT_Q1 = 12
 SLOT_JUMP = 16
 
 
+class Csr:
+    """A sparse matrix as compressed rows: ``indptr``, ``indices``, ``data`` and ``shape``.
+
+    Row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``.  A product with a vector is a
+    gather and one bincount, which sums the entries of each row (of each
+    column for the transpose) in their stored order, from 0.0.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.shape = tuple(shape)
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape):
+        """The matrix with ``vals`` at ``(rows, cols)``, no place twice, each row by column."""
+        # no place is repeated, so one key orders the entries
+        order = np.argsort(rows.astype(np.int64) * shape[1] + cols)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+        return cls(indptr, cols[order], vals[order], shape)
+
+    @cached_property
+    def rows(self):
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x):
+        return _sums(self.rows, self.data * x[self.indices], self.shape[0])
+
+    def rmatvec(self, y):
+        """The transposed product A^T y."""
+        return _sums(self.indices, self.data * y[self.rows], self.shape[1])
+
+
+def _sums(at, weights, n):
+    """``np.bincount(at, weights, n)``, float also when there are no weights."""
+    return np.bincount(at, weights, n).astype(float, copy=False)
+
+
 class DofMap:
     """Global dof numbering and the local-to-global operator.
 
     Attributes
     ----------
     ndofs : int
-    P : csr_matrix, (20 ncells, ndofs)
+    P : Csr, (20 ncells, ndofs)
         Row ``20 k + slot`` expands local slot ``slot`` of cell ``k``: a
         single 1 for an edge moment or a kept jump, and -1 at every patch
         partner for an eliminated jump.
     jump_id : (ncells, 4) int array
         Global id of the jump dof at each (cell, corner), or -1 when
         eliminated; ``jump_id[(k, c)]`` reads one entry.
-    Q, C : csr_matrices, (ndofs, 20 ncells) and (20 ncells - ndofs, 20 ncells)
+    Q, C : Csr, (ndofs, 20 ncells) and (20 ncells - ndofs, 20 ncells)
         Built on first use.  Q selects the first local copy of every global
         dof, so Q P = I.  C holds the nonzero rows of I - P Q in slot order,
-        entries +-1 sorted: four per interior edge, a second copy of an edge
-        dof against the first, and one per interior vertex, its eliminated
-        jump plus the kept jumps there.
+        entries +-1 by column: four per interior edge, a second copy of an
+        edge dof against the first, and one per interior vertex, its
+        eliminated jump plus the kept jumps there.
     """
 
     def __init__(self, mesh):
@@ -83,7 +122,7 @@ class DofMap:
         cols = np.concatenate([edge_cols, jump[kept], jump[partner]])
         vals = np.ones(len(rows))
         vals[len(rows) - partner.sum() :] = -1.0
-        self.P = sp.csr_matrix((vals, (rows, cols)), shape=(20 * nk, self.ndofs))
+        self.P = Csr.from_entries(rows, cols, vals, (20 * nk, self.ndofs))
 
     @cached_property
     def Q(self):
@@ -93,14 +132,21 @@ class DofMap:
         dofs, at = np.unique(P.indices[P.indptr[rows]], return_index=True)
         if len(dofs) != self.ndofs:
             raise ValueError("%d of %d global dofs have a local copy" % (len(dofs), self.ndofs))
-        return sp.csr_matrix((np.ones(self.ndofs), (dofs, rows[at])), shape=P.T.shape)
+        return Csr(np.arange(self.ndofs + 1), rows[at], np.ones(self.ndofs), P.shape[::-1])
 
     @cached_property
     def C(self):
-        C = sp.identity(self.P.shape[0], format="csr") - self.P @ self.Q
-        C.eliminate_zeros()
-        C.sort_indices()
-        return C[np.diff(C.indptr) > 0]
+        # (P Q)[r] has -P[r, d] at the first copy Q.indices[d] of each dof d of
+        # row r; it cancels row r of I only where r is itself a first copy
+        P, first = self.P, self.Q.indices
+        other = np.ones(P.shape[0], dtype=bool)
+        other[first] = False
+        at = other[P.rows]
+        diag = np.flatnonzero(other)
+        rows = np.concatenate([diag, P.rows[at]])
+        cols = np.concatenate([diag, first[P.indices[at]]])
+        vals = np.concatenate([np.ones(len(diag)), -P.data[at]])
+        return Csr.from_entries(np.cumsum(other)[rows] - 1, cols, vals, (len(diag), P.shape[0]))
 
 
 def build_dof_map(mesh):
@@ -127,7 +173,7 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
             % (dofmap.ndofs, mcoef.shape)
         )
     _, group, Tinv = cache.groups(mesh)
-    return _expand(dofmap, group, Tinv, mcoef)
+    return _expand(group, Tinv, (dofmap.P @ mcoef).reshape(-1, 20))
 
 
 def check_conformity(mesh, dofmap, coeffs, cache=None):
@@ -174,9 +220,8 @@ def _check_fits(mesh, dofmap):
         )
 
 
-def _expand(dofmap, group, Tinv, mcoef):
-    """Coefficients (nk, 20) of a global vector, cell k through ``Tinv[group[k]]``."""
-    local = (dofmap.P @ mcoef).reshape(-1, 20)
+def _expand(group, Tinv, local):
+    """Coefficients (nk, 20) of local dof vectors (nk, 20), cell k through ``Tinv[group[k]]``."""
     return np.einsum("kij,kj->ki", Tinv[group], local)
 
 

@@ -13,14 +13,13 @@ multiplier rows pinning the corresponding degrees of freedom.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .piola import BasisCache, GeometryError, edge_frames, element_maps, normals
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push_matrix, p1_moments
 from .interpolation import field_cell_jump, field_edge_dofs
 from .linsolve import solve_saddle
-from .space import _conformity, _expand
+from .space import Csr, _conformity, _expand
 
 #: volume rule order for the compliance block; its integrands are rational
 #: only through the constant 1/det factor, polynomial of degree six otherwise
@@ -118,9 +117,9 @@ class SaddleSystem:
         Local blocks of each group: the compliance block
         A = P^T blockdiag(A_loc[group]) P on the free tensor dofs, which is
         not formed, and B = blockdiag(B_loc[group]) P.
-    B : csr_matrix, (nu, nm)
+    B : ddivfem.space.Csr, (nu, nm)
         Rows are the elementwise linear test functions.
-    L : sparse matrix, (nc, nm)
+    L : ddivfem.space.Csr, (nc, nm)
         Essential constraint rows; nc = 0 without moment/shear data.  An
         ``L`` of None is taken as that empty matrix.
     G, F, d : ndarrays
@@ -131,7 +130,7 @@ class SaddleSystem:
 
     def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
-            L = sp.csr_matrix((0, ndofs))
+            L = _empty_rows(ndofs)
         (self.dofmap, self.first, self.group, self.Tinv, self.edge_tabulation,
          self.A_loc, self.B_loc) = cells
         self.B, self.L = B, L
@@ -146,20 +145,22 @@ class SaddleSystem:
         """Symmetric indefinite block matrix K and right hand side.
 
         K = [[A, -B^T, L^T], [-B, 0, 0], [L, 0, 0]] is formed here and
-        nowhere on the solve path; it serves as an oracle.  The returned csc
-        matrix carries this system as ``K.plate``, which
+        nowhere on the solve path; it serves as an oracle, and it is the
+        library's one use of scipy, which is imported here.  The returned
+        scipy csc matrix carries this system as ``K.plate``, which
         :func:`ddivfem.linsolve.solve_saddle` reads in place of K.
         """
+        import scipy.sparse as sp
+
+        P, B, L = (sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+                   for M in (self.dofmap.P, self.B, self.L))
         nk = len(self.group)
         ptr = np.arange(nk + 1)
         A_cells = sp.bsr_matrix((self.A_loc[self.group], ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
-        A = (self.dofmap.P.T @ A_cells @ self.dofmap.P).tocsr()
+        A = (P.T @ A_cells @ P).tocsr()
         # structural zeros of the local blocks are dropped
         A.eliminate_zeros()
-        K = sp.bmat(
-            [[A, -self.B.T, self.L.T], [-self.B, None, None], [self.L, None, None]],
-            format="csc",
-        )
+        K = sp.bmat([[A, -B.T, L.T], [-B, None, None], [L, None, None]], format="csc")
         K.plate = self
         return K, self.rhs()
 
@@ -218,12 +219,16 @@ def assemble(mesh, dofmap, material=None, cache=None):
         raise GeometryError("compliance block of cell %d is not finite" % bad)
     B_loc = Bref.T @ Tinv  # (ngroups, 3, 20); Bref is map independent
 
-    # B = blockdiag(B_k) P; structural zeros of the local blocks are dropped
-    nk = mesh.num_cells
-    ptr = np.arange(nk + 1)
-    B_cells = sp.bsr_matrix((B_loc[group], ptr[:-1], ptr), shape=(3 * nk, 20 * nk))
-    Bmat = (B_cells @ dofmap.P).tocsr()
-    Bmat.eliminate_zeros()
+    # B = blockdiag(B_k) P: no two slots of a cell share a global dof, so each
+    # entry is one product B_k[a, s] P[20 k + s, d]; structural zeros of the
+    # local blocks are dropped
+    P = dofmap.P
+    k, s = np.divmod(P.rows, 20)
+    vals = B_loc[group[k], :, s] * P.data[:, None]
+    rows = 3 * k[:, None] + np.arange(3)
+    cols = np.broadcast_to(P.indices[:, None], vals.shape)
+    keep = vals != 0.0
+    Bmat = Csr.from_entries(rows[keep], cols[keep], vals[keep], (3 * mesh.num_cells, P.shape[1]))
     return (dofmap, first, group, Tinv, cache.edge_tabulation(), A_loc, B_loc), Bmat
 
 
@@ -290,7 +295,8 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     One row per edge moment dof of every Neumann edge, pinned to the data
     functionals; one row per (cell, corner) jump dof at every vertex
     interior to the Neumann part, pinned to the jump of the data tensor as
-    seen from that cell.  Returns (L, d) with L sparse of shape (nc, ndofs).
+    seen from that cell.  Returns (L, d) with L a :class:`ddivfem.space.Csr`
+    of shape (nc, ndofs), one 1 per row.
     """
     edges = mesh.neumann_edges()
     # the (cell, corner) pairs at those vertices, vertex by vertex and in
@@ -306,8 +312,7 @@ def neumann_constraints(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     rows = np.concatenate([(4 * edges[:, None] + np.arange(4)).ravel(), gids])
     vals = np.concatenate([edge_vals.ravel(), field_cell_jump(mesh, k, c, data.field)])
     nc = len(rows)
-    L = sp.csr_matrix((np.ones(nc), (np.arange(nc), rows)), shape=(nc, dofmap.ndofs))
-    return L, vals
+    return Csr(np.arange(nc + 1), rows, np.ones(nc), (nc, dofmap.ndofs)), vals
 
 
 def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None, cache=None):
@@ -320,8 +325,13 @@ def build_system(mesh, dofmap, f, material=None, dirichlet=None, neumann=None, c
     if neumann is not None and len(mesh.neumann_edges()) > 0:
         L, d = neumann_constraints(mesh, dofmap, neumann)
     else:
-        L, d = sp.csr_matrix((0, dofmap.ndofs)), np.zeros(0)
+        L, d = _empty_rows(dofmap.ndofs), np.zeros(0)
     return SaddleSystem(cells, B, L, G, F, d, dofmap.ndofs, 3 * mesh.num_cells)
+
+
+def _empty_rows(ncols):
+    """The (0, ncols) constraint matrix of a plate without moment/shear data."""
+    return Csr(np.zeros(1, dtype=int), np.zeros(0, dtype=int), np.zeros(0), (0, ncols))
 
 
 def solve_problem(mesh, dofmap, system, rtol=1e-10):
@@ -340,7 +350,10 @@ def solve_problem(mesh, dofmap, system, rtol=1e-10):
     m = x[: system.ndofs]
     u = x[system.ndofs : system.ndofs + system.nu].reshape(-1, 3)
     lam = x[system.ndofs + system.nu :]
-    coeffs = _expand(dofmap, system.group, system.Tinv, m)
+    local = (dofmap.P @ m).reshape(-1, 20)
+    coeffs = _expand(system.group, system.Tinv, local)
+    # B m = blockdiag(B_loc[group]) P m, from the local vectors
+    ddiv = np.einsum("kas,ks->ka", system.B_loc[system.group], local).ravel() - system.F
     conf = _conformity(mesh, dofmap, system.first, system.group, coeffs, system.edge_tabulation)
     return {
         "m": m,
@@ -349,5 +362,5 @@ def solve_problem(mesh, dofmap, system, rtol=1e-10):
         "lambda": lam,
         "solver": info,
         "conformity": conf,
-        "ddiv_residual": float(np.linalg.norm(system.B @ m - system.F, np.inf)),
+        "ddiv_residual": float(np.linalg.norm(ddiv, np.inf)),
     }

@@ -17,14 +17,16 @@ through it, as the specification of the library's routines over grids.
 The edge tabulation is stated as exact ``Fraction`` moments of the edge
 restrictions; the one-cell physical dofs integrate along the edges with
 their own Gauss rule, independent of the library's exact moments.
-It also holds two helpers that only the tests use: the values of a per-cell
-linear, and a numbering-free form of a mesh for comparing meshes.
+It also holds three helpers that only the tests use: the values of a
+per-cell linear, a numbering-free form of a mesh for comparing meshes, and
+the library's compressed rows as a scipy matrix, the sparse oracle.
 """
 
 from fractions import Fraction
 from math import perm
 
 import numpy as np
+import scipy.sparse as sp
 
 from ddivfem.piola import CellGeometry
 from ddivfem.interpolation import TensorField
@@ -840,7 +842,7 @@ def corner_mode_fields(alpha, C):
     return u_eval, grad_eval, hess_eval, div_eval
 
 
-# -- per-cell linears and mesh comparison --------------------------------------
+# -- per-cell linears, mesh comparison and the sparse oracle -------------------
 
 
 def p1_eval(coeffs_k, xh, yh):
@@ -867,3 +869,8 @@ def canonical_form(mesh, digits=12):
     cells, _ = sorted_rows(p[mesh.cells])
     bdry, order = sorted_rows(p[mesh.edges[mesh.boundary_edges]])
     return cells, list(zip(bdry, mesh.edge_label[mesh.boundary_edges][order].tolist()))
+
+
+def as_scipy(M):
+    """A copy of a :class:`ddivfem.space.Csr` as a scipy ``csr_matrix``, entries in place."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape, copy=True)

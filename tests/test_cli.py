@@ -1,14 +1,19 @@
-"""Command line entry points, exercised in process through main()."""
+"""Command line entry points, exercised in process through main(), and once in a fresh process."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ddivfem
+from cellspec import as_scipy
 from ddivfem.cli import main
 from ddivfem.mesh import import_text
-from ddivfem.space import DofMap
+from ddivfem.space import Csr, DofMap
 
 
 def test_verify_passes(capsys):
@@ -38,7 +43,9 @@ def test_verify_reports_a_wrong_dof_count_on_its_own(capsys, monkeypatch):
         init(self, mesh)
         if mesh.num_cells == 3:
             self.ndofs += 1
-            self.P = sp.hstack([self.P, sp.csr_matrix((self.P.shape[0], 1))], format="csr")
+            P = as_scipy(self.P)
+            P = sp.hstack([P, sp.csr_matrix((P.shape[0], 1))], format="csr")
+            self.P = Csr(P.indptr, P.indices, P.data, P.shape)
 
     monkeypatch.setattr(DofMap, "__init__", off_by_one)
     assert main(["verify"]) == 1
@@ -242,3 +249,30 @@ def test_unwritable_output_is_a_clean_error(tmp_path):
             ]
         )
     assert "cannot write" in str(exc.value)
+
+
+#: a solve from the command line, a convergence study and an interpolation
+#: study, then the scipy modules loaded
+NO_SCIPY_RUN = """
+import sys
+import numpy as np
+from ddivfem.cli import main
+from ddivfem import TensorField, convergence_study, interpolation_error_study
+assert main(["solve", "--problem", "ex2", "--level", "2"]) == 0
+convergence_study("ex1", levels=2, start=1)
+interpolation_error_study(TensorField.random_poly(np.random.default_rng(0), 3), range(3))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # the library runs on numpy alone; scipy is the tests' oracle only, so
+    # a fresh process, importing this checkout's ddivfem, must never load it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddivfem.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

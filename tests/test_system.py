@@ -11,7 +11,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from cellspec import element_map, p1_eval, tensors
+from cellspec import as_scipy, element_map, p1_eval, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
 from ddivfem import GeometryError, TensorField, piola, space
@@ -21,7 +21,7 @@ from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_doma
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
 from ddivfem.reference import divdiv_matrix
-from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
+from ddivfem.space import Csr, build_dof_map, cell_coefficients, check_conformity
 from ddivfem.system import (
     DirichletData,
     MaterialError,
@@ -363,7 +363,8 @@ def _uncondensed_system(hybrid):
     ptr = np.arange(nk + 1)
     W = hybrid.inv[hybrid.group, :20, :20]
     M = sp.bsr_matrix((W, ptr[:-1], ptr), shape=(20 * nk, 20 * nk))
-    return (hybrid.Lam @ M @ hybrid.Lam.T).toarray()
+    Lam = as_scipy(hybrid.Lam)
+    return (Lam @ M @ Lam.T).toarray()
 
 
 @pytest.mark.parametrize("which", ["ex1-3", "ex2-2", "ex2-3", "graded"])
@@ -669,7 +670,7 @@ def test_pivot_breakdown_detected():
     hybrid = linsolve.HybridSolver(system)
     (root,) = hybrid.levels[-1].inner
     assert len(hybrid.levels) == 3 and root.shape == (1, 9)
-    C = system.dofmap.C
+    C = as_scipy(system.dofmap.C)
     row = C[root[0, 0]]
     near = row + sp.csr_matrix(([1e-7], ([0], [row.indices[0]])), shape=row.shape)
     plate = _with_continuity(system, sp.vstack([near, C], format="csr"))
@@ -777,12 +778,14 @@ def _row_owners(rows, of_cell, nblocks):
 
 
 def _with_continuity(system, C):
-    """The plate of ``system`` with the continuity rows C in place of its own."""
+    """The plate of ``system`` with the scipy csr rows C as its continuity rows."""
     dofmap = system.dofmap
     return types.SimpleNamespace(
         group=system.group, A_loc=system.A_loc, B_loc=system.B_loc, L=system.L,
         ndofs=system.ndofs, nu=system.nu,
-        dofmap=types.SimpleNamespace(P=dofmap.P, Q=dofmap.Q, C=C),
+        dofmap=types.SimpleNamespace(
+            P=dofmap.P, Q=dofmap.Q, C=Csr(C.indptr, C.indices, C.data, C.shape)
+        ),
     )
 
 
@@ -896,7 +899,8 @@ def test_each_patch_condenses_its_seventeen_inner_rows(which, graded_mesh):
     level = hybrid.levels[0]
     nc, nl = system.dofmap.C.shape[0], system.L.shape[0]
     assert (which == "ex2-3") == (nl > 0)
-    assert np.array_equal(hybrid.Lam[nc:].toarray(), (hybrid.L @ hybrid.Q).toarray())
+    LQ = as_scipy(hybrid.L) @ as_scipy(hybrid.Q)
+    assert np.array_equal(as_scipy(hybrid.Lam)[nc:].toarray(), LQ.toarray())
     rows = _row_cells(hybrid)
     neumann = 0
     for cells, inner in zip(patches, _block_rows(level)[0]):
@@ -918,7 +922,7 @@ def test_patch_groups_follow_the_inside_rows():
     assert np.array_equal(np.bincount(level.group), [1, 2, 1, 2, 4, 2, 1, 2, 1])
     g = 4
     b = np.flatnonzero(level.group == g)[0]
-    C = system.dofmap.C.copy()
+    C = as_scipy(system.dofmap.C)
     for i in _block_rows(level)[0][b]:
         C.data[C.indptr[i] : C.indptr[i + 1]] *= 2.0
     scaled = linsolve.HybridSolver(_with_continuity(system, C)).levels[0]
@@ -935,7 +939,7 @@ def test_patch_interior_breakdown_detected():
     # row C[0] with one entry moved by 5e-7 gives a pivot of 3e-14 times its
     # diagonal entry
     system = _plate_system("ex1", 1)
-    C = system.dofmap.C
+    C = as_scipy(system.dofmap.C)
     near = C[0].copy()
     near.data[0] += 5e-7
     for extra, match in [(C[0], "not positive definite.* of level 1"),
@@ -950,7 +954,7 @@ def test_row_meeting_a_cell_in_two_slots_is_rejected():
     # is gathered from the slots of its rows; a row on the first two edge
     # moments of cell 0 is not such a row, and it is refused, not summed
     system = _plate_system("ex1", 1)
-    C = system.dofmap.C
+    C = as_scipy(system.dofmap.C)
     row = sp.csr_matrix(([1.0, 1.0], ([0, 0], [0, 1])), shape=(1, C.shape[1]))
     plate = _with_continuity(system, sp.vstack([C, row], format="csr"))
     with pytest.raises(ValueError, match="meets a cell in two slots"):
@@ -961,7 +965,7 @@ def test_row_meeting_no_cell_is_singular():
     # a multiplier row without a nonzero is a zero row of S, which no block
     # would ever hold; it is refused before the cover is made
     system = _plate_system("ex1", 1)
-    C = system.dofmap.C
+    C = as_scipy(system.dofmap.C)
     plate = _with_continuity(system, sp.vstack([C, sp.csr_matrix((1, C.shape[1]))], format="csr"))
     with pytest.raises(SingularSystemError, match="multiplier row %d meets no cell" % C.shape[0]):
         linsolve.HybridSolver(plate)
@@ -1172,6 +1176,31 @@ def _star():
     return Mesh(np.vstack([np.zeros((1, 2)), e, e + np.roll(e, -1, axis=0)]), cells)
 
 
+@pytest.mark.parametrize("which", ["ex1-3", "ex2-3", "ex2-3-renumbered", "star"])
+def test_sparse_products_match_the_scipy_oracle(which):
+    # Q P = I and C P = 0 on random vectors, and every product of the dof
+    # map, the plate and the solver is that of scipy, bit for bit: each
+    # row, or each column for the transpose, is summed in stored order
+    mesh = {
+        "ex1-3": lambda: get_example("ex1").mesh(3),
+        "ex2-3": lambda: get_example("ex2").mesh(3),
+        "ex2-3-renumbered": lambda: _renumbered(get_example("ex2").mesh(3), 1)[0],
+        "star": _star,
+    }[which]()
+    system = _ex2_system(mesh)
+    dofmap = system.dofmap
+    P, Q, C = dofmap.P, dofmap.Q, dofmap.C
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(dofmap.ndofs)
+    assert np.array_equal(Q @ (P @ x), x)
+    assert np.abs(C @ (P @ x)).max() <= 1e-14 * np.abs(x).max()
+    for M in (P, Q, C, system.L, system.B, linsolve.HybridSolver(system).Lam):
+        S = as_scipy(M)
+        x, y = rng.standard_normal(M.shape[1]), rng.standard_normal(M.shape[0])
+        assert np.array_equal(M @ x, S @ x)
+        assert np.array_equal(M.rmatvec(y), S.T @ y)
+
+
 @pytest.mark.parametrize(
     "refinements, counts, root_n", [(0, [3, 1], 13), (1, [6, 3, 1], 28), (2, [24, 6, 3, 1], 58)]
 )
@@ -1225,7 +1254,7 @@ def test_block_interior_breakdown_detected():
     _, (patches, *_) = _covered(system)
     patch_of = np.empty(len(system.group), dtype=int)
     patch_of[patches] = np.arange(len(patches))[:, None]
-    C = system.dofmap.C
+    C = as_scipy(system.dofmap.C)
     between = [
         i for i in range(C.shape[0])
         if len(set(patch_of[C.indices[C.indptr[i] : C.indptr[i + 1]] // 20])) == 2
@@ -1282,9 +1311,8 @@ def test_blocks_group_by_their_units_and_the_places_of_their_rows():
 @pytest.mark.parametrize("name", ["cholesky", "inv"])
 def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
     # a failure of either dense step on the multiplier system, the Cholesky
-    # factorization or LAPACK's triangular inverse of its factor, in a patch
-    # (17 rows) or in a front above, leaves the solver as a
-    # SingularSystemError
+    # factorization or the triangular inverse of its factor, in a patch (17
+    # rows) or in a front above, leaves the solver as a SingularSystemError
     system = _plate_system("ex1", 2)
 
     def fails(n):
@@ -1302,14 +1330,16 @@ def test_dense_failure_is_a_singular_system(where, name, monkeypatch):
         monkeypatch.setattr(np.linalg, "cholesky", failing)
         match = "cholesky of a"
     else:
-        dtrtri = sla.lapack.dtrtri
+        lower_inverse = linsolve._lower_inverse
 
-        def failing(c, lower=0):
-            # info k > 0 is LAPACK's report of a zero diagonal entry k
-            return (c, 1) if fails(c.shape[0]) else dtrtri(c, lower=lower)
+        def failing(C):
+            n = C.shape[-1]
+            if fails(n):
+                raise np.linalg.LinAlgError("inverse of a %d x %d factor" % (n, n))
+            return lower_inverse(C)
 
-        monkeypatch.setattr(sla.lapack, "dtrtri", failing)
-        match = "dtrtri info 1"
+        monkeypatch.setattr(linsolve, "_lower_inverse", failing)
+        match = "inverse of a"
     with pytest.raises(SingularSystemError, match=match):
         linsolve.HybridSolver(system)
 
@@ -1386,7 +1416,8 @@ def test_all_neumann_plate_rejected(monkeypatch):
     monkeypatch.undo()
     edge = mesh.neumann_edges()[0]
     keep = np.nonzero(~np.isin(system.L.indices, 4 * edge + np.arange(4)))[0]
-    system.L, system.d = system.L[keep], system.d[keep]
+    L = as_scipy(system.L)[keep]
+    system.L, system.d = Csr(L.indptr, L.indices, L.data, L.shape), system.d[keep]
     result = solve_problem(mesh, dofmap, system)
     assert result["solver"]["path"] == "hybrid"
 
@@ -1406,6 +1437,30 @@ def test_spd_pivots_are_matched_to_their_diagonal_entries():
     assert np.allclose(M[0].T @ M[0], np.linalg.inv(S), rtol=1e-14, atol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "m", [1, linsolve._HALVES - 1, linsolve._HALVES, linsolve._HALVES + 1, 317]
+)
+def test_lower_inverse_by_halves_is_the_inverse(m):
+    # up to _HALVES a factor is inverted whole, above it by halves; 317 is
+    # the largest inner size of the ex2 levels 1-5, at its root
+    rng = np.random.default_rng(m)
+    X = rng.standard_normal((3, m, m))
+    C = np.linalg.cholesky(X @ X.transpose(0, 2, 1) + m * np.eye(m))
+    want = np.linalg.inv(C)
+    got = linsolve._lower_inverse(C)
+    assert np.all(np.triu(got, 1) == 0.0)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("m", [linsolve._HALVES + 1, 317])
+def test_indefinite_front_names_its_level(m):
+    # unit diagonal, eigenvalues 2 and 2 - m: the Cholesky factorization
+    # fails, at any order, as a singular system of the level of the front
+    S = 2.0 * np.eye(m) - np.ones((m, m))
+    with pytest.raises(SingularSystemError, match="not positive definite in a block of level 4"):
+        linsolve._factor(S[None], "in a block of level 4")
+
+
 def test_indefinite_multiplier_system_rejected():
     with pytest.raises(SingularSystemError, match="not positive definite in a test"):
         linsolve._factor(np.array([[[1.0, 2.0], [2.0, 1.0]]]), "in a test")
@@ -1423,7 +1478,7 @@ def test_deflection_equation_uniformly_solvable(basis_cache):
         system = build_system(mesh, dofmap, lambda x, y: np.ones_like(x), cache=basis_cache)
         K, _ = system.full()
         nd = dofmap.ndofs
-        A, B = K[:nd, :nd].toarray(), system.B.toarray()
+        A, B = K[:nd, :nd].toarray(), as_scipy(system.B).toarray()
         dets = np.array([element_map(mesh, k).det for k in range(mesh.num_cells)])
         mu = np.concatenate([d * np.array([4.0, 4.0 / 3.0, 4.0 / 3.0]) for d in dets])
         At = A + B.T @ (B / mu[:, None])
