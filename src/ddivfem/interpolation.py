@@ -16,7 +16,8 @@ import numpy as np
 from .polys import gauss_rule
 from .reference import coefficient_grids, divdiv_matrix, frame_weights, grid_function
 from .mesh import make_parallelogram_domain, EX1_CORNERS
-from .piola import BasisCache, edge_frames, element_maps, normals
+from .piola import BasisCache, batch_geometry, cell_blocks, edge_frames, edge_rule, normals
+from .piola import push_matrix
 from .space import build_dof_map, cell_coefficients
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
@@ -79,20 +80,6 @@ def _pair(t, n, mv):
     return (frame_weights(t, n) * mv).sum(-1)
 
 
-def _edge_rule(mesh, e, nq):
-    """An nq-point Gauss rule along edges ``e``, run from the lower to the higher vertex.
-
-    Returns the nodes ``s`` and weights ``w`` on (-1, 1) and the points
-    (..., nq, 2) at those nodes.
-    """
-    rule = gauss_rule(nq, dim=1)
-    s = rule.points
-    ends = mesh.vertices[mesh.edges[e]]
-    va, vb = ends[..., 0, :], ends[..., 1, :]
-    pts = 0.5 * (va + vb)[..., None, :] + 0.5 * s[:, None] * (vb - va)[..., None, :]
-    return s, rule.weights, pts
-
-
 def field_edge_dofs(mesh, e, field, nq=6):
     """(m0, m1, q0, q1) of a tensor field on edges ``e``, in the global frames.
 
@@ -100,7 +87,7 @@ def field_edge_dofs(mesh, e, field, nq=6):
     """
     t, ln = edge_frames(mesh, e)
     n = normals(t)
-    s, w, pts = _edge_rule(mesh, e, nq)
+    s, w, pts = edge_rule(mesh, e, nq)
     mv = field.m(pts[..., 0], pts[..., 1])
     dv = field.div(pts[..., 0], pts[..., 1])
     t_pts, n_pts = t[..., None, :], n[..., None, :]
@@ -167,56 +154,6 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
     return x
 
 
-# -- volume integrals over blocks of cells --------------------------------------
-
-#: cells per block of a volume integral; bounds the (cells, points) temporaries
-_BLOCK_CELLS = 256
-
-
-def _cell_blocks(orders):
-    """(order, cells) for blocks of cells sharing one quadrature order."""
-    # the distinct orders; a plain np.unique imports numpy.ma on first use
-    for q in np.flatnonzero(np.bincount(orders)):
-        cells = np.nonzero(orders == q)[0]
-        for start in range(0, len(cells), _BLOCK_CELLS):
-            yield int(q), cells[start : start + _BLOCK_CELLS]
-
-
-def _map_cells(mesh, cells, xh, yh):
-    """``B`` (n, 2, 2) and ``det`` of the element maps F(xh) = a + B xh of
-    some cells, and the images ``x``, ``y`` (n, npts) of reference points.
-    """
-    B, a, det = element_maps(mesh, cells)
-    x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
-    y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
-    return B, det, x, y
-
-
-def _push_matrix(B):
-    """R(B) (n, 3, 3) with push(Mh) = R Mh on the components (xx, xy, yy).
-
-    R Mh holds the components of B Mh B^T; its entries are quadratic in B.
-    """
-    b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
-    return np.stack(
-        [
-            np.stack([b00 * b00, 2.0 * b00 * b01, b01 * b01], axis=-1),
-            np.stack([b00 * b10, b00 * b11 + b01 * b10, b01 * b11], axis=-1),
-            np.stack([b10 * b10, 2.0 * b10 * b11, b11 * b11], axis=-1),
-        ],
-        axis=1,
-    )
-
-
-def _push(B, mref):
-    """Components (xx, xy, yy) of B Mh B^T, cell by cell, for Mh of shape (n, p, 3).
-
-    One matmul by R(B)^T of :func:`_push_matrix`; dividing by det B
-    completes the pushforward of :mod:`ddivfem.piola`.
-    """
-    return mref @ _push_matrix(B).transpose(0, 2, 1)
-
-
 # -- elementwise projection onto linears ---------------------------------------
 
 
@@ -225,12 +162,12 @@ def p1_moments(mesh, f, nq):
     rule = gauss_rule(nq, dim=2)
     xh, yh = rule.points[:, 0], rule.points[:, 1]
     tests = rule.weights[:, None] * np.stack([np.ones_like(xh), xh, yh], axis=-1)
+    geometry = batch_geometry(mesh)
     moments = np.empty((mesh.num_cells, 3))
-    det = np.empty(mesh.num_cells)
-    for _, cells in _cell_blocks(np.full(mesh.num_cells, nq)):
-        _, det[cells], x, y = _map_cells(mesh, cells, xh, yh)
+    for _, cells in cell_blocks(np.full(mesh.num_cells, nq)):
+        x, y = geometry.rows(cells).points(xh, yh)
         moments[cells] = np.broadcast_to(f(x, y), x.shape) @ tests
-    return moments, det
+    return moments, geometry.det
 
 
 def project_p1(mesh, f, nq=6):
@@ -266,14 +203,19 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6):
     """
     orders = np.broadcast_to(nq, (mesh.num_cells,))
     res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_Mh": 0.0}
-    for q, cells in _cell_blocks(orders):
+    geometry = batch_geometry(mesh)
+    for q, cells in cell_blocks(orders):
         tab = cache.volume_tabulation(q)
-        B, det, x, y = _map_cells(mesh, cells, tab.xh, tab.yh)
+        block = geometry.rows(cells)
+        B, det = block.B, block.det
+        x, y = block.points(tab.xh, tab.yh)
         w = tab.rule.weights * det[:, None]
         ck = coeffs[cells]
 
         npts = len(tab.rule.weights)
-        pm = _push(B, (ck @ tab.phi.reshape(20, -1)).reshape(-1, npts, 3)) / det[:, None, None]
+        # the components (xx, xy, yy) of B Mh B^T / det B, one matmul by R(B)^T
+        mref = (ck @ tab.phi.reshape(20, -1)).reshape(-1, npts, 3)
+        pm = mref @ push_matrix(B).transpose(0, 2, 1) / det[:, None, None]
         ex = field.m(x, y)
         res["M"] += np.sum(w * ((pm - ex) ** 2 @ FROBENIUS))
         res["norm_M"] += np.sum(w * (ex**2 @ FROBENIUS))
@@ -299,7 +241,7 @@ def ddiv_gap(mesh, cache, coeffs, p1):
     pulled-back {1, xh, yh} basis, as is div div M_h (``coeffs @ divdiv_matrix
     / det``); that basis is orthogonal, with reference mass ``P1_MASS_DIAG``.
     """
-    det = element_maps(mesh, np.arange(mesh.num_cells))[2]
+    det = batch_geometry(mesh).det
     diff = coeffs @ divdiv_matrix(cache.basis) / det[:, None] - p1
     return float(det @ (diff**2 @ P1_MASS_DIAG)), float(det @ (p1**2 @ P1_MASS_DIAG))
 

@@ -33,21 +33,26 @@ reads those exactly off the restriction of the coefficient grids to the
 edges (:func:`ddivfem.reference.edge_restriction`) with the weights of
 :func:`ddivfem.reference.edge_weights`, and with no edge rule.
 
-Each convention lives in one place: :func:`element_maps` computes B, a and
-det B, :func:`edge_frames` and :func:`normals` the edge frames.
-:func:`batch_geometry` combines them for any set of cells, and
-:func:`dof_matrices` builds the local dof matrices of all of them in one
-contraction.  Cells whose :meth:`CellGeometry.keys` rows are equal have
-bitwise equal dof matrices, and :func:`ddivfem.mesh.cell_groups` groups
-them, so each distinct matrix is built once.  :meth:`BasisCache.groups` is
-the only place the library checks and inverts local dof matrices, one batch
-per call; :func:`ddivfem.space.check_conformity` builds one per group without
-inverting it.  The test suite states the same maps and functionals one cell
-at a time, with its own Gauss rule along the edges (``tests/cellspec.py``),
-and checks this layer against them.
+Each convention lives in one place: :func:`batch_geometry` computes B, a,
+det B and the edge frames (:func:`edge_frames`, :func:`normals`) of all
+cells in one :class:`CellGeometry`, which every layer slices; beside it
+are the edge rule, the cell blocks of volume integrals and the push of the
+tensor components.  :func:`dof_matrices` builds the local dof matrices of
+a record in one contraction.  Cells whose :meth:`CellGeometry.keys` rows
+are equal have bitwise equal dof matrices, and
+:func:`ddivfem.mesh.cell_groups` groups them, so each distinct matrix is
+built once.  :meth:`BasisCache.groups` is the only place the library
+checks and inverts local dof matrices, one batch per call;
+:func:`ddivfem.space.check_conformity` builds one per group without
+inverting it.  The test suite states the same maps and functionals
+one cell at a time, with its own Gauss rule along the edges
+(``tests/cellspec.py``), and checks this layer against them.
 """
 
+from typing import NamedTuple
+
 import numpy as np
+from numpy.polynomial import polynomial
 
 from .mesh import cell_groups
 from .polys import gauss_rule
@@ -65,24 +70,6 @@ CONDITION_LIMIT = 1e8
 
 class GeometryError(ValueError):
     """Raised when an element map or dof frame is unusable."""
-
-
-def element_maps(mesh, cells):
-    """``B`` (n, 2, 2), ``a`` (n, 2) and ``det`` (n,) of the element maps of cells ``cells``.
-
-    Raises :class:`GeometryError` for a determinant that is not finite and positive.
-    """
-    v = mesh.vertices[mesh.cells[cells]]
-    B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
-    with np.errstate(over="ignore"):
-        det = np.linalg.det(B)
-    bad = ~(np.isfinite(det) & (det > 0.0))
-    if np.any(bad):
-        raise GeometryError(
-            "cell %d has a nonpositive or overflowing element map determinant"
-            % cells[np.argmax(bad)]
-        )
-    return B, 0.5 * (v[..., 0, :] + v[..., 2, :]), det
 
 
 def edge_frames(mesh, edges):
@@ -106,7 +93,7 @@ def normals(t):
 
 def _tabulate(grid, xh, yh):
     """Values (nb, ..., c) at points (...) of coefficient grids (n, n, nb, c)."""
-    return np.moveaxis(np.polynomial.polynomial.polyval2d(xh, yh, grid), 1, -1)
+    return np.moveaxis(polynomial.polyval2d(xh, yh, grid), 1, -1)
 
 
 class EdgeTabulation:
@@ -148,32 +135,21 @@ class VolumeTabulation:
         div, divdiv = coefficient_grids(basis)
         self.phi = _tabulate(basis, xh, yh)
         self.divphi = _tabulate(div, xh, yh)
-        self.ddphi = np.polynomial.polynomial.polyval2d(xh, yh, divdiv)
+        self.ddphi = polynomial.polyval2d(xh, yh, divdiv)
         self.xh, self.yh = xh, yh
 
 
-class CellGeometry:
-    """Element maps and global edge frames of n cells, with a leading cell axis.
+class CellGeometry(NamedTuple):
+    """Element maps and global edge frames of n cells, with a leading cell axis."""
 
-    Attributes
-    ----------
-    B : (n, 2, 2)
-    a : (n, 2)
-    det : (n,)
-    tangents : (n, 4, 2)
-        Global unit tangents of the local edges, each from the lower- to the
-        higher-numbered vertex.
-    lengths : (n, 4)
-    forward : (n, 4) bool
-    """
-
-    def __init__(self, B, a, det, tangents, lengths, forward):
-        self.B = B
-        self.a = a
-        self.det = det
-        self.tangents = tangents
-        self.lengths = lengths
-        self.forward = forward
+    B: np.ndarray  # (n, 2, 2)
+    a: np.ndarray  # (n, 2)
+    det: np.ndarray  # (n,)
+    # (n, 4, 2): global unit tangents of the local edges, each from the
+    # lower- to the higher-numbered vertex
+    tangents: np.ndarray
+    lengths: np.ndarray  # (n, 4)
+    forward: np.ndarray  # (n, 4) bool
 
     def keys(self):
         """One row per cell of the exact values :func:`dof_matrices` reads.
@@ -186,14 +162,79 @@ class CellGeometry:
         rows = [self.B.reshape(n, 4), self.tangents.reshape(n, 8), self.lengths, self.forward]
         return np.hstack(rows)
 
+    def rows(self, cells):
+        """The record of the cells ``cells``, bit for bit as if built for them alone."""
+        return CellGeometry(*(field[cells] for field in self))
 
-def batch_geometry(mesh, cells=None):
-    """CellGeometry of the cells ``cells`` of a mesh, by default all in cell order."""
-    if cells is None:
-        cells = np.arange(mesh.num_cells)
-    B, a, det = element_maps(mesh, cells)
-    tangents, lengths = edge_frames(mesh, mesh.cell_edges[cells])
-    return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward[cells])
+    def points(self, xh, yh):
+        """Images ``x``, ``y`` (n, npts) of reference points under F(xh) = a + B xh."""
+        B, a = self.B, self.a
+        x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
+        y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
+        return x, y
+
+
+def batch_geometry(mesh):
+    """CellGeometry of all cells of a mesh, in cell order.
+
+    Raises :class:`GeometryError` naming the first cell whose element map
+    determinant is not finite and positive.
+    """
+    v = mesh.vertices[mesh.cells]
+    B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
+    with np.errstate(over="ignore"):
+        det = np.linalg.det(B)
+    bad = ~(np.isfinite(det) & (det > 0.0))
+    if np.any(bad):
+        raise GeometryError(
+            "cell %d has a nonpositive or overflowing element map determinant" % np.argmax(bad)
+        )
+    tangents, lengths = edge_frames(mesh, mesh.cell_edges)
+    a = 0.5 * (v[..., 0, :] + v[..., 2, :])
+    return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward)
+
+
+#: cells per block of a volume integral; bounds the (cells, points) temporaries
+_BLOCK_CELLS = 256
+
+
+def cell_blocks(orders):
+    """(order, cells) for blocks of cells sharing one quadrature order."""
+    # the distinct orders; a plain np.unique imports numpy.ma on first use
+    for q in np.flatnonzero(np.bincount(orders)):
+        cells = np.nonzero(orders == q)[0]
+        for start in range(0, len(cells), _BLOCK_CELLS):
+            yield int(q), cells[start : start + _BLOCK_CELLS]
+
+
+def edge_rule(mesh, e, nq):
+    """An nq-point Gauss rule along edges ``e``, run from the lower to the higher vertex.
+
+    Returns the nodes ``s`` and weights ``w`` on (-1, 1) and the points
+    (..., nq, 2) at those nodes.
+    """
+    rule = gauss_rule(nq, dim=1)
+    s = rule.points
+    ends = mesh.vertices[mesh.edges[e]]
+    va, vb = ends[..., 0, :], ends[..., 1, :]
+    pts = 0.5 * (va + vb)[..., None, :] + 0.5 * s[:, None] * (vb - va)[..., None, :]
+    return s, rule.weights, pts
+
+
+def push_matrix(B):
+    """R(B) (n, 3, 3) with push(Mh) = R Mh on the components (xx, xy, yy).
+
+    R Mh holds the components of B Mh B^T; its entries are quadratic in B.
+    """
+    b00, b01, b10, b11 = B[:, 0, 0], B[:, 0, 1], B[:, 1, 0], B[:, 1, 1]
+    return np.stack(
+        [
+            np.stack([b00 * b00, 2.0 * b00 * b01, b01 * b01], axis=-1),
+            np.stack([b00 * b10, b00 * b11 + b01 * b10, b01 * b11], axis=-1),
+            np.stack([b10 * b10, 2.0 * b10 * b11, b11 * b11], axis=-1),
+        ],
+        axis=1,
+    )
 
 
 def dof_matrices(geometry, tab):
@@ -258,8 +299,8 @@ class BasisCache:
     cache also owns the tabulations of its reference basis, the edge
     tabulation and one volume tabulation per rule, built on first use.
 
-    :meth:`groups` builds, checks and inverts the dof matrices of the groups
-    whose keys are new in one batch, and then hands every group to
+    :meth:`groups` builds the dof matrices of all groups in one batch,
+    checks and inverts those whose keys are new, and then hands every group to
     :meth:`get` as ``(key, Tinv)``; it is the only place the library
     inverts local dof matrices.  ``get`` returns the stored inverse of
     ``key``, or on a miss stores the one passed.  There is one ``get`` call
@@ -278,28 +319,30 @@ class BasisCache:
         return self._store.setdefault(key, Tinv)
 
     def groups(self, mesh):
-        """Cells of a mesh with equal keys, and the inverse dof matrix of each group.
+        """Geometry of a mesh, its cells with equal keys, and the dof matrices of each group.
 
-        Returns ``(first, group, Tinv)``: the first cell of each group, groups
-        numbered in the order of their first cells; the group of every
-        cell; and ``Tinv`` (ngroups, 20, 20).  The keys of all cells come
-        from one :func:`batch_geometry` and are grouped by
-        :func:`ddivfem.mesh.cell_groups`.  The first cells of the groups not
-        yet stored get their dof matrices from one :func:`dof_matrices` call
-        and their inverses from :func:`_checked_inverses`, which raises
-        before anything is stored; each group is then looked up with one
+        Returns ``(geometry, first, group, T, Tinv)``: the
+        :func:`batch_geometry` of all cells; the first cell of each group,
+        groups numbered in the order of their first cells; the group of
+        every cell; and the dof matrices ``T`` (ngroups, 20, 20) of the
+        first cells, from one :func:`dof_matrices` call, with their inverses
+        ``Tinv``.  The keys of the cells are grouped by
+        :func:`ddivfem.mesh.cell_groups`.  The groups not yet stored get
+        their inverses from :func:`_checked_inverses`, which raises before
+        anything is stored; each group is then looked up with one
         :meth:`get`, in the order of the groups.
         """
-        keys = batch_geometry(mesh).keys()
+        geometry = batch_geometry(mesh)
+        keys = geometry.keys()
         first, group = cell_groups(keys)
+        T = dof_matrices(geometry.rows(first), self.edge_tabulation())
         keys = [tuple(keys[k]) for k in first]
         new = [i for i, key in enumerate(keys) if key not in self._store]
         fresh = {}
         if new:
-            T = dof_matrices(batch_geometry(mesh, first[new]), self.edge_tabulation())
-            fresh = dict(zip([keys[i] for i in new], _checked_inverses(T)))
+            fresh = dict(zip([keys[i] for i in new], _checked_inverses(T[new])))
         Tinv = np.stack([self.get(key, fresh.get(key)) for key in keys])
-        return first, group, Tinv
+        return geometry, first, group, T, Tinv
 
     def edge_tabulation(self):
         """EdgeTabulation of the basis."""

@@ -1,6 +1,7 @@
 """Gauss quadrature on [-1, 1] and the reference square [-1, 1]^2."""
 
 import numpy as np
+from numpy.polynomial import legendre
 
 
 class QuadRule:
@@ -29,7 +30,7 @@ def gauss_rule(n, dim=1):
     """
     if not 1 <= n <= 16:
         raise ValueError("gauss_rule supports 1 <= n <= 16, got %d" % n)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = legendre.leggauss(n)
     if dim == 1:
         return QuadRule(x, w)
     if dim == 2:

@@ -16,10 +16,9 @@ import json
 import numpy as np
 
 from .mesh import make_parallelogram_domain, make_lshape, EX1_CORNERS
-from .piola import BasisCache
+from .piola import BasisCache, batch_geometry, cell_blocks
 from .space import build_dof_map, cell_coefficients
 from .interpolation import TensorField, ddiv_gap, tensor_errors
-from .interpolation import _cell_blocks, _map_cells
 from .reference import _derivative, grid_function
 from .system import MaterialLaw, DirichletData, NeumannData, build_system, solve_problem
 
@@ -284,11 +283,13 @@ def l2_errors(mesh, dofmap, cache, result, exact):
         coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
     errs = tensor_errors(mesh, cache, coeffs, exact.error_field, nq=orders)
 
+    geometry = batch_geometry(mesh)
     err_u2 = 0.0
-    for q, cells in _cell_blocks(orders):
+    for q, cells in cell_blocks(orders):
         tab = cache.volume_tabulation(q)
-        _, det, x, y = _map_cells(mesh, cells, tab.xh, tab.yh)
-        w = tab.rule.weights * det[:, None]
+        block = geometry.rows(cells)
+        x, y = block.points(tab.xh, tab.yh)
+        w = tab.rule.weights * block.det[:, None]
         uh = result["u"][cells] @ np.stack([np.ones_like(tab.xh), tab.xh, tab.yh])
         err_u2 += np.sum(w * (uh - exact.u(x, y)) ** 2)
 

@@ -29,6 +29,7 @@ to :func:`dof_matrix` here and to :class:`ddivfem.piola.EdgeTabulation`.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial
 
 EDGE_TANGENTS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
 EDGE_NORMALS = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -140,7 +141,7 @@ def coefficient_grids(basis):
 def grid_function(grids):
     """f(x, y) of coefficient grids (n, n) or (n, n, k): values (...) or (..., k).
 
-    Each component is evaluated by ``np.polynomial.polynomial.polyval2d``
+    Each component is evaluated by ``numpy.polynomial.polynomial.polyval2d``
     from its own grid cut to its nonzero extent, so a component of low
     degree costs few Horner steps.
     """
@@ -149,7 +150,7 @@ def grid_function(grids):
     for c in np.moveaxis(grids.reshape(grids.shape[:2] + (-1,)), 2, 0):
         i, j = np.nonzero(c)
         cut.append(c[: i.max() + 1, : j.max() + 1] if len(i) else np.zeros((1, 1)))
-    polyval2d = np.polynomial.polynomial.polyval2d
+    polyval2d = polynomial.polyval2d
     if grids.ndim == 2:
         return lambda x, y: polyval2d(x, y, cut[0])
     return lambda x, y: np.stack([polyval2d(x, y, c) for c in cut], axis=-1)
@@ -303,5 +304,5 @@ def sample_field(M, grid):
     x, y = X.ravel(), Y.ravel()
     div, divdiv = coefficient_grids(M)
     return np.vstack(
-        [x, y] + [np.polynomial.polynomial.polyval2d(x, y, c) for c in (M, div, divdiv)]
+        [x, y] + [polynomial.polyval2d(x, y, c) for c in (M, div, divdiv)]
     ).T

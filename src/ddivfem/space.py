@@ -172,7 +172,7 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
             "expected a global coefficient vector of length ndofs = %d, got shape %s"
             % (dofmap.ndofs, mcoef.shape)
         )
-    _, group, Tinv = cache.groups(mesh)
+    _, _, group, _, Tinv = cache.groups(mesh)
     return _expand(group, Tinv, (dofmap.P @ mcoef).reshape(-1, 20))
 
 
@@ -206,8 +206,12 @@ def check_conformity(mesh, dofmap, coeffs, cache=None):
             "expected raw coefficients of shape (ncells, 20) = (%d, 20), got shape %s"
             % (mesh.num_cells, coeffs.shape)
         )
-    first, group = cell_groups(batch_geometry(mesh).keys())
-    return _conformity(mesh, dofmap, first, group, coeffs, cache.edge_tabulation())
+    geometry = batch_geometry(mesh)
+    first, group = cell_groups(geometry.keys())
+    # dof_matrices computes each row of a batch on its own, so the matrix of
+    # a group's first cell is bitwise the matrix of every cell in the group
+    T = dof_matrices(geometry.rows(first), cache.edge_tabulation())
+    return _conformity(mesh, dofmap, T[group], coeffs)
 
 
 def _check_fits(mesh, dofmap):
@@ -225,12 +229,9 @@ def _expand(group, Tinv, local):
     return np.einsum("kij,kj->ki", Tinv[group], local)
 
 
-def _conformity(mesh, dofmap, first, group, coeffs, tab):
-    """Conformity report of raw coefficients, for cells grouped as ``(first, group)``."""
-    # dof_matrices computes each row of a batch on its own, so the matrix of
-    # a group's first cell is bitwise the matrix of every cell in the group
-    T = dof_matrices(batch_geometry(mesh, first), tab)
-    phys = np.einsum("kmi,ki->km", T[group], coeffs)
+def _conformity(mesh, dofmap, T, coeffs):
+    """Conformity report of raw coefficients, with ``T`` (nk, 20, 20) the dof matrix of every cell."""
+    phys = np.einsum("kmi,ki->km", T, coeffs)
 
     # a continuity row is named by its first slot: the first copy of edge dof
     # 4 e + r (moments r < 2, global-frame shears r >= 2) or an eliminated jump

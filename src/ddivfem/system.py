@@ -10,14 +10,17 @@ for all test fields dM and all elementwise linear du.  Clamped boundary data
 (deflection and normal slope) is natural here and enters the right hand
 side; moment and shear data is essential and is enforced by Lagrange
 multiplier rows pinning the corresponding degrees of freedom.
+
+Assembly reads B and det B of the group heads off the geometry record of
+:meth:`ddivfem.piola.BasisCache.groups`, and the :class:`SaddleSystem`
+carries the groups' dof matrices, so :func:`solve_problem` builds none.
 """
 
 import numpy as np
 
-from .piola import BasisCache, GeometryError, edge_frames, element_maps, normals
+from .piola import BasisCache, GeometryError, edge_frames, edge_rule, normals, push_matrix
 from .reference import divdiv_matrix
-from .interpolation import FROBENIUS, P1_MASS_DIAG, _edge_rule, _push_matrix, p1_moments
-from .interpolation import field_cell_jump, field_edge_dofs
+from .interpolation import FROBENIUS, P1_MASS_DIAG, field_cell_jump, field_edge_dofs, p1_moments
 from .linsolve import solve_saddle
 from .space import Csr, _conformity, _expand
 
@@ -107,12 +110,10 @@ class SaddleSystem:
     ----------
     dofmap : ddivfem.space.DofMap
         The dof map, with its local-to-global operator ``dofmap.P``.
-    first, group, Tinv : ndarrays
+    group, Tinv, T : ndarrays
         The cell groups of :meth:`ddivfem.piola.BasisCache.groups`: the
-        first cell of each group, the group of every cell and the inverse
-        dof matrix (20, 20) of each group.
-    edge_tabulation : ddivfem.piola.EdgeTabulation
-        Of the basis those inverses came from; :func:`solve_problem` reads it.
+        group of every cell, and the inverse dof matrix and the dof matrix
+        (20, 20) of each group; :func:`solve_problem` reads all three.
     A_loc, B_loc : ndarrays, (ngroups, 20, 20) and (ngroups, 3, 20)
         Local blocks of each group: the compliance block
         A = P^T blockdiag(A_loc[group]) P on the free tensor dofs, which is
@@ -131,8 +132,7 @@ class SaddleSystem:
     def __init__(self, cells, B, L, G, F, d, ndofs, nu):
         if L is None:
             L = _empty_rows(ndofs)
-        (self.dofmap, self.first, self.group, self.Tinv, self.edge_tabulation,
-         self.A_loc, self.B_loc) = cells
+        self.dofmap, self.group, self.Tinv, self.T, self.A_loc, self.B_loc = cells
         self.B, self.L = B, L
         self.G, self.F, self.d = G, F, d
         self.ndofs, self.nu = ndofs, nu
@@ -180,10 +180,10 @@ def assemble(mesh, dofmap, material=None, cache=None):
     {1, xh, yh} is known in closed form, and the determinant factors cancel
     under the pushforward.
 
-    Returns ``(cells, B)`` with ``cells = (dofmap, first, group, Tinv,
-    edge_tabulation, A_loc, B_loc)``: the dof map itself, the cell groups of
-    :meth:`ddivfem.piola.BasisCache.groups`, the edge tabulation of the
-    cache's basis and the local blocks of each group, so that
+    Returns ``(cells, B)`` with ``cells = (dofmap, group, Tinv, T, A_loc,
+    B_loc)``: the dof map itself, the cell groups of
+    :meth:`ddivfem.piola.BasisCache.groups` with the inverse dof matrix and
+    the dof matrix of each group, and the local blocks of each group, so that
     A = P^T blockdiag(A_loc[group]) P and B = blockdiag(B_loc[group]) P for
     P = ``dofmap.P``.  The global A is not formed; :meth:`SaddleSystem.full`
     forms it for the assembled K.  A compliance block that overflows raises
@@ -206,13 +206,13 @@ def assemble(mesh, dofmap, material=None, cache=None):
     moments = np.einsum("p,ipa,jpb->abij", w, phi, phi).reshape(9, -1)
     # C^-1 on the components: column d is the compliance of unit component d
     comp = np.stack(material.apply_compliance(*np.eye(3)))
-    first, group, Tinv = cache.groups(mesh)
-    B, _, det = element_maps(mesh, first)
+    geometry, first, group, T, Tinv = cache.groups(mesh)
+    heads = geometry.rows(first)
     ng = len(first)
     with np.errstate(over="ignore", invalid="ignore"):
-        R = _push_matrix(B)
+        R = push_matrix(heads.B)
         G = R.transpose(0, 2, 1) @ (comp.T * FROBENIUS) @ R
-        Ahat = (G.reshape(ng, 9) @ moments).reshape(ng, 20, 20) / det[:, None, None]
+        Ahat = (G.reshape(ng, 9) @ moments).reshape(ng, 20, 20) / heads.det[:, None, None]
         A_loc = Tinv.transpose(0, 2, 1) @ Ahat @ Tinv
     if not np.isfinite(A_loc).all():
         bad = first[np.argmax(~np.isfinite(A_loc).all(axis=(1, 2)))]
@@ -229,7 +229,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
     cols = np.broadcast_to(P.indices[:, None], vals.shape)
     keep = vals != 0.0
     Bmat = Csr.from_entries(rows[keep], cols[keep], vals[keep], (3 * mesh.num_cells, P.shape[1]))
-    return (dofmap, first, group, Tinv, cache.edge_tabulation(), A_loc, B_loc), Bmat
+    return (dofmap, group, Tinv, T, A_loc, B_loc), Bmat
 
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
@@ -262,7 +262,7 @@ def dirichlet_load(mesh, dofmap, data, nq=DATA_QUAD_POINTS):
     t, ln = edge_frames(mesh, e)
     n_out = sigma[:, None, None] * normals(t)[:, None, :]
 
-    s, w, pts = _edge_rule(mesh, e, nq)
+    s, w, pts = edge_rule(mesh, e, nq)
     gv = data.g(pts[..., 0], pts[..., 1])
     gr = data.grad_g(pts[..., 0], pts[..., 1])
     dng = n_out[..., 0] * gr[..., 0] + n_out[..., 1] * gr[..., 1]
@@ -341,9 +341,10 @@ def solve_problem(mesh, dofmap, system, rtol=1e-10):
     reference expansion ``coeffs`` (shape (ncells, 20)), the per-cell
     deflection coefficients ``u`` (shape (ncells, 3)), the multipliers,
     solver diagnostics, and a conformity report of the tensor part.  The
-    coefficients and the report read the cell groups and the basis that the
-    system was assembled with, so the cells are grouped once; they are bit
-    for bit those of :func:`ddivfem.space.cell_coefficients` and
+    coefficients and the report read the cell groups and the dof matrices
+    that the system was assembled with, so the cells are grouped and the
+    dof matrices built once; they are bit for bit those of
+    :func:`ddivfem.space.cell_coefficients` and
     :func:`ddivfem.space.check_conformity`.
     """
     x, info = solve_saddle(system, system.rhs(), rtol=rtol)
@@ -354,7 +355,7 @@ def solve_problem(mesh, dofmap, system, rtol=1e-10):
     coeffs = _expand(system.group, system.Tinv, local)
     # B m = blockdiag(B_loc[group]) P m, from the local vectors
     ddiv = np.einsum("kas,ks->ka", system.B_loc[system.group], local).ravel() - system.F
-    conf = _conformity(mesh, dofmap, system.first, system.group, coeffs, system.edge_tabulation)
+    conf = _conformity(mesh, dofmap, system.T[system.group], coeffs)
     return {
         "m": m,
         "coeffs": coeffs,

@@ -24,7 +24,7 @@ def cell_basis():
     """
 
     def lookup(cache, mesh, k):
-        _, group, Tinv = cache.groups(mesh)
+        _, _, group, _, Tinv = cache.groups(mesh)
         return cell_dof_matrix(mesh, k, cache.basis), Tinv[group[k]]
 
     return lookup

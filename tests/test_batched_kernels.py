@@ -337,26 +337,33 @@ def test_groups_call_get_once_per_group():
 
 
 def test_groups_build_only_the_groups_with_new_keys(monkeypatch):
-    # one dof_matrices batch per groups call, holding the first cells of
-    # the groups not yet stored; stored groups are looked up, not rebuilt
+    # one dof_matrices batch per groups call, of the first cells of all
+    # groups, which the call hands out; only the groups not yet stored are
+    # checked and inverted, stored groups are looked up, not inverted again
     knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
     mesh = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
-    first, _, want = BasisCache().groups(mesh)
-    built = []
+    _, first, _, want_T, want = BasisCache().groups(mesh)
+    built, inverted = [], []
+    checked_inverses = piola._checked_inverses
 
     def counting(geometry, tab):
         built.append(len(geometry.B))
         return dof_matrices(geometry, tab)
 
+    def counting_inverses(T):
+        inverted.append(len(T))
+        return checked_inverses(T)
+
     monkeypatch.setattr(piola, "dof_matrices", counting)
+    monkeypatch.setattr(piola, "_checked_inverses", counting_inverses)
     cache = CountingCache()
     for i in (0, 5, 9):
         cache.get(cell_key(mesh, first[i]), want[i])
-    _, _, Tinv = cache.groups(mesh)
-    assert built == [13] and (cache.calls, cache.added) == (3 + 16, 16)
-    assert np.array_equal(Tinv, want)
+    _, _, _, T, Tinv = cache.groups(mesh)
+    assert (built, inverted) == ([16], [13]) and (cache.calls, cache.added) == (3 + 16, 16)
+    assert np.array_equal(T, want_T) and np.array_equal(Tinv, want)
     cache.groups(mesh)
-    assert built == [13]
+    assert (built, inverted) == ([16, 16], [13])
 
 
 def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
@@ -368,7 +375,7 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
     coeffs = cell_coefficients(mesh, dofmap, cache, x)
     assert len(cache) == 16 and cache.calls == 16
 
-    first, group, _ = cache.groups(mesh)
+    _, first, group, _, _ = cache.groups(mesh)
     keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     assert np.array_equal(first, np.sort(first)) and np.all(group[first] == np.arange(len(first)))
     for k in range(mesh.num_cells):
@@ -385,7 +392,7 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
 def test_groups_follow_the_per_cell_keys(which):
     mesh = make_lshape(2) if which == "lshape" else make_parallelogram_domain(EX1_CORNERS, 2)
     cache = BasisCache()
-    first, group, _ = cache.groups(mesh)
+    _, first, group, _, _ = cache.groups(mesh)
     keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     distinct = list(dict.fromkeys(keys))
     assert [keys[k] for k in first] == distinct
@@ -539,8 +546,6 @@ def test_error_integrals_match_a_cell_loop(graded_mesh):
 
 
 def test_block_size_does_not_change_the_integrals(monkeypatch):
-    import ddivfem.interpolation as interpolation
-
     ex2 = get_example("ex2")
     mesh = ex2.mesh(2)
     cache = BasisCache()
@@ -552,7 +557,7 @@ def test_block_size_does_not_change_the_integrals(monkeypatch):
         return np.array(list(errs.values())), project_p1(mesh, ex2.u)
 
     errs, p1 = integrals()
-    monkeypatch.setattr(interpolation, "_BLOCK_CELLS", 7)
+    monkeypatch.setattr(piola, "_BLOCK_CELLS", 7)
     small_errs, small_p1 = integrals()
     assert rel_gap(small_errs, errs) <= 1e-13
     assert rel_gap(small_p1, p1) <= 1e-13

@@ -265,14 +265,27 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_a_run_loads_no_scipy(tmp_path):
-    # the library runs on numpy alone; scipy is the tests' oracle only, so
-    # a fresh process, importing this checkout's ddivfem, must never load it
+def fresh_process_stdout(code, cwd):
+    """The last line that ``code`` prints in a fresh python importing this checkout's ddivfem."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddivfem.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=env,
+        [sys.executable, "-c", code], cwd=cwd, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    return run.stdout.splitlines()[-1]
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # the library runs on numpy alone; scipy is the tests' oracle only, so
+    # a fresh process, importing this checkout's ddivfem, must never load it
+    assert fresh_process_stdout(NO_SCIPY_RUN, tmp_path) == "[]"
+
+
+def test_import_loads_numpy_polynomial(tmp_path):
+    # the Gauss rules and the coefficient grids read numpy.polynomial, which
+    # numpy loads on first use; importing the library loads it, so that a
+    # first computation does not
+    code = "import sys, ddivfem; print('numpy.polynomial' in sys.modules)"
+    assert fresh_process_stdout(code, tmp_path) == "True"

@@ -13,6 +13,7 @@ from cellspec import (
     reference_tensors,
 )
 from ddivfem import piola
+from ddivfem.interpolation import TensorField, ddiv_gap, tensor_errors
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem.piola import (
     BasisCache,
@@ -22,8 +23,8 @@ from ddivfem.piola import (
     dof_matrices,
 )
 from ddivfem.reference import build_reference_basis
-from ddivfem.space import build_dof_map
-from ddivfem.system import build_system, solve_problem
+from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
+from ddivfem.system import build_system, solve_problem, source_load
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 UNIT = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
@@ -90,15 +91,39 @@ def test_singular_map_rejected():
         batch_geometry(mesh)
 
 
+def _ones(x, y):
+    return np.ones_like(x)
+
+
+#: every public call that reads cell geometry, on a mesh and all-zero data
+GEOMETRY_READERS = {
+    "batch_geometry": batch_geometry,
+    "build_system": lambda mesh: build_system(mesh, build_dof_map(mesh), _ones),
+    "source_load": lambda mesh: source_load(mesh, _ones),
+    "tensor_errors": lambda mesh: tensor_errors(
+        mesh, BasisCache(), np.zeros((mesh.num_cells, 20)), TensorField.from_grid(np.zeros((1, 1, 3)))
+    ),
+    "ddiv_gap": lambda mesh: ddiv_gap(
+        mesh, BasisCache(), np.zeros((mesh.num_cells, 20)), np.zeros((mesh.num_cells, 3))
+    ),
+    "cell_coefficients": lambda mesh: cell_coefficients(
+        mesh, build_dof_map(mesh), BasisCache(), np.zeros(build_dof_map(mesh).ndofs)
+    ),
+    "check_conformity": lambda mesh: check_conformity(
+        mesh, build_dof_map(mesh), np.zeros((mesh.num_cells, 20))
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", list(GEOMETRY_READERS))
 @pytest.mark.parametrize("scale", [1e160, 1e200])
-def test_overflowing_element_maps_rejected(scale):
+def test_overflowing_element_maps_rejected(scale, reader):
     # det B overflows while the corners stay finite; the library's error,
-    # not numpy's overflow warning or a failed SVD in the condition check
+    # not numpy's overflow warning or a failed SVD in the condition check,
+    # from every call that reads the geometry of the cells
     mesh = make_parallelogram_domain(np.array(EX1_CORNERS) * scale, 1)
     with pytest.raises(GeometryError, match="determinant"):
-        batch_geometry(mesh)
-    with pytest.raises(GeometryError, match="determinant"):
-        build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
+        GEOMETRY_READERS[reader](mesh)
 
 
 def test_push_tensor_value(phis):
@@ -197,9 +222,9 @@ def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
     # the batch is checked before any group is stored, so a matrix over the
     # condition limit raises and leaves no entry behind, also when the
     # groups before it in first-cell order pass
-    first, _, want = BasisCache(basis).groups(graded_mesh)
+    _, _, _, T, want = BasisCache(basis).groups(graded_mesh)
     cache = BasisCache(basis)
-    cond = np.linalg.cond(dof_matrices(batch_geometry(graded_mesh, first), cache.edge_tabulation()))
+    cond = np.linalg.cond(T)
     assert cond[0] < cond.max()
     for limit in (0.5 * cond.min(), 0.5 * (cond[0] + cond.max())):
         monkeypatch.setattr(piola, "CONDITION_LIMIT", limit)
@@ -207,7 +232,7 @@ def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
             cache.groups(graded_mesh)
         assert len(cache) == 0
     monkeypatch.undo()
-    _, _, Tinv = cache.groups(graded_mesh)
+    _, _, _, _, Tinv = cache.groups(graded_mesh)
     assert np.array_equal(Tinv, want)
 
 

@@ -264,7 +264,7 @@ def test_conformity_names_the_moved_dof(kind, basis_cache):
     j = 2
     first = {"m0": space.SLOT_M0, "m1": space.SLOT_M1, "q0": space.SLOT_Q0,
              "q1": space.SLOT_Q1, "jump": space.SLOT_JUMP}[kind]
-    _, group, Tinv = basis_cache.groups(mesh)
+    _, _, group, _, Tinv = basis_cache.groups(mesh)
     delta = -0.75
     raw[k] += delta * Tinv[group[k]][:, first + j]
     report = check_conformity(mesh, dofmap, raw, cache=basis_cache)

@@ -14,10 +14,11 @@ import scipy.sparse.linalg as spla
 from cellspec import as_scipy, element_map, p1_eval, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
-from ddivfem import GeometryError, TensorField, piola, space
+from ddivfem import GeometryError, TensorField, interpolation, piola, problems, space
 from ddivfem.interpolation import project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
+from ddivfem.piola import BasisCache
 from ddivfem.polys import gauss_rule
 from ddivfem.problems import get_example, solve_example
 from ddivfem.reference import divdiv_matrix
@@ -603,31 +604,48 @@ def test_overflowing_compliance_block_rejected(scale):
 
 def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
     # assembly, the solve, the coefficients and the conformity report share
-    # one grouping, and the last two are bit for bit those of the public calls
+    # one grouping and one batch of dof matrices, and the last two are bit
+    # for bit those of the public calls
     exact = get_example("ex2")
     mesh = exact.mesh(2)
     dofmap = build_dof_map(mesh)
-    calls = []
-    grouping = piola.cell_groups
+    cache = BasisCache(basis_cache.basis)
+    calls, built, records = [], [], []
+    grouping, building, geometry = piola.cell_groups, piola.dof_matrices, piola.batch_geometry
 
     def counted(keys):
         calls.append(len(keys))
         return grouping(keys)
 
-    monkeypatch.setattr(piola, "cell_groups", counted)
-    monkeypatch.setattr(space, "cell_groups", counted)
+    def counted_build(cells, tab):
+        built.append(len(cells.B))
+        return building(cells, tab)
+
+    def counted_geometry(mesh):
+        records.append(mesh.num_cells)
+        return geometry(mesh)
+
+    for module in (piola, space):
+        monkeypatch.setattr(module, "cell_groups", counted)
+        monkeypatch.setattr(module, "dof_matrices", counted_build)
+    for module in (piola, space, interpolation, problems):
+        monkeypatch.setattr(module, "batch_geometry", counted_geometry)
     system = build_system(
         mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
-        neumann=exact.neumann, cache=basis_cache,
+        neumann=exact.neumann, cache=cache,
     )
     result = solve_problem(mesh, dofmap, system)
-    assert calls == [mesh.num_cells]
-    # the conformity check reads the tabulation of the assembled basis
-    assert system.edge_tabulation is basis_cache.edge_tabulation()
+    ngroups = len(system.T)
+    assert calls == [mesh.num_cells] and built == [ngroups]
+    # one geometry record each for the groups and the source load; the solve
+    # and its report read the assembled groups
+    assert records == [mesh.num_cells] * 2
+    # the conformity check reads the dof matrices the inverses came from
+    assert np.abs(system.T @ system.Tinv - np.eye(20)).max() <= 1e-12
     monkeypatch.undo()
-    coeffs = cell_coefficients(mesh, dofmap, basis_cache, result["m"])
+    coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
     assert np.array_equal(result["coeffs"], coeffs)
-    report = check_conformity(mesh, dofmap, coeffs, cache=basis_cache)
+    report = check_conformity(mesh, dofmap, coeffs, cache=cache)
     assert repr(result["conformity"]) == repr(report)
 
 

@@ -18,6 +18,13 @@ script computes the same fixed set of outputs:
   groups, so the per-group paths of assembly, solve and conformity check
   see many groups; and once more with the isotropic law E = 2, nu = 0.3,
   so that one output goes through a compliance that is not the identity;
+- on that rotated L-shape, whose cells fall into many blocks of the
+  geometry record: for each of the two solves the ``tensor_errors`` of its
+  ``coeffs`` against the Neumann field, with the ex2 ``quadrature_orders``
+  (raised at the reentrant corner, the origin), and the ``ddiv_gap`` of the
+  same ``coeffs`` against ``project_p1`` of f; once, ``project_p1`` of the
+  Neumann field's div div (that of f = 1 is the same on every cell) and
+  the ``commuting_residual`` of that field;
 - the bytes of ``m``, ``u`` and ``lambda`` and the ``repr`` of the solver
   dict of ``solve_problem`` with the ex2 data on ex2 at level
   ``RENUMBERED_LEVEL``, its cells and vertices in the order of
@@ -123,7 +130,9 @@ def library_outputs():
 
     from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
     from ddivfem import BasisCache, MaterialLaw, NeumannData, build_system, solve_example
-    from ddivfem import solve_problem
+    from ddivfem import commuting_residual, project_p1, solve_problem, tensor_errors
+    from ddivfem.interpolation import ddiv_gap
+    from ddivfem.problems import quadrature_orders
     from ddivfem import cell_coefficients, check_conformity
     from ddivfem.cli import main as cli_main
     from ddivfem.mesh import Mesh, make_lshape
@@ -148,6 +157,8 @@ def library_outputs():
     mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells, labels)
     dofmap = build_dof_map(mesh)
     neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
+    orders, cache = quadrature_orders(mesh, get_example("ex2")), BasisCache()
+    f_p1 = project_p1(mesh, lambda x, y: np.ones_like(x))
     # parents before the keyword-only law take its kind first
     isotropic = ("isotropic",) if "kind" in inspect.signature(MaterialLaw).parameters else ()
     for law, material in (("", None), (" E=2 nu=0.3", MaterialLaw(*isotropic, E=2.0, nu=0.3))):
@@ -159,6 +170,12 @@ def library_outputs():
             out["%s %s" % (name, key)] = digest(result[key])
         for key in ("solver", "conformity"):
             out["%s %s" % (name, key)] = digest(result[key])
+        errors = tensor_errors(mesh, cache, result["coeffs"], neumann.field, nq=orders)
+        out[name + " tensor_errors"] = digest(errors)
+        out[name + " ddiv_gap"] = digest(repr(ddiv_gap(mesh, cache, result["coeffs"], f_p1)))
+    name = "rotated lshape L%d Neumann field" % ROTATED_LEVEL
+    out[name + " project_p1 divdiv"] = digest(project_p1(mesh, neumann.field.divdiv))
+    out[name + " commuting_residual"] = digest(repr(commuting_residual(mesh, dofmap, neumann.field)))
 
     ex2, rng = get_example("ex2"), np.random.default_rng(RENUMBERED_SEED)
     base = ex2.mesh(RENUMBERED_LEVEL)
