@@ -30,7 +30,7 @@ import numpy as np
 
 from .interpolation import TensorField, interpolate_ddiv, interpolation_error_study, tensor_errors
 from .mesh import EX1_CORNERS, make_lshape, make_parallelogram_domain
-from .piola import BasisCache, batch_geometry, dof_matrices
+from .piola import BasisCache, dof_matrices
 from .problems import convergence_study, get_example, solve_example
 from .reference import (
     build_reference_basis,
@@ -138,7 +138,7 @@ def _map_checks(basis, tol):
     cache = BasisCache(basis)
 
     square = make_parallelogram_domain(SQUARE_CORNERS, 0)
-    T = dof_matrices(batch_geometry(square), cache.edge_tabulation())[0]
+    T = dof_matrices(square.geometry, cache.edge_tabulation())[0]
     dev = float(np.abs(T - np.diag(IDENTITY_DOF_SIGNS)).max())
     checks.append(
         (

@@ -15,10 +15,9 @@ import numpy as np
 
 from .polys import gauss_rule
 from .reference import coefficient_grids, divdiv_matrix, frame_weights, grid_function
-from .mesh import make_parallelogram_domain, EX1_CORNERS
-from .piola import BasisCache, batch_geometry, cell_blocks, edge_frames, edge_rule, normals
-from .piola import push_matrix
-from .space import build_dof_map, cell_coefficients
+from .mesh import make_parallelogram_domain, edge_frames, EX1_CORNERS
+from .piola import BasisCache, cell_blocks, edge_rule, normals, push_matrix
+from .space import build_dof_map, cell_coefficients, _per_cell
 
 #: reference mass diagonal of the monomial basis {1, x, y} on [-1, 1]^2
 P1_MASS_DIAG = np.array([4.0, 4.0 / 3.0, 4.0 / 3.0])
@@ -84,7 +83,10 @@ def field_edge_dofs(mesh, e, field, nq=6):
     """(m0, m1, q0, q1) of a tensor field on edges ``e``, in the global frames.
 
     ``e`` is an edge index or an index array; each moment has its shape.
+    Raises ``ValueError`` for a field without ``div``.
     """
+    if field.div is None:
+        raise ValueError("the effective shear dofs need the field's div")
     t, ln = edge_frames(mesh, e)
     n = normals(t)
     s, w, pts = edge_rule(mesh, e, nq)
@@ -134,8 +136,8 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
     are implied; for fields with continuous components their patch sums
     vanish, so no information is lost.
 
-    Raises ``ValueError`` naming the first dof that is not finite, as at a
-    singular point of the field.
+    Raises ``ValueError`` for a field without ``div``, and naming the first
+    dof that is not finite, as at a singular point of the field.
     """
     ne = mesh.num_edges
     k, c = np.nonzero(dofmap.jump_id >= 0)
@@ -158,16 +160,15 @@ def interpolate_ddiv(mesh, dofmap, field, nq=6):
 
 
 def p1_moments(mesh, f, nq):
-    """Reference moments of f against {1, xh, yh} per cell, and the determinants."""
+    """Reference moments (ncells, 3) of f against {1, xh, yh} per cell."""
     rule = gauss_rule(nq, dim=2)
     xh, yh = rule.points[:, 0], rule.points[:, 1]
     tests = rule.weights[:, None] * np.stack([np.ones_like(xh), xh, yh], axis=-1)
-    geometry = batch_geometry(mesh)
     moments = np.empty((mesh.num_cells, 3))
     for _, cells in cell_blocks(np.full(mesh.num_cells, nq)):
-        x, y = geometry.rows(cells).points(xh, yh)
+        x, y = mesh.geometry.rows(cells).points(xh, yh)
         moments[cells] = np.broadcast_to(f(x, y), x.shape) @ tests
-    return moments, geometry.det
+    return moments
 
 
 def project_p1(mesh, f, nq=6):
@@ -177,7 +178,7 @@ def project_p1(mesh, f, nq=6):
     {1, xh, yh} of each cell.  Because the element maps are affine, the
     projection reduces to the diagonal reference mass matrix.
     """
-    return p1_moments(mesh, f, nq)[0] / P1_MASS_DIAG[None, :]
+    return p1_moments(mesh, f, nq) / P1_MASS_DIAG[None, :]
 
 
 # -- error norms -----------------------------------------------------------------
@@ -201,12 +202,12 @@ def tensor_errors(mesh, cache, coeffs, field, nq=6):
     with the squared norm of the exact tensor, and ``norm_Mh`` with the
     squared norm of the piecewise tensor.
     """
+    coeffs = _per_cell(mesh, coeffs, 20, "raw coefficients")
     orders = np.broadcast_to(nq, (mesh.num_cells,))
     res = {"M": 0.0, "div": 0.0, "ddiv": 0.0, "norm_M": 0.0, "norm_Mh": 0.0}
-    geometry = batch_geometry(mesh)
     for q, cells in cell_blocks(orders):
         tab = cache.volume_tabulation(q)
-        block = geometry.rows(cells)
+        block = mesh.geometry.rows(cells)
         B, det = block.B, block.det
         x, y = block.points(tab.xh, tab.yh)
         w = tab.rule.weights * det[:, None]
@@ -241,7 +242,9 @@ def ddiv_gap(mesh, cache, coeffs, p1):
     pulled-back {1, xh, yh} basis, as is div div M_h (``coeffs @ divdiv_matrix
     / det``); that basis is orthogonal, with reference mass ``P1_MASS_DIAG``.
     """
-    det = batch_geometry(mesh).det
+    coeffs = _per_cell(mesh, coeffs, 20, "raw coefficients")
+    p1 = _per_cell(mesh, p1, 3, "p1 coefficients")
+    det = mesh.geometry.det
     diff = coeffs @ divdiv_matrix(cache.basis) / det[:, None] - p1
     return float(det @ (diff**2 @ P1_MASS_DIAG)), float(det @ (p1**2 @ P1_MASS_DIAG))
 
@@ -253,7 +256,8 @@ def commuting_residual(mesh, dofmap, field, cache=None, nq=6):
     """L2 norm of div div (Pi M) - Pi1 (div div M) over the mesh.
 
     Both sides are elementwise linear, so :func:`ddiv_gap` integrates the
-    residual exactly.  Returns (absolute residual, norm of div div M).
+    residual exactly.  Returns (absolute residual, norm of div div M);
+    raises ``ValueError`` for a field without ``divdiv``.
     """
     if cache is None:
         cache = BasisCache()
@@ -264,6 +268,8 @@ def commuting_residual(mesh, dofmap, field, cache=None, nq=6):
 
 def _commuting_residual(mesh, cache, coeffs, field, nq):
     """:func:`commuting_residual` of the interpolant's cell coefficients."""
+    if field.divdiv is None:
+        raise ValueError("the commuting residual needs the field's divdiv")
     total, norm = ddiv_gap(mesh, cache, coeffs, project_p1(mesh, field.divdiv, nq=nq))
     return float(np.sqrt(total)), float(np.sqrt(norm))
 

@@ -10,11 +10,16 @@ Mesh generation works on integer lattices and only converts to floating
 point at the end, which keeps vertex identification exact across block
 seams and refinement levels.
 
+The mesh fixes the affine map of every cell, so it also owns their one
+:class:`CellGeometry`, :attr:`Mesh.geometry`, built on first use.
+
 :func:`cell_groups` is the library's one numbering of equal keys: edges and
 lattice nodes here, equal cells in ``piola`` and equal cells and blocks in ``linsolve``.
 """
 
 import operator
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +37,62 @@ NEUMANN = "N"
 
 class MeshError(ValueError):
     """Raised for meshes violating a structural invariant."""
+
+
+class GeometryError(ValueError):
+    """Raised when an element map or dof frame is unusable."""
+
+
+def edge_frames(mesh, edges):
+    """Unit tangents (..., 2) and lengths (...) of mesh edges ``edges``.
+
+    Each tangent points from the lower- to the higher-numbered vertex.
+    """
+    ends = mesh.vertices[mesh.edges[edges]]
+    vec = ends[..., 1, :] - ends[..., 0, :]
+    lengths = np.linalg.norm(vec, axis=-1)
+    if np.any(lengths <= 0.0):
+        e = np.asarray(edges).flat[np.argmin(lengths)]
+        raise GeometryError("edge %d has zero length" % e)
+    return vec / lengths[..., None], lengths
+
+
+class CellGeometry(NamedTuple):
+    """Element maps and global edge frames of n cells, with a leading cell axis.
+
+    Its arrays are shared by every reader and never written.
+    """
+
+    B: np.ndarray  # (n, 2, 2)
+    a: np.ndarray  # (n, 2)
+    det: np.ndarray  # (n,)
+    # (n, 4, 2): global unit tangents of the local edges, each from the
+    # lower- to the higher-numbered vertex
+    tangents: np.ndarray
+    lengths: np.ndarray  # (n, 4)
+    forward: np.ndarray  # (n, 4) bool
+
+    def keys(self):
+        """One row per cell of the exact values :func:`ddivfem.piola.dof_matrices` reads.
+
+        B, the tangents, the lengths and ``forward``; the determinant follows
+        from B.  Rows that :func:`cell_groups` groups, -0.0 and 0.0 alike,
+        give bitwise equal dof matrices.
+        """
+        n = len(self.B)
+        rows = [self.B.reshape(n, 4), self.tangents.reshape(n, 8), self.lengths, self.forward]
+        return np.hstack(rows)
+
+    def rows(self, cells):
+        """The record of the cells ``cells``, bit for bit as if built for them alone."""
+        return CellGeometry(*(field[cells] for field in self))
+
+    def points(self, xh, yh):
+        """Images ``x``, ``y`` (n, npts) of reference points under F(xh) = a + B xh."""
+        B, a = self.B, self.a
+        x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
+        y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
+        return x, y
 
 
 def cell_groups(keys):
@@ -181,6 +242,26 @@ class Mesh:
     @property
     def h(self):
         return float(self.h_cell.max())
+
+    @cached_property
+    def geometry(self):
+        """B, a, det B and the edge frames of all cells, in cell order.
+
+        Every read raises :class:`GeometryError`, naming the first cell, while
+        an element map determinant is not finite and positive.
+        """
+        v = self.vertices[self.cells]
+        B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(B)
+        bad = ~(np.isfinite(det) & (det > 0.0))
+        if np.any(bad):
+            raise GeometryError(
+                "cell %d has a nonpositive or overflowing element map determinant" % np.argmax(bad)
+            )
+        tangents, lengths = edge_frames(self, self.cell_edges)
+        a = 0.5 * (v[..., 0, :] + v[..., 2, :])
+        return CellGeometry(B, a, det, tangents, lengths, self.cell_edge_forward)
 
     def dirichlet_edges(self):
         return np.nonzero(self.edge_label == DIRICHLET)[0]

@@ -33,12 +33,11 @@ reads those exactly off the restriction of the coefficient grids to the
 edges (:func:`ddivfem.reference.edge_restriction`) with the weights of
 :func:`ddivfem.reference.edge_weights`, and with no edge rule.
 
-Each convention lives in one place: :func:`batch_geometry` computes B, a,
-det B and the edge frames (:func:`edge_frames`, :func:`normals`) of all
-cells in one :class:`CellGeometry`, which every layer slices; beside it
-are the edge rule, the cell blocks of volume integrals and the push of the
-tensor components.  :func:`dof_matrices` builds the local dof matrices of
-a record in one contraction.  Cells whose :meth:`CellGeometry.keys` rows
+Each convention lives in one place: the mesh's record of cell geometry,
+:attr:`ddivfem.mesh.Mesh.geometry`; here the edge normals, the edge rule,
+the cell blocks of volume integrals and the push of the tensor components.
+:func:`dof_matrices` builds the local dof matrices of a record in one
+contraction.  Cells whose :meth:`ddivfem.mesh.CellGeometry.keys` rows
 are equal have bitwise equal dof matrices, and
 :func:`ddivfem.mesh.cell_groups` groups them, so each distinct matrix is
 built once.  :meth:`BasisCache.groups` is the only place the library
@@ -49,12 +48,10 @@ one cell at a time, with its own Gauss rule along the edges
 (``tests/cellspec.py``), and checks this layer against them.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 from numpy.polynomial import polynomial
 
-from .mesh import cell_groups
+from .mesh import CellGeometry, GeometryError, cell_groups  # CellGeometry: re-exported
 from .polys import gauss_rule
 from .reference import (
     build_reference_basis,
@@ -66,24 +63,6 @@ from .reference import (
 
 #: above this condition number the local dof matrix is considered broken
 CONDITION_LIMIT = 1e8
-
-
-class GeometryError(ValueError):
-    """Raised when an element map or dof frame is unusable."""
-
-
-def edge_frames(mesh, edges):
-    """Unit tangents (..., 2) and lengths (...) of mesh edges ``edges``.
-
-    Each tangent points from the lower- to the higher-numbered vertex.
-    """
-    ends = mesh.vertices[mesh.edges[edges]]
-    vec = ends[..., 1, :] - ends[..., 0, :]
-    lengths = np.linalg.norm(vec, axis=-1)
-    if np.any(lengths <= 0.0):
-        e = np.asarray(edges).flat[np.argmin(lengths)]
-        raise GeometryError("edge %d has zero length" % e)
-    return vec / lengths[..., None], lengths
 
 
 def normals(t):
@@ -137,61 +116,6 @@ class VolumeTabulation:
         self.divphi = _tabulate(div, xh, yh)
         self.ddphi = polynomial.polyval2d(xh, yh, divdiv)
         self.xh, self.yh = xh, yh
-
-
-class CellGeometry(NamedTuple):
-    """Element maps and global edge frames of n cells, with a leading cell axis."""
-
-    B: np.ndarray  # (n, 2, 2)
-    a: np.ndarray  # (n, 2)
-    det: np.ndarray  # (n,)
-    # (n, 4, 2): global unit tangents of the local edges, each from the
-    # lower- to the higher-numbered vertex
-    tangents: np.ndarray
-    lengths: np.ndarray  # (n, 4)
-    forward: np.ndarray  # (n, 4) bool
-
-    def keys(self):
-        """One row per cell of the exact values :func:`dof_matrices` reads.
-
-        B, the tangents, the lengths and ``forward``; the determinant follows
-        from B.  Rows that :func:`ddivfem.mesh.cell_groups` groups, -0.0
-        and 0.0 alike, give bitwise equal dof matrices.
-        """
-        n = len(self.B)
-        rows = [self.B.reshape(n, 4), self.tangents.reshape(n, 8), self.lengths, self.forward]
-        return np.hstack(rows)
-
-    def rows(self, cells):
-        """The record of the cells ``cells``, bit for bit as if built for them alone."""
-        return CellGeometry(*(field[cells] for field in self))
-
-    def points(self, xh, yh):
-        """Images ``x``, ``y`` (n, npts) of reference points under F(xh) = a + B xh."""
-        B, a = self.B, self.a
-        x = a[:, 0, None] + B[:, 0, 0, None] * xh + B[:, 0, 1, None] * yh
-        y = a[:, 1, None] + B[:, 1, 0, None] * xh + B[:, 1, 1, None] * yh
-        return x, y
-
-
-def batch_geometry(mesh):
-    """CellGeometry of all cells of a mesh, in cell order.
-
-    Raises :class:`GeometryError` naming the first cell whose element map
-    determinant is not finite and positive.
-    """
-    v = mesh.vertices[mesh.cells]
-    B = 0.5 * np.stack([v[..., 1, :] - v[..., 0, :], v[..., 3, :] - v[..., 0, :]], axis=-1)
-    with np.errstate(over="ignore"):
-        det = np.linalg.det(B)
-    bad = ~(np.isfinite(det) & (det > 0.0))
-    if np.any(bad):
-        raise GeometryError(
-            "cell %d has a nonpositive or overflowing element map determinant" % np.argmax(bad)
-        )
-    tangents, lengths = edge_frames(mesh, mesh.cell_edges)
-    a = 0.5 * (v[..., 0, :] + v[..., 2, :])
-    return CellGeometry(B, a, det, tangents, lengths, mesh.cell_edge_forward)
 
 
 #: cells per block of a volume integral; bounds the (cells, points) temporaries
@@ -291,7 +215,7 @@ def _checked_inverses(T):
 class BasisCache:
     """Caches inverse local dof matrices keyed by the exact geometry of a cell.
 
-    The key of a cell is the row of :meth:`CellGeometry.keys`: the exact
+    The key of a cell is its row of ``mesh.geometry.keys()``: the exact
     values of B, the edge tangents and lengths, and the edge orientations
     that :func:`dof_matrices` reads.  Cells share an inverse only when
     their dof matrices are bitwise equal; uniform meshes have a handful of
@@ -319,30 +243,28 @@ class BasisCache:
         return self._store.setdefault(key, Tinv)
 
     def groups(self, mesh):
-        """Geometry of a mesh, its cells with equal keys, and the dof matrices of each group.
+        """The cells of a mesh with equal keys, and the dof matrices of each group.
 
-        Returns ``(geometry, first, group, T, Tinv)``: the
-        :func:`batch_geometry` of all cells; the first cell of each group,
-        groups numbered in the order of their first cells; the group of
-        every cell; and the dof matrices ``T`` (ngroups, 20, 20) of the
-        first cells, from one :func:`dof_matrices` call, with their inverses
-        ``Tinv``.  The keys of the cells are grouped by
+        Returns ``(first, group, T, Tinv)``, read off ``mesh.geometry``: the
+        first cell of each group, groups numbered in the order of their
+        first cells; the group of every cell; and the dof matrices ``T``
+        (ngroups, 20, 20) of the first cells, from one :func:`dof_matrices`
+        call, with their inverses ``Tinv``.  The keys of the cells are grouped by
         :func:`ddivfem.mesh.cell_groups`.  The groups not yet stored get
         their inverses from :func:`_checked_inverses`, which raises before
         anything is stored; each group is then looked up with one
         :meth:`get`, in the order of the groups.
         """
-        geometry = batch_geometry(mesh)
-        keys = geometry.keys()
+        keys = mesh.geometry.keys()
         first, group = cell_groups(keys)
-        T = dof_matrices(geometry.rows(first), self.edge_tabulation())
+        T = dof_matrices(mesh.geometry.rows(first), self.edge_tabulation())
         keys = [tuple(keys[k]) for k in first]
         new = [i for i, key in enumerate(keys) if key not in self._store]
         fresh = {}
         if new:
             fresh = dict(zip([keys[i] for i in new], _checked_inverses(T[new])))
         Tinv = np.stack([self.get(key, fresh.get(key)) for key in keys])
-        return geometry, first, group, T, Tinv
+        return first, group, T, Tinv
 
     def edge_tabulation(self):
         """EdgeTabulation of the basis."""

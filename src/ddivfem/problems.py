@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from .mesh import make_parallelogram_domain, make_lshape, EX1_CORNERS
-from .piola import BasisCache, batch_geometry, cell_blocks
+from .piola import BasisCache, cell_blocks
 from .space import build_dof_map, cell_coefficients
 from .interpolation import TensorField, ddiv_gap, tensor_errors
 from .reference import _derivative, grid_function
@@ -283,11 +283,10 @@ def l2_errors(mesh, dofmap, cache, result, exact):
         coeffs = cell_coefficients(mesh, dofmap, cache, result["m"])
     errs = tensor_errors(mesh, cache, coeffs, exact.error_field, nq=orders)
 
-    geometry = batch_geometry(mesh)
     err_u2 = 0.0
     for q, cells in cell_blocks(orders):
         tab = cache.volume_tabulation(q)
-        block = geometry.rows(cells)
+        block = mesh.geometry.rows(cells)
         x, y = block.points(tab.xh, tab.yh)
         w = tab.rule.weights * block.det[:, None]
         uh = result["u"][cells] @ np.stack([np.ones_like(tab.xh), tab.xh, tab.yh])

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .piola import BasisCache, batch_geometry, cell_groups, dof_matrices
+from .piola import BasisCache, cell_groups, dof_matrices
 
 # slot layout of the 20 local dofs of a cell
 SLOT_M0 = 0
@@ -172,7 +172,7 @@ def cell_coefficients(mesh, dofmap, cache, mcoef):
             "expected a global coefficient vector of length ndofs = %d, got shape %s"
             % (dofmap.ndofs, mcoef.shape)
         )
-    _, _, group, _, Tinv = cache.groups(mesh)
+    _, group, _, Tinv = cache.groups(mesh)
     return _expand(group, Tinv, (dofmap.P @ mcoef).reshape(-1, 20))
 
 
@@ -188,7 +188,7 @@ def check_conformity(mesh, dofmap, coeffs, cache=None):
     of every cell are ``T_k @ coeffs_k``, where ``T_k`` reads the exact edge
     moments and corner values of the cache's
     :class:`ddivfem.piola.EdgeTabulation`; no edge quadrature is involved.
-    Cells with equal :meth:`ddivfem.piola.CellGeometry.keys` rows have
+    Cells with equal :meth:`ddivfem.mesh.CellGeometry.keys` rows have
     bitwise equal dof matrices, so ``T_k`` is built once per group of such
     cells by :func:`ddivfem.piola.dof_matrices`; nothing is inverted, and
     the cache's stored inverses are not consulted.
@@ -200,17 +200,11 @@ def check_conformity(mesh, dofmap, coeffs, cache=None):
     if cache is None:
         cache = BasisCache()
     _check_fits(mesh, dofmap)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (mesh.num_cells, 20):
-        raise ValueError(
-            "expected raw coefficients of shape (ncells, 20) = (%d, 20), got shape %s"
-            % (mesh.num_cells, coeffs.shape)
-        )
-    geometry = batch_geometry(mesh)
-    first, group = cell_groups(geometry.keys())
+    coeffs = _per_cell(mesh, coeffs, 20, "raw coefficients")
+    first, group = cell_groups(mesh.geometry.keys())
     # dof_matrices computes each row of a batch on its own, so the matrix of
     # a group's first cell is bitwise the matrix of every cell in the group
-    T = dof_matrices(geometry.rows(first), cache.edge_tabulation())
+    T = dof_matrices(mesh.geometry.rows(first), cache.edge_tabulation())
     return _conformity(mesh, dofmap, T[group], coeffs)
 
 
@@ -222,6 +216,17 @@ def _check_fits(mesh, dofmap):
             "the dof map expands %d dofs into %d cells, but the mesh has %d dofs and %d cells"
             % (dofmap.ndofs, dofmap.P.shape[0] // 20, ndofs, mesh.num_cells)
         )
+
+
+def _per_cell(mesh, values, width, what):
+    """``values`` as a float array (ncells, width); ``ValueError`` for any other shape."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.num_cells, width):
+        raise ValueError(
+            "expected %s of shape (ncells, %d) = (%d, %d), got shape %s"
+            % (what, width, mesh.num_cells, width, values.shape)
+        )
+    return values
 
 
 def _expand(group, Tinv, local):

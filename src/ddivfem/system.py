@@ -11,14 +11,15 @@ for all test fields dM and all elementwise linear du.  Clamped boundary data
 side; moment and shear data is essential and is enforced by Lagrange
 multiplier rows pinning the corresponding degrees of freedom.
 
-Assembly reads B and det B of the group heads off the geometry record of
-:meth:`ddivfem.piola.BasisCache.groups`, and the :class:`SaddleSystem`
+Assembly reads B and det B of the group heads off the mesh's geometry
+record, :attr:`ddivfem.mesh.Mesh.geometry`, and the :class:`SaddleSystem`
 carries the groups' dof matrices, so :func:`solve_problem` builds none.
 """
 
 import numpy as np
 
-from .piola import BasisCache, GeometryError, edge_frames, edge_rule, normals, push_matrix
+from .mesh import GeometryError, edge_frames
+from .piola import BasisCache, edge_rule, normals, push_matrix
 from .reference import divdiv_matrix
 from .interpolation import FROBENIUS, P1_MASS_DIAG, field_cell_jump, field_edge_dofs, p1_moments
 from .linsolve import solve_saddle
@@ -187,7 +188,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
     A = P^T blockdiag(A_loc[group]) P and B = blockdiag(B_loc[group]) P for
     P = ``dofmap.P``.  The global A is not formed; :meth:`SaddleSystem.full`
     forms it for the assembled K.  A compliance block that overflows raises
-    :class:`ddivfem.piola.GeometryError` naming the first cell of its group.
+    :class:`ddivfem.mesh.GeometryError` naming the first cell of its group.
     """
     if material is None:
         material = MaterialLaw()
@@ -206,8 +207,8 @@ def assemble(mesh, dofmap, material=None, cache=None):
     moments = np.einsum("p,ipa,jpb->abij", w, phi, phi).reshape(9, -1)
     # C^-1 on the components: column d is the compliance of unit component d
     comp = np.stack(material.apply_compliance(*np.eye(3)))
-    geometry, first, group, T, Tinv = cache.groups(mesh)
-    heads = geometry.rows(first)
+    first, group, T, Tinv = cache.groups(mesh)
+    heads = mesh.geometry.rows(first)
     ng = len(first)
     with np.errstate(over="ignore", invalid="ignore"):
         R = push_matrix(heads.B)
@@ -234,8 +235,7 @@ def assemble(mesh, dofmap, material=None, cache=None):
 
 def source_load(mesh, f, nq=DATA_QUAD_POINTS):
     """Vector of (f, p_a) over all cells in the pulled-back {1, xh, yh} basis."""
-    moments, det = p1_moments(mesh, f, nq)
-    return (moments * det[:, None]).ravel()
+    return (p1_moments(mesh, f, nq) * mesh.geometry.det[:, None]).ravel()
 
 
 def dirichlet_load(mesh, dofmap, data, nq=DATA_QUAD_POINTS):

@@ -1,7 +1,7 @@
 """One-cell and one-tensor statements of the element, as the test oracle.
 
 The library builds the element maps and physical dofs for whole meshes at
-once (:func:`ddivfem.piola.batch_geometry`, :func:`ddivfem.piola.dof_matrices`).
+once (:attr:`ddivfem.mesh.Mesh.geometry`, :func:`ddivfem.piola.dof_matrices`).
 This module writes the same maps and functionals out for one cell at a time,
 in the form the :mod:`ddivfem.piola` docstring states them, and the tests
 use it as the specification that the batched layer is checked against.

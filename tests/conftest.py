@@ -1,4 +1,5 @@
 import time
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -24,10 +25,26 @@ def cell_basis():
     """
 
     def lookup(cache, mesh, k):
-        _, _, group, _, Tinv = cache.groups(mesh)
+        _, group, _, Tinv = cache.groups(mesh)
         return cell_dof_matrix(mesh, k, cache.basis), Tinv[group[k]]
 
     return lookup
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """The cell count of every ``Mesh.geometry`` record built while the test runs."""
+    builds = []
+    build = Mesh.geometry.func
+
+    def counted(mesh):
+        builds.append(mesh.num_cells)
+        return build(mesh)
+
+    counting = cached_property(counted)
+    counting.__set_name__(Mesh, "geometry")
+    monkeypatch.setattr(Mesh, "geometry", counting)
+    return builds
 
 
 @pytest.fixture(scope="session")

@@ -342,7 +342,7 @@ def test_groups_build_only_the_groups_with_new_keys(monkeypatch):
     # checked and inverted, stored groups are looked up, not inverted again
     knots = np.array([0.0, 0.17, 0.41, 0.7, 1.0])
     mesh = tensor_mesh(knots, np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
-    _, first, _, want_T, want = BasisCache().groups(mesh)
+    first, _, want_T, want = BasisCache().groups(mesh)
     built, inverted = [], []
     checked_inverses = piola._checked_inverses
 
@@ -359,7 +359,7 @@ def test_groups_build_only_the_groups_with_new_keys(monkeypatch):
     cache = CountingCache()
     for i in (0, 5, 9):
         cache.get(cell_key(mesh, first[i]), want[i])
-    _, _, _, T, Tinv = cache.groups(mesh)
+    _, _, T, Tinv = cache.groups(mesh)
     assert (built, inverted) == ([16], [13]) and (cache.calls, cache.added) == (3 + 16, 16)
     assert np.array_equal(T, want_T) and np.array_equal(Tinv, want)
     cache.groups(mesh)
@@ -375,7 +375,7 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
     coeffs = cell_coefficients(mesh, dofmap, cache, x)
     assert len(cache) == 16 and cache.calls == 16
 
-    _, first, group, _, _ = cache.groups(mesh)
+    first, group, _, _ = cache.groups(mesh)
     keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     assert np.array_equal(first, np.sort(first)) and np.all(group[first] == np.arange(len(first)))
     for k in range(mesh.num_cells):
@@ -392,7 +392,7 @@ def test_cell_coefficients_ask_the_cache_once_per_distinct_cell(cell_basis):
 def test_groups_follow_the_per_cell_keys(which):
     mesh = make_lshape(2) if which == "lshape" else make_parallelogram_domain(EX1_CORNERS, 2)
     cache = BasisCache()
-    _, first, group, _, _ = cache.groups(mesh)
+    first, group, _, _ = cache.groups(mesh)
     keys = [cell_key(mesh, k) for k in range(mesh.num_cells)]
     distinct = list(dict.fromkeys(keys))
     assert [keys[k] for k in first] == distinct

@@ -10,6 +10,7 @@ import cellspec
 from ddivfem.interpolation import (
     TensorField,
     commuting_residual,
+    ddiv_gap,
     interpolate_ddiv,
     interpolation_error_study,
     project_p1,
@@ -22,9 +23,10 @@ from ddivfem.mesh import (
     make_lshape,
     make_parallelogram_domain,
 )
-from ddivfem.piola import BasisCache, batch_geometry
+from ddivfem.piola import BasisCache
 from ddivfem.problems import get_example
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
+from ddivfem.system import NeumannData, neumann_constraints
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -163,7 +165,7 @@ def affine_images(draw):
     scale s runs over 1e-15..1e15 and the shift b up to 1e4 s.
     """
     base = BASE_MESHES[draw(st.sampled_from(sorted(BASE_MESHES)))]
-    B = batch_geometry(base).B
+    B = base.geometry.B
     k = draw(st.floats(1.0, 0.99 * SHAPE_REGULARITY_LIMIT / np.linalg.cond(B).max()))
     t1, t2 = draw(st.floats(0.0, 2.0 * np.pi)), draw(st.floats(0.0, 2.0 * np.pi))
     s = 10.0 ** draw(st.floats(-15.0, 15.0))
@@ -190,7 +192,7 @@ def test_interpolant_commutes_and_conforms_on_affine_meshes(mesh, seed):
 
     res, _ = commuting_residual(mesh, dofmap, field, cache=cache)
     size = np.abs(field.m(*mesh.vertices.T)).max()
-    area = 4.0 * batch_geometry(mesh).det.sum()
+    area = 4.0 * mesh.geometry.det.sum()
     h = mesh.h_cell.min()
     assert res <= 1e-12 * size * np.sqrt(area) / h**2 * (1.0 + np.abs(mesh.vertices).max() / h)
 
@@ -206,6 +208,14 @@ def test_interpolation_error_second_order(basis_cache):
     # errors decay monotonically once past the coarsest mesh
     errs = [r[2] for r in rows]
     assert all(a > b for a, b in zip(errs[1:], errs[2:]))
+
+
+def test_interpolation_study_builds_one_geometry_record_per_level(geometry_builds):
+    # the coefficients, the errors and the commuting residual of a level all
+    # read the record of its mesh
+    field = TensorField.random_poly(np.random.default_rng(5), deg=3)
+    interpolation_error_study(field, range(4))
+    assert geometry_builds == [4**level for level in range(4)]
 
 
 @pytest.mark.parametrize("level", [1, 3, 5])
@@ -231,3 +241,46 @@ def test_non_finite_corner_jump_is_named():
     want = "dof %d is not finite: the field's corner jump at local corner %d of cell %d"
     with pytest.raises(ValueError, match=want % (dofmap.jump_id[k, c], c, k)):
         interpolate_ddiv(mesh, dofmap, field)
+
+
+# -- malformed input ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "coeffs, p1",
+    [((3, 20), (3, 3)), ((5, 20), (5, 3)), ((4, 21), (4, 2))],
+    ids=["short", "long", "wide"],
+)
+def test_integrals_reject_per_cell_arrays_of_another_shape(coeffs, p1):
+    # a longer array was integrated over its first rows, a shorter one
+    # failed inside numpy
+    mesh = make_parallelogram_domain(EX1_CORNERS, 1)
+    cache, field = BasisCache(), TensorField.from_grid(np.zeros((1, 1, 3)))
+    want = r"expected %s of shape \(ncells, %d\) = \(4, %d\), got shape \(%d, %d\)"
+    with pytest.raises(ValueError, match=want % (("raw coefficients", 20, 20) + coeffs)):
+        tensor_errors(mesh, cache, np.zeros(coeffs), field)
+    with pytest.raises(ValueError, match=want % (("raw coefficients", 20, 20) + coeffs)):
+        ddiv_gap(mesh, cache, np.zeros(coeffs), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=want % (("p1 coefficients", 3, 3) + p1)):
+        ddiv_gap(mesh, cache, np.zeros((4, 20)), np.zeros(p1))
+
+
+def test_a_field_without_div_is_named():
+    full = TensorField.random_poly(np.random.default_rng(3), deg=1)
+    field = TensorField(full.m, None, full.divdiv)
+    mesh = make_lshape(1)
+    dofmap = build_dof_map(mesh)
+    with pytest.raises(ValueError, match="the field's div$"):
+        interpolate_ddiv(mesh, dofmap, field)
+    with pytest.raises(ValueError, match="the field's div$"):
+        neumann_constraints(mesh, dofmap, NeumannData(field))
+
+
+def test_a_field_without_divdiv_is_named():
+    full = TensorField.random_poly(np.random.default_rng(3), deg=1)
+    field = TensorField(full.m, full.div)
+    mesh = make_lshape(1)
+    with pytest.raises(ValueError, match="the field's divdiv$"):
+        commuting_residual(mesh, build_dof_map(mesh), field)
+    with pytest.raises(ValueError, match="the field's divdiv$"):
+        interpolation_error_study(field, range(2))

@@ -19,7 +19,6 @@ from ddivfem.piola import (
     BasisCache,
     EdgeTabulation,
     GeometryError,
-    batch_geometry,
     dof_matrices,
 )
 from ddivfem.reference import build_reference_basis
@@ -52,18 +51,18 @@ def phis():
 
 
 def test_element_map_examples():
-    g = batch_geometry(make_parallelogram_domain(SQUARE, 0))
+    g = make_parallelogram_domain(SQUARE, 0).geometry
     assert np.allclose(g.B[0], np.eye(2))
     assert np.allclose(g.a[0], 0.0)
     assert g.det[0] == pytest.approx(1.0)
 
-    g = batch_geometry(make_parallelogram_domain(UNIT, 0))
+    g = make_parallelogram_domain(UNIT, 0).geometry
     assert np.allclose(g.B[0], 0.5 * np.eye(2))
     assert np.allclose(g.a[0], [0.5, 0.5])
     assert g.det[0] == pytest.approx(0.25)
 
     # sheared benchmark cell: both in-plane directions pick up the shear
-    g = batch_geometry(make_parallelogram_domain(EX1_CORNERS, 0))
+    g = make_parallelogram_domain(EX1_CORNERS, 0).geometry
     assert np.allclose(g.B[0], [[1.0, 0.0], [1.0, 1.0]])
     assert g.det[0] == pytest.approx(1.0)
 
@@ -71,7 +70,7 @@ def test_element_map_examples():
 def test_element_map_sends_reference_corners_to_cell():
     mesh = make_parallelogram_domain(EX1_CORNERS, 1)
     ref_corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    g = batch_geometry(mesh)
+    g = mesh.geometry
     for k in range(mesh.num_cells):
         mapped = g.a[k] + ref_corners @ g.B[k].T
         assert np.allclose(mapped, mesh.vertices[mesh.cells[k]], atol=1e-14)
@@ -82,13 +81,13 @@ def test_singular_map_rejected():
     mesh = make_parallelogram_domain(UNIT, 0)
     mesh.vertices[mesh.cells[0, 3]] = [2.0, 0.0]
     with pytest.raises(GeometryError, match="determinant"):
-        batch_geometry(mesh)
+        mesh.geometry
     mesh = make_parallelogram_domain(UNIT, 0)
     # negative determinant (orientation flip)
     v1, v3 = mesh.cells[0, 1], mesh.cells[0, 3]
     mesh.vertices[[v1, v3]] = mesh.vertices[[v3, v1]]
     with pytest.raises(GeometryError, match="determinant"):
-        batch_geometry(mesh)
+        mesh.geometry
 
 
 def _ones(x, y):
@@ -97,7 +96,7 @@ def _ones(x, y):
 
 #: every public call that reads cell geometry, on a mesh and all-zero data
 GEOMETRY_READERS = {
-    "batch_geometry": batch_geometry,
+    "geometry": lambda mesh: mesh.geometry,
     "build_system": lambda mesh: build_system(mesh, build_dof_map(mesh), _ones),
     "source_load": lambda mesh: source_load(mesh, _ones),
     "tensor_errors": lambda mesh: tensor_errors(
@@ -150,7 +149,7 @@ def test_identity_cell_dofs_are_signed_reference_norms(basis):
 def test_identity_cell_dof_matrix_is_exactly_the_signed_diagonal():
     # on the reference square the pushforward is the identity, and the exact
     # edge moments leave no rounding off the diagonal
-    square = batch_geometry(make_parallelogram_domain(SQUARE, 0))
+    square = make_parallelogram_domain(SQUARE, 0).geometry
     T = dof_matrices(square, BasisCache().edge_tabulation())
     assert np.array_equal(T[0], np.diag(IDENTITY_DOF_SIGNS))
 
@@ -198,7 +197,7 @@ def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
     # integrated by its own nq-point Gauss rule along the edges
     tab = EdgeTabulation(basis)
     for mesh in (graded_mesh, make_lshape(2)):
-        T = dof_matrices(batch_geometry(mesh), tab)
+        T = dof_matrices(mesh.geometry, tab)
         assert T.shape == (mesh.num_cells, 20, 20)
         for k in range(mesh.num_cells):
             want = cell_dof_matrix(mesh, k, basis, nq=nq)
@@ -208,7 +207,7 @@ def test_batched_dof_matrices_match_physical_dofs(basis, graded_mesh, nq):
 def test_cached_local_basis_is_the_single_cell_batch(basis, graded_mesh, cell_basis):
     cache = BasisCache(basis)
     tab = cache.edge_tabulation()
-    T = dof_matrices(batch_geometry(graded_mesh), tab)
+    T = dof_matrices(graded_mesh.geometry, tab)
     for k in range(graded_mesh.num_cells):
         T_one = dof_matrices(one_cell_geometry(graded_mesh, k), tab)[0]
         assert np.abs(T_one - T[k]).max() <= 1e-14 * np.abs(T[k]).max()
@@ -222,7 +221,7 @@ def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
     # the batch is checked before any group is stored, so a matrix over the
     # condition limit raises and leaves no entry behind, also when the
     # groups before it in first-cell order pass
-    _, _, _, T, want = BasisCache(basis).groups(graded_mesh)
+    _, _, T, want = BasisCache(basis).groups(graded_mesh)
     cache = BasisCache(basis)
     cond = np.linalg.cond(T)
     assert cond[0] < cond.max()
@@ -232,7 +231,7 @@ def test_groups_keep_the_condition_check(basis, graded_mesh, monkeypatch):
             cache.groups(graded_mesh)
         assert len(cache) == 0
     monkeypatch.undo()
-    _, _, _, _, Tinv = cache.groups(graded_mesh)
+    _, _, _, Tinv = cache.groups(graded_mesh)
     assert np.array_equal(Tinv, want)
 
 

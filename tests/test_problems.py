@@ -259,6 +259,13 @@ def test_l2_errors_read_the_solve_coefficients(problem):
     assert l2_errors(run["mesh"], run["dofmap"], cache, zero, exact)["norm_Mh"] == 0.0
 
 
+def test_solve_example_builds_one_geometry_record(geometry_builds):
+    # the groups, the source load and the three error integrals all read the
+    # mesh's one record
+    run = solve_example(get_example("ex2"), 3)
+    assert geometry_builds == [run["mesh"].num_cells]
+
+
 # -- convergence orders -----------------------------------------------------------
 
 

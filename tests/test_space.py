@@ -6,7 +6,7 @@ import pytest
 from cellspec import as_scipy, cell_geometry, physical_dofs, tensors
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain
 from ddivfem import piola, space
-from ddivfem.piola import BasisCache, batch_geometry, cell_groups
+from ddivfem.piola import BasisCache, cell_groups
 from ddivfem.space import build_dof_map, cell_coefficients, check_conformity
 
 
@@ -169,7 +169,7 @@ def test_conformity_reports_no_location_without_violation():
 
 def test_cell_groups_number_every_cell():
     mesh = make_lshape(3)
-    keys = batch_geometry(mesh).keys()
+    keys = mesh.geometry.keys()
     first, group = cell_groups(keys)
     assert group.shape == (mesh.num_cells,)
     assert np.array_equal(first, np.sort(first))
@@ -193,7 +193,7 @@ def report_inputs(mesh, kind):
 @pytest.mark.parametrize("which", ["lshape", "graded"])
 def test_grouped_conformity_is_the_all_cell_report(graded_mesh, monkeypatch, which, kind, nq):
     # with every cell its own group the check builds the dof matrices of all
-    # cells in one batch, dof_matrices(batch_geometry(mesh), tab); grouping
+    # cells in one batch, dof_matrices(mesh.geometry, tab); grouping
     # must give the same report to the last bit, and the maxima of the
     # oracle's nq-point edge rule to rounding.  The conforming field of a
     # global vector reports rounding noise, whose maxima and locations move
@@ -228,7 +228,7 @@ def test_perturbed_cell_reported_inside_its_group():
     dofmap = build_dof_map(mesh)
     cache = BasisCache()
     raw = cell_coefficients(mesh, dofmap, cache, np.random.default_rng(5).standard_normal(dofmap.ndofs))
-    first, group = cell_groups(batch_geometry(mesh).keys())
+    first, group = cell_groups(mesh.geometry.keys())
     largest = np.argmax(np.bincount(group))
     members = np.flatnonzero(group == largest)
     k = members[len(members) // 2]
@@ -264,7 +264,7 @@ def test_conformity_names_the_moved_dof(kind, basis_cache):
     j = 2
     first = {"m0": space.SLOT_M0, "m1": space.SLOT_M1, "q0": space.SLOT_Q0,
              "q1": space.SLOT_Q1, "jump": space.SLOT_JUMP}[kind]
-    _, _, group, _, Tinv = basis_cache.groups(mesh)
+    _, group, _, Tinv = basis_cache.groups(mesh)
     delta = -0.75
     raw[k] += delta * Tinv[group[k]][:, first + j]
     report = check_conformity(mesh, dofmap, raw, cache=basis_cache)

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 from cellspec import as_scipy, element_map, p1_eval, tensors
 from test_piola import graded_rectangle
 import ddivfem.linsolve as linsolve
-from ddivfem import GeometryError, TensorField, interpolation, piola, problems, space
+from ddivfem import GeometryError, TensorField, piola, space
 from ddivfem.interpolation import project_p1
 from ddivfem.linsolve import ResidualError, SingularSystemError, solve_saddle
 from ddivfem.mesh import EX1_CORNERS, Mesh, make_lshape, make_parallelogram_domain, refine_uniform
@@ -602,7 +602,7 @@ def test_overflowing_compliance_block_rejected(scale):
         build_system(mesh, build_dof_map(mesh), lambda x, y: np.ones_like(x))
 
 
-def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
+def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch, geometry_builds):
     # assembly, the solve, the coefficients and the conformity report share
     # one grouping and one batch of dof matrices, and the last two are bit
     # for bit those of the public calls
@@ -610,8 +610,8 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
     mesh = exact.mesh(2)
     dofmap = build_dof_map(mesh)
     cache = BasisCache(basis_cache.basis)
-    calls, built, records = [], [], []
-    grouping, building, geometry = piola.cell_groups, piola.dof_matrices, piola.batch_geometry
+    calls, built = [], []
+    grouping, building = piola.cell_groups, piola.dof_matrices
 
     def counted(keys):
         calls.append(len(keys))
@@ -621,15 +621,9 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
         built.append(len(cells.B))
         return building(cells, tab)
 
-    def counted_geometry(mesh):
-        records.append(mesh.num_cells)
-        return geometry(mesh)
-
     for module in (piola, space):
         monkeypatch.setattr(module, "cell_groups", counted)
         monkeypatch.setattr(module, "dof_matrices", counted_build)
-    for module in (piola, space, interpolation, problems):
-        monkeypatch.setattr(module, "batch_geometry", counted_geometry)
     system = build_system(
         mesh, dofmap, exact.f, material=exact.material, dirichlet=exact.dirichlet,
         neumann=exact.neumann, cache=cache,
@@ -637,9 +631,9 @@ def test_solve_problem_groups_the_cells_once(basis_cache, monkeypatch):
     result = solve_problem(mesh, dofmap, system)
     ngroups = len(system.T)
     assert calls == [mesh.num_cells] and built == [ngroups]
-    # one geometry record each for the groups and the source load; the solve
-    # and its report read the assembled groups
-    assert records == [mesh.num_cells] * 2
+    # the mesh's one geometry record serves the groups and the source load;
+    # the solve and its report read the assembled groups
+    assert geometry_builds == [mesh.num_cells]
     # the conformity check reads the dof matrices the inverses came from
     assert np.abs(system.T @ system.Tinv - np.eye(20)).max() <= 1e-12
     monkeypatch.undo()

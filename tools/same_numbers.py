@@ -25,6 +25,9 @@ script computes the same fixed set of outputs:
   same ``coeffs`` against ``project_p1`` of f; once, ``project_p1`` of the
   Neumann field's div div (that of f = 1 is the same on every cell) and
   the ``commuting_residual`` of that field;
+- the bytes of that rotated L-shape's geometry record, its B, a, det,
+  tangents, lengths and forward (as 0 and 1) concatenated, read through
+  ``mesh.geometry``, or ``batch_geometry`` on a parent without it;
 - the bytes of ``m``, ``u`` and ``lambda`` and the ``repr`` of the solver
   dict of ``solve_problem`` with the ex2 data on ex2 at level
   ``RENUMBERED_LEVEL``, its cells and vertices in the order of
@@ -130,7 +133,7 @@ def library_outputs():
 
     from ddivfem import TensorField, convergence_study, get_example, interpolation_error_study
     from ddivfem import BasisCache, MaterialLaw, NeumannData, build_system, solve_example
-    from ddivfem import commuting_residual, project_p1, solve_problem, tensor_errors
+    from ddivfem import commuting_residual, piola, project_p1, solve_problem, tensor_errors
     from ddivfem.interpolation import ddiv_gap
     from ddivfem.problems import quadrature_orders
     from ddivfem import cell_coefficients, check_conformity
@@ -155,6 +158,10 @@ def library_outputs():
     b = base.boundary_edges
     labels = {frozenset(pair): lab for pair, lab in zip(base.edges[b].tolist(), base.edge_label[b])}
     mesh = Mesh(base.vertices @ np.array([[c, s], [-s, c]]), base.cells, labels)
+    # parents before the mesh held its record build it with batch_geometry
+    record = mesh.geometry if hasattr(Mesh, "geometry") else piola.batch_geometry(mesh)
+    out["rotated lshape L%d geometry record" % ROTATED_LEVEL] = digest(
+        np.concatenate([np.ravel(part).astype(float) for part in record]))
     dofmap = build_dof_map(mesh)
     neumann = NeumannData(TensorField.random_poly(np.random.default_rng(0), 2))
     orders, cache = quadrature_orders(mesh, get_example("ex2")), BasisCache()
